@@ -34,6 +34,7 @@ import (
 	"dynaq/internal/buffer"
 	"dynaq/internal/core"
 	"dynaq/internal/experiment"
+	"dynaq/internal/fabric"
 	"dynaq/internal/metrics"
 	"dynaq/internal/netsim"
 	"dynaq/internal/packet"
@@ -249,36 +250,26 @@ type StarConfig struct {
 	Params SchemeParams
 }
 
-// NewStarNetwork assembles a single-switch rack whose every port runs the
-// configured scheme and scheduler.
-func NewStarNetwork(s *Simulator, cfg StarConfig) (*StarNetwork, error) {
-	p, mtu := cfg.Params, cfg.MTU
-	if mtu == 0 {
-		mtu = 1500
-	}
-	if p.Rate == 0 {
-		p.Rate = cfg.Rate
-	}
-	if p.BaseRTT == 0 {
-		p.BaseRTT = 4 * cfg.Delay
-	}
-	if p.Weights == nil {
-		p.Weights = cfg.Weights
-	}
-	if p.Weights == nil {
-		p.Weights = make([]int64, cfg.Queues)
-		for i := range p.Weights {
-			p.Weights[i] = 1
-		}
-	}
-	kind := cfg.Sched
-	if kind == "" {
-		kind = DRR
-	}
-	scheme := cfg.Scheme
+// portDefaults fills a network config's unset port settings: DynaQ under DRR
+// with 1500-byte frames.
+func portDefaults(scheme Scheme, kind SchedKind, mtu ByteSize) (Scheme, SchedKind, ByteSize) {
 	if scheme == "" {
 		scheme = SchemeDynaQ
 	}
+	if kind == "" {
+		kind = DRR
+	}
+	if mtu == 0 {
+		mtu = 1500
+	}
+	return scheme, kind, mtu
+}
+
+// NewStarNetwork assembles a single-switch rack whose every port runs the
+// configured scheme and scheduler.
+func NewStarNetwork(s *Simulator, cfg StarConfig) (*StarNetwork, error) {
+	p := cfg.Params.Resolved(cfg.Rate, fabric.Star.BaseRTT(cfg.Delay), cfg.Weights, cfg.Queues)
+	scheme, kind, mtu := portDefaults(cfg.Scheme, cfg.Sched, cfg.MTU)
 	return topology.NewStar(s, topology.StarConfig{
 		Hosts:     cfg.Hosts,
 		Rate:      cfg.Rate,
@@ -307,33 +298,8 @@ type LeafSpineConfig struct {
 
 // NewLeafSpineNetwork assembles a two-tier ECMP fabric.
 func NewLeafSpineNetwork(s *Simulator, cfg LeafSpineConfig) (*LeafSpineNetwork, error) {
-	p, mtu := cfg.Params, cfg.MTU
-	if mtu == 0 {
-		mtu = 1500
-	}
-	if p.Rate == 0 {
-		p.Rate = cfg.Rate
-	}
-	if p.BaseRTT == 0 {
-		p.BaseRTT = 8 * cfg.Delay
-	}
-	if p.Weights == nil {
-		p.Weights = cfg.Weights
-	}
-	if p.Weights == nil {
-		p.Weights = make([]int64, cfg.Queues)
-		for i := range p.Weights {
-			p.Weights[i] = 1
-		}
-	}
-	kind := cfg.Sched
-	if kind == "" {
-		kind = DRR
-	}
-	scheme := cfg.Scheme
-	if scheme == "" {
-		scheme = SchemeDynaQ
-	}
+	p := cfg.Params.Resolved(cfg.Rate, fabric.LeafSpine.BaseRTT(cfg.Delay), cfg.Weights, cfg.Queues)
+	scheme, kind, mtu := portDefaults(cfg.Scheme, cfg.Sched, cfg.MTU)
 	return topology.NewLeafSpine(s, topology.LeafSpineConfig{
 		Leaves:       cfg.Leaves,
 		Spines:       cfg.Spines,

@@ -1,0 +1,180 @@
+package buffer
+
+import (
+	"fmt"
+	"strings"
+
+	"dynaq/internal/core"
+	"dynaq/internal/units"
+)
+
+// SchemeParams carries the link-dependent constants the schemes derive
+// their thresholds from.
+type SchemeParams struct {
+	// Rate is the bottleneck link capacity C.
+	Rate units.Rate
+	// BaseRTT is the topology's base round-trip time.
+	BaseRTT units.Duration
+	// Lambda is the ECN threshold coefficient λ (1.0 unless tuning for a
+	// specific transport).
+	Lambda float64
+	// Weights are the scheduler weights/quantums per service queue.
+	Weights []int64
+	// Quantums are the DRR byte quantums (used by MQ-ECN); nil derives
+	// them as Weights·MTU.
+	Quantums []units.ByteSize
+	// PerQueueK overrides the Per-Queue ECN / DCTCP threshold. The paper
+	// tunes it experimentally (30KB on 1GbE); zero falls back to C·RTT·λ/2.
+	PerQueueK units.ByteSize
+	// TCNTarget overrides TCN's sojourn threshold; zero derives RTT·λ.
+	TCNTarget units.Duration
+}
+
+// Resolved returns p with what the caller left unset filled in for a port
+// on a link of the given rate and base RTT with n service queues: Rate and
+// BaseRTT from the link, Weights from weights, or equal when that is empty
+// too.
+func (p SchemeParams) Resolved(rate units.Rate, rtt units.Duration, weights []int64, n int) SchemeParams {
+	if p.Rate == 0 {
+		p.Rate = rate
+	}
+	if p.BaseRTT == 0 {
+		p.BaseRTT = rtt
+	}
+	if len(p.Weights) == 0 {
+		p.Weights = weights
+	}
+	if len(p.Weights) == 0 {
+		p.Weights = make([]int64, n)
+		for i := range p.Weights {
+			p.Weights[i] = 1
+		}
+	}
+	return p
+}
+
+// lambda returns λ with the unset value defaulted to 1.
+func (p SchemeParams) lambda() float64 {
+	//dynaqlint:allow float-eq zero-value sentinel for an unset config field, not an arithmetic result
+	if p.Lambda == 0 {
+		return 1
+	}
+	return p.Lambda
+}
+
+// markK is the port-level ECN marking threshold C·RTT·λ.
+func (p SchemeParams) markK() units.ByteSize {
+	return units.ByteSize(float64(units.BDP(p.Rate, p.BaseRTT)) * p.lambda())
+}
+
+// sojourn is the TCN sojourn-time threshold.
+func (p SchemeParams) sojourn() units.Duration {
+	if p.TCNTarget != 0 {
+		return p.TCNTarget
+	}
+	return p.BaseRTT.Scale(p.lambda())
+}
+
+// Scheme is one row of the scheme table: what a buffer-management scheme is
+// called, whether it signals congestion by marking (so its flows must run an
+// ECN transport), and how to build its per-port instance for a port with
+// buffer b and n service queues.
+type Scheme struct {
+	Name string
+	ECN  bool
+	New  func(p SchemeParams, b units.ByteSize, n int) (Admission, error)
+}
+
+// schemes is the registry every layer resolves scheme names through. Adding
+// a scheme is its file plus one row here.
+var schemes = []Scheme{
+	// The non-ECN lineup (Fig. 8).
+	{"BestEffort", false, func(SchemeParams, units.ByteSize, int) (Admission, error) {
+		return NewBestEffort(), nil
+	}},
+	{"PQL", false, func(p SchemeParams, b units.ByteSize, _ int) (Admission, error) {
+		return NewWeightedPQL(b, p.Weights)
+	}},
+	{"DynaQ", false, func(p SchemeParams, b units.ByteSize, _ int) (Admission, error) {
+		return NewDynaQ(b, p.Weights)
+	}},
+	// The ECN lineup evaluated with DCTCP (Fig. 9).
+	{"TCN", true, func(p SchemeParams, _ units.ByteSize, _ int) (Admission, error) {
+		return NewTCN(p.sojourn())
+	}},
+	{"PMSB", true, func(p SchemeParams, _ units.ByteSize, _ int) (Admission, error) {
+		return NewPMSB(p.markK(), p.Weights)
+	}},
+	{"PerQueueECN", true, func(p SchemeParams, _ units.ByteSize, n int) (Admission, error) {
+		k := p.PerQueueK
+		if k == 0 {
+			k = p.markK() / 2
+		}
+		return NewPerQueueECN(n, k)
+	}},
+	{"MQ-ECN", true, func(p SchemeParams, _ units.ByteSize, n int) (Admission, error) {
+		quantums := p.Quantums
+		if quantums == nil {
+			quantums = make([]units.ByteSize, n)
+			for i, w := range p.Weights {
+				quantums[i] = units.ByteSize(w) * 1500
+			}
+		}
+		return NewMQECN(p.Rate, p.BaseRTT.Scale(p.lambda()), quantums)
+	}},
+	// The §II-C strawman kept as an ablation.
+	{"TCNDrop", false, func(p SchemeParams, _ units.ByteSize, _ int) (Admission, error) {
+		return NewTCNDrop(p.sojourn())
+	}},
+	// Ablation variants of DynaQ (§III-B design discussion): victims by
+	// largest threshold instead of largest extra buffer; satisfaction
+	// thresholds at the weighted BDP instead of the buffer share.
+	{"DynaQ-NaiveVictim", false, func(p SchemeParams, b units.ByteSize, _ int) (Admission, error) {
+		return NewDynaQWithOptions("DynaQ-NaiveVictim", b, p.Weights,
+			core.WithVictimPolicy(core.VictimMaxThreshold))
+	}},
+	{"DynaQ-WBDP", false, func(p SchemeParams, b units.ByteSize, _ int) (Admission, error) {
+		return NewDynaQWithOptions("DynaQ-WBDP", b, p.Weights,
+			core.WithWBDPSatisfaction(units.BDP(p.Rate, p.BaseRTT)))
+	}},
+	// The eviction-based alternative the paper cites ([12], §II-C).
+	{"BarberQ", false, func(SchemeParams, units.ByteSize, int) (Admission, error) {
+		return NewBarberQ(), nil
+	}},
+	// The §IV-A programmable-switch model: Algorithm 1 decided in the
+	// ingress pipeline on dequeue-time-stale queue lengths.
+	{"DynaQ-Tofino", false, func(p SchemeParams, b units.ByteSize, _ int) (Admission, error) {
+		return NewDynaQTofino(b, p.Weights)
+	}},
+	// DynaQ's ECN support (§III-B3): PMSB-style marking, no threshold
+	// adjustment.
+	{"DynaQ-ECN", true, func(p SchemeParams, _ units.ByteSize, _ int) (Admission, error) {
+		return NewDynaQECN(p.markK(), p.Weights)
+	}},
+}
+
+// LookupScheme resolves a scheme name; the error lists the known names.
+func LookupScheme(name string) (Scheme, error) {
+	for _, s := range schemes {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	names := make([]string, len(schemes))
+	for i, s := range schemes {
+		names[i] = s.Name
+	}
+	return Scheme{}, fmt.Errorf("unknown scheme %q (known: %s)", name, strings.Join(names, ", "))
+}
+
+// NewScheme builds the named scheme's instance for one port.
+func NewScheme(name string, p SchemeParams, b units.ByteSize, n int) (Admission, error) {
+	s, err := LookupScheme(name)
+	if err != nil {
+		return nil, fmt.Errorf("buffer: %w", err)
+	}
+	if len(p.Weights) != n {
+		return nil, fmt.Errorf("buffer: scheme %s: %d weights for %d queues", name, len(p.Weights), n)
+	}
+	return s.New(p, b, n)
+}

@@ -1,36 +1,33 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 
+	"dynaq/internal/buffer"
+	"dynaq/internal/fabric"
 	"dynaq/internal/faults"
 	"dynaq/internal/flowsim"
 	"dynaq/internal/metrics"
-	"dynaq/internal/netsim"
 	"dynaq/internal/packet"
 	"dynaq/internal/pias"
 	"dynaq/internal/sim"
 	"dynaq/internal/telemetry"
 	ttrace "dynaq/internal/telemetry/trace"
-	"dynaq/internal/topology"
-	"dynaq/internal/transport"
 	"dynaq/internal/units"
 	"dynaq/internal/workload"
 )
 
 // TopoKind selects the network shape of a dynamic-flow experiment.
-type TopoKind string
+type TopoKind = fabric.Kind
 
-// Topology kinds.
+// Topology kinds; every kind runs on every engine.
 const (
-	TopoStar      TopoKind = "star"
-	TopoLeafSpine TopoKind = "leafspine"
-	// TopoFatTree is a k-ary fat tree. It exists only at flow level (the
-	// Engine must be flow or hybrid): its scale is exactly what the fluid
-	// fast path is for.
-	TopoFatTree TopoKind = "fattree"
+	TopoStar      = fabric.Star
+	TopoLeafSpine = fabric.LeafSpine
+	TopoFatTree   = fabric.FatTree
 )
 
 // DynamicConfig assembles an FCT experiment: Poisson flow arrivals with
@@ -88,13 +85,13 @@ type DynamicConfig struct {
 	MaxRuntime units.Duration
 
 	// Faults is the scripted fault schedule, resolved against the
-	// topology's fault registry (see topology.Star.FaultRegistry and
-	// topology.LeafSpine.FaultRegistry for the link names).
+	// network's fault registry (see topology.Network.FaultRegistry for the
+	// link names). Faults, Guard and FailureAware need the packet engine.
 	Faults []faults.Spec
 	// Guard wires the invariant guardrail into every switch port.
 	Guard bool
-	// FailureAware enables failure-aware ECMP on the leaf-spine (ignored
-	// on the star, which has a single path per destination).
+	// FailureAware enables failure-aware ECMP (a no-op on the star, which
+	// has a single path per destination).
 	FailureAware bool
 	// DetectionDelay is the failure-aware routing convergence time
 	// (default 1ms when FailureAware is set).
@@ -140,26 +137,57 @@ type DynamicResult struct {
 	Fluid *flowsim.Stats
 }
 
-// RunDynamic executes an FCT scenario, dispatching on cfg.Engine.
-func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) {
-	switch cfg.Engine {
-	case EngineFlow, EngineHybrid:
-		return runDynamicFluid(cfg)
-	case "", EnginePacket:
-		if cfg.Topo == TopoFatTree {
-			return nil, fmt.Errorf("experiment: the fat-tree topology needs the flow or hybrid engine")
+// ConfigError is a rejected DynamicConfig setting. Field is the setting's
+// scenario-document name, so a loader can report which input to fix.
+type ConfigError struct {
+	Field string
+	Msg   string
+}
+
+// Error implements error.
+func (e *ConfigError) Error() string { return "experiment: " + e.Msg }
+
+// fabric builds the graph the cell runs on: the one place a TopoKind and
+// its shape parameters become a fabric.
+func (cfg *DynamicConfig) fabric() (*fabric.Graph, error) {
+	switch cfg.Topo {
+	case TopoStar:
+		// Servers sender hosts plus the client.
+		servers := cfg.Servers
+		if servers <= 0 {
+			servers = 4
 		}
+		return fabric.NewStar(servers+1, cfg.Rate)
+	case TopoLeafSpine:
+		return fabric.NewLeafSpine(cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf, cfg.Rate)
+	case TopoFatTree:
+		return fabric.NewFatTree(cfg.FatTreeK, cfg.Rate)
 	default:
-		return nil, fmt.Errorf("experiment: unknown engine %q", cfg.Engine)
+		return nil, &ConfigError{"topo", fmt.Sprintf("unknown topology %q", cfg.Topo)}
 	}
-	if cfg.Flows <= 0 {
-		return nil, fmt.Errorf("experiment: dynamic run needs flows > 0")
+}
+
+// normalize validates cfg, fills its defaults and builds its fabric.
+func (cfg *DynamicConfig) normalize() (*fabric.Graph, error) {
+	engine, err := ParseEngineMode(string(cfg.Engine))
+	if err != nil {
+		return nil, err
 	}
-	if len(cfg.Workloads) == 0 {
-		return nil, fmt.Errorf("experiment: dynamic run needs at least one workload")
+	cfg.Engine = engine
+	switch {
+	case cfg.Flows <= 0:
+		return nil, &ConfigError{"flows", "dynamic run needs flows > 0"}
+	case len(cfg.Workloads) == 0:
+		return nil, &ConfigError{"workloads", "dynamic run needs at least one workload"}
+	case cfg.Queues < 2:
+		return nil, &ConfigError{"queues", "dynamic run needs an SPQ queue plus DRR queues"}
+	case engine != EnginePacket && (len(cfg.Faults) > 0 || cfg.Guard || cfg.FailureAware):
+		// The fluid engines build no netsim ports or links for faults to
+		// hit, the guardrail to watch or routing to probe.
+		return nil, &ConfigError{"engine", "faults, guardrails and failure-aware routing need the packet engine"}
 	}
-	if cfg.Queues < 2 {
-		return nil, fmt.Errorf("experiment: dynamic run needs an SPQ queue plus DRR queues")
+	if _, err := buffer.LookupScheme(string(cfg.Scheme)); err != nil {
+		return nil, &ConfigError{"scheme", err.Error()}
 	}
 	if cfg.MTU == 0 {
 		cfg.MTU = 1500
@@ -167,132 +195,76 @@ func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 	if cfg.Demotion == 0 {
 		cfg.Demotion = pias.DefaultDemotionThreshold
 	}
+	if cfg.FlowCutoff == 0 {
+		// The PIAS demotion threshold doubles as the short/long cutoff: a
+		// flow the packet engine would keep in the high-priority queues is
+		// exactly a flow that lives inside slow start.
+		cfg.FlowCutoff = cfg.Demotion
+	}
 	if cfg.MaxRuntime == 0 {
 		cfg.MaxRuntime = 10 * units.Second
 	}
-	if cfg.Params.Rate == 0 {
-		cfg.Params.Rate = cfg.Rate
+	g, err := cfg.fabric()
+	var shape *fabric.ShapeError
+	if errors.As(err, &shape) {
+		return nil, &ConfigError{shape.Param, shape.Msg}
 	}
-	mss := cfg.MTU - transport.HeaderSize
-
-	s := sim.New()
-	var endpoints []*transport.Endpoint
-	var hosts int
-	var reg *faults.Registry
-	// obsPorts are the switch ports the guardrail watches and the telemetry
-	// layer instruments, with their registry labels.
-	var obsPorts []*netsim.Port
-	var obsLabels []string
-	needPorts := cfg.Guard || cfg.Telemetry != nil
-	switch cfg.Topo {
-	case TopoStar:
-		if cfg.Servers <= 0 {
-			cfg.Servers = 4
-		}
-		hosts = cfg.Servers + 1
-		if cfg.Params.BaseRTT == 0 {
-			cfg.Params.BaseRTT = 4 * cfg.Delay
-		}
-		star, err := topology.NewStar(s, topology.StarConfig{
-			Hosts:     hosts,
-			Rate:      cfg.Rate,
-			Delay:     cfg.Delay,
-			Buffer:    cfg.Buffer,
-			Queues:    cfg.Queues,
-			Factories: Factories(cfg.Scheme, SchedSPQDRR, cfg.Params, cfg.MTU),
-		})
-		if err != nil {
-			return nil, err
-		}
-		endpoints = star.Endpoints
-		if len(cfg.Faults) > 0 {
-			reg = star.FaultRegistry()
-		}
-		if needPorts {
-			for i := 0; i < hosts; i++ {
-				obsPorts = append(obsPorts, star.Port(i))
-				obsLabels = append(obsLabels, fmt.Sprintf("tor:%d", i))
-			}
-		}
-	case TopoLeafSpine:
-		if cfg.Leaves == 0 || cfg.Spines == 0 || cfg.HostsPerLeaf == 0 {
-			return nil, fmt.Errorf("experiment: leaf-spine needs leaves/spines/hostsPerLeaf")
-		}
-		hosts = cfg.Leaves * cfg.HostsPerLeaf
-		if cfg.Params.BaseRTT == 0 {
-			cfg.Params.BaseRTT = 8 * cfg.Delay
-		}
-		ls, err := topology.NewLeafSpine(s, topology.LeafSpineConfig{
-			Leaves:         cfg.Leaves,
-			Spines:         cfg.Spines,
-			HostsPerLeaf:   cfg.HostsPerLeaf,
-			Rate:           cfg.Rate,
-			Delay:          cfg.Delay,
-			Buffer:         cfg.Buffer,
-			Queues:         cfg.Queues,
-			FailureAware:   cfg.FailureAware,
-			DetectionDelay: cfg.DetectionDelay,
-			Factories:      Factories(cfg.Scheme, SchedSPQDRR, cfg.Params, cfg.MTU),
-		})
-		if err != nil {
-			return nil, err
-		}
-		endpoints = ls.Endpoints
-		if len(cfg.Faults) > 0 {
-			reg = ls.FaultRegistry()
-		}
-		if needPorts {
-			for l, leaf := range ls.Leaves {
-				for i := 0; i < leaf.NumPorts(); i++ {
-					obsPorts = append(obsPorts, leaf.Port(i))
-					obsLabels = append(obsLabels, fmt.Sprintf("leaf%d:%d", l, i))
-				}
-			}
-			for sp, spine := range ls.Spines {
-				for i := 0; i < spine.NumPorts(); i++ {
-					obsPorts = append(obsPorts, spine.Port(i))
-					obsLabels = append(obsLabels, fmt.Sprintf("spine%d:%d", sp, i))
-				}
-			}
-		}
-	default:
-		return nil, fmt.Errorf("experiment: unknown topology %q", cfg.Topo)
-	}
-
-	var eng *faults.Engine
-	if reg != nil {
-		eng = faults.NewEngine(s, reg, cfg.Seed)
-		if err := eng.Schedule(cfg.Faults); err != nil {
-			return nil, err
-		}
-	}
-	var guard *faults.Guardrail
-	if cfg.Guard {
-		guard = faults.NewGuardrail(32)
-		for i, p := range obsPorts {
-			guard.Watch(obsLabels[i], p)
-		}
-	}
-
-	classifier, err := pias.NewClassifier(cfg.Demotion, 0)
 	if err != nil {
 		return nil, err
 	}
+	cfg.Params = cfg.Params.Resolved(cfg.Rate, cfg.Topo.BaseRTT(cfg.Delay), nil, cfg.Queues)
+	if len(cfg.Params.Weights) != cfg.Queues {
+		return nil, &ConfigError{"weights", fmt.Sprintf("%d weights for %d queues", len(cfg.Params.Weights), cfg.Queues)}
+	}
+	return g, nil
+}
+
+// Validate reports what RunDynamic would reject before simulating anything,
+// as a *ConfigError, so loaders can refuse a cell at submission instead of
+// on a worker.
+func (cfg DynamicConfig) Validate() error {
+	_, err := cfg.normalize()
+	return err
+}
+
+// RunDynamic executes an FCT scenario on cfg.Engine. The fabric, the
+// arrival processes, the source/destination draws and the class striping
+// are engine-independent, so a given seed describes the same offered
+// traffic at every fidelity; only the flow execution behind the cellEngine
+// seam differs.
+func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) {
+	g, err := cfg.normalize()
+	if err != nil {
+		return nil, err
+	}
+	hosts := g.Hosts()
+	// On the star the servers all answer one client, the last host (the
+	// testbed's request/response model); elsewhere any distinct pair talks.
+	incast := g.Kind() == fabric.Star
 	// Flow generation: the aggregate arrival rate targets Load on one
-	// bottleneck link (the star's client downlink, or each host's
-	// downlink in the leaf-spine, scaled by the host count as every host
-	// is a receiver).
+	// bottleneck link — the star's client downlink, or each host's
+	// downlink scaled by the host count as every host is a receiver.
 	genCap := cfg.Rate
-	if cfg.Topo == TopoLeafSpine {
+	if !incast {
 		genCap = cfg.Rate * units.Rate(hosts)
 	}
 	gens := make([]*workload.FlowGen, len(cfg.Workloads))
 	for i, cdf := range cfg.Workloads {
-		g, err := workload.NewFlowGen(cfg.Seed+int64(i), cdf, genCap, cfg.Load/float64(len(cfg.Workloads)))
+		gens[i], err = workload.NewFlowGen(cfg.Seed+int64(i), cdf, genCap, cfg.Load/float64(len(cfg.Workloads)))
 		if err != nil {
 			return nil, err
 		}
-		gens[i] = g
+	}
+
+	s := sim.New()
+	var eng cellEngine
+	if cfg.Engine == EnginePacket {
+		eng, err = newPacketEngine(s, g, &cfg)
+	} else {
+		eng, err = newFluidEngine(s, g, &cfg)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	res := &DynamicResult{Scheme: cfg.Scheme, Load: cfg.Load, FCT: metrics.NewFCTCollector()}
@@ -307,12 +279,7 @@ func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 	if cfg.Telemetry != nil {
 		treg := cfg.Telemetry.Registry()
 		instrumentSim(treg, s)
-		for i, p := range obsPorts {
-			p.Instrument(treg, obsLabels[i])
-		}
-		instrumentTransport(treg, endpoints)
-		instrumentFaults(treg, cfg.Telemetry, eng, guard)
-		instrumentLinks(treg, reg)
+		eng.instrument(treg, cfg.Telemetry)
 		treg.CounterFunc("flows_generated_total", func() int64 { return int64(flowID) })
 		treg.CounterFunc("flows_completed_total", func() int64 { return int64(res.FCT.Len()) })
 		fctHist = treg.Histogram("fct_us", fctBounds)
@@ -322,16 +289,11 @@ func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 	// w, w+len, w+2len, ... so that "different services use different
 	// traffic distributions" (§V-B2).
 	var schedule func(gi int, at units.Time)
-	launch := func(gi int) {
-		g := gens[gi]
+	launch := func(gi int, at units.Time) {
 		flowID++
-		id := flowID
-		size := g.NextSize()
-		// Pick src/dst: for the star, servers send to the client (the
-		// testbed's request/response model); for the leaf-spine, any
-		// distinct pair.
+		size := gens[gi].NextSize()
 		var src, dst int
-		if cfg.Topo == TopoStar {
+		if incast {
 			dst = hosts - 1
 			src = rng.Intn(hosts - 1)
 		} else {
@@ -352,30 +314,15 @@ func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 		if qChoices > 1 {
 			pick = gi + len(gens)*rng.Intn(qChoices)
 		}
-		class := 1 + pick
-		ctrl := transport.Controller(nil)
-		if cfg.DCTCP {
-			ctrl = transport.NewDCTCP()
-		}
-		if _, err := endpoints[src].StartFlow(transport.FlowConfig{
-			Flow:    id,
-			Dst:     dst,
-			Class:   class,
-			ClassOf: classifier.ClassOf(class),
-			Size:    size,
-			MSS:     mss,
-			Ctrl:    ctrl,
-			ECN:     cfg.DCTCP,
-			MinRTO:  cfg.MinRTO,
-			OnComplete: func(fct units.Duration) {
+		eng.start(at, flowStart{
+			id: flowID, src: src, dst: dst, class: 1 + pick, size: size,
+			done: func(fct units.Duration) {
 				res.FCT.Add(size, fct)
 				if fctHist != nil {
 					fctHist.Observe(int64(fct / units.Microsecond))
 				}
 			},
-		}); err != nil {
-			panic(err)
-		}
+		})
 	}
 	perGen := cfg.Flows / len(gens)
 	var left []int
@@ -389,12 +336,12 @@ func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 		}
 		left[gi]--
 		s.At(at, func() {
-			launch(gi)
+			launch(gi, at)
 			schedule(gi, at.Add(gens[gi].NextInterarrival()))
 		})
 	}
-	for gi, g := range gens {
-		schedule(gi, units.Time(g.NextInterarrival()))
+	for gi, gen := range gens {
+		schedule(gi, units.Time(gen.NextInterarrival()))
 	}
 
 	var stopHB func()
@@ -407,7 +354,7 @@ func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 	}
 
 	// Run until all flows complete or the drain budget expires. The FCT
-	// collector is the single completion ledger (each OnComplete adds one
+	// collector is the single completion ledger (each completion adds one
 	// record), so the loop polls it directly.
 	deadline := units.Time(cfg.MaxRuntime)
 	for res.FCT.Len() < cfg.Flows && s.Pending() > 0 && s.Now() < deadline {
@@ -416,22 +363,17 @@ func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 	if stopHB != nil {
 		stopHB()
 	}
+	eng.finish(res)
 	if cfg.Spans != nil {
+		attrs := []ttrace.Attr{ttrace.A("kind", "fct")}
+		if cfg.Engine != EnginePacket {
+			attrs = append(attrs, ttrace.A("engine", string(cfg.Engine)))
+		}
 		cfg.Spans.SimSpan("sim", cfg.SpanParent, 0, s.Now(),
-			ttrace.A("kind", "fct"),
-			ttrace.AInt("flows_completed", int64(res.FCT.Len())))
+			append(attrs, ttrace.AInt("flows_completed", int64(res.FCT.Len())))...)
 	}
 	res.Generated = int(flowID)
 	res.Completed = res.FCT.Len()
 	res.Events = int64(s.Processed())
-	if eng != nil {
-		res.FaultTimeline = eng.Timeline()
-		res.LinkLost, res.LinkCorrupted = reg.Totals()
-	}
-	if guard != nil {
-		guard.Recheck(s.Now())
-		res.Violations = guard.Violations()
-		res.ViolationTotal = guard.Total()
-	}
 	return res, nil
 }

@@ -1,0 +1,194 @@
+package experiment
+
+import (
+	"fmt"
+
+	"dynaq/internal/buffer"
+	"dynaq/internal/fabric"
+	"dynaq/internal/faults"
+	"dynaq/internal/flowsim"
+	"dynaq/internal/netsim"
+	"dynaq/internal/packet"
+	"dynaq/internal/pias"
+	"dynaq/internal/sim"
+	"dynaq/internal/telemetry"
+	"dynaq/internal/topology"
+	"dynaq/internal/transport"
+	"dynaq/internal/units"
+)
+
+// EngineMode selects the fidelity of a dynamic-flow run: the per-packet
+// discrete-event engine, the flow-level fluid engine, or the hybrid that
+// packetizes individual ports only while buffer precision matters.
+type EngineMode string
+
+// Engine modes.
+const (
+	EnginePacket EngineMode = "packet"
+	EngineFlow   EngineMode = "flow"
+	EngineHybrid EngineMode = "hybrid"
+)
+
+// ParseEngineMode maps a flag/scenario string to an EngineMode; the empty
+// string is the packet default.
+func ParseEngineMode(s string) (EngineMode, error) {
+	switch m := EngineMode(s); m {
+	case "", EnginePacket:
+		return EnginePacket, nil
+	case EngineFlow, EngineHybrid:
+		return m, nil
+	default:
+		return "", fmt.Errorf("experiment: unknown engine %q (want packet, flow or hybrid)", s)
+	}
+}
+
+// flowStart is one generated flow: the traffic RunDynamic offers is the same
+// sequence of these on every engine.
+type flowStart struct {
+	id       packet.FlowID
+	src, dst int
+	class    int
+	size     units.ByteSize
+	done     func(fct units.Duration)
+}
+
+// cellEngine is what RunDynamic needs from a fidelity: everything else —
+// the fabric, the arrival processes, the run loop — is shared.
+type cellEngine interface {
+	// start begins f at the current simulated time at.
+	start(at units.Time, f flowStart)
+	// instrument registers the engine's telemetry series.
+	instrument(reg *telemetry.Registry, run *telemetry.Run)
+	// finish runs once the run loop has stopped and folds the engine's
+	// outcome into res.
+	finish(res *DynamicResult)
+}
+
+// packetEngine runs flows as per-packet transfers over netsim ports wired
+// from the graph, with SPQ+DRR scheduling and two-level PIAS classification.
+type packetEngine struct {
+	cfg        *DynamicConfig
+	sim        *sim.Simulator
+	net        *topology.Network
+	classifier *pias.Classifier
+	faults     *faults.Engine
+	reg        *faults.Registry
+	guard      *faults.Guardrail
+}
+
+func newPacketEngine(s *sim.Simulator, g *fabric.Graph, cfg *DynamicConfig) (*packetEngine, error) {
+	net, err := topology.Build(s, g, topology.Config{
+		Delay:          cfg.Delay,
+		Buffer:         cfg.Buffer,
+		Queues:         cfg.Queues,
+		FailureAware:   cfg.FailureAware,
+		DetectionDelay: cfg.DetectionDelay,
+		Factories:      Factories(cfg.Scheme, SchedSPQDRR, cfg.Params, cfg.MTU),
+	})
+	if err != nil {
+		return nil, err
+	}
+	e := &packetEngine{cfg: cfg, sim: s, net: net}
+	if len(cfg.Faults) > 0 {
+		e.reg = net.FaultRegistry()
+		e.faults = faults.NewEngine(s, e.reg, cfg.Seed)
+		if err := e.faults.Schedule(cfg.Faults); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.Guard {
+		e.guard = faults.NewGuardrail(32)
+		net.EachPort(e.guard.Watch)
+	}
+	e.classifier, err = pias.NewClassifier(cfg.Demotion, 0)
+	return e, err
+}
+
+func (e *packetEngine) start(_ units.Time, f flowStart) {
+	ctrl := transport.Controller(nil)
+	if e.cfg.DCTCP {
+		ctrl = transport.NewDCTCP()
+	}
+	if _, err := e.net.Endpoints[f.src].StartFlow(transport.FlowConfig{
+		Flow:       f.id,
+		Dst:        f.dst,
+		Class:      f.class,
+		ClassOf:    e.classifier.ClassOf(f.class),
+		Size:       f.size,
+		MSS:        e.cfg.MTU - transport.HeaderSize,
+		Ctrl:       ctrl,
+		ECN:        e.cfg.DCTCP,
+		MinRTO:     e.cfg.MinRTO,
+		OnComplete: f.done,
+	}); err != nil {
+		panic(err) // duplicate ids cannot happen: ids are sequential
+	}
+}
+
+func (e *packetEngine) instrument(reg *telemetry.Registry, run *telemetry.Run) {
+	e.net.EachPort(func(label string, p *netsim.Port) { p.Instrument(reg, label) })
+	instrumentTransport(reg, e.net.Endpoints)
+	instrumentFaults(reg, run, e.faults, e.guard)
+	instrumentLinks(reg, e.reg)
+}
+
+func (e *packetEngine) finish(res *DynamicResult) {
+	if e.faults != nil {
+		res.FaultTimeline = e.faults.Timeline()
+		res.LinkLost, res.LinkCorrupted = e.reg.Totals()
+	}
+	if e.guard != nil {
+		e.guard.Recheck(e.sim.Now())
+		res.Violations = e.guard.Violations()
+		res.ViolationTotal = e.guard.Total()
+	}
+}
+
+// fluidEngine runs flows as fluid rate processes in a flowsim.Engine; under
+// EngineHybrid congested ports are packetized through the real scheme
+// admission. It builds no netsim ports or links, which is why fault
+// schedules, the guardrail and failure-aware routing need the packet engine.
+type fluidEngine struct {
+	fe *flowsim.Engine
+}
+
+func newFluidEngine(s *sim.Simulator, g *fabric.Graph, cfg *DynamicConfig) (*fluidEngine, error) {
+	fcfg := flowsim.Config{
+		Topo:       g,
+		Queues:     cfg.Queues,
+		Weights:    cfg.Params.Weights,
+		Buffer:     cfg.Buffer,
+		MTU:        cfg.MTU,
+		MSS:        cfg.MTU - transport.HeaderSize,
+		RTT:        cfg.Params.BaseRTT,
+		FlowCutoff: cfg.FlowCutoff,
+		Spans:      cfg.Spans,
+		SpanParent: cfg.SpanParent,
+	}
+	if cfg.Engine == EngineHybrid {
+		fcfg.Hybrid = true
+		fcfg.NewAdmission = func() (buffer.Admission, error) {
+			return cfg.Scheme.NewAdmission(cfg.Params, cfg.Buffer, cfg.Queues)
+		}
+	}
+	fe, err := flowsim.New(s, fcfg)
+	if err != nil {
+		return nil, err
+	}
+	return &fluidEngine{fe: fe}, nil
+}
+
+func (e *fluidEngine) start(at units.Time, f flowStart) {
+	e.fe.ScheduleArrival(at, flowsim.FlowSpec{
+		ID: f.id, Src: f.src, Dst: f.dst, Class: f.class, Size: f.size, OnComplete: f.done,
+	})
+}
+
+func (e *fluidEngine) instrument(reg *telemetry.Registry, _ *telemetry.Run) { e.fe.Instrument(reg) }
+
+func (e *fluidEngine) finish(res *DynamicResult) {
+	e.fe.Finish()
+	stats := e.fe.Stats()
+	res.Fluid = &stats
+	e.fe.Close()
+}

@@ -3,11 +3,10 @@ package experiment
 import (
 	"dynaq/internal/app"
 	"dynaq/internal/buffer"
+	"dynaq/internal/fabric"
 	"dynaq/internal/metrics"
-	"dynaq/internal/netsim"
 	"dynaq/internal/packet"
 	"dynaq/internal/pias"
-	"dynaq/internal/sched"
 	"dynaq/internal/sim"
 	"dynaq/internal/topology"
 	"dynaq/internal/transport"
@@ -36,7 +35,7 @@ func ExtMicroburst(o Options) (*AblationResult, error) {
 			Buffer: testbedBuffer,
 			Queues: 4,
 			Factories: Factories(scheme, SchedDRR,
-				SchemeParams{Rate: testbedRate, BaseRTT: 4 * testbedDelay, Weights: equalWeights(4)},
+				SchemeParams{Rate: testbedRate, BaseRTT: fabric.Star.BaseRTT(testbedDelay), Weights: equalWeights(4)},
 				testbedMTU),
 		})
 		if err != nil {
@@ -102,13 +101,8 @@ func ExtSharedMemory(o Options) (*AblationResult, error) {
 	for _, mode := range out.Schemes {
 		s := sim.New()
 		var pool *buffer.SharedPool
-		newAdmission := func(b units.ByteSize, n int) (buffer.Admission, error) {
-			if mode == "DT-shared" {
-				return buffer.NewDT(pool, 2)
-			}
-			return buffer.NewDynaQ(b, equalWeights(n))
-		}
 		perPort := testbedBuffer
+		factories := Factories(DynaQ, SchedDRR, SchemeParams{Weights: equalWeights(4)}, testbedMTU)
 		if mode == "DT-shared" {
 			var err error
 			if pool, err = buffer.NewSharedPool(totalMem); err != nil {
@@ -117,8 +111,17 @@ func ExtSharedMemory(o Options) (*AblationResult, error) {
 			// Under DT any port may occupy up to the whole SRAM,
 			// bounded only by α·free.
 			perPort = totalMem
+			factories.NewAdmission = func(units.ByteSize, int) (buffer.Admission, error) {
+				return buffer.NewDT(pool, 2)
+			}
 		}
-		net, err := buildSharedStar(s, perPort, pool, newAdmission)
+		rack, err := fabric.NewStar(4, testbedRate)
+		if err != nil {
+			return nil, err
+		}
+		net, err := topology.Build(s, rack, topology.Config{
+			Delay: testbedDelay, Buffer: perPort, Queues: 4, Pool: pool, Factories: factories,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -153,72 +156,11 @@ func ExtSharedMemory(o Options) (*AblationResult, error) {
 		out.Rows = append(out.Rows, []float64{
 			float64(fct.Avg(metrics.AllFlows)) / float64(units.Millisecond),
 			float64(fct.Percentile(metrics.AllFlows, 0.99)) / float64(units.Millisecond),
-			float64(net.Port(3).Stats().Dropped),
+			float64(net.HostPort(3).Stats().Dropped),
 		})
 	}
 	return out, nil
 }
-
-// buildSharedStar is topology.NewStar with an optional shared memory pool
-// on the switch ports (the topology package keeps ports private-buffer;
-// the shared-memory mode is this experiment's extension).
-func buildSharedStar(s *sim.Simulator, perPort units.ByteSize, pool *buffer.SharedPool,
-	newAdmission func(b units.ByteSize, n int) (buffer.Admission, error)) (*sharedStar, error) {
-	const hosts = 4
-	const queues = 4
-	hs := make([]*netsim.Host, hosts)
-	for i := range hs {
-		hs[i] = netsim.NewHost(i, nil)
-	}
-	ports := make([]*netsim.Port, hosts)
-	for i := range ports {
-		adm, err := newAdmission(perPort, queues)
-		if err != nil {
-			return nil, err
-		}
-		ports[i], err = netsim.NewPort(s, netsim.PortConfig{
-			Rate:      testbedRate,
-			Buffer:    perPort,
-			Queues:    queues,
-			Scheduler: sched.EqualDRR(queues, 1500),
-			Admission: adm,
-			Link:      netsim.NewLink(s, testbedDelay, hs[i]),
-			Pool:      pool,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sw, err := netsim.NewSwitch("shared", ports, func(p *packet.Packet) int { return p.Dst })
-	if err != nil {
-		return nil, err
-	}
-	st := &sharedStar{sw: sw}
-	for i, h := range hs {
-		nic, err := netsim.NewPort(s, netsim.PortConfig{
-			Rate:      4 * testbedRate,
-			Buffer:    units.GB,
-			Queues:    1,
-			Scheduler: sched.NewSPQ(),
-			Admission: buffer.NewBestEffort(),
-			Link:      netsim.NewLink(s, testbedDelay, sw),
-		})
-		if err != nil {
-			return nil, err
-		}
-		h.SetEgress(nic)
-		st.Endpoints = append(st.Endpoints, transport.NewEndpoint(s, h))
-		_ = i
-	}
-	return st, nil
-}
-
-type sharedStar struct {
-	sw        *netsim.Switch
-	Endpoints []*transport.Endpoint
-}
-
-func (s *sharedStar) Port(i int) *netsim.Port { return s.sw.Port(i) }
 
 // ExtProtocolDependence demonstrates the paper's core motivation (§II-B)
 // as a single experiment: two tenants share a port — queue 1 runs DCTCP
@@ -241,7 +183,7 @@ func ExtProtocolDependence(o Options) (*AblationResult, error) {
 				Ctrl: func() transport.Controller { return transport.NewCubic() }},
 		}
 		cfg := testbedStatic(scheme, equalWeights(4), specs, dur, o.Seed)
-		cfg.Params.PerQueueK = 30 * units.KB
+		cfg.Params = SchemeParams{Weights: cfg.Params.Weights, PerQueueK: 30 * units.KB}
 		res, err := RunStatic(cfg)
 		if err != nil {
 			return nil, err
@@ -359,7 +301,7 @@ func ExtClosedLoop(o Options) (*FCTResult, error) {
 			Buffer: testbedBuffer,
 			Queues: 5,
 			Factories: Factories(scheme, SchedSPQDRR,
-				SchemeParams{Rate: testbedRate, BaseRTT: 4 * testbedDelay,
+				SchemeParams{Rate: testbedRate, BaseRTT: fabric.Star.BaseRTT(testbedDelay),
 					Weights: equalWeights(5)}, testbedMTU),
 		})
 		if err != nil {

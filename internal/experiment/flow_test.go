@@ -8,9 +8,9 @@ import (
 	"dynaq/internal/workload"
 )
 
-// fatTreeFlowCfg is the fat-tree stress case: the topology only the fluid
-// engines can afford. k=4 keeps the test fast; the shipped scenario uses
-// k=8.
+// fatTreeFlowCfg is the fat-tree stress case: the topology whose paper-scale
+// instances only the fluid engines can afford. k=4 keeps the test fast (and
+// within the packet engine's reach); the shipped scenario uses k=8.
 func fatTreeFlowCfg(engine EngineMode, flows int, seed int64) DynamicConfig {
 	return DynamicConfig{
 		Scheme:   DynaQ,
@@ -134,12 +134,16 @@ func fctSignature(res *DynamicResult) string {
 // the packet engine, and load ordering is preserved.
 func TestFlowEngineFidelity(t *testing.T) {
 	type point struct{ pkt, fluid *DynamicResult }
-	runBoth := func(load float64) point {
-		pkt, err := RunDynamic(starFlowCfg(EnginePacket, 200, load, 1))
+	type cell func(EngineMode) DynamicConfig
+	star := func(load float64) cell {
+		return func(e EngineMode) DynamicConfig { return starFlowCfg(e, 200, load, 1) }
+	}
+	runBoth := func(mk cell) point {
+		pkt, err := RunDynamic(mk(EnginePacket))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fl, err := RunDynamic(starFlowCfg(EngineFlow, 200, load, 1))
+		fl, err := RunDynamic(mk(EngineFlow))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,24 +155,37 @@ func TestFlowEngineFidelity(t *testing.T) {
 		}
 		return float64(a) / float64(b)
 	}
-	for _, load := range []float64{0.4, 0.6} {
-		p := runBoth(load)
+	for _, tc := range []struct {
+		name string
+		mk   cell
+	}{
+		{"load 0.4", star(0.4)},
+		{"load 0.6", star(0.6)},
+		// The same fabric graph under both engines, now that the packet
+		// engine wires a fat tree too.
+		{"fat tree", func(e EngineMode) DynamicConfig { return fatTreeFlowCfg(e, 200, 1) }},
+	} {
+		p := runBoth(tc.mk)
+		if p.pkt.Completed != p.pkt.Generated || p.fluid.Completed != p.fluid.Generated {
+			t.Errorf("%s: completed %d/%d packet, %d/%d fluid", tc.name,
+				p.pkt.Completed, p.pkt.Generated, p.fluid.Completed, p.fluid.Generated)
+		}
 		// Committed tolerance: fluid average FCT within 4x of packet on
 		// both sides, small-flow p99 within 5x. The fluid model has no
 		// per-packet queueing jitter or retransmission tails, so it runs
 		// faster; what must not happen is an order-of-magnitude drift.
 		if r := ratio(p.fluid.FCT.Avg(metrics.AllFlows), p.pkt.FCT.Avg(metrics.AllFlows)); r < 0.25 || r > 4 {
-			t.Errorf("load %.1f: fluid avg FCT %v vs packet %v (ratio %.2f, want within [0.25,4])",
-				load, p.fluid.FCT.Avg(metrics.AllFlows), p.pkt.FCT.Avg(metrics.AllFlows), r)
+			t.Errorf("%s: fluid avg FCT %v vs packet %v (ratio %.2f, want within [0.25,4])",
+				tc.name, p.fluid.FCT.Avg(metrics.AllFlows), p.pkt.FCT.Avg(metrics.AllFlows), r)
 		}
 		if r := ratio(p.fluid.FCT.Percentile(metrics.SmallFlows, 0.99), p.pkt.FCT.Percentile(metrics.SmallFlows, 0.99)); r < 0.2 || r > 5 {
-			t.Errorf("load %.1f: fluid small p99 %v vs packet %v (ratio %.2f, want within [0.2,5])",
-				load, p.fluid.FCT.Percentile(metrics.SmallFlows, 0.99), p.pkt.FCT.Percentile(metrics.SmallFlows, 0.99), r)
+			t.Errorf("%s: fluid small p99 %v vs packet %v (ratio %.2f, want within [0.2,5])",
+				tc.name, p.fluid.FCT.Percentile(metrics.SmallFlows, 0.99), p.pkt.FCT.Percentile(metrics.SmallFlows, 0.99), r)
 		}
 	}
 	// Load ordering: higher load must not make fluid FCTs faster.
-	lo := runBoth(0.4)
-	hi := runBoth(0.8)
+	lo := runBoth(star(0.4))
+	hi := runBoth(star(0.8))
 	if hi.fluid.FCT.Avg(metrics.AllFlows) < lo.fluid.FCT.Avg(metrics.AllFlows) {
 		t.Errorf("fluid avg FCT at load 0.8 (%v) below load 0.4 (%v): load ordering broken",
 			hi.fluid.FCT.Avg(metrics.AllFlows), lo.fluid.FCT.Avg(metrics.AllFlows))

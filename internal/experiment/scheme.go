@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"dynaq/internal/buffer"
-	"dynaq/internal/core"
 	"dynaq/internal/sched"
 	"dynaq/internal/topology"
 	"dynaq/internal/units"
@@ -60,99 +59,18 @@ func ECNSchemes() []Scheme { return []Scheme{DynaQ, TCN, PMSB, PerQueueECN} }
 
 // IsECNBased reports whether the scheme signals congestion by marking.
 func (s Scheme) IsECNBased() bool {
-	switch s {
-	case TCN, PMSB, PerQueueECN, MQECN, DynaQECN:
-		return true
-	default:
-		return false
-	}
+	row, err := buffer.LookupScheme(string(s))
+	return err == nil && row.ECN
 }
 
 // SchemeParams carries the link-dependent constants the schemes derive
 // their thresholds from.
-type SchemeParams struct {
-	// Rate is the bottleneck link capacity C.
-	Rate units.Rate
-	// BaseRTT is the topology's base round-trip time.
-	BaseRTT units.Duration
-	// Lambda is the ECN threshold coefficient λ (1.0 unless tuning for a
-	// specific transport).
-	Lambda float64
-	// Weights are the scheduler weights/quantums per service queue.
-	Weights []int64
-	// Quantums are the DRR byte quantums (used by MQ-ECN); nil derives
-	// them as Weights·MTU.
-	Quantums []units.ByteSize
-	// PerQueueK overrides the Per-Queue ECN / DCTCP threshold; zero
-	// derives K_i = C·RTT·λ / number of queues... no — the paper tunes it
-	// experimentally (30KB on 1GbE), so zero falls back to C·RTT·λ/2.
-	PerQueueK units.ByteSize
-	// TCNTarget overrides TCN's sojourn threshold; zero derives RTT·λ.
-	TCNTarget units.Duration
-}
+type SchemeParams = buffer.SchemeParams
 
-// NewAdmission builds the buffer-management scheme instance for one port.
+// NewAdmission builds the buffer-management scheme instance for one port
+// through the scheme table in internal/buffer.
 func (s Scheme) NewAdmission(p SchemeParams, b units.ByteSize, n int) (buffer.Admission, error) {
-	if len(p.Weights) != n {
-		return nil, fmt.Errorf("experiment: scheme %s: %d weights for %d queues", s, len(p.Weights), n)
-	}
-	lambda := p.Lambda
-	//dynaqlint:allow float-eq zero-value sentinel for an unset config field, not an arithmetic result
-	if lambda == 0 {
-		lambda = 1
-	}
-	k := units.ByteSize(float64(units.BDP(p.Rate, p.BaseRTT)) * lambda)
-	switch s {
-	case BestEffort:
-		return buffer.NewBestEffort(), nil
-	case PQL:
-		return buffer.NewWeightedPQL(b, p.Weights)
-	case DynaQ:
-		return buffer.NewDynaQ(b, p.Weights)
-	case DynaQNaiveVictim:
-		return buffer.NewDynaQWithOptions(string(s), b, p.Weights,
-			core.WithVictimPolicy(core.VictimMaxThreshold))
-	case DynaQWBDP:
-		return buffer.NewDynaQWithOptions(string(s), b, p.Weights,
-			core.WithWBDPSatisfaction(units.BDP(p.Rate, p.BaseRTT)))
-	case BarberQ:
-		return buffer.NewBarberQ(), nil
-	case DynaQTofino:
-		return buffer.NewDynaQTofino(b, p.Weights)
-	case DynaQECN:
-		return buffer.NewDynaQECN(k, p.Weights)
-	case PerQueueECN:
-		ki := p.PerQueueK
-		if ki == 0 {
-			ki = k / 2
-		}
-		return buffer.NewPerQueueECN(n, ki)
-	case PMSB:
-		return buffer.NewPMSB(k, p.Weights)
-	case MQECN:
-		quantums := p.Quantums
-		if quantums == nil {
-			quantums = make([]units.ByteSize, n)
-			for i, w := range p.Weights {
-				quantums[i] = units.ByteSize(w) * 1500
-			}
-		}
-		return buffer.NewMQECN(p.Rate, p.BaseRTT.Scale(lambda), quantums)
-	case TCN:
-		target := p.TCNTarget
-		if target == 0 {
-			target = p.BaseRTT.Scale(lambda)
-		}
-		return buffer.NewTCN(target)
-	case TCNDrop:
-		target := p.TCNTarget
-		if target == 0 {
-			target = p.BaseRTT.Scale(lambda)
-		}
-		return buffer.NewTCNDrop(target)
-	default:
-		return nil, fmt.Errorf("experiment: unknown scheme %q", s)
-	}
+	return buffer.NewScheme(string(s), p, b, n)
 }
 
 // SchedKind selects the packet scheduler used on every switch port.
@@ -164,6 +82,19 @@ const (
 	SchedWRR    SchedKind = "wrr"
 	SchedSPQDRR SchedKind = "spq+drr"
 )
+
+// ParseSchedKind maps a flag/scenario string to a SchedKind; the empty
+// string is the DRR default.
+func ParseSchedKind(s string) (SchedKind, error) {
+	switch k := SchedKind(s); k {
+	case "":
+		return SchedDRR, nil
+	case SchedDRR, SchedWRR, SchedSPQDRR:
+		return k, nil
+	default:
+		return "", fmt.Errorf("experiment: unknown scheduler kind %q (want drr, wrr or spq+drr)", s)
+	}
+}
 
 // NewScheduler builds a scheduler instance for one port. For SPQDRR, queue
 // 0 is the shared strict-priority queue and the weights describe the

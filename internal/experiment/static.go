@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 
+	"dynaq/internal/fabric"
 	"dynaq/internal/faults"
 	"dynaq/internal/metrics"
 	"dynaq/internal/netsim"
@@ -141,12 +142,7 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = 500 * units.Millisecond
 	}
-	if cfg.Params.Rate == 0 {
-		cfg.Params.Rate = cfg.Rate
-	}
-	if cfg.Params.BaseRTT == 0 {
-		cfg.Params.BaseRTT = 4 * cfg.Delay
-	}
+	cfg.Params = cfg.Params.Resolved(cfg.Rate, fabric.Star.BaseRTT(cfg.Delay), nil, cfg.Queues)
 	mss := cfg.MTU - transport.HeaderSize
 
 	// Copy the queue specs before normalizing them below: cfg arrives by
@@ -247,9 +243,7 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 	var guard *faults.Guardrail
 	if cfg.Guard {
 		guard = faults.NewGuardrail(32)
-		for i := 0; i <= nSenders; i++ {
-			guard.Watch(fmt.Sprintf("tor:%d", i), star.Port(i))
-		}
+		star.EachPort(guard.Watch)
 	}
 	ts := metrics.NewThroughputSampler(s, port, cfg.SampleEvery)
 	var qt *metrics.QueueTrace
@@ -267,9 +261,7 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 			ew = cfg.Telemetry
 			treg := cfg.Telemetry.Registry()
 			instrumentSim(treg, s)
-			for i := 0; i <= nSenders; i++ {
-				star.Port(i).Instrument(treg, fmt.Sprintf("tor:%d", i))
-			}
+			star.EachPort(func(label string, p *netsim.Port) { p.Instrument(treg, label) })
 			instrumentTransport(treg, star.Endpoints)
 			instrumentFaults(treg, ew, eng, guard)
 			instrumentLinks(treg, reg)

@@ -15,7 +15,7 @@
 // across tenants for dispatch, and JobQueue (jobqueue.go) orders whole jobs
 // behind per-tenant admission quotas. Both are pure bookkeeping — they take
 // time.Time values from the caller, never read the wall clock, and expect
-// the caller to hold its own lock, exactly like fleet.ReadyQueue.
+// the caller to hold its own lock, exactly like fleet.Table.
 package fairq
 
 import (
@@ -40,9 +40,9 @@ type leaf[T any] struct {
 }
 
 // Tree is a two-level fair queue: tenant leaves drained by burst weighted
-// round-robin. Within a tenant, items come out in (readyAt, seq) order —
-// identical to fleet.ReadyQueue — so a single-tenant Tree degenerates to
-// the exact FIFO the coordinator used before tenancy existed. Across
+// round-robin. Within a tenant, items come out in (readyAt, seq) order, so
+// a single-tenant Tree degenerates to the exact FIFO the coordinator used
+// before tenancy existed. Across
 // tenants, Pop serves up to weight(t) items per visit before the cursor
 // advances to the next tenant in sorted-name order, wrapping cyclically.
 //

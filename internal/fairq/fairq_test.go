@@ -74,29 +74,61 @@ func TestWeightedInterleave(t *testing.T) {
 	}
 }
 
+// readyOracle is the reference the single-tenant order is checked against:
+// the pre-tenancy coordinator's ready queue, a linear scan for the earliest
+// (readyAt, seq) item that has arrived.
+type readyOracle struct {
+	items []oracleItem
+}
+
+type oracleItem struct {
+	v       int
+	readyAt time.Time
+}
+
+func (q *readyOracle) push(v int, readyAt time.Time) {
+	q.items = append(q.items, oracleItem{v, readyAt})
+}
+
+func (q *readyOracle) pop(now time.Time) (int, bool) {
+	best := -1
+	for i, it := range q.items {
+		// Items sit in push order, so a strict Before keeps ties FIFO.
+		if !it.readyAt.After(now) && (best < 0 || it.readyAt.Before(q.items[best].readyAt)) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return 0, false
+	}
+	v := q.items[best].v
+	q.items = append(q.items[:best], q.items[best+1:]...)
+	return v, true
+}
+
 // TestSingleTenantFIFO pins the degenerate case the coordinator relies on:
-// one tenant pops in exactly fleet.ReadyQueue's (readyAt, seq) order.
+// one tenant pops in exactly the old ready queue's (readyAt, seq) order.
 func TestSingleTenantFIFO(t *testing.T) {
 	base := time.Unix(100, 0)
 	tr := New[int](nil, 0)
-	var rq fleet.ReadyQueue[int]
+	var rq readyOracle
 	at := []time.Duration{5 * time.Second, 0, 2 * time.Second, 0, 5 * time.Second}
 	for i, d := range at {
 		tr.Push("default", i, base.Add(d))
-		rq.Push(i, base.Add(d))
+		rq.push(i, base.Add(d))
 	}
 	now := base.Add(10 * time.Second)
 	for {
-		want, wok := rq.Pop(now)
+		want, wok := rq.pop(now)
 		_, got, gok := tr.Pop(now, nil)
 		if wok != gok {
-			t.Fatalf("length mismatch: ReadyQueue ok=%v Tree ok=%v", wok, gok)
+			t.Fatalf("length mismatch: oracle ok=%v Tree ok=%v", wok, gok)
 		}
 		if !wok {
 			break
 		}
 		if got != want {
-			t.Fatalf("order diverged: Tree popped %d, ReadyQueue popped %d", got, want)
+			t.Fatalf("order diverged: Tree popped %d, oracle popped %d", got, want)
 		}
 	}
 }

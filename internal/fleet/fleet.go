@@ -1,8 +1,8 @@
 // Package fleet holds the building blocks of dynaqd's fault-tolerant worker
 // fleet: time-boxed leases renewed by heartbeat, capped exponential retry
-// backoff with deterministic seeded jitter, a readiness queue for requeued
-// cells, the wire types of the lease API, the shared cell-execution path,
-// and the pull-based Worker loop behind cmd/dynaqworker.
+// backoff with deterministic seeded jitter, the wire types of the lease API,
+// the shared cell-execution path, and the pull-based Worker loop behind
+// cmd/dynaqworker.
 //
 // Failure is the default case: a worker is presumed dead the moment its
 // lease expires, and the coordinator's only obligation is to hand the cell

@@ -133,37 +133,3 @@ func TestBackoffDeterministicCappedJitter(t *testing.T) {
 		t.Fatalf("default delay = %v, want within [125ms, 250ms]", d)
 	}
 }
-
-func TestReadyQueueOrder(t *testing.T) {
-	var q ReadyQueue[string]
-	q.Push("late", t0.Add(time.Second))
-	q.Push("first", t0)
-	q.Push("second", t0)
-
-	// FIFO among equally-ready items; not-yet-ready items held back.
-	if v, ok := q.Pop(t0); !ok || v != "first" {
-		t.Fatalf("pop = %q %v, want first", v, ok)
-	}
-	if v, ok := q.Pop(t0); !ok || v != "second" {
-		t.Fatalf("pop = %q %v, want second", v, ok)
-	}
-	if _, ok := q.Pop(t0); ok {
-		t.Fatal("popped an item before its readyAt")
-	}
-	if at, ok := q.NextAt(); !ok || !at.Equal(t0.Add(time.Second)) {
-		t.Fatalf("NextAt = %v %v", at, ok)
-	}
-	if v, ok := q.Pop(t0.Add(time.Second)); !ok || v != "late" {
-		t.Fatalf("pop = %q %v, want late", v, ok)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("len = %d", q.Len())
-	}
-
-	// An earlier readyAt beats insertion order once both are ready.
-	q.Push("b", t0.Add(20*time.Millisecond))
-	q.Push("a", t0.Add(10*time.Millisecond))
-	if got := q.Drain(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("drain = %v, want [a b]", got)
-	}
-}

@@ -1,9 +1,25 @@
+// Package flowsim is the flow-level (fluid) fast path of the simulator.
+//
+// Where internal/netsim moves individual packets through switch ports, this
+// package models each active flow as a rate process: the set of concurrent
+// flows is solved with progressive max-min filling (water-filling over
+// bottleneck links) and advanced between rate-recomputation events — flow
+// arrival, flow completion, slow-start epoch, threshold crossing — instead
+// of per-packet events. A hybrid controller re-packetizes individual links
+// through the real buffer-management schemes exactly when buffer precision
+// matters (see hybrid.go), which is what keeps DynaQ/DT/PQL threshold
+// behaviour honest while everything uncongested stays fluid.
+//
+// Everything is integer arithmetic on units types (picosecond time, bps
+// rates, byte sizes): the engine is deterministic, byte-stable across runs,
+// and safe under the repo's determinism lint.
 package flowsim
 
 import (
 	"fmt"
 
 	"dynaq/internal/buffer"
+	"dynaq/internal/fabric"
 	"dynaq/internal/packet"
 	"dynaq/internal/sim"
 	"dynaq/internal/telemetry"
@@ -281,9 +297,15 @@ func (e *Engine) startFlow(spec FlowSpec) {
 	}
 	e.advance()
 	idx := int32(len(e.flows))
+	// Known packet-vs-fluid path divergence: the key handed to Path below is
+	// already hashed and Path hashes it again, while the packet engine
+	// hashes the flow id once, so the same flow may take different
+	// equal-cost paths on the two engines. Kept because every flow and
+	// hybrid artifact depends on it; ROADMAP item 3's differential work
+	// owns removing it.
 	e.flows = append(e.flows, fflow{
 		spec:      spec,
-		path:      e.topo.Path(spec.Src, spec.Dst, ecmpHash(uint64(spec.ID)), make([]int32, 0, 6)),
+		path:      e.topo.Path(spec.Src, spec.Dst, fabric.Hash(uint64(spec.ID)), make([]int32, 0, 6)),
 		remaining: spec.Size,
 		started:   e.s.Now(),
 		short:     spec.Size <= e.cfg.FlowCutoff,

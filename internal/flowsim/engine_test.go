@@ -231,7 +231,7 @@ func TestDemoteAtExactThreshold(t *testing.T) {
 	if e.stats.Demotions == 0 {
 		t.Fatal("overloaded port never demoted")
 	}
-	hot := &e.links[topo.hostDown+2]
+	hot := &e.links[topo.Downlink(2)]
 	if !hot.demoted {
 		t.Fatal("hot port not in demoted state")
 	}

@@ -1,247 +1,14 @@
-// Package flowsim is the flow-level (fluid) fast path of the simulator.
-//
-// Where internal/netsim moves individual packets through switch ports, this
-// package models each active flow as a rate process: the set of concurrent
-// flows is solved with progressive max-min filling (water-filling over
-// bottleneck links) and advanced between rate-recomputation events — flow
-// arrival, flow completion, slow-start epoch, threshold crossing — instead
-// of per-packet events. A hybrid controller re-packetizes individual links
-// through the real buffer-management schemes exactly when buffer precision
-// matters (see hybrid.go), which is what keeps DynaQ/DT/PQL threshold
-// behaviour honest while everything uncongested stays fluid.
-//
-// Everything is integer arithmetic on units types (picosecond time, bps
-// rates, byte sizes): the engine is deterministic, byte-stable across runs,
-// and safe under the repo's determinism lint.
 package flowsim
 
 import (
-	"fmt"
-
+	"dynaq/internal/fabric"
 	"dynaq/internal/units"
 )
 
-// hostNICSpeedup mirrors internal/topology: host NICs serialize 4x faster
-// than switch ports so contention forms in switch buffers, not in hosts.
-const hostNICSpeedup = 4
+// Topology is the fabric graph the engine solves rates over. The graph
+// lives in internal/fabric, shared with the packet wiring; this alias and
+// NewFatTree keep the names the frozen benchmark compiles against.
+type Topology = fabric.Graph
 
-// Topology is a directed capacitated link graph plus a deterministic path
-// oracle. Links are flat indices so the water-filler and the engine can keep
-// all per-link state in parallel slices.
-type Topology struct {
-	kind  string
-	hosts int
-	caps  []units.Rate
-	names []string
-
-	// shape parameters (which are used depends on kind)
-	leaves, spines, hostsPerLeaf int
-	k                            int // fat-tree arity
-
-	// link-index bases per role, precomputed by the builders
-	hostUp, hostDown  int
-	leafUp, spineDown int
-	edgeUp, aggDown   int // fat-tree: edge<->agg within a pod
-	aggUp, coreDown   int // fat-tree: agg<->core
-	podSquare, halfK  int
-}
-
-const (
-	kindStar      = "star"
-	kindLeafSpine = "leafspine"
-	kindFatTree   = "fattree"
-)
-
-// addLink appends a link and returns nothing; builders rely on append order
-// matching their precomputed index bases.
-func (t *Topology) addLink(name string, c units.Rate) {
-	t.caps = append(t.caps, c)
-	t.names = append(t.names, name)
-}
-
-// NewStar builds the paper's testbed rack: hosts hosts around one switch.
-// Host uplinks run at the NIC speedup; switch downlinks at the port rate,
-// so the congestible resource is the switch port toward each receiver —
-// the same shape the packet engine has.
-func NewStar(hosts int, rate units.Rate) (*Topology, error) {
-	if hosts < 2 {
-		return nil, fmt.Errorf("flowsim: star needs >= 2 hosts, got %d", hosts)
-	}
-	if rate <= 0 {
-		return nil, fmt.Errorf("flowsim: rate must be positive")
-	}
-	t := &Topology{kind: kindStar, hosts: hosts}
-	t.hostUp = 0
-	for h := 0; h < hosts; h++ {
-		t.addLink(fmt.Sprintf("host%d:up", h), hostNICSpeedup*rate)
-	}
-	t.hostDown = len(t.caps)
-	for h := 0; h < hosts; h++ {
-		t.addLink(fmt.Sprintf("tor:%d", h), rate)
-	}
-	return t, nil
-}
-
-// NewLeafSpine builds the non-blocking leaf-spine fabric: every switch link
-// at the port rate, host NICs at the speedup, matching internal/topology.
-func NewLeafSpine(leaves, spines, hostsPerLeaf int, rate units.Rate) (*Topology, error) {
-	if leaves <= 0 || spines <= 0 || hostsPerLeaf <= 0 {
-		return nil, fmt.Errorf("flowsim: leaf-spine needs leaves/spines/hostsPerLeaf")
-	}
-	if rate <= 0 {
-		return nil, fmt.Errorf("flowsim: rate must be positive")
-	}
-	hosts := leaves * hostsPerLeaf
-	t := &Topology{kind: kindLeafSpine, hosts: hosts,
-		leaves: leaves, spines: spines, hostsPerLeaf: hostsPerLeaf}
-	t.hostUp = 0
-	for h := 0; h < hosts; h++ {
-		t.addLink(fmt.Sprintf("host%d:up", h), hostNICSpeedup*rate)
-	}
-	t.hostDown = len(t.caps)
-	for h := 0; h < hosts; h++ {
-		t.addLink(fmt.Sprintf("leaf%d:%d", h/hostsPerLeaf, h%hostsPerLeaf), rate)
-	}
-	t.leafUp = len(t.caps)
-	for l := 0; l < leaves; l++ {
-		for sp := 0; sp < spines; sp++ {
-			t.addLink(fmt.Sprintf("leaf%d:up%d", l, sp), rate)
-		}
-	}
-	t.spineDown = len(t.caps)
-	for sp := 0; sp < spines; sp++ {
-		for l := 0; l < leaves; l++ {
-			t.addLink(fmt.Sprintf("spine%d:%d", sp, l), rate)
-		}
-	}
-	return t, nil
-}
-
-// NewFatTree builds a k-ary fat tree (Al-Fares et al.): k pods of k/2 edge
-// and k/2 aggregation switches, (k/2)^2 cores, k^3/4 hosts. All switch
-// links run at the port rate (the fabric is rearrangeably non-blocking);
-// host NICs get the usual speedup. This topology exists only at flow level:
-// it is exactly the scale the fluid engine is for.
-func NewFatTree(k int, rate units.Rate) (*Topology, error) {
-	if k < 2 || k%2 != 0 {
-		return nil, fmt.Errorf("flowsim: fat tree arity k=%d must be even and >= 2", k)
-	}
-	if rate <= 0 {
-		return nil, fmt.Errorf("flowsim: rate must be positive")
-	}
-	half := k / 2
-	hosts := k * k * k / 4
-	t := &Topology{kind: kindFatTree, hosts: hosts, k: k, halfK: half, podSquare: k * k / 4}
-	t.hostUp = 0
-	for h := 0; h < hosts; h++ {
-		t.addLink(fmt.Sprintf("host%d:up", h), hostNICSpeedup*rate)
-	}
-	t.hostDown = len(t.caps)
-	for h := 0; h < hosts; h++ {
-		p, e, port := h/t.podSquare, (h%t.podSquare)/half, h%half
-		t.addLink(fmt.Sprintf("pod%d/edge%d:%d", p, e, port), rate)
-	}
-	t.edgeUp = len(t.caps)
-	for p := 0; p < k; p++ {
-		for e := 0; e < half; e++ {
-			for a := 0; a < half; a++ {
-				t.addLink(fmt.Sprintf("pod%d/edge%d:up%d", p, e, a), rate)
-			}
-		}
-	}
-	t.aggDown = len(t.caps)
-	for p := 0; p < k; p++ {
-		for a := 0; a < half; a++ {
-			for e := 0; e < half; e++ {
-				t.addLink(fmt.Sprintf("pod%d/agg%d:%d", p, a, e), rate)
-			}
-		}
-	}
-	t.aggUp = len(t.caps)
-	for p := 0; p < k; p++ {
-		for a := 0; a < half; a++ {
-			for j := 0; j < half; j++ {
-				t.addLink(fmt.Sprintf("pod%d/agg%d:up%d", p, a, j), rate)
-			}
-		}
-	}
-	t.coreDown = len(t.caps)
-	for a := 0; a < half; a++ {
-		for j := 0; j < half; j++ {
-			for p := 0; p < k; p++ {
-				t.addLink(fmt.Sprintf("core%d.%d:%d", a, j, p), rate)
-			}
-		}
-	}
-	return t, nil
-}
-
-// Hosts returns the number of end hosts.
-func (t *Topology) Hosts() int { return t.hosts }
-
-// NumLinks returns the number of directed links.
-func (t *Topology) NumLinks() int { return len(t.caps) }
-
-// Capacity returns link i's rate.
-func (t *Topology) Capacity(i int) units.Rate { return t.caps[i] }
-
-// LinkName returns link i's registry-style label.
-func (t *Topology) LinkName(i int) string { return t.names[i] }
-
-// Kind returns the topology kind ("star", "leafspine", "fattree").
-func (t *Topology) Kind() string { return t.kind }
-
-// ecmpHash is splitmix64: the deterministic multipath choice for a flow.
-// Hashing the flow id (not a shared RNG) keeps path selection independent
-// of arrival interleaving, which the parallel-parity guarantee needs.
-func ecmpHash(key uint64) uint64 {
-	key += 0x9e3779b97f4a7c15
-	key = (key ^ (key >> 30)) * 0xbf58476d1ce4e5b9
-	key = (key ^ (key >> 27)) * 0x94d049bb133111eb
-	return key ^ (key >> 31)
-}
-
-// Path appends the directed link indices from src to dst into buf and
-// returns it. key seeds the deterministic ECMP choice where the fabric has
-// multiple equal-cost paths.
-func (t *Topology) Path(src, dst int, key uint64, buf []int32) []int32 {
-	if src == dst || src < 0 || dst < 0 || src >= t.hosts || dst >= t.hosts {
-		panic(fmt.Sprintf("flowsim: bad path %d->%d over %d hosts", src, dst, t.hosts))
-	}
-	buf = append(buf, int32(t.hostUp+src))
-	h := ecmpHash(key)
-	switch t.kind {
-	case kindStar:
-		// single hub: up, down
-	case kindLeafSpine:
-		lsrc, ldst := src/t.hostsPerLeaf, dst/t.hostsPerLeaf
-		if lsrc != ldst {
-			sp := int(h % uint64(t.spines))
-			buf = append(buf,
-				int32(t.leafUp+lsrc*t.spines+sp),
-				int32(t.spineDown+sp*t.leaves+ldst))
-		}
-	case kindFatTree:
-		half, sq := t.halfK, t.podSquare
-		psrc, pdst := src/sq, dst/sq
-		esrc, edst := (src%sq)/half, (dst%sq)/half
-		switch {
-		case psrc == pdst && esrc == edst:
-			// same edge switch: up, down
-		case psrc == pdst:
-			a := int(h % uint64(half))
-			buf = append(buf,
-				int32(t.edgeUp+(psrc*half+esrc)*half+a),
-				int32(t.aggDown+(pdst*half+a)*half+edst))
-		default:
-			a := int(h % uint64(half))
-			j := int((h >> 32) % uint64(half))
-			buf = append(buf,
-				int32(t.edgeUp+(psrc*half+esrc)*half+a),
-				int32(t.aggUp+(psrc*half+a)*half+j),
-				int32(t.coreDown+(a*half+j)*t.k+pdst),
-				int32(t.aggDown+(pdst*half+a)*half+edst))
-		}
-	}
-	return append(buf, int32(t.hostDown+dst))
-}
+// NewFatTree builds a k-ary fat tree; see fabric.NewFatTree.
+func NewFatTree(k int, rate units.Rate) (*Topology, error) { return fabric.NewFatTree(k, rate) }

@@ -49,7 +49,7 @@ func TestFatTreePaths(t *testing.T) {
 				if int(p[0]) != src {
 					t.Fatalf("path %d->%d does not start at the source uplink", src, dst)
 				}
-				if int(p[len(p)-1]) != topo.hostDown+dst {
+				if int(p[len(p)-1]) != topo.Downlink(dst) {
 					t.Fatalf("path %d->%d does not end at the destination downlink", src, dst)
 				}
 				// Same key must give the same path (determinism).

@@ -148,6 +148,10 @@ func DefaultConfig() Config {
 			// quantities; a stdlib timer here would silently break the
 			// byte-identical cache contract for flow-engine cells.
 			"dynaq/internal/flowsim",
+			// The fabric graph sits under flowsim and under the packet
+			// wiring: its link order and paths must stay pure functions of
+			// the shape, never of a clock.
+			"dynaq/internal/fabric",
 		},
 		TaintSinks: map[string]string{
 			"dynaq/internal/server.CacheKey":                   "content-addressed cache key",
@@ -177,9 +181,6 @@ func DefaultConfig() Config {
 			"(dynaq/internal/fleet.Table).Complete",
 			"(dynaq/internal/fleet.Table).Expire",
 			"(dynaq/internal/fleet.Table).DropJob",
-			"(dynaq/internal/fleet.ReadyQueue).Push",
-			"(dynaq/internal/fleet.ReadyQueue).Pop",
-			"(dynaq/internal/fleet.ReadyQueue).Drain",
 			"(dynaq/internal/fairq.Tree).Push",
 			"(dynaq/internal/fairq.Tree).Pop",
 			"(dynaq/internal/fairq.Tree).Release",

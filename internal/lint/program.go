@@ -110,7 +110,7 @@ func FuncKey(f *types.Func) string {
 }
 
 // recvTypeName renders "import/path.TypeName" for a receiver type, stripping
-// pointers and type-argument lists (ReadyQueue[*Cell] → ReadyQueue), so a
+// pointers and type-argument lists (Tree[*Cell] → Tree), so a
 // method on any instantiation of a generic type gets one key.
 func recvTypeName(t types.Type) string {
 	if ptr, ok := t.(*types.Pointer); ok {

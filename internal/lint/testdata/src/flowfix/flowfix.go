@@ -34,7 +34,7 @@ func wallClockArrival(e *Engine) {
 // --- clean cases: none of these may diagnose ------------------------------
 
 // seededArrival derives the arrival from caller-supplied sim time plus a
-// deterministic offset — the pattern runDynamicFluid actually uses.
+// deterministic offset — the pattern RunDynamic actually uses.
 func seededArrival(e *Engine, base, gap int64) {
 	e.ScheduleArrival(base+gap, 1500)
 }

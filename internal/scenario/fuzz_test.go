@@ -116,6 +116,37 @@ func TestLoadTypedErrors(t *testing.T) {
 	if verr.Field != "" {
 		t.Fatalf("decode error carries field %q, want empty", verr.Field)
 	}
+
+	// What used to fail only on a worker — or, for a scheme name under the
+	// flow engine, not at all — is refused at load, under every engine.
+	const static = `{"kind": "static", "rate_gbps": 1, "buffer_bytes": 85000, "queues": 4, "rtt_us": 500,
+		"duration_s": 1, "specs": [{"class": 1, "flows": 2}], `
+	const fct = `{"kind": "fct", "rate_gbps": 10, "buffer_bytes": 192000, "queues": 4, "rtt_us": 80,
+		"load": 0.5, "flows": 10, "workloads": ["websearch"], `
+	for _, tc := range []struct{ doc, field string }{
+		{static + `"scheme": "DynQ"}`, "scheme"},
+		{static + `"scheme": "DynaQ", "sched": "fifo"}`, "sched"},
+		{fct + `"scheme": "DynQ", "topo": "star"}`, "scheme"},
+		{fct + `"scheme": "DynQ", "topo": "star", "engine": "flow"}`, "scheme"},
+		{fct + `"scheme": "DynQ", "topo": "star", "engine": "hybrid"}`, "scheme"},
+		{fct + `"scheme": "DynaQ", "topo": "star", "sched": "fifo"}`, "sched"},
+		{fct + `"scheme": "DynaQ", "topo": "ring"}`, "topo"},
+		{fct + `"scheme": "DynaQ", "topo": "leafspine", "leaves": 1, "spines": 2, "hosts_per_leaf": 2}`, "leaves"},
+		{fct + `"scheme": "DynaQ", "topo": "fattree", "k": 5}`, "k"},
+		{fct + `"scheme": "DynaQ", "topo": "fattree", "k": 4, "engine": "flow", "guard": true}`, "engine"},
+		{fct + `"scheme": "DynaQ", "topo": "star", "flows": 0}`, "flows"},
+	} {
+		_, err := Load([]byte(tc.doc))
+		if !errors.As(err, &verr) || verr.Field != tc.field {
+			t.Errorf("%s\n\tgot %v, want a ValidationError on %q", tc.doc, err, tc.field)
+		}
+	}
+	// The fat tree is valid on every engine.
+	for _, engine := range []string{"packet", "flow", "hybrid"} {
+		if _, err := Load([]byte(fct + `"scheme": "DynaQ", "topo": "fattree", "k": 4, "engine": "` + engine + `"}`)); err != nil {
+			t.Errorf("fattree under %s: %v", engine, err)
+		}
+	}
 }
 
 // TestLoadRejectsOversizedDocument: an untrusted body past MaxDocumentBytes

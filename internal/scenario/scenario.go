@@ -12,10 +12,12 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 
+	"dynaq/internal/buffer"
 	"dynaq/internal/experiment"
 	"dynaq/internal/faults"
 	"dynaq/internal/telemetry"
@@ -69,8 +71,8 @@ type Document struct {
 
 	// Engine selects the fct simulation fidelity: "packet" (default),
 	// "flow" (fluid fast path) or "hybrid" (fluid with selective
-	// packetization of congested ports). The fattree topology requires a
-	// fluid engine; faults/guard/failure-aware require the packet engine.
+	// packetization of congested ports). Every topology runs on every
+	// engine; faults/guard/failure-aware require the packet engine.
 	Engine string `json:"engine,omitempty"`
 	// FlowCutoffB overrides the fluid engines' short/long flow cutoff in
 	// bytes (default: the 100KB PIAS demotion threshold).
@@ -80,11 +82,11 @@ type Document struct {
 	// topology's fault registry: "tor:<i>" / "host<i>:nic" / "tor" on the
 	// star, "leaf<l>:spine<s>" / "spine<s>:leaf<l>" / "leaf<l>:host<h>" /
 	// "host<h>:nic" and the whole-switch groups "leaf<l>" / "spine<s>" on
-	// the leaf-spine.
+	// the leaf-spine (topology.Network.FaultRegistry lists the fat tree's).
 	Faults []faults.Spec `json:"faults,omitempty"`
 	// Guard arms the runtime invariant guardrail on every switch port.
 	Guard bool `json:"guard,omitempty"`
-	// FailureAware enables failure-aware ECMP (fct + leafspine only).
+	// FailureAware enables failure-aware ECMP (fct only).
 	FailureAware bool `json:"failure_aware,omitempty"`
 	// DetectMs is the failure-detection delay in milliseconds.
 	DetectMs float64 `json:"detection_delay_ms,omitempty"`
@@ -251,21 +253,15 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 	if err := faults.Validate(doc.Faults); err != nil {
 		return nil, &ValidationError{Field: "faults", Msg: err.Error()}
 	}
-	weights := doc.Weights
-	if weights == nil {
-		weights = make([]int64, doc.Queues)
-		for i := range weights {
-			weights[i] = 1
-		}
+	// Absent weights are equal weights; the runners fill them in.
+	if doc.Weights != nil && len(doc.Weights) != doc.Queues {
+		return nil, invalidf("weights", "%d weights for %d queues", len(doc.Weights), doc.Queues)
 	}
-	if len(weights) != doc.Queues {
-		return nil, invalidf("weights", "%d weights for %d queues", len(weights), doc.Queues)
+	schedKind, err := experiment.ParseSchedKind(doc.Sched)
+	if err != nil {
+		return nil, invalidf("sched", "unknown scheduler %q (want drr, wrr or spq+drr)", doc.Sched)
 	}
-	schedKind := experiment.SchedKind(doc.Sched)
-	if doc.Sched == "" {
-		schedKind = experiment.SchedDRR
-	}
-	params := experiment.SchemeParams{Weights: weights}
+	params := experiment.SchemeParams{Weights: doc.Weights}
 	mtu := units.ByteSize(doc.MTU)
 	rate := units.Rate(doc.RateGbps * 1e9)
 	delay := units.Seconds(doc.RTTUs / 4 * 1e-6)
@@ -275,6 +271,10 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 	case "static":
 		if doc.Engine != "" && doc.Engine != string(experiment.EnginePacket) {
 			return nil, invalidf("engine", "static scenarios run at packet level, got %q", doc.Engine)
+		}
+		// fct documents get this from DynamicConfig.Validate below.
+		if _, err := buffer.LookupScheme(doc.Scheme); err != nil {
+			return nil, invalidf("scheme", "%v", err)
 		}
 		var specs []experiment.QueueSpec
 		for i, sp := range doc.Specs {
@@ -319,19 +319,6 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 		if doc.FlowCutoffB < 0 {
 			return nil, invalidf("flow_cutoff_bytes", "must not be negative, got %d", doc.FlowCutoffB)
 		}
-		if doc.Topo == "fattree" {
-			if engine == experiment.EnginePacket {
-				return nil, invalidf("topo", "fattree needs engine flow or hybrid")
-			}
-			if doc.FatTreeK < 2 || doc.FatTreeK%2 != 0 {
-				return nil, invalidf("k", "fat-tree arity must be even and >= 2, got %d", doc.FatTreeK)
-			}
-		}
-		if engine != experiment.EnginePacket {
-			if len(doc.Faults) > 0 || doc.Guard || doc.FailureAware {
-				return nil, invalidf("engine", "faults, guard and failure_aware need the packet engine")
-			}
-		}
 		var cdfs []*workload.CDF
 		for i, name := range doc.Workloads {
 			cdf, err := workload.ByName(name)
@@ -366,6 +353,13 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 			Guard:          doc.Guard,
 			FailureAware:   doc.FailureAware,
 			DetectionDelay: units.Seconds(doc.DetectMs * 1e-3),
+		}
+		// Refuse here what RunDynamic would refuse on a worker.
+		var cerr *experiment.ConfigError
+		if err := r.dynamic.Validate(); errors.As(err, &cerr) {
+			return nil, invalidf(cerr.Field, "%s", cerr.Msg)
+		} else if err != nil {
+			return nil, &ValidationError{Msg: err.Error()}
 		}
 	default:
 		return nil, invalidf("kind", "unknown kind %q (want static or fct)", doc.Kind)

@@ -63,3 +63,33 @@ func TestShippedSmokeRun(t *testing.T) {
 		t.Fatal("no samples")
 	}
 }
+
+// TestFatTreePacketGuarded runs the shipped fat-tree scenario — the packet
+// engine on a topology it gained through the shared fabric graph — trimmed
+// for CI, with the guardrail armed on every edge, aggregation and core port.
+func TestFatTreePacketGuarded(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "fattree_packet.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Load(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := r.doc
+	if doc.Engine != "packet" || doc.Topo != "fattree" || !doc.Guard {
+		t.Fatalf("shipped scenario is %s on %s, guard %v", doc.Engine, doc.Topo, doc.Guard)
+	}
+	doc.Flows = 120
+	trimmed, err := Load(mustJSON(t, doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := trimmed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Dynamic; d.Completed != doc.Flows || d.ViolationTotal != 0 {
+		t.Fatalf("completed %d/%d flows with %d guardrail violations", d.Completed, doc.Flows, d.ViolationTotal)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"dynaq/internal/buffer"
 	"dynaq/internal/scenario"
 	"dynaq/internal/telemetry"
 	"dynaq/internal/telemetry/trace"
@@ -165,7 +166,20 @@ type Job struct {
 // version. Validation errors are *scenario.ValidationError, mapped to HTTP
 // 400 by the submit handler.
 func buildJob(req Request, version string) (*Job, error) {
-	base, err := scenario.Load(req.Scenario)
+	for i, scheme := range req.Schemes {
+		// Each cell loads the document with its scheme swapped in; refuse
+		// an unknown one here, not on the worker that leases the cell.
+		if _, err := buffer.LookupScheme(scheme); err != nil {
+			return nil, &scenario.ValidationError{Field: fmt.Sprintf("schemes[%d]", i), Msg: err.Error()}
+		}
+	}
+	var ov scenario.Overrides
+	if len(req.Schemes) > 0 {
+		// A sweep never runs the document's own scheme, so do not hold the
+		// document to naming one.
+		ov.Scheme = req.Schemes[0]
+	}
+	base, err := scenario.LoadWith(req.Scenario, ov)
 	if err != nil {
 		return nil, err
 	}

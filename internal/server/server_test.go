@@ -268,6 +268,32 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatalf("field = %q, want rate_gbps\n%s", eb.Field, data)
 	}
 
+	// Unknown scheme or scheduler names — in the document or in the sweep
+	// wrapper, under any engine — are a 400, not a cell that dead-letters
+	// on a worker (or, under the flow engine, "succeeds").
+	const flowDoc = `{"kind":"fct","scheme":"DynaQ","engine":"flow","topo":"fattree","k":4,"rate_gbps":10,` +
+		`"buffer_bytes":192000,"queues":4,"rtt_us":40,"load":0.5,"flows":10,"workloads":["websearch"]}`
+	for _, tc := range []struct{ body, field string }{
+		{strings.Replace(testScenario, "BestEffort", "DynQ", 1), "scheme"},
+		{strings.Replace(testScenario, `"kind"`, `"sched":"fifo","kind"`, 1), "sched"},
+		{`{"scenario":` + testScenario + `,"schemes":["DynaQ","DynQ"]}`, "schemes[1]"},
+		{`{"scenario":` + flowDoc + `,"schemes":["DynQ"]}`, "schemes[0]"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		eb.Field = ""
+		if err := json.Unmarshal(data, &eb); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || eb.Field != tc.field {
+			t.Errorf("%s: status %d field %q, want 400 on %q\n%s", tc.body, resp.StatusCode, eb.Field, tc.field, data)
+		}
+	}
+
 	// Oversized body: 413 before any parsing.
 	big := `{"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`
 	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(big))
@@ -374,7 +400,14 @@ func TestDrainAndRecover(t *testing.T) {
 
 	shutdownErr := make(chan error, 1)
 	go func() { shutdownErr <- s.Shutdown(shutdownCtx(t)) }()
-	// Submissions during drain are refused.
+	// Submissions during drain are refused. Wait for the drain to begin
+	// first: a probe that beats Shutdown to s.mu would be accepted and leave
+	// a third queue marker behind.
+	waitFor(t, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return !s.accepting
+	})
 	waitFor(t, func() bool {
 		_, resp := submit(t, ts, strings.Replace(testScenario, `"seed":1`, `"seed":3`, 1))
 		return resp.StatusCode == http.StatusServiceUnavailable
@@ -420,9 +453,11 @@ func TestDrainAndRecover(t *testing.T) {
 			t.Fatalf("recovered job %s state = %s (err %q), want done", id, st.State, st.Error)
 		}
 	}
-	if rest, _ := os.ReadDir(filepath.Join(dataDir, "queue")); len(rest) != 0 {
-		t.Fatalf("queue markers left after recovery run: %v", rest)
-	}
+	// A job's state turns done under s.mu, its marker goes just after.
+	waitFor(t, func() bool {
+		rest, _ := os.ReadDir(filepath.Join(dataDir, "queue"))
+		return len(rest) == 0
+	})
 }
 
 func markerNames(entries []os.DirEntry) []string {

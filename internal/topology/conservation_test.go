@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"dynaq/internal/buffer"
+	"dynaq/internal/fabric"
+	"dynaq/internal/netsim"
 	"dynaq/internal/packet"
 	"dynaq/internal/sched"
 	"dynaq/internal/sim"
@@ -21,32 +23,45 @@ func TestPacketConservationAcrossSchemes(t *testing.T) {
 	schemes := []struct {
 		name string
 		mk   func(b units.ByteSize, n int) (buffer.Admission, error)
+		// fatTree runs the traffic across a k=4 fat tree (hosts 0–3 in pod
+		// 0 to host 4 in pod 1) instead of the star.
+		fatTree bool
 	}{
 		{"besteffort", func(b units.ByteSize, n int) (buffer.Admission, error) {
 			return buffer.NewBestEffort(), nil
-		}},
+		}, false},
 		{"dynaq", func(b units.ByteSize, n int) (buffer.Admission, error) {
 			return buffer.NewDynaQ(b, equalWeights(n))
-		}},
+		}, false},
 		{"pql", func(b units.ByteSize, n int) (buffer.Admission, error) {
 			return buffer.NewWeightedPQL(b, equalWeights(n))
-		}},
+		}, false},
 		{"barberq", func(b units.ByteSize, n int) (buffer.Admission, error) {
 			return buffer.NewBarberQ(), nil
-		}},
+		}, false},
 		{"tcndrop", func(b units.ByteSize, n int) (buffer.Admission, error) {
 			return buffer.NewTCNDrop(240 * units.Microsecond)
-		}},
+		}, false},
 		{"tofino", func(b units.ByteSize, n int) (buffer.Admission, error) {
 			return buffer.NewDynaQTofino(b, equalWeights(n))
-		}},
+		}, false},
+		{"dynaq-fattree", func(b units.ByteSize, n int) (buffer.Admission, error) {
+			return buffer.NewDynaQ(b, equalWeights(n))
+		}, true},
 	}
 	for _, sc := range schemes {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			s := sim.New()
-			st, err := topology.NewStar(s, topology.StarConfig{
-				Hosts: 5, Rate: units.Gbps, Delay: 125 * units.Microsecond,
+			g, err := fabric.NewStar(5, units.Gbps)
+			if sc.fatTree {
+				g, err = fabric.NewFatTree(4, units.Gbps)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := topology.Build(s, g, topology.Config{
+				Delay:  125 * units.Microsecond,
 				Buffer: 85 * units.KB, Queues: 4,
 				Factories: topology.Factories{
 					NewScheduler: func(n int) (sched.Scheduler, error) {
@@ -80,8 +95,7 @@ func TestPacketConservationAcrossSchemes(t *testing.T) {
 			if completed < 30 {
 				t.Errorf("completed = %d/30 flows", completed)
 			}
-			for p := 0; p < st.Switch.NumPorts(); p++ {
-				port := st.Port(p)
+			st.EachPort(func(p string, port *netsim.Port) {
 				stats := port.Stats()
 				var residual int64
 				for q := 0; q < port.NumQueues(); q++ {
@@ -93,14 +107,14 @@ func TestPacketConservationAcrossSchemes(t *testing.T) {
 				}
 				got := stats.TxPackets + stats.DequeueDrops + stats.Evicted
 				if got > stats.Enqueued {
-					t.Errorf("port %d: tx+drops+evictions %d exceeds enqueued %d",
+					t.Errorf("port %s: tx+drops+evictions %d exceeds enqueued %d",
 						p, got, stats.Enqueued)
 				}
 				if residual == 0 && got != stats.Enqueued {
-					t.Errorf("port %d: enqueued %d ≠ tx %d + deqdrops %d + evicted %d with empty queues",
+					t.Errorf("port %s: enqueued %d ≠ tx %d + deqdrops %d + evicted %d with empty queues",
 						p, stats.Enqueued, stats.TxPackets, stats.DequeueDrops, stats.Evicted)
 				}
-			}
+			})
 		})
 	}
 }

@@ -3,7 +3,9 @@ package topology_test
 import (
 	"testing"
 
+	"dynaq/internal/fabric"
 	"dynaq/internal/faults"
+	"dynaq/internal/packet"
 	"dynaq/internal/sched"
 	"dynaq/internal/sim"
 	"dynaq/internal/topology"
@@ -168,4 +170,117 @@ func leafSpineAware(t *testing.T, aware bool, detect units.Duration) (*sim.Simul
 		t.Fatal(err)
 	}
 	return s, ls
+}
+
+// fatTree builds a k=4 fat tree on the packet engine.
+func fatTree(t *testing.T, aware bool) (*sim.Simulator, *topology.Network) {
+	t.Helper()
+	g, err := fabric.NewFatTree(4, 10*units.Gbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.New()
+	net, err := topology.Build(s, g, topology.Config{
+		Delay: 10 * units.Microsecond, Buffer: 192 * units.KB, Queues: 4,
+		FailureAware: aware, DetectionDelay: 500 * units.Microsecond,
+		Factories: topology.Factories{
+			NewScheduler: func(n int) (sched.Scheduler, error) { return sched.EqualWRR(n), nil },
+			NewAdmission: bestEffort,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, net
+}
+
+// TestFatTreeHopsFollowPath sends one packet between every host pair of the
+// packet fat tree and checks that exactly the switch ports on the graph's
+// Path — forward for the data, reverse for the ACK — transmitted: the wiring
+// and the fluid engine's path oracle agree hop for hop.
+func TestFatTreeHopsFollowPath(t *testing.T) {
+	s, net := fatTree(t, false)
+	g := net.Graph
+	tx := func() []int64 {
+		out := make([]int64, g.NumLinks())
+		for sw, nsw := range net.Switches {
+			for p := 0; p < nsw.NumPorts(); p++ {
+				out[g.PortLink(sw, p)] = nsw.Port(p).Stats().TxPackets
+			}
+		}
+		return out
+	}
+	var id packet.FlowID
+	for src := 0; src < g.Hosts(); src++ {
+		for dst := 0; dst < g.Hosts(); dst++ {
+			if src == dst {
+				continue
+			}
+			id++
+			before := tx()
+			done := false
+			if _, err := net.Endpoints[src].StartFlow(transport.FlowConfig{
+				Flow: id, Dst: dst, Size: units.KB,
+				OnComplete: func(units.Duration) { done = true },
+			}); err != nil {
+				t.Fatal(err)
+			}
+			s.RunUntil(s.Now().Add(units.Millisecond))
+			if !done {
+				t.Fatalf("flow %d->%d did not complete", src, dst)
+			}
+			want := make([]int64, g.NumLinks())
+			for _, li := range g.Path(src, dst, uint64(id), nil)[1:] {
+				want[li]++
+			}
+			for _, li := range g.Path(dst, src, uint64(id), nil)[1:] {
+				want[li]++
+			}
+			for li, after := range tx() {
+				if after-before[li] != want[li] {
+					t.Fatalf("flow %d %d->%d: link %s sent %d packets, Path says %d",
+						id, src, dst, g.LinkName(li), after-before[li], want[li])
+				}
+			}
+		}
+	}
+}
+
+// TestFailureAwareECMPAvoidsDownedAggUplink is the generic form of the
+// dead-spine test: on the fat tree the failed link is two hops from the
+// sender, so the edge must look through its aggregation switch and the
+// aggregation switch must re-hash its own uplinks. Static ECMP strands the
+// flows hashed onto the link; failure-aware routing loses nothing once the
+// detection delay has passed.
+func TestFailureAwareECMPAvoidsDownedAggUplink(t *testing.T) {
+	run := func(aware bool) (completed int, lostAfterDetection int64) {
+		s, net := fatTree(t, aware)
+		eng := faults.NewEngine(s, net.FaultRegistry(), 1)
+		if err := eng.Schedule([]faults.Spec{{Kind: "down", Target: "agg0.0:core0.0", AtS: 0.001}}); err != nil {
+			t.Fatal(err)
+		}
+		link, err := net.FaultRegistry().Resolve("agg0.0:core0.0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Host 0 (pod 0) to host 4 (pod 1), started after detection.
+		s.At(units.Time(2*units.Millisecond), func() {
+			for id := 1; id <= 32; id++ {
+				if _, err := net.Endpoints[0].StartFlow(transport.FlowConfig{
+					Flow: flowID(id), Dst: 4, Size: 50 * units.KB, MinRTO: 5 * units.Millisecond,
+					OnComplete: func(units.Duration) { completed++ },
+				}); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		s.RunUntil(units.Time(units.Second))
+		return completed, link[0].Lost()
+	}
+	if completed, lost := run(false); completed == 32 || lost == 0 {
+		t.Fatalf("static ECMP: %d/32 completed, %d packets lost; the probes never hashed onto the downed link", completed, lost)
+	}
+	if completed, lost := run(true); completed != 32 || lost != 0 {
+		t.Fatalf("failure-aware ECMP: %d/32 completed, %d packets lost on the downed link after detection", completed, lost)
+	}
 }

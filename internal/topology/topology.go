@@ -1,13 +1,17 @@
-// Package topology assembles the two network shapes the paper evaluates on:
-// a star (one switch emulating a compute rack, used by the testbed and the
-// static-flow simulations) and a non-blocking leaf-spine fabric (the
-// dynamic-flow simulations, §V-B2).
+// Package topology wires the packet-level network — netsim switches, ports,
+// links, hosts and transport endpoints — from a fabric graph. One builder
+// serves every shape the graph package describes: the star (a compute
+// rack, used by the testbed and the static-flow simulations), the
+// non-blocking leaf-spine fabric of the dynamic-flow simulations (§V-B2)
+// and the k-ary fat tree.
 package topology
 
 import (
 	"fmt"
 
 	"dynaq/internal/buffer"
+	"dynaq/internal/fabric"
+	"dynaq/internal/faults"
 	"dynaq/internal/netsim"
 	"dynaq/internal/packet"
 	"dynaq/internal/sched"
@@ -20,15 +24,6 @@ import (
 // so the NIC queue only ever holds in-flight windows; it must never drop.
 const hostNICBuffer = units.GB
 
-// hostNICSpeedup makes host NICs serialize faster than switch ports so the
-// standing queue always forms inside the managed switch buffer, never in
-// the dumb NIC FIFO. This mirrors both reference substrates: in ns-2 the
-// sender's access-link queue *is* the managed queue (there is no separate
-// NIC stage), and the paper's qdisc prototype shapes its egress to 99.5% of
-// NIC capacity for exactly this reason — "to avoid excessive buffering in
-// NIC drivers and NIC hardware" (§IV-B).
-const hostNICSpeedup = 4
-
 // Factories build per-port scheduler and buffer-management instances; every
 // port needs its own state.
 type Factories struct {
@@ -37,6 +32,218 @@ type Factories struct {
 	// NewAdmission returns the buffer-management scheme for a port with
 	// buffer b and n service queues.
 	NewAdmission func(b units.ByteSize, n int) (buffer.Admission, error)
+}
+
+// Config is what the graph does not say about a packet network.
+type Config struct {
+	// Delay is the one-way propagation delay of each link; the base RTT is
+	// Graph.BaseRTT(Delay) plus serialization.
+	Delay units.Duration
+	// Buffer is the per-port buffer size B on every switch port.
+	Buffer units.ByteSize
+	// Queues is the number of service queues per switch port.
+	Queues int
+
+	// FailureAware enables failure-aware ECMP: a switch re-hashes flows
+	// away from next hops whose path (its own uplink, or the next switch's
+	// link toward the destination) has been down longer than
+	// DetectionDelay. On a clean network the routing is bit-identical to
+	// static ECMP.
+	FailureAware bool
+	// DetectionDelay is how long an outage must last before failure-aware
+	// routing avoids the path — the convergence time of a real fabric's
+	// liveness probes. Zero with FailureAware set defaults to 1ms.
+	DetectionDelay units.Duration
+
+	// Pool, when non-nil, is the switch SRAM every switch port draws from
+	// (shared-memory switches); ports otherwise own their Buffer.
+	Pool *buffer.SharedPool
+
+	Factories
+}
+
+// Network is an assembled packet network. Switches and Hosts are indexed
+// like the graph's.
+type Network struct {
+	Sim       *sim.Simulator
+	Graph     *fabric.Graph
+	Switches  []*netsim.Switch
+	Hosts     []*netsim.Host
+	Endpoints []*transport.Endpoint
+
+	ports []*netsim.Port // by graph link index
+}
+
+// relayNode breaks construction cycles: links are immutable and switches
+// point at each other, so every link into a switch targets a zero-delay
+// forwarder whose destination is patched once the switch exists.
+type relayNode struct {
+	dst netsim.Node
+}
+
+// Receive implements netsim.Node.
+func (r *relayNode) Receive(p *packet.Packet) {
+	if r.dst == nil {
+		panic("topology: relay used before wiring completed")
+	}
+	r.dst.Receive(p)
+}
+
+// Build wires g: one netsim.Switch per switch node with one netsim.Port per
+// out-link in the graph's port order, one host with a NIC and a transport
+// endpoint per host node, routed by the graph's next-hop oracle.
+func Build(s *sim.Simulator, g *fabric.Graph, cfg Config) (*Network, error) {
+	if cfg.NewScheduler == nil || cfg.NewAdmission == nil {
+		return nil, fmt.Errorf("topology: %s needs scheduler and admission factories", g.Kind())
+	}
+	if cfg.FailureAware && cfg.DetectionDelay == 0 {
+		cfg.DetectionDelay = units.Millisecond
+	}
+	n := &Network{Sim: s, Graph: g, ports: make([]*netsim.Port, g.NumLinks())}
+	relays := make([]relayNode, g.NumSwitches())
+	for h := 0; h < g.Hosts(); h++ {
+		n.Hosts = append(n.Hosts, netsim.NewHost(h, nil))
+	}
+	target := func(l fabric.Link) netsim.Node {
+		if l.ToHost {
+			return n.Hosts[l.To]
+		}
+		return &relays[l.To]
+	}
+
+	for sw := 0; sw < g.NumSwitches(); sw++ {
+		sw := sw
+		ports := make([]*netsim.Port, g.NumPorts(sw))
+		for i := range ports {
+			li := g.PortLink(sw, i)
+			l := g.Link(li)
+			schd, err := cfg.NewScheduler(cfg.Queues)
+			if err != nil {
+				return nil, fmt.Errorf("topology: %s:%d scheduler: %w", g.SwitchName(sw), i, err)
+			}
+			adm, err := cfg.NewAdmission(cfg.Buffer, cfg.Queues)
+			if err != nil {
+				return nil, fmt.Errorf("topology: %s:%d admission: %w", g.SwitchName(sw), i, err)
+			}
+			ports[i], err = netsim.NewPort(s, netsim.PortConfig{
+				Rate:      l.Cap,
+				Buffer:    cfg.Buffer,
+				Queues:    cfg.Queues,
+				Scheduler: schd,
+				Admission: adm,
+				Link:      netsim.NewLink(s, cfg.Delay, target(l)),
+				Pool:      cfg.Pool,
+			})
+			if err != nil {
+				return nil, err
+			}
+			n.ports[li] = ports[i]
+		}
+		route := func(p *packet.Packet) int { return g.NextHop(sw, p.Dst, uint64(p.Flow)) }
+		if cfg.FailureAware {
+			route = n.failureAwareRoute(sw, cfg.DetectionDelay)
+		}
+		nsw, err := netsim.NewSwitch(g.SwitchName(sw), ports, route)
+		if err != nil {
+			return nil, err
+		}
+		n.Switches = append(n.Switches, nsw)
+		relays[sw].dst = nsw
+	}
+
+	for h, host := range n.Hosts {
+		l := g.Link(g.Uplink(h))
+		nic, err := netsim.NewPort(s, netsim.PortConfig{
+			Rate:      l.Cap,
+			Buffer:    hostNICBuffer,
+			Queues:    1,
+			Scheduler: sched.NewSPQ(),
+			Admission: buffer.NewBestEffort(),
+			Link:      netsim.NewLink(s, cfg.Delay, target(l)),
+		})
+		if err != nil {
+			return nil, err
+		}
+		host.SetEgress(nic)
+		n.ports[g.Uplink(h)] = nic
+		n.Endpoints = append(n.Endpoints, transport.NewEndpoint(s, host))
+	}
+	return n, nil
+}
+
+// failureAwareRoute is switch sw's routing function under failure-aware
+// ECMP. Among the equal-cost next hops it keeps those whose own link and
+// whose next switch's link toward the destination have not been detected
+// dead. With every next hop live this reduces exactly to static ECMP; with
+// none (detection not yet converged, or total fabric loss) it falls back to
+// the static choice rather than blackhole locally.
+func (n *Network) failureAwareRoute(sw int, detect units.Duration) netsim.RouteFunc {
+	g := n.Graph
+	// Scratch reused per packet so the hot path stays allocation-free.
+	live := make([]int, 0, g.NumPorts(sw))
+	return func(p *packet.Packet) int {
+		key := uint64(p.Flow)
+		first, count, sel := g.Choices(sw, p.Dst, key)
+		if count == 1 {
+			return first
+		}
+		live = live[:0]
+		for port := first; port < first+count; port++ {
+			li := g.PortLink(sw, port)
+			next := g.Link(li).To
+			onward := g.PortLink(next, g.NextHop(next, p.Dst, key))
+			if n.ports[li].Link().Usable(detect) && n.ports[onward].Link().Usable(detect) {
+				live = append(live, port)
+			}
+		}
+		if len(live) == 0 {
+			return first + int(sel%uint64(count))
+		}
+		return live[sel%uint64(len(live))]
+	}
+}
+
+// HostPort returns the switch port facing host h — where receiver-side
+// congestion forms, and the port whose buffer-management behaviour the
+// experiments measure.
+func (n *Network) HostPort(h int) *netsim.Port { return n.ports[n.Graph.Downlink(h)] }
+
+// EachPort calls fn for every switch output port, switches and ports in
+// graph order, with the port's telemetry label "<switch>:<port>".
+func (n *Network) EachPort(fn func(label string, p *netsim.Port)) {
+	for sw, nsw := range n.Switches {
+		for i := 0; i < nsw.NumPorts(); i++ {
+			fn(fmt.Sprintf("%s:%d", n.Graph.SwitchName(sw), i), nsw.Port(i))
+		}
+	}
+}
+
+// FaultRegistry publishes the network's links and link groups under the
+// graph's names for the fault-injection engine (host ids are global, as
+// everywhere else):
+//
+//	star:        tor:<i>, host<i>:nic; group tor (every switch downlink)
+//	leaf-spine:  leaf<l>:host<h>, leaf<l>:spine<s>, spine<s>:leaf<l>,
+//	             host<h>:nic; groups leaf<l>, spine<s>
+//	fat tree:    edge<p>.<e>:host<h>, edge<p>.<e>:agg<p>.<a>,
+//	             agg<p>.<a>:edge<p>.<e>, agg<p>.<a>:core<a>.<j>,
+//	             core<a>.<j>:agg<p>.<a>, host<h>:nic; one group per switch
+//
+// Outside the star a switch's group is every link incident to it, both
+// directions — whole-switch failure.
+func (n *Network) FaultRegistry() *faults.Registry {
+	reg := faults.NewRegistry()
+	for li, p := range n.ports {
+		reg.AddLink(n.Graph.LinkName(li), p.Link())
+	}
+	for _, grp := range n.Graph.Groups() {
+		names := make([]string, len(grp.Links))
+		for i, li := range grp.Links {
+			names[i] = n.Graph.LinkName(li)
+		}
+		reg.AddGroup(grp.Name, names...)
+	}
+	return reg
 }
 
 // StarConfig describes a single-switch rack.
@@ -57,79 +264,70 @@ type StarConfig struct {
 	Factories
 }
 
-// Star is an assembled single-switch network.
+// Star is a Network over a star graph.
 type Star struct {
-	Sim       *sim.Simulator
-	Switch    *netsim.Switch
-	Hosts     []*netsim.Host
-	Endpoints []*transport.Endpoint
+	*Network
+	Switch *netsim.Switch
 }
 
 // NewStar wires cfg.Hosts hosts to one switch.
 func NewStar(s *sim.Simulator, cfg StarConfig) (*Star, error) {
-	if cfg.Hosts < 2 {
-		return nil, fmt.Errorf("topology: star needs at least 2 hosts, got %d", cfg.Hosts)
-	}
-	if cfg.NewScheduler == nil || cfg.NewAdmission == nil {
-		return nil, fmt.Errorf("topology: star needs scheduler and admission factories")
-	}
-	st := &Star{Sim: s}
-
-	// Wiring order: hosts, then switch ports (links point at hosts), then
-	// the switch, then host NICs (links point back at the switch).
-	hosts := make([]*netsim.Host, cfg.Hosts)
-	for i := 0; i < cfg.Hosts; i++ {
-		hosts[i] = netsim.NewHost(i, nil)
-	}
-	ports := make([]*netsim.Port, cfg.Hosts)
-	for i := 0; i < cfg.Hosts; i++ {
-		schd, err := cfg.NewScheduler(cfg.Queues)
-		if err != nil {
-			return nil, fmt.Errorf("topology: port %d scheduler: %w", i, err)
-		}
-		adm, err := cfg.NewAdmission(cfg.Buffer, cfg.Queues)
-		if err != nil {
-			return nil, fmt.Errorf("topology: port %d admission: %w", i, err)
-		}
-		ports[i], err = netsim.NewPort(s, netsim.PortConfig{
-			Rate:      cfg.Rate,
-			Buffer:    cfg.Buffer,
-			Queues:    cfg.Queues,
-			Scheduler: schd,
-			Admission: adm,
-			Link:      netsim.NewLink(s, cfg.Delay, hosts[i]),
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	route := func(p *packet.Packet) int { return p.Dst }
-	sw, err := netsim.NewSwitch("tor", ports, route)
+	g, err := fabric.NewStar(cfg.Hosts, cfg.Rate)
 	if err != nil {
 		return nil, err
 	}
-	st.Switch = sw
-
-	st.Hosts = hosts
-	st.Endpoints = make([]*transport.Endpoint, cfg.Hosts)
-	for i := range hosts {
-		nic, err := netsim.NewPort(s, netsim.PortConfig{
-			Rate:      hostNICSpeedup * cfg.Rate,
-			Buffer:    hostNICBuffer,
-			Queues:    1,
-			Scheduler: sched.NewSPQ(),
-			Admission: buffer.NewBestEffort(),
-			Link:      netsim.NewLink(s, cfg.Delay, sw),
-		})
-		if err != nil {
-			return nil, err
-		}
-		hosts[i].SetEgress(nic)
-		st.Endpoints[i] = transport.NewEndpoint(s, hosts[i])
+	n, err := Build(s, g, Config{Delay: cfg.Delay, Buffer: cfg.Buffer, Queues: cfg.Queues, Factories: cfg.Factories})
+	if err != nil {
+		return nil, err
 	}
-	return st, nil
+	return &Star{Network: n, Switch: n.Switches[0]}, nil
 }
 
-// Port returns the switch output port facing host i — the port whose
-// buffer-management behaviour the experiments measure.
-func (st *Star) Port(i int) *netsim.Port { return st.Switch.Port(i) }
+// Port returns the switch output port facing host i.
+func (st *Star) Port(i int) *netsim.Port { return st.HostPort(i) }
+
+// LeafSpineConfig describes the non-blocking two-tier fabric of §V-B2; see
+// fabric.NewLeafSpine for the shape and Config for the rest.
+type LeafSpineConfig struct {
+	// Leaves and Spines set the fabric size.
+	Leaves, Spines int
+	// HostsPerLeaf hosts hang off each leaf.
+	HostsPerLeaf int
+	// Rate is the speed of every link (the fabric is non-blocking).
+	Rate units.Rate
+	// Delay is the one-way propagation per link. A spine-crossing path is
+	// host→leaf→spine→leaf→host, so the base RTT is 8·Delay plus
+	// serialization.
+	Delay  units.Duration
+	Buffer units.ByteSize
+	Queues int
+
+	FailureAware   bool
+	DetectionDelay units.Duration
+
+	Factories
+}
+
+// LeafSpine is a Network over a leaf-spine graph.
+type LeafSpine struct {
+	*Network
+	Leaves []*netsim.Switch
+	Spines []*netsim.Switch
+}
+
+// NewLeafSpine wires the fabric.
+func NewLeafSpine(s *sim.Simulator, cfg LeafSpineConfig) (*LeafSpine, error) {
+	g, err := fabric.NewLeafSpine(cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf, cfg.Rate)
+	if err != nil {
+		return nil, err
+	}
+	n, err := Build(s, g, Config{
+		Delay: cfg.Delay, Buffer: cfg.Buffer, Queues: cfg.Queues,
+		FailureAware: cfg.FailureAware, DetectionDelay: cfg.DetectionDelay,
+		Factories: cfg.Factories,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &LeafSpine{Network: n, Leaves: n.Switches[:cfg.Leaves], Spines: n.Switches[cfg.Leaves:]}, nil
+}
