@@ -166,6 +166,7 @@ type Engine struct {
 	lastAdvance units.Time
 	dirty       bool // topology of active flows changed since last fill
 	ssCount     int  // flows still in slow start (caps grow every epoch)
+	penalized   int  // active flows holding a loss penalty (its expiry changes caps)
 
 	completion *sim.Timer
 	crossing   *sim.Timer
@@ -466,6 +467,9 @@ func (e *Engine) halve(f *fflow, now units.Time) {
 	if half < units.BitPerSecond {
 		half = units.BitPerSecond
 	}
+	if f.penaltyRate == 0 {
+		e.penalized++
+	}
 	f.penaltyRate = half
 	f.penaltyUntil = now.Add(e.cfg.RTT)
 	f.extraDelay += e.cfg.RTT
@@ -475,22 +479,11 @@ func (e *Engine) halve(f *fflow, now units.Time) {
 // anything could have moved, and re-arm the derived timers.
 func (e *Engine) onTick() {
 	e.advance()
-	if e.dirty || e.ssCount > 0 || e.anyPenalty() {
+	if e.dirty || e.ssCount > 0 || e.penalized > 0 {
 		e.recompute()
 	}
 	e.armCompletion()
 	e.armCrossing()
-}
-
-// anyPenalty reports whether a loss penalty is still shaping some flow
-// (its expiry changes caps without any arrival/completion).
-func (e *Engine) anyPenalty() bool {
-	for _, fi := range e.active {
-		if e.flows[fi].penaltyRate > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // recompute re-solves the max-min allocation over the active flows and
@@ -510,6 +503,7 @@ func (e *Engine) recompute() {
 		f := &e.flows[fi]
 		if f.penaltyRate > 0 && now >= f.penaltyUntil {
 			f.penaltyRate = 0
+			e.penalized--
 		}
 		caps[k] = e.sendCap(f, now)
 		paths[k] = f.path
@@ -646,6 +640,9 @@ func (e *Engine) complete(fi int32, withQDelay bool) {
 	if !f.ssDone {
 		e.ssCount--
 		f.ssDone = true
+	}
+	if f.penaltyRate > 0 {
+		e.penalized--
 	}
 	e.stats.Completed++
 	e.dirty = true

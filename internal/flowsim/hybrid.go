@@ -22,12 +22,38 @@ type chunk struct {
 	at    units.Time // admission time, for sojourn-based schemes
 }
 
-// episode is the packetized state of one demoted link. The admission
-// instance persists across the link's episodes so stateful schemes (DynaQ's
-// dynamic thresholds) carry their state, exactly like a real port would.
+// chunkQueue is a FIFO of chunks: a slice with a head index and amortized
+// compaction, like netsim's pktQueue, so a steady episode reuses one backing
+// array instead of reallocating as the head slides.
+type chunkQueue struct {
+	chunks []chunk
+	head   int
+}
+
+func (q *chunkQueue) len() int { return len(q.chunks) - q.head }
+
+func (q *chunkQueue) pop() {
+	q.head++
+	if q.head > 64 && q.head*2 >= len(q.chunks) {
+		q.chunks = q.chunks[:copy(q.chunks, q.chunks[q.head:])]
+		q.head = 0
+	}
+}
+
+// episode is the packetized state of one demoted link, and the buffer.View
+// its admission scheme reads. The admission instance persists across the
+// link's episodes so stateful schemes (DynaQ's dynamic thresholds) carry
+// their state, exactly like a real port would.
 type episode struct {
-	adm     buffer.Admission
-	queues  [][]chunk
+	adm buffer.Admission
+	// Optional scheme hooks, resolved once when adm is built.
+	enqMark buffer.EnqueueMarker
+	deqDrop buffer.DequeueDropper
+	deqObs  buffer.DequeueObserver
+	deqMark buffer.DequeueMarker
+
+	buf     units.ByteSize // the port buffer B
+	queues  []chunkQueue
 	qlen    []units.ByteSize
 	deficit []int64
 	total   units.ByteSize
@@ -44,16 +70,10 @@ type episode struct {
 	marks    int64
 }
 
-// epView adapts an episode to buffer.View for the admission scheme.
-type epView struct {
-	ep  *episode
-	buf units.ByteSize
-}
-
-func (v epView) NumQueues() int                { return len(v.ep.qlen) }
-func (v epView) QueueLen(i int) units.ByteSize { return v.ep.qlen[i] }
-func (v epView) TotalLen() units.ByteSize      { return v.ep.total }
-func (v epView) Buffer() units.ByteSize        { return v.buf }
+func (ep *episode) NumQueues() int                { return len(ep.qlen) }
+func (ep *episode) QueueLen(i int) units.ByteSize { return ep.qlen[i] }
+func (ep *episode) TotalLen() units.ByteSize      { return ep.total }
+func (ep *episode) Buffer() units.ByteSize        { return ep.buf }
 
 // demote switches link li to packet granularity: the fluid backlog becomes
 // synthetic packets fed through the real scheme's admission, and an episode
@@ -69,7 +89,12 @@ func (e *Engine) demote(li int) {
 			panic("flowsim: admission factory failed mid-run: " + err.Error())
 		}
 		ep.adm = adm
-		ep.queues = make([][]chunk, e.cfg.Queues)
+		ep.enqMark, _ = adm.(buffer.EnqueueMarker)
+		ep.deqDrop, _ = adm.(buffer.DequeueDropper)
+		ep.deqObs, _ = adm.(buffer.DequeueObserver)
+		ep.deqMark, _ = adm.(buffer.DequeueMarker)
+		ep.buf = e.cfg.Buffer
+		ep.queues = make([]chunkQueue, e.cfg.Queues)
 		ep.qlen = make([]units.ByteSize, e.cfg.Queues)
 		ep.deficit = make([]int64, e.cfg.Queues)
 		link := li
@@ -110,7 +135,6 @@ func (e *Engine) demote(li int) {
 	// Convert the fluid backlog into phantom packets through the scheme, so
 	// the episode starts from the queue state the fluid model predicts.
 	// Classes round-robin over the crossing flows' classes.
-	view := epView{ep: ep, buf: e.cfg.Buffer}
 	backlog := l.backlog
 	l.backlog = 0
 	for j := 0; backlog > 0; j++ {
@@ -120,7 +144,7 @@ func (e *Engine) demote(li int) {
 		}
 		backlog -= b
 		cls := e.flows[ep.flows[j%len(ep.flows)]].spec.Class
-		if ep.total+b <= e.cfg.Buffer && ep.adm.Admit(view, cls, b) {
+		if ep.total+b <= e.cfg.Buffer && ep.adm.Admit(ep, cls, b) {
 			e.enqueueChunk(ep, cls, chunk{flow: -1, bytes: int32(b), at: now})
 		}
 	}
@@ -135,7 +159,7 @@ func (e *Engine) pumpInterval(l *linkState) units.Duration {
 
 // enqueueChunk appends an admitted chunk and keeps the episode accounting.
 func (e *Engine) enqueueChunk(ep *episode, cls int, c chunk) {
-	ep.queues[cls] = append(ep.queues[cls], c)
+	ep.queues[cls].chunks = append(ep.queues[cls].chunks, c)
 	ep.qlen[cls] += units.ByteSize(c.bytes)
 	ep.total += units.ByteSize(c.bytes)
 	ep.packets++
@@ -154,7 +178,6 @@ func (e *Engine) pump(li int) {
 	now := e.s.Now()
 	dt := now.Sub(ep.lastPump)
 	ep.lastPump = now
-	view := epView{ep: ep, buf: e.cfg.Buffer}
 
 	// Arrivals: each crossing flow offers its current send rate; an owner
 	// link packetizes the flow's bytes (a flow spanning two demoted links
@@ -186,7 +209,7 @@ func (e *Engine) pump(li int) {
 			if b <= 0 || int64(b) > ep.credit[k] {
 				break
 			}
-			if ep.total+b > e.cfg.Buffer || !ep.adm.Admit(view, f.spec.Class, b) {
+			if ep.total+b > e.cfg.Buffer || !ep.adm.Admit(ep, f.spec.Class, b) {
 				// Loss: the bytes stay unsent at the source; the flow
 				// halves and exits slow start, and the rest of this
 				// tick's credit burns with the lost window.
@@ -199,7 +222,7 @@ func (e *Engine) pump(li int) {
 			}
 			ep.credit[k] -= int64(b)
 			f.inflight += b
-			if mk, ok := ep.adm.(buffer.EnqueueMarker); ok && mk.MarkOnEnqueue(view, f.spec.Class, b) {
+			if ep.enqMark != nil && ep.enqMark.MarkOnEnqueue(ep, f.spec.Class, b) {
 				e.stats.PacketizedMarks++
 				ep.marks++
 				e.exitSlowStart(f, now)
@@ -214,26 +237,25 @@ func (e *Engine) pump(li int) {
 	for budget > 0 && ep.total > 0 {
 		progressed := false
 		for q := 0; q < len(ep.queues) && budget > 0; q++ {
-			cq := ep.queues[q]
-			if len(cq) == 0 {
+			cq := &ep.queues[q]
+			if cq.len() == 0 {
 				ep.deficit[q] = 0
 				continue
 			}
 			ep.deficit[q] += e.cfg.Weights[q] * int64(e.cfg.MTU)
-			for len(cq) > 0 {
-				c := cq[0]
+			for cq.len() > 0 {
+				c := cq.chunks[cq.head]
 				b := int64(c.bytes)
 				if ep.deficit[q] < b || budget < b {
 					break
 				}
-				cq = cq[1:]
+				cq.pop()
 				ep.deficit[q] -= b
 				budget -= b
 				progressed = true
-				e.deliverChunk(ep, q, c, view, now)
+				e.deliverChunk(ep, q, c, now)
 			}
-			ep.queues[q] = cq
-			if len(cq) == 0 {
+			if cq.len() == 0 {
 				ep.deficit[q] = 0
 			}
 		}
@@ -257,18 +279,18 @@ func (e *Engine) pump(li int) {
 
 // deliverChunk hands one dequeued chunk to its flow (phantom chunks just
 // vacate buffer), running the scheme's dequeue-time hooks.
-func (e *Engine) deliverChunk(ep *episode, cls int, c chunk, view epView, now units.Time) {
+func (e *Engine) deliverChunk(ep *episode, cls int, c chunk, now units.Time) {
 	ep.qlen[cls] -= units.ByteSize(c.bytes)
 	ep.total -= units.ByteSize(c.bytes)
 	sojourn := now.Sub(c.at)
 	dropped := false
-	if dd, ok := ep.adm.(buffer.DequeueDropper); ok && dd.DropOnDequeue(cls, sojourn) {
+	if ep.deqDrop != nil && ep.deqDrop.DropOnDequeue(cls, sojourn) {
 		dropped = true
 		e.stats.PacketizedDrops++
 		ep.drops++
 	}
-	if ob, ok := ep.adm.(buffer.DequeueObserver); ok {
-		ob.ObserveDequeue(view, cls, units.ByteSize(c.bytes), now)
+	if ep.deqObs != nil {
+		ep.deqObs.ObserveDequeue(ep, cls, units.ByteSize(c.bytes), now)
 	}
 	if c.flow < 0 {
 		return
@@ -278,7 +300,7 @@ func (e *Engine) deliverChunk(ep *episode, cls int, c chunk, view epView, now un
 		return
 	}
 	f.inflight -= units.ByteSize(c.bytes)
-	if dm, ok := ep.adm.(buffer.DequeueMarker); ok && dm.MarkOnDequeue(cls, sojourn) {
+	if ep.deqMark != nil && ep.deqMark.MarkOnDequeue(cls, sojourn) {
 		e.stats.PacketizedMarks++
 		ep.marks++
 		e.exitSlowStart(f, now)
@@ -310,7 +332,7 @@ func (e *Engine) promote(li int) {
 	l.demoted = false
 	l.backlog = ep.total
 	for q := range ep.queues {
-		ep.queues[q] = ep.queues[q][:0]
+		ep.queues[q] = chunkQueue{chunks: ep.queues[q].chunks[:0]}
 		ep.qlen[q] = 0
 		ep.deficit[q] = 0
 	}
