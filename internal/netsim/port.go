@@ -39,6 +39,7 @@ const (
 // the link, so the link itself never queues. Links support fault
 // injection: while down, every packet put on the wire is lost; lossy or
 // corrupting links (failing optics) discard a seeded-random fraction.
+// Packets already on the wire when a fault begins still arrive.
 type Link struct {
 	sim    *sim.Simulator
 	delay  units.Duration
@@ -54,42 +55,40 @@ type Link struct {
 	// injected (seeded) by the fault engine so runs stay deterministic.
 	rnd func() float64
 
-	// freeDel recycles delivery carriers so a steady packet stream puts
-	// frames on the wire without heap allocations.
-	freeDel []*delivery
+	// wire is the FIFO of packets in flight, oldest first, as a ring:
+	// flying of its slots are in use, starting at head. The delay is fixed,
+	// so packets arrive in the order they were sent, and only the head needs
+	// an event on the simulator's heap.
+	wire   []arrival
+	head   int
+	flying int
 }
 
-// delivery carries one in-flight packet across the wire. Together with the
-// package-level deliverFn it replaces the per-packet closure the link would
-// otherwise allocate for the arrival event.
-type delivery struct {
-	link *Link
-	pkt  *packet.Packet
+// arrival is one packet in flight: when it reaches the far end, and the
+// tie-break sequence number Send reserved for that event.
+type arrival struct {
+	pkt *packet.Packet
+	at  units.Time
+	seq uint64
 }
 
-// deliverFn is the shared arrival callback for every link delivery; the
-// carrier is recycled before the receiver runs so the receiver's own sends
-// can reuse it.
-var deliverFn = func(a any) {
-	d := a.(*delivery)
-	l, p := d.link, d.pkt
-	d.link, d.pkt = nil, nil
-	l.freeDel = append(l.freeDel, d)
-	l.dst.Receive(p)
-}
+// arriveFn is the shared callback for every link's head-of-wire event.
+func arriveFn(a any) { a.(*Link).arrive() }
 
-func (l *Link) newDelivery(p *packet.Packet) *delivery {
-	var d *delivery
-	if n := len(l.freeDel); n > 0 {
-		d = l.freeDel[n-1]
-		l.freeDel[n-1] = nil
-		l.freeDel = l.freeDel[:n-1]
-	} else {
-		d = &delivery{}
+// arrive delivers the head of the wire. The next arrival goes onto the heap
+// first: its key is later than the one running now, so nothing that should
+// run after it can have run yet, and the receiver's own sends find the event
+// object that just fired free for reuse.
+func (l *Link) arrive() {
+	p := l.wire[l.head].pkt
+	l.wire[l.head].pkt = nil
+	l.head = (l.head + 1) & (len(l.wire) - 1)
+	l.flying--
+	if l.flying > 0 {
+		next := &l.wire[l.head]
+		l.sim.AtCallSeq(next.at, next.seq, arriveFn, l)
 	}
-	d.link = l
-	d.pkt = p
-	return d
+	l.dst.Receive(p)
 }
 
 // NewLink wires a link with the given propagation delay toward dst.
@@ -103,7 +102,9 @@ func NewLink(s *sim.Simulator, delay units.Duration, dst Node) *Link {
 // Send propagates p toward the destination node and reports what the wire
 // did with it; packets entering a downed link vanish (fiber-cut semantics),
 // lossy links blackhole a random fraction, corrupting links deliver frames
-// the receiver's CRC rejects.
+// the receiver's CRC rejects. A delivered packet belongs to the link until
+// it hands it to the destination; a lost or corrupted one stays the caller's
+// to release.
 func (l *Link) Send(p *packet.Packet) SendOutcome {
 	if l.down {
 		l.lost++
@@ -117,8 +118,27 @@ func (l *Link) Send(p *packet.Packet) SendOutcome {
 		l.corrupted++
 		return SendCorrupted
 	}
-	l.sim.AfterCall(l.delay, deliverFn, l.newDelivery(p))
+	a := arrival{pkt: p, at: l.sim.Now().Add(l.delay), seq: l.sim.ReserveSeq()}
+	if l.flying == 0 {
+		l.sim.AtCallSeq(a.at, a.seq, arriveFn, l)
+	} else if tail := l.wire[(l.head+l.flying-1)&(len(l.wire)-1)]; a.at < tail.at {
+		panic(fmt.Sprintf("netsim: link arrival at %v would overtake the one at %v", a.at, tail.at))
+	}
+	if l.flying == len(l.wire) {
+		l.growWire()
+	}
+	l.wire[(l.head+l.flying)&(len(l.wire)-1)] = a
+	l.flying++
 	return SendDelivered
+}
+
+// growWire doubles the ring (its length stays a power of two, so positions
+// wrap with a mask) and moves the packets in flight to its start.
+func (l *Link) growWire() {
+	grown := make([]arrival, max(8, 2*len(l.wire)))
+	n := copy(grown, l.wire[l.head:])
+	copy(grown[n:], l.wire[:l.head])
+	l.wire, l.head = grown, 0
 }
 
 // SetDown injects or clears a link failure, recording the failure instant
@@ -261,7 +281,11 @@ func (k PortEventKind) String() string {
 	}
 }
 
-// PortEvent is one per-packet occurrence at a port.
+// PortEvent is one per-packet occurrence at a port. Pkt is valid only during
+// the hook call that delivers the event: the packet moves on, and a dropped
+// one is recycled as soon as the port's hooks and observers have seen the
+// drop. A hook that keeps events keeps Pkt.Detached() copies (internal/trace
+// does).
 type PortEvent struct {
 	At    units.Time
 	Kind  PortEventKind
@@ -270,7 +294,8 @@ type PortEvent struct {
 }
 
 // EventHook receives per-packet port events (see internal/trace for a
-// ready-made recorder). A nil hook costs nothing on the fast path.
+// ready-made recorder) and must not retain ev.Pkt past its return. A nil
+// hook costs nothing on the fast path.
 type EventHook func(ev PortEvent)
 
 // Port is a switch output port: a set of service queues in front of one
@@ -309,8 +334,9 @@ type Port struct {
 
 	// Serialization state. The busy flag guarantees at most one packet is
 	// serializing per port, so the in-flight packet lives in fields instead
-	// of a closure; the two callbacks are bound once at construction. This
-	// keeps the per-packet transmit path allocation-free.
+	// of a closure; the two callbacks are bound once at construction. With
+	// the link's wire FIFO and a scheduler that does not allocate, a packet
+	// crosses Enqueue → txDone → delivery without a heap allocation.
 	txPkt      *packet.Packet
 	txQueue    int
 	txDoneFn   func()
@@ -515,19 +541,13 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 		}
 	}
 	if !p.admitWithEviction(cls, pkt.Size) {
-		p.stats.Dropped++
-		p.queueDrops[cls]++
-		p.emit(EvDrop, cls, pkt)
-		p.notify()
+		p.drop(cls, pkt)
 		return
 	}
 	if p.pool != nil && !p.pool.Reserve(pkt.Size) {
 		// The shared memory itself is exhausted (another port holds it).
-		p.stats.Dropped++
 		p.stats.PoolDrops++
-		p.queueDrops[cls]++
-		p.emit(EvDrop, cls, pkt)
-		p.notify()
+		p.drop(cls, pkt)
 		return
 	}
 	if p.enqMark != nil && p.enqMark.MarkOnEnqueue(p, cls, pkt.Size) {
@@ -546,6 +566,18 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 		p.busy = true
 		p.transmitNext()
 	}
+}
+
+// drop rejects an arriving packet at enqueue. The port is the packet's last
+// owner, so it releases it once hooks and observers have seen the drop; the
+// other discard sites (eviction, dequeue drop, a link that lost or corrupted
+// the frame) end the same way.
+func (p *Port) drop(cls int, pkt *packet.Packet) {
+	p.stats.Dropped++
+	p.queueDrops[cls]++
+	p.emit(EvDrop, cls, pkt)
+	p.notify()
+	pkt.Release()
 }
 
 // admitWithEviction runs the admission scheme and, when it refuses and the
@@ -570,6 +602,7 @@ func (p *Port) admitWithEviction(cls int, size units.ByteSize) bool {
 		}
 		p.stats.Evicted++
 		p.emit(EvEvict, victim, evicted)
+		evicted.Release()
 	}
 }
 
@@ -599,6 +632,7 @@ func (p *Port) transmitNext() {
 		p.emit(EvDequeueDrop, i, pkt)
 		p.notify()
 		p.sim.After(p.rate.Transmit(pkt.Size), p.transmitFn)
+		pkt.Release()
 		return
 	}
 	if p.deqMark != nil && p.deqMark.MarkOnDequeue(i, sojourn) {
@@ -624,8 +658,10 @@ func (p *Port) txDone() {
 	switch p.link.Send(pkt) {
 	case SendLost:
 		p.emit(EvLinkDrop, i, pkt)
+		pkt.Release()
 	case SendCorrupted:
 		p.emit(EvLinkCorrupt, i, pkt)
+		pkt.Release()
 	}
 	p.transmitNext()
 }

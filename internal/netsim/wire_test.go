@@ -1,0 +1,328 @@
+package netsim
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"dynaq/internal/buffer"
+	"dynaq/internal/packet"
+	"dynaq/internal/sched"
+	"dynaq/internal/sim"
+	"dynaq/internal/units"
+)
+
+// sender is the part of Link the order test drives.
+type sender interface {
+	Send(p *packet.Packet) SendOutcome
+}
+
+// perPacketLink is the link as it was: one heap event per packet in flight.
+// It is the reference Link's wire FIFO must be indistinguishable from.
+type perPacketLink struct {
+	s     *sim.Simulator
+	delay units.Duration
+	dst   Node
+}
+
+func (l *perPacketLink) Send(p *packet.Packet) SendOutcome {
+	l.s.AfterCall(l.delay, func(a any) { l.dst.Receive(a.(*packet.Packet)) }, p)
+	return SendDelivered
+}
+
+// hop logs a packet's arrival and forwards it on next, if there is one.
+type hop struct {
+	s    *sim.Simulator
+	id   int
+	next sender
+	log  *[]arrivalRecord
+}
+
+type arrivalRecord struct {
+	at   units.Time
+	hop  int
+	flow packet.FlowID
+}
+
+func (h *hop) Receive(p *packet.Packet) {
+	*h.log = append(*h.log, arrivalRecord{h.s.Now(), h.id, p.Flow})
+	if h.next != nil {
+		h.next.Send(p)
+	}
+}
+
+// runWires sends one seeded schedule of packets over three wires — a→b
+// chained behind each other, c beside them, two sharing a delay and one with
+// none, on times coarse enough that ties are the rule — and returns every
+// arrival in the order it ran.
+func runWires(seed int64, newLink func(*sim.Simulator, units.Duration, Node) sender) ([]arrivalRecord, uint64) {
+	s := sim.New()
+	rng := rand.New(rand.NewSource(seed))
+	var log []arrivalRecord
+	b := newLink(s, 2*units.Microsecond, &hop{s: s, id: 1, log: &log})
+	a := newLink(s, 2*units.Microsecond, &hop{s: s, id: 0, next: b, log: &log})
+	c := newLink(s, 0, &hop{s: s, id: 2, log: &log})
+	entry := []sender{a, b, c}
+	for i := 0; i < 3000; i++ {
+		p := &packet.Packet{Flow: packet.FlowID(i)}
+		on := entry[rng.Intn(len(entry))]
+		s.At(units.Time(rng.Intn(400))*units.Time(units.Microsecond), func() { on.Send(p) })
+	}
+	s.Run()
+	return log, s.Processed()
+}
+
+func TestLinkFIFODeliversLikePerPacketEvents(t *testing.T) {
+	fifo := func(s *sim.Simulator, d units.Duration, dst Node) sender { return NewLink(s, d, dst) }
+	perPacket := func(s *sim.Simulator, d units.Duration, dst Node) sender {
+		return &perPacketLink{s: s, delay: d, dst: dst}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		got, gotRun := runWires(seed, fifo)
+		want, wantRun := runWires(seed, perPacket)
+		if len(want) < 3000 {
+			t.Fatalf("seed %d: reference delivered only %d arrivals", seed, len(want))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: arrival times or order differ from one event per packet", seed)
+		}
+		if gotRun != wantRun {
+			t.Fatalf("seed %d: %d events processed, %d with one event per packet", seed, gotRun, wantRun)
+		}
+	}
+}
+
+func TestLinkKeepsOnePendingEvent(t *testing.T) {
+	s := sim.New()
+	dst := &sinkNode{s: s}
+	l := NewLink(s, units.Millisecond, dst)
+	for i := 0; i < 100; i++ { // enough to grow the ring more than once
+		l.Send(dataPkt(packet.FlowID(i), 0, 1500))
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("%d events pending for 100 packets on one wire, want 1", s.Pending())
+	}
+	s.Run()
+	for i, p := range dst.pkts {
+		if p.Flow != packet.FlowID(i) {
+			t.Fatalf("arrival %d is flow %d: wire reordered", i, p.Flow)
+		}
+	}
+	if len(dst.pkts) != 100 || s.Processed() != 100 {
+		t.Fatalf("delivered %d packets in %d events, want 100 in 100", len(dst.pkts), s.Processed())
+	}
+}
+
+func TestLinkSetDownMidFlightStillDelivers(t *testing.T) {
+	s := sim.New()
+	dst := &sinkNode{s: s}
+	l := NewLink(s, 10*units.Microsecond, dst)
+	us := func(n int) units.Time { return units.Time(n) * units.Time(units.Microsecond) }
+	for i := 0; i < 3; i++ {
+		p := dataPkt(packet.FlowID(i), 0, 1500)
+		s.At(us(i), func() { l.Send(p) })
+	}
+	// The cut comes with all three on the wire; what is already past the
+	// break still arrives, what enters afterwards does not.
+	s.At(us(5), func() { l.SetDown(true) })
+	s.At(us(6), func() {
+		if out := l.Send(dataPkt(3, 0, 1500)); out != SendLost {
+			t.Errorf("send into a downed link: outcome %v, want lost", out)
+		}
+	})
+	s.At(us(20), func() { l.SetDown(false) })
+	s.At(us(21), func() { l.Send(dataPkt(4, 0, 1500)) })
+	s.Run()
+	wantFlows := []packet.FlowID{0, 1, 2, 4}
+	wantAt := []units.Time{us(10), us(11), us(12), us(31)}
+	if len(dst.pkts) != len(wantFlows) {
+		t.Fatalf("delivered %d packets, want %d", len(dst.pkts), len(wantFlows))
+	}
+	for i := range wantFlows {
+		if dst.pkts[i].Flow != wantFlows[i] || dst.at[i] != wantAt[i] {
+			t.Errorf("arrival %d: flow %d at %v, want flow %d at %v",
+				i, dst.pkts[i].Flow, dst.at[i], wantFlows[i], wantAt[i])
+		}
+	}
+	if l.Lost() != 1 {
+		t.Errorf("lost = %d, want 1", l.Lost())
+	}
+}
+
+func TestLinkPanicsWhenAnArrivalWouldOvertake(t *testing.T) {
+	s := sim.New()
+	l := NewLink(s, 10*units.Microsecond, &sinkNode{s: s})
+	l.Send(dataPkt(1, 0, 1500))
+	// NewLink fixes the delay, which is what makes the wire a FIFO. Should
+	// that ever change, Send must refuse rather than deliver out of order.
+	l.delay = 5 * units.Microsecond
+	defer func() {
+		if recover() == nil {
+			t.Error("want panic when a send would arrive before the wire's tail")
+		}
+	}()
+	l.Send(dataPkt(2, 0, 1500))
+}
+
+// consumer ends a delivered packet's life, as a transport endpoint does.
+type consumer struct{ n int }
+
+func (c *consumer) Receive(p *packet.Packet) {
+	c.n++
+	p.Release()
+}
+
+// TestEveryDiscardReleasesThePacketOnce drives each place a packet can die
+// at a port — admission drop, pool drop, eviction, dequeue drop, a lossy, a
+// corrupting and a downed link — with pooled packets in waves. A packet
+// released twice panics in the pool; one never released leaves the pool
+// short after the port has drained.
+func TestEveryDiscardReleasesThePacketOnce(t *testing.T) {
+	tcnDrop, err := buffer.NewTCNDrop(20 * units.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallPool, err := buffer.NewSharedPool(4 * 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coin := func() func() float64 {
+		rng := rand.New(rand.NewSource(3))
+		return rng.Float64
+	}
+	cases := []struct {
+		name    string
+		adm     buffer.Admission
+		pool    *buffer.SharedPool
+		impair  func(l *Link)
+		discard func(st PortStats) int64
+	}{
+		{"admission", buffer.NewBestEffort(), nil, nil,
+			func(st PortStats) int64 { return st.Dropped }},
+		{"pool", buffer.NewBestEffort(), smallPool, nil,
+			func(st PortStats) int64 { return st.PoolDrops }},
+		{"evict", buffer.NewBarberQ(), nil, nil,
+			func(st PortStats) int64 { return st.Evicted }},
+		{"dequeue", tcnDrop, nil, nil,
+			func(st PortStats) int64 { return st.DequeueDrops }},
+		{"loss", buffer.NewBestEffort(), nil,
+			func(l *Link) { l.SetRand(coin()); l.SetLossRate(0.5) },
+			func(st PortStats) int64 { return st.LinkLost }},
+		{"corrupt", buffer.NewBestEffort(), nil,
+			func(l *Link) { l.SetRand(coin()); l.SetCorruptRate(0.5) },
+			func(st PortStats) int64 { return st.LinkCorrupted }},
+		{"down", buffer.NewBestEffort(), nil,
+			func(l *Link) { l.SetDown(true) },
+			func(st PortStats) int64 { return st.LinkLost }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New()
+			dst := &consumer{}
+			link := NewLink(s, units.Microsecond, dst)
+			if tc.impair != nil {
+				tc.impair(link)
+			}
+			port, err := NewPort(s, PortConfig{
+				Rate: units.Gbps, Buffer: 8 * 1500, Queues: 4,
+				Scheduler: sched.EqualDRR(4, 1500), Admission: tc.adm,
+				Link: link, Pool: tc.pool,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pkts packet.Pool
+			offered := 0
+			for wave := 0; wave < 4; wave++ {
+				// Queue 2 fills the port, then queue 0's burst finds it full.
+				for i := 0; i < 16; i++ {
+					p := pkts.Get()
+					p.Kind, p.Size, p.Class = packet.Data, 1500, 2*(1-i/12)
+					port.Enqueue(p)
+					offered++
+				}
+				s.Run()
+			}
+			st := port.Stats()
+			if tc.discard(st) == 0 {
+				t.Fatalf("the %s discard was never taken: %+v", tc.name, st)
+			}
+			gone := st.Dropped + st.Evicted + st.DequeueDrops + st.LinkLost + st.LinkCorrupted
+			if int64(dst.n)+gone != int64(offered) {
+				t.Fatalf("delivered %d + discarded %d ≠ offered %d", dst.n, gone, offered)
+			}
+			if pkts.Idle() != pkts.Allocated() {
+				t.Fatalf("%d of %d pooled packets came back after the port drained",
+					pkts.Idle(), pkts.Allocated())
+			}
+			if pkts.Allocated() > 16 {
+				t.Fatalf("%d packets allocated for waves of 16: the pool is not reusing them", pkts.Allocated())
+			}
+		})
+	}
+}
+
+// portPath is bench/'s port driver with packets from a pool: DynaQ over
+// SPQ+DRR, 5 queues at 1 Gbps and 85 KB, the Fig 8 star port. 32 packets a
+// burst is 8 per DRR queue, 12 KB against a 17 KB threshold: nothing drops,
+// so every packet crosses Enqueue → txDone → the wire → a consumer.
+type portPath struct {
+	s    *sim.Simulator
+	port *Port
+	pkts packet.Pool
+	dst  consumer
+}
+
+func newPortPath(tb testing.TB) *portPath {
+	pp := &portPath{s: sim.New()}
+	adm, err := buffer.NewDynaQ(85*units.KB, []int64{1, 1, 1, 1, 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	schd, err := sched.NewSPQDRR(1, []units.ByteSize{1500, 1500, 1500, 1500})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pp.port, err = NewPort(pp.s, PortConfig{
+		Rate: units.Gbps, Buffer: 85 * units.KB, Queues: 5,
+		Scheduler: schd, Admission: adm,
+		Link: NewLink(pp.s, units.Microsecond, &pp.dst),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pp
+}
+
+func (pp *portPath) burst() {
+	for i := 0; i < 32; i++ {
+		p := pp.pkts.Get()
+		p.Kind, p.Class, p.Size, p.Payload = packet.Data, 1+i%4, 1500, 1460
+		pp.port.Enqueue(p)
+	}
+	pp.s.Run()
+}
+
+// BenchmarkPortPath reports one packet's whole stay at a port; an op is one
+// packet.
+func BenchmarkPortPath(b *testing.B) {
+	pp := newPortPath(b)
+	pp.burst() // grow the pool, the queues, the wire and the event free list
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 32 {
+		pp.burst()
+	}
+	b.StopTimer()
+	if st := pp.port.Stats(); st.Dropped != 0 || int64(pp.dst.n) != st.Enqueued {
+		b.Fatalf("delivered %d of %d enqueued, %d dropped", pp.dst.n, st.Enqueued, st.Dropped)
+	}
+}
+
+func TestPortPathDoesNotAllocate(t *testing.T) {
+	pp := newPortPath(t)
+	pp.burst()
+	if n := testing.AllocsPerRun(100, pp.burst); n != 0 {
+		t.Fatalf("%v allocations per 32-packet burst, want 0", n)
+	}
+}

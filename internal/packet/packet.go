@@ -38,6 +38,12 @@ const (
 // Packet is one simulated segment. Packets are passed by pointer and are not
 // copied after creation; the switch annotates EnqueueTime for sojourn-time
 // schemes (TCN).
+//
+// A packet has one owner at a time: whoever was handed the pointer last.
+// The owner that ends the packet's life (the endpoint that consumed it, the
+// port that dropped it) calls Release, after which it must not touch the
+// packet again. A pointer seen in passing, such as netsim.PortEvent.Pkt, is
+// good only until the call that passed it returns; keep Detached copies.
 type Packet struct {
 	Flow FlowID
 	Kind Kind
@@ -74,6 +80,66 @@ type Packet struct {
 	// EnqueueTime is stamped by the switch port on enqueue so that
 	// dequeue-time schemes (TCN) can compute the sojourn time.
 	EnqueueTime units.Time
+
+	// pool is the free list this packet came from and returns to; nil for a
+	// packet built with a literal, which Release leaves to the collector.
+	pool *Pool
+	// free is set while the packet sits in pool, to catch a second Release.
+	free bool
+}
+
+// Pool is a free list of packets private to its owner — each transport
+// endpoint has one; simulations run in parallel, so there is no global pool.
+// Get hands out zeroed packets and Packet.Release returns them; after
+// warm-up a steady packet stream allocates nothing. The zero value is ready
+// to use.
+type Pool struct {
+	idle  []*Packet
+	alloc int
+}
+
+// Get returns a zeroed packet owned by the caller.
+func (pl *Pool) Get() *Packet {
+	if n := len(pl.idle); n > 0 {
+		p := pl.idle[n-1]
+		pl.idle = pl.idle[:n-1]
+		*p = Packet{pool: pl}
+		return p
+	}
+	pl.alloc++
+	return &Packet{pool: pl}
+}
+
+// Allocated reports how many packets the pool has ever taken from the
+// allocator; Idle how many of them are back on the free list. The two are
+// equal exactly when every packet handed out has been released once.
+func (pl *Pool) Allocated() int { return pl.alloc }
+
+// Idle reports how many packets sit on the free list.
+func (pl *Pool) Idle() int { return len(pl.idle) }
+
+// Release ends the packet's life and returns it to the pool it came from.
+// On a packet that came from no pool it does nothing, so code that consumes
+// packets need not know who built them. Releasing a pooled packet twice is
+// a bug — two owners would be handed the same object — and panics.
+func (p *Packet) Release() {
+	pl := p.pool
+	if pl == nil {
+		return
+	}
+	if p.free {
+		panic(fmt.Sprintf("packet: %v released twice", p))
+	}
+	p.free = true
+	pl.idle = append(pl.idle, p)
+}
+
+// Detached returns a copy of the packet that belongs to no pool: a snapshot
+// that stays valid after the original is released and reused.
+func (p *Packet) Detached() Packet {
+	c := *p
+	c.pool, c.free = nil, false
+	return c
 }
 
 // String renders a compact human-readable packet description for traces.

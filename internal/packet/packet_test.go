@@ -41,3 +41,60 @@ func TestString(t *testing.T) {
 		t.Errorf("ack String() = %q", a.String())
 	}
 }
+
+func TestPoolRecyclesZeroedPackets(t *testing.T) {
+	var pl Pool
+	p := pl.Get()
+	p.Flow, p.Seq, p.ECN, p.Echo = 7, 1460, CE, true
+	p.Release()
+	if pl.Allocated() != 1 || pl.Idle() != 1 {
+		t.Fatalf("allocated %d, idle %d after one get and release, want 1 and 1", pl.Allocated(), pl.Idle())
+	}
+	q := pl.Get()
+	if q != p {
+		t.Fatal("the pool allocated while a released packet sat idle")
+	}
+	if q.Flow != 0 || q.Seq != 0 || q.ECN != NotECT || q.Echo {
+		t.Fatalf("recycled packet still carries its last life: %+v", q)
+	}
+	if pl.Allocated() != 1 || pl.Idle() != 0 {
+		t.Fatalf("allocated %d, idle %d with the packet out again, want 1 and 0", pl.Allocated(), pl.Idle())
+	}
+}
+
+func TestReleaseOfAForeignPacketIsANoOp(t *testing.T) {
+	p := &Packet{Flow: 3}
+	p.Release()
+	p.Release()
+	if p.Flow != 3 {
+		t.Fatal("release touched a packet that belongs to no pool")
+	}
+}
+
+func TestSecondReleasePanics(t *testing.T) {
+	var pl Pool
+	p := pl.Get()
+	p.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a packet went back to its pool twice without a panic")
+		}
+	}()
+	p.Release()
+}
+
+func TestDetachedCopyBelongsToNoPool(t *testing.T) {
+	var pl Pool
+	p := pl.Get()
+	p.Flow = 9
+	c := p.Detached()
+	p.Release()
+	pl.Get().Flow = 10 // the original's next life
+	if c.Flow != 9 {
+		t.Fatalf("detached copy reads flow %d after the original was reused, want 9", c.Flow)
+	}
+	c.Release()
+	if pl.Idle() != 0 {
+		t.Fatal("releasing a detached copy reached the pool")
+	}
+}

@@ -10,6 +10,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"dynaq/internal/units"
 )
@@ -36,8 +37,9 @@ type Scheduler interface {
 	OnDequeue(i int, size units.ByteSize, nowEmpty bool)
 }
 
-func anyBacklogged(v View) bool {
-	for i := 0; i < v.NumQueues(); i++ {
+// anyBacklogged reports whether a queue of v from index off on holds bytes.
+func anyBacklogged(v View, off int) bool {
+	for i := off; i < v.NumQueues(); i++ {
 		if v.QueueLen(i) > 0 {
 			return true
 		}
@@ -49,10 +51,11 @@ func anyBacklogged(v View) bool {
 // byte deficit replenished by its quantum once per round; a queue is served
 // while its head packet fits in the deficit.
 type DRR struct {
-	quantum []units.ByteSize
-	deficit []units.ByteSize
-	cur     int
-	fresh   bool // true when arriving at cur for the first time this visit
+	quantum    []units.ByteSize
+	minQuantum units.ByteSize
+	deficit    []units.ByteSize
+	cur        int
+	fresh      bool // true when arriving at cur for the first time this visit
 }
 
 // NewDRR builds a DRR scheduler with the given per-queue quantums (the
@@ -67,9 +70,10 @@ func NewDRR(quantums []units.ByteSize) (*DRR, error) {
 		}
 	}
 	return &DRR{
-		quantum: append([]units.ByteSize(nil), quantums...),
-		deficit: make([]units.ByteSize, len(quantums)),
-		fresh:   true,
+		quantum:    append([]units.ByteSize(nil), quantums...),
+		minQuantum: slices.Min(quantums),
+		deficit:    make([]units.ByteSize, len(quantums)),
+		fresh:      true,
 	}, nil
 }
 
@@ -90,27 +94,38 @@ func EqualDRR(n int, quantum units.ByteSize) *DRR {
 func (d *DRR) Deficit(i int) units.ByteSize { return d.deficit[i] }
 
 // Select implements Scheduler.
-func (d *DRR) Select(v View) int {
-	if !anyBacklogged(v) {
+func (d *DRR) Select(v View) int { return d.selectFrom(v, 0) }
+
+// selectFrom runs DRR over queues [off, N) of v, which it numbers from 0.
+// The hybrid calls it with its strict-priority queues skipped. It takes an
+// offset and not a View that shifts the indices, because such a wrapper is
+// boxed into the interface on every call: one allocation per packet served.
+func (d *DRR) selectFrom(v View, off int) int {
+	if !anyBacklogged(v, off) {
 		return -1
 	}
-	// A backlogged queue is served after at most ceil(head/quantum) rounds;
-	// bound the walk generously and panic beyond it — exceeding the bound
-	// means the deficit accounting broke, not a transient condition.
-	maxHead := units.ByteSize(0)
-	minQuantum := d.quantum[0]
-	for i := 0; i < v.NumQueues(); i++ {
-		if h := v.HeadSize(i); h > maxHead {
-			maxHead = h
+	// A backlogged queue is served after at most ceil(head/quantum) rounds,
+	// so the walk is bounded by n·(maxHead/minQuantum + 2); going beyond
+	// means the deficit accounting broke, not a transient condition. Nearly
+	// every call returns within the first 2n steps, the least that bound can
+	// be, so the scan for the largest head waits until a walk gets that far.
+	n := v.NumQueues() - off
+	bound, exact := 2*n, false
+	for iter := 0; ; iter++ {
+		if iter >= bound {
+			if !exact {
+				maxHead := units.ByteSize(0)
+				for i := 0; i < n; i++ {
+					maxHead = max(maxHead, v.HeadSize(i+off))
+				}
+				bound, exact = n*(int(maxHead/d.minQuantum)+2), true
+			}
+			if iter >= bound {
+				panic("sched: DRR failed to select a backlogged queue (deficit accounting bug)")
+			}
 		}
-		if d.quantum[i] < minQuantum {
-			minQuantum = d.quantum[i]
-		}
-	}
-	bound := v.NumQueues() * (int(maxHead/minQuantum) + 2)
-	for iter := 0; iter < bound; iter++ {
 		i := d.cur
-		if v.QueueLen(i) == 0 {
+		if v.QueueLen(i+off) == 0 {
 			d.deficit[i] = 0 // inactive queues carry no deficit
 			d.advance()
 			continue
@@ -119,12 +134,11 @@ func (d *DRR) Select(v View) int {
 			d.deficit[i] += d.quantum[i]
 			d.fresh = false
 		}
-		if v.HeadSize(i) <= d.deficit[i] {
+		if v.HeadSize(i+off) <= d.deficit[i] {
 			return i
 		}
 		d.advance()
 	}
-	panic("sched: DRR failed to select a backlogged queue (deficit accounting bug)")
 }
 
 // OnDequeue implements Scheduler.
@@ -179,7 +193,7 @@ func EqualWRR(n int) *WRR {
 
 // Select implements Scheduler.
 func (w *WRR) Select(v View) int {
-	if !anyBacklogged(v) {
+	if !anyBacklogged(v, 0) {
 		return -1
 	}
 	for iter := 0; iter <= v.NumQueues(); iter++ {
@@ -261,8 +275,7 @@ func (s *SPQDRR) Select(v View) int {
 			return i
 		}
 	}
-	sub := shiftedView{View: v, off: s.prio}
-	if i := s.drr.Select(sub); i >= 0 {
+	if i := s.drr.selectFrom(v, s.prio); i >= 0 {
 		return i + s.prio
 	}
 	return -1
@@ -274,13 +287,3 @@ func (s *SPQDRR) OnDequeue(i int, size units.ByteSize, nowEmpty bool) {
 		s.drr.OnDequeue(i-s.prio, size, nowEmpty)
 	}
 }
-
-// shiftedView exposes queues [off, N) of a port as queues [0, N-off).
-type shiftedView struct {
-	View
-	off int
-}
-
-func (s shiftedView) NumQueues() int                { return s.View.NumQueues() - s.off }
-func (s shiftedView) QueueLen(i int) units.ByteSize { return s.View.QueueLen(i + s.off) }
-func (s shiftedView) HeadSize(i int) units.ByteSize { return s.View.HeadSize(i + s.off) }

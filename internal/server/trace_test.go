@@ -139,6 +139,14 @@ func TestTraceOutsideCache(t *testing.T) {
 	}
 	cell := done.Cells[0]
 
+	// A job's state turns done before its status, trace and queue marker are
+	// written; the files, and a resubmission that must not race their
+	// writer, are about the settled job.
+	s.mu.Lock()
+	first := s.jobs[st.ID]
+	s.mu.Unlock()
+	<-first.done
+
 	tracePath := filepath.Join(s.jobDir(st.ID), traceFileName)
 	if _, err := os.Stat(tracePath); err != nil {
 		t.Fatalf("persisted trace: %v", err)

@@ -1,7 +1,8 @@
 // Package sim provides the discrete-event simulation engine that drives the
 // whole reproduction: a four-ary event heap specialized to *Event, a virtual
 // clock, re-armable timers, and a free list that recycles Event objects so
-// the steady-state hot path performs zero heap allocations.
+// that scheduling and running an event allocate nothing once the free list
+// has grown to the heap's depth.
 //
 // The engine is intentionally single-goroutine: every experiment in the
 // paper is a deterministic function of its seed, which makes results
@@ -56,13 +57,17 @@ func (r EventRef) Time() units.Time {
 // Simulator owns the virtual clock and the pending event set.
 // The zero value is not usable; call New.
 type Simulator struct {
-	now     units.Time
-	seq     uint64
-	heap    []*Event // four-ary min-heap ordered by (when, seq)
-	free    []*Event // recycled Event objects awaiting reuse
-	nrun    uint64
-	reused  uint64
-	maxHeap int
+	now units.Time
+	seq uint64
+	// lastWhen and lastSeq are the key of the event Step ran last, the point
+	// in the total order that AtCallSeq may not schedule behind.
+	lastWhen units.Time
+	lastSeq  uint64
+	heap     []*Event // four-ary min-heap ordered by (when, seq)
+	free     []*Event // recycled Event objects awaiting reuse
+	nrun     uint64
+	reused   uint64
+	maxHeap  int
 }
 
 // New returns an empty simulator with the clock at zero.
@@ -214,26 +219,51 @@ func (s *Simulator) release(e *Event) {
 	s.free = append(s.free, e)
 }
 
-func (s *Simulator) schedule(t units.Time, fn func(), fnA func(any), arg any) EventRef {
+func (s *Simulator) schedule(t units.Time, seq uint64, fn func(), fnA func(any), arg any) EventRef {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	e := s.alloc()
 	e.when = t
-	e.seq = s.seq
+	e.seq = seq
 	e.fn = fn
 	e.fnA = fnA
 	e.arg = arg
-	s.seq++
 	s.push(e)
 	return EventRef{ev: e, gen: e.gen}
+}
+
+// ReserveSeq takes the tie-break sequence number a schedule call made now
+// would take, without scheduling anything. A caller that knows now that it
+// will want an event later — a link holding a FIFO of arrivals behind one
+// pending event — reserves at the moment it would have scheduled and hands
+// the number to AtCallSeq when the event's turn comes. The event then sorts
+// among same-time events exactly as if it had been scheduled at reservation.
+func (s *Simulator) ReserveSeq() uint64 {
+	seq := s.seq
+	s.seq++
+	return seq
+}
+
+// AtCallSeq is AtCall with a sequence number from ReserveSeq. The key
+// (t, seq) must still lie ahead of the event being run: scheduling behind it
+// would run the callback after events it was reserved to precede, so that
+// panics like scheduling in the past does.
+func (s *Simulator) AtCallSeq(t units.Time, seq uint64, fn func(any), arg any) EventRef {
+	if seq >= s.seq {
+		panic(fmt.Sprintf("sim: sequence number %d was never reserved", seq))
+	}
+	if t == s.lastWhen && seq < s.lastSeq {
+		panic(fmt.Sprintf("sim: scheduling reserved event (%v, %d) behind the running one (%v, %d)", t, seq, s.lastWhen, s.lastSeq))
+	}
+	return s.schedule(t, seq, nil, fn, arg)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a model bug, and silently reordering time would
 // corrupt every queue measurement downstream.
 func (s *Simulator) At(t units.Time, fn func()) EventRef {
-	return s.schedule(t, fn, nil, nil)
+	return s.schedule(t, s.ReserveSeq(), fn, nil, nil)
 }
 
 // After schedules fn to run d after the current time.
@@ -248,7 +278,7 @@ func (s *Simulator) After(d units.Duration, fn func()) EventRef {
 // pooled arg this schedules without allocating, where At would force a
 // closure per call; it is the hot-path form used by netsim's packet events.
 func (s *Simulator) AtCall(t units.Time, fn func(any), arg any) EventRef {
-	return s.schedule(t, nil, fn, arg)
+	return s.schedule(t, s.ReserveSeq(), nil, fn, arg)
 }
 
 // AfterCall schedules fn(arg) to run d after the current time.
@@ -281,6 +311,7 @@ func (s *Simulator) Step() bool {
 	}
 	e := s.popMin()
 	s.now = e.when
+	s.lastWhen, s.lastSeq = e.when, e.seq
 	s.nrun++
 	fn, fnA, arg := e.fn, e.fnA, e.arg
 	s.release(e)

@@ -10,17 +10,29 @@ import (
 	"strconv"
 
 	"dynaq/internal/netsim"
+	"dynaq/internal/packet"
 	"dynaq/internal/telemetry"
+	"dynaq/internal/units"
 )
 
 // Recorder collects port events into a bounded ring buffer.
 type Recorder struct {
 	cap    int
-	events []netsim.PortEvent
-	start  int // ring start when full
-	full   bool
+	events []entry
+	start  int // oldest slot once the ring is full; 0 until then
 	counts map[netsim.PortEventKind]int64
 	filter map[netsim.PortEventKind]bool // nil = record all kinds
+}
+
+// entry is one ring slot. The event's packet is copied into the slot:
+// PortEvent.Pkt is valid only during the hook call, and the packet behind it
+// is recycled for another flow while the event still sits in the ring.
+type entry struct {
+	at     units.Time
+	kind   netsim.PortEventKind
+	queue  int
+	pkt    packet.Packet
+	hasPkt bool // events synthesized without a packet have none to copy
 }
 
 // NewRecorder builds a recorder keeping the most recent capacity events.
@@ -57,13 +69,19 @@ func (r *Recorder) record(ev netsim.PortEvent) {
 	if r.filter != nil && !r.filter[ev.Kind] {
 		return
 	}
+	var e *entry
 	if len(r.events) < r.cap {
-		r.events = append(r.events, ev)
-		return
+		r.events = append(r.events, entry{})
+		e = &r.events[len(r.events)-1]
+	} else {
+		e = &r.events[r.start]
+		r.start = (r.start + 1) % r.cap
 	}
-	r.events[r.start] = ev
-	r.start = (r.start + 1) % r.cap
-	r.full = true
+	e.at, e.kind, e.queue = ev.At, ev.Kind, ev.Queue
+	e.hasPkt = ev.Pkt != nil
+	if e.hasPkt {
+		e.pkt = ev.Pkt.Detached()
+	}
 }
 
 // Count returns how many events of the kind were seen (including ones the
@@ -73,14 +91,20 @@ func (r *Recorder) Count(k netsim.PortEventKind) int64 { return r.counts[k] }
 // Len returns the number of retained events.
 func (r *Recorder) Len() int { return len(r.events) }
 
-// Events returns the retained events, oldest first.
+// Events returns the retained events, oldest first. Each Pkt points at a
+// copy made for this call, detached from the ring and from the simulation.
 func (r *Recorder) Events() []netsim.PortEvent {
-	if !r.full {
-		return append([]netsim.PortEvent(nil), r.events...)
+	out := make([]netsim.PortEvent, len(r.events))
+	pkts := make([]packet.Packet, len(r.events))
+	for i := range out {
+		e := &r.events[(r.start+i)%len(r.events)]
+		var pkt *packet.Packet
+		if e.hasPkt {
+			pkts[i] = e.pkt
+			pkt = &pkts[i]
+		}
+		out[i] = netsim.PortEvent{At: e.at, Kind: e.kind, Queue: e.queue, Pkt: pkt}
 	}
-	out := make([]netsim.PortEvent, 0, len(r.events))
-	out = append(out, r.events[r.start:]...)
-	out = append(out, r.events[:r.start]...)
 	return out
 }
 

@@ -155,3 +155,53 @@ func TestEventKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestRecorderOutlivesPacketReuse: a dropped packet goes back to its pool
+// as soon as the port's hooks have seen the drop, and the next flow to send
+// gets the same object. The ring must still show the packet that dropped.
+func TestRecorderOutlivesPacketReuse(t *testing.T) {
+	s := sim.New()
+	p, rec := newTracedPort(t, s, 3000)
+	rec.Only(netsim.EvDrop)
+	var pool packet.Pool
+	send := func(flow packet.FlowID, seq int64, size units.ByteSize) *packet.Packet {
+		pk := pool.Get()
+		pk.Kind, pk.Flow, pk.Src, pk.Dst, pk.Seq, pk.Size = packet.Data, flow, 1, 2, seq, size
+		p.Enqueue(pk)
+		return pk
+	}
+	send(1, 0, 1500) // into the transmitter
+	send(1, 1460, 1500)
+	send(1, 2920, 1500)           // the 3000 B buffer is full
+	dropped := send(7, 4380, 900) // flow 7's packet drops and is released
+	reused := send(9, 123456, 1400)
+	if reused != dropped {
+		t.Fatal("the pool did not hand the dropped packet to the next sender; the test no longer tests reuse")
+	}
+	if rec.Count(netsim.EvDrop) != 2 {
+		t.Fatalf("drops = %d, want 2", rec.Count(netsim.EvDrop))
+	}
+	evs := rec.Events()
+	if got := evs[0].Pkt; got.Flow != 7 || got.Seq != 4380 || got.Size != 900 {
+		t.Fatalf("first drop reads flow=%d seq=%d size=%d, want the dropped packet's 7/4380/900",
+			got.Flow, got.Seq, got.Size)
+	}
+	var text, js strings.Builder
+	if err := rec.Dump(&text); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.DumpJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if line := strings.SplitN(text.String(), "\n", 2)[0]; !strings.Contains(line, "flow=7 1->2 seq=4380 ack=0 size=900") {
+		t.Errorf("Dump's first line lost the dropped packet: %q", line)
+	}
+	if line := strings.SplitN(js.String(), "\n", 2)[0]; !strings.Contains(line, `"flow":7,"src":1,"dst":2,"seq":4380,"size":900`) {
+		t.Errorf("DumpJSON's first line lost the dropped packet: %q", line)
+	}
+	// A copy handed out is the caller's: releasing it must not reach the pool.
+	evs[0].Pkt.Release()
+	if pool.Idle() != 1 {
+		t.Fatalf("pool holds %d idle packets after releasing a recorded copy, want the 1 second drop", pool.Idle())
+	}
+}

@@ -16,7 +16,7 @@ func seg(seq int64, n units.ByteSize, ecn packet.ECN) *packet.Packet {
 func TestDelayedAcksCoalesceInOrder(t *testing.T) {
 	s := sim.New()
 	var acks []*packet.Packet
-	r := newReceiver(s, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
+	r := newReceiver(s, &packet.Pool{}, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
 	r.setDelayedAcks(2, 500*units.Microsecond)
 	r.onData(seg(0, 1000, packet.ECT))
 	if len(acks) != 0 {
@@ -37,7 +37,7 @@ func TestDelayedAcksCoalesceInOrder(t *testing.T) {
 func TestDelayedAckTimerFlushes(t *testing.T) {
 	s := sim.New()
 	var acks []*packet.Packet
-	r := newReceiver(s, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
+	r := newReceiver(s, &packet.Pool{}, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
 	r.setDelayedAcks(4, 500*units.Microsecond)
 	r.onData(seg(0, 1000, packet.ECT))
 	if len(acks) != 0 {
@@ -55,7 +55,7 @@ func TestDelayedAckTimerFlushes(t *testing.T) {
 func TestDelayedAcksImmediateOnOutOfOrder(t *testing.T) {
 	s := sim.New()
 	var acks []*packet.Packet
-	r := newReceiver(s, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
+	r := newReceiver(s, &packet.Pool{}, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
 	r.setDelayedAcks(4, 500*units.Microsecond)
 	// A gap: segment at 2000 while expecting 0 → immediate duplicate ACK
 	// so the sender's fast retransmit still triggers.
@@ -79,7 +79,7 @@ func TestDelayedAcksImmediateOnCEChange(t *testing.T) {
 	// with its own echo state so the DCTCP mark fraction stays exact.
 	s := sim.New()
 	var acks []*packet.Packet
-	r := newReceiver(s, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
+	r := newReceiver(s, &packet.Pool{}, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
 	r.setDelayedAcks(4, 500*units.Microsecond)
 	r.onData(seg(0, 1000, packet.ECT)) // unmarked, held
 	marked := seg(1000, 1000, packet.ECT)

@@ -86,6 +86,7 @@ type FlowConfig struct {
 // Sender is one TCP-like flow source.
 type Sender struct {
 	sim  *sim.Simulator
+	pkts *packet.Pool
 	emit func(*packet.Packet)
 
 	flow    packet.FlowID
@@ -137,7 +138,7 @@ type SenderStats struct {
 	EchoedAcks   int64
 }
 
-func newSender(s *sim.Simulator, src int, emit func(*packet.Packet), cfg FlowConfig) (*Sender, error) {
+func newSender(s *sim.Simulator, pkts *packet.Pool, src int, emit func(*packet.Packet), cfg FlowConfig) (*Sender, error) {
 	if cfg.Dst == src {
 		return nil, fmt.Errorf("transport: flow %d is a self-loop at host %d", cfg.Flow, src)
 	}
@@ -165,6 +166,7 @@ func newSender(s *sim.Simulator, src int, emit func(*packet.Packet), cfg FlowCon
 	}
 	snd := &Sender{
 		sim:        s,
+		pkts:       pkts,
 		emit:       emit,
 		flow:       cfg.Flow,
 		src:        src,
@@ -283,17 +285,16 @@ func (s *Sender) trySend() {
 }
 
 func (s *Sender) transmit(seq int64, payload units.ByteSize, isRtx bool) {
-	p := &packet.Packet{
-		Kind:    packet.Data,
-		Flow:    s.flow,
-		Src:     s.src,
-		Dst:     s.dst,
-		Seq:     seq,
-		Payload: payload,
-		Size:    payload + HeaderSize,
-		Class:   s.classFor(seq),
-		SentAt:  s.sim.Now(),
-	}
+	p := s.pkts.Get()
+	p.Kind = packet.Data
+	p.Flow = s.flow
+	p.Src = s.src
+	p.Dst = s.dst
+	p.Seq = seq
+	p.Payload = payload
+	p.Size = payload + HeaderSize
+	p.Class = s.classFor(seq)
+	p.SentAt = s.sim.Now()
 	if s.ecn {
 		p.ECN = packet.ECT
 	}
@@ -479,6 +480,7 @@ func (s *Sender) complete() {
 // out-of-order arrival (so duplicate ACKs still drive fast retransmit).
 type Receiver struct {
 	sim    *sim.Simulator
+	pkts   *packet.Pool
 	me     int
 	emit   func(*packet.Packet)
 	flow   packet.FlowID
@@ -491,12 +493,17 @@ type Receiver struct {
 	ackTimer *sim.Timer
 	unacked  int
 	lastCE   bool // CE state of the most recent data packet
-	lastPkt  *packet.Packet
 	acksSent int64
+
+	// What an ACK takes from the most recent data packet: where it goes and
+	// the service class it travels in. The packet itself is gone by the
+	// time a delayed ACK is flushed. peer is -1 until data has arrived.
+	peer      int
+	peerClass int
 }
 
-func newReceiver(s *sim.Simulator, me int, emit func(*packet.Packet), flow packet.FlowID) *Receiver {
-	r := &Receiver{sim: s, me: me, emit: emit, flow: flow, ooo: make(map[int64]int64)}
+func newReceiver(s *sim.Simulator, pkts *packet.Pool, me int, emit func(*packet.Packet), flow packet.FlowID) *Receiver {
+	r := &Receiver{sim: s, pkts: pkts, me: me, emit: emit, flow: flow, ooo: make(map[int64]int64), peer: -1}
 	r.ackTimer = s.NewTimer(func() { r.flush() })
 	return r
 }
@@ -540,7 +547,7 @@ func (r *Receiver) onData(p *packet.Packet) {
 	ce := p.ECN == packet.CE
 	ceChanged := ce != r.lastCE && r.unacked > 0
 	r.lastCE = ce
-	r.lastPkt = p
+	r.peer, r.peerClass = p.Src, p.Class
 	if r.ackEvery <= 1 {
 		r.flush()
 		return
@@ -550,7 +557,7 @@ func (r *Receiver) onData(p *packet.Packet) {
 		// run first so its echo is not misattributed, then start a new
 		// run for this packet.
 		prevEcho := !ce
-		r.sendAck(p, prevEcho)
+		r.sendAck(prevEcho)
 		r.unacked = 0
 	}
 	r.unacked++
@@ -566,26 +573,26 @@ func (r *Receiver) onData(p *packet.Packet) {
 // flush acknowledges everything received so far with the current CE run's
 // echo state.
 func (r *Receiver) flush() {
-	if r.lastPkt == nil {
+	if r.peer < 0 {
 		return
 	}
 	r.ackTimer.Stop()
 	r.unacked = 0
-	r.sendAck(r.lastPkt, r.lastCE)
+	r.sendAck(r.lastCE)
 }
 
-func (r *Receiver) sendAck(ref *packet.Packet, echo bool) {
+func (r *Receiver) sendAck(echo bool) {
 	r.acksSent++
-	r.emit(&packet.Packet{
-		Kind:  packet.Ack,
-		Flow:  r.flow,
-		Src:   r.me,
-		Dst:   ref.Src,
-		Ack:   r.rcvNxt,
-		Size:  AckSize,
-		Class: ref.Class,
-		Echo:  echo,
-	})
+	p := r.pkts.Get()
+	p.Kind = packet.Ack
+	p.Flow = r.flow
+	p.Src = r.me
+	p.Dst = r.peer
+	p.Ack = r.rcvNxt
+	p.Size = AckSize
+	p.Class = r.peerClass
+	p.Echo = echo
+	r.emit(p)
 }
 
 // Endpoint is the transport stack of one host: it demultiplexes arriving
@@ -593,6 +600,7 @@ func (r *Receiver) sendAck(ref *packet.Packet, echo bool) {
 type Endpoint struct {
 	sim       *sim.Simulator
 	host      *netsim.Host
+	pkts      packet.Pool // every packet this host originates; see receive
 	senders   map[packet.FlowID]*Sender
 	receivers map[packet.FlowID]*Receiver
 
@@ -639,7 +647,7 @@ func (ep *Endpoint) StartFlow(cfg FlowConfig) (*Sender, error) {
 	if _, ok := ep.senders[cfg.Flow]; ok {
 		return nil, fmt.Errorf("transport: duplicate flow id %d at host %d", cfg.Flow, ep.host.ID())
 	}
-	snd, err := newSender(ep.sim, ep.host.ID(), ep.host.Send, cfg)
+	snd, err := newSender(ep.sim, &ep.pkts, ep.host.ID(), ep.host.Send, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -648,12 +656,17 @@ func (ep *Endpoint) StartFlow(cfg FlowConfig) (*Sender, error) {
 	return snd, nil
 }
 
+// receive is where a delivered packet's life ends: the flow state machines
+// read it and keep nothing of it, so it goes back to the pool of the
+// endpoint that sent it. Packets dropped on the way are released by the port
+// that dropped them, which is why each endpoint's pool refills no matter
+// where its packets die.
 func (ep *Endpoint) receive(p *packet.Packet) {
 	switch p.Kind {
 	case packet.Data:
 		r, ok := ep.receivers[p.Flow]
 		if !ok {
-			r = newReceiver(ep.sim, ep.host.ID(), ep.host.Send, p.Flow)
+			r = newReceiver(ep.sim, &ep.pkts, ep.host.ID(), ep.host.Send, p.Flow)
 			if ep.ackEvery >= 2 {
 				r.setDelayedAcks(ep.ackEvery, ep.ackDelay)
 			}
@@ -667,4 +680,5 @@ func (ep *Endpoint) receive(p *packet.Packet) {
 		// ACKs for completed/unknown flows are silently dropped, like a
 		// closed socket answering with RST would end the exchange.
 	}
+	p.Release()
 }
