@@ -12,20 +12,13 @@
 //	benchjson                          # all benchmarks, 1 iteration, BENCH_<date>.json
 //	benchjson -bench Engine -benchtime 100x
 //	benchjson -out perf.json -pkg ./internal/sim
-//	benchjson -out now.json -compare BENCH_baseline.json    # run, record, and gate
-//	benchjson -check now.json -compare BENCH_baseline.json  # gate a prior report, no rerun
-//	benchjson -check core.json -check flowsim.json -compare BENCH_baseline.json  # merge reports, one gate
 //
-// With -compare, the current report's throughput metrics (events/s, flows/s,
-// recomputes/s, flowfills/s) are gated against the baseline report: any
-// benchmark more than -tolerance (default 20%) below a baseline throughput —
-// or present in the baseline but missing from the current run — fails the
-// gate. -check loads a previously recorded report instead of rerunning the
-// benchmarks, so CI can record once and gate as a separate step.
+// It records; it does not judge. Comparing two commits is the job of the
+// repo's benchmark (`go run ./bench`, `-compare a.json b.json`), which
+// normalises per unit of work and knows each metric's run-to-run spread.
 //
-// Exit status: 0 on success, 1 when `go test` fails, no benchmark lines
-// were found (a silent empty artifact would read as "all benchmarks gone"),
-// or the -compare gate trips.
+// Exit status: 0 on success, 1 when `go test` fails or no benchmark lines
+// were found (a silent empty artifact would read as "all benchmarks gone").
 package main
 
 import (
@@ -68,10 +61,6 @@ func main() {
 	benchRE := flag.String("bench", ".", "regexp selecting benchmarks (go test -bench)")
 	benchtime := flag.String("benchtime", "1x", "per-benchmark time or iteration count (go test -benchtime)")
 	out := flag.String("out", "", "output path (default BENCH_<utc-date>.json)")
-	var checks multiFlag
-	flag.Var(&checks, "check", "previously recorded report to gate instead of running benchmarks (repeatable; reports are merged, use with -compare)")
-	compare := flag.String("compare", "", "baseline report to gate events/s throughput against")
-	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional events/s drop below the -compare baseline")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
 	var pkgs multiFlag
 	flag.Var(&pkgs, "pkg", "package pattern to benchmark (repeatable; default ./...)")
@@ -82,27 +71,6 @@ func main() {
 	}
 	if len(pkgs) == 0 {
 		pkgs = []string{"./..."}
-	}
-
-	if len(checks) > 0 {
-		if *compare == "" {
-			fmt.Fprintln(os.Stderr, "benchjson: -check without -compare does nothing")
-			os.Exit(1)
-		}
-		// Merge all -check reports: CI records core and flowsim benchmarks
-		// in separate runs (they need very different -benchtime budgets)
-		// but gates them against one baseline.
-		var current Report
-		for _, path := range checks {
-			r, err := loadReport(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-				os.Exit(1)
-			}
-			current.Benchmarks = append(current.Benchmarks, r.Benchmarks...)
-		}
-		gate(*compare, current, *tolerance)
-		return
 	}
 
 	// Wall-clock here stamps the artifact filename and metadata; nothing
@@ -153,79 +121,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(results), path)
-
-	if *compare != "" {
-		gate(*compare, report, *tolerance)
-	}
-}
-
-// loadReport reads one recorded benchmark report.
-func loadReport(path string) (Report, error) {
-	var r Report
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return r, nil
-}
-
-// throughputUnits are the higher-is-better metrics the gate compares. Other
-// units (ns/op, B/op) are recorded but not gated: wall-time noise on shared
-// CI runners would make them flaky, while throughput over a fixed workload
-// is stable enough to hold a 20% line.
-var throughputUnits = []string{"events/s", "flows/s", "recomputes/s", "demotions/s", "flowfills/s"}
-
-// gate compares the current report's throughput metrics against a baseline
-// report and exits 1 on regression. Failures are loud and itemized; passing
-// prints one line per gated metric so the log shows what was checked.
-func gate(baselinePath string, current Report, tolerance float64) {
-	baseline, err := loadReport(baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
-	curr := make(map[string]Result, len(current.Benchmarks))
-	for _, r := range current.Benchmarks {
-		curr[r.Name] = r
-	}
-	gated, failed := 0, 0
-	for _, b := range baseline.Benchmarks {
-		for _, unit := range throughputUnits {
-			base, ok := b.Metrics[unit]
-			if !ok || base <= 0 {
-				continue
-			}
-			gated++
-			c, found := curr[b.Name]
-			if !found {
-				fmt.Fprintf(os.Stderr, "benchjson: FAIL %s: in baseline %s but missing from the current run\n", b.Name, baselinePath)
-				failed++
-				continue
-			}
-			got := c.Metrics[unit]
-			floor := base * (1 - tolerance)
-			if got < floor {
-				fmt.Fprintf(os.Stderr, "benchjson: FAIL %s: %.4g %s is %.1f%% below baseline %.4g (floor %.4g at %.0f%% tolerance)\n",
-					b.Name, got, unit, 100*(1-got/base), base, floor, tolerance*100)
-				failed++
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "benchjson: ok   %s: %.4g %s vs baseline %.4g (%+.1f%%)\n",
-				b.Name, got, unit, base, 100*(got/base-1))
-		}
-	}
-	if gated == 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: FAIL baseline %s has no throughput benchmarks to gate against\n", baselinePath)
-		os.Exit(1)
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: %d of %d gated benchmark(s) regressed beyond %.0f%%\n", failed, gated, tolerance*100)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: throughput gate passed (%d benchmark(s), %.0f%% tolerance)\n", gated, tolerance*100)
 }
 
 // parseBenchLines extracts every benchmark result from go test output. The

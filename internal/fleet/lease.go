@@ -80,6 +80,12 @@ func (t *Table) Leased(key string) bool {
 	return live
 }
 
+// Get returns the live lease with the given ID without touching it.
+func (t *Table) Get(id string) (*Lease, bool) {
+	l, ok := t.byID[id]
+	return l, ok
+}
+
 // Renew extends a live lease to now+ttl. It returns false when the lease is
 // unknown — expired and swept, completed, or never issued — in which case
 // the worker has lost the cell.

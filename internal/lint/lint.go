@@ -142,6 +142,10 @@ func DefaultConfig() Config {
 			// time.Time flows in as parameters, never from a clock read, so
 			// a deterministic test can replay any dispatch interleaving.
 			"dynaq/internal/fairq",
+			// The coordinator core takes every instant as an op argument; it
+			// is pure bookkeeping like the two above (no mutex of its own, so
+			// it is not lock-checked — purity_test.go forbids it one).
+			"dynaq/internal/coord",
 			"dynaq/internal/server",
 			"dynaq/internal/telemetry/trace",
 			// The fluid engine derives every event time from simulated
@@ -175,19 +179,22 @@ func DefaultConfig() Config {
 			"dynaq/internal/server",
 			"dynaq/internal/telemetry/trace",
 		},
+		// The coordinator core's mutating ops. The shell (internal/server)
+		// is the only caller; the lease table and the fair queue behind
+		// them are the core's own and out of the shell's reach.
 		LockMutatorKeys: []string{
-			"(dynaq/internal/fleet.Table).Grant",
-			"(dynaq/internal/fleet.Table).Renew",
-			"(dynaq/internal/fleet.Table).Complete",
-			"(dynaq/internal/fleet.Table).Expire",
-			"(dynaq/internal/fleet.Table).DropJob",
-			"(dynaq/internal/fairq.Tree).Push",
-			"(dynaq/internal/fairq.Tree).Pop",
-			"(dynaq/internal/fairq.Tree).Release",
-			"(dynaq/internal/fairq.Tree).Prune",
-			"(dynaq/internal/fairq.JobQueue).Enqueue",
-			"(dynaq/internal/fairq.JobQueue).Force",
-			"(dynaq/internal/fairq.JobQueue).Pop",
+			"(dynaq/internal/coord.Core).Recover",
+			"(dynaq/internal/coord.Core).Start",
+			"(dynaq/internal/coord.Core).Drain",
+			"(dynaq/internal/coord.Core).Submit",
+			"(dynaq/internal/coord.Core).Dispatch",
+			"(dynaq/internal/coord.Core).Lease",
+			"(dynaq/internal/coord.Core).ClaimLocal",
+			"(dynaq/internal/coord.Core).Heartbeat",
+			"(dynaq/internal/coord.Core).Complete",
+			"(dynaq/internal/coord.Core).LocalDone",
+			"(dynaq/internal/coord.Core).Tick",
+			"(dynaq/internal/coord.Core).Requeue",
 		},
 		UnitsPackages: []string{
 			"dynaq/internal/units",

@@ -116,15 +116,3 @@ func (s *Server) absorbUpload(key string, files map[string][]byte) error {
 	}
 	return s.promote(tmp, s.cellDir(key))
 }
-
-// absorbLocked folds a finished cell's counter series into the server's
-// cumulative sim totals, exposed on /metrics as dynaqd_sim_<series>. Gauges
-// are skipped — an instantaneous value of a finished simulation is not
-// meaningful across runs. The caller holds s.mu.
-func (s *Server) absorbLocked(reg *telemetry.Registry) {
-	for _, sv := range reg.Snapshot() {
-		if sv.Kind == "counter" {
-			s.simTotals["dynaqd_sim_"+sv.ID] += sv.Value
-		}
-	}
-}

@@ -1,9 +1,12 @@
-// Package server implements dynaqd, the simulation-as-a-service daemon: a
-// bounded FIFO job queue drained by a worker pool layered on
-// experiment.RunTrialsCtx, a content-addressed on-disk result cache keyed
-// by (scenario hash, scheme, seed, build version), and an HTTP API for
-// submitting jobs, polling status, streaming live progress, and scraping
-// metrics.
+// Package server implements dynaqd, the simulation-as-a-service daemon, as
+// a thin shell around the coordinator core (internal/coord): an HTTP API for
+// jobs, progress streams, worker leases and metrics; a content-addressed
+// on-disk result cache keyed by (scenario hash, scheme, seed, build
+// version); the files that let queued work survive a restart; a local
+// executor pool for when no fleet worker is live; and one maintenance loop
+// that sleeps until the core's next deadline. A handler is decode → lock →
+// one core op → apply the effects it returns → reply; which job runs, which
+// cell is next and what a failure costs are the core's decisions.
 //
 // Determinism is the serving feature: because a simulation result is a pure
 // function of (scenario, scheme, seed) at a given build, the daemon can
@@ -24,9 +27,9 @@ import (
 const subBuffer = 256
 
 // broadcaster fans one job's event lines out to any number of HTTP
-// subscribers. Publishers are the per-cell telemetry Run tee hooks (which
-// may run concurrently on trial-pool workers) plus the server's own job
-// lifecycle events; subscribers are /v1/jobs/{id}/events handlers.
+// subscribers. Publishers are the per-cell telemetry Run tee hooks of the
+// local executor pool (which run concurrently) plus the job lifecycle lines
+// the core emits as effects; subscribers are /v1/jobs/{id}/events handlers.
 type broadcaster struct {
 	mu     sync.Mutex
 	subs   []chan []byte // guarded by mu

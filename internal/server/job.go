@@ -2,34 +2,33 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"time"
 
 	"dynaq/internal/buffer"
+	"dynaq/internal/coord"
 	"dynaq/internal/scenario"
 	"dynaq/internal/telemetry"
-	"dynaq/internal/telemetry/trace"
 )
 
-// Job states. A job is terminal in StateDone or StateFailed; StateQueued
-// jobs survive a daemon restart (their request bytes and queue position are
-// persisted at submit time).
-const (
-	StateQueued  = "queued"
-	StateRunning = "running"
-	StateDone    = "done"
-	StateFailed  = "failed"
+// The job and cell model lives in the coordinator core; these aliases keep
+// it under the names the API has always had.
+type (
+	Job        = coord.Job
+	Cell       = coord.Cell
+	JobStatus  = coord.JobStatus
+	CellStatus = coord.CellStatus
 )
 
-// Cell-only states. A leased cell is held by a fleet worker under a
-// time-boxed lease; a quarantined cell exhausted its attempt budget and
-// sits on the dead-letter list until an operator requeues its job.
+// Job states, then the two only cells take.
 const (
-	StateLeased      = "leased"
-	StateQuarantined = "quarantined"
+	StateQueued      = coord.StateQueued
+	StateRunning     = coord.StateRunning
+	StateDone        = coord.StateDone
+	StateFailed      = coord.StateFailed
+	StateLeased      = coord.StateLeased
+	StateQuarantined = coord.StateQuarantined
 )
 
 // maxCellsPerJob bounds the sweep fan-out of one submission so a single
@@ -37,9 +36,7 @@ const (
 const maxCellsPerJob = 256
 
 // DefaultTenant is the fair-queue leaf that untagged submissions land in.
-// A deployment that never sets a tenant runs entirely in this leaf, where
-// the weighted rotation degenerates to the plain FIFO it replaced.
-const DefaultTenant = "default"
+const DefaultTenant = coord.DefaultTenant
 
 // maxTenantLen bounds tenant names; they appear in metric labels, trace
 // attributes, and queue-marker files.
@@ -95,73 +92,6 @@ func strictUnmarshal(data []byte, v any) error {
 	return dec.Decode(v)
 }
 
-// Cell is one (scenario, scheme, seed) unit of work: the granularity of
-// both execution (one trial in the job's RunTrialsCtx pool) and caching
-// (one content-addressed artifact directory).
-type Cell struct {
-	Index    int
-	Scheme   string
-	Seed     int64
-	Key      string // content address: CacheKey(version, scenario hash, scheme, engine, seed)
-	State    string
-	CacheHit bool
-	Dir      string // artifact directory once done
-	Err      string
-	Attempts int    // failed attempts charged so far (persisted across restarts)
-	Worker   string // last worker to touch the cell ("local" for the fallback pool)
-
-	// span is the wall-time span of the cell attempt currently in flight
-	// (nil between attempts or when the job carries no trace); leasedAt is
-	// when that attempt was granted/claimed. Both are accessed under s.mu
-	// except by the local executor that owns the running attempt.
-	span     *trace.SpanRef
-	leasedAt time.Time
-
-	// acquired marks a cell popped from the fair-queue tree whose tenant
-	// in-flight slot has not been released yet; accessed under s.mu.
-	acquired bool
-}
-
-// Job is one submission: a scenario body plus its expanded cells.
-type Job struct {
-	ID           string
-	State        string
-	Err          string
-	Tenant       string // fair-queue leaf; DefaultTenant when untagged
-	Scenario     []byte // raw scenario document (cells apply overrides out-of-band)
-	ScenarioHash string
-	CacheHit     bool // terminal: every cell was served from cache
-	Cells        []*Cell
-
-	bc   *broadcaster
-	done chan struct{} // closed on terminal state
-
-	// Fair-queue dispatch state while the job is active. outstanding counts
-	// unsettled cells, localActive counts local-pool executions in flight,
-	// and finalizing stops further dispatch while dispatchCells settles the
-	// job; all three are accessed under s.mu. change is a buffered-1 nudge
-	// the dispatcher waits on — anyone who moves outstanding or localActive
-	// sends on it (created per dispatch, never closed).
-	// runCtx is the dispatch context (job timeout); the fair-queue
-	// eligibility check skips cells of a job whose context has expired so
-	// a timed-out job never dispatches more work.
-	outstanding int
-	localActive int
-	finalizing  bool
-	change      chan struct{}
-	runCtx      context.Context
-
-	// tr collects the job's spans; rootSpan/queueSpan are the job and
-	// queue-wait spans, queuedAt the accept time. All are set once before
-	// the job is enqueued (nil tr for jobs recovered terminal, whose trace
-	// is served from the persisted trace.jsonl) and never reassigned, so
-	// reads need no lock; the tracer itself is internally synchronized.
-	tr        *trace.Tracer
-	rootSpan  *trace.SpanRef
-	queueSpan *trace.SpanRef
-	queuedAt  time.Time
-}
-
 // buildJob validates a request and expands its cells under the given build
 // version. Validation errors are *scenario.ValidationError, mapped to HTTP
 // 400 by the submit handler.
@@ -210,12 +140,9 @@ func buildJob(req Request, version string) (*Job, error) {
 	hash := telemetry.Hash(req.Scenario)
 	j := &Job{
 		ID:           "", // filled below, over the expanded cells
-		State:        StateQueued,
 		Tenant:       tenant,
 		Scenario:     req.Scenario,
 		ScenarioHash: hash,
-		bc:           newBroadcaster(),
-		done:         make(chan struct{}),
 	}
 	seen := make(map[string]bool)
 	for _, scheme := range schemes {
@@ -230,7 +157,6 @@ func buildJob(req Request, version string) (*Job, error) {
 				Scheme: scheme,
 				Seed:   seed,
 				Key:    key,
-				State:  StateQueued,
 			})
 		}
 	}
@@ -265,98 +191,5 @@ func jobID(tenant, scenarioHash string, cells []*Cell) string {
 	return telemetry.Hash(b)[:16]
 }
 
-// CellStatus is the wire form of one cell in GET /v1/jobs/{id}.
-type CellStatus struct {
-	Index       int    `json:"index"`
-	Scheme      string `json:"scheme"`
-	Seed        int64  `json:"seed"`
-	CacheKey    string `json:"cache_key"`
-	State       string `json:"state"`
-	CacheHit    bool   `json:"cache_hit"`
-	ArtifactDir string `json:"artifact_dir,omitempty"`
-	Error       string `json:"error,omitempty"`
-	Attempts    int    `json:"attempts,omitempty"`
-	Worker      string `json:"worker,omitempty"`
-}
-
-// JobStatus is the wire form of GET /v1/jobs/{id} and the terminal state
-// persisted as status.json.
-type JobStatus struct {
-	ID           string       `json:"id"`
-	State        string       `json:"state"`
-	Tenant       string       `json:"tenant,omitempty"`
-	ScenarioHash string       `json:"scenario_hash"`
-	Version      string       `json:"version"`
-	CacheHit     bool         `json:"cache_hit"`
-	Error        string       `json:"error,omitempty"`
-	Cells        []CellStatus `json:"cells"`
-}
-
-// statusLocked snapshots a job for the wire; the caller holds s.mu.
-func (s *Server) statusLocked(j *Job) JobStatus {
-	st := JobStatus{
-		ID:           j.ID,
-		State:        j.State,
-		Tenant:       j.Tenant,
-		ScenarioHash: j.ScenarioHash,
-		Version:      s.cfg.Version,
-		CacheHit:     j.CacheHit,
-		Error:        j.Err,
-		Cells:        make([]CellStatus, 0, len(j.Cells)),
-	}
-	for _, c := range j.Cells {
-		st.Cells = append(st.Cells, CellStatus{
-			Index:       c.Index,
-			Scheme:      c.Scheme,
-			Seed:        c.Seed,
-			CacheKey:    c.Key,
-			State:       c.State,
-			CacheHit:    c.CacheHit,
-			ArtifactDir: c.Dir,
-			Error:       c.Err,
-			Attempts:    c.Attempts,
-			Worker:      c.Worker,
-		})
-	}
-	return st
-}
-
-// jobFromStatus rebuilds a terminal job from its persisted status.json —
-// enough for GET and events replay across a daemon restart. The scenario
-// bytes are not reloaded; a resubmission re-parses the request body.
-func jobFromStatus(st JobStatus) *Job {
-	tenant := st.Tenant
-	if tenant == "" {
-		tenant = DefaultTenant // status persisted before tenancy existed
-	}
-	j := &Job{
-		ID:           st.ID,
-		State:        st.State,
-		Err:          st.Error,
-		Tenant:       tenant,
-		ScenarioHash: st.ScenarioHash,
-		CacheHit:     st.CacheHit,
-		bc:           newBroadcaster(),
-		done:         make(chan struct{}),
-	}
-	for _, cs := range st.Cells {
-		j.Cells = append(j.Cells, &Cell{
-			Index:    cs.Index,
-			Scheme:   cs.Scheme,
-			Seed:     cs.Seed,
-			Key:      cs.CacheKey,
-			State:    cs.State,
-			CacheHit: cs.CacheHit,
-			Dir:      cs.ArtifactDir,
-			Err:      cs.Error,
-			Attempts: cs.Attempts,
-			Worker:   cs.Worker,
-		})
-	}
-	j.bc.close()
-	close(j.done)
-	return j
-}
-
 // terminal reports whether a job state is final.
-func terminal(state string) bool { return state == StateDone || state == StateFailed }
+func terminal(state string) bool { return coord.Terminal(state) }

@@ -7,15 +7,11 @@ import (
 	"testing"
 )
 
-// TestConcurrentScrapeDuringJobs is the -race regression for the lock-
-// discipline fixes in this package: with executors mutating job/lease/ready
-// state while scrapers hammer /metrics (whose gauges read guarded fields
-// under s.mu) and /healthz, any locking regression on those paths trips the
-// race detector. The localExecutor jobDone snapshot itself is ordering-
-// protected today (dispatchCells wg.Waits its executors before the next
-// job's swap), so -race cannot fire on it; the snapshot pins the executor to
-// its own job's channel so that ordering assumption is no longer load-
-// bearing.
+// TestConcurrentScrapeDuringJobs is the -race regression for the shell's
+// lock discipline: with the local executors running core ops and applying
+// their effects while scrapers hammer /metrics (whose gauges read the
+// core's state under s.mu) and /healthz, any path that reaches the core
+// without the lock trips the race detector.
 func TestConcurrentScrapeDuringJobs(t *testing.T) {
 	s, ts := newTestServer(t, func(cfg *Config) { cfg.Concurrency = 2 })
 	s.Start()

@@ -8,16 +8,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"dynaq/internal/fairq"
+	"dynaq/internal/coord"
 	"dynaq/internal/fleet"
-	"dynaq/internal/telemetry"
-	"dynaq/internal/telemetry/trace"
 )
 
 // Config parameterizes a daemon instance.
@@ -44,7 +42,7 @@ type Config struct {
 	// Concurrency caps the local-fallback executor pool that runs a job's
 	// cells when no fleet workers are registered. 0 selects GOMAXPROCS.
 	Concurrency int
-	// JobTimeout bounds one job's wall-clock execution; past it the job
+	// JobTimeout bounds one job's execution on Clock; past it the job
 	// fails terminally. Cells already in flight finish (a single-goroutine
 	// simulation cannot be preempted), but no further cells start. 0
 	// disables the timeout.
@@ -62,8 +60,8 @@ type Config struct {
 	RetryBase time.Duration
 	RetryCap  time.Duration
 	// Clock is the injected time source for lease expiry, retry
-	// readiness, and worker liveness. nil selects fleet.WallClock; the
-	// chaos harness injects a fleet.ManualClock.
+	// readiness, worker liveness, and job deadlines. nil selects
+	// fleet.WallClock; the chaos harness injects a fleet.ManualClock.
 	Clock fleet.Clock
 	// Version is the build stamp (dynaq.Version) folded into cache keys
 	// and manifests.
@@ -72,196 +70,76 @@ type Config struct {
 	Log *log.Logger
 }
 
-// Server is the dynaqd coordinator: HTTP handler plus job queue, lease
-// dispatcher, local-fallback executors, content-addressed cache, dead-letter
-// list, and metric registry. Create with New, start the drainer and expiry
-// scanner with Start, and stop with Shutdown.
+// Server is the dynaqd coordinator's shell: it decodes a request, runs one
+// op of the core (internal/coord) under mu, applies the effects the op
+// returns — files under DataDir, event streams, log lines — and replies. It
+// owns what the core cannot: the cache, the local executor pool, and the
+// maintenance loop that sleeps until the core's next deadline. Create with
+// New, start with Start, stop with Shutdown.
 type Server struct {
-	cfg     Config
-	clock   fleet.Clock
-	backoff fleet.Backoff
-	mux     *http.ServeMux
+	cfg   Config
+	clock fleet.Clock
+	mux   *http.ServeMux
 
-	mu        sync.Mutex
-	jobs      map[string]*Job // guarded by mu
-	seq       int             // guarded by mu
-	accepting bool            // guarded by mu
-	running   int64           // guarded by mu
+	mu      sync.Mutex
+	core    *coord.Core             // guarded by mu
+	streams map[string]*broadcaster // guarded by mu; one per job accepted in this life
+	armed   time.Time               // guarded by mu; the deadline the maintenance loop sleeps toward (zero: none)
+	drained bool                    // guarded by mu; done has been closed
 
-	// Admission state: per-tenant job FIFOs behind quota/capacity, the
-	// count of each tenant's jobs currently running (admission keeps it at
-	// most 1 so per-tenant FIFO order is preserved), and the buffered-1
-	// nudge that wakes the admission loop.
-	jobq          *fairq.JobQueue[*Job] // guarded by mu
-	tenantRunning map[string]int        // guarded by mu
-	admit         chan struct{}
+	// kick wakes one idle local executor, wake the maintenance loop; both
+	// are buffered-1, so a nudge sent while nobody waits is seen by the
+	// next to. cancel stops the goroutines (after what they hold), loops
+	// waits for them, done closes once a drain has left no job running.
+	kick, wake chan struct{}
+	ctx        context.Context
+	cancel     context.CancelFunc
+	loops      sync.WaitGroup
+	done       chan struct{}
 
-	// Fleet dispatch state: the jobs currently dispatching (by id), their
-	// cells awaiting (re)lease in the fair tree, cache keys executing in
-	// the local pool, live leases, recently-seen workers, and the
-	// quarantine list.
-	active       map[string]*Job       // guarded by mu
-	tree         *fairq.Tree[runnable] // guarded by mu
-	localKeys    map[string]bool       // guarded by mu
-	leases       *fleet.Table          // guarded by mu
-	workers      map[string]time.Time  // guarded by mu
-	workerSeries map[string]bool       // guarded by mu; workers with a registered occupancy gauge
-	tenantSeries map[string]bool       // guarded by mu; tenants with registered per-tenant metrics
-	kick         chan struct{}
-	dead         []fleet.DeadLetterEntry // guarded by mu
-
-	reg         *telemetry.Registry
-	simTotals   map[string]int64 // guarded by mu
-	jobsSubbed  *telemetry.Counter
-	jobsDeduped *telemetry.Counter
-	jobsDone    *telemetry.Counter
-	jobsFailed  *telemetry.Counter
-	cellsRun    *telemetry.Counter
-	cellsRemote *telemetry.Counter
-	cacheHits   *telemetry.Counter
-	cacheMisses *telemetry.Counter
-	leaseGrants *telemetry.Counter
-	leaseRenews *telemetry.Counter
-	leaseExpiry *telemetry.Counter
-	cellRetries *telemetry.Counter
-	quarantined *telemetry.Counter
-	rejected    map[string]*telemetry.Counter
-
-	// Service latency histograms (milliseconds, shared fixed buckets). The
-	// registry is not thread-safe; every Observe runs under s.mu, like the
-	// counters above.
-	hQueueWait     *telemetry.Histogram
-	hLeaseDuration *telemetry.Histogram
-	hCellExecution *telemetry.Histogram
-	hJobE2E        *telemetry.Histogram
-
-	stop    chan struct{}
-	drained chan struct{}
-
-	// testJobStart, when set (tests only), runs synchronously as a job
-	// leaves the queue — the hook drain tests use to hold a job "running"
-	// at a deterministic point.
-	testJobStart func(*Job)
+	// testJobStart (tests only) is asked about every job leaving the queue;
+	// true holds it at "running, nothing dispatched" until the test
+	// dispatches it.
+	testJobStart func(*Job) bool
 }
 
 // New builds a server over DataDir, recovering persisted state: terminal
-// jobs become queryable again, queued jobs re-enter the FIFO in their
-// original order with attempt counters intact, the dead-letter list is
-// reloaded, and orphaned tmp directories left by a crash mid-promotion are
-// swept. The drainer is not started yet — call Start.
+// jobs become queryable again, queued jobs re-enter the FIFO in order with
+// attempt counters intact, the dead-letter list is reloaded, and tmp
+// directories orphaned by a crash are swept. Admission waits for Start.
+//
+//dynaqlint:allow lock-discipline startup recovery runs before the server is published; there is no request to take a context from
 func New(cfg Config) (*Server, error) {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 15 * time.Second
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
 	for _, sub := range []string{"jobs", "queue", "cache", "tmp"} {
 		if err := os.MkdirAll(filepath.Join(cfg.DataDir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 	}
 	s := &Server{
-		cfg:           cfg,
-		clock:         cfg.Clock,
-		backoff:       fleet.Backoff{Base: cfg.RetryBase, Cap: cfg.RetryCap},
-		jobs:          make(map[string]*Job),
-		accepting:     true,
-		jobq:          fairq.NewJobQueue[*Job](cfg.QueueDepth, cfg.TenantQuota),
-		tenantRunning: make(map[string]int),
-		admit:         make(chan struct{}, 1),
-		active:        make(map[string]*Job),
-		tree:          fairq.New[runnable](cfg.TenantWeights, cfg.TenantInflight),
-		localKeys:     make(map[string]bool),
-		leases:        fleet.NewTable(),
-		workers:       make(map[string]time.Time),
-		workerSeries:  make(map[string]bool),
-		tenantSeries:  make(map[string]bool),
-		kick:          make(chan struct{}, 1),
-		reg:           telemetry.NewRegistry(),
-		simTotals:     make(map[string]int64),
-		rejected:      make(map[string]*telemetry.Counter),
-		stop:          make(chan struct{}),
-		drained:       make(chan struct{}),
+		cfg:     cfg,
+		clock:   cfg.Clock,
+		streams: make(map[string]*broadcaster),
+		kick:    make(chan struct{}, 1),
+		wake:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
 	}
 	if s.clock == nil {
 		s.clock = fleet.WallClock{}
 	}
-	s.jobsSubbed = s.reg.Counter("dynaqd_jobs_submitted_total")
-	s.jobsDeduped = s.reg.Counter("dynaqd_jobs_deduped_total")
-	s.jobsDone = s.reg.Counter("dynaqd_jobs_completed_total")
-	s.jobsFailed = s.reg.Counter("dynaqd_jobs_failed_total")
-	s.cellsRun = s.reg.Counter("dynaqd_cells_completed_total")
-	s.cellsRemote = s.reg.Counter("dynaqd_cells_remote_total")
-	s.cacheHits = s.reg.Counter("dynaqd_cache_hits_total")
-	s.cacheMisses = s.reg.Counter("dynaqd_cache_misses_total")
-	s.leaseGrants = s.reg.Counter("dynaqd_leases_granted_total")
-	s.leaseRenews = s.reg.Counter("dynaqd_leases_renewed_total")
-	s.leaseExpiry = s.reg.Counter("dynaqd_leases_expired_total")
-	s.cellRetries = s.reg.Counter("dynaqd_cell_retries_total")
-	s.quarantined = s.reg.Counter("dynaqd_deadletter_total")
-	for _, reason := range []string{"draining", "invalid", "queue_full", "tenant_quota"} {
-		s.rejected[reason] = s.reg.Counter("dynaqd_jobs_rejected_total", telemetry.L("reason", reason))
-	}
-	s.hQueueWait = s.reg.Histogram("dynaqd_job_queue_wait_ms", latencyBucketsMs)
-	s.hLeaseDuration = s.reg.Histogram("dynaqd_lease_duration_ms", latencyBucketsMs)
-	s.hCellExecution = s.reg.Histogram("dynaqd_cell_execution_ms", latencyBucketsMs)
-	s.hJobE2E = s.reg.Histogram("dynaqd_job_e2e_ms", latencyBucketsMs)
-	for name, help := range map[string]string{
-		"dynaqd_jobs_submitted_total":  "Jobs accepted by POST /v1/jobs.",
-		"dynaqd_jobs_deduped_total":    "Submissions coalesced onto an in-flight or finished job.",
-		"dynaqd_jobs_completed_total":  "Jobs that reached the done state.",
-		"dynaqd_jobs_failed_total":     "Jobs that reached the failed state.",
-		"dynaqd_jobs_rejected_total":   "Submissions rejected, by reason.",
-		"dynaqd_cells_completed_total": "Cells executed to completion (local or remote).",
-		"dynaqd_cells_remote_total":    "Cells completed by fleet workers.",
-		"dynaqd_cache_hits_total":      "Cells served from the content-addressed cache.",
-		"dynaqd_cache_misses_total":    "Cells that required a fresh run.",
-		"dynaqd_leases_granted_total":  "Cell leases granted to fleet workers.",
-		"dynaqd_leases_renewed_total":  "Lease heartbeats accepted.",
-		"dynaqd_leases_expired_total":  "Leases expired for missed heartbeats.",
-		"dynaqd_cell_retries_total":    "Failed cell attempts requeued with backoff.",
-		"dynaqd_deadletter_total":      "Cells quarantined after exhausting their attempt budget.",
-		"dynaqd_events_dropped_total":  "Event-stream lines dropped on stalled subscribers.",
-		"dynaqd_queue_depth":           "Jobs waiting in the FIFO queue.",
-		"dynaqd_jobs_running":          "Jobs currently executing.",
-		"dynaqd_workers_active":        "Fleet workers seen within the liveness window.",
-		"dynaqd_leases_live":           "Leases currently held by workers.",
-		"dynaqd_deadletter_size":       "Cells currently quarantined.",
-		"dynaqd_job_queue_wait_ms":     "Wall time jobs spend queued before dispatch.",
-		"dynaqd_lease_duration_ms":     "Wall time from lease grant/claim to settlement or expiry.",
-		"dynaqd_cell_execution_ms":     "Wall time of successful cell executions.",
-		"dynaqd_job_e2e_ms":            "Wall time from job accept to terminal state.",
-		"dynaqd_tenant_queue_depth":    "Jobs waiting in one tenant's fair-queue leaf.",
-		"dynaqd_tenant_cells_queued":   "Cells awaiting dispatch in one tenant's fair-queue leaf.",
-		"dynaqd_tenant_inflight":       "One tenant's cells currently dispatched (leased or local).",
-		"dynaqd_tenant_dispatch_total": "Cells dispatched (lease grants plus local claims), by tenant.",
-		"dynaqd_tenant_queue_wait_ms":  "Wall time jobs spend queued before dispatch, by tenant.",
-	} {
-		s.reg.SetHelp(name, help)
-	}
-	s.reg.Gauge("dynaqd_build_info", telemetry.L("version", cfg.Version)).Set(1)
-	//dynaqlint:allow lock-discipline gauge closures run inside handleMetrics' WritePrometheus, which already holds s.mu; locking here would self-deadlock
-	s.reg.GaugeFunc("dynaqd_queue_depth", func() int64 { return int64(s.jobq.Len()) })
-	//dynaqlint:allow lock-discipline gauge closures run inside handleMetrics' WritePrometheus, which already holds s.mu; locking here would self-deadlock
-	s.reg.GaugeFunc("dynaqd_jobs_running", func() int64 { return s.running })
-	s.reg.GaugeFunc("dynaqd_workers_active", func() int64 {
-		return int64(s.activeWorkersLocked(s.clock.Now()))
-	})
-	//dynaqlint:allow lock-discipline gauge closures run inside handleMetrics' WritePrometheus, which already holds s.mu; locking here would self-deadlock
-	s.reg.GaugeFunc("dynaqd_leases_live", func() int64 { return int64(s.leases.Len()) })
-	//dynaqlint:allow lock-discipline gauge closures run inside handleMetrics' WritePrometheus, which already holds s.mu; locking here would self-deadlock
-	s.reg.GaugeFunc("dynaqd_deadletter_size", func() int64 { return int64(len(s.dead)) })
-	s.reg.CounterFunc("dynaqd_events_dropped_total", func() int64 {
-		var n int64
-		//dynaqlint:allow lock-discipline counter closures run inside handleMetrics' WritePrometheus, which already holds s.mu; locking here would self-deadlock
-		for _, j := range s.jobs {
-			n += j.bc.dropped()
-		}
-		return n
+	s.ctx, s.cancel = context.WithCancel(context.Background())
+	s.core = coord.New(coord.Config{
+		QueueDepth:     cfg.QueueDepth,
+		TenantWeights:  cfg.TenantWeights,
+		TenantQuota:    cfg.TenantQuota,
+		TenantInflight: cfg.TenantInflight,
+		JobTimeout:     cfg.JobTimeout,
+		LeaseTTL:       cfg.LeaseTTL,
+		MaxAttempts:    cfg.MaxAttempts,
+		Backoff:        fleet.Backoff{Base: cfg.RetryBase, Cap: cfg.RetryCap},
+		Version:        cfg.Version,
+		CellDir:        s.cellDir,
+		Clock:          s.clock,
+		EventsDropped:  s.eventsDropped,
 	})
 
 	if n, err := s.sweepTmp(); err != nil {
@@ -269,21 +147,23 @@ func New(cfg Config) (*Server, error) {
 	} else if n > 0 {
 		s.logf("swept %d orphaned tmp director(ies) left by a previous crash", n)
 	}
-	if err := s.loadDeadLetter(); err != nil {
-		return nil, err
-	}
-	markers, err := s.loadQueueMarkers()
+	snap, err := s.loadSnapshot()
 	if err != nil {
 		return nil, err
 	}
-	if err := s.recoverTerminal(); err != nil {
-		return nil, err
-	}
-	if err := s.recoverQueued(markers); err != nil {
-		return nil, err
-	}
+	s.do(func(c *coord.Core, now time.Time) []coord.Effect { return c.Recover(now, snap) })
 	s.routes()
 	return s, nil
+}
+
+// eventsDropped sums the lines discarded on stalled subscribers.
+func (s *Server) eventsDropped() int64 {
+	var n int64
+	//dynaqlint:allow lock-discipline runs inside the core's Metrics render, which handleMetrics calls with s.mu held; locking here would self-deadlock
+	for _, bc := range s.streams {
+		n += bc.dropped()
+	}
+	return n
 }
 
 // sweepTmp removes every entry under DataDir/tmp. Promotion into the cache
@@ -303,51 +183,50 @@ func (s *Server) sweepTmp() (int, error) {
 	return len(entries), nil
 }
 
-// Start launches the admission loop (each tenant's head-of-line job is
-// dispatched as soon as that tenant has nothing running), the shared
-// local-fallback executor pool, and the lease-expiry scanner.
+// Start begins admission and launches the maintenance loop and the local
+// executor pool.
 //
-//dynaqlint:allow lock-discipline lifecycle is channel-based: Shutdown closes s.stop, which every loop selects on — a ctx here would duplicate it
+//dynaqlint:allow lock-discipline the goroutines take the server's own context, which Shutdown cancels; a caller's ctx would end them with the caller
 func (s *Server) Start() {
-	go s.drain()
-	go s.expiryLoop()
-	for i := 0; i < localWorkers(s.cfg.Concurrency); i++ {
-		go s.localExecutor()
+	s.do((*coord.Core).Start)
+	pool := s.cfg.Concurrency
+	if pool <= 0 {
+		pool = runtime.GOMAXPROCS(0)
+	}
+	s.loops.Add(1 + pool)
+	go s.maintain(s.ctx)
+	for i := 0; i < pool; i++ {
+		go s.localExecutor(s.ctx)
 	}
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Shutdown drains gracefully: new submissions are rejected, cells already
-// executing locally finish (and land in the cache), leased and pending
-// cells are requeued — the in-flight job reverts to queued with attempt
-// counters persisted — and still-queued jobs stay on disk for the next
-// daemon instance to resume. It returns once the drainer has exited or ctx
-// expires.
+// Shutdown drains gracefully: new submissions are rejected, cells executing
+// locally finish (and land in the cache), leased and pending cells are
+// requeued — their job reverts to queued with attempts persisted — and
+// queued jobs stay on disk for the next instance. It returns once no job is
+// running and the server's goroutines have exited, or ctx expires.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	alreadyClosing := !s.accepting
-	s.accepting = false
-	s.mu.Unlock()
-	if !alreadyClosing {
-		close(s.stop)
-	}
+	s.do((*coord.Core).Drain)
+	s.cancel()
 	select {
-	case <-s.drained:
-		s.mu.Lock()
-		queued := 0
-		for _, j := range s.jobs {
-			if j.State == StateQueued {
-				queued++
-			}
-		}
-		s.mu.Unlock()
-		s.logf("drained; %d job(s) left queued on disk", queued)
-		return nil
+	case <-s.done:
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+	s.loops.Wait()
+	s.read(func(c *coord.Core, _ time.Time) {
+		queued := 0
+		for _, st := range c.List() {
+			if st.State == StateQueued {
+				queued++
+			}
+		}
+		s.logf("drained; %d job(s) left queued on disk", queued)
+	})
+	return nil
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -356,237 +235,230 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// drain is the admission loop: each pass admits the head-of-line job of
-// every tenant that has nothing running, so tenants proceed independently
-// while each tenant's own jobs stay strictly FIFO. Checking stop before
-// scanning keeps the shutdown contract exact: once Shutdown begins, no
-// further job leaves the queue even if a nudge is pending — and the loop
-// waits for every admitted job to settle (finish or revert to queued)
-// before reporting drained.
-//
-//dynaqlint:allow lock-discipline lifecycle is channel-based: Shutdown closes s.stop, which this loop and every runJob select on — a ctx here would duplicate it
-func (s *Server) drain() {
-	defer close(s.drained)
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		select {
-		case <-s.stop:
-			return
-		default:
-		}
-		s.mu.Lock()
-		var admitted []*Job
-		for _, tenant := range s.jobq.Tenants() {
-			if s.tenantRunning[tenant] > 0 {
-				continue
-			}
-			if j, ok := s.jobq.Pop(tenant); ok {
-				s.tenantRunning[tenant]++
-				admitted = append(admitted, j)
-			}
-		}
-		s.mu.Unlock()
-		for _, j := range admitted {
-			wg.Add(1)
-			go func(j *Job) {
-				defer wg.Done()
-				s.runJob(j)
-			}(j)
-		}
-		if len(admitted) > 0 {
-			continue
-		}
-		select {
-		case <-s.stop:
-			return
-		case <-s.admit:
-		}
+// do runs one op of the core at the current instant and applies its
+// effects, all under mu, so nobody observes a job done before its status is
+// on disk; then it wakes the maintenance loop if a deadline moved closer.
+func (s *Server) do(op func(c *coord.Core, now time.Time) []coord.Effect) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := s.clock.Now()
+	s.applyLocked(now, op(s.core, now))
+	if next, ok := s.core.NextDeadline(now); ok && (s.armed.IsZero() || next.Before(s.armed)) {
+		nudge(s.wake)
 	}
 }
 
-// admitLocked nudges the admission loop; the buffered-1 channel coalesces
-// bursts. The caller holds s.mu.
-func (s *Server) admitLocked() {
+// read runs a read-only view under mu. Like do it hands the core to its
+// argument: the only way to the core is through the lock.
+func (s *Server) read(view func(c *coord.Core, now time.Time)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	view(s.core, s.clock.Now())
+}
+
+// nudge signals a buffered-1 channel without blocking; bursts coalesce.
+func nudge(ch chan struct{}) {
 	select {
-	case s.admit <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }
 
-// runJob dispatches one job's cells (to fleet workers, or the local
-// executor pool when none are registered) and settles its terminal state —
-// unless a shutdown interrupted it, in which case the job reverts to
-// queued, its marker stays on disk, and the next daemon instance resumes
-// it with attempt counters intact.
-func (s *Server) runJob(j *Job) {
-	s.mu.Lock()
-	j.State = StateRunning
-	s.running++
-	s.traceJobRunningLocked(j)
-	s.mu.Unlock()
-	s.logf("job %s: running %d cell(s)", j.ID, len(j.Cells))
-	j.bc.publish(-1, []byte(`{"kind":"job","state":"running"}`+"\n"))
-	if s.testJobStart != nil {
-		s.testJobStart(j)
+// applyLocked carries out the effects of one op, in order. A Probe is
+// answered in place and the effects of that Dispatch follow in the same
+// pass, so admission, dispatch and the settlement of an all-cached job
+// happen in one lock hold. A failed write is logged and the rest go on: the
+// in-memory state stays authoritative for this life.
+//
+//dynaqlint:allow lock-discipline an effect list is applied to the end whatever became of the request that produced it; stopping halfway would leave disk and core disagreeing
+func (s *Server) applyLocked(now time.Time, effs []coord.Effect) {
+	for i := 0; i < len(effs); i++ {
+		e := effs[i]
+		switch e.Kind {
+		case coord.OpenStream:
+			s.streams[e.Job.ID] = newBroadcaster()
+		case coord.PersistRequest:
+			// The request body plus a marker holding the FIFO position let
+			// a queued job survive a restart. A non-default tenant is the
+			// marker's content; default-tenant markers stay empty, as
+			// before tenancy existed. Attempt counters of an earlier life
+			// of the id go: a (re)submission has a fresh retry budget.
+			s.writeFile(filepath.Join("jobs", e.Job.ID, "request.json"), e.Data)
+			os.Remove(filepath.Join(s.jobDir(e.Job.ID), "attempts.json"))
+			var tenant []byte
+			if e.Job.Tenant != DefaultTenant {
+				tenant = []byte(e.Job.Tenant + "\n")
+			}
+			s.writeFile(filepath.Join("queue", e.Marker), tenant)
+		case coord.Probe:
+			if s.testJobStart != nil && s.testJobStart(e.Job) {
+				continue
+			}
+			cached := make(map[string]bool)
+			for _, c := range e.Job.Cells {
+				cached[c.Key] = s.artifactCached(c.Key)
+			}
+			effs = append(effs, s.core.Dispatch(now, e.Job.ID, cached)...)
+		case coord.Publish:
+			s.streams[e.Job.ID].publish(e.Cell, e.Data)
+		case coord.PersistAttempts:
+			if len(e.Attempts) == 0 {
+				os.Remove(filepath.Join(s.jobDir(e.Job.ID), "attempts.json"))
+			} else if data, err := json.Marshal(e.Attempts); err == nil {
+				s.writeFile(filepath.Join("jobs", e.Job.ID, "attempts.json"), append(data, '\n'))
+			}
+		case coord.PersistDeadLetter:
+			if data, err := json.MarshalIndent(e.Dead, "", "  "); err == nil {
+				s.writeFile("deadletter.json", append(data, '\n'))
+			}
+		case coord.PersistStatus:
+			if data, err := json.MarshalIndent(e.Status, "", "  "); err == nil {
+				s.writeFile(filepath.Join("jobs", e.Job.ID, "status.json"), append(data, '\n'))
+			}
+		case coord.WriteTrace:
+			// Beside the status, never in the cache: spans carry wall time.
+			s.writeFile(filepath.Join("jobs", e.Job.ID, traceFileName), e.Data)
+		case coord.RemoveMarker:
+			os.Remove(filepath.Join(s.cfg.DataDir, "queue", e.Marker))
+		case coord.CloseStream:
+			s.streams[e.Job.ID].close()
+		case coord.Log:
+			s.logf("%s", e.Msg)
+		}
 	}
-
-	ctx := context.Background()
-	cancel := func() {}
-	if s.cfg.JobTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
+	if !s.drained && s.core.Drained() {
+		s.drained = true
+		close(s.done)
 	}
-	err, interrupted := s.dispatchCells(ctx, j)
-	cancel()
+	nudge(s.kick)
+}
 
-	if interrupted {
-		s.mu.Lock()
-		j.State = StateQueued
-		s.running--
-		s.tenantSettledLocked(j)
-		s.persistAttemptsLocked(j)
-		j.rootSpan.Event("job-requeued", trace.A("reason", "daemon draining"))
-		s.mu.Unlock()
-		j.bc.publish(-1, []byte(`{"kind":"job","state":"queued","reason":"daemon draining"}`+"\n"))
-		s.logf("job %s: requeued for the next daemon instance (drain)", j.ID)
-		return
+// writeFile writes one file under DataDir, creating its directory.
+func (s *Server) writeFile(rel string, data []byte) {
+	path := filepath.Join(s.cfg.DataDir, rel)
+	err := os.MkdirAll(filepath.Dir(path), 0o755)
+	if err == nil {
+		err = os.WriteFile(path, data, 0o644)
 	}
-
-	s.mu.Lock()
-	s.running--
-	s.tenantSettledLocked(j)
 	if err != nil {
-		j.State = StateFailed
-		j.Err = err.Error()
-		s.jobsFailed.Inc()
-	} else {
-		j.State = StateDone
-		j.CacheHit = allCached(j.Cells)
-		s.jobsDone.Inc()
+		s.logf("persisting %s: %v", rel, err)
 	}
-	s.traceJobTerminalLocked(j)
-	st := s.statusLocked(j)
-	s.mu.Unlock()
+}
 
-	if perr := s.persistStatus(st); perr != nil {
-		s.logf("job %s: persisting status: %v", j.ID, perr)
-	}
-	if j.tr != nil {
-		if terr := s.writeJobTrace(j); terr != nil {
-			s.logf("job %s: persisting trace: %v", j.ID, terr)
+// maintain is the one timekeeper: it runs the core's Tick when a deadline
+// the core named has come — a lease lapsing, a worker going quiet, a backoff
+// elapsing, a job out of time — and sleeps on the clock until the next. An
+// op that moves the next deadline earlier wakes it to re-arm.
+func (s *Server) maintain(ctx context.Context) {
+	defer s.loops.Done()
+	for {
+		s.mu.Lock()
+		now := s.clock.Now()
+		s.applyLocked(now, s.core.Tick(now))
+		next, ok := s.core.NextDeadline(now)
+		s.armed = next
+		s.mu.Unlock()
+		var timer <-chan time.Time
+		if ok {
+			timer = s.clock.After(next.Sub(now))
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-s.wake:
+		case <-timer:
 		}
 	}
-	s.removeQueueMarker(j.ID)
-	j.bc.publish(-1, finalStatusLine(st))
-	j.bc.close()
-	close(j.done)
-	s.logf("job %s: %s", j.ID, st.State)
 }
 
-// tenantSettledLocked releases j's tenant admission slot and wakes the
-// admission loop so the tenant's next queued job can start. The caller
-// holds s.mu.
-func (s *Server) tenantSettledLocked(j *Job) {
-	if s.tenantRunning[j.Tenant]--; s.tenantRunning[j.Tenant] <= 0 {
-		delete(s.tenantRunning, j.Tenant)
-	}
-	s.admitLocked()
-}
-
-// allCached reports whether every cell was served from cache.
-func allCached(cells []*Cell) bool {
-	for _, c := range cells {
-		if !c.CacheHit {
-			return false
-		}
-	}
-	return len(cells) > 0
-}
-
-// finalStatusLine renders the terminal job event appended to every event
-// stream.
-func finalStatusLine(st JobStatus) []byte {
-	b := []byte(`{"kind":"job","state":`)
-	b = strconv.AppendQuote(b, st.State)
-	b = append(b, `,"cache_hit":`...)
-	b = strconv.AppendBool(b, st.CacheHit)
-	if st.Error != "" {
-		b = append(b, `,"error":`...)
-		b = strconv.AppendQuote(b, st.Error)
-	}
-	b = append(b, '}', '\n')
-	return b
-}
-
-// --- persistence ---------------------------------------------------------
+// --- recovery -------------------------------------------------------------------
 
 func (s *Server) jobDir(id string) string { return filepath.Join(s.cfg.DataDir, "jobs", id) }
 
-// persistRequest records a submission before it is enqueued, so a queued
-// job survives a daemon restart: request.json holds the raw body and a
-// queue marker holds the FIFO position. A non-default tenant is written as
-// the marker's content, so recovery lands the job back in the right
-// fair-queue leaf; default-tenant markers stay empty, byte-identical to
-// markers written before tenancy existed. Any stale attempt counters from
-// an earlier life of the same job id are cleared — a (re)submission starts
-// with a fresh retry budget.
-func (s *Server) persistRequestLocked(j *Job, body []byte) error {
-	dir := s.jobDir(j.ID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "request.json"), body, 0o644); err != nil {
-		return err
-	}
-	os.Remove(filepath.Join(dir, "attempts.json"))
-	s.seq++
-	marker := filepath.Join(s.cfg.DataDir, "queue", fmt.Sprintf("%08d-%s", s.seq, j.ID))
-	var content []byte
-	if j.Tenant != DefaultTenant {
-		content = []byte(j.Tenant + "\n")
-	}
-	return os.WriteFile(marker, content, 0o644)
-}
-
-func (s *Server) persistStatus(st JobStatus) error {
-	data, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return err
-	}
-	dir := s.jobDir(st.ID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "status.json"), append(data, '\n'), 0o644)
-}
-
-// persistAttemptsLocked records every cell's attempt counter so a daemon
-// restart (graceful or not) resumes the retry budget instead of resetting
-// it. Keys are version-independent ("scheme/seed") because cells are
-// re-expanded under the current build on recovery. The caller holds s.mu.
-func (s *Server) persistAttemptsLocked(j *Job) {
-	counts := make(map[string]int)
-	for _, c := range j.Cells {
-		if c.Attempts > 0 {
-			counts[attemptKey(c)] = c.Attempts
+// loadSnapshot reads what a previous life left under DataDir. Pending jobs
+// come back in marker order, including those mid-dispatch when the daemon
+// stopped, attempt counters intact. The tenant is the marker's content
+// (it covers header-tagged submissions), else the request body's. Cells
+// are re-expanded under the current build, so work queued before an
+// upgrade re-runs instead of hitting a stale cache.
+func (s *Server) loadSnapshot() (coord.Snapshot, error) {
+	var snap coord.Snapshot
+	data, err := os.ReadFile(filepath.Join(s.cfg.DataDir, "deadletter.json"))
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(data, &snap.Dead); err != nil {
+			return snap, fmt.Errorf("server: parsing deadletter.json: %w", err)
 		}
+	case !os.IsNotExist(err):
+		return snap, fmt.Errorf("server: %w", err)
 	}
-	path := filepath.Join(s.jobDir(j.ID), "attempts.json")
-	if len(counts) == 0 {
-		os.Remove(path)
-		return
-	}
-	data, err := json.Marshal(counts)
-	if err == nil {
-		err = os.WriteFile(path, append(data, '\n'), 0o644)
-	}
+
+	markers, err := os.ReadDir(filepath.Join(s.cfg.DataDir, "queue"))
 	if err != nil {
-		s.logf("job %s: persisting attempts: %v", j.ID, err)
+		return snap, fmt.Errorf("server: %w", err)
 	}
+	for _, e := range markers {
+		snap.Markers = append(snap.Markers, e.Name())
+	}
+	sort.Strings(snap.Markers)
+
+	jobs, err := os.ReadDir(filepath.Join(s.cfg.DataDir, "jobs"))
+	if err != nil {
+		return snap, fmt.Errorf("server: %w", err)
+	}
+	for _, e := range jobs {
+		data, err := os.ReadFile(filepath.Join(s.jobDir(e.Name()), "status.json"))
+		if err != nil {
+			continue // queued job (no terminal status yet) or foreign file
+		}
+		var st JobStatus
+		if err := json.Unmarshal(data, &st); err != nil || !coord.Terminal(st.State) {
+			continue
+		}
+		snap.Terminal = append(snap.Terminal, st)
+	}
+
+	for _, name := range snap.Markers {
+		_, id, ok := strings.Cut(name, "-")
+		if !ok {
+			continue
+		}
+		marker := filepath.Join(s.cfg.DataDir, "queue", name)
+		body, err := os.ReadFile(filepath.Join(s.jobDir(id), "request.json"))
+		if err != nil {
+			s.logf("job %s: dropping unreadable queued request: %v", id, err)
+			os.Remove(marker)
+			continue
+		}
+		tenant, _ := os.ReadFile(marker)
+		j, err := rebuildJob(body, id, strings.TrimSpace(string(tenant)), s.cfg.Version)
+		if err != nil {
+			s.logf("job %s: queued request no longer validates: %v", id, err)
+			os.Remove(marker)
+			continue
+		}
+		j.Marker = name
+		s.loadAttempts(j)
+		snap.Queued = append(snap.Queued, j)
+	}
+	return snap, nil
 }
 
-// attemptKey identifies a cell across daemon restarts and version bumps.
-func attemptKey(c *Cell) string { return c.Scheme + "/" + strconv.FormatInt(c.Seed, 10) }
+// rebuildJob re-expands a job from its persisted request, keeping the
+// persisted id even if expansion rules have evolved. A non-empty tenant
+// overrides the body's (header-tagged submissions have none there).
+func rebuildJob(body []byte, id, tenant, version string) (*Job, error) {
+	req := parseRequest(body)
+	if tenant != "" {
+		req.Tenant = tenant
+	}
+	j, err := buildJob(req, version)
+	if err != nil {
+		return nil, err
+	}
+	j.ID = id
+	return j, nil
+}
 
 // loadAttempts restores persisted attempt counters onto a recovered job.
 func (s *Server) loadAttempts(j *Job) {
@@ -600,119 +472,8 @@ func (s *Server) loadAttempts(j *Job) {
 		return
 	}
 	for _, c := range j.Cells {
-		if n, ok := counts[attemptKey(c)]; ok {
+		if n, ok := counts[c.AttemptKey()]; ok {
 			c.Attempts = n
 		}
 	}
-}
-
-// removeQueueMarker deletes a job's pending marker (any sequence prefix).
-func (s *Server) removeQueueMarker(id string) {
-	entries, err := os.ReadDir(filepath.Join(s.cfg.DataDir, "queue"))
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), "-"+id) {
-			os.Remove(filepath.Join(s.cfg.DataDir, "queue", e.Name()))
-		}
-	}
-}
-
-// loadQueueMarkers returns pending markers sorted by sequence (FIFO order)
-// and advances the sequence counter past them.
-func (s *Server) loadQueueMarkers() ([]string, error) {
-	entries, err := os.ReadDir(filepath.Join(s.cfg.DataDir, "queue"))
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	s.mu.Lock()
-	for _, name := range names {
-		if seq, _, ok := strings.Cut(name, "-"); ok {
-			if n, err := strconv.Atoi(seq); err == nil && n > s.seq {
-				s.seq = n
-			}
-		}
-	}
-	s.mu.Unlock()
-	return names, nil
-}
-
-// recoverTerminal loads every persisted terminal job so GET /v1/jobs/{id}
-// and cache-hit resubmission work across restarts.
-func (s *Server) recoverTerminal() error {
-	entries, err := os.ReadDir(filepath.Join(s.cfg.DataDir, "jobs"))
-	if err != nil {
-		return fmt.Errorf("server: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(s.jobDir(e.Name()), "status.json"))
-		if err != nil {
-			continue // queued job (no terminal status yet) or foreign file
-		}
-		var st JobStatus
-		if err := json.Unmarshal(data, &st); err != nil || !terminal(st.State) {
-			continue
-		}
-		s.jobs[st.ID] = jobFromStatus(st)
-	}
-	return nil
-}
-
-// recoverQueued re-enqueues persisted pending jobs in marker order —
-// including jobs that were mid-dispatch when the previous daemon stopped,
-// whose leased-but-unfinished cells come back as queued with their attempt
-// counters intact. Global marker order plus per-tenant FIFOs reproduce
-// each tenant's original submission order exactly; the tenant comes from
-// the marker's content (authoritative, covers header-tagged submissions)
-// with the request body's tenant field as fallback. Recovery enqueues with
-// Force: already-admitted work must not be dropped because quotas shrank
-// between daemon lives. Cells are re-expanded under the current build
-// version, so work queued before an upgrade re-runs instead of hitting a
-// stale cache.
-//
-//dynaqlint:allow lock-discipline startup recovery runs under New before the drainer starts; there is no request context to thread yet
-func (s *Server) recoverQueued(markers []string) error {
-	for _, name := range markers {
-		_, id, ok := strings.Cut(name, "-")
-		if !ok {
-			continue
-		}
-		marker := filepath.Join(s.cfg.DataDir, "queue", name)
-		body, err := os.ReadFile(filepath.Join(s.jobDir(id), "request.json"))
-		if err != nil {
-			s.logf("job %s: dropping unreadable queued request: %v", id, err)
-			os.Remove(marker)
-			continue
-		}
-		req := parseRequest(body)
-		if data, err := os.ReadFile(marker); err == nil {
-			if tenant := strings.TrimSpace(string(data)); tenant != "" {
-				req.Tenant = tenant
-			}
-		}
-		j, err := buildJob(req, s.cfg.Version)
-		if err != nil {
-			s.logf("job %s: queued request no longer validates: %v", id, err)
-			os.Remove(marker)
-			continue
-		}
-		j.ID = id // keep the persisted handle even if expansion rules evolve
-		s.loadAttempts(j)
-		s.mu.Lock()
-		s.jobs[id] = j
-		s.ensureTenantMetricsLocked(j.Tenant)
-		s.startTraceLocked(j, "")
-		j.rootSpan.Event("recovered")
-		s.jobq.Force(j.Tenant, j)
-		s.mu.Unlock()
-	}
-	return nil
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"dynaq/internal/coord"
 	"dynaq/internal/fleet"
 	"dynaq/internal/telemetry"
 )
@@ -337,18 +338,13 @@ func TestQueueFull(t *testing.T) {
 // TestDedupeInFlight holds a job at its start hook and resubmits it: the
 // duplicate must come back 202 with the same id without enqueuing new work.
 func TestDedupeInFlight(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{})
 	s, ts := newTestServer(t, nil)
-	s.testJobStart = func(*Job) {
-		close(started)
-		<-release
-	}
+	held, release := holdJobs(s)
 	s.Start()
 	defer s.Shutdown(shutdownCtx(t))
 
 	st, _ := submit(t, ts, testScenario)
-	<-started
+	j := <-held
 	dup, resp := submit(t, ts, testScenario)
 	if resp.StatusCode != http.StatusAccepted || dup.ID != st.ID {
 		t.Fatalf("duplicate = %d id %s, want 202 id %s", resp.StatusCode, dup.ID, st.ID)
@@ -356,8 +352,28 @@ func TestDedupeInFlight(t *testing.T) {
 	if dup.State != StateRunning {
 		t.Fatalf("duplicate state = %s, want running", dup.State)
 	}
-	close(release)
+	release(j)
 	waitTerminal(t, ts, st.ID)
+}
+
+// holdJobs makes s hold every job it admits at "running, nothing
+// dispatched". Each held job arrives on the returned channel; the returned
+// func dispatches one, which is what the admission would have done next.
+func holdJobs(s *Server) (<-chan *Job, func(*Job)) {
+	held := make(chan *Job, 8) // the hook runs under s.mu and must not block; no test holds more
+	s.testJobStart = func(j *Job) bool {
+		held <- j
+		return true
+	}
+	return held, func(j *Job) {
+		s.do(func(c *coord.Core, now time.Time) []coord.Effect {
+			cached := make(map[string]bool)
+			for _, cell := range j.Cells {
+				cached[cell.Key] = s.artifactCached(cell.Key)
+			}
+			return c.Dispatch(now, j.ID, cached)
+		})
+	}
 }
 
 // TestJobTimeout runs with a timeout that has already expired by the time
@@ -384,17 +400,12 @@ func TestJobTimeout(t *testing.T) {
 // both in order.
 func TestDrainAndRecover(t *testing.T) {
 	dataDir := t.TempDir()
-	release := make(chan struct{})
-	started := make(chan struct{})
 	s, ts := newTestServer(t, func(c *Config) { c.DataDir = dataDir })
-	s.testJobStart = func(*Job) {
-		close(started)
-		<-release
-	}
+	held, release := holdJobs(s)
 	s.Start()
 
 	stA, _ := submit(t, ts, testScenario)
-	<-started
+	jobA := <-held
 	scenB := strings.Replace(testScenario, `"seed":1`, `"seed":2`, 1)
 	stB, _ := submit(t, ts, scenB)
 
@@ -404,15 +415,15 @@ func TestDrainAndRecover(t *testing.T) {
 	// first: a probe that beats Shutdown to s.mu would be accepted and leave
 	// a third queue marker behind.
 	waitFor(t, func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return !s.accepting
+		var accepting bool
+		s.read(func(c *coord.Core, now time.Time) { accepting = c.Health(now).Accepting })
+		return !accepting
 	})
 	waitFor(t, func() bool {
 		_, resp := submit(t, ts, strings.Replace(testScenario, `"seed":1`, `"seed":3`, 1))
 		return resp.StatusCode == http.StatusServiceUnavailable
 	})
-	close(release)
+	release(jobA) // too late: the drain has requeued A, and dispatching it now changes nothing
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
@@ -549,18 +560,13 @@ func TestMetricsEndpoint(t *testing.T) {
 // the job is held running sees the full lifecycle, and a second request
 // after completion replays the stored events with identical framing.
 func TestEventsStream(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{})
 	s, ts := newTestServer(t, nil)
-	s.testJobStart = func(*Job) {
-		close(started)
-		<-release
-	}
+	held, release := holdJobs(s)
 	s.Start()
 	defer s.Shutdown(shutdownCtx(t))
 
 	st, _ := submit(t, ts, testScenario)
-	<-started
+	j := <-held
 
 	liveDone := make(chan []string, 1)
 	go func() {
@@ -576,7 +582,7 @@ func TestEventsStream(t *testing.T) {
 	// Give the live subscriber a moment to attach before releasing the job;
 	// attach-after-finish would exercise the replay path instead.
 	time.Sleep(50 * time.Millisecond)
-	close(release)
+	release(j)
 
 	lines := <-liveDone
 	if lines == nil {

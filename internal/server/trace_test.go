@@ -139,14 +139,8 @@ func TestTraceOutsideCache(t *testing.T) {
 	}
 	cell := done.Cells[0]
 
-	// A job's state turns done before its status, trace and queue marker are
-	// written; the files, and a resubmission that must not race their
-	// writer, are about the settled job.
-	s.mu.Lock()
-	first := s.jobs[st.ID]
-	s.mu.Unlock()
-	<-first.done
-
+	// The op that made the job done wrote its status, trace and queue
+	// marker under the same lock hold, so they are there to look at.
 	tracePath := filepath.Join(s.jobDir(st.ID), traceFileName)
 	if _, err := os.Stat(tracePath); err != nil {
 		t.Fatalf("persisted trace: %v", err)
@@ -293,19 +287,12 @@ func TestStalledEventsReaderDoesNotStallJob(t *testing.T) {
 
 	// Hold the job at the start of execution so the stalled subscriber is
 	// attached before any cell event is published.
-	started := make(chan string, 1)
-	release := make(chan struct{})
-	s.testJobStart = func(j *Job) {
-		select {
-		case started <- j.ID:
-		default:
-		}
-		<-release
-	}
+	held, release := holdJobs(s)
 
 	st, _ := submit(t, ts, testScenario)
+	var j *Job
 	select {
-	case <-started:
+	case j = <-held:
 	case <-time.After(10 * time.Second):
 		t.Fatal("job never started")
 	}
@@ -317,7 +304,7 @@ func TestStalledEventsReaderDoesNotStallJob(t *testing.T) {
 	}
 	defer resp.Body.Close()
 
-	close(release)
+	release(j)
 	done := waitTerminal(t, ts, st.ID)
 	if done.State != StateDone {
 		t.Fatalf("state = %s (err %q), want done despite stalled reader", done.State, done.Error)
