@@ -156,18 +156,7 @@ func main() {
 			"scheme=%s sched=%s rate=%v buffer=%d queues=%d weights=%s spec=%s duration=%v rtt=%v mtu=%d sample=%v seed=%d trace=%d faults=%s guard=%v",
 			*scheme, *schedK, *rateG, *bufB, *queues, *weights, *spec,
 			*duration, *rttUS, *mtu, *sample, *seed, *traceN, *faultsF, *guard)
-		var err error
-		run, err = telemetry.NewRun(*teleDir, telemetry.Manifest{
-			Tool:         "dynaqsim",
-			Version:      dynaq.Version,
-			ScenarioHash: telemetry.Hash([]byte(canonical)),
-			Seed:         *seed,
-			Scheme:       *scheme,
-			Args:         os.Args[1:],
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
+		run = openRun(*teleDir, []byte(canonical), *seed, *scheme, "")
 		cfg.Telemetry = run
 	}
 	if *progress {
@@ -218,8 +207,7 @@ func main() {
 		printViolations(res.ViolationTotal, res.Violations)
 	}
 	if run != nil {
-		run.Summarize("drops", strconv.FormatInt(res.Drops, 10))
-		run.Summarize("samples", strconv.Itoa(len(res.Samples)))
+		summarize(run, res.Summary())
 		run.Summarize("aggregate_mbps", fmt.Sprintf("%.1f", float64(res.AvgAggregate(warm, end))/1e6))
 		if res.Trace != nil {
 			if err := writeTrace(run.Dir(), res.Trace); err != nil {
@@ -299,18 +287,7 @@ func runConfig(path, engine, teleDir string, progress bool) {
 	}
 	var run *telemetry.Run
 	if teleDir != "" {
-		run, err = telemetry.NewRun(teleDir, telemetry.Manifest{
-			Tool:         "dynaqsim",
-			Version:      dynaq.Version,
-			ScenarioHash: telemetry.Hash(data),
-			Seed:         r.Seed(),
-			Scheme:       r.Scheme(),
-			Engine:       r.Engine(),
-			Args:         os.Args[1:],
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
+		run = openRun(teleDir, data, r.Seed(), r.Scheme(), r.Engine())
 		r.SetTelemetry(run)
 	}
 	if progress {
@@ -334,7 +311,7 @@ func runConfig(path, engine, teleDir string, progress bool) {
 			}
 			fmt.Printf("  aggregate=%.1fMbps\n", float64(last.Aggregate)/1e6)
 		}
-		reportFaults(r.Guarded(), len(st.FaultTimeline), st.LinkLost, st.LinkCorrupted, st.ViolationTotal, st.Violations)
+		reportFaults(r.Guarded(), st.FaultOutcome)
 	case res.Dynamic != nil:
 		d := res.Dynamic
 		fmt.Printf("%s scenario (%s, load %.0f%%, engine %s): %d/%d flows\n",
@@ -348,27 +325,13 @@ func runConfig(path, engine, teleDir string, progress bool) {
 			d.FCT.Avg(metrics.SmallFlows).Seconds()*1e3,
 			d.FCT.Avg(metrics.LargeFlows).Seconds()*1e3,
 			d.FCT.Percentile(metrics.SmallFlows, 0.99).Seconds()*1e3)
-		reportFaults(r.Guarded(), len(d.FaultTimeline), d.LinkLost, d.LinkCorrupted, d.ViolationTotal, d.Violations)
+		reportFaults(r.Guarded(), d.FaultOutcome)
 	}
 	if run != nil {
-		switch {
-		case res.Static != nil:
-			run.Summarize("drops", strconv.FormatInt(res.Static.Drops, 10))
-			run.Summarize("samples", strconv.Itoa(len(res.Static.Samples)))
-			if res.Static.Trace != nil {
-				if err := writeTrace(run.Dir(), res.Static.Trace); err != nil {
-					fatalf("%v", err)
-				}
-			}
-		case res.Dynamic != nil:
-			run.Summarize("flows_generated", strconv.Itoa(res.Dynamic.Generated))
-			run.Summarize("flows_completed", strconv.Itoa(res.Dynamic.Completed))
-			run.Summarize("avg_fct_us_overall",
-				strconv.FormatInt(int64(res.Dynamic.FCT.Avg(metrics.AllFlows)/units.Microsecond), 10))
-			if fl := res.Dynamic.Fluid; fl != nil {
-				run.Summarize("events", strconv.FormatInt(res.Dynamic.Events, 10))
-				run.Summarize("recomputes", strconv.FormatInt(fl.Recomputes, 10))
-				run.Summarize("demotions", strconv.FormatInt(fl.Demotions, 10))
+		summarize(run, res.Summary())
+		if st := res.Static; st != nil && st.Trace != nil {
+			if err := writeTrace(run.Dir(), st.Trace); err != nil {
+				fatalf("%v", err)
 			}
 		}
 		if err := run.Close(); err != nil {
@@ -377,15 +340,39 @@ func runConfig(path, engine, teleDir string, progress bool) {
 	}
 }
 
+// openRun starts this invocation's artifact run in dir; hashed is what
+// identifies the scenario (the document, or flag mode's canonical rendering).
+func openRun(dir string, hashed []byte, seed int64, scheme, engine string) *telemetry.Run {
+	run, err := telemetry.NewRun(dir, telemetry.Manifest{
+		Tool:         "dynaqsim",
+		Version:      dynaq.Version,
+		ScenarioHash: telemetry.Hash(hashed),
+		Seed:         seed,
+		Scheme:       scheme,
+		Engine:       engine,
+		Args:         os.Args[1:],
+	})
+	if err != nil {
+		fatalf("%v", err)
+	}
+	return run
+}
+
+// summarize records a result's headline in the run's manifest.
+func summarize(run *telemetry.Run, entries []telemetry.SummaryEntry) {
+	for _, e := range entries {
+		run.Summarize(e.Key, e.Value)
+	}
+}
+
 // reportFaults summarises a scenario run's fault activity and guardrail
 // verdict (quiet when the scenario scheduled neither).
-func reportFaults(guarded bool, transitions int, lost, corrupted, violationTotal int64, recorded []faults.Violation) {
-	if transitions > 0 {
-		fmt.Printf("faults: %d transitions, %d lost, %d corrupted on links\n",
-			transitions, lost, corrupted)
+func reportFaults(guarded bool, out experiment.FaultOutcome) {
+	if n := len(out.FaultTimeline); n > 0 {
+		fmt.Printf("faults: %d transitions, %d lost, %d corrupted on links\n", n, out.LinkLost, out.LinkCorrupted)
 	}
 	if guarded {
-		printViolations(violationTotal, recorded)
+		printViolations(out.ViolationTotal, out.Violations)
 	}
 }
 

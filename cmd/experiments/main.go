@@ -30,8 +30,8 @@ var figures = []struct {
 	run  func(o experiment.Options) (renderer, error)
 }{
 	{"1", "violated fair sharing under BestEffort (motivation)", wrap(experiment.Fig1)},
-	{"3", "throughput convergence, 2 active DRR queues", wrap(experiment.Fig3)},
-	{"4", "queue length evolution (same runs as fig 3)", wrap(experiment.Fig4)},
+	{"3", "throughput convergence, 2 active DRR queues", convergence},
+	{"4", "queue length evolution (same runs as fig 3)", convergence},
 	{"5", "bandwidth sharing, 4 DRR queues with departures", wrap(experiment.Fig5)},
 	{"6", "weighted fair sharing, weights 4:3:2:1", wrap(experiment.Fig6)},
 	{"7", "mixed transports: NewReno + CUBIC under DynaQ", wrap(experiment.Fig7)},
@@ -58,6 +58,23 @@ var figures = []struct {
 	{"2", "workload flow-size distributions (Figure 2)", wrap(experiment.Fig2)},
 }
 
+// convergence is Figures 3 and 4: two views of the same three runs, simulated
+// once per invocation (the options are the invocation's) and printed under
+// both ids.
+func convergence(o experiment.Options) (renderer, error) {
+	if !fig3Run.ran {
+		fig3Run.res, fig3Run.err = experiment.Fig3(o)
+		fig3Run.ran = true
+	}
+	return fig3Run.res, fig3Run.err
+}
+
+var fig3Run struct {
+	res renderer
+	err error
+	ran bool
+}
+
 func wrap[T renderer](f func(experiment.Options) (T, error)) func(experiment.Options) (renderer, error) {
 	return func(o experiment.Options) (renderer, error) { return f(o) }
 }
@@ -67,7 +84,7 @@ func main() {
 	scale := flag.String("scale", "standard", "quick | standard | full")
 	engineF := flag.String("engine", "", "simulation engine for the FCT figures: packet (default) | flow | hybrid; static figures always run at packet level")
 	seed := flag.Int64("seed", 1, "random seed")
-	parallel := flag.Int("parallel", 0, "worker goroutines for independent simulation cells (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
+	parallel := flag.Int("parallel", 0, "worker goroutines for a figure's independent simulation cells, static and FCT figures alike (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
 	list := flag.Bool("list", false, "list available figures")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	csvDir := flag.String("csv", "", "also write plottable CSV series into this directory")

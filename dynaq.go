@@ -376,7 +376,7 @@ const (
 var (
 	RunFig1  = experiment.Fig1
 	RunFig3  = experiment.Fig3
-	RunFig4  = experiment.Fig4
+	RunFig4  = experiment.Fig3 // the queue-evolution view of the same runs
 	RunFig5  = experiment.Fig5
 	RunFig6  = experiment.Fig6
 	RunFig7  = experiment.Fig7

@@ -93,12 +93,11 @@ func (r *ConvergenceResult) WriteCSV(dir string) ([]string, error) {
 	return paths, nil
 }
 
-// WriteCSV implements CSVDumper for the phased experiments (Figs. 5/7).
-func (r *PhasedResult) WriteCSV(dir string) ([]string, error) {
+// throughputCSVs writes one throughput series per scheme, named by name.
+func throughputCSVs(dir string, schemes []Scheme, series [][]metrics.ThroughputSample, name func(Scheme) string) ([]string, error) {
 	var paths []string
-	for i, scheme := range r.Schemes {
-		p, err := dumpFile(dir, fmt.Sprintf("phased_throughput_%s.csv", scheme),
-			func(w io.Writer) error { return writeThroughputCSV(w, r.Series[i]) })
+	for i, scheme := range schemes {
+		p, err := dumpFile(dir, name(scheme), func(w io.Writer) error { return writeThroughputCSV(w, series[i]) })
 		if err != nil {
 			return nil, err
 		}
@@ -107,18 +106,18 @@ func (r *PhasedResult) WriteCSV(dir string) ([]string, error) {
 	return paths, nil
 }
 
+// WriteCSV implements CSVDumper for the phased experiments (Figs. 5/7).
+func (r *PhasedResult) WriteCSV(dir string) ([]string, error) {
+	return throughputCSVs(dir, r.Schemes, r.Series, func(s Scheme) string {
+		return fmt.Sprintf("phased_throughput_%s.csv", s)
+	})
+}
+
 // WriteCSV implements CSVDumper for the high-speed runs (Figs. 10-12).
 func (r *HighSpeedResult) WriteCSV(dir string) ([]string, error) {
-	var paths []string
-	for i, scheme := range r.Schemes {
-		p, err := dumpFile(dir, fmt.Sprintf("highspeed_%s_%s.csv", r.Rate, scheme),
-			func(w io.Writer) error { return writeThroughputCSV(w, r.Series[i]) })
-		if err != nil {
-			return nil, err
-		}
-		paths = append(paths, p)
-	}
-	return paths, nil
+	return throughputCSVs(dir, r.Schemes, r.Series, func(s Scheme) string {
+		return fmt.Sprintf("highspeed_%s_%s.csv", r.Rate, s)
+	})
 }
 
 // WriteCSV implements CSVDumper for FCT figures: one row per (scheme,

@@ -48,7 +48,7 @@ func runStaticWithTelemetry(t *testing.T, dir string, scheme Scheme) map[string]
 		Duration:    100 * units.Millisecond,
 		SampleEvery: 10 * units.Millisecond,
 		Seed:        7,
-		Telemetry:   run,
+		Hooks:       Hooks{Telemetry: run},
 	}
 	res, err := RunStatic(cfg)
 	if err != nil {
@@ -170,7 +170,7 @@ func TestTelemetryDeterministicDynamic(t *testing.T) {
 			Flows:     40,
 			Workloads: []*workload.CDF{workload.WebSearch()},
 			Seed:      3,
-			Telemetry: run,
+			Hooks:     Hooks{Telemetry: run},
 		}
 		if _, err := RunDynamic(cfg); err != nil {
 			t.Fatal(err)

@@ -3,8 +3,8 @@ package experiment
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
+	"strconv"
 
 	"dynaq/internal/buffer"
 	"dynaq/internal/fabric"
@@ -97,19 +97,7 @@ type DynamicConfig struct {
 	// (default 1ms when FailureAware is set).
 	DetectionDelay units.Duration
 
-	// Telemetry, when non-nil, streams the run's metric registry and
-	// sim-time event log into the run's artifact directory; the caller
-	// owns (and closes) the Run.
-	Telemetry *telemetry.Run
-	// Progress, when non-nil, receives human-readable wall-clock progress
-	// lines (typically os.Stderr); it never feeds the artifacts.
-	Progress io.Writer
-
-	// Spans, when non-nil, receives a retroactive sim-time "sim" span for
-	// the run, parented under SpanParent. Sim spans carry simulated time
-	// only — wall-clock values must never reach them.
-	Spans      *ttrace.Tracer
-	SpanParent string
+	Hooks
 }
 
 // DynamicResult is the outcome of an FCT run.
@@ -120,15 +108,7 @@ type DynamicResult struct {
 	Generated int
 	Completed int
 
-	// FaultTimeline is the applied fault transitions (empty without Faults).
-	FaultTimeline []faults.Transition
-	// LinkLost / LinkCorrupted total the packets the faults blackholed or
-	// corrupted across every link of the topology.
-	LinkLost, LinkCorrupted int64
-	// Violations holds the recorded guardrail violations (Guard only);
-	// ViolationTotal counts all of them, recorded or not.
-	Violations     []faults.Violation
-	ViolationTotal int64
+	FaultOutcome
 
 	// Events counts the discrete events the simulator processed — the
 	// basis for comparing engine fidelities' costs.
@@ -137,8 +117,25 @@ type DynamicResult struct {
 	Fluid *flowsim.Stats
 }
 
-// ConfigError is a rejected DynamicConfig setting. Field is the setting's
-// scenario-document name, so a loader can report which input to fix.
+// Summary is the run's headline for a manifest, the same keys from every
+// tool that writes one.
+func (r *DynamicResult) Summary() []telemetry.SummaryEntry {
+	sum := []telemetry.SummaryEntry{
+		{Key: "flows_generated", Value: strconv.Itoa(r.Generated)},
+		{Key: "flows_completed", Value: strconv.Itoa(r.Completed)},
+		{Key: "avg_fct_us_overall", Value: strconv.FormatInt(int64(r.FCT.Avg(metrics.AllFlows)/units.Microsecond), 10)},
+	}
+	if fl := r.Fluid; fl != nil {
+		sum = append(sum,
+			telemetry.SummaryEntry{Key: "events", Value: strconv.FormatInt(r.Events, 10)},
+			telemetry.SummaryEntry{Key: "recomputes", Value: strconv.FormatInt(fl.Recomputes, 10)},
+			telemetry.SummaryEntry{Key: "demotions", Value: strconv.FormatInt(fl.Demotions, 10)})
+	}
+	return sum
+}
+
+// ConfigError is a rejected StaticConfig or DynamicConfig setting. Field is the
+// setting's scenario-document name, so a loader can report which input to fix.
 type ConfigError struct {
 	Field string
 	Msg   string
@@ -213,10 +210,21 @@ func (cfg *DynamicConfig) normalize() (*fabric.Graph, error) {
 		return nil, err
 	}
 	cfg.Params = cfg.Params.Resolved(cfg.Rate, cfg.Topo.BaseRTT(cfg.Delay), nil, cfg.Queues)
-	if len(cfg.Params.Weights) != cfg.Queues {
-		return nil, &ConfigError{"weights", fmt.Sprintf("%d weights for %d queues", len(cfg.Params.Weights), cfg.Queues)}
+	return g, checkWeights(cfg.Params.Weights, cfg.Queues)
+}
+
+// checkWeights rejects a weight vector the schedulers and schemes cannot
+// run on: one entry per queue, every entry positive.
+func checkWeights(weights []int64, queues int) error {
+	if len(weights) != queues {
+		return &ConfigError{"weights", fmt.Sprintf("%d weights for %d queues", len(weights), queues)}
 	}
-	return g, nil
+	for _, w := range weights {
+		if w <= 0 {
+			return &ConfigError{"weights", fmt.Sprintf("weight %d must be positive", w)}
+		}
+	}
+	return nil
 }
 
 // Validate reports what RunDynamic would reject before simulating anything,
@@ -272,18 +280,7 @@ func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 	serviceQueues := cfg.Queues - 1
 	var flowID packet.FlowID
 
-	// Telemetry wiring. Flow accounting reads the same two sources the
-	// result does — the flow-id counter and the FCT collector — so there is
-	// no second set of books to fall out of sync.
-	var fctHist *telemetry.Histogram
-	if cfg.Telemetry != nil {
-		treg := cfg.Telemetry.Registry()
-		instrumentSim(treg, s)
-		eng.instrument(treg, cfg.Telemetry)
-		treg.CounterFunc("flows_generated_total", func() int64 { return int64(flowID) })
-		treg.CounterFunc("flows_completed_total", func() int64 { return int64(res.FCT.Len()) })
-		fctHist = treg.Histogram("fct_us", fctBounds)
-	}
+	var fctHist *telemetry.Histogram // set with telemetry attached
 
 	// One arrival process per workload; workload w maps to the DRR queues
 	// w, w+len, w+2len, ... so that "different services use different
@@ -344,34 +341,29 @@ func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 		schedule(gi, units.Time(gen.NextInterarrival()))
 	}
 
-	var stopHB func()
-	if cfg.Telemetry != nil || cfg.Progress != nil {
-		var ew telemetry.EventWriter
-		if cfg.Telemetry != nil {
-			ew = cfg.Telemetry
+	// Flow accounting reads the same two sources the result does — the
+	// flow-id counter and the FCT collector — so there is no second set of
+	// books to fall out of sync.
+	cfg.observe(s, cfg.MaxRuntime, func(reg *telemetry.Registry, run *telemetry.Run) {
+		eng.instrument(reg, run)
+		reg.CounterFunc("flows_generated_total", func() int64 { return int64(flowID) })
+		reg.CounterFunc("flows_completed_total", func() int64 { return int64(res.FCT.Len()) })
+		fctHist = reg.Histogram("fct_us", fctBounds)
+	}, func() {
+		// Run until all flows complete or the drain budget expires. The FCT
+		// collector is the single completion ledger (each completion adds
+		// one record), so the loop polls it directly.
+		deadline := units.Time(cfg.MaxRuntime)
+		for res.FCT.Len() < cfg.Flows && s.Pending() > 0 && s.Now() < deadline {
+			s.Step()
 		}
-		stopHB = startHeartbeat(s, cfg.MaxRuntime, ew, cfg.Progress)
-	}
-
-	// Run until all flows complete or the drain budget expires. The FCT
-	// collector is the single completion ledger (each completion adds one
-	// record), so the loop polls it directly.
-	deadline := units.Time(cfg.MaxRuntime)
-	for res.FCT.Len() < cfg.Flows && s.Pending() > 0 && s.Now() < deadline {
-		s.Step()
-	}
-	if stopHB != nil {
-		stopHB()
-	}
+	})
 	eng.finish(res)
-	if cfg.Spans != nil {
-		attrs := []ttrace.Attr{ttrace.A("kind", "fct")}
-		if cfg.Engine != EnginePacket {
-			attrs = append(attrs, ttrace.A("engine", string(cfg.Engine)))
-		}
-		cfg.Spans.SimSpan("sim", cfg.SpanParent, 0, s.Now(),
-			append(attrs, ttrace.AInt("flows_completed", int64(res.FCT.Len())))...)
+	attrs := []ttrace.Attr{ttrace.A("kind", "fct")}
+	if cfg.Engine != EnginePacket {
+		attrs = append(attrs, ttrace.A("engine", string(cfg.Engine)))
 	}
+	cfg.simSpan(s.Now(), append(attrs, ttrace.AInt("flows_completed", int64(res.FCT.Len())))...)
 	res.Generated = int(flowID)
 	res.Completed = res.FCT.Len()
 	res.Events = int64(s.Processed())

@@ -5,9 +5,7 @@ import (
 
 	"dynaq/internal/buffer"
 	"dynaq/internal/fabric"
-	"dynaq/internal/faults"
 	"dynaq/internal/flowsim"
-	"dynaq/internal/netsim"
 	"dynaq/internal/packet"
 	"dynaq/internal/pias"
 	"dynaq/internal/sim"
@@ -64,44 +62,31 @@ type cellEngine interface {
 	finish(res *DynamicResult)
 }
 
-// packetEngine runs flows as per-packet transfers over netsim ports wired
-// from the graph, with SPQ+DRR scheduling and two-level PIAS classification.
+// packetEngine runs flows as per-packet transfers over a packetWorld, with
+// SPQ+DRR scheduling and two-level PIAS classification.
 type packetEngine struct {
+	*packetWorld
 	cfg        *DynamicConfig
-	sim        *sim.Simulator
-	net        *topology.Network
 	classifier *pias.Classifier
-	faults     *faults.Engine
-	reg        *faults.Registry
-	guard      *faults.Guardrail
 }
 
 func newPacketEngine(s *sim.Simulator, g *fabric.Graph, cfg *DynamicConfig) (*packetEngine, error) {
-	net, err := topology.Build(s, g, topology.Config{
+	w, err := newPacketWorld(s, g, topology.Config{
 		Delay:          cfg.Delay,
 		Buffer:         cfg.Buffer,
 		Queues:         cfg.Queues,
 		FailureAware:   cfg.FailureAware,
 		DetectionDelay: cfg.DetectionDelay,
 		Factories:      Factories(cfg.Scheme, SchedSPQDRR, cfg.Params, cfg.MTU),
-	})
+	}, cfg.Faults, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	e := &packetEngine{cfg: cfg, sim: s, net: net}
-	if len(cfg.Faults) > 0 {
-		e.reg = net.FaultRegistry()
-		e.faults = faults.NewEngine(s, e.reg, cfg.Seed)
-		if err := e.faults.Schedule(cfg.Faults); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.Guard {
-		e.guard = faults.NewGuardrail(32)
-		net.EachPort(e.guard.Watch)
+		w.watch()
 	}
-	e.classifier, err = pias.NewClassifier(cfg.Demotion, 0)
-	return e, err
+	classifier, err := pias.NewClassifier(cfg.Demotion, 0)
+	return &packetEngine{packetWorld: w, cfg: cfg, classifier: classifier}, err
 }
 
 func (e *packetEngine) start(_ units.Time, f flowStart) {
@@ -125,24 +110,7 @@ func (e *packetEngine) start(_ units.Time, f flowStart) {
 	}
 }
 
-func (e *packetEngine) instrument(reg *telemetry.Registry, run *telemetry.Run) {
-	e.net.EachPort(func(label string, p *netsim.Port) { p.Instrument(reg, label) })
-	instrumentTransport(reg, e.net.Endpoints)
-	instrumentFaults(reg, run, e.faults, e.guard)
-	instrumentLinks(reg, e.reg)
-}
-
-func (e *packetEngine) finish(res *DynamicResult) {
-	if e.faults != nil {
-		res.FaultTimeline = e.faults.Timeline()
-		res.LinkLost, res.LinkCorrupted = e.reg.Totals()
-	}
-	if e.guard != nil {
-		e.guard.Recheck(e.sim.Now())
-		res.Violations = e.guard.Violations()
-		res.ViolationTotal = e.guard.Total()
-	}
-}
+func (e *packetEngine) finish(res *DynamicResult) { e.packetWorld.finish(&res.FaultOutcome) }
 
 // fluidEngine runs flows as fluid rate processes in a flowsim.Engine; under
 // EngineHybrid congested ports are packetized through the real scheme

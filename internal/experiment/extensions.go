@@ -14,6 +14,57 @@ import (
 	"dynaq/internal/workload"
 )
 
+// testbedRack wires the §V-A rack — hosts 1GbE hosts around one switch,
+// 500µs base RTT — with the given per-port buffer and factories.
+func testbedRack(s *sim.Simulator, hosts, queues int, buf units.ByteSize, pool *buffer.SharedPool, f topology.Factories) (*topology.Network, error) {
+	g, err := fabric.NewStar(hosts, testbedRate)
+	if err != nil {
+		return nil, err
+	}
+	w, err := newPacketWorld(s, g, topology.Config{
+		Delay: testbedDelay, Buffer: buf, Queues: queues, Pool: pool, Factories: f,
+	}, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	return w.net, nil
+}
+
+// hogAndBurst scripts the §II-C scenario on net: 16 long flows of class
+// hogClass from hosts hogSrc(0..15) to hogDst, started 250µs apart, then at
+// 1s burst 6KB flows of class 1 from host 1 to burstDst within microseconds
+// of each other. It returns the burst's completion times.
+func hogAndBurst(s *sim.Simulator, net *topology.Network, hogSrc func(i int) int, hogDst, hogClass, burstDst, burst int) *metrics.FCTCollector {
+	start := func(at units.Time, src int, fc transport.FlowConfig) {
+		s.At(at, func() {
+			if _, err := net.Endpoints[src].StartFlow(fc); err != nil {
+				panic(err) // the scripted ids are distinct
+			}
+		})
+	}
+	for i := 0; i < 16; i++ {
+		start(units.Time(i)*units.Time(units.Millisecond)/4, hogSrc(i),
+			transport.FlowConfig{Flow: packet.FlowID(1 + i), Dst: hogDst, Class: hogClass})
+	}
+	fct := metrics.NewFCTCollector()
+	for i := 0; i < burst; i++ {
+		start(units.Time(units.Second).Add(units.Duration(i)*units.Microsecond), 1, transport.FlowConfig{
+			Flow: packet.FlowID(100 + i), Dst: burstDst, Class: 1, Size: 6 * units.KB,
+			OnComplete: func(d units.Duration) { fct.Add(6*units.KB, d) },
+		})
+	}
+	return fct
+}
+
+// burstRow starts a row with the burst's average and p99 completion time in
+// milliseconds.
+func burstRow(fct *metrics.FCTCollector) []float64 {
+	return []float64{
+		float64(fct.Avg(metrics.AllFlows)) / float64(units.Millisecond),
+		float64(fct.Percentile(metrics.AllFlows, 0.99)) / float64(units.Millisecond),
+	}
+}
+
 // ExtMicroburst compares how the schemes absorb a synchronized microburst
 // of small flows into a port whose buffer is monopolized by a long-flow
 // hog queue. It extends the paper's §II-C discussion: BarberQ ([12])
@@ -26,61 +77,27 @@ func ExtMicroburst(o Options) (*AblationResult, error) {
 		Schemes: []Scheme{DynaQ, BarberQ, BestEffort},
 	}
 	burstFlows := pick(o, 16, 32, 32)
-	for _, scheme := range out.Schemes {
+	var err error
+	out.Rows, err = RunTrials(len(out.Schemes), o.Parallel, func(i int) ([]float64, error) {
 		s := sim.New()
-		star, err := topology.NewStar(s, topology.StarConfig{
-			Hosts:  3,
-			Rate:   testbedRate,
-			Delay:  testbedDelay,
-			Buffer: testbedBuffer,
-			Queues: 4,
-			Factories: Factories(scheme, SchedDRR,
-				SchemeParams{Rate: testbedRate, BaseRTT: fabric.Star.BaseRTT(testbedDelay), Weights: equalWeights(4)},
-				testbedMTU),
-		})
+		net, err := testbedRack(s, 3, 4, testbedBuffer, nil, Factories(out.Schemes[i], SchedDRR,
+			SchemeParams{Rate: testbedRate, BaseRTT: fabric.Star.BaseRTT(testbedDelay), Weights: equalWeights(4)},
+			testbedMTU))
 		if err != nil {
 			return nil, err
 		}
+		// Hog: queue 2 from host 0. Burst: queue 1 from host 1. Both sink at
+		// host 2.
 		const receiver = 2
-		// Hog: 16 long flows on queue 2 from host 0.
-		for i := 0; i < 16; i++ {
-			id := packet.FlowID(1 + i)
-			at := units.Time(i) * units.Time(units.Millisecond) / 4
-			s.At(at, func() {
-				if _, err := star.Endpoints[0].StartFlow(transport.FlowConfig{
-					Flow: id, Dst: receiver, Class: 2,
-				}); err != nil {
-					panic(err)
-				}
-			})
-		}
-		// Burst: at 1s, burstFlows small flows (6KB each) hit queue 1
-		// from host 1 within a few microseconds of each other.
-		fct := metrics.NewFCTCollector()
-		for i := 0; i < burstFlows; i++ {
-			id := packet.FlowID(100 + i)
-			at := units.Time(units.Second).Add(units.Duration(i) * units.Microsecond)
-			s.At(at, func() {
-				if _, err := star.Endpoints[1].StartFlow(transport.FlowConfig{
-					Flow: id, Dst: receiver, Class: 1, Size: 6 * units.KB,
-					OnComplete: func(d units.Duration) { fct.Add(6*units.KB, d) },
-				}); err != nil {
-					panic(err)
-				}
-			})
-		}
+		fct := hogAndBurst(s, net, func(int) int { return 0 }, receiver, 2, receiver, burstFlows)
+		port := net.HostPort(receiver)
 		dropsBefore := int64(0)
-		s.At(units.Time(units.Second-units.Picosecond), func() {
-			dropsBefore = star.Port(receiver).QueueDrops(1)
-		})
+		s.At(units.Time(units.Second-units.Picosecond), func() { dropsBefore = port.QueueDrops(1) })
 		s.RunUntil(units.Time(3 * units.Second))
-		port := star.Port(receiver)
-		out.Rows = append(out.Rows, []float64{
-			float64(fct.Avg(metrics.AllFlows)) / float64(units.Millisecond),
-			float64(fct.Percentile(metrics.AllFlows, 0.99)) / float64(units.Millisecond),
-			float64(port.QueueDrops(1) - dropsBefore),
-			float64(port.Stats().Evicted),
-		})
+		return append(burstRow(fct), float64(port.QueueDrops(1)-dropsBefore), float64(port.Stats().Evicted)), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -98,12 +115,13 @@ func ExtSharedMemory(o Options) (*AblationResult, error) {
 	}
 	totalMem := 2 * testbedBuffer // the switch SRAM covering both hot and quiet port
 	burstFlows := pick(o, 24, 48, 48)
-	for _, mode := range out.Schemes {
+	var err error
+	out.Rows, err = RunTrials(len(out.Schemes), o.Parallel, func(i int) ([]float64, error) {
 		s := sim.New()
 		var pool *buffer.SharedPool
 		perPort := testbedBuffer
 		factories := Factories(DynaQ, SchedDRR, SchemeParams{Weights: equalWeights(4)}, testbedMTU)
-		if mode == "DT-shared" {
+		if out.Schemes[i] == "DT-shared" {
 			var err error
 			if pool, err = buffer.NewSharedPool(totalMem); err != nil {
 				return nil, err
@@ -115,49 +133,18 @@ func ExtSharedMemory(o Options) (*AblationResult, error) {
 				return buffer.NewDT(pool, 2)
 			}
 		}
-		rack, err := fabric.NewStar(4, testbedRate)
+		net, err := testbedRack(s, 4, 4, perPort, pool, factories)
 		if err != nil {
 			return nil, err
 		}
-		net, err := topology.Build(s, rack, topology.Config{
-			Delay: testbedDelay, Buffer: perPort, Queues: 4, Pool: pool, Factories: factories,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Hot port: hosts 0 and 1 blast 16 long flows at host 2.
-		for i := 0; i < 16; i++ {
-			id := packet.FlowID(1 + i)
-			src := i % 2
-			at := units.Time(i) * units.Time(units.Millisecond) / 4
-			s.At(at, func() {
-				if _, err := net.Endpoints[src].StartFlow(transport.FlowConfig{
-					Flow: id, Dst: 2, Class: 0,
-				}); err != nil {
-					panic(err)
-				}
-			})
-		}
-		// Quiet port: a microburst at 1s from host 0 to host 3.
-		fct := metrics.NewFCTCollector()
-		for i := 0; i < burstFlows; i++ {
-			id := packet.FlowID(100 + i)
-			at := units.Time(units.Second).Add(units.Duration(i) * units.Microsecond)
-			s.At(at, func() {
-				if _, err := net.Endpoints[1].StartFlow(transport.FlowConfig{
-					Flow: id, Dst: 3, Class: 1, Size: 6 * units.KB,
-					OnComplete: func(d units.Duration) { fct.Add(6*units.KB, d) },
-				}); err != nil {
-					panic(err)
-				}
-			})
-		}
+		// Hot port: hosts 0 and 1 blast queue 0 at host 2. Quiet port: the
+		// microburst from host 1 to host 3.
+		fct := hogAndBurst(s, net, func(k int) int { return k % 2 }, 2, 0, 3, burstFlows)
 		s.RunUntil(units.Time(3 * units.Second))
-		out.Rows = append(out.Rows, []float64{
-			float64(fct.Avg(metrics.AllFlows)) / float64(units.Millisecond),
-			float64(fct.Percentile(metrics.AllFlows, 0.99)) / float64(units.Millisecond),
-			float64(net.HostPort(3).Stats().Dropped),
-		})
+		return append(burstRow(fct), float64(net.HostPort(3).Stats().Dropped)), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -175,27 +162,14 @@ func ExtProtocolDependence(o Options) (*AblationResult, error) {
 		Labels:  []string{"dctcp-share(0.5)", "Jain", "agg-Gbps"},
 		Schemes: []Scheme{DynaQ, PMSB, MQECN, PerQueueECN},
 	}
-	for _, scheme := range out.Schemes {
-		specs := []QueueSpec{
-			{Class: 1, Flows: 2, Hosts: 1, ECN: true,
-				Ctrl: func() transport.Controller { return transport.NewDCTCP() }},
-			{Class: 2, Flows: 16, Hosts: 1,
-				Ctrl: func() transport.Controller { return transport.NewCubic() }},
-		}
+	specs := twoVsSixteen()
+	specs[0].ECN, specs[0].Ctrl = true, newDCTCPCtrl
+	specs[1].Ctrl = func() transport.Controller { return transport.NewCubic() }
+	return out.staticRows(o, func(scheme Scheme) StaticConfig {
 		cfg := testbedStatic(scheme, equalWeights(4), specs, dur, o.Seed)
 		cfg.Params = SchemeParams{Weights: cfg.Params.Weights, PerQueueK: 30 * units.KB}
-		res, err := RunStatic(cfg)
-		if err != nil {
-			return nil, err
-		}
-		warm, end := units.Time(dur/5), units.Time(dur)
-		out.Rows = append(out.Rows, []float64{
-			res.ShareOf(1, warm, end),
-			res.JainOver([]int{1, 2}, warm, end),
-			float64(res.AvgAggregate(warm, end)) / 1e9,
-		})
-	}
-	return out, nil
+		return cfg
+	}, func(res *StaticResult) []float64 { return shareJainAgg(res, dur) })
 }
 
 // ExtTofino verifies the §IV-A conjecture for programmable switches: with
@@ -209,24 +183,9 @@ func ExtTofino(o Options) (*AblationResult, error) {
 		Labels:  []string{"q1-share(0.5)", "Jain", "agg-Gbps"},
 		Schemes: []Scheme{DynaQ, DynaQTofino, BestEffort},
 	}
-	for _, scheme := range out.Schemes {
-		specs := []QueueSpec{
-			{Class: 1, Flows: 2, Hosts: 1},
-			{Class: 2, Flows: 16, Hosts: 1},
-		}
-		cfg := testbedStatic(scheme, equalWeights(4), specs, dur, o.Seed)
-		res, err := RunStatic(cfg)
-		if err != nil {
-			return nil, err
-		}
-		warm, end := units.Time(dur/5), units.Time(dur)
-		out.Rows = append(out.Rows, []float64{
-			res.ShareOf(1, warm, end),
-			res.JainOver([]int{1, 2}, warm, end),
-			float64(res.AvgAggregate(warm, end)) / 1e9,
-		})
-	}
-	return out, nil
+	return out.staticRows(o, func(scheme Scheme) StaticConfig {
+		return testbedStatic(scheme, equalWeights(4), twoVsSixteen(), dur, o.Seed)
+	}, func(res *StaticResult) []float64 { return shareJainAgg(res, dur) })
 }
 
 // ExtTransportZoo pushes protocol independence past Fig. 7: four service
@@ -247,29 +206,22 @@ func ExtTransportZoo(o Options) (*AblationResult, error) {
 		func() transport.Controller { return transport.NewDCTCP() },
 		func() transport.Controller { return transport.NewTimely() },
 	}
-	for _, scheme := range out.Schemes {
-		var specs []QueueSpec
-		for q := 0; q < 4; q++ {
-			specs = append(specs, QueueSpec{
-				Class: q, Flows: 4, Hosts: 1, Ctrl: ctrls[q],
-			})
-		}
-		cfg := testbedStatic(scheme, equalWeights(4), specs, dur, o.Seed)
-		res, err := RunStatic(cfg)
-		if err != nil {
-			return nil, err
-		}
-		warm, end := units.Time(dur/5), units.Time(dur)
+	var specs []QueueSpec
+	for q, ctrl := range ctrls {
+		specs = append(specs, QueueSpec{Class: q, Flows: 4, Hosts: 1, Ctrl: ctrl})
+	}
+	warm, end := units.Time(dur/5), units.Time(dur)
+	return out.staticRows(o, func(scheme Scheme) StaticConfig {
+		return testbedStatic(scheme, equalWeights(4), specs, dur, o.Seed)
+	}, func(res *StaticResult) []float64 {
 		xs := make([]float64, 4)
 		row := make([]float64, 0, 6)
-		for q := 0; q < 4; q++ {
+		for q := range xs {
 			xs[q] = float64(res.AvgThroughput(q, warm, end))
 			row = append(row, res.ShareOf(q, warm, end))
 		}
-		row = append(row, metrics.Jain(xs), float64(res.AvgAggregate(warm, end))/1e9)
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+		return append(row, metrics.Jain(xs), float64(res.AvgAggregate(warm, end))/1e9)
+	})
 }
 
 // ExtClosedLoop reruns the Fig. 8 comparison with the §V-A2 application
@@ -281,29 +233,15 @@ func ExtClosedLoop(o Options) (*FCTResult, error) {
 	requests := pick(o, 150, 1000, 10000)
 	loads := pick(o, []float64{0.6}, []float64{0.5, 0.8}, []float64{0.3, 0.4, 0.5, 0.6, 0.7, 0.8})
 	horizon := pick(o, 60*units.Second, 120*units.Second, 600*units.Second)
-	schemes := NonECNSchemes()
-	cells := make([]fctCell, 0, len(loads)*len(schemes))
-	for _, load := range loads {
-		for _, scheme := range schemes {
-			cells = append(cells, fctCell{load: load, scheme: scheme})
-		}
-	}
+	cells := fctCells(loads, NonECNSchemes())
 	// Each cell builds its whole world — simulator, star, classifier,
 	// client — inside the trial, so cells parallelize like the open-loop
 	// FCT figures.
 	stats, err := RunTrials(len(cells), o.Parallel, func(i int) (FCTStats, error) {
-		load, scheme := cells[i].load, cells[i].scheme
 		s := sim.New()
-		star, err := topology.NewStar(s, topology.StarConfig{
-			Hosts:  5,
-			Rate:   testbedRate,
-			Delay:  testbedDelay,
-			Buffer: testbedBuffer,
-			Queues: 5,
-			Factories: Factories(scheme, SchedSPQDRR,
-				SchemeParams{Rate: testbedRate, BaseRTT: fabric.Star.BaseRTT(testbedDelay),
-					Weights: equalWeights(5)}, testbedMTU),
-		})
+		star, err := testbedRack(s, 5, 5, testbedBuffer, nil, Factories(cells[i].scheme, SchedSPQDRR,
+			SchemeParams{Rate: testbedRate, BaseRTT: fabric.Star.BaseRTT(testbedDelay),
+				Weights: equalWeights(5)}, testbedMTU))
 		if err != nil {
 			return FCTStats{}, err
 		}
@@ -315,7 +253,7 @@ func ExtClosedLoop(o Options) (*FCTResult, error) {
 			Client:        star.Endpoints[4],
 			Servers:       star.Endpoints[:4],
 			CDF:           workload.WebSearch(),
-			Load:          load,
+			Load:          cells[i].load,
 			Capacity:      testbedRate,
 			Requests:      requests,
 			ServiceQueues: 4,
@@ -330,16 +268,7 @@ func ExtClosedLoop(o Options) (*FCTResult, error) {
 		for client.Done() < requests && s.Pending() > 0 && s.Now() < units.Time(horizon) {
 			s.Step()
 		}
-		return FCTStats{
-			Scheme:     scheme,
-			Load:       load,
-			AvgOverall: client.FCT.Avg(metrics.AllFlows),
-			AvgSmall:   client.FCT.Avg(metrics.SmallFlows),
-			AvgLarge:   client.FCT.Avg(metrics.LargeFlows),
-			P99Small:   client.FCT.Percentile(metrics.SmallFlows, 0.99),
-			Completed:  client.Done(),
-			Generated:  client.Issued(),
-		}, nil
+		return cells[i].stats(client.FCT, client.Done(), client.Issued()), nil
 	})
 	if err != nil {
 		return nil, err
@@ -358,29 +287,14 @@ func ExtDynaQECNMode(o Options) (*AblationResult, error) {
 		Labels:  []string{"q1-share(0.5)", "Jain", "agg-Gbps", "drops-k"},
 		Schemes: []Scheme{DynaQ, DynaQECN},
 	}
-	for _, scheme := range out.Schemes {
-		specs := []QueueSpec{
-			{Class: 1, Flows: 2, Hosts: 1},
-			{Class: 2, Flows: 16, Hosts: 1},
-		}
+	return out.staticRows(o, func(scheme Scheme) StaticConfig {
+		specs := twoVsSixteen()
 		if scheme.IsECNBased() {
 			for i := range specs {
 				specs[i].Ctrl = newDCTCPCtrl
 				specs[i].ECN = true
 			}
 		}
-		cfg := testbedStatic(scheme, equalWeights(4), specs, dur, o.Seed)
-		res, err := RunStatic(cfg)
-		if err != nil {
-			return nil, err
-		}
-		warm, end := units.Time(dur/5), units.Time(dur)
-		out.Rows = append(out.Rows, []float64{
-			res.ShareOf(1, warm, end),
-			res.JainOver([]int{1, 2}, warm, end),
-			float64(res.AvgAggregate(warm, end)) / 1e9,
-			float64(res.Drops) / 1000,
-		})
-	}
-	return out, nil
+		return testbedStatic(scheme, equalWeights(4), specs, dur, o.Seed)
+	}, func(res *StaticResult) []float64 { return append(shareJainAgg(res, dur), float64(res.Drops)/1000) })
 }

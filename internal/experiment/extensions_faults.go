@@ -39,75 +39,54 @@ func ExtFaults(o Options) (*AblationResult, error) {
 		},
 		Schemes: NonECNSchemes(),
 	}
-	for _, scheme := range out.Schemes {
-		srow, err := extFaultsStatic(o, scheme, dur)
-		if err != nil {
-			return nil, fmt.Errorf("ext-faults %s static: %w", scheme, err)
+	static, err := staticGrid(o, out.Schemes, func(scheme Scheme) StaticConfig {
+		// Queue 1 is the light tenant the faults pick on, queue 2 the heavy
+		// competitor.
+		cfg := testbedStatic(scheme, equalWeights(4), twoVsSixteen(), dur, o.Seed)
+		cfg.SampleEvery = 100 * units.Millisecond
+		cfg.Guard = true
+		// host0 carries queue 1's flows; host2 is the receiver, so tor:2 is
+		// the measured bottleneck egress.
+		cfg.Faults = []faults.Spec{
+			{Kind: faults.KindLoss, Target: "tor:2", AtS: 0, Rate: 0.001},
+			{
+				Kind: faults.KindFlap, Target: "host0:nic",
+				AtS:     0.3 * dur.Seconds(),
+				UntilS:  0.5 * dur.Seconds(),
+				PeriodS: 0.2, JitterS: 0.02,
+			},
 		}
-		drow, err := extFaultsDynamic(o, scheme)
-		if err != nil {
-			return nil, fmt.Errorf("ext-faults %s dynamic: %w", scheme, err)
-		}
-		row := []float64{
-			srow.jain, srow.q1Share, srow.aggGbps,
-			drow.fctAvgMs, drow.completed,
-			float64(srow.lost+drow.lost) / 1000,
-			float64(srow.violations + drow.violations),
-		}
-		out.Rows = append(out.Rows, row)
+		return cfg
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ext-faults static: %w", err)
+	}
+	dynamic, err := RunTrials(len(out.Schemes), o.Parallel, func(i int) (*DynamicResult, error) {
+		return RunDynamic(extFaultsFabric(o, out.Schemes[i]))
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ext-faults dynamic: %w", err)
+	}
+	// Measure the static half after the flap window: did the flapped tenant
+	// recover its fair share, or did the heavy queue keep the buffer it
+	// grabbed?
+	warm, end := units.Time(dur).Add(-dur.Scale(0.4)), units.Time(dur)
+	for i, st := range static {
+		dy := dynamic[i]
+		out.Rows = append(out.Rows, []float64{
+			st.JainOver([]int{1, 2}, warm, end), st.ShareOf(1, warm, end), float64(st.AvgAggregate(warm, end)) / 1e9,
+			float64(dy.FCT.Avg(metrics.AllFlows)) / float64(units.Millisecond),
+			float64(dy.Completed) / float64(dy.Generated),
+			float64(st.LinkLost+st.LinkCorrupted+dy.LinkLost+dy.LinkCorrupted) / 1000,
+			float64(st.ViolationTotal + dy.ViolationTotal),
+		})
 	}
 	return out, nil
 }
 
-type extFaultsStaticRow struct {
-	jain, q1Share, aggGbps float64
-	lost                   int64
-	violations             int64
-}
-
-func extFaultsStatic(o Options, scheme Scheme, dur units.Duration) (*extFaultsStaticRow, error) {
-	specs := []QueueSpec{
-		{Class: 1, Flows: 2, Hosts: 1},  // the light tenant the faults pick on
-		{Class: 2, Flows: 16, Hosts: 1}, // the heavy competitor
-	}
-	cfg := testbedStatic(scheme, equalWeights(4), specs, dur, o.Seed)
-	cfg.SampleEvery = 100 * units.Millisecond
-	cfg.Guard = true
-	// host0 carries queue 1's flows; host2 is the receiver, so tor:2 is
-	// the measured bottleneck egress.
-	cfg.Faults = []faults.Spec{
-		{Kind: faults.KindLoss, Target: "tor:2", AtS: 0, Rate: 0.001},
-		{
-			Kind: faults.KindFlap, Target: "host0:nic",
-			AtS:     0.3 * dur.Seconds(),
-			UntilS:  0.5 * dur.Seconds(),
-			PeriodS: 0.2, JitterS: 0.02,
-		},
-	}
-	res, err := RunStatic(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Measure after the flap window: did the flapped tenant recover its
-	// fair share, or did the heavy queue keep the buffer it grabbed?
-	warm, end := units.Time(dur).Add(-dur.Scale(0.4)), units.Time(dur)
-	return &extFaultsStaticRow{
-		jain:       res.JainOver([]int{1, 2}, warm, end),
-		q1Share:    res.ShareOf(1, warm, end),
-		aggGbps:    float64(res.AvgAggregate(warm, end)) / 1e9,
-		lost:       res.LinkLost + res.LinkCorrupted,
-		violations: res.ViolationTotal,
-	}, nil
-}
-
-type extFaultsDynamicRow struct {
-	fctAvgMs, completed float64
-	lost                int64
-	violations          int64
-}
-
-func extFaultsDynamic(o Options, scheme Scheme) (*extFaultsDynamicRow, error) {
-	cfg := DynamicConfig{
+// extFaultsFabric is scenario 2's cell for one scheme.
+func extFaultsFabric(o Options, scheme Scheme) DynamicConfig {
+	return DynamicConfig{
 		Scheme:       scheme,
 		Params:       SchemeParams{Weights: equalWeights(4)},
 		Topo:         TopoLeafSpine,
@@ -139,17 +118,4 @@ func extFaultsDynamic(o Options, scheme Scheme) (*extFaultsDynamicRow, error) {
 			{Kind: faults.KindLoss, Target: "leaf0:spine1", AtS: 0, Rate: 0.005},
 		},
 	}
-	res, err := RunDynamic(cfg)
-	if err != nil {
-		return nil, err
-	}
-	row := &extFaultsDynamicRow{
-		completed:  float64(res.Completed) / float64(res.Generated),
-		lost:       res.LinkLost + res.LinkCorrupted,
-		violations: res.ViolationTotal,
-	}
-	if res.Completed > 0 {
-		row.fctAvgMs = float64(res.FCT.Avg(metrics.AllFlows)) / float64(units.Millisecond)
-	}
-	return row, nil
 }

@@ -40,6 +40,19 @@ func trim3(v float64) string {
 	return fmt.Sprintf("%.3f", v)
 }
 
+// staticRows is the comparison as grid × extractor: one static cell per
+// scheme of r, and the row each result yields, in scheme order.
+func (r *AblationResult) staticRows(o Options, cell func(Scheme) StaticConfig, row func(*StaticResult) []float64) (*AblationResult, error) {
+	cells, err := staticGrid(o, r.Schemes, cell)
+	if err != nil {
+		return nil, err
+	}
+	for _, res := range cells {
+		r.Rows = append(r.Rows, row(res))
+	}
+	return r, nil
+}
+
 // AblationVictim reproduces the §III-B victim-selection argument: under
 // DRR weights 4:3:2:1 the naive largest-threshold rule keeps victimizing
 // the heavy queue (or dropping when it is protected), hurting weighted
@@ -58,30 +71,26 @@ func AblationVictim(o Options) (*AblationResult, error) {
 		Labels:  []string{"weighted-Jain", "q3-share(0.5)", "agg-Gbps", "drops-k"},
 		Schemes: []Scheme{DynaQ, DynaQNaiveVictim},
 	}
-	for _, scheme := range out.Schemes {
-		specs := []QueueSpec{
-			{Class: 0, Flows: 16, Hosts: 1}, // light queue floods
-			{Class: 1, Flows: 4, Hosts: 1},
-			{Class: 2, Flows: 2, Hosts: 1}, // heavy queue, few flows
-		}
-		cfg := testbedStatic(scheme, weights, specs, dur, o.Seed)
-		res, err := RunStatic(cfg)
-		if err != nil {
-			return nil, err
-		}
-		warm, end := units.Time(dur/5), units.Time(dur)
+	specs := []QueueSpec{
+		{Class: 0, Flows: 16, Hosts: 1}, // light queue floods
+		{Class: 1, Flows: 4, Hosts: 1},
+		{Class: 2, Flows: 2, Hosts: 1}, // heavy queue, few flows
+	}
+	warm, end := units.Time(dur/5), units.Time(dur)
+	return out.staticRows(o, func(scheme Scheme) StaticConfig {
+		return testbedStatic(scheme, weights, specs, dur, o.Seed)
+	}, func(res *StaticResult) []float64 {
 		xs := make([]float64, 3)
 		for q := range xs {
 			xs[q] = float64(res.AvgThroughput(q, warm, end))
 		}
-		out.Rows = append(out.Rows, []float64{
+		return []float64{
 			metrics.WeightedJain(xs, weights),
 			res.ShareOf(2, warm, end),
 			float64(res.AvgAggregate(warm, end)) / 1e9,
 			float64(res.Drops) / 1000,
-		})
-	}
-	return out, nil
+		}
+	})
 }
 
 // AblationSatisfaction reproduces the Eq. 3 headroom argument: with
@@ -95,37 +104,23 @@ func AblationSatisfaction(o Options) (*AblationResult, error) {
 		Labels:  []string{"q1-share(0.5)", "share-stddev", "Jain"},
 		Schemes: []Scheme{DynaQ, DynaQWBDP},
 	}
-	for _, scheme := range out.Schemes {
-		specs := []QueueSpec{
-			{Class: 1, Flows: 2, Hosts: 1},
-			{Class: 2, Flows: 16, Hosts: 1},
-		}
-		cfg := testbedStatic(scheme, equalWeights(4), specs, dur, o.Seed)
+	warm, end := units.Time(dur/4), units.Time(dur)
+	return out.staticRows(o, func(scheme Scheme) StaticConfig {
+		cfg := testbedStatic(scheme, equalWeights(4), twoVsSixteen(), dur, o.Seed)
 		cfg.SampleEvery = 100 * units.Millisecond
-		res, err := RunStatic(cfg)
-		if err != nil {
-			return nil, err
-		}
-		warm, end := units.Time(dur/4), units.Time(dur)
+		return cfg
+	}, func(res *StaticResult) []float64 {
 		// Per-sample share of queue 1 and its standard deviation: the
 		// instability metric.
 		var shares []float64
-		for _, smp := range res.Samples {
-			if smp.At <= warm || smp.At > end {
-				continue
+		for _, smp := range res.window(warm, end) {
+			if tot := smp.PerQueue[1] + smp.PerQueue[2]; tot != 0 {
+				shares = append(shares, float64(smp.PerQueue[1])/float64(tot))
 			}
-			tot := smp.PerQueue[1] + smp.PerQueue[2]
-			if tot == 0 {
-				continue
-			}
-			shares = append(shares, float64(smp.PerQueue[1])/float64(tot))
 		}
 		mean, sd := meanStd(shares)
-		out.Rows = append(out.Rows, []float64{
-			mean, sd, res.JainOver([]int{1, 2}, warm, end),
-		})
-	}
-	return out, nil
+		return []float64{mean, sd, res.JainOver([]int{1, 2}, warm, end)}
+	})
 }
 
 // AblationDequeueDrop reproduces the §II-C TCN-drop argument: dropping the
@@ -139,7 +134,8 @@ func AblationDequeueDrop(o Options) (*AblationResult, error) {
 		Labels:  []string{"agg-Gbps", "Jain"},
 		Schemes: []Scheme{DynaQ, TCN, TCNDrop},
 	}
-	for _, scheme := range out.Schemes {
+	warm, end := units.Time(dur/5), units.Time(dur)
+	return out.staticRows(o, func(scheme Scheme) StaticConfig {
 		specs := []QueueSpec{
 			{Class: 1, Flows: 8, Hosts: 1},
 			{Class: 2, Flows: 8, Hosts: 1},
@@ -153,17 +149,10 @@ func AblationDequeueDrop(o Options) (*AblationResult, error) {
 			}
 			cfg.ECNFlows = true
 		}
-		res, err := RunStatic(cfg)
-		if err != nil {
-			return nil, err
-		}
-		warm, end := units.Time(dur/5), units.Time(dur)
-		out.Rows = append(out.Rows, []float64{
-			float64(res.AvgAggregate(warm, end)) / 1e9,
-			res.JainOver([]int{1, 2}, warm, end),
-		})
-	}
-	return out, nil
+		return cfg
+	}, func(res *StaticResult) []float64 {
+		return []float64{float64(res.AvgAggregate(warm, end)) / 1e9, res.JainOver([]int{1, 2}, warm, end)}
+	})
 }
 
 func meanStd(xs []float64) (mean, sd float64) {

@@ -35,20 +35,39 @@ type fctCell struct {
 	scheme Scheme
 }
 
-// fctRun executes one FCT figure: the given schemes across the given loads
-// on a shared base configuration. The (load, scheme) cells are independent
-// simulations, so they run on `workers` goroutines (0 = GOMAXPROCS) and are
-// merged in grid order — the Cells slice is identical at any worker count.
-func fctRun(figure string, schemes []Scheme, loads []float64, base DynamicConfig, workers int) (*FCTResult, error) {
+// stats summarizes the cell's completion times.
+func (c fctCell) stats(fct *metrics.FCTCollector, completed, generated int) FCTStats {
+	return FCTStats{
+		Scheme:     c.scheme,
+		Load:       c.load,
+		AvgOverall: fct.Avg(metrics.AllFlows),
+		AvgSmall:   fct.Avg(metrics.SmallFlows),
+		AvgLarge:   fct.Avg(metrics.LargeFlows),
+		P99Small:   fct.Percentile(metrics.SmallFlows, 0.99),
+		Completed:  completed,
+		Generated:  generated,
+	}
+}
+
+// fctCells lists a figure grid load-major: every scheme at the first load,
+// then at the next.
+func fctCells(loads []float64, schemes []Scheme) []fctCell {
 	cells := make([]fctCell, 0, len(loads)*len(schemes))
 	for _, load := range loads {
 		for _, scheme := range schemes {
 			cells = append(cells, fctCell{load: load, scheme: scheme})
 		}
 	}
-	if base.Telemetry != nil || base.Progress != nil {
-		// A telemetry Run and a progress writer are single-stream sinks;
-		// interleaving cells would garble them.
+	return cells
+}
+
+// fctRun executes one FCT figure: the given schemes across the given loads
+// on a shared base configuration. The (load, scheme) cells are independent
+// simulations, so they run on `workers` goroutines (0 = GOMAXPROCS) and are
+// merged in grid order — the Cells slice is identical at any worker count.
+func fctRun(figure string, schemes []Scheme, loads []float64, base DynamicConfig, workers int) (*FCTResult, error) {
+	cells := fctCells(loads, schemes)
+	if base.singleStream() {
 		workers = 1
 	}
 	stats, err := RunTrials(len(cells), workers, func(i int) (FCTStats, error) {
@@ -60,16 +79,7 @@ func fctRun(figure string, schemes []Scheme, loads []float64, base DynamicConfig
 		if err != nil {
 			return FCTStats{}, err
 		}
-		return FCTStats{
-			Scheme:     cfg.Scheme,
-			Load:       cfg.Load,
-			AvgOverall: res.FCT.Avg(metrics.AllFlows),
-			AvgSmall:   res.FCT.Avg(metrics.SmallFlows),
-			AvgLarge:   res.FCT.Avg(metrics.LargeFlows),
-			P99Small:   res.FCT.Percentile(metrics.SmallFlows, 0.99),
-			Completed:  res.Completed,
-			Generated:  res.Generated,
-		}, nil
+		return cells[i].stats(res.FCT, res.Completed, res.Generated), nil
 	})
 	if err != nil {
 		return nil, err
@@ -90,28 +100,25 @@ func (r *FCTResult) Cell(s Scheme, load float64) *FCTStats {
 
 // Loads returns the distinct loads in run order.
 func (r *FCTResult) Loads() []float64 {
-	var loads []float64
-	seen := map[float64]bool{}
-	for _, c := range r.Cells {
-		if !seen[c.Load] {
-			seen[c.Load] = true
-			loads = append(loads, c.Load)
-		}
-	}
-	return loads
+	return distinct(r.Cells, func(c FCTStats) float64 { return c.Load })
 }
 
 // Schemes returns the distinct schemes in run order.
 func (r *FCTResult) Schemes() []Scheme {
-	var ss []Scheme
-	seen := map[Scheme]bool{}
-	for _, c := range r.Cells {
-		if !seen[c.Scheme] {
-			seen[c.Scheme] = true
-			ss = append(ss, c.Scheme)
+	return distinct(r.Cells, func(c FCTStats) Scheme { return c.Scheme })
+}
+
+// distinct lists key(c) over cells, each value once, in first-seen order.
+func distinct[K comparable](cells []FCTStats, key func(FCTStats) K) []K {
+	var ks []K
+	seen := map[K]bool{}
+	for _, c := range cells {
+		if k := key(c); !seen[k] {
+			seen[k] = true
+			ks = append(ks, k)
 		}
 	}
-	return ss
+	return ks
 }
 
 // Table renders the figure with FCTs normalized by DynaQ, as the paper
@@ -166,12 +173,12 @@ func fctLoads(o Options) []float64 {
 		[]float64{0.3, 0.4, 0.5, 0.6, 0.7, 0.8})
 }
 
-// Fig8 compares DynaQ with the non-ECN schemes (BestEffort, PQL) on the
-// testbed rack: SPQ(1)+DRR(4), PIAS at 100KB, web-search traffic.
-func Fig8(o Options) (*FCTResult, error) {
-	base := DynamicConfig{
+// testbedFCT is the testbed rack of the FCT figures: 4 servers answering one
+// client, SPQ(1)+DRR(4), PIAS at 100KB, web-search traffic.
+func testbedFCT(o Options, params SchemeParams) DynamicConfig {
+	return DynamicConfig{
 		Engine:    o.Engine,
-		Params:    SchemeParams{Weights: equalWeights(5)},
+		Params:    params,
 		Topo:      TopoStar,
 		Servers:   4,
 		Rate:      testbedRate,
@@ -186,37 +193,21 @@ func Fig8(o Options) (*FCTResult, error) {
 		MaxRuntime: pick(o,
 			30*units.Second, 120*units.Second, 600*units.Second),
 	}
-	return fctRun("fig8", NonECNSchemes(), fctLoads(o), base, o.Parallel)
+}
+
+// Fig8 compares DynaQ with the non-ECN schemes (BestEffort, PQL) on the
+// testbed rack.
+func Fig8(o Options) (*FCTResult, error) {
+	return fctRun("fig8", NonECNSchemes(), fctLoads(o), testbedFCT(o, SchemeParams{Weights: equalWeights(5)}), o.Parallel)
 }
 
 // Fig9 compares DynaQ (drop-based, plain TCP) with the ECN-based schemes
 // (TCN, PMSB, Per-Queue ECN) running DCTCP, on the same rack as Fig8.
 func Fig9(o Options) (*FCTResult, error) {
-	base := DynamicConfig{
-		Engine: o.Engine,
-		Params: SchemeParams{
-			Weights: equalWeights(5),
-			// Thresholds tuned like the testbed: DCTCP K = 30KB,
-			// TCN target = 240µs (§V-A "the best values
-			// experimentally found").
-			PerQueueK: 30 * units.KB,
-			TCNTarget: 240 * units.Microsecond,
-		},
-		Topo:      TopoStar,
-		Servers:   4,
-		Rate:      testbedRate,
-		Delay:     testbedDelay,
-		Buffer:    testbedBuffer,
-		Queues:    5,
-		MTU:       testbedMTU,
-		Flows:     pick(o, 200, 1500, 10000),
-		Workloads: []*workload.CDF{workload.WebSearch()},
-		MinRTO:    testbedMinRTO,
-		Seed:      o.Seed,
-		MaxRuntime: pick(o,
-			30*units.Second, 120*units.Second, 600*units.Second),
-	}
-	return fctRun("fig9", ECNSchemes(), fctLoads(o), base, o.Parallel)
+	// Thresholds tuned like the testbed: DCTCP K = 30KB, TCN target = 240µs
+	// (§V-A "the best values experimentally found").
+	tuned := SchemeParams{Weights: equalWeights(5), PerQueueK: 30 * units.KB, TCNTarget: 240 * units.Microsecond}
+	return fctRun("fig9", ECNSchemes(), fctLoads(o), testbedFCT(o, tuned), o.Parallel)
 }
 
 // Fig13 runs the large-scale leaf-spine FCT simulation: SPQ(1)+DRR(7), the

@@ -46,6 +46,43 @@ func testbedStatic(scheme Scheme, weights []int64, specs []QueueSpec, dur units.
 	}
 }
 
+// twoVsSixteen is the paper's standing isolation test: queue 1 carries 2
+// flows, queue 2 carries 16, one sender host each.
+func twoVsSixteen() []QueueSpec {
+	return []QueueSpec{
+		{Class: 1, Flows: 2, Hosts: 1},
+		{Class: 2, Flows: 16, Hosts: 1},
+	}
+}
+
+// staticGrid runs one static cell per scheme on o.Parallel workers and
+// returns the results in scheme order, identical at any worker count. A
+// figure is this grid plus what it reads off each result. One worker when a
+// cell carries a single-stream sink, as in fctRun.
+func staticGrid(o Options, schemes []Scheme, cell func(Scheme) StaticConfig) ([]*StaticResult, error) {
+	workers := o.Parallel
+	cfgs := make([]StaticConfig, len(schemes))
+	for i, scheme := range schemes {
+		cfgs[i] = cell(scheme)
+		if cfgs[i].singleStream() {
+			workers = 1
+		}
+	}
+	return RunTrials(len(cfgs), workers, func(i int) (*StaticResult, error) { return RunStatic(cfgs[i]) })
+}
+
+// shareJainAgg is the row most two-queue comparisons report over the last
+// four fifths of a run of dur: queue 1's share, the Jain index over queues 1
+// and 2, and the aggregate in Gbps.
+func shareJainAgg(res *StaticResult, dur units.Duration) []float64 {
+	warm, end := units.Time(dur/5), units.Time(dur)
+	return []float64{
+		res.ShareOf(1, warm, end),
+		res.JainOver([]int{1, 2}, warm, end),
+		float64(res.AvgAggregate(warm, end)) / 1e9,
+	}
+}
+
 // Fig1Result reproduces Figure 1: fair sharing violated by unfair buffer
 // occupancy under the best-effort scheme.
 type Fig1Result struct {
@@ -66,27 +103,28 @@ func Fig1(o Options) (*Fig1Result, error) {
 		{Class: 1, Flows: 8, Hosts: 1},
 		{Class: 2, Flows: 24, Hosts: 3},
 	}
-	cfg := testbedStatic(BestEffort, equalWeights(4), specs, dur, o.Seed)
-	cfg.TraceQueues = true
-	cfg.TraceStride = 8
-	res, err := RunStatic(cfg)
+	cells, err := staticGrid(o, []Scheme{BestEffort}, func(scheme Scheme) StaticConfig {
+		cfg := testbedStatic(scheme, equalWeights(4), specs, dur, o.Seed)
+		cfg.TraceQueues = true
+		cfg.TraceStride = 8
+		return cfg
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig1Result{}
-	warm := units.Time(dur / 10)
-	out.Rate[0] = res.AvgThroughput(1, warm, units.Time(dur))
-	out.Rate[1] = res.AvgThroughput(2, warm, units.Time(dur))
-	out.Share[0] = res.ShareOf(1, warm, units.Time(dur))
-	out.Share[1] = res.ShareOf(2, warm, units.Time(dur))
+	res, out := cells[0], &Fig1Result{}
+	warm, end := units.Time(dur/10), units.Time(dur)
 	var occ [2]float64
 	for _, s := range res.QueueTrace {
 		occ[0] += float64(s.PerQueue[1])
 		occ[1] += float64(s.PerQueue[2])
 	}
-	if n := len(res.QueueTrace); n > 0 {
-		out.AvgOccupancy[0] = units.ByteSize(occ[0] / float64(n))
-		out.AvgOccupancy[1] = units.ByteSize(occ[1] / float64(n))
+	for i := range out.Rate {
+		out.Rate[i] = res.AvgThroughput(i+1, warm, end)
+		out.Share[i] = res.ShareOf(i+1, warm, end)
+		if n := len(res.QueueTrace); n > 0 {
+			out.AvgOccupancy[i] = units.ByteSize(occ[i] / float64(n))
+		}
 	}
 	return out, nil
 }
@@ -116,26 +154,24 @@ type ConvergenceResult struct {
 	Series [][]metrics.ThroughputSample
 }
 
-// Fig3 runs the convergence experiment for BestEffort, PQL and DynaQ.
+// Fig3 runs the convergence experiment for BestEffort, PQL and DynaQ; Fig. 4
+// is the queue-evolution view (Traces) of the same runs.
 func Fig3(o Options) (*ConvergenceResult, error) {
 	dur := pick(o, 3*units.Second, 10*units.Second, 10*units.Second)
-	out := &ConvergenceResult{}
-	for _, scheme := range NonECNSchemes() {
-		specs := []QueueSpec{
-			{Class: 1, Flows: 2, Hosts: 1},
-			{Class: 2, Flows: 16, Hosts: 1},
-		}
-		cfg := testbedStatic(scheme, equalWeights(4), specs, dur, o.Seed)
+	out := &ConvergenceResult{Schemes: NonECNSchemes()}
+	cells, err := staticGrid(o, out.Schemes, func(scheme Scheme) StaticConfig {
+		cfg := testbedStatic(scheme, equalWeights(4), twoVsSixteen(), dur, o.Seed)
 		cfg.TraceQueues = true
 		cfg.TraceStride = 4
-		res, err := RunStatic(cfg)
-		if err != nil {
-			return nil, err
-		}
-		warm := units.Time(dur / 5)
-		out.Schemes = append(out.Schemes, scheme)
-		out.Share1 = append(out.Share1, res.ShareOf(1, warm, units.Time(dur)))
-		out.JainIdx = append(out.JainIdx, res.JainOver([]int{1, 2}, warm, units.Time(dur)))
+		return cfg
+	})
+	if err != nil {
+		return nil, err
+	}
+	warm, end := units.Time(dur/5), units.Time(dur)
+	for _, res := range cells {
+		out.Share1 = append(out.Share1, res.ShareOf(1, warm, end))
+		out.JainIdx = append(out.JainIdx, res.JainOver([]int{1, 2}, warm, end))
 		out.Series = append(out.Series, res.Samples)
 		// Fig. 4's "1K sequential samples at random time": take them from
 		// the middle of the run.
@@ -148,9 +184,6 @@ func Fig3(o Options) (*ConvergenceResult, error) {
 	}
 	return out, nil
 }
-
-// Fig4 is the queue-evolution view of the same runs as Fig3.
-func Fig4(o Options) (*ConvergenceResult, error) { return Fig3(o) }
 
 // Table renders the convergence summary.
 func (r *ConvergenceResult) Table() string {
@@ -193,44 +226,44 @@ func phasedRun(o Options, schemes []Scheme, ctrlFor func(class int) func() trans
 	unit := pick(o, units.Second, 5*units.Second, 5*units.Second)
 	dur := 5 * unit
 	out := &PhasedResult{
+		Schemes:    schemes,
 		Boundaries: []units.Time{0, units.Time(2 * unit), units.Time(3 * unit), units.Time(4 * unit), units.Time(5 * unit)},
 	}
-	for _, scheme := range schemes {
-		var specs []QueueSpec
-		// Paper's queue q (1-based) is service class q-1. Queue q carries
-		// 2^q flows; queue 4 stops first (at 2·unit), then 3, then 2;
-		// queue 1 runs to the end (5·unit).
-		stopOf := []units.Duration{5 * unit, 4 * unit, 3 * unit, 2 * unit}
-		for q := 1; q <= 4; q++ {
-			var ctrl func() transport.Controller
-			if ctrlFor != nil {
-				ctrl = ctrlFor(q)
-			}
-			specs = append(specs, QueueSpec{
-				Class:  q - 1,
-				Flows:  1 << q, // 2, 4, 8, 16
-				Hosts:  1,
-				StopAt: stopOf[q-1],
-				Ctrl:   ctrl,
-			})
+	// Paper's queue q (1-based) is service class q-1. Queue q carries 2^q
+	// flows; queue 4 stops first (at 2·unit), then 3, then 2; queue 1 runs
+	// to the end (5·unit).
+	var specs []QueueSpec
+	for q := 1; q <= 4; q++ {
+		var ctrl func() transport.Controller
+		if ctrlFor != nil {
+			ctrl = ctrlFor(q)
 		}
+		specs = append(specs, QueueSpec{
+			Class:  q - 1,
+			Flows:  1 << q, // 2, 4, 8, 16
+			Hosts:  1,
+			StopAt: units.Duration(6-q) * unit,
+			Ctrl:   ctrl,
+		})
+	}
+	cells, err := staticGrid(o, schemes, func(scheme Scheme) StaticConfig {
 		cfg := testbedStatic(scheme, equalWeights(4), specs, dur, o.Seed)
 		cfg.SampleEvery = pick(o, 100*units.Millisecond, 250*units.Millisecond, 500*units.Millisecond)
-		res, err := RunStatic(cfg)
-		if err != nil {
-			return nil, err
-		}
-		activeIn := [][]int{{0, 1, 2, 3}, {0, 1, 2}, {0, 1}, {0}}
+		return cfg
+	})
+	if err != nil {
+		return nil, err
+	}
+	activeIn := [][]int{{0, 1, 2, 3}, {0, 1, 2}, {0, 1}, {0}}
+	for _, res := range cells {
 		var jain []float64
 		var agg []units.Rate
-		for p := 0; p < 4; p++ {
-			from, to := out.Boundaries[p], out.Boundaries[p+1]
+		for p, active := range activeIn {
 			// Skip the convergence transient right after a stop.
-			from = from.Add(unit / 5)
-			jain = append(jain, res.JainOver(activeIn[p], from, to))
+			from, to := out.Boundaries[p].Add(unit/5), out.Boundaries[p+1]
+			jain = append(jain, res.JainOver(active, from, to))
 			agg = append(agg, res.AvgAggregate(from, to))
 		}
-		out.Schemes = append(out.Schemes, scheme)
 		out.JainPerPhase = append(out.JainPerPhase, jain)
 		out.AggPerPhase = append(out.AggPerPhase, agg)
 		out.Series = append(out.Series, res.Samples)
@@ -283,25 +316,25 @@ type Fig6Result struct {
 func Fig6(o Options) (*Fig6Result, error) {
 	dur := pick(o, 3*units.Second, 10*units.Second, 10*units.Second)
 	weights := []int64{4, 3, 2, 1}
-	out := &Fig6Result{}
-	for _, scheme := range NonECNSchemes() {
-		var specs []QueueSpec
-		for q := 1; q <= 4; q++ {
-			specs = append(specs, QueueSpec{Class: q - 1, Flows: 1 << q, Hosts: 1})
-		}
-		cfg := testbedStatic(scheme, weights, specs, dur, o.Seed)
-		res, err := RunStatic(cfg)
-		if err != nil {
-			return nil, err
-		}
-		warm := units.Time(dur / 5)
+	var specs []QueueSpec
+	for q := 1; q <= 4; q++ {
+		specs = append(specs, QueueSpec{Class: q - 1, Flows: 1 << q, Hosts: 1})
+	}
+	out := &Fig6Result{Schemes: NonECNSchemes()}
+	cells, err := staticGrid(o, out.Schemes, func(scheme Scheme) StaticConfig {
+		return testbedStatic(scheme, weights, specs, dur, o.Seed)
+	})
+	if err != nil {
+		return nil, err
+	}
+	warm, end := units.Time(dur/5), units.Time(dur)
+	for _, res := range cells {
 		var shares [4]float64
 		xs := make([]float64, 4)
-		for q := 0; q < 4; q++ {
-			shares[q] = res.ShareOf(q, warm, units.Time(dur))
-			xs[q] = float64(res.AvgThroughput(q, warm, units.Time(dur)))
+		for q := range xs {
+			shares[q] = res.ShareOf(q, warm, end)
+			xs[q] = float64(res.AvgThroughput(q, warm, end))
 		}
-		out.Schemes = append(out.Schemes, scheme)
 		out.Shares = append(out.Shares, shares)
 		out.WJain = append(out.WJain, metrics.WeightedJain(xs, weights))
 	}
@@ -337,23 +370,23 @@ type HighSpeedResult struct {
 // queue i has senders[i] single-flow senders; queues 2..8 stop every 50ms
 // from 200ms.
 func highSpeedRun(o Options, rate units.Rate, buf units.ByteSize, rtt units.Duration,
-	mtu units.ByteSize, senders [8]int, schemes []Scheme) (*HighSpeedResult, error) {
-	out := &HighSpeedResult{Rate: rate}
-	for _, scheme := range schemes {
-		var specs []QueueSpec
-		for q := 1; q <= 8; q++ {
-			stop := units.Duration(0)
-			if q >= 2 {
-				stop = 200*units.Millisecond + units.Duration(q-2)*50*units.Millisecond
-			}
-			specs = append(specs, QueueSpec{
-				Class:  q - 1,
-				Flows:  senders[q-1],
-				Hosts:  senders[q-1], // one flow per sender host
-				StopAt: stop,
-			})
+	mtu units.ByteSize, senders [8]int) (*HighSpeedResult, error) {
+	var specs []QueueSpec
+	for q := 1; q <= 8; q++ {
+		stop := units.Duration(0)
+		if q >= 2 {
+			stop = 200*units.Millisecond + units.Duration(q-2)*50*units.Millisecond
 		}
-		cfg := StaticConfig{
+		specs = append(specs, QueueSpec{
+			Class:  q - 1,
+			Flows:  senders[q-1],
+			Hosts:  senders[q-1], // one flow per sender host
+			StopAt: stop,
+		})
+	}
+	out := &HighSpeedResult{Rate: rate, Schemes: NonECNSchemes()}
+	cells, err := staticGrid(o, out.Schemes, func(scheme Scheme) StaticConfig {
+		return StaticConfig{
 			Scheme:      scheme,
 			Sched:       SchedWRR,
 			Params:      SchemeParams{Weights: equalWeights(8)},
@@ -368,38 +401,34 @@ func highSpeedRun(o Options, rate units.Rate, buf units.ByteSize, rtt units.Dura
 			MinRTO:      5 * units.Millisecond,
 			Seed:        o.Seed,
 		}
-		res, err := RunStatic(cfg)
-		if err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, res := range cells {
 		minJ, sumJ, nJ := 1.0, 0.0, 0
 		var minA units.Rate = units.Rate(1) << 62
 		var sumA int64
 		for _, smp := range res.Samples {
-			// Active queues at this sample time.
-			var xs []float64
-			for q := 0; q < 8; q++ {
-				stop := specs[q].StopAt
-				if stop == 0 || smp.At <= units.Time(stop).Add(20*units.Millisecond) {
-					xs = append(xs, float64(smp.PerQueue[q]))
-				}
-			}
-			// Skip the slow-start warmup and the sample right at a stop.
+			// Skip the slow-start warmup.
 			if smp.At < units.Time(50*units.Millisecond) {
 				continue
 			}
-			j := metrics.Jain(xs)
-			if j < minJ {
-				minJ = j
+			// Queues active at this sample time: not yet stopped, or stopped
+			// within the last 20ms (the sample right at a stop).
+			var xs []float64
+			for q, spec := range specs {
+				if spec.StopAt == 0 || smp.At <= units.Time(spec.StopAt).Add(20*units.Millisecond) {
+					xs = append(xs, float64(smp.PerQueue[q]))
+				}
 			}
+			j := metrics.Jain(xs)
+			minJ = min(minJ, j)
 			sumJ += j
 			nJ++
-			if smp.Aggregate < minA {
-				minA = smp.Aggregate
-			}
+			minA = min(minA, smp.Aggregate)
 			sumA += int64(smp.Aggregate)
 		}
-		out.Schemes = append(out.Schemes, scheme)
 		out.MinJain = append(out.MinJain, minJ)
 		out.MeanJain = append(out.MeanJain, sumJ/float64(nJ))
 		out.MinAgg = append(out.MinAgg, minA)
@@ -409,32 +438,25 @@ func highSpeedRun(o Options, rate units.Rate, buf units.ByteSize, rtt units.Dura
 	return out, nil
 }
 
+// highSpeedSenders is the Fig. 10/11 sender table: 2·i single-flow senders
+// for queue i, halved at quick scale.
+func highSpeedSenders(o Options) (senders [8]int) {
+	for i := range senders {
+		senders[i] = pick(o, 1, 2, 2) * (i + 1)
+	}
+	return senders
+}
+
 // Fig10 runs the 10Gbps bandwidth-sharing simulation (2·i senders for
 // queue i, Broadcom Trident+-like 192KB port buffer, 84µs RTT).
 func Fig10(o Options) (*HighSpeedResult, error) {
-	var senders [8]int
-	for i := range senders {
-		senders[i] = 2 * (i + 1)
-		if o.Scale == Quick {
-			senders[i] = i + 1
-		}
-	}
-	return highSpeedRun(o, 10*units.Gbps, 192*units.KB, 84*units.Microsecond,
-		1500, senders, NonECNSchemes())
+	return highSpeedRun(o, 10*units.Gbps, 192*units.KB, 84*units.Microsecond, 1500, highSpeedSenders(o))
 }
 
 // Fig11 repeats Fig10 at 100Gbps with jumbo frames and a Trident 3-like
 // 1MB buffer (40µs RTT).
 func Fig11(o Options) (*HighSpeedResult, error) {
-	var senders [8]int
-	for i := range senders {
-		senders[i] = 2 * (i + 1)
-		if o.Scale == Quick {
-			senders[i] = i + 1
-		}
-	}
-	return highSpeedRun(o, 100*units.Gbps, units.MB, 40*units.Microsecond,
-		9000, senders, NonECNSchemes())
+	return highSpeedRun(o, 100*units.Gbps, units.MB, 40*units.Microsecond, 9000, highSpeedSenders(o))
 }
 
 // Fig12 is the extreme traffic-dynamics run: queue i has 2^(3+i)
@@ -445,8 +467,7 @@ func Fig12(o Options) (*HighSpeedResult, error) {
 	for i := range senders {
 		senders[i] = 1 << (shift + i + 1)
 	}
-	return highSpeedRun(o, 100*units.Gbps, units.MB, 40*units.Microsecond,
-		9000, senders, NonECNSchemes())
+	return highSpeedRun(o, 100*units.Gbps, units.MB, 40*units.Microsecond, 9000, senders)
 }
 
 // Table renders the high-speed fairness summary.

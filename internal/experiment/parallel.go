@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -26,32 +25,6 @@ import (
 // claiming new trials, in-flight trials finish, and RunTrials returns after
 // every worker has exited.
 func RunTrials[T any](n, workers int, run func(trial int) (T, error)) ([]T, error) {
-	return RunTrialsCtx(context.Background(), n, workers, run)
-}
-
-// RunTrialsCtx is RunTrials with cooperative cancellation — the job-shaped
-// entry point dynaqd's per-job timeouts use. Cancelling ctx stops workers
-// from claiming further trials; trials already in flight run to completion
-// (a single-goroutine simulation cannot be preempted mid-run), after which
-// RunTrialsCtx returns ctx's error. A trial error observed before the
-// cancellation still wins, with the same first-by-index precedence as
-// RunTrials, so results stay independent of worker count and cancellation
-// timing races.
-func RunTrialsCtx[T any](ctx context.Context, n, workers int, run func(trial int) (T, error)) ([]T, error) {
-	return RunTrialsHooked(ctx, n, workers, nil, run)
-}
-
-// TrialHook observes the trial lifecycle inside the pool: Begin fires on the
-// trial's worker goroutine immediately before run(trial), and the returned
-// end function immediately after, with run's error. It exists so callers can
-// open and close per-trial trace spans (or any other bracketed bookkeeping)
-// without the pool depending on the trace layer; the hook itself must be
-// safe for concurrent calls and must not capture engine state (the same
-// parallel-state rules as the trial function apply).
-type TrialHook func(trial int) (end func(err error))
-
-// RunTrialsHooked is RunTrialsCtx with an optional per-trial lifecycle hook.
-func RunTrialsHooked[T any](ctx context.Context, n, workers int, hook TrialHook, run func(trial int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("experiment: RunTrials needs n > 0")
 	}
@@ -59,64 +32,42 @@ func RunTrialsHooked[T any](ctx context.Context, n, workers int, hook TrialHook,
 		return nil, fmt.Errorf("experiment: RunTrials needs a trial function")
 	}
 	workers = Workers(workers, n)
-	runOne := func(i int) (T, error) {
-		if hook == nil {
-			return run(i)
-		}
-		end := hook(i)
-		v, err := run(i)
-		if end != nil {
-			end(err)
-		}
-		return v, err
-	}
 	results := make([]T, n)
+	errs := make([]error, n) // distinct indices: race-free without a lock
 	if workers == 1 {
 		for i := range results {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("experiment: cancelled before trial %d: %w", i, err)
+			if results[i], errs[i] = run(i); errs[i] != nil {
+				break
 			}
-			v, err := runOne(i)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: trial %d: %w", i, err)
-			}
-			results[i] = v
 		}
-		return results, nil
-	}
-	var (
-		next atomic.Int64
-		stop atomic.Bool
-		wg   sync.WaitGroup
-		errs = make([]error, n) // distinct indices: race-free without a lock
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() && ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
+	} else {
+		var (
+			next atomic.Int64 // trials claimed so far
+			wg   sync.WaitGroup
+		)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						return
+					}
+					if results[i], errs[i] = run(i); errs[i] != nil {
+						// Cancel: every later claim, this worker's next one
+						// included, finds nothing left.
+						next.Store(int64(n))
+					}
 				}
-				v, err := runOne(i)
-				if err != nil {
-					errs[i] = err
-					stop.Store(true)
-					return
-				}
-				results[i] = v
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: trial %d: %w", i, err)
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("experiment: trials cancelled: %w", err)
 	}
 	return results, nil
 }

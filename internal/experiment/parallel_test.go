@@ -34,16 +34,60 @@ func TestRunTrialsIndexOrder(t *testing.T) {
 	}
 }
 
+// rendezvous holds each caller until n have arrived. A pool of n workers
+// whose first n trials all wait here has every worker inside a trial when the
+// first of them goes on — whatever the scheduler does.
+type rendezvous struct {
+	n       int64
+	arrived atomic.Int64
+	open    chan struct{}
+}
+
+func newRendezvous(n int) *rendezvous { return &rendezvous{n: int64(n), open: make(chan struct{})} }
+
+func (r *rendezvous) wait() {
+	if r.arrived.Add(1) == r.n {
+		close(r.open)
+	}
+	<-r.open
+}
+
 // TestRunTrialsErrorCancelsPool checks the failure contract: the first error
-// (by index) is reported, idle workers stop claiming trials, and RunTrials
-// only returns once every worker has exited.
+// by index is reported whichever failed first, trials in flight finish before
+// RunTrials returns, and a worker claims nothing after its trial failed. How
+// many trials the other workers claim before they see the cancellation is up
+// to the scheduler, so nothing here counts them.
 func TestRunTrialsErrorCancelsPool(t *testing.T) {
 	boom := errors.New("boom")
+	const n, workers = 1000, 4
+
+	// Sequentially the trials after the failure never start.
 	var started atomic.Int64
-	const n = 1000
-	_, err := RunTrials(n, 4, func(i int) (int, error) {
+	_, err := RunTrials(n, 1, func(i int) (int, error) {
 		started.Add(1)
 		if i == 3 {
+			return 0, boom
+		}
+		return i, nil
+	})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "trial 3") {
+		t.Fatalf("sequential: error %v, want boom from trial 3", err)
+	}
+	if got := started.Load(); got != 4 {
+		t.Errorf("sequential: %d trials started, want 4", got)
+	}
+
+	// Two of the four workers fail, with all four in flight.
+	var finished atomic.Int64
+	started.Store(0)
+	all := newRendezvous(workers)
+	_, err = RunTrials(n, workers, func(i int) (int, error) {
+		started.Add(1)
+		defer finished.Add(1)
+		if i < workers {
+			all.wait()
+		}
+		if i == 1 || i == 3 {
 			return 0, boom
 		}
 		return i, nil
@@ -51,33 +95,50 @@ func TestRunTrialsErrorCancelsPool(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("error not propagated: %v", err)
 	}
-	if !strings.Contains(err.Error(), "trial 3") {
-		t.Errorf("error %q does not name the failing trial", err)
+	if !strings.Contains(err.Error(), "trial 1:") {
+		t.Errorf("error %q does not name the lowest failing trial", err)
 	}
-	// The pool must stop early: with 4 workers and trial 3 failing almost
-	// immediately, nowhere near all 1000 trials should have been claimed by
-	// the time every worker has exited (RunTrials has returned, so the
-	// counter is final).
-	if got := started.Load(); got >= n {
-		t.Errorf("pool ran all %d trials despite an early error", got)
+	if s, f := started.Load(), finished.Load(); s != f {
+		t.Errorf("RunTrials returned with %d of %d started trials unfinished", s-f, s)
+	}
+
+	// Every worker's first trial fails: nobody claims a second one.
+	started.Store(0)
+	all = newRendezvous(workers)
+	_, err = RunTrials(n, workers, func(i int) (int, error) {
+		started.Add(1)
+		all.wait()
+		return 0, boom
+	})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "trial 0:") {
+		t.Fatalf("error %v, want boom from trial 0", err)
+	}
+	if got := started.Load(); got != workers {
+		t.Errorf("%d trials started after every worker failed its first, want %d", got, workers)
 	}
 }
 
+// TestRunSeedsErrorCancelsPool: the same contract through RunSeeds. All
+// eight workers are inside their first seed when those fail, so exactly eight
+// of the 64 seeds run and the error is seed index 0's.
 func TestRunSeedsErrorCancelsPool(t *testing.T) {
 	boom := errors.New("seed failure")
+	const workers = 8
 	var calls atomic.Int64
-	_, err := RunSeeds(64, Options{Seed: 5, Parallel: 8}, func(o Options) (float64, error) {
+	all := newRendezvous(workers)
+	_, err := RunSeeds(64, Options{Seed: 5, Parallel: workers}, func(o Options) (float64, error) {
 		calls.Add(1)
-		if o.Seed == 5 { // seed index 0
-			return 0, boom
-		}
-		return 1, nil
+		all.wait()
+		return 0, boom
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("error not propagated: %v", err)
 	}
-	if got := calls.Load(); got >= 64 {
-		t.Errorf("all %d seeds ran despite an early failure", got)
+	if !strings.Contains(err.Error(), "seed 5:") { // seed index 0
+		t.Errorf("error %q does not name the first seed", err)
+	}
+	if got := calls.Load(); got != workers {
+		t.Errorf("%d seeds ran, want %d", got, workers)
 	}
 }
 

@@ -2,9 +2,10 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
+	"strconv"
 
+	"dynaq/internal/buffer"
 	"dynaq/internal/fabric"
 	"dynaq/internal/faults"
 	"dynaq/internal/metrics"
@@ -85,21 +86,7 @@ type StaticConfig struct {
 	MinRTO units.Duration
 	Seed   int64
 
-	// Telemetry, when non-nil, streams the run's metric registry and
-	// sim-time event log into the run's artifact directory; the caller
-	// owns (and closes) the Run.
-	Telemetry *telemetry.Run
-	// Progress, when non-nil, receives human-readable wall-clock progress
-	// lines (typically os.Stderr); it never feeds the artifacts.
-	Progress io.Writer
-
-	// Spans, when non-nil, receives retroactive sim-time phase spans for
-	// the run (a "sim" root with "warmup"/"measure" children), parented
-	// under SpanParent. Sim spans carry simulated time only — wall-clock
-	// values must never reach them (dynaqlint enforces this at the
-	// SimSpan sink).
-	Spans      *ttrace.Tracer
-	SpanParent string
+	Hooks
 }
 
 // StaticResult is the outcome of a static-flow run.
@@ -112,15 +99,83 @@ type StaticResult struct {
 	// Trace holds the bottleneck event recorder when TraceEvents was set.
 	Trace *trace.Recorder
 
-	// FaultTimeline is the applied fault transitions (empty without Faults).
-	FaultTimeline []faults.Transition
-	// LinkLost / LinkCorrupted total the packets the faults blackholed or
-	// corrupted across every link of the topology.
-	LinkLost, LinkCorrupted int64
-	// Violations holds the recorded guardrail violations (Guard only);
-	// ViolationTotal counts all of them, recorded or not.
-	Violations     []faults.Violation
-	ViolationTotal int64
+	FaultOutcome
+}
+
+// Summary is the run's headline for a manifest, the same keys from every
+// tool that writes one.
+func (r *StaticResult) Summary() []telemetry.SummaryEntry {
+	return []telemetry.SummaryEntry{
+		{Key: "drops", Value: strconv.FormatInt(r.Drops, 10)},
+		{Key: "samples", Value: strconv.Itoa(len(r.Samples))},
+	}
+}
+
+// maxStaticSenders bounds the sender hosts of one static run: the paper's
+// most extreme figure (Fig. 12 at full scale) uses 4080, and every host is a
+// NIC port, an endpoint and a switch port built before the run starts.
+const maxStaticSenders = 1 << 14
+
+// normalize validates cfg, fills its defaults and builds its star: the
+// senders first, the receiver last. Spec-level failures name the offending
+// spec as "specs[i].<field>", like the scenario document does.
+func (cfg *StaticConfig) normalize() (*fabric.Graph, error) {
+	switch {
+	case len(cfg.Specs) == 0:
+		return nil, &ConfigError{"specs", "static run needs at least one queue spec"}
+	case cfg.Duration <= 0:
+		return nil, &ConfigError{"duration_s", "static run needs a positive duration"}
+	case cfg.SampleEvery < 0:
+		return nil, &ConfigError{"sample_ms", "sampling interval must not be negative"}
+	case cfg.Queues < 1:
+		return nil, &ConfigError{"queues", "static run needs at least one service queue"}
+	}
+	if _, err := buffer.LookupScheme(string(cfg.Scheme)); err != nil {
+		return nil, &ConfigError{"scheme", err.Error()}
+	}
+	if cfg.MTU == 0 {
+		cfg.MTU = 1500
+	}
+	if cfg.SampleEvery == 0 {
+		cfg.SampleEvery = 500 * units.Millisecond
+	}
+	cfg.Params = cfg.Params.Resolved(cfg.Rate, fabric.Star.BaseRTT(cfg.Delay), nil, cfg.Queues)
+	if err := checkWeights(cfg.Params.Weights, cfg.Queues); err != nil {
+		return nil, err
+	}
+
+	// Copy the queue specs before defaulting them: cfg arrives by value, but
+	// the Specs slice still shares its backing array with the caller's — and
+	// parallel cells hand the same specs to concurrent runs.
+	cfg.Specs = append([]QueueSpec(nil), cfg.Specs...)
+	senders := 0
+	for i := range cfg.Specs {
+		spec := &cfg.Specs[i]
+		field := func(name string) string { return fmt.Sprintf("specs[%d].%s", i, name) }
+		switch {
+		case spec.Flows <= 0:
+			return nil, &ConfigError{field("flows"), "queue spec needs flows > 0"}
+		case spec.Class < 0 || spec.Class >= cfg.Queues:
+			return nil, &ConfigError{field("class"), fmt.Sprintf("class %d outside [0, %d)", spec.Class, cfg.Queues)}
+		case spec.Hosts < 0 || spec.Hosts > maxStaticSenders:
+			return nil, &ConfigError{field("hosts"), fmt.Sprintf("hosts %d outside [0, %d]", spec.Hosts, maxStaticSenders)}
+		}
+		if spec.Hosts == 0 {
+			spec.Hosts = 1
+		}
+		if senders += spec.Hosts; senders > maxStaticSenders {
+			return nil, &ConfigError{field("hosts"), fmt.Sprintf("more than %d sender hosts in total", maxStaticSenders)}
+		}
+	}
+	return fabric.NewStar(senders+1, cfg.Rate)
+}
+
+// Validate reports what RunStatic would reject before simulating anything,
+// as a *ConfigError, so loaders can refuse a cell at submission instead of
+// on a worker.
+func (cfg StaticConfig) Validate() error {
+	_, err := cfg.normalize()
+	return err
 }
 
 // startJitterSpan spreads flow starts over the first milliseconds like
@@ -130,69 +185,30 @@ const startJitterSpan = 5 * units.Millisecond
 
 // RunStatic executes a static-flow scenario and returns its measurements.
 func RunStatic(cfg StaticConfig) (*StaticResult, error) {
-	if len(cfg.Specs) == 0 {
-		return nil, fmt.Errorf("experiment: static run needs at least one queue spec")
+	g, err := cfg.normalize()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("experiment: static run needs a positive duration")
-	}
-	if cfg.MTU == 0 {
-		cfg.MTU = 1500
-	}
-	if cfg.SampleEvery == 0 {
-		cfg.SampleEvery = 500 * units.Millisecond
-	}
-	cfg.Params = cfg.Params.Resolved(cfg.Rate, fabric.Star.BaseRTT(cfg.Delay), nil, cfg.Queues)
 	mss := cfg.MTU - transport.HeaderSize
-
-	// Copy the queue specs before normalizing them below: cfg arrives by
-	// value, but the Specs slice still shares its backing array with the
-	// caller's — and parallel multi-seed runs hand the same specs to
-	// concurrent trials.
-	cfg.Specs = append([]QueueSpec(nil), cfg.Specs...)
-
-	// Host layout: senders first, receiver last.
-	nSenders := 0
-	for i := range cfg.Specs {
-		if cfg.Specs[i].Hosts <= 0 {
-			cfg.Specs[i].Hosts = 1
-		}
-		if cfg.Specs[i].Flows <= 0 {
-			return nil, fmt.Errorf("experiment: queue spec %d has no flows", i)
-		}
-		nSenders += cfg.Specs[i].Hosts
-	}
 	s := sim.New()
-	star, err := topology.NewStar(s, topology.StarConfig{
-		Hosts:     nSenders + 1,
-		Rate:      cfg.Rate,
+	w, err := newPacketWorld(s, g, topology.Config{
 		Delay:     cfg.Delay,
 		Buffer:    cfg.Buffer,
 		Queues:    cfg.Queues,
 		Factories: Factories(cfg.Scheme, cfg.Sched, cfg.Params, cfg.MTU),
-	})
+	}, cfg.Faults, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	receiver := nSenders
-	var eng *faults.Engine
-	var reg *faults.Registry
-	if len(cfg.Faults) > 0 {
-		reg = star.FaultRegistry()
-		eng = faults.NewEngine(s, reg, cfg.Seed)
-		if err := eng.Schedule(cfg.Faults); err != nil {
-			return nil, err
-		}
-	}
+	receiver := g.Hosts() - 1
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	var flowID packet.FlowID
 	host := 0
 	for _, spec := range cfg.Specs {
-		spec := spec
 		var senders []*transport.Sender
 		for f := 0; f < spec.Flows; f++ {
-			ep := star.Endpoints[host+f%spec.Hosts]
+			ep := w.net.Endpoints[host+f%spec.Hosts]
 			flowID++
 			id := flowID
 			start := units.Duration(rng.Int63n(int64(startJitterSpan)))
@@ -227,10 +243,9 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 		host += spec.Hosts
 	}
 
-	port := star.Port(receiver)
+	port := w.net.HostPort(receiver)
 	var rec *trace.Recorder
 	if cfg.TraceEvents > 0 {
-		var err error
 		rec, err = trace.NewRecorder(cfg.TraceEvents)
 		if err != nil {
 			return nil, err
@@ -238,59 +253,35 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 		rec.Only(netsim.EvDrop, netsim.EvMark, netsim.EvEvict, netsim.EvDequeueDrop)
 		rec.Attach(port)
 	}
-	// Installed after the recorder: Attach replaces the port's hook, while
-	// Watch chains, so this order keeps both observers live.
-	var guard *faults.Guardrail
 	if cfg.Guard {
-		guard = faults.NewGuardrail(32)
-		star.EachPort(guard.Watch)
+		w.watch() // after the recorder's Attach, which would replace it
 	}
 	ts := metrics.NewThroughputSampler(s, port, cfg.SampleEvery)
 	var qt *metrics.QueueTrace
 	if cfg.TraceQueues {
-		stride := cfg.TraceStride
-		if stride == 0 {
-			stride = 1
+		qt = metrics.NewQueueTrace(port, cfg.TraceStride)
+	}
+	end := units.Time(cfg.Duration)
+	cfg.observe(s, cfg.Duration, func(reg *telemetry.Registry, run *telemetry.Run) {
+		w.instrument(reg, run)
+		bottleneck := fmt.Sprintf("tor:%d", receiver)
+		ts.Publish(reg, run, bottleneck)
+		if qt != nil {
+			qt.Publish(reg, run, bottleneck)
 		}
-		qt = metrics.NewQueueTrace(port, stride)
-	}
-	var stopHB func()
-	if cfg.Telemetry != nil || cfg.Progress != nil {
-		var ew telemetry.EventWriter
-		if cfg.Telemetry != nil {
-			ew = cfg.Telemetry
-			treg := cfg.Telemetry.Registry()
-			instrumentSim(treg, s)
-			star.EachPort(func(label string, p *netsim.Port) { p.Instrument(treg, label) })
-			instrumentTransport(treg, star.Endpoints)
-			instrumentFaults(treg, ew, eng, guard)
-			instrumentLinks(treg, reg)
-			bottleneck := fmt.Sprintf("tor:%d", receiver)
-			ts.Publish(treg, ew, bottleneck)
-			if qt != nil {
-				qt.Publish(treg, ew, bottleneck)
-			}
-			if rec != nil {
-				rec.Publish(treg)
-			}
+		if rec != nil {
+			rec.Publish(reg)
 		}
-		stopHB = startHeartbeat(s, cfg.Duration, ew, cfg.Progress)
-	}
-	s.RunUntil(units.Time(cfg.Duration))
-	ts.Stop()
-	if stopHB != nil {
-		stopHB()
-	}
+	}, func() {
+		s.RunUntil(end)
+		ts.Stop()
+	})
 	if cfg.Spans != nil {
-		end := units.Time(cfg.Duration)
-		simRoot := cfg.Spans.SimSpan("sim", cfg.SpanParent, 0, end, ttrace.A("kind", "static"))
-		warm := units.Time(startJitterSpan)
-		if warm > end {
-			warm = end
-		}
-		cfg.Spans.SimSpan("warmup", simRoot, 0, warm)
+		root := cfg.simSpan(end, ttrace.A("kind", "static"))
+		warm := min(units.Time(startJitterSpan), end)
+		cfg.Spans.SimSpan("warmup", root, 0, warm)
 		if end > warm {
-			cfg.Spans.SimSpan("measure", simRoot, warm, end)
+			cfg.Spans.SimSpan("measure", root, warm, end)
 		}
 	}
 
@@ -303,57 +294,50 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 	if qt != nil {
 		res.QueueTrace = qt.Samples()
 	}
-	if eng != nil {
-		res.FaultTimeline = eng.Timeline()
-		res.LinkLost, res.LinkCorrupted = reg.Totals()
-	}
-	if guard != nil {
-		guard.Recheck(s.Now())
-		res.Violations = guard.Violations()
-		res.ViolationTotal = guard.Total()
-	}
+	w.finish(&res.FaultOutcome)
 	return res, nil
 }
 
-// AvgThroughput averages per-queue throughput over samples in [from, to).
-func (r *StaticResult) AvgThroughput(queue int, from, to units.Time) units.Rate {
-	var sum, n int64
-	for _, s := range r.Samples {
-		if s.At <= from || s.At > to {
-			continue
-		}
-		sum += int64(s.PerQueue[queue])
-		n++
+// window returns the samples taken in (from, to]; samples are in time order.
+func (r *StaticResult) window(from, to units.Time) []metrics.ThroughputSample {
+	lo := 0
+	for lo < len(r.Samples) && r.Samples[lo].At <= from {
+		lo++
 	}
-	if n == 0 {
+	hi := lo
+	for hi < len(r.Samples) && r.Samples[hi].At <= to {
+		hi++
+	}
+	return r.Samples[lo:hi]
+}
+
+// meanRate averages rate(sample) over the samples in (from, to].
+func (r *StaticResult) meanRate(from, to units.Time, rate func(metrics.ThroughputSample) units.Rate) units.Rate {
+	win := r.window(from, to)
+	if len(win) == 0 {
 		return 0
 	}
-	return units.Rate(sum / n)
+	var sum int64
+	for _, s := range win {
+		sum += int64(rate(s))
+	}
+	return units.Rate(sum / int64(len(win)))
+}
+
+// AvgThroughput averages per-queue throughput over samples in (from, to].
+func (r *StaticResult) AvgThroughput(queue int, from, to units.Time) units.Rate {
+	return r.meanRate(from, to, func(s metrics.ThroughputSample) units.Rate { return s.PerQueue[queue] })
 }
 
 // AvgAggregate averages total throughput over samples in (from, to].
 func (r *StaticResult) AvgAggregate(from, to units.Time) units.Rate {
-	var sum, n int64
-	for _, s := range r.Samples {
-		if s.At <= from || s.At > to {
-			continue
-		}
-		sum += int64(s.Aggregate)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return units.Rate(sum / n)
+	return r.meanRate(from, to, func(s metrics.ThroughputSample) units.Rate { return s.Aggregate })
 }
 
 // ShareOf returns queue's mean share of the aggregate over (from, to].
 func (r *StaticResult) ShareOf(queue int, from, to units.Time) float64 {
 	var q, agg units.Rate
-	for _, s := range r.Samples {
-		if s.At <= from || s.At > to {
-			continue
-		}
+	for _, s := range r.window(from, to) {
 		q += s.PerQueue[queue]
 		agg += s.Aggregate
 	}
@@ -366,21 +350,17 @@ func (r *StaticResult) ShareOf(queue int, from, to units.Time) float64 {
 // JainOver computes the mean Jain index across samples in (from, to],
 // considering only the queues listed as active.
 func (r *StaticResult) JainOver(active []int, from, to units.Time) float64 {
-	var sum float64
-	var n int
-	for _, s := range r.Samples {
-		if s.At <= from || s.At > to {
-			continue
-		}
-		xs := make([]float64, 0, len(active))
-		for _, q := range active {
-			xs = append(xs, float64(s.PerQueue[q]))
-		}
-		sum += metrics.Jain(xs)
-		n++
-	}
-	if n == 0 {
+	win := r.window(from, to)
+	if len(win) == 0 {
 		return 0
 	}
-	return sum / float64(n)
+	var sum float64
+	xs := make([]float64, len(active))
+	for _, s := range win {
+		for i, q := range active {
+			xs[i] = float64(s.PerQueue[q])
+		}
+		sum += metrics.Jain(xs)
+	}
+	return sum / float64(len(win))
 }

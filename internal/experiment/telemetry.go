@@ -5,10 +5,9 @@ import (
 	"io"
 	"time"
 
-	"dynaq/internal/faults"
 	"dynaq/internal/sim"
 	"dynaq/internal/telemetry"
-	"dynaq/internal/transport"
+	ttrace "dynaq/internal/telemetry/trace"
 	"dynaq/internal/units"
 )
 
@@ -20,98 +19,59 @@ const heartbeatTicks = 20
 // completion-time ranges.
 var fctBounds = []int64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}
 
-// instrumentSim registers engine-level series: events processed, pending
-// events, the heap's high-water mark, free-list reuse, and the virtual
-// clock itself. Pool reuse tracking processed events is the telemetry-side
-// proof that the engine runs allocation-free at steady state.
-func instrumentSim(reg *telemetry.Registry, s *sim.Simulator) {
-	reg.CounterFunc("sim_events_processed_total", func() int64 { return int64(s.Processed()) })
-	reg.GaugeFunc("sim_events_pending", func() int64 { return int64(s.Pending()) })
-	reg.GaugeFunc("sim_heap_max_depth", func() int64 { return int64(s.MaxPending()) })
-	reg.CounterFunc("sim_event_pool_reuse_total", func() int64 { return int64(s.PoolReuse()) })
-	reg.GaugeFunc("sim_now_ps", func() int64 { return int64(s.Now()) })
+// Hooks are the observers a caller may attach to a run; StaticConfig and
+// DynamicConfig embed them. None changes a simulated outcome.
+type Hooks struct {
+	// Telemetry, when non-nil, streams the run's metric registry and
+	// sim-time event log into the run's artifact directory; the caller
+	// owns (and closes) the Run.
+	Telemetry *telemetry.Run
+	// Progress, when non-nil, receives human-readable wall-clock progress
+	// lines (typically os.Stderr); it never feeds the artifacts.
+	Progress io.Writer
+
+	// Spans, when non-nil, receives a retroactive sim-time "sim" span for
+	// the run (the static run adds "warmup"/"measure" children), parented
+	// under SpanParent. Sim spans carry simulated time only — wall-clock
+	// values must never reach them (dynaqlint enforces this at the SimSpan
+	// sink).
+	Spans      *ttrace.Tracer
+	SpanParent string
 }
 
-// instrumentTransport registers transport series aggregated across every
-// endpoint, keeping series cardinality independent of host count.
-func instrumentTransport(reg *telemetry.Registry, eps []*transport.Endpoint) {
-	sum := func(f func(transport.SenderStats) int64) func() int64 {
-		return func() int64 {
-			var t int64
-			for _, ep := range eps {
-				t += f(ep.TotalStats())
-			}
-			return t
-		}
+// singleStream reports whether a sink is attached that concurrent cells
+// would garble: a telemetry Run and a progress writer are one stream each.
+func (h Hooks) singleStream() bool { return h.Telemetry != nil || h.Progress != nil }
+
+// observe is the run scaffold both runners share. With telemetry attached it
+// registers the event loop's series — events processed and pending, the
+// heap's high-water mark, free-list reuse (which tracks processed events when
+// the loop runs allocation-free) and the virtual clock — and then the
+// runner's own through series; with any sink attached it arms the heartbeat
+// over horizon — after everything the runner scheduled, so the tick order of
+// a run is fixed — then drives loop and stops the heartbeat.
+func (h Hooks) observe(s *sim.Simulator, horizon units.Duration, series func(reg *telemetry.Registry, run *telemetry.Run), loop func()) {
+	var ew telemetry.EventWriter
+	if run := h.Telemetry; run != nil {
+		ew = run
+		reg := run.Registry()
+		reg.CounterFunc("sim_events_processed_total", func() int64 { return int64(s.Processed()) })
+		reg.GaugeFunc("sim_events_pending", func() int64 { return int64(s.Pending()) })
+		reg.GaugeFunc("sim_heap_max_depth", func() int64 { return int64(s.MaxPending()) })
+		reg.CounterFunc("sim_event_pool_reuse_total", func() int64 { return int64(s.PoolReuse()) })
+		reg.GaugeFunc("sim_now_ps", func() int64 { return int64(s.Now()) })
+		series(reg, run)
 	}
-	reg.CounterFunc("transport_sent_packets_total",
-		sum(func(s transport.SenderStats) int64 { return s.SentPackets }))
-	reg.CounterFunc("transport_sent_bytes_total",
-		sum(func(s transport.SenderStats) int64 { return int64(s.SentBytes) }))
-	reg.CounterFunc("transport_retransmits_total",
-		sum(func(s transport.SenderStats) int64 { return s.Retransmits }))
-	reg.CounterFunc("transport_timeouts_total",
-		sum(func(s transport.SenderStats) int64 { return s.Timeouts }))
-	reg.CounterFunc("transport_fast_recoveries_total",
-		sum(func(s transport.SenderStats) int64 { return s.FastRecovers }))
-	reg.CounterFunc("transport_echoed_acks_total",
-		sum(func(s transport.SenderStats) int64 { return s.EchoedAcks }))
-	reg.CounterFunc("transport_acks_total", func() int64 {
-		var t int64
-		for _, ep := range eps {
-			t += ep.AcksSent()
-		}
-		return t
-	})
-	reg.GaugeFunc("transport_cwnd_bytes", func() int64 {
-		var t int64
-		for _, ep := range eps {
-			t += ep.CwndTotal()
-		}
-		return t
-	})
-	reg.GaugeFunc("transport_flows_active", func() int64 {
-		var t int64
-		for _, ep := range eps {
-			t += int64(ep.ActiveFlows())
-		}
-		return t
-	})
+	if h.singleStream() {
+		defer startHeartbeat(s, horizon, ew, h.Progress)()
+	}
+	loop()
 }
 
-// instrumentFaults exposes the fault engine's applied-transition counter,
-// streams each transition into the event log as it fires, and exposes the
-// guardrail violation total. Both arguments may be nil.
-func instrumentFaults(reg *telemetry.Registry, ew telemetry.EventWriter, eng *faults.Engine, guard *faults.Guardrail) {
-	if eng != nil {
-		reg.CounterFunc("faults_transitions_total", func() int64 { return int64(eng.Applied()) })
-		if ew != nil {
-			eng.SetObserver(func(tr faults.Transition) {
-				ew.Event(tr.At, "fault",
-					telemetry.F("target", tr.Target),
-					telemetry.F("action", tr.Action))
-			})
-		}
-	}
-	if guard != nil {
-		reg.CounterFunc("guard_violations_total", guard.Total)
-	}
-}
-
-// instrumentLinks exposes the fault registry's whole-topology link loss and
-// corruption totals.
-func instrumentLinks(teleReg *telemetry.Registry, reg *faults.Registry) {
-	if reg == nil {
-		return
-	}
-	teleReg.CounterFunc("faults_link_lost_total", func() int64 {
-		lost, _ := reg.Totals()
-		return lost
-	})
-	teleReg.CounterFunc("faults_link_corrupted_total", func() int64 {
-		_, corrupted := reg.Totals()
-		return corrupted
-	})
+// simSpan records the run's retroactive "sim" span over [0, end] and returns
+// its id ("" without a tracer).
+func (h Hooks) simSpan(end units.Time, attrs ...ttrace.Attr) string {
+	return h.Spans.SimSpan("sim", h.SpanParent, 0, end, attrs...)
 }
 
 // startHeartbeat arms a periodic sim-time heartbeat over the run horizon:

@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"testing"
 
+	"dynaq/internal/faults"
 	"dynaq/internal/scenario"
 	"dynaq/internal/telemetry"
 )
@@ -68,6 +69,14 @@ func goldenCells(t *testing.T) map[string]scenario.Document {
 		DurationS: 0.5, SampleMs: 100, Seed: 1, Guard: true,
 		Specs: []scenario.Spec{{Class: 1, Flows: 2}, {Class: 2, Flows: 8, Ctrl: "cubic"}},
 	}
+	// The static run's fault engine, link counters and guardrail together:
+	// loss on the bottleneck egress while queue 1's sender NIC flaps.
+	staticFaults := cells["static/guard"]
+	staticFaults.Faults = []faults.Spec{
+		{Kind: faults.KindLoss, Target: "tor:2", AtS: 0, Rate: 0.001},
+		{Kind: faults.KindFlap, Target: "host0:nic", AtS: 0.15, UntilS: 0.35, PeriodS: 0.05, JitterS: 0.005},
+	}
+	cells["static/faults"] = staticFaults
 	return cells
 }
 

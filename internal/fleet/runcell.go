@@ -1,13 +1,12 @@
 package fleet
 
 import (
+	"fmt"
 	"strconv"
 
-	"dynaq/internal/metrics"
 	"dynaq/internal/scenario"
 	"dynaq/internal/telemetry"
 	"dynaq/internal/telemetry/trace"
-	"dynaq/internal/units"
 )
 
 // CellManifest builds the telemetry manifest for one cell. Every field is a
@@ -59,7 +58,7 @@ func RunCellTo(dir string, scenarioBytes []byte, scheme string, seed int64, man 
 	if exec != nil {
 		r.SetSpans(exec.Tracer(), exec.ID())
 	}
-	res, err := r.Run()
+	res, err := runRecovered(r)
 	if err != nil {
 		exec.End(trace.A("error", err.Error()))
 		run.Close()
@@ -67,7 +66,9 @@ func RunCellTo(dir string, scenarioBytes []byte, scheme string, seed int64, man 
 	}
 	exec.End()
 	write := span.Child("artifact-write")
-	summarize(run, res)
+	for _, e := range res.Summary() {
+		run.Summarize(e.Key, e.Value)
+	}
 	err = run.Close()
 	if err != nil {
 		write.End(trace.A("error", err.Error()))
@@ -77,22 +78,15 @@ func RunCellTo(dir string, scenarioBytes []byte, scheme string, seed int64, man 
 	return run.Registry(), err
 }
 
-// summarize records the result headline into the manifest summary, the same
-// fields dynaqsim -config emits so artifacts are comparable across tools.
-func summarize(run *telemetry.Run, res *scenario.Result) {
-	switch {
-	case res.Static != nil:
-		run.Summarize("drops", strconv.FormatInt(res.Static.Drops, 10))
-		run.Summarize("samples", strconv.Itoa(len(res.Static.Samples)))
-	case res.Dynamic != nil:
-		run.Summarize("flows_generated", strconv.Itoa(res.Dynamic.Generated))
-		run.Summarize("flows_completed", strconv.Itoa(res.Dynamic.Completed))
-		run.Summarize("avg_fct_us_overall",
-			strconv.FormatInt(int64(res.Dynamic.FCT.Avg(metrics.AllFlows)/units.Microsecond), 10))
-		if fl := res.Dynamic.Fluid; fl != nil {
-			run.Summarize("events", strconv.FormatInt(res.Dynamic.Events, 10))
-			run.Summarize("recomputes", strconv.FormatInt(fl.Recomputes, 10))
-			run.Summarize("demotions", strconv.FormatInt(fl.Demotions, 10))
+// runRecovered runs r, turning a panic anywhere under it — the engine, a
+// telemetry sink, the caller's tee — into an error: every executor comes
+// through here, and a cell that cannot run must fail that cell, not the
+// process holding the other cells.
+func runRecovered(r *scenario.Runner) (res *scenario.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("fleet: cell panicked: %v", p)
 		}
-	}
+	}()
+	return r.Run()
 }

@@ -27,9 +27,8 @@ var ParallelState = &Analyzer{
 // trialRunnerNames are the harness entry points whose function-literal
 // arguments execute on worker goroutines.
 var trialRunnerNames = map[string]bool{
-	"RunTrials":    true,
-	"RunTrialsCtx": true,
-	"RunSeeds":     true,
+	"RunTrials": true,
+	"RunSeeds":  true,
 }
 
 func runParallelState(p *Pass) {

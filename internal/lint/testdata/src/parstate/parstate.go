@@ -34,21 +34,6 @@ func sharedIntoTrialFunc() {
 	})
 }
 
-// RunTrialsCtx mimics the cancellable harness entry point; its trial
-// functions run on the same worker pool as RunTrials.
-func RunTrialsCtx(ctx any, n int, run func(int) int) {
-	for i := 0; i < n; i++ {
-		go func(i int) { _ = run(i) }(i)
-	}
-}
-
-func sharedIntoCtxTrialFunc() {
-	shared := rand.New(rand.NewSource(4))
-	RunTrialsCtx(nil, 4, func(i int) int {
-		return int(shared.Int63()) // want `parallel-state: trial function captures shared \*math/rand\.Rand "shared" from an enclosing scope`
-	})
-}
-
 func perTrialState() {
 	RunTrials(4, func(i int) int {
 		local := rand.New(rand.NewSource(int64(i)))

@@ -80,6 +80,27 @@ func TestLoadRejectsBadNumbersAndFaults(t *testing.T) {
 			  "duration_s": 1, "faults": [{"kind": "flap", "target": "tor:0", "at_s": 0, "until_s": 1}]}`,
 			"period",
 		},
+		// Static documents that used to pass Load and fail — or panic, or run
+		// as misclassified traffic — on a worker.
+		{"static negative sample", staticWith(`"sample_ms": -5`, okSpecs), "sample_ms"},
+		{"static no specs", staticWith(`"sample_ms": 10`, `[]`), "specs"},
+		{"static zero duration", strings.Replace(staticWith(`"seed": 1`, okSpecs), `"duration_s": 1`, `"duration_s": 0`, 1), "duration_s"},
+		{"static negative duration", strings.Replace(staticWith(`"seed": 1`, okSpecs), `"duration_s": 1`, `"duration_s": -2`, 1), "duration_s"},
+		{"static spec without flows", staticWith(`"seed": 1`, `[{"class": 0, "flows": 2}, {"class": 1}]`), "specs[1].flows"},
+		{"static negative flows", staticWith(`"seed": 1`, `[{"class": 0, "flows": -3}]`), "specs[0].flows"},
+		{"static class past the queues", staticWith(`"seed": 1`, `[{"class": 2, "flows": 2}]`), "specs[0].class"},
+		{"static negative class", staticWith(`"seed": 1`, `[{"class": -1, "flows": 2}]`), "specs[0].class"},
+		{"static zero weight", staticWith(`"weights": [1, 0]`, okSpecs), "weights"},
+		{"static negative weight", staticWith(`"weights": [-4, 1]`, okSpecs), "weights"},
+		{"static unbounded hosts", staticWith(`"seed": 1`, `[{"class": 0, "flows": 2, "hosts": 100000000}]`), "specs[0].hosts"},
+		{"static negative hosts", staticWith(`"seed": 1`, `[{"class": 0, "flows": 2, "hosts": -1}]`), "specs[0].hosts"},
+		{"static hosts unbounded in total", staticWith(`"seed": 1`,
+			`[{"class": 0, "flows": 2, "hosts": 16000}, {"class": 1, "flows": 2, "hosts": 16000}]`), "specs[1].hosts"},
+		{"fct zero weight", `{"kind": "fct", "scheme": "DynaQ", "topo": "star", "rate_gbps": 1, "buffer_bytes": 85000,
+			"queues": 2, "rtt_us": 100, "load": 0.5, "flows": 10, "workloads": ["websearch"], "weights": [1, 0]}`, "weights"},
+	}
+	if _, err := Load([]byte(staticWith(`"seed": 1`, okSpecs))); err != nil {
+		t.Fatalf("the static base document must load: %v", err)
 	}
 	for _, tc := range cases {
 		_, err := Load([]byte(tc.doc))
@@ -95,6 +116,16 @@ func TestLoadRejectsBadNumbersAndFaults(t *testing.T) {
 			t.Errorf("%s: error %T is not a *ValidationError", tc.name, err)
 		}
 	}
+}
+
+// okSpecs is a valid two-queue specs array for staticWith.
+const okSpecs = `[{"class": 0, "flows": 2}, {"class": 1, "flows": 4}]`
+
+// staticWith is an otherwise valid two-queue static document carrying one
+// extra field and the given specs.
+func staticWith(field, specs string) string {
+	return `{"kind": "static", "scheme": "DynaQ", "rate_gbps": 1, "buffer_bytes": 85000, "queues": 2,
+		"rtt_us": 100, "duration_s": 1, ` + field + `, "specs": ` + specs + `}`
 }
 
 // TestLoadTypedErrors: validation failures carry the offending JSON field so
@@ -246,6 +277,10 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte(`{"kind": "fct", "rate_gbps": 1e308, "buffer_bytes": 9223372036854775807, "queues": 2147483647}`))
 	f.Add([]byte(`{"kind": "static", "rate_gbps": 1, "buffer_bytes": 1000, "queues": 2, "rtt_us": 100,
 	  "duration_s": 1, "faults": [{"kind": "flap", "target": "", "at_s": -1}]}`))
+	f.Add([]byte(staticWith(`"sample_ms": -5`, okSpecs)))
+	f.Add([]byte(staticWith(`"sample_ms": 1e-300`, `[]`)))
+	f.Add([]byte(staticWith(`"weights": [0, -1]`, `[{"class": 7, "flows": -1, "hosts": 9223372036854775807}]`)))
+	f.Add([]byte(strings.Replace(staticWith(`"seed": 1`, okSpecs), `"duration_s": 1`, `"duration_s": -1e300`, 1)))
 	// Untrusted-upload hardening corpus: a body past the size limit must be
 	// refused outright, and pathologically deep nesting must come back as
 	// the decoder's depth error, never a stack overflow.

@@ -17,7 +17,6 @@ import (
 	"io"
 	"strings"
 
-	"dynaq/internal/buffer"
 	"dynaq/internal/experiment"
 	"dynaq/internal/faults"
 	"dynaq/internal/telemetry"
@@ -131,11 +130,21 @@ type Result struct {
 	Dynamic *experiment.DynamicResult
 }
 
-// Runner is a validated, executable scenario.
+// Summary is the result's headline for a run manifest.
+func (r *Result) Summary() []telemetry.SummaryEntry {
+	if r.Static != nil {
+		return r.Static.Summary()
+	}
+	return r.Dynamic.Summary()
+}
+
+// Runner is a validated, executable scenario: exactly one of static and
+// dynamic is set, and hooks points at its embedded observers.
 type Runner struct {
 	doc     Document
 	static  *experiment.StaticConfig
 	dynamic *experiment.DynamicConfig
+	hooks   *experiment.Hooks
 }
 
 // Kind returns "static" or "fct".
@@ -162,36 +171,15 @@ func (r *Runner) Engine() string {
 
 // SetTelemetry attaches a telemetry run to the underlying experiment
 // configuration; the caller owns (and closes) the Run.
-func (r *Runner) SetTelemetry(run *telemetry.Run) {
-	if r.static != nil {
-		r.static.Telemetry = run
-	}
-	if r.dynamic != nil {
-		r.dynamic.Telemetry = run
-	}
-}
+func (r *Runner) SetTelemetry(run *telemetry.Run) { r.hooks.Telemetry = run }
 
 // SetProgress attaches a wall-clock progress writer (typically os.Stderr).
-func (r *Runner) SetProgress(w io.Writer) {
-	if r.static != nil {
-		r.static.Progress = w
-	}
-	if r.dynamic != nil {
-		r.dynamic.Progress = w
-	}
-}
+func (r *Runner) SetProgress(w io.Writer) { r.hooks.Progress = w }
 
 // SetSpans attaches a span tracer for retroactive sim-time phase spans,
 // parented under the given wall-time span id (empty for a root sim span).
 func (r *Runner) SetSpans(tr *trace.Tracer, parent string) {
-	if r.static != nil {
-		r.static.Spans = tr
-		r.static.SpanParent = parent
-	}
-	if r.dynamic != nil {
-		r.dynamic.Spans = tr
-		r.dynamic.SpanParent = parent
-	}
+	r.hooks.Spans, r.hooks.SpanParent = tr, parent
 }
 
 // Overrides replaces selected document fields before validation. It is the
@@ -267,14 +255,12 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 	delay := units.Seconds(doc.RTTUs / 4 * 1e-6)
 	minRTO := units.Seconds(doc.MinRTOMs * 1e-3)
 
+	// refused is what the experiment runner would refuse on a worker.
+	var refused error
 	switch doc.Kind {
 	case "static":
 		if doc.Engine != "" && doc.Engine != string(experiment.EnginePacket) {
 			return nil, invalidf("engine", "static scenarios run at packet level, got %q", doc.Engine)
-		}
-		// fct documents get this from DynamicConfig.Validate below.
-		if _, err := buffer.LookupScheme(doc.Scheme); err != nil {
-			return nil, invalidf("scheme", "%v", err)
 		}
 		var specs []experiment.QueueSpec
 		for i, sp := range doc.Specs {
@@ -308,6 +294,7 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 			Faults:      doc.Faults,
 			Guard:       doc.Guard,
 		}
+		r.hooks, refused = &r.static.Hooks, r.static.Validate()
 	case "fct":
 		if doc.Load <= 0 || doc.Load > 1 {
 			return nil, invalidf("load", "must be in (0, 1], got %v", doc.Load)
@@ -354,37 +341,34 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 			FailureAware:   doc.FailureAware,
 			DetectionDelay: units.Seconds(doc.DetectMs * 1e-3),
 		}
-		// Refuse here what RunDynamic would refuse on a worker.
-		var cerr *experiment.ConfigError
-		if err := r.dynamic.Validate(); errors.As(err, &cerr) {
-			return nil, invalidf(cerr.Field, "%s", cerr.Msg)
-		} else if err != nil {
-			return nil, &ValidationError{Msg: err.Error()}
-		}
+		r.hooks, refused = &r.dynamic.Hooks, r.dynamic.Validate()
 	default:
 		return nil, invalidf("kind", "unknown kind %q (want static or fct)", doc.Kind)
+	}
+	var cerr *experiment.ConfigError
+	if errors.As(refused, &cerr) {
+		return nil, invalidf(cerr.Field, "%s", cerr.Msg)
+	} else if refused != nil {
+		return nil, &ValidationError{Msg: refused.Error()}
 	}
 	return r, nil
 }
 
 // Run executes the scenario.
 func (r *Runner) Run() (*Result, error) {
-	switch {
-	case r.static != nil:
-		res, err := experiment.RunStatic(*r.static)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Static: res}, nil
-	case r.dynamic != nil:
-		res, err := experiment.RunDynamic(*r.dynamic)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Dynamic: res}, nil
-	default:
-		return nil, fmt.Errorf("scenario: empty runner")
+	var (
+		res Result
+		err error
+	)
+	if r.static != nil {
+		res.Static, err = experiment.RunStatic(*r.static)
+	} else {
+		res.Dynamic, err = experiment.RunDynamic(*r.dynamic)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
 }
 
 // controllerByName maps a JSON name to a congestion-controller factory.

@@ -59,6 +59,9 @@ func (s *Server) runLocal(claim *coord.LocalClaim, bc *broadcaster) coord.LocalR
 	}
 	man := fleet.CellManifest(s.cfg.Version, j.ScenarioHash, c.Scheme, c.Seed, c.Key)
 	reg, err := fleet.RunCellTo(tmp, j.Scenario, c.Scheme, c.Seed, man, func(line []byte) {
+		if s.testCellTee != nil {
+			s.testCellTee(line)
+		}
 		bc.publish(c.Index, line)
 	}, claim.Span)
 	if err != nil {

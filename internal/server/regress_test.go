@@ -154,3 +154,62 @@ func TestRequeueReadsOutsideTheLock(t *testing.T) {
 		t.Fatalf("requeue = %d %+v, want 200 with the cell dropped", res.code, res.resp)
 	}
 }
+
+// Two ways one request used to take the daemon down for good: the marker of
+// the job that killed it was on disk, so the next life recovered the job and
+// died again.
+
+// TestNegativeSampleIntervalIs400: a static document with a negative sampling
+// interval is refused at submission, naming the field. It used to be accepted
+// and panic in the throughput sampler on the executor.
+func TestNegativeSampleIntervalIs400(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	body := strings.Replace(testScenario, `"sample_ms":10`, `"sample_ms":-5`, 1)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb struct {
+		Error string `json:"error"`
+		Field string `json:"field"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || eb.Field != "sample_ms" {
+		t.Fatalf("status %d field %q (%s), want 400 on sample_ms", resp.StatusCode, eb.Field, eb.Error)
+	}
+}
+
+// TestPanickingCellFailsTheCellNotTheDaemon: a cell that panics on the local
+// executor — here through its event tee — is charged an attempt like any
+// failed cell, ends quarantined with the panic as its last error, and the
+// daemon keeps answering.
+func TestPanickingCellFailsTheCellNotTheDaemon(t *testing.T) {
+	s, ts := newTestServer(t, func(c *Config) {
+		c.MaxAttempts = 2
+		c.RetryBase = time.Nanosecond
+		c.RetryCap = time.Microsecond
+	})
+	s.testCellTee = func([]byte) { panic("tee exploded") }
+	s.Start()
+	defer s.Shutdown(shutdownCtx(t))
+
+	st, _ := submit(t, ts, testScenario)
+	done := waitTerminal(t, ts, st.ID)
+	if done.State != StateFailed || !strings.Contains(done.Error, "quarantined") {
+		t.Fatalf("job = %s (err %q), want failed by quarantine", done.State, done.Error)
+	}
+	if c := done.Cells[0]; c.State != StateQuarantined || c.Attempts != 2 || !strings.Contains(c.Error, "tee exploded") {
+		t.Fatalf("cell = %+v, want quarantined after 2 attempts naming the panic", c)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz = %d after a panicking cell", resp.StatusCode)
+	}
+}

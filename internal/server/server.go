@@ -101,6 +101,9 @@ type Server struct {
 	// true holds it at "running, nothing dispatched" until the test
 	// dispatches it.
 	testJobStart func(*Job) bool
+	// testCellTee (tests only) sees every event line of a locally run cell
+	// before it is published.
+	testCellTee func(line []byte)
 }
 
 // New builds a server over DataDir, recovering persisted state: terminal
