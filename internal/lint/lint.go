@@ -168,6 +168,7 @@ func DefaultConfig() Config {
 			"(dynaq/internal/sim.Simulator).AtCall":            "event scheduling time",
 			"(dynaq/internal/sim.Simulator).AfterCall":         "event scheduling time",
 			"(dynaq/internal/sim.Simulator).Every":             "event scheduling time",
+			"(dynaq/internal/sim.Simulator).Lane":              "event scheduling time",
 			"(dynaq/internal/sim.Timer).Reset":                 "event scheduling time",
 			"(dynaq/internal/flowsim.Engine).ScheduleArrival":  "flow arrival time",
 			"(dynaq/internal/telemetry/trace.Tracer).SimSpan":  "sim-time span timestamp",

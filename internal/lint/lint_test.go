@@ -146,6 +146,7 @@ func TestFlowFixture(t *testing.T) {
 	cfg := Config{
 		TaintSinks: map[string]string{
 			"(flowfix.Engine).ScheduleArrival": "flow arrival time",
+			"(flowfix.Engine).Lane":            "event scheduling time",
 		},
 	}
 	checkFixtureWith(t, pkg, cfg, []*Analyzer{DeterminismTaint})

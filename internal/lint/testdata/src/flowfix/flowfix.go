@@ -4,7 +4,9 @@
 // flow-engine cell, so wall-clock reads must never reach it. The fixture is
 // checked with only determinism-taint enabled and
 // (flowfix.Engine).ScheduleArrival configured as the sink, mirroring the
-// real (flowsim.Engine).ScheduleArrival entry in DefaultConfig.
+// real (flowsim.Engine).ScheduleArrival entry in DefaultConfig. Lane stands
+// in the same way for (sim.Simulator).Lane: the delay a lane is looked up by
+// is added to every event time scheduled through it.
 package flowfix
 
 import "time"
@@ -14,6 +16,9 @@ type Engine struct{}
 
 // ScheduleArrival is the configured sink: at is a sim-domain time.
 func (e *Engine) ScheduleArrival(at int64, size int64) { _ = at }
+
+// Lane is the second configured sink: delay is a sim-domain duration.
+func (e *Engine) Lane(delay int64) *Engine { _ = delay; return e }
 
 // clock mirrors the injected wall-clock seam; values drawn through the
 // interface are clean because the implementation behind it is the audited
@@ -29,6 +34,12 @@ func jitter(t time.Time) int64 { return t.UnixNano() % 1000 }
 // through a helper into the arrival time.
 func wallClockArrival(e *Engine) {
 	e.ScheduleArrival(jitter(time.Now()), 1500) // want `determinism-taint: .*time\.Now.*reaches determinism sink`
+}
+
+// wallClockLane looks a lane up by a delay computed from the wall clock:
+// every event put in that lane would fire at a tainted time.
+func wallClockLane(e *Engine) *Engine {
+	return e.Lane(jitter(time.Now())) // want `determinism-taint: .*time\.Now.*reaches determinism sink`
 }
 
 // --- clean cases: none of these may diagnose ------------------------------
@@ -47,3 +58,7 @@ func clockSizeOnly(e *Engine, c clock) {
 	at := c.Now().UnixNano() // interface draw: clean by the seam rule
 	e.ScheduleArrival(at, 1500)
 }
+
+// configuredLane is what netsim.NewLink does: the delay comes from the
+// topology's configuration.
+func configuredLane(e *Engine, delay int64) *Engine { return e.Lane(delay) }

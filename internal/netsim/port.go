@@ -42,7 +42,7 @@ const (
 // Packets already on the wire when a fault begins still arrive.
 type Link struct {
 	sim    *sim.Simulator
-	delay  units.Duration
+	lane   *sim.Lane // the simulator's lane for this link's propagation delay
 	dst    Node
 	down   bool
 	downAt units.Time
@@ -57,47 +57,40 @@ type Link struct {
 
 	// wire is the FIFO of packets in flight, oldest first, as a ring:
 	// flying of its slots are in use, starting at head. The delay is fixed,
-	// so packets arrive in the order they were sent, and only the head needs
-	// an event on the simulator's heap.
-	wire   []arrival
+	// so packets arrive in the order they were sent: each Send appends one
+	// packet here and one arrival to the lane, and each arrival pops one.
+	wire   []*packet.Packet
 	head   int
 	flying int
 }
 
-// arrival is one packet in flight: when it reaches the far end, and the
-// tie-break sequence number Send reserved for that event.
-type arrival struct {
-	pkt *packet.Packet
-	at  units.Time
-	seq uint64
-}
-
-// arriveFn is the shared callback for every link's head-of-wire event.
+// arriveFn is the shared callback for every link's arrivals.
 func arriveFn(a any) { a.(*Link).arrive() }
 
-// arrive delivers the head of the wire. The next arrival goes onto the heap
-// first: its key is later than the one running now, so nothing that should
-// run after it can have run yet, and the receiver's own sends find the event
-// object that just fired free for reuse.
+// arrive delivers the head of the wire.
 func (l *Link) arrive() {
-	p := l.wire[l.head].pkt
-	l.wire[l.head].pkt = nil
+	p := l.wire[l.head]
+	l.wire[l.head] = nil
 	l.head = (l.head + 1) & (len(l.wire) - 1)
 	l.flying--
-	if l.flying > 0 {
-		next := &l.wire[l.head]
-		l.sim.AtCallSeq(next.at, next.seq, arriveFn, l)
+	if l.dst == nil {
+		panic("netsim: link used before wiring completed")
 	}
 	l.dst.Receive(p)
 }
 
-// NewLink wires a link with the given propagation delay toward dst.
+// NewLink wires a link with the given propagation delay toward dst. The
+// destination may be nil at construction (switches reference each other, so
+// wiring is two-phase); install it with SetDst before a packet arrives.
 func NewLink(s *sim.Simulator, delay units.Duration, dst Node) *Link {
 	if delay < 0 {
 		panic("netsim: negative link delay")
 	}
-	return &Link{sim: s, delay: delay, dst: dst}
+	return &Link{sim: s, lane: s.Lane(delay), dst: dst}
 }
+
+// SetDst installs the destination node (second phase of topology wiring).
+func (l *Link) SetDst(dst Node) { l.dst = dst }
 
 // Send propagates p toward the destination node and reports what the wire
 // did with it; packets entering a downed link vanish (fiber-cut semantics),
@@ -118,24 +111,19 @@ func (l *Link) Send(p *packet.Packet) SendOutcome {
 		l.corrupted++
 		return SendCorrupted
 	}
-	a := arrival{pkt: p, at: l.sim.Now().Add(l.delay), seq: l.sim.ReserveSeq()}
-	if l.flying == 0 {
-		l.sim.AtCallSeq(a.at, a.seq, arriveFn, l)
-	} else if tail := l.wire[(l.head+l.flying-1)&(len(l.wire)-1)]; a.at < tail.at {
-		panic(fmt.Sprintf("netsim: link arrival at %v would overtake the one at %v", a.at, tail.at))
-	}
 	if l.flying == len(l.wire) {
 		l.growWire()
 	}
-	l.wire[(l.head+l.flying)&(len(l.wire)-1)] = a
+	l.wire[(l.head+l.flying)&(len(l.wire)-1)] = p
 	l.flying++
+	l.lane.Call(arriveFn, l)
 	return SendDelivered
 }
 
 // growWire doubles the ring (its length stays a power of two, so positions
 // wrap with a mask) and moves the packets in flight to its start.
 func (l *Link) growWire() {
-	grown := make([]arrival, max(8, 2*len(l.wire)))
+	grown := make([]*packet.Packet, max(8, 2*len(l.wire)))
 	n := copy(grown, l.wire[l.head:])
 	copy(grown[n:], l.wire[:l.head])
 	l.wire, l.head = grown, 0
@@ -607,8 +595,15 @@ func (p *Port) admitWithEviction(cls int, size units.ByteSize) bool {
 }
 
 // transmitNext serves one packet according to the scheduler and re-arms
-// itself after the serialization delay.
+// itself after the serialization delay. A port with nothing buffered goes
+// idle without asking: total is Σ QueueLen, so it is zero exactly when the
+// scheduler would find every queue empty, and by the sched.Scheduler
+// contract that poll changes nothing.
 func (p *Port) transmitNext() {
+	if p.total == 0 {
+		p.busy = false
+		return
+	}
 	i := p.sched.Select(p)
 	if i < 0 {
 		p.busy = false

@@ -92,6 +92,8 @@ func TestLinkFIFODeliversLikePerPacketEvents(t *testing.T) {
 	}
 }
 
+// TestLinkKeepsOnePendingEvent: each packet in flight is one pending event,
+// and it waits in the simulator's lane for the link's delay, not on the heap.
 func TestLinkKeepsOnePendingEvent(t *testing.T) {
 	s := sim.New()
 	dst := &sinkNode{s: s}
@@ -99,8 +101,9 @@ func TestLinkKeepsOnePendingEvent(t *testing.T) {
 	for i := 0; i < 100; i++ { // enough to grow the ring more than once
 		l.Send(dataPkt(packet.FlowID(i), 0, 1500))
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("%d events pending for 100 packets on one wire, want 1", s.Pending())
+	if s.Pending() != 100 || s.MaxPending() != 0 {
+		t.Fatalf("100 packets on one wire: %d events pending, heap high-water mark %d; want 100 and 0",
+			s.Pending(), s.MaxPending())
 	}
 	s.Run()
 	for i, p := range dst.pkts {
@@ -149,19 +152,27 @@ func TestLinkSetDownMidFlightStillDelivers(t *testing.T) {
 	}
 }
 
-func TestLinkPanicsWhenAnArrivalWouldOvertake(t *testing.T) {
+// TestLinkDeliveringBeforeSetDstPanics: two-phase wiring may leave a link
+// without a destination only until the first packet arrives.
+func TestLinkDeliveringBeforeSetDstPanics(t *testing.T) {
 	s := sim.New()
-	l := NewLink(s, 10*units.Microsecond, &sinkNode{s: s})
+	l := NewLink(s, units.Microsecond, nil)
 	l.Send(dataPkt(1, 0, 1500))
-	// NewLink fixes the delay, which is what makes the wire a FIFO. Should
-	// that ever change, Send must refuse rather than deliver out of order.
-	l.delay = 5 * units.Microsecond
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic when a send would arrive before the wire's tail")
-		}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("want panic when a link with no destination delivers")
+			}
+		}()
+		s.Run()
 	}()
+	dst := &sinkNode{s: s}
+	l.SetDst(dst)
 	l.Send(dataPkt(2, 0, 1500))
+	s.Run()
+	if len(dst.pkts) != 1 || dst.pkts[0].Flow != 2 {
+		t.Fatalf("after SetDst: delivered %d packets, want flow 2 alone", len(dst.pkts))
+	}
 }
 
 // consumer ends a delivered packet's life, as a transport endpoint does.

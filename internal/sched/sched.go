@@ -29,7 +29,10 @@ type View interface {
 // Scheduler selects the next service queue to dequeue from.
 type Scheduler interface {
 	// Select returns the index of the queue to serve next, or -1 when
-	// every queue is empty. It may mutate internal round state.
+	// every queue is empty. It may mutate internal round state when it
+	// returns a queue, never when it returns -1: a poll that finds every
+	// queue empty leaves the scheduler exactly as it was, so a caller that
+	// knows nothing is buffered need not call at all.
 	Select(v View) int
 	// OnDequeue informs the scheduler that size bytes left queue i, and
 	// whether that left the queue empty (a queue leaving the active set
@@ -37,9 +40,9 @@ type Scheduler interface {
 	OnDequeue(i int, size units.ByteSize, nowEmpty bool)
 }
 
-// anyBacklogged reports whether a queue of v from index off on holds bytes.
-func anyBacklogged(v View, off int) bool {
-	for i := off; i < v.NumQueues(); i++ {
+// anyBacklogged reports whether a queue of v holds bytes.
+func anyBacklogged(v View) bool {
+	for i := 0; i < v.NumQueues(); i++ {
 		if v.QueueLen(i) > 0 {
 			return true
 		}
@@ -101,9 +104,6 @@ func (d *DRR) Select(v View) int { return d.selectFrom(v, 0) }
 // offset and not a View that shifts the indices, because such a wrapper is
 // boxed into the interface on every call: one allocation per packet served.
 func (d *DRR) selectFrom(v View, off int) int {
-	if !anyBacklogged(v, off) {
-		return -1
-	}
 	// A backlogged queue is served after at most ceil(head/quantum) rounds,
 	// so the walk is bounded by n·(maxHead/minQuantum + 2); going beyond
 	// means the deficit accounting broke, not a transient condition. Nearly
@@ -112,23 +112,37 @@ func (d *DRR) selectFrom(v View, off int) int {
 	n := v.NumQueues() - off
 	bound, exact := 2*n, false
 	for iter := 0; ; iter++ {
+		// Walk from cur to the next backlogged queue, writing nothing on the
+		// way: should the walk come round to cur, every queue is empty, and
+		// such a poll must leave cur, fresh and the deficits alone.
+		i, skipped := d.cur, 0
+		for v.QueueLen(i+off) == 0 {
+			if skipped++; skipped == len(d.quantum) {
+				d.checkNoneBeyond(v, off)
+				return -1
+			}
+			if i++; i == len(d.quantum) {
+				i = 0
+			}
+		}
+		// The queues walked past are inactive and carry no deficit; each
+		// was a step of the walk and counts toward its bound.
+		for ; skipped > 0; skipped-- {
+			d.deficit[d.cur] = 0
+			d.advance()
+			iter++
+		}
 		if iter >= bound {
 			if !exact {
 				maxHead := units.ByteSize(0)
-				for i := 0; i < n; i++ {
-					maxHead = max(maxHead, v.HeadSize(i+off))
+				for j := 0; j < n; j++ {
+					maxHead = max(maxHead, v.HeadSize(j+off))
 				}
 				bound, exact = n*(int(maxHead/d.minQuantum)+2), true
 			}
 			if iter >= bound {
-				panic("sched: DRR failed to select a backlogged queue (deficit accounting bug)")
+				panic(drrStuck)
 			}
-		}
-		i := d.cur
-		if v.QueueLen(i+off) == 0 {
-			d.deficit[i] = 0 // inactive queues carry no deficit
-			d.advance()
-			continue
 		}
 		if d.fresh {
 			d.deficit[i] += d.quantum[i]
@@ -138,6 +152,18 @@ func (d *DRR) selectFrom(v View, off int) int {
 			return i
 		}
 		d.advance()
+	}
+}
+
+const drrStuck = "sched: DRR failed to select a backlogged queue (deficit accounting bug)"
+
+// checkNoneBeyond panics when v has a backlogged queue the scheduler has no
+// quantum for: no walk over the scheduler's own queues would ever serve it.
+func (d *DRR) checkNoneBeyond(v View, off int) {
+	for i := len(d.quantum) + off; i < v.NumQueues(); i++ {
+		if v.QueueLen(i) > 0 {
+			panic(drrStuck)
+		}
 	}
 }
 
@@ -153,7 +179,9 @@ func (d *DRR) OnDequeue(i int, size units.ByteSize, nowEmpty bool) {
 }
 
 func (d *DRR) advance() {
-	d.cur = (d.cur + 1) % len(d.quantum)
+	if d.cur++; d.cur == len(d.quantum) {
+		d.cur = 0
+	}
 	d.fresh = true
 }
 
@@ -193,7 +221,7 @@ func EqualWRR(n int) *WRR {
 
 // Select implements Scheduler.
 func (w *WRR) Select(v View) int {
-	if !anyBacklogged(v, 0) {
+	if !anyBacklogged(v) {
 		return -1
 	}
 	for iter := 0; iter <= v.NumQueues(); iter++ {

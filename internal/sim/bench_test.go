@@ -47,8 +47,49 @@ func BenchmarkEngineScheduleDepth64(b *testing.B) {
 	reportEventsPerSec(b, b.N)
 }
 
-// BenchmarkEngineAfterCall measures the pooled-carrier scheduling path used
-// by netsim's link deliveries: package-level func value + recycled arg.
+// BenchmarkEngineLane is link propagation: schedule through a fixed-delay
+// lane and run, with nothing on the heap.
+func BenchmarkEngineLane(b *testing.B) {
+	s := New()
+	l := s.Lane(units.Microsecond)
+	arg := &struct{ n int }{}
+	fn := func(a any) { a.(*struct{ n int }).n++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Call(fn, arg)
+		s.Step()
+	}
+	reportEventsPerSec(b, b.N)
+}
+
+// BenchmarkEngineLaneAndHeap is a packet cell's mix: every other event is a
+// lane arrival, the rest re-arm on a heap kept 64 deep, and Step merges the
+// two by (when, seq). An op is one event.
+func BenchmarkEngineLaneAndHeap(b *testing.B) {
+	s := New()
+	l := s.Lane(units.Microsecond)
+	arg := &struct{ n int }{}
+	fnA := func(a any) { a.(*struct{ n int }).n++ }
+	const depth = 64
+	var rearm func()
+	rearm = func() {
+		l.Call(fnA, arg)
+		s.After(depth*units.Microsecond, rearm)
+	}
+	for j := 0; j < depth; j++ {
+		s.After(units.Duration(j+1)*units.Microsecond, rearm)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+	reportEventsPerSec(b, b.N)
+}
+
+// BenchmarkEngineAfterCall measures the closure-free scheduling form on the
+// heap: package-level func value + recycled arg.
 func BenchmarkEngineAfterCall(b *testing.B) {
 	s := New()
 	arg := &struct{ n int }{}

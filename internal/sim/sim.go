@@ -1,8 +1,8 @@
 // Package sim provides the discrete-event simulation engine that drives the
-// whole reproduction: a four-ary event heap specialized to *Event, a virtual
-// clock, re-armable timers, and a free list that recycles Event objects so
-// that scheduling and running an event allocate nothing once the free list
-// has grown to the heap's depth.
+// whole reproduction: a four-ary event heap specialized to *Event, fixed-delay
+// lanes for the events that need no heap, a virtual clock, re-armable timers,
+// and a free list that recycles Event objects so that scheduling and running
+// an event allocate nothing once the free list has grown to the heap's depth.
 //
 // The engine is intentionally single-goroutine: every experiment in the
 // paper is a deterministic function of its seed, which makes results
@@ -57,17 +57,15 @@ func (r EventRef) Time() units.Time {
 // Simulator owns the virtual clock and the pending event set.
 // The zero value is not usable; call New.
 type Simulator struct {
-	now units.Time
-	seq uint64
-	// lastWhen and lastSeq are the key of the event Step ran last, the point
-	// in the total order that AtCallSeq may not schedule behind.
-	lastWhen units.Time
-	lastSeq  uint64
-	heap     []*Event // four-ary min-heap ordered by (when, seq)
-	free     []*Event // recycled Event objects awaiting reuse
-	nrun     uint64
-	reused   uint64
-	maxHeap  int
+	now     units.Time
+	seq     uint64
+	heap    []*Event // four-ary min-heap ordered by (when, seq)
+	free    []*Event // recycled Event objects awaiting reuse
+	lanes   []*Lane  // one per distinct delay, in order of first use
+	inLanes int      // events waiting in lanes
+	nrun    uint64
+	reused  uint64
+	maxHeap int
 }
 
 // New returns an empty simulator with the clock at zero.
@@ -78,19 +76,24 @@ func New() *Simulator {
 // Now returns the current simulated time.
 func (s *Simulator) Now() units.Time { return s.now }
 
-// Processed reports how many events have been executed.
+// Processed reports how many events have been executed, heap and lane
+// events alike.
 func (s *Simulator) Processed() uint64 { return s.nrun }
 
-// Pending reports how many events are scheduled but not yet run.
-func (s *Simulator) Pending() int { return len(s.heap) }
+// Pending reports how many events are scheduled but not yet run: those on
+// the heap plus those waiting in lanes. A run loop that stops at zero stops
+// when nothing at all is left to happen.
+func (s *Simulator) Pending() int { return len(s.heap) + s.inLanes }
 
 // MaxPending reports the event heap's high-water mark — the telemetry
-// layer's sizing signal for how much simultaneity a scenario creates.
+// layer's sizing signal for how much simultaneity a scenario puts on the
+// priority queue. Lane events never enter the heap and do not count.
 func (s *Simulator) MaxPending() int { return s.maxHeap }
 
-// PoolReuse reports how many event schedules were served from the free list
-// instead of the allocator. At steady state this tracks Processed: almost
-// every new event reuses the object of one that already fired.
+// PoolReuse reports how many heap-event schedules were served from the free
+// list instead of the allocator. At steady state this tracks the number of
+// heap events processed: almost every new one reuses the object of one that
+// already fired. Lane events carry no Event object and do not count.
 func (s *Simulator) PoolReuse() uint64 { return s.reused }
 
 // less orders events by time, then insertion sequence (FIFO among ties).
@@ -219,13 +222,13 @@ func (s *Simulator) release(e *Event) {
 	s.free = append(s.free, e)
 }
 
-func (s *Simulator) schedule(t units.Time, seq uint64, fn func(), fnA func(any), arg any) EventRef {
+func (s *Simulator) schedule(t units.Time, fn func(), fnA func(any), arg any) EventRef {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	e := s.alloc()
 	e.when = t
-	e.seq = seq
+	e.seq = s.nextSeq()
 	e.fn = fn
 	e.fnA = fnA
 	e.arg = arg
@@ -233,37 +236,20 @@ func (s *Simulator) schedule(t units.Time, seq uint64, fn func(), fnA func(any),
 	return EventRef{ev: e, gen: e.gen}
 }
 
-// ReserveSeq takes the tie-break sequence number a schedule call made now
-// would take, without scheduling anything. A caller that knows now that it
-// will want an event later — a link holding a FIFO of arrivals behind one
-// pending event — reserves at the moment it would have scheduled and hands
-// the number to AtCallSeq when the event's turn comes. The event then sorts
-// among same-time events exactly as if it had been scheduled at reservation.
-func (s *Simulator) ReserveSeq() uint64 {
+// nextSeq takes the next tie-break sequence number. Heap and lane events
+// draw from this one counter, so (when, seq) is a strict total order over
+// everything pending, whichever structure holds it.
+func (s *Simulator) nextSeq() uint64 {
 	seq := s.seq
 	s.seq++
 	return seq
-}
-
-// AtCallSeq is AtCall with a sequence number from ReserveSeq. The key
-// (t, seq) must still lie ahead of the event being run: scheduling behind it
-// would run the callback after events it was reserved to precede, so that
-// panics like scheduling in the past does.
-func (s *Simulator) AtCallSeq(t units.Time, seq uint64, fn func(any), arg any) EventRef {
-	if seq >= s.seq {
-		panic(fmt.Sprintf("sim: sequence number %d was never reserved", seq))
-	}
-	if t == s.lastWhen && seq < s.lastSeq {
-		panic(fmt.Sprintf("sim: scheduling reserved event (%v, %d) behind the running one (%v, %d)", t, seq, s.lastWhen, s.lastSeq))
-	}
-	return s.schedule(t, seq, nil, fn, arg)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a model bug, and silently reordering time would
 // corrupt every queue measurement downstream.
 func (s *Simulator) At(t units.Time, fn func()) EventRef {
-	return s.schedule(t, s.ReserveSeq(), fn, nil, nil)
+	return s.schedule(t, fn, nil, nil)
 }
 
 // After schedules fn to run d after the current time.
@@ -276,9 +262,9 @@ func (s *Simulator) After(d units.Duration, fn func()) EventRef {
 
 // AtCall schedules fn(arg) at absolute time t. With a package-level fn and a
 // pooled arg this schedules without allocating, where At would force a
-// closure per call; it is the hot-path form used by netsim's packet events.
+// closure per call. Lane.Call is the same form for fixed-delay events.
 func (s *Simulator) AtCall(t units.Time, fn func(any), arg any) EventRef {
-	return s.schedule(t, s.ReserveSeq(), nil, fn, arg)
+	return s.schedule(t, nil, fn, arg)
 }
 
 // AfterCall schedules fn(arg) to run d after the current time.
@@ -301,18 +287,112 @@ func (s *Simulator) Cancel(ref EventRef) {
 	s.release(e)
 }
 
-// Step runs the single earliest pending event. It reports false when no
-// events remain. The Event object is released to the free list before the
-// callback runs, so a callback that schedules exactly one follow-up event —
-// the dominant pattern — reuses the very object that just fired.
+// Lane is a FIFO of events that each fire one fixed delay after they are
+// scheduled. The clock never runs backwards and sequence numbers only grow,
+// so the events of a lane are in (when, seq) order as they are appended: a
+// lane is a sorted queue by construction and needs no heap. Step merges the
+// lane heads with the heap root by that same key, which makes a lane event
+// run exactly where an AfterCall with the same delay, made at the same
+// point, would have run. Lane events cannot be canceled and carry no Event
+// object; half of a packet simulation's events (link propagation) are of
+// this kind.
+type Lane struct {
+	sim   *Simulator
+	delay units.Duration
+	// ring holds n events starting at head; its length is a power of two.
+	ring []laneEvent
+	head int
+	n    int
+}
+
+type laneEvent struct {
+	when units.Time
+	seq  uint64
+	fn   func(any)
+	arg  any
+}
+
+// Lane returns the simulator's lane for delay d, creating it on first use.
+// There is one lane per distinct delay; callers look theirs up once, at
+// construction. A negative delay is zero, as for AfterCall.
+func (s *Simulator) Lane(d units.Duration) *Lane {
+	if d < 0 {
+		d = 0
+	}
+	for _, l := range s.lanes {
+		if l.delay == d {
+			return l
+		}
+	}
+	l := &Lane{sim: s, delay: d}
+	s.lanes = append(s.lanes, l)
+	return l
+}
+
+// Call schedules fn(arg) to run the lane's delay after the current time. It
+// is AfterCall(delay, fn, arg) without the heap: same firing time, same
+// tie-break sequence number, no handle to cancel it with.
+func (l *Lane) Call(fn func(any), arg any) {
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	s := l.sim
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = laneEvent{when: s.now.Add(l.delay), seq: s.nextSeq(), fn: fn, arg: arg}
+	l.n++
+	s.inLanes++
+}
+
+// grow doubles the ring and moves the waiting events to its start.
+func (l *Lane) grow() {
+	grown := make([]laneEvent, max(16, 2*len(l.ring)))
+	n := copy(grown, l.ring[l.head:])
+	copy(grown[n:], l.ring[:l.head])
+	l.ring, l.head = grown, 0
+}
+
+// earliest finds the next event to run by (when, seq): from is the lane whose
+// head it is, or nil when it is the heap root. ok is false when nothing is
+// pending.
+func (s *Simulator) earliest() (from *Lane, when units.Time, ok bool) {
+	var seq uint64
+	if len(s.heap) > 0 {
+		when, seq, ok = s.heap[0].when, s.heap[0].seq, true
+	}
+	for _, l := range s.lanes {
+		if l.n == 0 {
+			continue
+		}
+		h := &l.ring[l.head]
+		if !ok || h.when < when || (h.when == when && h.seq < seq) {
+			from, when, seq, ok = l, h.when, h.seq, true
+		}
+	}
+	return from, when, ok
+}
+
+// Step runs the single earliest pending event, from the heap or a lane. It
+// reports false when no events remain. A heap event's Event object is
+// released to the free list before the callback runs, so a callback that
+// schedules exactly one follow-up event — the dominant pattern — reuses the
+// very object that just fired.
 func (s *Simulator) Step() bool {
-	if len(s.heap) == 0 {
+	from, when, ok := s.earliest()
+	if !ok {
 		return false
 	}
-	e := s.popMin()
-	s.now = e.when
-	s.lastWhen, s.lastSeq = e.when, e.seq
+	s.fire(from, when)
+	return true
+}
+
+// fire runs the event earliest found.
+func (s *Simulator) fire(from *Lane, when units.Time) {
+	s.now = when
 	s.nrun++
+	if from != nil {
+		from.run()
+		return
+	}
+	e := s.popMin()
 	fn, fnA, arg := e.fn, e.fnA, e.arg
 	s.release(e)
 	if fn != nil {
@@ -320,10 +400,20 @@ func (s *Simulator) Step() bool {
 	} else {
 		fnA(arg)
 	}
-	return true
 }
 
-// Run executes events until the queue is empty.
+// run pops the lane's head and calls it.
+func (l *Lane) run() {
+	h := &l.ring[l.head]
+	fn, arg := h.fn, h.arg
+	h.fn, h.arg = nil, nil
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	l.sim.inLanes--
+	fn(arg)
+}
+
+// Run executes events until none is pending.
 func (s *Simulator) Run() {
 	for s.Step() {
 	}
@@ -332,8 +422,12 @@ func (s *Simulator) Run() {
 // RunUntil executes events with time ≤ deadline, then advances the clock to
 // the deadline. Events scheduled beyond the deadline remain pending.
 func (s *Simulator) RunUntil(deadline units.Time) {
-	for len(s.heap) > 0 && s.heap[0].when <= deadline {
-		s.Step()
+	for {
+		from, when, ok := s.earliest()
+		if !ok || when > deadline {
+			break
+		}
+		s.fire(from, when)
 	}
 	if s.now < deadline {
 		s.now = deadline
@@ -393,6 +487,9 @@ func (tk *ticker) tick() {
 		return
 	}
 	tk.fn()
+	if tk.stopped { // fn itself may have called stop
+		return
+	}
 	tk.ev = tk.sim.After(tk.period, tk.tickFn)
 }
 

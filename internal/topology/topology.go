@@ -74,21 +74,6 @@ type Network struct {
 	ports []*netsim.Port // by graph link index
 }
 
-// relayNode breaks construction cycles: links are immutable and switches
-// point at each other, so every link into a switch targets a zero-delay
-// forwarder whose destination is patched once the switch exists.
-type relayNode struct {
-	dst netsim.Node
-}
-
-// Receive implements netsim.Node.
-func (r *relayNode) Receive(p *packet.Packet) {
-	if r.dst == nil {
-		panic("topology: relay used before wiring completed")
-	}
-	r.dst.Receive(p)
-}
-
 // Build wires g: one netsim.Switch per switch node with one netsim.Port per
 // out-link in the graph's port order, one host with a NIC and a transport
 // endpoint per host node, routed by the graph's next-hop oracle.
@@ -100,15 +85,8 @@ func Build(s *sim.Simulator, g *fabric.Graph, cfg Config) (*Network, error) {
 		cfg.DetectionDelay = units.Millisecond
 	}
 	n := &Network{Sim: s, Graph: g, ports: make([]*netsim.Port, g.NumLinks())}
-	relays := make([]relayNode, g.NumSwitches())
 	for h := 0; h < g.Hosts(); h++ {
 		n.Hosts = append(n.Hosts, netsim.NewHost(h, nil))
-	}
-	target := func(l fabric.Link) netsim.Node {
-		if l.ToHost {
-			return n.Hosts[l.To]
-		}
-		return &relays[l.To]
 	}
 
 	for sw := 0; sw < g.NumSwitches(); sw++ {
@@ -131,7 +109,7 @@ func Build(s *sim.Simulator, g *fabric.Graph, cfg Config) (*Network, error) {
 				Queues:    cfg.Queues,
 				Scheduler: schd,
 				Admission: adm,
-				Link:      netsim.NewLink(s, cfg.Delay, target(l)),
+				Link:      netsim.NewLink(s, cfg.Delay, nil),
 				Pool:      cfg.Pool,
 			})
 			if err != nil {
@@ -148,7 +126,6 @@ func Build(s *sim.Simulator, g *fabric.Graph, cfg Config) (*Network, error) {
 			return nil, err
 		}
 		n.Switches = append(n.Switches, nsw)
-		relays[sw].dst = nsw
 	}
 
 	for h, host := range n.Hosts {
@@ -159,7 +136,7 @@ func Build(s *sim.Simulator, g *fabric.Graph, cfg Config) (*Network, error) {
 			Queues:    1,
 			Scheduler: sched.NewSPQ(),
 			Admission: buffer.NewBestEffort(),
-			Link:      netsim.NewLink(s, cfg.Delay, target(l)),
+			Link:      netsim.NewLink(s, cfg.Delay, nil),
 		})
 		if err != nil {
 			return nil, err
@@ -167,6 +144,15 @@ func Build(s *sim.Simulator, g *fabric.Graph, cfg Config) (*Network, error) {
 		host.SetEgress(nic)
 		n.ports[g.Uplink(h)] = nic
 		n.Endpoints = append(n.Endpoints, transport.NewEndpoint(s, host))
+	}
+	// Switches point at each other, so wiring is two-phase: every link was
+	// built without a destination and gets it now that both ends exist.
+	for li, p := range n.ports {
+		if l := g.Link(li); l.ToHost {
+			p.Link().SetDst(n.Hosts[l.To])
+		} else {
+			p.Link().SetDst(n.Switches[l.To])
+		}
 	}
 	return n, nil
 }
