@@ -1,27 +1,20 @@
-// Command dynaqlint is the repo's determinism and invariant linter: a
-// stdlib-only static-analysis pass (go/parser + go/types, no x/tools) that
-// flags source constructs which silently break the simulator's
-// byte-identical (scenario, seed) replay guarantee. See internal/lint for
-// the analyzers and DESIGN.md ("Determinism rules") for the rationale.
+// Command dynaqlint is the repo's determinism linter: a stdlib-only
+// static-analysis pass (go/parser + go/types, no x/tools) that flags source
+// constructs which silently break the simulator's byte-identical
+// (scenario, seed) replay guarantee. See internal/lint for the analyzers and
+// DESIGN.md ("Static analysis") for the audit that chose them.
 //
 // Usage:
 //
-//	dynaqlint ./...                          # lint every package, human output
-//	dynaqlint -json ./...                    # one JSON object per finding
-//	dynaqlint -list                          # describe the analyzers
-//	dynaqlint ./internal/core                # lint one package
-//	dynaqlint -baseline lint_baseline.json ./...        # fail only on NEW findings
-//	dynaqlint -write-baseline lint_baseline.json ./...  # (re)record the baseline
+//	dynaqlint ./...              # lint every package
+//	dynaqlint ./internal/core    # lint one package
+//	dynaqlint -list              # describe the analyzers
 //
-// All requested packages are loaded up front and analyzed against a shared
-// whole-program function index, so the interprocedural analyzers
-// (determinism-taint) can follow a value through helpers in other packages.
-//
-// Exit status: 0 when clean (or clean modulo the baseline), 1 when any
-// unsuppressed, non-baselined diagnostic was reported, 2 on usage or load
-// errors. CI runs `go run ./cmd/dynaqlint -baseline lint_baseline.json ./...`
-// and fails the build on any new finding; legitimate sites carry a
-// `//dynaqlint:allow <analyzer> <reason>` directive instead.
+// Exit status: 0 when clean, 1 when any unsuppressed diagnostic was
+// reported, 2 on usage or load errors. CI runs `go run ./cmd/dynaqlint ./...`
+// and fails the build on any finding; legitimate sites carry a
+// `//dynaqlint:allow <analyzer> <reason>` directive, and a directive that
+// suppresses nothing is a finding too.
 package main
 
 import (
@@ -34,13 +27,10 @@ import (
 )
 
 func main() {
-	asJSON := flag.Bool("json", false, "emit machine-readable JSON Lines instead of text")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
-	baselinePath := flag.String("baseline", "", "compare findings against this JSON baseline; fail only on findings not in it")
-	writeBaseline := flag.String("write-baseline", "", "write the findings to this JSON baseline file and exit 0")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dynaqlint [-json] [-list] [-baseline file] [-write-baseline file] packages...\n")
+		fmt.Fprintf(os.Stderr, "usage: dynaqlint [-list] packages...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -61,10 +51,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *baselinePath != "" && *writeBaseline != "" {
-		fmt.Fprintf(os.Stderr, "dynaqlint: -baseline and -write-baseline are mutually exclusive\n")
-		os.Exit(2)
-	}
 
 	dirs, err := lint.ExpandPatterns(patterns)
 	if err != nil {
@@ -81,11 +67,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Phase 1: load everything, so the cross-package function index is
-	// complete before any analyzer runs.
 	loader := lint.NewLoader()
 	cfg := lint.DefaultConfig()
-	var pkgs []*lint.Package
+	var diags []lint.Diagnostic
 	loadFailed := false
 	for _, dir := range dirs {
 		importPath, err := lint.DirImportPath(moduleRoot, modulePath, dir)
@@ -103,65 +87,18 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dynaqlint: %s: typecheck: %v\n", importPath, terr)
 			loadFailed = true
 		}
-		pkgs = append(pkgs, pkg)
+		diags = append(diags, lint.Run(pkg, analyzers, cfg)...)
 	}
 
-	// Phase 2: analyze each package against the shared program.
-	prog := lint.NewProgram(pkgs)
-	var diags []lint.Diagnostic
-	for _, pkg := range pkgs {
-		diags = append(diags, lint.RunWithProgram(pkg, prog, analyzers, cfg)...)
-	}
-
-	if *writeBaseline != "" {
-		if loadFailed {
-			fmt.Fprintf(os.Stderr, "dynaqlint: refusing to write a baseline from a partial load\n")
-			os.Exit(2)
-		}
-		if err := lint.NewBaseline(diags).WriteFile(*writeBaseline); err != nil {
-			fmt.Fprintf(os.Stderr, "dynaqlint: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "dynaqlint: wrote %d finding(s) to baseline %s\n", len(diags), *writeBaseline)
-		return
-	}
-
-	var stale []lint.BaselineEntry
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynaqlint: %v\n", err)
-			os.Exit(2)
-		}
-		diags, stale = lint.ApplyBaseline(base, diags)
-	}
-
-	if *asJSON {
-		err = lint.WriteJSON(os.Stdout, diags)
-	} else {
-		err = lint.WriteText(os.Stdout, diags)
-	}
-	if err != nil {
+	if err := lint.WriteText(os.Stdout, diags); err != nil {
 		fmt.Fprintf(os.Stderr, "dynaqlint: %v\n", err)
 		os.Exit(2)
-	}
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "dynaqlint: stale baseline entry (%d no longer found): %s: %s: %s\n", e.Count, e.File, e.Analyzer, e.Message)
 	}
 	switch {
 	case loadFailed:
 		os.Exit(2)
 	case len(diags) > 0:
-		if !*asJSON {
-			what := "finding(s)"
-			if *baselinePath != "" {
-				what = "finding(s) not in baseline"
-			}
-			fmt.Fprintf(os.Stderr, "dynaqlint: %d %s; fix them or add //dynaqlint:allow <analyzer> <reason>\n", len(diags), what)
-		}
-		os.Exit(1)
-	case len(stale) > 0:
-		fmt.Fprintf(os.Stderr, "dynaqlint: baseline is stale; regenerate with -write-baseline %s\n", *baselinePath)
+		fmt.Fprintf(os.Stderr, "dynaqlint: %d finding(s); fix them or add //dynaqlint:allow <analyzer> <reason>\n", len(diags))
 		os.Exit(1)
 	}
 }

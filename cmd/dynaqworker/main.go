@@ -49,11 +49,11 @@ func main() {
 	}
 
 	if *id == "" {
-		host, err := os.Hostname()
+		host, err := os.Hostname() //dynaqlint:allow determinism the default worker id only labels leases, logs and spans; no artifact or cache key contains it
 		if err != nil {
 			host = "worker"
 		}
-		*id = host + "-" + strconv.Itoa(os.Getpid())
+		*id = host + "-" + strconv.Itoa(os.Getpid()) //dynaqlint:allow determinism the pid half of the same default worker id
 	}
 	logger := log.New(os.Stderr, "dynaqworker["+*id+"]: ", log.LstdFlags)
 	if *workDir == "" {

@@ -18,8 +18,8 @@ import (
 //
 // Each trial MUST be self-contained: run must build its own Simulator,
 // rand.Rand, and telemetry sinks per call, and must not touch shared mutable
-// state. The dynaqlint parallel-state check enforces this for captured
-// engine state.
+// state. TestFCTGridParallelParity under -race reports a trial that shares
+// engine state with another.
 //
 // The first error (by trial index) cancels the pool: idle workers stop
 // claiming new trials, in-flight trials finish, and RunTrials returns after

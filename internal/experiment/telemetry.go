@@ -33,8 +33,8 @@ type Hooks struct {
 	// Spans, when non-nil, receives a retroactive sim-time "sim" span for
 	// the run (the static run adds "warmup"/"measure" children), parented
 	// under SpanParent. Sim spans carry simulated time only — wall-clock
-	// values must never reach them (dynaqlint enforces this at the SimSpan
-	// sink).
+	// values must never reach them (scenario's TestSimSpansReplay compares
+	// two runs' spans).
 	Spans      *ttrace.Tracer
 	SpanParent string
 }

@@ -165,11 +165,9 @@ func (r *Registry) Resolve(target string) ([]*netsim.Link, error) {
 // Totals sums the loss and corruption counters across every registered
 // link, for experiment summaries ("how many packets did the faults eat").
 func (r *Registry) Totals() (lost, corrupted int64) {
-	// Iterate in sorted-name order: the sum is commutative, but walking the
-	// map directly would (correctly) look order-dependent to the
-	// determinism-taint analyzer, and deterministic order costs nothing here.
-	for _, n := range r.LinkNames() {
-		l := r.links[n]
+	// Map order cannot matter: int64 addition is commutative and exact, so
+	// every visit order gives the same two sums.
+	for _, l := range r.links {
 		lost += l.Lost()
 		corrupted += l.Corrupted()
 	}

@@ -281,8 +281,8 @@ func (e *Engine) Finish() {
 }
 
 // ScheduleArrival schedules spec to start at the given simulated time. The
-// arrival time feeds the event heap, so tainted wall-clock values must
-// never reach it (enforced by dynaqlint's determinism-taint pass).
+// arrival time feeds the event heap, so wall-clock values must never reach
+// it.
 func (e *Engine) ScheduleArrival(at units.Time, spec FlowSpec) {
 	e.s.At(at, func() { e.startFlow(spec) })
 }

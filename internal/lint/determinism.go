@@ -4,16 +4,20 @@ import (
 	"go/ast"
 )
 
-// Determinism flags the two stdlib escape hatches that make a simulation run
-// depend on something other than (scenario, seed): wall-clock reads and the
-// process-global math/rand source.
+// Determinism flags the stdlib escape hatches that make a simulation run
+// depend on something other than (scenario, seed): wall-clock reads, host and
+// environment reads, and the process-global math/rand source.
 //
 // Wall-clock reads (time.Now, time.Since, time.Until) smuggle host timing
-// into the run; the simulator has its own virtual clock (sim.Now). The
-// global math/rand functions (rand.Intn, rand.Float64, ...) share one
-// process-wide generator whose state depends on everything else that drew
-// from it, so two runs of the same scenario diverge. Seeded generators built
-// with rand.New(rand.NewSource(seed)) are the sanctioned pattern and are not
+// into the run; the simulator has its own virtual clock (sim.Now). Host and
+// environment reads (os.Hostname, os.Getpid, os.Getppid, os.Getenv,
+// os.LookupEnv, os.Environ) are the one source no run-twice-and-diff check
+// sees, because both runs share the host; they are flagged where they are
+// called, whatever the value goes on to do. The global math/rand functions
+// (rand.Intn, rand.Float64, ...) share one process-wide generator whose state
+// depends on everything else that drew from it, so two runs of the same
+// scenario diverge. Seeded generators built with
+// rand.New(rand.NewSource(seed)) are the sanctioned pattern and are not
 // flagged — unless the source is itself seeded from a nondeterministic value
 // such as time.Now().UnixNano() or os.Getpid().
 //
@@ -25,7 +29,7 @@ import (
 // under a manual clock and unreplayable in the chaos harness.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "flag wall-clock reads, global/unseeded math/rand use, and raw timers in strict-time packages",
+	Doc:  "flag wall-clock, host and environment reads, global/unseeded math/rand use, and raw timers in strict-time packages",
 	Run:  runDeterminism,
 }
 
@@ -38,6 +42,17 @@ var strictTimeFuncs = map[string]bool{
 	"NewTimer":  true,
 	"NewTicker": true,
 	"AfterFunc": true,
+}
+
+// hostReads are the os functions whose result depends on the machine or on
+// the environment the process was started in.
+var hostReads = map[string]bool{
+	"Hostname":  true,
+	"Getpid":    true,
+	"Getppid":   true,
+	"Getenv":    true,
+	"LookupEnv": true,
+	"Environ":   true,
 }
 
 const randPath = "math/rand"
@@ -73,6 +88,10 @@ func runDeterminism(p *Pass) {
 				}
 				return true
 			}
+			if name, ok := pkgFuncCall(p.TypesInfo, call, "os"); ok && hostReads[name] {
+				p.Reportf(call.Pos(), "os.%s reads the host or its environment, which (scenario, seed) does not determine; take the value as an explicit input", name)
+				return true
+			}
 			if name, ok := pkgFuncCall(p.TypesInfo, call, randPath, randPath+"/v2"); ok {
 				if !randConstructors[name] {
 					p.Reportf(call.Pos(), "global math/rand source (rand.%s) is shared process state; draw from a seeded rand.New(rand.NewSource(seed))", name)
@@ -106,12 +125,9 @@ func nondetSeedCall(p *Pass, e ast.Expr) (bad bool, fn string) {
 				return false
 			}
 		}
-		if name, ok := pkgFuncCall(p.TypesInfo, call, "os"); ok {
-			switch name {
-			case "Getpid", "Getppid":
-				bad, fn = true, "os."+name
-				return false
-			}
+		if name, ok := pkgFuncCall(p.TypesInfo, call, "os"); ok && hostReads[name] {
+			bad, fn = true, "os."+name
+			return false
 		}
 		return true
 	})

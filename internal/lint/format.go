@@ -1,44 +1,15 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 )
-
-// jsonDiagnostic is the machine-readable form emitted by -json, one object
-// per line (JSON Lines), so CI tooling can stream-parse findings.
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
 
 // WriteText renders diagnostics in the classic file:line:col form, one per
 // line.
 func WriteText(w io.Writer, diags []Diagnostic) error {
 	for _, d := range diags {
 		if _, err := fmt.Fprintln(w, d.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteJSON renders diagnostics as JSON Lines.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	enc := json.NewEncoder(w)
-	for _, d := range diags {
-		jd := jsonDiagnostic{
-			File:     d.Pos.Filename,
-			Line:     d.Pos.Line,
-			Col:      d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		}
-		if err := enc.Encode(jd); err != nil {
 			return err
 		}
 	}

@@ -13,8 +13,8 @@ import (
 // file would mask every other finding).
 func FuzzLoadAndRun(f *testing.F) {
 	f.Add("package fuzzpkg\n\nfunc ok() int { return 1 }\n")
-	f.Add("package fuzzpkg\n\nimport \"time\"\n\nfunc Sink(s string)\n\nfunc bad() { Sink(time.Now().String()) }\n")
-	f.Add("package fuzzpkg\n\ntype T struct {\n\tmu int\n\tx  int // guarded by mu\n}\n")
+	f.Add("package fuzzpkg\n\nimport (\n\t\"os\"\n\t\"time\"\n)\n\nfunc bad() string { return os.Getenv(\"X\") + time.Now().String() }\n")
+	f.Add("package fuzzpkg\n\nfunc eq(a, b float64) bool {\n\t//dynaqlint:allow float-eq\n\treturn a == b //dynaqlint:allow map-order idle\n}\n")
 	f.Add("package fuzzpkg\n\ntype Time int64\n\nfunc add(a, b Time) Time { return a + b }\n")
 	f.Add("package fuzzpkg\n\nfunc (") // malformed: truncated method decl
 	f.Add("package fuzzpkg\n\nfunc cycle() { cycle() }\n")
@@ -35,8 +35,7 @@ func FuzzLoadAndRun(f *testing.F) {
 		}
 		pkg := l.LoadFiles(".", "fuzzpkg", []*ast.File{file})
 		cfg := DefaultConfig()
-		cfg.TaintSinks["fuzzpkg.Sink"] = "fuzz sink"
-		cfg.LockCheckedPackages = append(cfg.LockCheckedPackages, "fuzzpkg")
+		cfg.StrictTimePackages = append(cfg.StrictTimePackages, "fuzzpkg")
 		cfg.UnitsPackages = append(cfg.UnitsPackages, "fuzzpkg")
 		_ = Run(pkg, All(), cfg)
 	})

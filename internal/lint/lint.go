@@ -1,35 +1,22 @@
-// Package lint implements dynaqlint, the repo's determinism and invariant
-// linter. The simulator's core guarantee — fault timelines and experiment
-// results are a pure function of (scenario, seed) and replay byte-identically
-// — is enforced at runtime by the internal/faults guardrail; this package
-// enforces it at the source level, flagging the Go constructs that silently
-// break replay before any scenario can trip over them:
+// Package lint implements dynaqlint, the repo's determinism linter. The
+// simulator's core guarantee — fault timelines and experiment results are a
+// pure function of (scenario, seed) and replay byte-identically — is checked
+// dynamically by the goldens, the run-twice `diff -r` CI steps, -race and the
+// internal/faults guardrail. This package holds the four source-level checks
+// that a seeded-mutation audit (DESIGN.md, "Static analysis") showed nothing
+// dynamic catches, or catches only some of the time:
 //
-//   - determinism:     wall-clock reads (time.Now/Since/Until) and the global
-//     math/rand source, whose state is shared and unseeded.
-//   - map-order:       map iteration whose body performs ordering-sensitive
-//     side effects (event scheduling, result-slice appends without a later
-//     sort, channel sends, float accumulation).
-//   - float-eq:        == / != between floating-point operands (threshold
-//     T_i arithmetic must not branch on exact float identity).
-//   - guard-invariant: mutation of occupancy/threshold fields of the
-//     invariant-owning packages from outside their accessor methods.
-//   - parallel-state:  worker goroutines / trial functions (go statements,
-//     RunTrials, RunSeeds) capturing a *sim.Simulator, *rand.Rand, or
-//     telemetry *Run from an enclosing scope — per-trial engine state must
-//     be built inside the trial (shared-nothing parallelism).
-//   - determinism-taint: interprocedural — nondeterminism sources (wall
-//     clock, global rand, map-iteration order, %p, os.Environ) flowing
-//     transitively, through any number of helper calls, into determinism
-//     sinks (server.CacheKey, telemetry artifact writers, event scheduling
-//     times). Values drawn through the injected fleet.Clock interface are
-//     clean by construction.
-//   - lock-discipline: fields annotated "guarded by <mu>" accessed without
-//     the named mutex held, and goroutine-spawning / lease-mutating
-//     functions missing a context.Context parameter.
-//   - units-consistency: arithmetic mixing internal/units dimensions
-//     (bytes vs sim-time vs rate) or comparing a dimensioned value against
-//     a raw non-zero literal.
+//   - determinism: wall-clock reads (time.Now/Since/Until), host and
+//     environment reads (os.Hostname/Getpid/Getenv/...), the global math/rand
+//     source, and raw stdlib timers in the strict-time packages.
+//   - map-order: map iteration whose body performs ordering-sensitive side
+//     effects (event scheduling, result-slice appends without a later sort,
+//     channel sends, float accumulation).
+//   - float-eq: == / != between floating-point operands (threshold T_i
+//     arithmetic must not branch on exact float identity).
+//   - units-consistency: casts between internal/units dimensions (bytes vs
+//     sim-time vs rate), raw +/- on absolute sim-times, and a dimensioned
+//     value compared against a raw non-zero literal.
 //
 // Everything is built on the stdlib go/parser, go/ast, go/types and
 // go/importer packages; dynaqlint adds no module dependencies.
@@ -40,7 +27,7 @@
 //	start := time.Now() //dynaqlint:allow determinism progress timing only
 //
 // The reason is mandatory: a suppression without a justification is itself
-// reported.
+// reported, and so is one that suppresses nothing.
 package lint
 
 import (
@@ -75,21 +62,11 @@ type Analyzer struct {
 
 // All returns every analyzer dynaqlint ships, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, MapOrder, FloatEq, GuardInvariant, ParallelState,
-		DeterminismTaint, LockDiscipline, UnitsConsistency}
+	return []*Analyzer{Determinism, MapOrder, FloatEq, UnitsConsistency}
 }
 
 // Config tunes the analyzers for the tree being linted.
 type Config struct {
-	// GuardedPackages lists import paths whose struct fields hold audited
-	// invariant state (port occupancy, DynaQ thresholds, pool accounting).
-	// guard-invariant flags any write to a field of a type declared in one
-	// of these packages when the write happens in a different package.
-	GuardedPackages []string
-	// ParallelSharedTypes lists "import/path.TypeName" entries whose
-	// pointer types worker goroutines and trial functions must never
-	// capture from an enclosing scope (parallel-state).
-	ParallelSharedTypes []string
 	// StrictTimePackages lists import paths held to the stricter fleet
 	// timing rule: beyond wall-clock reads, every stdlib timer primitive
 	// (time.Sleep, time.After, time.Tick, time.NewTimer, time.NewTicker,
@@ -97,45 +74,15 @@ type Config struct {
 	// decisions there must flow through the injected fleet.Clock to stay
 	// replayable under a manual clock.
 	StrictTimePackages []string
-	// TaintSources maps function keys ("time.Now",
-	// "(dynaq/internal/fleet.WallClock).Now") to source descriptions for
-	// determinism-taint. nil means the built-in default set.
-	TaintSources map[string]string
-	// TaintSinks maps function keys to sink descriptions; a tainted value
-	// reaching an argument of one of these calls is a finding. An empty
-	// map disables the analyzer.
-	TaintSinks map[string]string
-	// TaintSanitizers lists function keys whose return values are always
-	// considered clean regardless of inputs (e.g. a hash of a sorted copy).
-	TaintSanitizers []string
-	// LockCheckedPackages lists import paths where lock-discipline runs:
-	// "guarded by <mu>" field annotations are enforced, and functions that
-	// spawn goroutines or call lease/queue mutators must accept a
-	// context.Context.
-	LockCheckedPackages []string
-	// LockMutatorKeys lists function keys treated as lease/queue mutators
-	// by lock-discipline's context rule.
-	LockMutatorKeys []string
 	// UnitsPackages lists import paths declaring dimensioned numeric types
 	// (internal/units); units-consistency classifies those types into
 	// dimensions by name and flags cross-dimension arithmetic.
 	UnitsPackages []string
 }
 
-// DefaultConfig is the configuration for this repository: the packages that
-// own Σ T_i == B, occupancy, and shared-pool accounting.
+// DefaultConfig is the configuration for this repository.
 func DefaultConfig() Config {
 	return Config{
-		GuardedPackages: []string{
-			"dynaq/internal/core",
-			"dynaq/internal/buffer",
-			"dynaq/internal/netsim",
-		},
-		ParallelSharedTypes: []string{
-			"dynaq/internal/sim.Simulator",
-			"dynaq/internal/telemetry.Run",
-			"math/rand.Rand",
-		},
 		StrictTimePackages: []string{
 			"dynaq/internal/fleet",
 			// The fair queue is pure bookkeeping under its caller's lock:
@@ -143,8 +90,7 @@ func DefaultConfig() Config {
 			// a deterministic test can replay any dispatch interleaving.
 			"dynaq/internal/fairq",
 			// The coordinator core takes every instant as an op argument; it
-			// is pure bookkeeping like the two above (no mutex of its own, so
-			// it is not lock-checked — purity_test.go forbids it one).
+			// is pure bookkeeping like the two above.
 			"dynaq/internal/coord",
 			"dynaq/internal/server",
 			"dynaq/internal/telemetry/trace",
@@ -157,55 +103,13 @@ func DefaultConfig() Config {
 			// the shape, never of a clock.
 			"dynaq/internal/fabric",
 		},
-		TaintSinks: map[string]string{
-			"dynaq/internal/server.CacheKey":                   "content-addressed cache key",
-			"dynaq/internal/telemetry.Hash":                    "scenario/artifact hash",
-			"(dynaq/internal/telemetry.Run).Event":             "events.jsonl artifact",
-			"(dynaq/internal/telemetry.Run).Summarize":         "manifest.json summary",
-			"(dynaq/internal/telemetry.EventWriter).Event":     "events.jsonl artifact",
-			"(dynaq/internal/sim.Simulator).At":                "event scheduling time",
-			"(dynaq/internal/sim.Simulator).After":             "event scheduling time",
-			"(dynaq/internal/sim.Simulator).AtCall":            "event scheduling time",
-			"(dynaq/internal/sim.Simulator).AfterCall":         "event scheduling time",
-			"(dynaq/internal/sim.Simulator).Every":             "event scheduling time",
-			"(dynaq/internal/sim.Simulator).Lane":              "event scheduling time",
-			"(dynaq/internal/sim.Timer).Reset":                 "event scheduling time",
-			"(dynaq/internal/flowsim.Engine).ScheduleArrival":  "flow arrival time",
-			"(dynaq/internal/telemetry/trace.Tracer).SimSpan":  "sim-time span timestamp",
-			"(dynaq/internal/telemetry/trace.SpanRef).SimSpan": "sim-time span timestamp",
-		},
-		LockCheckedPackages: []string{
-			"dynaq/internal/fleet",
-			"dynaq/internal/fairq",
-			"dynaq/internal/server",
-			"dynaq/internal/telemetry/trace",
-		},
-		// The coordinator core's mutating ops. The shell (internal/server)
-		// is the only caller; the lease table and the fair queue behind
-		// them are the core's own and out of the shell's reach.
-		LockMutatorKeys: []string{
-			"(dynaq/internal/coord.Core).Recover",
-			"(dynaq/internal/coord.Core).Start",
-			"(dynaq/internal/coord.Core).Drain",
-			"(dynaq/internal/coord.Core).Submit",
-			"(dynaq/internal/coord.Core).Dispatch",
-			"(dynaq/internal/coord.Core).Lease",
-			"(dynaq/internal/coord.Core).ClaimLocal",
-			"(dynaq/internal/coord.Core).Heartbeat",
-			"(dynaq/internal/coord.Core).Complete",
-			"(dynaq/internal/coord.Core).LocalDone",
-			"(dynaq/internal/coord.Core).Tick",
-			"(dynaq/internal/coord.Core).Requeue",
-		},
 		UnitsPackages: []string{
 			"dynaq/internal/units",
 		},
 	}
 }
 
-// Pass carries one analyzer's view of one type-checked package. Prog, when
-// non-nil, is the whole-program function index the interprocedural analyzers
-// consult; per-package analyzers ignore it.
+// Pass carries one analyzer's view of one type-checked package.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
@@ -213,7 +117,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	Config    Config
-	Prog      *Program
 
 	diags *[]Diagnostic
 }
@@ -229,20 +132,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Run executes the analyzers over a loaded package, applies the suppression
 // directives found in its files, and returns the surviving diagnostics
-// sorted by position. Malformed directives are reported under the
-// "directive" pseudo-analyzer.
+// sorted by position. Malformed directives, and well-formed ones that
+// suppress nothing, are reported under the "directive" pseudo-analyzer.
 func Run(pkg *Package, analyzers []*Analyzer, cfg Config) []Diagnostic {
-	return RunWithProgram(pkg, nil, analyzers, cfg)
-}
-
-// RunWithProgram is Run with a whole-program function index attached, which
-// the interprocedural analyzers (determinism-taint) need to follow calls
-// across package boundaries. prog may be nil, degrading those analyzers to
-// intra-package resolution of whatever NewProgram indexed from pkg alone.
-func RunWithProgram(pkg *Package, prog *Program, analyzers []*Analyzer, cfg Config) []Diagnostic {
-	if prog == nil {
-		prog = NewProgram([]*Package{pkg})
-	}
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -252,7 +144,6 @@ func RunWithProgram(pkg *Package, prog *Program, analyzers []*Analyzer, cfg Conf
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
 			Config:    cfg,
-			Prog:      prog,
 			diags:     &diags,
 		}
 		a.Run(pass)
@@ -266,6 +157,15 @@ func RunWithProgram(pkg *Package, prog *Program, analyzers []*Analyzer, cfg Conf
 		}
 	}
 	kept = append(kept, bad...)
+	for key, a := range allows {
+		if !a.used {
+			kept = append(kept, Diagnostic{
+				Pos:      a.pos,
+				Analyzer: "directive",
+				Message:  fmt.Sprintf("dynaqlint:allow %s suppresses nothing on this line or the next; remove it", key.analyzer),
+			})
+		}
+	}
 	sort.Slice(kept, func(i, j int) bool {
 		a, b := kept[i], kept[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -290,15 +190,22 @@ type allowKey struct {
 	analyzer string
 }
 
+// allow is one valid suppression: where it stands, and whether any
+// diagnostic met it.
+type allow struct {
+	pos  token.Position
+	used bool
+}
+
 // parseDirectives scans every comment for //dynaqlint: directives. It
 // returns the set of valid suppressions and a diagnostic per malformed
 // directive (unknown verb or analyzer, missing reason).
-func parseDirectives(fset *token.FileSet, files []*ast.File, analyzers []*Analyzer) (map[allowKey]bool, []Diagnostic) {
+func parseDirectives(fset *token.FileSet, files []*ast.File, analyzers []*Analyzer) (map[allowKey]*allow, []Diagnostic) {
 	known := map[string]bool{"all": true}
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
-	allows := make(map[allowKey]bool)
+	allows := make(map[allowKey]*allow)
 	var bad []Diagnostic
 	report := func(pos token.Pos, format string, args ...any) {
 		bad = append(bad, Diagnostic{
@@ -334,7 +241,7 @@ func parseDirectives(fset *token.FileSet, files []*ast.File, analyzers []*Analyz
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				allows[allowKey{pos.Filename, pos.Line, fields[1]}] = true
+				allows[allowKey{pos.Filename, pos.Line, fields[1]}] = &allow{pos: pos}
 			}
 		}
 	}
@@ -343,15 +250,18 @@ func parseDirectives(fset *token.FileSet, files []*ast.File, analyzers []*Analyz
 
 // suppressed reports whether a valid allow directive covers the diagnostic:
 // matching analyzer (or "all") on the same line or the line directly above.
-func suppressed(allows map[allowKey]bool, d Diagnostic) bool {
+// Every directive that covers it is marked used.
+func suppressed(allows map[allowKey]*allow, d Diagnostic) bool {
+	hit := false
 	for _, name := range []string{d.Analyzer, "all"} {
 		for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
-			if allows[allowKey{d.Pos.Filename, line, name}] {
-				return true
+			if a := allows[allowKey{d.Pos.Filename, line, name}]; a != nil {
+				a.used = true
+				hit = true
 			}
 		}
 	}
-	return false
+	return hit
 }
 
 // pkgFuncCall resolves call to a selector on an imported package and, when

@@ -48,14 +48,12 @@ func (c chainImporter) ImportFrom(path, dir string, mode types.ImportMode) (*typ
 	return c.fallback.Import(path)
 }
 
-// fixtureConfig guards the fixture's invariant-owning package instead of the
-// real simulator packages, bans the stdlib rand.Rand as the stand-in shared
-// parallel state, and holds the fleetdet fixture to the strict-time rule.
+// fixtureConfig holds the fleetdet fixture to the strict-time rule and
+// names the units fixture's declaring package.
 func fixtureConfig() Config {
 	return Config{
-		GuardedPackages:     []string{"guarded"},
-		ParallelSharedTypes: []string{"math/rand.Rand"},
-		StrictTimePackages:  []string{"fleetdet"},
+		StrictTimePackages: []string{"fleetdet"},
+		UnitsPackages:      []string{"unitsdef"},
 	}
 }
 
@@ -64,42 +62,18 @@ func fixtureConfig() Config {
 // directives and the seeded-rand false-positive cases, which must stay
 // silent.
 func TestFixtures(t *testing.T) {
-	for _, name := range []string{"determ", "fleetdet", "maporder", "floateq", "parstate"} {
+	for _, name := range []string{"determ", "fleetdet", "maporder", "floateq"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			pkg := loadFixtureDir(t, NewLoader(), name)
-			checkFixture(t, pkg, fixtureConfig())
+			checkFixture(t, pkg)
 		})
 	}
 }
 
-// TestGuardFixture type-checks the two-package guard fixture — the
-// invariant owner and a mutating importer — and verifies both that
-// cross-package writes are flagged and that the owner itself is exempt.
-func TestGuardFixture(t *testing.T) {
-	l := NewLoader()
-	owner := loadFixtureDir(t, l, "guarded")
-	l.Importer = chainImporter{
-		known:    map[string]*types.Package{"guarded": owner.Types},
-		fallback: l.Importer,
-	}
-	user := loadFixtureDir(t, l, "guarduse")
-	checkFixture(t, owner, fixtureConfig())
-	checkFixture(t, user, fixtureConfig())
-}
-
-func checkFixture(t *testing.T, pkg *Package, cfg Config) {
+func checkFixture(t *testing.T, pkg *Package) {
 	t.Helper()
-	checkFixtureWith(t, pkg, cfg, All())
-}
-
-// checkFixtureWith runs only the given analyzers, so fixtures for one
-// analyzer need not annotate the (intentional) findings of every other —
-// the taint fixture's helper time.Now() calls would otherwise need
-// determinism wants on lines the taint analyzer must stay silent about.
-func checkFixtureWith(t *testing.T, pkg *Package, cfg Config, analyzers []*Analyzer) {
-	t.Helper()
-	diags := Run(pkg, analyzers, cfg)
+	diags := Run(pkg, All(), fixtureConfig())
 	wants, err := ParseWants(pkg.Fset, pkg.Files)
 	if err != nil {
 		t.Fatal(err)
@@ -107,73 +81,6 @@ func checkFixtureWith(t *testing.T, pkg *Package, cfg Config, analyzers []*Analy
 	for _, problem := range CheckWants(wants, diags) {
 		t.Error(problem)
 	}
-}
-
-// TestTaintFixture runs the interprocedural determinism-taint analyzer over
-// its fixture: sources laundered through helpers must reach the configured
-// sinks, while sorted map keys, interface-clock draws, and parameters stay
-// silent.
-func TestTaintFixture(t *testing.T) {
-	pkg := loadFixtureDir(t, NewLoader(), "taintfix")
-	cfg := Config{
-		TaintSinks: map[string]string{
-			"taintfix.CacheKey":   "content-addressed cache key",
-			"taintfix.WriteEvent": "events artifact",
-		},
-	}
-	checkFixtureWith(t, pkg, cfg, []*Analyzer{DeterminismTaint})
-}
-
-// TestTraceFixture runs determinism-taint over the span-layer fixture: a
-// wall-clock read laundered through a narrowing helper into a sim-domain
-// span timestamp must be flagged, while engine-supplied sim time and
-// interface-clock wall spans stay silent.
-func TestTraceFixture(t *testing.T) {
-	pkg := loadFixtureDir(t, NewLoader(), "tracefix")
-	cfg := Config{
-		TaintSinks: map[string]string{
-			"(tracefix.Tracer).SimSpan": "sim-time span timestamp",
-		},
-	}
-	checkFixtureWith(t, pkg, cfg, []*Analyzer{DeterminismTaint})
-}
-
-// TestFlowFixture runs determinism-taint over the flow-engine fixture: a
-// wall-clock read laundered into a ScheduleArrival time must be flagged,
-// while seeded sim-time arrivals and interface-clock draws stay silent.
-func TestFlowFixture(t *testing.T) {
-	pkg := loadFixtureDir(t, NewLoader(), "flowfix")
-	cfg := Config{
-		TaintSinks: map[string]string{
-			"(flowfix.Engine).ScheduleArrival": "flow arrival time",
-			"(flowfix.Engine).Lane":            "event scheduling time",
-		},
-	}
-	checkFixtureWith(t, pkg, cfg, []*Analyzer{DeterminismTaint})
-}
-
-// TestLockFixture runs lock-discipline over its fixture: guarded-field
-// misses, the *Locked and constructor exemptions, closures, and the ctx
-// rule for spawners and mutators.
-func TestLockFixture(t *testing.T) {
-	pkg := loadFixtureDir(t, NewLoader(), "lockfix")
-	cfg := Config{
-		LockCheckedPackages: []string{"lockfix"},
-		LockMutatorKeys:     []string{"(lockfix.Table).Grant"},
-	}
-	checkFixtureWith(t, pkg, cfg, []*Analyzer{LockDiscipline})
-}
-
-// TestFairqFixture runs lock-discipline over the fair-queue fixture: a
-// generic mutator key matching across instantiations, the eligibility-
-// callback closure frame rule, and the audited inline-callback suppression.
-func TestFairqFixture(t *testing.T) {
-	pkg := loadFixtureDir(t, NewLoader(), "fairqfix")
-	cfg := Config{
-		LockCheckedPackages: []string{"fairqfix"},
-		LockMutatorKeys:     []string{"(fairqfix.Tree).Pop"},
-	}
-	checkFixtureWith(t, pkg, cfg, []*Analyzer{LockDiscipline})
 }
 
 // TestUnitsFixture type-checks the two-package units fixture — the
@@ -188,15 +95,15 @@ func TestUnitsFixture(t *testing.T) {
 		fallback: l.Importer,
 	}
 	use := loadFixtureDir(t, l, "unitsfix")
-	cfg := Config{UnitsPackages: []string{"unitsdef"}}
-	if diags := Run(def, []*Analyzer{UnitsConsistency}, cfg); len(diags) != 0 {
+	if diags := Run(def, All(), fixtureConfig()); len(diags) != 0 {
 		t.Errorf("declaring package must be exempt, got %v", diags)
 	}
-	checkFixtureWith(t, use, cfg, []*Analyzer{UnitsConsistency})
+	checkFixture(t, use)
 }
 
-// TestMalformedDirectives feeds in-memory sources with broken suppression
-// comments and checks each is reported (and does not suppress anything).
+// TestMalformedDirectives feeds in-memory sources with broken or idle
+// suppression comments and checks each is reported (and does not suppress
+// anything).
 func TestMalformedDirectives(t *testing.T) {
 	cases := []struct {
 		name, src, want string
@@ -230,6 +137,15 @@ func f() int {
 	return 1
 }`,
 			want: `only "allow" is supported`,
+		},
+		{
+			name: "unused waiver",
+			src: `package p
+func f(a, b int) bool {
+	//dynaqlint:allow float-eq integers compare exactly
+	return a == b
+}`,
+			want: "suppresses nothing",
 		},
 	}
 	for _, tc := range cases {
@@ -364,7 +280,7 @@ func TestExpandPatternsSkipsTestdata(t *testing.T) {
 	}
 }
 
-// TestOutputFormats pins the text and JSON renderings CI tooling parses.
+// TestOutputFormats pins the text rendering editors and CI logs parse.
 func TestOutputFormats(t *testing.T) {
 	diags := []Diagnostic{{
 		Analyzer: "determinism",
@@ -380,15 +296,6 @@ func TestOutputFormats(t *testing.T) {
 	}
 	if got, want := text.String(), "a/b.go:3:7: determinism: wall-clock read\n"; got != want {
 		t.Errorf("WriteText = %q, want %q", got, want)
-	}
-
-	var js strings.Builder
-	if err := WriteJSON(&js, diags); err != nil {
-		t.Fatal(err)
-	}
-	want := `{"file":"a/b.go","line":3,"col":7,"analyzer":"determinism","message":"wall-clock read"}` + "\n"
-	if js.String() != want {
-		t.Errorf("WriteJSON = %q, want %q", js.String(), want)
 	}
 }
 

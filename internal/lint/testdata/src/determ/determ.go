@@ -1,10 +1,11 @@
-// Package determ exercises the determinism analyzer: wall-clock reads,
-// global math/rand use, nondeterministically-seeded sources, and the
-// suppression directive.
+// Package determ exercises the determinism analyzer: wall-clock reads, host
+// and environment reads, global math/rand use, nondeterministically-seeded
+// sources, and the suppression directive.
 package determ
 
 import (
 	"math/rand"
+	"os"
 	"time"
 )
 
@@ -20,6 +21,36 @@ func elapsed(start time.Time) time.Duration {
 
 func deadline(t time.Time) time.Duration {
 	return time.Until(t) // want `determinism: wall-clock read time\.Until`
+}
+
+func hostName() string {
+	h, _ := os.Hostname() // want `determinism: os\.Hostname reads the host or its environment`
+	return h
+}
+
+func processIDs() (int, int) {
+	return os.Getpid(), os.Getppid() // want `determinism: os\.Getpid reads the host` `determinism: os\.Getppid reads the host`
+}
+
+func envSwitch() bool {
+	return os.Getenv("DYNAQ_FAST") != "" // want `determinism: os\.Getenv reads the host or its environment`
+}
+
+func envLookup() (string, bool) {
+	return os.LookupEnv("DYNAQ_FAST") // want `determinism: os\.LookupEnv reads the host or its environment`
+}
+
+func envAll() int {
+	return len(os.Environ()) // want `determinism: os\.Environ reads the host or its environment`
+}
+
+// fileRead shows the rest of package os is not the rule's business.
+func fileRead(path string) ([]byte, error) {
+	return os.ReadFile(path)
+}
+
+func pidSeed() *rand.Rand {
+	return rand.New(rand.NewSource(int64(os.Getpid()))) // want `determinism: os\.Getpid reads the host` `determinism: rand\.NewSource seeded from a nondeterministic value \(os\.Getpid\)`
 }
 
 func globalInt() int {
@@ -63,15 +94,16 @@ func allowedAbove() time.Time {
 	return time.Now()
 }
 
-// tooFarAway shows that a directive two lines up does not suppress.
+// tooFarAway shows that a directive two lines up does not suppress, and is
+// reported as suppressing nothing.
 func tooFarAway() time.Time {
-	//dynaqlint:allow determinism fixture: this directive is not adjacent to the call
+	//dynaqlint:allow determinism fixture: this directive is not adjacent to the call // want `directive: dynaqlint:allow determinism suppresses nothing`
 
 	return time.Now() // want `determinism: wall-clock read time\.Now`
 }
 
 // wrongAnalyzer shows that an allow for a different analyzer does not
-// suppress a determinism finding.
+// suppress a determinism finding, and is itself left unused.
 func wrongAnalyzer() time.Time {
-	return time.Now() //dynaqlint:allow float-eq fixture: suppresses the wrong analyzer // want `determinism: wall-clock read time\.Now`
+	return time.Now() //dynaqlint:allow float-eq fixture: suppresses the wrong analyzer // want `determinism: wall-clock read time\.Now` `directive: dynaqlint:allow float-eq suppresses nothing`
 }

@@ -47,7 +47,7 @@ func wallRead() time.Time {
 // injected waits through the clock interface; clean.
 func injected(c clock, d time.Duration) time.Time {
 	<-c.After(d)
-	return c.Now() //dynaqlint:allow determinism fixture: edge-adapter stand-in, mirrors fleet.WallClock
+	return c.Now()
 }
 
 // arithmetic shows plain duration math is untouched by the strict rule.

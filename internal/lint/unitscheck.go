@@ -113,11 +113,6 @@ func checkUnitsBinary(p *Pass, be *ast.BinaryExpr, classOf func(types.Type) (str
 		p.Reportf(be.OpPos, "%s two absolute sim-times with %s is %s", verb, be.Op, hint)
 		return
 	}
-	if xClass != "" && yClass != "" && xClass != yClass {
-		p.Reportf(be.OpPos, "operands of %s mix units dimensions %s (%s) and %s (%s); convert through an explicit formula first",
-			be.Op, xClass, xName, yClass, yName)
-		return
-	}
 	if xClass != "" && rawNonZeroLiteral(be.Y) {
 		p.Reportf(be.OpPos, "%s value compared/combined (%s) with bare literal %s; use a named units constant so the magnitude has a dimension",
 			xName, be.Op, litText(be.Y))
@@ -140,6 +135,12 @@ func checkUnitsConversion(p *Pass, call *ast.CallExpr, classOf func(types.Type) 
 	}
 	p.Reportf(call.Pos(), "conversion %s(%s) crosses units dimensions %s → %s; use an explicit relation (e.g. Rate.Transmit, ByteSize.Throughput) instead of a cast",
 		dstName, srcName, srcClass, dstClass)
+}
+
+// isConversion reports whether the call expression is a type conversion.
+func isConversion(info *types.Info, call *ast.CallExpr) bool {
+	tv, ok := info.Types[call.Fun]
+	return ok && tv.IsType()
 }
 
 // rawNonZeroLiteral reports whether e is a bare numeric literal other than 0

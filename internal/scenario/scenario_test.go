@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"dynaq/internal/metrics"
+	"dynaq/internal/telemetry/trace"
 	"dynaq/internal/units"
 )
 
@@ -105,6 +107,34 @@ func TestFCTScenarioRuns(t *testing.T) {
 	}
 	if res.Dynamic.FCT.Avg(metrics.AllFlows) <= 0 {
 		t.Fatal("no FCT stats")
+	}
+}
+
+// TestSimSpansReplay runs each kind of scenario twice with a span tracer and
+// demands identical sim-domain spans: they are stored beside a job's
+// artifacts but no artifact hash or run-twice diff covers them, so a host
+// clock value reaching a span bound would otherwise go unnoticed.
+func TestSimSpansReplay(t *testing.T) {
+	for _, doc := range []string{staticDoc, fctDoc} {
+		spans := func() []trace.Span {
+			r, err := Load([]byte(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := trace.New("t-1", "test", nil) // sim spans never consult the clock
+			r.SetSpans(tr, "")
+			if _, err := r.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return tr.Snapshot()
+		}
+		first, second := spans(), spans()
+		if len(first) == 0 {
+			t.Fatal("run recorded no sim span")
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("sim spans differ between identical runs:\n%+v\n%+v", first, second)
+		}
 	}
 }
 

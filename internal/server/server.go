@@ -110,8 +110,6 @@ type Server struct {
 // jobs become queryable again, queued jobs re-enter the FIFO in order with
 // attempt counters intact, the dead-letter list is reloaded, and tmp
 // directories orphaned by a crash are swept. Admission waits for Start.
-//
-//dynaqlint:allow lock-discipline startup recovery runs before the server is published; there is no request to take a context from
 func New(cfg Config) (*Server, error) {
 	for _, sub := range []string{"jobs", "queue", "cache", "tmp"} {
 		if err := os.MkdirAll(filepath.Join(cfg.DataDir, sub), 0o755); err != nil {
@@ -162,7 +160,8 @@ func New(cfg Config) (*Server, error) {
 // eventsDropped sums the lines discarded on stalled subscribers.
 func (s *Server) eventsDropped() int64 {
 	var n int64
-	//dynaqlint:allow lock-discipline runs inside the core's Metrics render, which handleMetrics calls with s.mu held; locking here would self-deadlock
+	// Runs inside the core's Metrics render, which handleMetrics calls with
+	// s.mu held; locking here would self-deadlock.
 	for _, bc := range s.streams {
 		n += bc.dropped()
 	}
@@ -187,9 +186,8 @@ func (s *Server) sweepTmp() (int, error) {
 }
 
 // Start begins admission and launches the maintenance loop and the local
-// executor pool.
-//
-//dynaqlint:allow lock-discipline the goroutines take the server's own context, which Shutdown cancels; a caller's ctx would end them with the caller
+// executor pool. The goroutines take the server's own context, which
+// Shutdown cancels; a caller's ctx would end them with the caller.
 func (s *Server) Start() {
 	s.do((*coord.Core).Start)
 	pool := s.cfg.Concurrency
@@ -271,9 +269,9 @@ func nudge(ch chan struct{}) {
 // answered in place and the effects of that Dispatch follow in the same
 // pass, so admission, dispatch and the settlement of an all-cached job
 // happen in one lock hold. A failed write is logged and the rest go on: the
-// in-memory state stays authoritative for this life.
-//
-//dynaqlint:allow lock-discipline an effect list is applied to the end whatever became of the request that produced it; stopping halfway would leave disk and core disagreeing
+// in-memory state stays authoritative for this life. An effect list is
+// applied to the end whatever became of the request that produced it;
+// stopping halfway would leave disk and core disagreeing.
 func (s *Server) applyLocked(now time.Time, effs []coord.Effect) {
 	for i := 0; i < len(effs); i++ {
 		e := effs[i]

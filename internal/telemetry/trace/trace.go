@@ -12,8 +12,7 @@
 //   - Sim-time spans (Domain == DomainSim) timestamp engine phases in
 //     picoseconds of simulated time. They are emitted retroactively by the
 //     experiment layer after a run completes and must never carry a
-//     wall-clock-derived value; dynaqlint's determinism-taint analyzer
-//     treats the SimSpan entry points as sinks to enforce that.
+//     wall-clock-derived value.
 //
 // Span ids are deterministic ("<service>:<seq>"): no global rand, no wall
 // clock, so traces from stepped-clock tests are byte-stable. A Tracer is
@@ -159,9 +158,8 @@ func (t *Tracer) WallSpan(name, parent string, start, end time.Time, attrs ...At
 }
 
 // SimSpan records a finished sim-time span ([start,end] in simulated time).
-// It is the bridge the engine uses to report scenario phases; dynaqlint
-// treats it as a determinism sink so wall-clock values can never be
-// laundered into the sim domain. It returns the new span id.
+// It is the bridge the engine uses to report scenario phases; a wall-clock
+// value must never be passed as start or end. It returns the new span id.
 func (t *Tracer) SimSpan(name, parent string, start, end units.Time, attrs ...Attr) string {
 	if t == nil {
 		return ""

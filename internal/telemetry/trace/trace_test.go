@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,6 +45,44 @@ func TestSpanLifecycle(t *testing.T) {
 	}
 	if len(spans[1].Events) != 1 || spans[1].Events[0].Name != "requeued" {
 		t.Fatalf("child events = %+v", spans[1].Events)
+	}
+	if err := Validate(spans); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+}
+
+// TestConcurrentTracer drives one Tracer from several goroutines, the way the
+// coordinator's handlers and executors do: under -race any entry point that
+// reaches seq, spans or the clock without t.mu is reported, and without it a
+// lost update shows up as a missing or duplicate span id.
+func TestConcurrentTracer(t *testing.T) {
+	tr := newTestTracer()
+	const workers, perWorker = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				sp := tr.Start("cell", "")
+				sp.Event("leased")
+				sp.End()
+				tr.Snapshot()
+			}
+		}()
+	}
+	wg.Wait()
+
+	spans := tr.Snapshot()
+	if len(spans) != workers*perWorker {
+		t.Fatalf("got %d spans, want %d", len(spans), workers*perWorker)
+	}
+	seen := make(map[string]bool)
+	for _, s := range spans {
+		if seen[s.ID] {
+			t.Fatalf("span id %q issued twice", s.ID)
+		}
+		seen[s.ID] = true
 	}
 	if err := Validate(spans); err != nil {
 		t.Fatalf("Validate: %v", err)
