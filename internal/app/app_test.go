@@ -28,7 +28,7 @@ func rack(t *testing.T) *topology.Star {
 			NewScheduler: func(n int) (sched.Scheduler, error) {
 				return sched.NewSPQDRR(1, []units.ByteSize{1500, 1500, 1500, 1500})
 			},
-			NewAdmission: func(b units.ByteSize, n int) (buffer.Admission, error) {
+			NewAdmission: func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
 				return buffer.NewDynaQ(b, []int64{1, 1, 1, 1, 1})
 			},
 		},

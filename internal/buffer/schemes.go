@@ -78,41 +78,42 @@ func (p SchemeParams) sojourn() units.Duration {
 // Scheme is one row of the scheme table: what a buffer-management scheme is
 // called, whether it signals congestion by marking (so its flows must run an
 // ECN transport), and how to build its per-port instance for a port with
-// buffer b and n service queues.
+// buffer b and n service queues on a switch with memory mem. Rows that do
+// not share switch memory ignore mem.
 type Scheme struct {
 	Name string
 	ECN  bool
-	New  func(p SchemeParams, b units.ByteSize, n int) (Admission, error)
+	New  func(p SchemeParams, b units.ByteSize, n int, mem *SharedPool) (Admission, error)
 }
 
 // schemes is the registry every layer resolves scheme names through. Adding
 // a scheme is its file plus one row here.
 var schemes = []Scheme{
 	// The non-ECN lineup (Fig. 8).
-	{"BestEffort", false, func(SchemeParams, units.ByteSize, int) (Admission, error) {
+	{"BestEffort", false, func(SchemeParams, units.ByteSize, int, *SharedPool) (Admission, error) {
 		return NewBestEffort(), nil
 	}},
-	{"PQL", false, func(p SchemeParams, b units.ByteSize, _ int) (Admission, error) {
+	{"PQL", false, func(p SchemeParams, b units.ByteSize, _ int, _ *SharedPool) (Admission, error) {
 		return NewWeightedPQL(b, p.Weights)
 	}},
-	{"DynaQ", false, func(p SchemeParams, b units.ByteSize, _ int) (Admission, error) {
+	{"DynaQ", false, func(p SchemeParams, b units.ByteSize, _ int, _ *SharedPool) (Admission, error) {
 		return NewDynaQ(b, p.Weights)
 	}},
 	// The ECN lineup evaluated with DCTCP (Fig. 9).
-	{"TCN", true, func(p SchemeParams, _ units.ByteSize, _ int) (Admission, error) {
+	{"TCN", true, func(p SchemeParams, _ units.ByteSize, _ int, _ *SharedPool) (Admission, error) {
 		return NewTCN(p.sojourn())
 	}},
-	{"PMSB", true, func(p SchemeParams, _ units.ByteSize, _ int) (Admission, error) {
+	{"PMSB", true, func(p SchemeParams, _ units.ByteSize, _ int, _ *SharedPool) (Admission, error) {
 		return NewPMSB(p.markK(), p.Weights)
 	}},
-	{"PerQueueECN", true, func(p SchemeParams, _ units.ByteSize, n int) (Admission, error) {
+	{"PerQueueECN", true, func(p SchemeParams, _ units.ByteSize, n int, _ *SharedPool) (Admission, error) {
 		k := p.PerQueueK
 		if k == 0 {
 			k = p.markK() / 2
 		}
 		return NewPerQueueECN(n, k)
 	}},
-	{"MQ-ECN", true, func(p SchemeParams, _ units.ByteSize, n int) (Admission, error) {
+	{"MQ-ECN", true, func(p SchemeParams, _ units.ByteSize, n int, _ *SharedPool) (Admission, error) {
 		quantums := p.Quantums
 		if quantums == nil {
 			quantums = make([]units.ByteSize, n)
@@ -123,33 +124,37 @@ var schemes = []Scheme{
 		return NewMQECN(p.Rate, p.BaseRTT.Scale(p.lambda()), quantums)
 	}},
 	// The §II-C strawman kept as an ablation.
-	{"TCNDrop", false, func(p SchemeParams, _ units.ByteSize, _ int) (Admission, error) {
+	{"TCNDrop", false, func(p SchemeParams, _ units.ByteSize, _ int, _ *SharedPool) (Admission, error) {
 		return NewTCNDrop(p.sojourn())
 	}},
 	// Ablation variants of DynaQ (§III-B design discussion): victims by
 	// largest threshold instead of largest extra buffer; satisfaction
 	// thresholds at the weighted BDP instead of the buffer share.
-	{"DynaQ-NaiveVictim", false, func(p SchemeParams, b units.ByteSize, _ int) (Admission, error) {
+	{"DynaQ-NaiveVictim", false, func(p SchemeParams, b units.ByteSize, _ int, _ *SharedPool) (Admission, error) {
 		return NewDynaQWithOptions("DynaQ-NaiveVictim", b, p.Weights,
 			core.WithVictimPolicy(core.VictimMaxThreshold))
 	}},
-	{"DynaQ-WBDP", false, func(p SchemeParams, b units.ByteSize, _ int) (Admission, error) {
+	{"DynaQ-WBDP", false, func(p SchemeParams, b units.ByteSize, _ int, _ *SharedPool) (Admission, error) {
 		return NewDynaQWithOptions("DynaQ-WBDP", b, p.Weights,
 			core.WithWBDPSatisfaction(units.BDP(p.Rate, p.BaseRTT)))
 	}},
 	// The eviction-based alternative the paper cites ([12], §II-C).
-	{"BarberQ", false, func(SchemeParams, units.ByteSize, int) (Admission, error) {
+	{"BarberQ", false, func(SchemeParams, units.ByteSize, int, *SharedPool) (Admission, error) {
 		return NewBarberQ(), nil
 	}},
 	// The §IV-A programmable-switch model: Algorithm 1 decided in the
 	// ingress pipeline on dequeue-time-stale queue lengths.
-	{"DynaQ-Tofino", false, func(p SchemeParams, b units.ByteSize, _ int) (Admission, error) {
+	{"DynaQ-Tofino", false, func(p SchemeParams, b units.ByteSize, _ int, _ *SharedPool) (Admission, error) {
 		return NewDynaQTofino(b, p.Weights)
 	}},
 	// DynaQ's ECN support (§III-B3): PMSB-style marking, no threshold
 	// adjustment.
-	{"DynaQ-ECN", true, func(p SchemeParams, _ units.ByteSize, _ int) (Admission, error) {
+	{"DynaQ-ECN", true, func(p SchemeParams, _ units.ByteSize, _ int, _ *SharedPool) (Admission, error) {
 		return NewDynaQECN(p.markK(), p.Weights)
+	}},
+	// The §II-C shared-memory strawman, at the hardware default α = 2.
+	{"DT", false, func(_ SchemeParams, _ units.ByteSize, _ int, mem *SharedPool) (Admission, error) {
+		return NewDT(mem, 2)
 	}},
 }
 
@@ -167,8 +172,9 @@ func LookupScheme(name string) (Scheme, error) {
 	return Scheme{}, fmt.Errorf("unknown scheme %q (known: %s)", name, strings.Join(names, ", "))
 }
 
-// NewScheme builds the named scheme's instance for one port.
-func NewScheme(name string, p SchemeParams, b units.ByteSize, n int) (Admission, error) {
+// NewScheme builds the named scheme's instance for one port of a switch with
+// memory mem (nil outside a switch).
+func NewScheme(name string, p SchemeParams, b units.ByteSize, n int, mem *SharedPool) (Admission, error) {
 	s, err := LookupScheme(name)
 	if err != nil {
 		return nil, fmt.Errorf("buffer: %w", err)
@@ -176,5 +182,5 @@ func NewScheme(name string, p SchemeParams, b units.ByteSize, n int) (Admission,
 	if len(p.Weights) != n {
 		return nil, fmt.Errorf("buffer: scheme %s: %d weights for %d queues", name, len(p.Weights), n)
 	}
-	return s.New(p, b, n)
+	return s.New(p, b, n, mem)
 }

@@ -63,10 +63,10 @@ type DT struct {
 }
 
 // NewDT builds a DT admission scheme drawing from pool with the given α
-// (typical hardware default: 1 or 2).
+// (typical hardware default: 1 or 2; the "DT" row uses 2).
 func NewDT(pool *SharedPool, alpha float64) (*DT, error) {
 	if pool == nil {
-		return nil, fmt.Errorf("buffer: DT needs a pool")
+		return nil, fmt.Errorf("buffer: DT needs the switch's shared memory")
 	}
 	if alpha <= 0 {
 		return nil, fmt.Errorf("buffer: DT alpha %v must be positive", alpha)
@@ -77,7 +77,8 @@ func NewDT(pool *SharedPool, alpha float64) (*DT, error) {
 // Name implements Admission.
 func (*DT) Name() string { return "DT" }
 
-// Pool returns the underlying shared pool (ports attach to it).
+// Pool returns the switch memory DT draws from; a port whose scheme has a
+// Pool reserves every admitted byte from it as well.
 func (d *DT) Pool() *SharedPool { return d.pool }
 
 // Admit implements Admission: the port's occupancy (plus the arrival) must

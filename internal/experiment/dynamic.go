@@ -210,7 +210,21 @@ func (cfg *DynamicConfig) normalize() (*fabric.Graph, error) {
 		return nil, err
 	}
 	cfg.Params = cfg.Params.Resolved(cfg.Rate, cfg.Topo.BaseRTT(cfg.Delay), nil, cfg.Queues)
-	return g, checkWeights(cfg.Params.Weights, cfg.Queues)
+	if err := checkWeights(cfg.Params.Weights, cfg.Queues); err != nil {
+		return nil, err
+	}
+	if engine == EngineHybrid {
+		// The episode pump builds its scheme outside any switch and runs only
+		// the hooks flowsim.CheckPumpable allows.
+		adm, err := cfg.Scheme.NewAdmission(cfg.Params, cfg.Buffer, cfg.Queues)
+		if err == nil {
+			err = flowsim.CheckPumpable(adm)
+		}
+		if err != nil {
+			return nil, &ConfigError{"scheme", fmt.Sprintf("the hybrid engine cannot run %s: %v", cfg.Scheme, err)}
+		}
+	}
+	return g, nil
 }
 
 // checkWeights rejects a weight vector the schedulers and schemes cannot

@@ -132,12 +132,10 @@ func newFluidEngine(s *sim.Simulator, g *fabric.Graph, cfg *DynamicConfig) (*flu
 		FlowCutoff: cfg.FlowCutoff,
 		Spans:      cfg.Spans,
 		SpanParent: cfg.SpanParent,
-	}
-	if cfg.Engine == EngineHybrid {
-		fcfg.Hybrid = true
-		fcfg.NewAdmission = func() (buffer.Admission, error) {
+		Hybrid:     cfg.Engine == EngineHybrid,
+		NewAdmission: func() (buffer.Admission, error) {
 			return cfg.Scheme.NewAdmission(cfg.Params, cfg.Buffer, cfg.Queues)
-		}
+		},
 	}
 	fe, err := flowsim.New(s, fcfg)
 	if err != nil {

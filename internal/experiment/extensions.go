@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"dynaq/internal/app"
-	"dynaq/internal/buffer"
 	"dynaq/internal/fabric"
 	"dynaq/internal/metrics"
 	"dynaq/internal/packet"
@@ -16,13 +15,13 @@ import (
 
 // testbedRack wires the §V-A rack — hosts 1GbE hosts around one switch,
 // 500µs base RTT — with the given per-port buffer and factories.
-func testbedRack(s *sim.Simulator, hosts, queues int, buf units.ByteSize, pool *buffer.SharedPool, f topology.Factories) (*topology.Network, error) {
+func testbedRack(s *sim.Simulator, hosts, queues int, buf units.ByteSize, f topology.Factories) (*topology.Network, error) {
 	g, err := fabric.NewStar(hosts, testbedRate)
 	if err != nil {
 		return nil, err
 	}
 	w, err := newPacketWorld(s, g, topology.Config{
-		Delay: testbedDelay, Buffer: buf, Queues: queues, Pool: pool, Factories: f,
+		Delay: testbedDelay, Buffer: buf, Queues: queues, Factories: f,
 	}, nil, 0)
 	if err != nil {
 		return nil, err
@@ -80,7 +79,7 @@ func ExtMicroburst(o Options) (*AblationResult, error) {
 	var err error
 	out.Rows, err = RunTrials(len(out.Schemes), o.Parallel, func(i int) ([]float64, error) {
 		s := sim.New()
-		net, err := testbedRack(s, 3, 4, testbedBuffer, nil, Factories(out.Schemes[i], SchedDRR,
+		net, err := testbedRack(s, 3, 4, testbedBuffer, Factories(out.Schemes[i], SchedDRR,
 			SchemeParams{Rate: testbedRate, BaseRTT: fabric.Star.BaseRTT(testbedDelay), Weights: equalWeights(4)},
 			testbedMTU))
 		if err != nil {
@@ -118,22 +117,13 @@ func ExtSharedMemory(o Options) (*AblationResult, error) {
 	var err error
 	out.Rows, err = RunTrials(len(out.Schemes), o.Parallel, func(i int) ([]float64, error) {
 		s := sim.New()
-		var pool *buffer.SharedPool
-		perPort := testbedBuffer
-		factories := Factories(DynaQ, SchedDRR, SchemeParams{Weights: equalWeights(4)}, testbedMTU)
+		// Under DT the buffer size names the switch's memory, all of which
+		// any one port may occupy, bounded only by α·free.
+		scheme, buf := DynaQ, testbedBuffer
 		if out.Schemes[i] == "DT-shared" {
-			var err error
-			if pool, err = buffer.NewSharedPool(totalMem); err != nil {
-				return nil, err
-			}
-			// Under DT any port may occupy up to the whole SRAM,
-			// bounded only by α·free.
-			perPort = totalMem
-			factories.NewAdmission = func(units.ByteSize, int) (buffer.Admission, error) {
-				return buffer.NewDT(pool, 2)
-			}
+			scheme, buf = DT, totalMem
 		}
-		net, err := testbedRack(s, 4, 4, perPort, pool, factories)
+		net, err := testbedRack(s, 4, 4, buf, Factories(scheme, SchedDRR, SchemeParams{Weights: equalWeights(4)}, testbedMTU))
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +229,7 @@ func ExtClosedLoop(o Options) (*FCTResult, error) {
 	// FCT figures.
 	stats, err := RunTrials(len(cells), o.Parallel, func(i int) (FCTStats, error) {
 		s := sim.New()
-		star, err := testbedRack(s, 5, 5, testbedBuffer, nil, Factories(cells[i].scheme, SchedSPQDRR,
+		star, err := testbedRack(s, 5, 5, testbedBuffer, Factories(cells[i].scheme, SchedSPQDRR,
 			SchemeParams{Rate: testbedRate, BaseRTT: fabric.Star.BaseRTT(testbedDelay),
 				Weights: equalWeights(5)}, testbedMTU))
 		if err != nil {

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dynaq/internal/units"
 	"dynaq/internal/workload"
@@ -214,6 +216,70 @@ func TestFCTGridParallelParity(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("FCT grids differ across worker counts:\n  sequential: %+v\n  parallel:   %+v", seq, par)
+	}
+}
+
+// overlapWriter is a progress sink that catches two cells writing at once.
+// Its first Write holds the stream until a second writer arrives or half a
+// second passes, so a cell running alongside the first is caught inside
+// Write, not missed by timing.
+type overlapWriter struct {
+	inFlight, overlaps atomic.Int32
+	hold, release      sync.Once
+	overlapped         chan struct{}
+}
+
+func newOverlapWriter() *overlapWriter { return &overlapWriter{overlapped: make(chan struct{})} }
+
+func (w *overlapWriter) Write(p []byte) (int, error) {
+	if w.inFlight.Add(1) > 1 {
+		w.overlaps.Add(1)
+		w.release.Do(func() { close(w.overlapped) })
+	}
+	w.hold.Do(func() {
+		select {
+		case <-w.overlapped:
+		case <-time.After(500 * time.Millisecond):
+		}
+	})
+	w.inFlight.Add(-1)
+	return len(p), nil
+}
+
+// TestSingleStreamGridsRunOneWorker: a progress writer is one stream, so an
+// FCT grid and a static grid that carry one run their cells one at a time,
+// whatever worker count they are given.
+func TestSingleStreamGridsRunOneWorker(t *testing.T) {
+	w := newOverlapWriter()
+	base := DynamicConfig{
+		Params:    SchemeParams{Weights: equalWeights(3)},
+		Topo:      TopoStar,
+		Rate:      units.Gbps,
+		Delay:     20 * units.Microsecond,
+		Buffer:    200 * units.KB,
+		Queues:    3,
+		Flows:     20,
+		Workloads: []*workload.CDF{workload.WebSearch()},
+		Seed:      9,
+		Hooks:     Hooks{Progress: w},
+	}
+	if _, err := fctRun("single-stream", NonECNSchemes(), []float64{0.5}, base, 4); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.overlaps.Load(); n != 0 {
+		t.Errorf("FCT grid: %d progress writes overlapped another cell's", n)
+	}
+
+	w = newOverlapWriter()
+	if _, err := staticGrid(Options{Seed: 1, Parallel: 4}, NonECNSchemes(), func(s Scheme) StaticConfig {
+		cfg := testbedStatic(s, equalWeights(2), []QueueSpec{{Class: 0, Flows: 2}}, 20*units.Millisecond, 1)
+		cfg.Progress = w
+		return cfg
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.overlaps.Load(); n != 0 {
+		t.Errorf("static grid: %d progress writes overlapped another cell's", n)
 	}
 }
 

@@ -47,6 +47,10 @@ const (
 	// transports the switch does not adjust thresholds but applies
 	// PMSB-style marking.
 	DynaQECN Scheme = "DynaQ-ECN"
+
+	// DT is the §II-C shared-memory strawman: dynamic thresholds over the
+	// switch's memory, which the buffer size then names.
+	DT Scheme = "DT"
 )
 
 // NonECNSchemes is the Fig. 8 lineup.
@@ -68,9 +72,9 @@ func (s Scheme) IsECNBased() bool {
 type SchemeParams = buffer.SchemeParams
 
 // NewAdmission builds the buffer-management scheme instance for one port
-// through the scheme table in internal/buffer.
+// outside any switch, through the scheme table in internal/buffer.
 func (s Scheme) NewAdmission(p SchemeParams, b units.ByteSize, n int) (buffer.Admission, error) {
-	return buffer.NewScheme(string(s), p, b, n)
+	return buffer.NewScheme(string(s), p, b, n, nil)
 }
 
 // SchedKind selects the packet scheduler used on every switch port.
@@ -135,8 +139,8 @@ func Factories(s Scheme, k SchedKind, p SchemeParams, mtu units.ByteSize) topolo
 		NewScheduler: func(n int) (sched.Scheduler, error) {
 			return k.NewScheduler(schedWeights(k, p.Weights), mtu, n)
 		},
-		NewAdmission: func(b units.ByteSize, n int) (buffer.Admission, error) {
-			return s.NewAdmission(p, b, n)
+		NewAdmission: func(b units.ByteSize, n int, mem *buffer.SharedPool) (buffer.Admission, error) {
+			return buffer.NewScheme(string(s), p, b, n, mem)
 		},
 	}
 }

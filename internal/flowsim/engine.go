@@ -210,8 +210,13 @@ func New(s *sim.Simulator, cfg Config) (*Engine, error) {
 		if cfg.NewAdmission == nil {
 			return nil, fmt.Errorf("flowsim: hybrid mode needs an admission factory")
 		}
-		// Pre-validate so a factory error surfaces here, not mid-run.
-		if _, err := cfg.NewAdmission(); err != nil {
+		// Pre-validate so a factory error or a scheme the pump cannot run
+		// surfaces here, not mid-run.
+		adm, err := cfg.NewAdmission()
+		if err == nil {
+			err = CheckPumpable(adm)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("flowsim: admission factory: %w", err)
 		}
 	}

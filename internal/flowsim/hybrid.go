@@ -1,6 +1,8 @@
 package flowsim
 
 import (
+	"fmt"
+
 	"dynaq/internal/buffer"
 	"dynaq/internal/sim"
 	ttrace "dynaq/internal/telemetry/trace"
@@ -74,6 +76,21 @@ func (ep *episode) NumQueues() int                { return len(ep.qlen) }
 func (ep *episode) QueueLen(i int) units.ByteSize { return ep.qlen[i] }
 func (ep *episode) TotalLen() units.ByteSize      { return ep.total }
 func (ep *episode) Buffer() units.ByteSize        { return ep.buf }
+
+// CheckPumpable reports whether the episode pump can run adm. The pump runs
+// admission and the four hooks demote resolves (EnqueueMarker,
+// DequeueDropper, DequeueObserver, DequeueMarker), one link at a time. It
+// never evicts, and the fluid model has no switch whose memory ports share,
+// so it refuses a buffer.Evictor and a scheme with a Pool.
+func CheckPumpable(adm buffer.Admission) error {
+	switch adm.(type) {
+	case buffer.Evictor:
+		return fmt.Errorf("%s evicts, and the hybrid episode pump does not", adm.Name())
+	case interface{ Pool() *buffer.SharedPool }:
+		return fmt.Errorf("%s draws from switch memory, and the hybrid episode pump has none", adm.Name())
+	}
+	return nil
+}
 
 // demote switches link li to packet granularity: the fluid backlog becomes
 // synthetic packets fed through the real scheme's admission, and an episode

@@ -311,8 +311,8 @@ type Port struct {
 	deqObs  buffer.DequeueObserver
 	evictor buffer.Evictor
 
-	// pool, when non-nil, is the shared switch memory this port draws
-	// from (shared-memory switch mode, §II-C).
+	// pool, when non-nil, is the shared switch memory the admission scheme
+	// draws from (§II-C); every admitted byte must also fit in it.
 	pool *buffer.SharedPool
 
 	stats      PortStats
@@ -390,10 +390,6 @@ type PortConfig struct {
 	Admission buffer.Admission
 	// Link is the attached wire.
 	Link *Link
-	// Pool, when set, makes the port draw its buffer from a shared
-	// switch memory instead of a private slice; admission must still
-	// pass, and the reservation must fit the pool.
-	Pool *buffer.SharedPool
 }
 
 // NewPort validates the configuration and builds the port.
@@ -428,7 +424,9 @@ func NewPort(s *sim.Simulator, cfg PortConfig) (*Port, error) {
 	p.deqDrop, _ = cfg.Admission.(buffer.DequeueDropper)
 	p.deqObs, _ = cfg.Admission.(buffer.DequeueObserver)
 	p.evictor, _ = cfg.Admission.(buffer.Evictor)
-	p.pool = cfg.Pool
+	if m, ok := cfg.Admission.(interface{ Pool() *buffer.SharedPool }); ok {
+		p.pool = m.Pool()
+	}
 	return p, nil
 }
 

@@ -23,10 +23,13 @@ func TestPortSharedPoolReservation(t *testing.T) {
 		p, err := NewPort(s, PortConfig{
 			Rate: units.Gbps, Buffer: 100 * units.KB, Queues: 1,
 			Scheduler: sched.NewSPQ(), Admission: dt,
-			Link: NewLink(s, 0, dst), Pool: pool,
+			Link: NewLink(s, 0, dst),
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if p.Pool() != pool {
+			t.Fatal("the port does not draw from its DT's pool")
 		}
 		return p
 	}
@@ -109,6 +112,15 @@ func TestPortBarberQEviction(t *testing.T) {
 	}
 }
 
+// pooledBarberQ is BarberQ drawing from switch memory: a scheme that both
+// evicts and is buffer.Pooled.
+type pooledBarberQ struct {
+	*buffer.BarberQ
+	pool *buffer.SharedPool
+}
+
+func (b pooledBarberQ) Pool() *buffer.SharedPool { return b.pool }
+
 func TestBarberQEvictionRespectsPool(t *testing.T) {
 	// Eviction must release pool reservations too.
 	s := sim.New()
@@ -119,8 +131,8 @@ func TestBarberQEvictionRespectsPool(t *testing.T) {
 	dst := &sinkNode{s: s}
 	p, err := NewPort(s, PortConfig{
 		Rate: units.Gbps, Buffer: 6 * 1500, Queues: 2,
-		Scheduler: sched.EqualDRR(2, 1500), Admission: buffer.NewBarberQ(),
-		Link: NewLink(s, 0, dst), Pool: pool,
+		Scheduler: sched.EqualDRR(2, 1500), Admission: pooledBarberQ{buffer.NewBarberQ(), pool},
+		Link: NewLink(s, 0, dst),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -193,7 +193,13 @@ func TestEveryDiscardReleasesThePacketOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smallPool, err := buffer.NewSharedPool(4 * 1500)
+	// A pool drop needs α·Free ≥ TotalLen+size while Reserve fails: with
+	// four packets buffered, 1000B of this pool stay free, and α = 8 admits.
+	pool, err := buffer.NewSharedPool(4*1500 + 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dt, err := buffer.NewDT(pool, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,25 +210,24 @@ func TestEveryDiscardReleasesThePacketOnce(t *testing.T) {
 	cases := []struct {
 		name    string
 		adm     buffer.Admission
-		pool    *buffer.SharedPool
 		impair  func(l *Link)
 		discard func(st PortStats) int64
 	}{
-		{"admission", buffer.NewBestEffort(), nil, nil,
+		{"admission", buffer.NewBestEffort(), nil,
 			func(st PortStats) int64 { return st.Dropped }},
-		{"pool", buffer.NewBestEffort(), smallPool, nil,
+		{"pool", dt, nil,
 			func(st PortStats) int64 { return st.PoolDrops }},
-		{"evict", buffer.NewBarberQ(), nil, nil,
+		{"evict", buffer.NewBarberQ(), nil,
 			func(st PortStats) int64 { return st.Evicted }},
-		{"dequeue", tcnDrop, nil, nil,
+		{"dequeue", tcnDrop, nil,
 			func(st PortStats) int64 { return st.DequeueDrops }},
-		{"loss", buffer.NewBestEffort(), nil,
+		{"loss", buffer.NewBestEffort(),
 			func(l *Link) { l.SetRand(coin()); l.SetLossRate(0.5) },
 			func(st PortStats) int64 { return st.LinkLost }},
-		{"corrupt", buffer.NewBestEffort(), nil,
+		{"corrupt", buffer.NewBestEffort(),
 			func(l *Link) { l.SetRand(coin()); l.SetCorruptRate(0.5) },
 			func(st PortStats) int64 { return st.LinkCorrupted }},
-		{"down", buffer.NewBestEffort(), nil,
+		{"down", buffer.NewBestEffort(),
 			func(l *Link) { l.SetDown(true) },
 			func(st PortStats) int64 { return st.LinkLost }},
 	}
@@ -237,7 +242,7 @@ func TestEveryDiscardReleasesThePacketOnce(t *testing.T) {
 			port, err := NewPort(s, PortConfig{
 				Rate: units.Gbps, Buffer: 8 * 1500, Queues: 4,
 				Scheduler: sched.EqualDRR(4, 1500), Admission: tc.adm,
-				Link: link, Pool: tc.pool,
+				Link: link,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -180,6 +180,29 @@ func TestLoadTypedErrors(t *testing.T) {
 	}
 }
 
+// hybridWith is an fct document running scheme on engine.
+func hybridWith(scheme, engine string) string {
+	return `{"kind": "fct", "scheme": "` + scheme + `", "engine": "` + engine + `", "topo": "star",
+		"rate_gbps": 1, "buffer_bytes": 85000, "queues": 4, "rtt_us": 500, "load": 0.5, "flows": 10,
+		"workloads": ["websearch"]}`
+}
+
+// TestHybridRefusesWhatThePumpCannotRun: DT needs switch memory and BarberQ
+// evicts; the hybrid episode pump has neither, so both are refused at load
+// under the hybrid engine, and load under the packet engine.
+func TestHybridRefusesWhatThePumpCannotRun(t *testing.T) {
+	for _, scheme := range []string{"DT", "BarberQ"} {
+		_, err := Load([]byte(hybridWith(scheme, "hybrid")))
+		var verr *ValidationError
+		if !errors.As(err, &verr) || verr.Field != "scheme" {
+			t.Errorf("%s under hybrid: got %v, want a ValidationError on scheme", scheme, err)
+		}
+		if _, err := Load([]byte(hybridWith(scheme, "packet"))); err != nil {
+			t.Errorf("%s under packet: %v", scheme, err)
+		}
+	}
+}
+
 // TestLoadRejectsOversizedDocument: an untrusted body past MaxDocumentBytes
 // is refused before decoding.
 func TestLoadRejectsOversizedDocument(t *testing.T) {
@@ -281,6 +304,8 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte(staticWith(`"sample_ms": 1e-300`, `[]`)))
 	f.Add([]byte(staticWith(`"weights": [0, -1]`, `[{"class": 7, "flows": -1, "hosts": 9223372036854775807}]`)))
 	f.Add([]byte(strings.Replace(staticWith(`"seed": 1`, okSpecs), `"duration_s": 1`, `"duration_s": -1e300`, 1)))
+	f.Add([]byte(hybridWith("DT", "hybrid")))
+	f.Add([]byte(hybridWith("BarberQ", "hybrid")))
 	// Untrusted-upload hardening corpus: a body past the size limit must be
 	// refused outright, and pathologically deep nesting must come back as
 	// the decoder's depth error, never a stack overflow.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dynaq/internal/experiment"
 	"dynaq/internal/metrics"
 	"dynaq/internal/telemetry/trace"
 	"dynaq/internal/units"
@@ -107,6 +108,37 @@ func TestFCTScenarioRuns(t *testing.T) {
 	}
 	if res.Dynamic.FCT.Avg(metrics.AllFlows) <= 0 {
 		t.Fatal("no FCT stats")
+	}
+}
+
+// TestDTRunsGuarded: the shared-memory row runs from a document, static and
+// on the packet engine, with the guardrail auditing every switch port's
+// occupancy and pool reservations.
+func TestDTRunsGuarded(t *testing.T) {
+	static := strings.Replace(staticDoc, `"scheme": "DynaQ"`, `"scheme": "DT", "guard": true`, 1)
+	static = strings.Replace(static, `"duration_s": 2`, `"duration_s": 0.5`, 1)
+	fct := strings.Replace(fctDoc, `"scheme": "DynaQ"`, `"scheme": "DT", "guard": true`, 1)
+	for _, doc := range []string{static, fct} {
+		r, err := Load([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out experiment.FaultOutcome
+		if res.Static != nil {
+			out = res.Static.FaultOutcome
+			if res.Static.Drops == 0 {
+				t.Fatal("ten flows into one DT port never dropped")
+			}
+		} else {
+			out = res.Dynamic.FaultOutcome
+		}
+		if out.ViolationTotal != 0 {
+			t.Fatalf("%s run: %d guardrail violations, first %+v", r.Kind(), out.ViolationTotal, out.Violations[0])
+		}
 	}
 }
 

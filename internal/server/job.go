@@ -3,10 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 
-	"dynaq/internal/buffer"
 	"dynaq/internal/coord"
 	"dynaq/internal/scenario"
 	"dynaq/internal/telemetry"
@@ -96,36 +96,43 @@ func strictUnmarshal(data []byte, v any) error {
 // version. Validation errors are *scenario.ValidationError, mapped to HTTP
 // 400 by the submit handler.
 func buildJob(req Request, version string) (*Job, error) {
-	for i, scheme := range req.Schemes {
-		// Each cell loads the document with its scheme swapped in; refuse
-		// an unknown one here, not on the worker that leases the cell.
-		if _, err := buffer.LookupScheme(scheme); err != nil {
-			return nil, &scenario.ValidationError{Field: fmt.Sprintf("schemes[%d]", i), Msg: err.Error()}
+	sweep := len(req.Schemes) > 0
+	schemes := req.Schemes
+	if !sweep {
+		schemes = []string{""} // no override: the document's own scheme
+	}
+	if seeds := max(len(req.Seeds), 1); len(schemes)*seeds > maxCellsPerJob {
+		return nil, &scenario.ValidationError{
+			Field: "schemes",
+			Msg:   fmt.Sprintf("%d×%d cells exceed the per-job limit of %d", len(schemes), seeds, maxCellsPerJob),
 		}
 	}
-	var ov scenario.Overrides
-	if len(req.Schemes) > 0 {
-		// A sweep never runs the document's own scheme, so do not hold the
-		// document to naming one.
-		ov.Scheme = req.Schemes[0]
+	// Each cell loads the document with its scheme swapped in, so load it
+	// here the same way per swept scheme: what a worker would refuse is a
+	// 400 naming that scheme. A sweep never runs the document's own scheme,
+	// so the document is not held to naming one.
+	var base *scenario.Runner
+	for i, scheme := range schemes {
+		r, err := scenario.LoadWith(req.Scenario, scenario.Overrides{Scheme: scheme})
+		if sweep && scheme == "" {
+			// An empty override would run the document's own scheme.
+			err = &scenario.ValidationError{Field: "scheme", Msg: "empty scheme name"}
+		}
+		var verr *scenario.ValidationError
+		if sweep && errors.As(err, &verr) && verr.Field == "scheme" {
+			verr.Field = fmt.Sprintf("schemes[%d]", i)
+		}
+		if err != nil {
+			return nil, err
+		}
+		base = r
 	}
-	base, err := scenario.LoadWith(req.Scenario, ov)
-	if err != nil {
-		return nil, err
-	}
-	schemes := req.Schemes
-	if len(schemes) == 0 {
-		schemes = []string{base.Scheme()}
+	if !sweep {
+		schemes[0] = base.Scheme()
 	}
 	seeds := req.Seeds
 	if len(seeds) == 0 {
 		seeds = []int64{base.Seed()}
-	}
-	if len(schemes)*len(seeds) > maxCellsPerJob {
-		return nil, &scenario.ValidationError{
-			Field: "schemes",
-			Msg:   fmt.Sprintf("%d×%d cells exceed the per-job limit of %d", len(schemes), len(seeds), maxCellsPerJob),
-		}
 	}
 	tenant := req.Tenant
 	if tenant == "" {

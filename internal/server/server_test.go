@@ -271,14 +271,20 @@ func TestSubmitValidation(t *testing.T) {
 
 	// Unknown scheme or scheduler names — in the document or in the sweep
 	// wrapper, under any engine — are a 400, not a cell that dead-letters
-	// on a worker (or, under the flow engine, "succeeds").
+	// on a worker (or, under the flow engine, "succeeds"). So is a scheme
+	// the document's engine cannot run, wherever the sweep names it.
 	const flowDoc = `{"kind":"fct","scheme":"DynaQ","engine":"flow","topo":"fattree","k":4,"rate_gbps":10,` +
 		`"buffer_bytes":192000,"queues":4,"rtt_us":40,"load":0.5,"flows":10,"workloads":["websearch"]}`
+	hybridDoc := strings.Replace(flowDoc, `"engine":"flow"`, `"engine":"hybrid"`, 1)
 	for _, tc := range []struct{ body, field string }{
 		{strings.Replace(testScenario, "BestEffort", "DynQ", 1), "scheme"},
 		{strings.Replace(testScenario, `"kind"`, `"sched":"fifo","kind"`, 1), "sched"},
 		{`{"scenario":` + testScenario + `,"schemes":["DynaQ","DynQ"]}`, "schemes[1]"},
+		{`{"scenario":` + testScenario + `,"schemes":["DynaQ",""]}`, "schemes[1]"},
 		{`{"scenario":` + flowDoc + `,"schemes":["DynQ"]}`, "schemes[0]"},
+		{strings.Replace(hybridDoc, "DynaQ", "BarberQ", 1), "scheme"},
+		{`{"scenario":` + hybridDoc + `,"schemes":["DynaQ","BarberQ"]}`, "schemes[1]"},
+		{`{"scenario":` + hybridDoc + `,"schemes":["DynaQ","DT"]}`, "schemes[1]"},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {

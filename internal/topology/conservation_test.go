@@ -22,30 +22,30 @@ import (
 func TestPacketConservationAcrossSchemes(t *testing.T) {
 	schemes := []struct {
 		name string
-		mk   func(b units.ByteSize, n int) (buffer.Admission, error)
+		mk   func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error)
 		// fatTree runs the traffic across a k=4 fat tree (hosts 0–3 in pod
 		// 0 to host 4 in pod 1) instead of the star.
 		fatTree bool
 	}{
-		{"besteffort", func(b units.ByteSize, n int) (buffer.Admission, error) {
+		{"besteffort", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
 			return buffer.NewBestEffort(), nil
 		}, false},
-		{"dynaq", func(b units.ByteSize, n int) (buffer.Admission, error) {
+		{"dynaq", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
 			return buffer.NewDynaQ(b, equalWeights(n))
 		}, false},
-		{"pql", func(b units.ByteSize, n int) (buffer.Admission, error) {
+		{"pql", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
 			return buffer.NewWeightedPQL(b, equalWeights(n))
 		}, false},
-		{"barberq", func(b units.ByteSize, n int) (buffer.Admission, error) {
+		{"barberq", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
 			return buffer.NewBarberQ(), nil
 		}, false},
-		{"tcndrop", func(b units.ByteSize, n int) (buffer.Admission, error) {
+		{"tcndrop", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
 			return buffer.NewTCNDrop(240 * units.Microsecond)
 		}, false},
-		{"tofino", func(b units.ByteSize, n int) (buffer.Admission, error) {
+		{"tofino", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
 			return buffer.NewDynaQTofino(b, equalWeights(n))
 		}, false},
-		{"dynaq-fattree", func(b units.ByteSize, n int) (buffer.Admission, error) {
+		{"dynaq-fattree", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
 			return buffer.NewDynaQ(b, equalWeights(n))
 		}, true},
 	}

@@ -30,8 +30,8 @@ type Factories struct {
 	// NewScheduler returns a scheduler for a port with n service queues.
 	NewScheduler func(n int) (sched.Scheduler, error)
 	// NewAdmission returns the buffer-management scheme for a port with
-	// buffer b and n service queues.
-	NewAdmission func(b units.ByteSize, n int) (buffer.Admission, error)
+	// buffer b and n service queues on a switch with memory mem.
+	NewAdmission func(b units.ByteSize, n int, mem *buffer.SharedPool) (buffer.Admission, error)
 }
 
 // Config is what the graph does not say about a packet network.
@@ -39,7 +39,8 @@ type Config struct {
 	// Delay is the one-way propagation delay of each link; the base RTT is
 	// Graph.BaseRTT(Delay) plus serialization.
 	Delay units.Duration
-	// Buffer is the per-port buffer size B on every switch port.
+	// Buffer is the per-port buffer size B on every switch port, and each
+	// switch's memory, all of which one port may hold under a shared scheme.
 	Buffer units.ByteSize
 	// Queues is the number of service queues per switch port.
 	Queues int
@@ -54,10 +55,6 @@ type Config struct {
 	// routing avoids the path — the convergence time of a real fabric's
 	// liveness probes. Zero with FailureAware set defaults to 1ms.
 	DetectionDelay units.Duration
-
-	// Pool, when non-nil, is the switch SRAM every switch port draws from
-	// (shared-memory switches); ports otherwise own their Buffer.
-	Pool *buffer.SharedPool
 
 	Factories
 }
@@ -91,6 +88,10 @@ func Build(s *sim.Simulator, g *fabric.Graph, cfg Config) (*Network, error) {
 
 	for sw := 0; sw < g.NumSwitches(); sw++ {
 		sw := sw
+		mem, err := buffer.NewSharedPool(cfg.Buffer)
+		if err != nil {
+			return nil, fmt.Errorf("topology: %s: %w", g.SwitchName(sw), err)
+		}
 		ports := make([]*netsim.Port, g.NumPorts(sw))
 		for i := range ports {
 			li := g.PortLink(sw, i)
@@ -99,7 +100,7 @@ func Build(s *sim.Simulator, g *fabric.Graph, cfg Config) (*Network, error) {
 			if err != nil {
 				return nil, fmt.Errorf("topology: %s:%d scheduler: %w", g.SwitchName(sw), i, err)
 			}
-			adm, err := cfg.NewAdmission(cfg.Buffer, cfg.Queues)
+			adm, err := cfg.NewAdmission(cfg.Buffer, cfg.Queues, mem)
 			if err != nil {
 				return nil, fmt.Errorf("topology: %s:%d admission: %w", g.SwitchName(sw), i, err)
 			}
@@ -110,7 +111,6 @@ func Build(s *sim.Simulator, g *fabric.Graph, cfg Config) (*Network, error) {
 				Scheduler: schd,
 				Admission: adm,
 				Link:      netsim.NewLink(s, cfg.Delay, nil),
-				Pool:      cfg.Pool,
 			})
 			if err != nil {
 				return nil, err

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dynaq/internal/buffer"
+	"dynaq/internal/netsim"
 	"dynaq/internal/packet"
 	"dynaq/internal/sched"
 	"dynaq/internal/sim"
@@ -14,7 +15,7 @@ import (
 
 // testbedStar builds the paper's testbed-like rack: 1Gbps links, 85KB port
 // buffer, ~500µs base RTT (125µs per link), 4 DRR queues.
-func testbedStar(t *testing.T, hosts int, admit func(b units.ByteSize, n int) (buffer.Admission, error)) *topology.Star {
+func testbedStar(t *testing.T, hosts int, admit func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error)) *topology.Star {
 	t.Helper()
 	s := sim.New()
 	st, err := topology.NewStar(s, topology.StarConfig{
@@ -36,7 +37,7 @@ func testbedStar(t *testing.T, hosts int, admit func(b units.ByteSize, n int) (b
 	return st
 }
 
-func bestEffort(_ units.ByteSize, _ int) (buffer.Admission, error) {
+func bestEffort(units.ByteSize, int, *buffer.SharedPool) (buffer.Admission, error) {
 	return buffer.NewBestEffort(), nil
 }
 
@@ -145,7 +146,7 @@ func TestDRRQueuesIsolateWithDynaQ(t *testing.T) {
 	// flows under DynaQ must split the 1Gbps bottleneck ≈50/50 (a single
 	// flow per queue cannot hold its share pipe through halving on an
 	// 85KB buffer — the paper never runs one-flow queues either).
-	st := testbedStar(t, 3, func(b units.ByteSize, n int) (buffer.Admission, error) {
+	st := testbedStar(t, 3, func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
 		return buffer.NewDynaQ(b, equalWeights(n))
 	})
 	for i := 0; i < 2; i++ {
@@ -195,7 +196,7 @@ func TestDCTCPWithPerQueueECNBoundsQueue(t *testing.T) {
 			NewScheduler: func(n int) (sched.Scheduler, error) {
 				return sched.EqualDRR(n, 1500), nil
 			},
-			NewAdmission: func(b units.ByteSize, n int) (buffer.Admission, error) {
+			NewAdmission: func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
 				return buffer.NewPerQueueECN(n, 30*units.KB)
 			},
 		},
@@ -387,7 +388,7 @@ func TestTCNWithGenericECNTransport(t *testing.T) {
 			NewScheduler: func(n int) (sched.Scheduler, error) {
 				return sched.EqualDRR(n, 1500), nil
 			},
-			NewAdmission: func(b units.ByteSize, n int) (buffer.Admission, error) {
+			NewAdmission: func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
 				return buffer.NewTCN(240 * units.Microsecond)
 			},
 		},
@@ -454,5 +455,77 @@ func TestECMPSpreadsFlowsAcrossSpines(t *testing.T) {
 			t.Fatalf("spine %d carried %.0f%% of packets; ECMP skewed (%v)",
 				sp, frac*100, perSpine)
 		}
+	}
+}
+
+// TestSwitchMemoryIsPerSwitch builds a leaf-spine under DT: every switch
+// draws from its own memory of Buffer bytes, which is the pool each of its
+// ports' admission reads, host NICs draw from none, and an incast inside
+// leaf 0 never touches leaf 1's memory.
+func TestSwitchMemoryIsPerSwitch(t *testing.T) {
+	s := sim.New()
+	ls, err := topology.NewLeafSpine(s, topology.LeafSpineConfig{
+		Leaves: 2, Spines: 2, HostsPerLeaf: 3,
+		Rate: 10 * units.Gbps, Delay: 10 * units.Microsecond,
+		Buffer: 192 * units.KB, Queues: 4,
+		Factories: topology.Factories{
+			NewScheduler: func(n int) (sched.Scheduler, error) { return sched.EqualWRR(n), nil },
+			NewAdmission: func(_ units.ByteSize, _ int, mem *buffer.SharedPool) (buffer.Admission, error) {
+				return buffer.NewDT(mem, 2)
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := map[*buffer.SharedPool]int{}
+	mems := make([]*buffer.SharedPool, len(ls.Switches))
+	for sw, nsw := range ls.Switches {
+		for i := 0; i < nsw.NumPorts(); i++ {
+			p := nsw.Port(i)
+			if p.Pool() == nil || p.Pool() != p.Admission().(*buffer.DT).Pool() {
+				t.Fatalf("switch %d port %d does not draw from the pool its DT reads", sw, i)
+			}
+			if i == 0 {
+				mems[sw] = p.Pool()
+			} else if p.Pool() != mems[sw] {
+				t.Fatalf("switch %d port %d draws from another switch's memory", sw, i)
+			}
+		}
+		if other, shared := owner[mems[sw]]; shared {
+			t.Fatalf("switches %d and %d share one memory", other, sw)
+		}
+		owner[mems[sw]] = sw
+		if mems[sw].Total() != 192*units.KB {
+			t.Fatalf("switch %d memory = %v, want the 192KB buffer", sw, mems[sw].Total())
+		}
+	}
+	for h, host := range ls.Hosts {
+		if host.Egress().Pool() != nil {
+			t.Fatalf("host %d NIC draws from switch memory", h)
+		}
+	}
+
+	// Hosts 0 and 1 incast into host 2, all on leaf 0.
+	leaf0, leaf1 := mems[0], mems[1]
+	var peak units.ByteSize
+	for i := 0; i < ls.Leaves[0].NumPorts(); i++ {
+		ls.Leaves[0].Port(i).AddEventHook(func(netsim.PortEvent) {
+			peak = max(peak, leaf0.Used())
+			if leaf1.Free() != leaf1.Total() {
+				t.Fatalf("traffic inside leaf 0 reserved %v of leaf 1's memory", leaf1.Used())
+			}
+		})
+	}
+	for src := 0; src < 2; src++ {
+		if _, err := ls.Endpoints[src].StartFlow(transport.FlowConfig{
+			Flow: flowID(1 + src), Dst: 2, Class: 1, Size: units.MB, MinRTO: 5 * units.Millisecond,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.RunUntil(units.Time(units.Second))
+	if peak == 0 {
+		t.Fatal("the incast never queued in leaf 0's memory")
 	}
 }
