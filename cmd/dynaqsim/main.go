@@ -244,10 +244,10 @@ func runMultiSeed(n, parallel int, cfg experiment.StaticConfig) {
 		cfg.Scheme, n, experiment.Workers(parallel, n), st)
 }
 
-// writeTrace dumps the recorder's retained events as trace.jsonl inside the
-// run's artifact directory.
+// writeTrace dumps the recorder's retained events as port_events.jsonl inside
+// the run's artifact directory.
 func writeTrace(dir string, rec *trace.Recorder) error {
-	f, err := os.Create(filepath.Join(dir, telemetry.TraceFile))
+	f, err := os.Create(filepath.Join(dir, telemetry.PortEventsFile))
 	if err != nil {
 		return err
 	}

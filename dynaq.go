@@ -30,15 +30,12 @@
 package dynaq
 
 import (
-	"dynaq/internal/app"
-	"dynaq/internal/buffer"
 	"dynaq/internal/core"
 	"dynaq/internal/experiment"
 	"dynaq/internal/fabric"
 	"dynaq/internal/metrics"
 	"dynaq/internal/netsim"
 	"dynaq/internal/packet"
-	"dynaq/internal/sched"
 	"dynaq/internal/sim"
 	"dynaq/internal/topology"
 	"dynaq/internal/trace"
@@ -62,17 +59,13 @@ type (
 // Common quantity constants.
 const (
 	Picosecond  = units.Picosecond
-	Nanosecond  = units.Nanosecond
 	Microsecond = units.Microsecond
 	Millisecond = units.Millisecond
 	Second      = units.Second
 
-	Byte = units.Byte
-	KB   = units.KB
-	MB   = units.MB
-	GB   = units.GB
+	KB = units.KB
+	MB = units.MB
 
-	Mbps = units.Mbps
 	Gbps = units.Gbps
 )
 
@@ -86,13 +79,8 @@ func Throughput(b ByteSize, d Duration) Rate { return units.Throughput(b, d) }
 type (
 	// State is a port's DynaQ threshold state (Algorithm 1).
 	State = core.State
-	// Result is the outcome of processing one arrival.
-	Result = core.Result
-	// Verdict classifies the outcome.
-	Verdict = core.Verdict
-	// QueueLens supplies per-queue backlogs to Process.
-	QueueLens = core.QueueLens
-	// QueueLenFunc adapts a function to QueueLens.
+	// QueueLenFunc adapts a function to the per-queue backlogs Process
+	// reads.
 	QueueLenFunc = core.QueueLenFunc
 	// ECNMode is DynaQ's PMSB-style marking mode (§III-B3).
 	ECNMode = core.ECNMode
@@ -132,15 +120,9 @@ type (
 
 // Buffer-management schemes.
 const (
-	SchemeBestEffort  = experiment.BestEffort
-	SchemePQL         = experiment.PQL
-	SchemeDynaQ       = experiment.DynaQ
-	SchemeTCN         = experiment.TCN
-	SchemePMSB        = experiment.PMSB
-	SchemePerQueueECN = experiment.PerQueueECN
-	SchemeMQECN       = experiment.MQECN
-	SchemeTCNDrop     = experiment.TCNDrop
-	SchemeBarberQ     = experiment.BarberQ
+	SchemeBestEffort = experiment.BestEffort
+	SchemeDynaQ      = experiment.DynaQ
+	SchemeBarberQ    = experiment.BarberQ
 
 	// DynaQ design-choice ablations (§III-B).
 	SchemeDynaQNaiveVictim = experiment.DynaQNaiveVictim
@@ -149,16 +131,11 @@ const (
 	// SchemeDynaQTofino is the §IV-A programmable-switch model (Algorithm
 	// 1 on dequeue-time-stale queue lengths).
 	SchemeDynaQTofino = experiment.DynaQTofino
-
-	// SchemeDynaQECN is DynaQ's ECN mode (§III-B3): PMSB-style marking
-	// for ECN-based transports, no threshold adjustment.
-	SchemeDynaQECN = experiment.DynaQECN
 )
 
 // Packet schedulers.
 const (
 	DRR    = experiment.SchedDRR
-	WRR    = experiment.SchedWRR
 	SPQDRR = experiment.SchedSPQDRR
 )
 
@@ -166,20 +143,10 @@ const (
 type (
 	// Simulator is the discrete-event engine.
 	Simulator = sim.Simulator
-	// Packet is the simulated segment.
-	Packet = packet.Packet
 	// FlowID identifies a transport flow.
 	FlowID = packet.FlowID
 	// Port is a switch output port (or host NIC).
 	Port = netsim.Port
-	// Switch is an output-queued switch.
-	Switch = netsim.Switch
-	// Host is an end host.
-	Host = netsim.Host
-	// Endpoint is a host's transport stack.
-	Endpoint = transport.Endpoint
-	// Sender is one flow source.
-	Sender = transport.Sender
 	// FlowConfig describes a flow to start.
 	FlowConfig = transport.FlowConfig
 	// Controller is a congestion-control algorithm.
@@ -188,10 +155,6 @@ type (
 	StarNetwork = topology.Star
 	// LeafSpineNetwork is a two-tier fabric.
 	LeafSpineNetwork = topology.LeafSpine
-	// Admission is a buffer-management scheme instance.
-	Admission = buffer.Admission
-	// Scheduler is a packet scheduler instance.
-	Scheduler = sched.Scheduler
 	// CDF is an empirical flow-size distribution.
 	CDF = workload.CDF
 	// FlowGen draws Poisson flow arrivals from a CDF.
@@ -200,8 +163,6 @@ type (
 	FCTCollector = metrics.FCTCollector
 	// ThroughputSampler samples per-queue throughput at a port.
 	ThroughputSampler = metrics.ThroughputSampler
-	// QueueTrace records queue-length evolution at a port.
-	QueueTrace = metrics.QueueTrace
 )
 
 // NewSimulator returns an empty discrete-event simulator.
@@ -334,43 +295,24 @@ func NewThroughputSampler(s *Simulator, p *Port, interval Duration) *ThroughputS
 	return metrics.NewThroughputSampler(s, p, interval)
 }
 
-// NewQueueTrace attaches a queue-evolution trace to a port, keeping every
-// stride-th sample.
-func NewQueueTrace(p *Port, stride int) *QueueTrace {
-	return metrics.NewQueueTrace(p, stride)
-}
-
 // NewFCTCollector returns an empty flow-completion-time collector.
 func NewFCTCollector() *FCTCollector { return metrics.NewFCTCollector() }
 
-// Bucket classifies flows by size for FCT breakdowns.
-type Bucket = metrics.Bucket
-
 // Flow-size buckets (§V: small ≤ 100KB, large > 10MB).
 const (
-	AllFlows    = metrics.AllFlows
-	SmallFlows  = metrics.SmallFlows
-	MediumFlows = metrics.MediumFlows
-	LargeFlows  = metrics.LargeFlows
+	AllFlows   = metrics.AllFlows
+	SmallFlows = metrics.SmallFlows
+	LargeFlows = metrics.LargeFlows
 )
 
 // Jain computes Jain's fairness index.
 func Jain(xs []float64) float64 { return metrics.Jain(xs) }
 
 // Experiments (one per paper figure; see cmd/experiments).
-type (
-	// Options selects the experiment scale and seed.
-	Options = experiment.Options
-	// ScaleLevel is Quick, Standard, or Full.
-	ScaleLevel = experiment.ScaleLevel
-)
+type Options = experiment.Options
 
-// Scales.
-const (
-	ScaleQuick    = experiment.Quick
-	ScaleStandard = experiment.Standard
-	ScaleFull     = experiment.Full
-)
+// ScaleQuick runs an experiment in seconds.
+const ScaleQuick = experiment.Quick
 
 // Figure runners. Each reproduces the corresponding evaluation figure.
 var (
@@ -387,35 +329,10 @@ var (
 	RunFig12 = experiment.Fig12
 	RunFig13 = experiment.Fig13
 
-	// Figure 2 (workload characterization).
-	RunFig2 = experiment.Fig2
-
-	// Ablations and extensions (see EXPERIMENTS.md).
-	RunAblationVictim       = experiment.AblationVictim
-	RunAblationSatisfaction = experiment.AblationSatisfaction
-	RunAblationDequeueDrop  = experiment.AblationDequeueDrop
-	RunExtMicroburst        = experiment.ExtMicroburst
-	RunExtSharedMemory      = experiment.ExtSharedMemory
-	RunExtProtocol          = experiment.ExtProtocolDependence
-	RunExtTofino            = experiment.ExtTofino
-	RunExtTransportZoo      = experiment.ExtTransportZoo
-	RunExtClosedLoop        = experiment.ExtClosedLoop
-	RunExtDynaQECNMode      = experiment.ExtDynaQECNMode
+	// RunExtClosedLoop is Fig. 8 under the §V-A2 request/response traffic
+	// (see EXPERIMENTS.md).
+	RunExtClosedLoop = experiment.ExtClosedLoop
 )
-
-// Request/response application (§V-A2's benchmark client).
-type (
-	// RequestClient issues Poisson requests over persistent connections
-	// and collects user-perceived response latencies.
-	RequestClient = app.Client
-	// RequestConfig configures a RequestClient.
-	RequestConfig = app.Config
-)
-
-// NewRequestClient builds the closed-loop benchmark client.
-func NewRequestClient(s *Simulator, cfg RequestConfig) (*RequestClient, error) {
-	return app.NewClient(s, cfg)
-}
 
 // SeedStats summarizes a metric across seeds (see RunSeeds).
 type SeedStats = experiment.SeedStats
@@ -426,24 +343,15 @@ func RunSeeds(n int, base Options, run func(Options) (float64, error)) (SeedStat
 	return experiment.RunSeeds(n, base, run)
 }
 
-// Tracing.
-type (
-	// TraceRecorder collects per-packet port events.
-	TraceRecorder = trace.Recorder
-	// PortEvent is one recorded event.
-	PortEvent = netsim.PortEvent
-	// PortEventKind classifies events.
-	PortEventKind = netsim.PortEventKind
-)
+// TraceRecorder collects per-packet port events.
+type TraceRecorder = trace.Recorder
 
 // Port event kinds.
 const (
-	EvEnqueue     = netsim.EvEnqueue
-	EvDrop        = netsim.EvDrop
-	EvMark        = netsim.EvMark
-	EvEvict       = netsim.EvEvict
-	EvDequeueDrop = netsim.EvDequeueDrop
-	EvTransmit    = netsim.EvTransmit
+	EvEnqueue  = netsim.EvEnqueue
+	EvDrop     = netsim.EvDrop
+	EvEvict    = netsim.EvEvict
+	EvTransmit = netsim.EvTransmit
 )
 
 // NewTraceRecorder builds a bounded per-packet event recorder; attach it

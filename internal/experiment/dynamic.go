@@ -69,6 +69,13 @@ type DynamicConfig struct {
 	Load float64
 	// Flows is the number of flows to generate (paper: 10K).
 	Flows int
+	// RequestResponse makes each generated flow the response of a §V-A2
+	// request/response exchange: a 100 B class-0 request travels from
+	// the flow's destination to its source first, and the response starts
+	// when the request completes. Its FCT runs from the request's issue;
+	// Flows and Generated count exchanges. Issue times stay Poisson,
+	// independent of completions.
+	RequestResponse bool
 	// Workloads supplies one flow-size CDF per DRR service queue; a
 	// single entry is shared by all queues (testbed: web search for all;
 	// leaf-spine: the four workloads round-robin).
@@ -249,12 +256,21 @@ func (cfg DynamicConfig) Validate() error {
 	return err
 }
 
+// requestSize is the wire payload of a RequestResponse request (a small RPC
+// header).
+const requestSize = 100 * units.Byte
+
 // RunDynamic executes an FCT scenario on cfg.Engine. The fabric, the
 // arrival processes, the source/destination draws and the class striping
 // are engine-independent, so a given seed describes the same offered
 // traffic at every fidelity; only the flow execution behind the cellEngine
 // seam differs.
 func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) {
+	return runDynamic(cfg, newCellEngine)
+}
+
+// runDynamic is RunDynamic with the engine built by newEngine.
+func runDynamic(cfg DynamicConfig, newEngine func(*sim.Simulator, *fabric.Graph, *DynamicConfig) (cellEngine, error)) (*DynamicResult, error) {
 	g, err := cfg.normalize()
 	if err != nil {
 		return nil, err
@@ -279,29 +295,47 @@ func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 	}
 
 	s := sim.New()
-	var eng cellEngine
-	if cfg.Engine == EnginePacket {
-		eng, err = newPacketEngine(s, g, &cfg)
-	} else {
-		eng, err = newFluidEngine(s, g, &cfg)
-	}
+	eng, err := newEngine(s, g, &cfg)
 	if err != nil {
 		return nil, err
 	}
 
 	res := &DynamicResult{Scheme: cfg.Scheme, Load: cfg.Load, FCT: metrics.NewFCTCollector()}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
+	// An exchange is two transport flows, the request then its response, and
+	// exchanges draw from their own rng stream.
+	salt, idsPerFlow := int64(0x5eed), packet.FlowID(1)
+	if cfg.RequestResponse {
+		salt, idsPerFlow = 0xc11e17, 2
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed ^ salt))
 	serviceQueues := cfg.Queues - 1
 	var flowID packet.FlowID
 
 	var fctHist *telemetry.Histogram // set with telemetry attached
+	record := func(size units.ByteSize, fct units.Duration) {
+		res.FCT.Add(size, fct)
+		if fctHist != nil {
+			fctHist.Observe(int64(fct / units.Microsecond))
+		}
+	}
+	// exchange issues f's request at issue and starts f, the response, at
+	// the request's completion.
+	exchange := func(issue units.Time, f flowStart) {
+		eng.start(issue, flowStart{
+			id: f.id - 1, src: f.dst, dst: f.src, class: 0, size: requestSize,
+			done: func(reqFCT units.Duration) {
+				f.done = func(fct units.Duration) { record(f.size, reqFCT+fct) }
+				eng.start(issue.Add(reqFCT), f)
+			},
+		})
+	}
 
 	// One arrival process per workload; workload w maps to the DRR queues
 	// w, w+len, w+2len, ... so that "different services use different
 	// traffic distributions" (§V-B2).
 	var schedule func(gi int, at units.Time)
 	launch := func(gi int, at units.Time) {
-		flowID++
+		flowID += idsPerFlow
 		size := gens[gi].NextSize()
 		var src, dst int
 		if incast {
@@ -325,15 +359,13 @@ func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 		if qChoices > 1 {
 			pick = gi + len(gens)*rng.Intn(qChoices)
 		}
-		eng.start(at, flowStart{
-			id: flowID, src: src, dst: dst, class: 1 + pick, size: size,
-			done: func(fct units.Duration) {
-				res.FCT.Add(size, fct)
-				if fctHist != nil {
-					fctHist.Observe(int64(fct / units.Microsecond))
-				}
-			},
-		})
+		f := flowStart{id: flowID, src: src, dst: dst, class: 1 + pick, size: size}
+		if cfg.RequestResponse {
+			exchange(at, f)
+			return
+		}
+		f.done = func(fct units.Duration) { record(size, fct) }
+		eng.start(at, f)
 	}
 	perGen := cfg.Flows / len(gens)
 	var left []int
@@ -360,7 +392,7 @@ func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 	// books to fall out of sync.
 	cfg.observe(s, cfg.MaxRuntime, func(reg *telemetry.Registry, run *telemetry.Run) {
 		eng.instrument(reg, run)
-		reg.CounterFunc("flows_generated_total", func() int64 { return int64(flowID) })
+		reg.CounterFunc("flows_generated_total", func() int64 { return int64(flowID / idsPerFlow) })
 		reg.CounterFunc("flows_completed_total", func() int64 { return int64(res.FCT.Len()) })
 		fctHist = reg.Histogram("fct_us", fctBounds)
 	}, func() {
@@ -378,7 +410,7 @@ func RunDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 		attrs = append(attrs, ttrace.A("engine", string(cfg.Engine)))
 	}
 	cfg.simSpan(s.Now(), append(attrs, ttrace.AInt("flows_completed", int64(res.FCT.Len())))...)
-	res.Generated = int(flowID)
+	res.Generated = int(flowID / idsPerFlow)
 	res.Completed = res.FCT.Len()
 	res.Events = int64(s.Processed())
 	return res, nil

@@ -62,6 +62,14 @@ type cellEngine interface {
 	finish(res *DynamicResult)
 }
 
+// newCellEngine builds the fidelity cfg.Engine names on s.
+func newCellEngine(s *sim.Simulator, g *fabric.Graph, cfg *DynamicConfig) (cellEngine, error) {
+	if cfg.Engine == EnginePacket {
+		return newPacketEngine(s, g, cfg)
+	}
+	return newFluidEngine(s, g, cfg)
+}
+
 // packetEngine runs flows as per-packet transfers over a packetWorld, with
 // SPQ+DRR scheduling and two-level PIAS classification.
 type packetEngine struct {

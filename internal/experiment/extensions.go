@@ -1,16 +1,13 @@
 package experiment
 
 import (
-	"dynaq/internal/app"
 	"dynaq/internal/fabric"
 	"dynaq/internal/metrics"
 	"dynaq/internal/packet"
-	"dynaq/internal/pias"
 	"dynaq/internal/sim"
 	"dynaq/internal/topology"
 	"dynaq/internal/transport"
 	"dynaq/internal/units"
-	"dynaq/internal/workload"
 )
 
 // testbedRack wires the §V-A rack — hosts 1GbE hosts around one switch,
@@ -215,55 +212,16 @@ func ExtTransportZoo(o Options) (*AblationResult, error) {
 }
 
 // ExtClosedLoop reruns the Fig. 8 comparison with the §V-A2 application
-// model instead of the open-loop generator: a client holding persistent
-// connections to 4 servers issues Poisson requests; responses carry the
-// web-search sizes. Latency is user-perceived (request issue → response
-// completion).
+// model instead of the open-loop generator: the client's Poisson requests
+// each pull a web-search-sized response from one of the 4 servers, and
+// latency is user-perceived (request issue → response completion).
 func ExtClosedLoop(o Options) (*FCTResult, error) {
-	requests := pick(o, 150, 1000, 10000)
+	cfg := testbedFCT(o, SchemeParams{Weights: equalWeights(5)})
+	cfg.RequestResponse = true
+	cfg.Flows = pick(o, 150, 1000, 10000)
+	cfg.MaxRuntime = pick(o, 60*units.Second, 120*units.Second, 600*units.Second)
 	loads := pick(o, []float64{0.6}, []float64{0.5, 0.8}, []float64{0.3, 0.4, 0.5, 0.6, 0.7, 0.8})
-	horizon := pick(o, 60*units.Second, 120*units.Second, 600*units.Second)
-	cells := fctCells(loads, NonECNSchemes())
-	// Each cell builds its whole world — simulator, star, classifier,
-	// client — inside the trial, so cells parallelize like the open-loop
-	// FCT figures.
-	stats, err := RunTrials(len(cells), o.Parallel, func(i int) (FCTStats, error) {
-		s := sim.New()
-		star, err := testbedRack(s, 5, 5, testbedBuffer, Factories(cells[i].scheme, SchedSPQDRR,
-			SchemeParams{Rate: testbedRate, BaseRTT: fabric.Star.BaseRTT(testbedDelay),
-				Weights: equalWeights(5)}, testbedMTU))
-		if err != nil {
-			return FCTStats{}, err
-		}
-		classifier, err := pias.NewClassifier(pias.DefaultDemotionThreshold, 0)
-		if err != nil {
-			return FCTStats{}, err
-		}
-		client, err := app.NewClient(s, app.Config{
-			Client:        star.Endpoints[4],
-			Servers:       star.Endpoints[:4],
-			CDF:           workload.WebSearch(),
-			Load:          cells[i].load,
-			Capacity:      testbedRate,
-			Requests:      requests,
-			ServiceQueues: 4,
-			ClassOf:       classifier.ClassOf,
-			MinRTO:        testbedMinRTO,
-			Seed:          o.Seed,
-		})
-		if err != nil {
-			return FCTStats{}, err
-		}
-		client.Start()
-		for client.Done() < requests && s.Pending() > 0 && s.Now() < units.Time(horizon) {
-			s.Step()
-		}
-		return cells[i].stats(client.FCT, client.Done(), client.Issued()), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &FCTResult{Figure: "ext-closedloop", Cells: stats}, nil
+	return fctRun("ext-closedloop", NonECNSchemes(), loads, cfg, o.Parallel)
 }
 
 // ExtDynaQECNMode compares DynaQ's two faces (§III-B3): drop mode with

@@ -15,10 +15,10 @@ import (
 
 // Artifact file names inside a run directory.
 const (
-	EventsFile   = "events.jsonl"
-	MetricsFile  = "metrics.jsonl"
-	ManifestFile = "manifest.json"
-	TraceFile    = "trace.jsonl"
+	EventsFile     = "events.jsonl"
+	MetricsFile    = "metrics.jsonl"
+	ManifestFile   = "manifest.json"
+	PortEventsFile = "port_events.jsonl"
 )
 
 // Manifest identifies a run so its artifacts can be audited and compared:
