@@ -1,8 +1,6 @@
 package dynaq
 
 import (
-	"os"
-	"strconv"
 	"testing"
 
 	"dynaq/internal/experiment"
@@ -11,17 +9,9 @@ import (
 // benchOpts runs every figure at quick scale so `go test -bench=.` stays
 // laptop-friendly; cmd/experiments regenerates the recorded results at
 // standard/full scale. Grid figures (8, 9, 13, ext-closedloop) run their
-// cells on GOMAXPROCS workers by default; set DYNAQ_BENCH_PARALLEL=1 for a
-// sequential baseline (an env var because `go test` owns the -parallel
-// flag). Results are identical either way — only wall-clock changes.
-var benchOpts = Options{Scale: ScaleQuick, Seed: 1, Parallel: benchParallel()}
-
-func benchParallel() int {
-	if v, err := strconv.Atoi(os.Getenv("DYNAQ_BENCH_PARALLEL")); err == nil && v > 0 {
-		return v
-	}
-	return 0 // 0 = GOMAXPROCS (see experiment.Workers)
-}
+// cells on GOMAXPROCS workers, so `go test -cpu 1` is the sequential
+// baseline. Results are identical either way — only wall-clock changes.
+var benchOpts = Options{Scale: ScaleQuick, Seed: 1}
 
 // BenchmarkAlgorithm1 measures the software cost of one DynaQ decision on
 // an 8-queue port (the §IV-A hardware analysis counts 7 clock cycles for

@@ -25,7 +25,6 @@ import (
 	"dynaq/internal/metrics"
 	"dynaq/internal/scenario"
 	"dynaq/internal/telemetry"
-	"dynaq/internal/trace"
 	"dynaq/internal/units"
 )
 
@@ -246,7 +245,7 @@ func runMultiSeed(n, parallel int, cfg experiment.StaticConfig) {
 
 // writeTrace dumps the recorder's retained events as port_events.jsonl inside
 // the run's artifact directory.
-func writeTrace(dir string, rec *trace.Recorder) error {
+func writeTrace(dir string, rec *metrics.EventRecorder) error {
 	f, err := os.Create(filepath.Join(dir, telemetry.PortEventsFile))
 	if err != nil {
 		return err
@@ -329,11 +328,6 @@ func runConfig(path, engine, teleDir string, progress bool) {
 	}
 	if run != nil {
 		summarize(run, res.Summary())
-		if st := res.Static; st != nil && st.Trace != nil {
-			if err := writeTrace(run.Dir(), st.Trace); err != nil {
-				fatalf("%v", err)
-			}
-		}
 		if err := run.Close(); err != nil {
 			fatalf("%v", err)
 		}

@@ -38,7 +38,6 @@ import (
 	"dynaq/internal/packet"
 	"dynaq/internal/sim"
 	"dynaq/internal/topology"
-	"dynaq/internal/trace"
 	"dynaq/internal/transport"
 	"dynaq/internal/units"
 	"dynaq/internal/workload"
@@ -229,8 +228,8 @@ func portDefaults(scheme Scheme, kind SchedKind, mtu ByteSize) (Scheme, SchedKin
 // NewStarNetwork assembles a single-switch rack whose every port runs the
 // configured scheme and scheduler.
 func NewStarNetwork(s *Simulator, cfg StarConfig) (*StarNetwork, error) {
-	p := cfg.Params.Resolved(cfg.Rate, fabric.Star.BaseRTT(cfg.Delay), cfg.Weights, cfg.Queues)
 	scheme, kind, mtu := portDefaults(cfg.Scheme, cfg.Sched, cfg.MTU)
+	p := cfg.Params.Resolved(cfg.Rate, fabric.Star.BaseRTT(cfg.Delay), mtu, cfg.Weights, cfg.Queues)
 	return topology.NewStar(s, topology.StarConfig{
 		Hosts:     cfg.Hosts,
 		Rate:      cfg.Rate,
@@ -259,8 +258,8 @@ type LeafSpineConfig struct {
 
 // NewLeafSpineNetwork assembles a two-tier ECMP fabric.
 func NewLeafSpineNetwork(s *Simulator, cfg LeafSpineConfig) (*LeafSpineNetwork, error) {
-	p := cfg.Params.Resolved(cfg.Rate, fabric.LeafSpine.BaseRTT(cfg.Delay), cfg.Weights, cfg.Queues)
 	scheme, kind, mtu := portDefaults(cfg.Scheme, cfg.Sched, cfg.MTU)
+	p := cfg.Params.Resolved(cfg.Rate, fabric.LeafSpine.BaseRTT(cfg.Delay), mtu, cfg.Weights, cfg.Queues)
 	return topology.NewLeafSpine(s, topology.LeafSpineConfig{
 		Leaves:       cfg.Leaves,
 		Spines:       cfg.Spines,
@@ -343,8 +342,8 @@ func RunSeeds(n int, base Options, run func(Options) (float64, error)) (SeedStat
 	return experiment.RunSeeds(n, base, run)
 }
 
-// TraceRecorder collects per-packet port events.
-type TraceRecorder = trace.Recorder
+// EventRecorder collects per-packet port events.
+type EventRecorder = metrics.EventRecorder
 
 // Port event kinds.
 const (
@@ -354,8 +353,8 @@ const (
 	EvTransmit = netsim.EvTransmit
 )
 
-// NewTraceRecorder builds a bounded per-packet event recorder; attach it
+// NewEventRecorder builds a bounded per-packet event recorder; attach it
 // with rec.Attach(port).
-func NewTraceRecorder(capacity int) (*TraceRecorder, error) {
-	return trace.NewRecorder(capacity)
+func NewEventRecorder(capacity int) (*EventRecorder, error) {
+	return metrics.NewEventRecorder(capacity)
 }

@@ -210,7 +210,7 @@ func TestTraceRecorderThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := dynaq.NewTraceRecorder(16)
+	rec, err := dynaq.NewEventRecorder(16)
 	if err != nil {
 		t.Fatal(err)
 	}

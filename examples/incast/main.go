@@ -51,7 +51,7 @@ func run(scheme dynaq.Scheme) (drops, evicted int64, avgMs float64, done int) {
 	port := net.Port(receiver)
 
 	// Trace only the interesting events at the bottleneck.
-	rec, err := dynaq.NewTraceRecorder(64)
+	rec, err := dynaq.NewEventRecorder(64)
 	if err != nil {
 		log.Fatal(err)
 	}

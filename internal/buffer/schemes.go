@@ -15,31 +15,31 @@ type SchemeParams struct {
 	Rate units.Rate
 	// BaseRTT is the topology's base round-trip time.
 	BaseRTT units.Duration
-	// Lambda is the ECN threshold coefficient λ (1.0 unless tuning for a
-	// specific transport).
-	Lambda float64
+	// MTU is the frame size the DRR quantums are counted in (Weights·MTU,
+	// as the port scheduler's); zero means 1500.
+	MTU units.ByteSize
 	// Weights are the scheduler weights/quantums per service queue.
 	Weights []int64
-	// Quantums are the DRR byte quantums (used by MQ-ECN); nil derives
-	// them as Weights·MTU.
-	Quantums []units.ByteSize
 	// PerQueueK overrides the Per-Queue ECN / DCTCP threshold. The paper
-	// tunes it experimentally (30KB on 1GbE); zero falls back to C·RTT·λ/2.
+	// tunes it experimentally (30KB on 1GbE); zero falls back to C·RTT/2.
 	PerQueueK units.ByteSize
-	// TCNTarget overrides TCN's sojourn threshold; zero derives RTT·λ.
+	// TCNTarget overrides TCN's sojourn threshold; zero derives RTT.
 	TCNTarget units.Duration
 }
 
 // Resolved returns p with what the caller left unset filled in for a port
-// on a link of the given rate and base RTT with n service queues: Rate and
-// BaseRTT from the link, Weights from weights, or equal when that is empty
-// too.
-func (p SchemeParams) Resolved(rate units.Rate, rtt units.Duration, weights []int64, n int) SchemeParams {
+// on a link of the given rate, base RTT and frame size with n service
+// queues: Rate, BaseRTT and MTU from the link, Weights from weights, or
+// equal when that is empty too.
+func (p SchemeParams) Resolved(rate units.Rate, rtt units.Duration, mtu units.ByteSize, weights []int64, n int) SchemeParams {
 	if p.Rate == 0 {
 		p.Rate = rate
 	}
 	if p.BaseRTT == 0 {
 		p.BaseRTT = rtt
+	}
+	if p.MTU == 0 {
+		p.MTU = mtu
 	}
 	if len(p.Weights) == 0 {
 		p.Weights = weights
@@ -53,26 +53,16 @@ func (p SchemeParams) Resolved(rate units.Rate, rtt units.Duration, weights []in
 	return p
 }
 
-// lambda returns λ with the unset value defaulted to 1.
-func (p SchemeParams) lambda() float64 {
-	//dynaqlint:allow float-eq zero-value sentinel for an unset config field, not an arithmetic result
-	if p.Lambda == 0 {
-		return 1
-	}
-	return p.Lambda
-}
+// markK is the port-level ECN marking threshold C·RTT·λ, at the λ = 1 every
+// marking scheme here runs at.
+func (p SchemeParams) markK() units.ByteSize { return units.BDP(p.Rate, p.BaseRTT) }
 
-// markK is the port-level ECN marking threshold C·RTT·λ.
-func (p SchemeParams) markK() units.ByteSize {
-	return units.ByteSize(float64(units.BDP(p.Rate, p.BaseRTT)) * p.lambda())
-}
-
-// sojourn is the TCN sojourn-time threshold.
+// sojourn is the TCN sojourn-time threshold, RTT·λ at λ = 1.
 func (p SchemeParams) sojourn() units.Duration {
 	if p.TCNTarget != 0 {
 		return p.TCNTarget
 	}
-	return p.BaseRTT.Scale(p.lambda())
+	return p.BaseRTT
 }
 
 // Scheme is one row of the scheme table: what a buffer-management scheme is
@@ -114,14 +104,15 @@ var schemes = []Scheme{
 		return NewPerQueueECN(n, k)
 	}},
 	{"MQ-ECN", true, func(p SchemeParams, _ units.ByteSize, n int, _ *SharedPool) (Admission, error) {
-		quantums := p.Quantums
-		if quantums == nil {
-			quantums = make([]units.ByteSize, n)
-			for i, w := range p.Weights {
-				quantums[i] = units.ByteSize(w) * 1500
-			}
+		mtu := p.MTU
+		if mtu == 0 {
+			mtu = 1500
 		}
-		return NewMQECN(p.Rate, p.BaseRTT.Scale(p.lambda()), quantums)
+		quantums := make([]units.ByteSize, n)
+		for i, w := range p.Weights {
+			quantums[i] = units.ByteSize(w) * mtu
+		}
+		return NewMQECN(p.Rate, p.BaseRTT, quantums)
 	}},
 	// The §II-C strawman kept as an ablation.
 	{"TCNDrop", false, func(p SchemeParams, _ units.ByteSize, _ int, _ *SharedPool) (Admission, error) {

@@ -15,7 +15,7 @@ import (
 
 // telemetryFiles are the artifacts that must be byte-identical across two
 // runs of the same (scenario, seed) — the acceptance bar for the whole
-// telemetry layer. port_events.jsonl is covered separately in internal/trace.
+// telemetry layer. port_events.jsonl is covered separately in internal/metrics.
 var telemetryFiles = []string{
 	telemetry.EventsFile,
 	telemetry.MetricsFile,

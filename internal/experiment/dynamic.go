@@ -12,10 +12,9 @@ import (
 	"dynaq/internal/flowsim"
 	"dynaq/internal/metrics"
 	"dynaq/internal/packet"
-	"dynaq/internal/pias"
 	"dynaq/internal/sim"
 	"dynaq/internal/telemetry"
-	ttrace "dynaq/internal/telemetry/trace"
+	"dynaq/internal/telemetry/trace"
 	"dynaq/internal/units"
 	"dynaq/internal/workload"
 )
@@ -42,10 +41,6 @@ type DynamicConfig struct {
 	// path; EngineHybrid adds selective packetization of congested ports
 	// (see internal/flowsim).
 	Engine EngineMode
-	// FlowCutoff is the fluid engines' short/long flow classification
-	// boundary (default: the PIAS Demotion threshold). Ignored by the
-	// packet engine.
-	FlowCutoff units.ByteSize
 	// FatTreeK is the fat-tree arity (TopoFatTree only).
 	FatTreeK int
 
@@ -82,8 +77,6 @@ type DynamicConfig struct {
 	Workloads []*workload.CDF
 	// DCTCP runs all flows with DCTCP + ECN (the ECN-based lineup).
 	DCTCP bool
-	// Demotion is the PIAS threshold (default 100KB).
-	Demotion units.ByteSize
 
 	MinRTO units.Duration
 	Seed   int64
@@ -196,15 +189,6 @@ func (cfg *DynamicConfig) normalize() (*fabric.Graph, error) {
 	if cfg.MTU == 0 {
 		cfg.MTU = 1500
 	}
-	if cfg.Demotion == 0 {
-		cfg.Demotion = pias.DefaultDemotionThreshold
-	}
-	if cfg.FlowCutoff == 0 {
-		// The PIAS demotion threshold doubles as the short/long cutoff: a
-		// flow the packet engine would keep in the high-priority queues is
-		// exactly a flow that lives inside slow start.
-		cfg.FlowCutoff = cfg.Demotion
-	}
 	if cfg.MaxRuntime == 0 {
 		cfg.MaxRuntime = 10 * units.Second
 	}
@@ -216,7 +200,7 @@ func (cfg *DynamicConfig) normalize() (*fabric.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.Params = cfg.Params.Resolved(cfg.Rate, cfg.Topo.BaseRTT(cfg.Delay), nil, cfg.Queues)
+	cfg.Params = cfg.Params.Resolved(cfg.Rate, cfg.Topo.BaseRTT(cfg.Delay), cfg.MTU, nil, cfg.Queues)
 	if err := checkWeights(cfg.Params.Weights, cfg.Queues); err != nil {
 		return nil, err
 	}
@@ -405,11 +389,11 @@ func runDynamic(cfg DynamicConfig, newEngine func(*sim.Simulator, *fabric.Graph,
 		}
 	})
 	eng.finish(res)
-	attrs := []ttrace.Attr{ttrace.A("kind", "fct")}
+	attrs := []trace.Attr{trace.A("kind", "fct")}
 	if cfg.Engine != EnginePacket {
-		attrs = append(attrs, ttrace.A("engine", string(cfg.Engine)))
+		attrs = append(attrs, trace.A("engine", string(cfg.Engine)))
 	}
-	cfg.simSpan(s.Now(), append(attrs, ttrace.AInt("flows_completed", int64(res.FCT.Len())))...)
+	cfg.simSpan(s.Now(), append(attrs, trace.AInt("flows_completed", int64(res.FCT.Len())))...)
 	res.Generated = int(flowID / idsPerFlow)
 	res.Completed = res.FCT.Len()
 	res.Events = int64(s.Processed())

@@ -74,8 +74,7 @@ func newCellEngine(s *sim.Simulator, g *fabric.Graph, cfg *DynamicConfig) (cellE
 // SPQ+DRR scheduling and two-level PIAS classification.
 type packetEngine struct {
 	*packetWorld
-	cfg        *DynamicConfig
-	classifier *pias.Classifier
+	cfg *DynamicConfig
 }
 
 func newPacketEngine(s *sim.Simulator, g *fabric.Graph, cfg *DynamicConfig) (*packetEngine, error) {
@@ -93,8 +92,7 @@ func newPacketEngine(s *sim.Simulator, g *fabric.Graph, cfg *DynamicConfig) (*pa
 	if cfg.Guard {
 		w.watch()
 	}
-	classifier, err := pias.NewClassifier(cfg.Demotion, 0)
-	return &packetEngine{packetWorld: w, cfg: cfg, classifier: classifier}, err
+	return &packetEngine{packetWorld: w, cfg: cfg}, nil
 }
 
 func (e *packetEngine) start(_ units.Time, f flowStart) {
@@ -106,7 +104,7 @@ func (e *packetEngine) start(_ units.Time, f flowStart) {
 		Flow:       f.id,
 		Dst:        f.dst,
 		Class:      f.class,
-		ClassOf:    e.classifier.ClassOf(f.class),
+		ClassOf:    pias.ClassOf(f.class),
 		Size:       f.size,
 		MSS:        e.cfg.MTU - transport.HeaderSize,
 		Ctrl:       ctrl,
@@ -137,7 +135,6 @@ func newFluidEngine(s *sim.Simulator, g *fabric.Graph, cfg *DynamicConfig) (*flu
 		MTU:        cfg.MTU,
 		MSS:        cfg.MTU - transport.HeaderSize,
 		RTT:        cfg.Params.BaseRTT,
-		FlowCutoff: cfg.FlowCutoff,
 		Spans:      cfg.Spans,
 		SpanParent: cfg.SpanParent,
 		Hybrid:     cfg.Engine == EngineHybrid,

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dynaq/internal/buffer"
 	"dynaq/internal/metrics"
 	"dynaq/internal/units"
 	"dynaq/internal/workload"
@@ -59,6 +60,42 @@ func TestSchedKindFactory(t *testing.T) {
 	}
 	if _, err := SchedWRR.NewScheduler([]int64{2, 1}, 1500, 2); err != nil {
 		t.Errorf("valid WRR rejected: %v", err)
+	}
+}
+
+// TestMQECNQuantaFollowMTU: on jumbo frames the DRR scheduler serves
+// weight·9000 bytes per round, so the MQ-ECN instance a static run builds for
+// its ports must estimate each queue's service rate from those same quanta,
+// not from 1500-byte ones.
+func TestMQECNQuantaFollowMTU(t *testing.T) {
+	cfg := StaticConfig{
+		Scheme: MQECN, Sched: SchedDRR, Params: SchemeParams{Weights: []int64{2, 1}},
+		Rate: 10 * units.Gbps, Delay: 10 * units.Microsecond, Buffer: units.MB, Queues: 2, MTU: 9000,
+		Specs: []QueueSpec{{Class: 0, Flows: 1}}, Duration: units.Second,
+	}
+	if _, err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	adm, err := Factories(cfg.Scheme, cfg.Sched, cfg.Params, cfg.MTU).NewAdmission(cfg.Buffer, cfg.Queues, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := adm.(*buffer.MQECN)
+	want, err := buffer.NewMQECN(cfg.Rate, cfg.Params.BaseRTT, []units.ByteSize{2 * 9000, 9000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One 100µs round: both queues well under the 10Gbps link rate, so
+	// each threshold is set by its quantum.
+	for _, m := range []*buffer.MQECN{got, want} {
+		m.ObserveDequeue(nil, 0, 9000, 0)
+		m.ObserveDequeue(nil, 1, 9000, units.Time(50*units.Microsecond))
+		m.ObserveDequeue(nil, 0, 9000, units.Time(100*units.Microsecond))
+	}
+	for q := 0; q < cfg.Queues; q++ {
+		if g, w := got.QueueThreshold(q), want.QueueThreshold(q); g != w {
+			t.Errorf("queue %d: MQ-ECN threshold %v at MTU 9000, want %v (quanta of weight·MTU)", q, g, w)
+		}
 	}
 }
 

@@ -146,8 +146,8 @@ func AblationDequeueDrop(o Options) (*AblationResult, error) {
 		if scheme == TCN {
 			for i := range cfg.Specs {
 				cfg.Specs[i].Ctrl = newDCTCPCtrl
+				cfg.Specs[i].ECN = true
 			}
-			cfg.ECNFlows = true
 		}
 		return cfg
 	}, func(res *StaticResult) []float64 {

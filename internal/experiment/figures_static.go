@@ -105,7 +105,6 @@ func Fig1(o Options) (*Fig1Result, error) {
 	}
 	cells, err := staticGrid(o, []Scheme{BestEffort}, func(scheme Scheme) StaticConfig {
 		cfg := testbedStatic(scheme, equalWeights(4), specs, dur, o.Seed)
-		cfg.TraceQueues = true
 		cfg.TraceStride = 8
 		return cfg
 	})
@@ -161,7 +160,6 @@ func Fig3(o Options) (*ConvergenceResult, error) {
 	out := &ConvergenceResult{Schemes: NonECNSchemes()}
 	cells, err := staticGrid(o, out.Schemes, func(scheme Scheme) StaticConfig {
 		cfg := testbedStatic(scheme, equalWeights(4), twoVsSixteen(), dur, o.Seed)
-		cfg.TraceQueues = true
 		cfg.TraceStride = 4
 		return cfg
 	})

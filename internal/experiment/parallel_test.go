@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dynaq/internal/telemetry"
 	"dynaq/internal/units"
 	"dynaq/internal/workload"
 )
@@ -280,6 +281,65 @@ func TestSingleStreamGridsRunOneWorker(t *testing.T) {
 	}
 	if n := w.overlaps.Load(); n != 0 {
 		t.Errorf("static grid: %d progress writes overlapped another cell's", n)
+	}
+}
+
+// teedRun opens a telemetry run in a temporary directory whose every event
+// line also goes through an overlapWriter, so two cells streaming into the
+// run at once are caught.
+func teedRun(t *testing.T) (*telemetry.Run, *overlapWriter) {
+	t.Helper()
+	run, err := telemetry.NewRun(t.TempDir(), telemetry.Manifest{Tool: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newOverlapWriter()
+	run.Tee(func(line []byte) { w.Write(line) })
+	return run, w
+}
+
+// TestFCTGridTelemetryRunsOneWorker: a telemetry run is one stream, so an
+// FCT grid carrying one runs its cells one at a time on any worker count.
+func TestFCTGridTelemetryRunsOneWorker(t *testing.T) {
+	run, w := teedRun(t)
+	base := DynamicConfig{
+		Params:    SchemeParams{Weights: equalWeights(3)},
+		Topo:      TopoStar,
+		Rate:      units.Gbps,
+		Delay:     20 * units.Microsecond,
+		Buffer:    200 * units.KB,
+		Queues:    3,
+		Flows:     20,
+		Workloads: []*workload.CDF{workload.WebSearch()},
+		Seed:      9,
+		Hooks:     Hooks{Telemetry: run},
+	}
+	if _, err := fctRun("single-stream", NonECNSchemes(), []float64{0.5}, base, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.overlaps.Load(); n != 0 {
+		t.Errorf("%d telemetry events overlapped another cell's", n)
+	}
+}
+
+// TestStaticGridTelemetryRunsOneWorker is the same for a static grid.
+func TestStaticGridTelemetryRunsOneWorker(t *testing.T) {
+	run, w := teedRun(t)
+	if _, err := staticGrid(Options{Seed: 1, Parallel: 4}, NonECNSchemes(), func(s Scheme) StaticConfig {
+		cfg := testbedStatic(s, equalWeights(2), []QueueSpec{{Class: 0, Flows: 2}}, 20*units.Millisecond, 1)
+		cfg.Telemetry = run
+		return cfg
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.overlaps.Load(); n != 0 {
+		t.Errorf("%d telemetry events overlapped another cell's", n)
 	}
 }
 

@@ -34,10 +34,6 @@ func referenceRun(t testing.TB, cfg DynamicConfig) *refClient {
 	if err != nil {
 		t.Fatal(err)
 	}
-	classifier, err := pias.NewClassifier(pias.DefaultDemotionThreshold, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	client, err := newRefClient(s, refConfig{
 		Client:        star.Endpoints[4],
 		Servers:       star.Endpoints[:4],
@@ -46,7 +42,7 @@ func referenceRun(t testing.TB, cfg DynamicConfig) *refClient {
 		Capacity:      testbedRate,
 		Requests:      cfg.Flows,
 		ServiceQueues: 4,
-		ClassOf:       classifier.ClassOf,
+		ClassOf:       pias.ClassOf,
 		MinRTO:        testbedMinRTO,
 		Seed:          cfg.Seed,
 	})

@@ -13,9 +13,8 @@ import (
 	"dynaq/internal/packet"
 	"dynaq/internal/sim"
 	"dynaq/internal/telemetry"
-	ttrace "dynaq/internal/telemetry/trace"
+	"dynaq/internal/telemetry/trace"
 	"dynaq/internal/topology"
-	"dynaq/internal/trace"
 	"dynaq/internal/transport"
 	"dynaq/internal/units"
 )
@@ -37,8 +36,9 @@ type QueueSpec struct {
 	StopAt units.Duration
 	// Ctrl builds the congestion controller per flow (NewReno when nil).
 	Ctrl func() transport.Controller
-	// ECN marks this queue's data packets ECT (for mixed ECN/non-ECN
-	// tenant scenarios).
+	// ECN marks this queue's data packets ECT: required when the port
+	// scheme marks and Ctrl is DCTCP, and how mixed ECN/non-ECN tenant
+	// scenarios tell their tenants apart.
 	ECN bool
 }
 
@@ -62,14 +62,9 @@ type StaticConfig struct {
 	// SampleEvery sets the throughput sampling interval (paper: 0.5s
 	// testbed, 10ms simulation).
 	SampleEvery units.Duration
-	// TraceQueues additionally records the queue-length evolution
-	// (Fig. 4), decimated by TraceStride.
-	TraceQueues bool
+	// TraceStride, when positive, additionally records the queue-length
+	// evolution (Fig. 4), keeping every TraceStride-th sample.
 	TraceStride int
-
-	// ECNFlows sets ECT on every flow's data packets (required when the
-	// port scheme is a marking scheme and the controllers are DCTCP).
-	ECNFlows bool
 
 	// TraceEvents, when positive, records the last N drop/mark/evict
 	// events at the bottleneck port into the result's Trace recorder.
@@ -97,7 +92,7 @@ type StaticResult struct {
 	// Drops counts enqueue drops at the bottleneck port.
 	Drops int64
 	// Trace holds the bottleneck event recorder when TraceEvents was set.
-	Trace *trace.Recorder
+	Trace *metrics.EventRecorder
 
 	FaultOutcome
 }
@@ -139,7 +134,7 @@ func (cfg *StaticConfig) normalize() (*fabric.Graph, error) {
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = 500 * units.Millisecond
 	}
-	cfg.Params = cfg.Params.Resolved(cfg.Rate, fabric.Star.BaseRTT(cfg.Delay), nil, cfg.Queues)
+	cfg.Params = cfg.Params.Resolved(cfg.Rate, fabric.Star.BaseRTT(cfg.Delay), cfg.MTU, nil, cfg.Queues)
 	if err := checkWeights(cfg.Params.Weights, cfg.Queues); err != nil {
 		return nil, err
 	}
@@ -224,7 +219,7 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 					Size:   0, // long-lived
 					MSS:    mss,
 					Ctrl:   ctrl,
-					ECN:    cfg.ECNFlows || spec.ECN,
+					ECN:    spec.ECN,
 					MinRTO: cfg.MinRTO,
 				})
 				if err != nil {
@@ -244,9 +239,9 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 	}
 
 	port := w.net.HostPort(receiver)
-	var rec *trace.Recorder
+	var rec *metrics.EventRecorder
 	if cfg.TraceEvents > 0 {
-		rec, err = trace.NewRecorder(cfg.TraceEvents)
+		rec, err = metrics.NewEventRecorder(cfg.TraceEvents)
 		if err != nil {
 			return nil, err
 		}
@@ -254,11 +249,11 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 		rec.Attach(port)
 	}
 	if cfg.Guard {
-		w.watch() // after the recorder's Attach, which would replace it
+		w.watch()
 	}
 	ts := metrics.NewThroughputSampler(s, port, cfg.SampleEvery)
 	var qt *metrics.QueueTrace
-	if cfg.TraceQueues {
+	if cfg.TraceStride > 0 {
 		qt = metrics.NewQueueTrace(port, cfg.TraceStride)
 	}
 	end := units.Time(cfg.Duration)
@@ -277,7 +272,7 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 		ts.Stop()
 	})
 	if cfg.Spans != nil {
-		root := cfg.simSpan(end, ttrace.A("kind", "static"))
+		root := cfg.simSpan(end, trace.A("kind", "static"))
 		warm := min(units.Time(startJitterSpan), end)
 		cfg.Spans.SimSpan("warmup", root, 0, warm)
 		if end > warm {

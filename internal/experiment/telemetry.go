@@ -7,7 +7,7 @@ import (
 
 	"dynaq/internal/sim"
 	"dynaq/internal/telemetry"
-	ttrace "dynaq/internal/telemetry/trace"
+	"dynaq/internal/telemetry/trace"
 	"dynaq/internal/units"
 )
 
@@ -35,7 +35,7 @@ type Hooks struct {
 	// under SpanParent. Sim spans carry simulated time only — wall-clock
 	// values must never reach them (scenario's TestSimSpansReplay compares
 	// two runs' spans).
-	Spans      *ttrace.Tracer
+	Spans      *trace.Tracer
 	SpanParent string
 }
 
@@ -70,7 +70,7 @@ func (h Hooks) observe(s *sim.Simulator, horizon units.Duration, series func(reg
 
 // simSpan records the run's retroactive "sim" span over [0, end] and returns
 // its id ("" without a tracer).
-func (h Hooks) simSpan(end units.Time, attrs ...ttrace.Attr) string {
+func (h Hooks) simSpan(end units.Time, attrs ...trace.Attr) string {
 	return h.Spans.SimSpan("sim", h.SpanParent, 0, end, attrs...)
 }
 

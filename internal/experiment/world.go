@@ -54,9 +54,8 @@ func newPacketWorld(s *sim.Simulator, g *fabric.Graph, cfg topology.Config, sche
 	return w, nil
 }
 
-// watch arms the invariant guardrail on every switch port. Watch chains
-// after a port's existing hook while trace.Recorder.Attach replaces it, so a
-// run that records a port attaches the recorder first.
+// watch arms the invariant guardrail on every switch port, after any hook
+// already installed there.
 func (w *packetWorld) watch() {
 	w.guard = faults.NewGuardrail(32)
 	w.net.EachPort(w.guard.Watch)

@@ -21,9 +21,10 @@ import (
 	"dynaq/internal/buffer"
 	"dynaq/internal/fabric"
 	"dynaq/internal/packet"
+	"dynaq/internal/pias"
 	"dynaq/internal/sim"
 	"dynaq/internal/telemetry"
-	ttrace "dynaq/internal/telemetry/trace"
+	"dynaq/internal/telemetry/trace"
 	"dynaq/internal/units"
 )
 
@@ -38,7 +39,7 @@ type Config struct {
 	Weights []int64
 
 	// Buffer is the per-port buffer B: the fluid backlog of a link is
-	// clamped to it, and the hybrid demote/promote thresholds default to
+	// clamped to it, and the hybrid demote/promote thresholds are
 	// fractions of it.
 	Buffer units.ByteSize
 	MTU    units.ByteSize
@@ -47,35 +48,20 @@ type Config struct {
 	// fixed handshake term of every FCT.
 	RTT units.Duration
 
-	// InitWindow is the slow-start initial window (default 10 MSS).
-	InitWindow units.ByteSize
-	// Quantum bounds how stale rate allocations may get: the engine
-	// recomputes the water-filling at most once per quantum (default
-	// RTT/4). Smaller is more faithful and slower.
-	Quantum units.Duration
-
 	// Hybrid enables selective packetization: a link whose fluid backlog
-	// crosses DemoteBytes is demoted to packet granularity through the
-	// scheme admission NewAdmission builds, and promoted back once its
-	// queue drains to PromoteBytes (see hybrid.go).
+	// crosses B/2 is demoted to packet granularity through the scheme
+	// admission NewAdmission builds, and promoted back once its queue
+	// drains to B/10 (see hybrid.go).
 	Hybrid bool
 	// NewAdmission builds the buffer-management scheme for one demoted
 	// port. The instance persists across that port's episodes so stateful
 	// schemes (DynaQ thresholds) keep their state. Required when Hybrid.
 	NewAdmission func() (buffer.Admission, error)
-	// DemoteBytes / PromoteBytes override the episode thresholds
-	// (defaults: B/2 and B/10).
-	DemoteBytes, PromoteBytes units.ByteSize
-
-	// FlowCutoff classifies flows: size <= cutoff is "short" (never exits
-	// slow start — it finishes inside it) while long flows converge to
-	// their max-min share. Default 100KB, the PIAS demotion threshold.
-	FlowCutoff units.ByteSize
 
 	// Spans, when non-nil, receives sim-time spans: one summary span per
 	// run (Finish) and one span per demote episode, parented under
 	// SpanParent.
-	Spans      *ttrace.Tracer
+	Spans      *trace.Tracer
 	SpanParent string
 }
 
@@ -172,8 +158,17 @@ type Engine struct {
 	crossing   *sim.Timer
 	stopTick   func()
 
+	// What New derives from the config: the slow-start initial window (10
+	// MSS); the recompute quantum bounding how stale rate allocations get
+	// (RTT/4); the hybrid episode thresholds (B/2 and B/10); and the
+	// short-flow cutoff — a flow of at most cutoff bytes finishes inside
+	// slow start, which is the flow PIAS keeps in the high-priority queue.
+	initWindow        units.ByteSize
+	quantum           units.Duration
 	demoteB, promoteB units.ByteSize
-	stats             Stats
+	cutoff            units.ByteSize
+
+	stats Stats
 }
 
 // New builds an engine on s. The caller schedules arrivals (ScheduleArrival)
@@ -194,18 +189,6 @@ func New(s *sim.Simulator, cfg Config) (*Engine, error) {
 	if cfg.MSS <= 0 {
 		cfg.MSS = cfg.MTU
 	}
-	if cfg.InitWindow <= 0 {
-		cfg.InitWindow = 10 * cfg.MSS
-	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = cfg.RTT / 4
-		if cfg.Quantum <= 0 {
-			cfg.Quantum = cfg.RTT
-		}
-	}
-	if cfg.FlowCutoff <= 0 {
-		cfg.FlowCutoff = 100 * units.KB
-	}
 	if cfg.Hybrid {
 		if cfg.NewAdmission == nil {
 			return nil, fmt.Errorf("flowsim: hybrid mode needs an admission factory")
@@ -220,25 +203,27 @@ func New(s *sim.Simulator, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("flowsim: admission factory: %w", err)
 		}
 	}
-	e := &Engine{s: s, cfg: cfg, topo: cfg.Topo}
+	e := &Engine{
+		s: s, cfg: cfg, topo: cfg.Topo,
+		initWindow: 10 * cfg.MSS,
+		quantum:    cfg.RTT / 4,
+		demoteB:    cfg.Buffer / 2,
+		promoteB:   cfg.Buffer / 10,
+		cutoff:     pias.DemotionThreshold,
+	}
 	e.links = make([]linkState, cfg.Topo.NumLinks())
 	for i := range e.links {
 		e.links[i].cap = cfg.Topo.Capacity(i)
 	}
-	e.demoteB = cfg.DemoteBytes
-	if e.demoteB <= 0 {
-		e.demoteB = cfg.Buffer / 2
-	}
-	e.promoteB = cfg.PromoteBytes
-	if e.promoteB <= 0 {
-		e.promoteB = cfg.Buffer / 10
+	if e.quantum <= 0 {
+		e.quantum = cfg.RTT
 	}
 	if e.promoteB >= e.demoteB {
 		return nil, fmt.Errorf("flowsim: promote threshold %v must sit below demote threshold %v", e.promoteB, e.demoteB)
 	}
 	e.completion = s.NewTimer(e.onCompletionTimer)
 	e.crossing = s.NewTimer(e.onCrossingTimer)
-	e.stopTick = s.Every(cfg.Quantum, e.onTick)
+	e.stopTick = s.Every(e.quantum, e.onTick)
 	return e, nil
 }
 
@@ -278,10 +263,10 @@ func (e *Engine) Instrument(reg *telemetry.Registry) {
 func (e *Engine) Finish() {
 	if e.cfg.Spans != nil {
 		e.cfg.Spans.SimSpan("flow-engine", e.cfg.SpanParent, 0, e.s.Now(),
-			ttrace.A("engine", "flow"),
-			ttrace.AInt("recomputes", e.stats.Recomputes),
-			ttrace.AInt("demotions", e.stats.Demotions),
-			ttrace.AInt("flows_completed", e.stats.Completed))
+			trace.A("engine", "flow"),
+			trace.AInt("recomputes", e.stats.Recomputes),
+			trace.AInt("demotions", e.stats.Demotions),
+			trace.AInt("flows_completed", e.stats.Completed))
 	}
 }
 
@@ -314,7 +299,7 @@ func (e *Engine) startFlow(spec FlowSpec) {
 		path:      e.topo.Path(spec.Src, spec.Dst, fabric.Hash(uint64(spec.ID)), make([]int32, 0, 6)),
 		remaining: spec.Size,
 		started:   e.s.Now(),
-		short:     spec.Size <= e.cfg.FlowCutoff,
+		short:     spec.Size <= e.cutoff,
 		epOwner:   -1,
 		activeIdx: int32(len(e.active)),
 	})
@@ -346,7 +331,7 @@ func (e *Engine) startFlow(spec FlowSpec) {
 
 // baseWindowRate returns IW/RTT, the slow-start epoch-zero send rate.
 func (e *Engine) baseWindowRate() units.Rate {
-	return units.Throughput(e.cfg.InitWindow, e.cfg.RTT)
+	return units.Throughput(e.initWindow, e.cfg.RTT)
 }
 
 // sendCap returns the flow's current source-side rate cap: the slow-start

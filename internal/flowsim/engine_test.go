@@ -203,13 +203,6 @@ func TestDemoteAtExactThreshold(t *testing.T) {
 	s := sim.New()
 	cfg := testConfig(t, topo)
 	cfg.Hybrid = true
-	cfg.DemoteBytes = 50 * units.KB
-	cfg.PromoteBytes = 10 * units.KB
-	// A giant initial window plus a short-flow cutoff above the flow sizes
-	// keeps both sources blasting at their 1Gbps path peak throughout, so
-	// the hot port sees a constant 2Gbps offered vs 1Gbps drained.
-	cfg.InitWindow = units.MB
-	cfg.FlowCutoff = 2 * units.MB
 	cfg.NewAdmission = func() (buffer.Admission, error) {
 		return buffer.NewBestEffort(), nil
 	}
@@ -218,6 +211,12 @@ func TestDemoteAtExactThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	e.demoteB, e.promoteB = 50*units.KB, 10*units.KB
+	// A giant initial window plus a short-flow cutoff above the flow sizes
+	// keeps both sources blasting at their 1Gbps path peak throughout, so
+	// the hot port sees a constant 2Gbps offered vs 1Gbps drained.
+	e.initWindow = units.MB
+	e.cutoff = 2 * units.MB
 	for i := 0; i < 2; i++ {
 		e.ScheduleArrival(0, FlowSpec{
 			ID: packet.FlowID(i + 1), Src: i, Dst: 2, Class: 1 + i, Size: units.MB,
@@ -237,12 +236,12 @@ func TestDemoteAtExactThreshold(t *testing.T) {
 	}
 	// The converted backlog is the episode's whole queue at this instant:
 	// the demote threshold, to the byte.
-	if hot.ep.total != cfg.DemoteBytes {
-		t.Fatalf("queue at demotion = %v, want exactly %v", hot.ep.total, cfg.DemoteBytes)
+	if hot.ep.total != e.demoteB {
+		t.Fatalf("queue at demotion = %v, want exactly %v", hot.ep.total, e.demoteB)
 	}
 	// Rates were assigned one quantum (RTT/4) in, and the 1Gbps excess
 	// then needs exactly 400us to build 50KB.
-	want := units.Time(0).Add(cfg.RTT / 4).Add(units.Rate(units.Gbps).Transmit(cfg.DemoteBytes))
+	want := units.Time(0).Add(cfg.RTT / 4).Add(units.Rate(units.Gbps).Transmit(e.demoteB))
 	if s.Now() != want {
 		t.Fatalf("demotion at %v, want %v", s.Now(), want)
 	}
@@ -257,8 +256,8 @@ func TestDemoteAtExactThreshold(t *testing.T) {
 	if hot.demoted {
 		t.Fatal("hot port still demoted after promotion")
 	}
-	if hot.backlog > cfg.PromoteBytes {
-		t.Fatalf("fluid backlog after promotion = %v, above promote threshold %v", hot.backlog, cfg.PromoteBytes)
+	if hot.backlog > e.promoteB {
+		t.Fatalf("fluid backlog after promotion = %v, above promote threshold %v", hot.backlog, e.promoteB)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 
 	"dynaq/internal/buffer"
 	"dynaq/internal/sim"
-	ttrace "dynaq/internal/telemetry/trace"
+	"dynaq/internal/telemetry/trace"
 	"dynaq/internal/units"
 )
 
@@ -373,9 +373,9 @@ func (e *Engine) promote(li int) {
 	e.dirty = true
 	if e.cfg.Spans != nil {
 		e.cfg.Spans.SimSpan("demote", e.cfg.SpanParent, ep.startT, now,
-			ttrace.A("link", e.topo.LinkName(li)),
-			ttrace.AInt("packets", ep.packets),
-			ttrace.AInt("drops", ep.drops),
-			ttrace.AInt("marks", ep.marks))
+			trace.A("link", e.topo.LinkName(li)),
+			trace.AInt("packets", ep.packets),
+			trace.AInt("drops", ep.drops),
+			trace.AInt("marks", ep.marks))
 	}
 }

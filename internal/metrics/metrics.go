@@ -1,6 +1,7 @@
 // Package metrics implements the paper's measurement instruments: flow
 // completion time collection with the small/large breakdown of §V, Jain's
-// fairness index, per-queue throughput sampling, and queue-length traces.
+// fairness index, per-queue throughput sampling, queue-length traces, and a
+// per-packet port event recorder.
 package metrics
 
 import (

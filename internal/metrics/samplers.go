@@ -81,7 +81,7 @@ type QueueSample struct {
 // operation, the paper's queue-evolution measurement ("we measure per-queue
 // buffer occupancy every enqueueing and dequeueing operations and obtain 1K
 // sequential samples"). Stride-decimation keeps memory bounded on long
-// runs; Window extracts the paper's 1K sequential samples.
+// runs.
 type QueueTrace struct {
 	stride  int
 	count   int
@@ -118,23 +118,3 @@ func (qt *QueueTrace) ObservePort(now units.Time, p *netsim.Port) {
 
 // Samples returns all kept samples.
 func (qt *QueueTrace) Samples() []QueueSample { return qt.samples }
-
-// Window returns n sequential samples starting at the given fraction
-// (0 ≤ frac < 1) of the trace — "1K sequential samples at random time".
-func (qt *QueueTrace) Window(frac float64, n int) []QueueSample {
-	if len(qt.samples) == 0 || n <= 0 {
-		return nil
-	}
-	start := int(frac * float64(len(qt.samples)))
-	if start < 0 {
-		start = 0
-	}
-	if start >= len(qt.samples) {
-		start = len(qt.samples) - 1
-	}
-	end := start + n
-	if end > len(qt.samples) {
-		end = len(qt.samples)
-	}
-	return qt.samples[start:end]
-}

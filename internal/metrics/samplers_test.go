@@ -122,26 +122,3 @@ func TestQueueTraceStride(t *testing.T) {
 		t.Fatal("zero-stride trace recorded nothing")
 	}
 }
-
-func TestQueueTraceWindow(t *testing.T) {
-	qt := &QueueTrace{}
-	for i := 0; i < 100; i++ {
-		qt.samples = append(qt.samples, QueueSample{At: units.Time(i)})
-	}
-	w := qt.Window(0.5, 10)
-	if len(w) != 10 || w[0].At != 50 {
-		t.Fatalf("window = %d samples from %v", len(w), w[0].At)
-	}
-	// Clamped at the tail.
-	w = qt.Window(0.99, 10)
-	if len(w) != 1 {
-		t.Fatalf("tail window = %d samples, want 1", len(w))
-	}
-	if got := qt.Window(0.5, 0); got != nil {
-		t.Fatal("zero-length window should be nil")
-	}
-	empty := &QueueTrace{}
-	if got := empty.Window(0.5, 10); got != nil {
-		t.Fatal("empty trace window should be nil")
-	}
-}

@@ -272,8 +272,8 @@ func (k PortEventKind) String() string {
 // PortEvent is one per-packet occurrence at a port. Pkt is valid only during
 // the hook call that delivers the event: the packet moves on, and a dropped
 // one is recycled as soon as the port's hooks and observers have seen the
-// drop. A hook that keeps events keeps Pkt.Detached() copies (internal/trace
-// does).
+// drop. A hook that keeps events keeps Pkt.Detached() copies
+// (metrics.EventRecorder does).
 type PortEvent struct {
 	At    units.Time
 	Kind  PortEventKind
@@ -281,7 +281,7 @@ type PortEvent struct {
 	Pkt   *packet.Packet
 }
 
-// EventHook receives per-packet port events (see internal/trace for a
+// EventHook receives per-packet port events (see metrics.EventRecorder for a
 // ready-made recorder) and must not retain ev.Pkt past its return. A nil
 // hook costs nothing on the fast path.
 type EventHook func(ev PortEvent)
@@ -482,10 +482,6 @@ func (p *Port) QueueTxBytes(i int) units.ByteSize { return p.queueTx[i] }
 
 // Observe registers an observer notified on every enqueue and dequeue.
 func (p *Port) Observe(o PortObserver) { p.observers = append(p.observers, o) }
-
-// SetEventHook installs the per-packet event hook (replacing any previous
-// one; chain externally if several consumers are needed).
-func (p *Port) SetEventHook(h EventHook) { p.hook = h }
 
 // AddEventHook chains h after any previously installed hook, so a trace
 // recorder and an invariant guardrail can observe the same port.

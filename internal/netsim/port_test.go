@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dynaq/internal/buffer"
@@ -375,7 +376,7 @@ func TestPortEventHookEmissions(t *testing.T) {
 	dst := &sinkNode{s: s}
 	p := newTestPort(t, s, units.Gbps, 3000, 1, buffer.NewBestEffort(), dst)
 	var kinds []PortEventKind
-	p.SetEventHook(func(ev PortEvent) { kinds = append(kinds, ev.Kind) })
+	p.AddEventHook(func(ev PortEvent) { kinds = append(kinds, ev.Kind) })
 	for i := 0; i < 4; i++ {
 		p.Enqueue(dataPkt(1, 0, 1500))
 	}
@@ -465,7 +466,7 @@ func TestPortCountsMisclassifiedPackets(t *testing.T) {
 	dst := &sinkNode{s: s}
 	p := newTestPort(t, s, units.Gbps, units.MB, 4, buffer.NewBestEffort(), dst)
 	var misclassEvents int
-	p.SetEventHook(func(ev PortEvent) {
+	p.AddEventHook(func(ev PortEvent) {
 		if ev.Kind == EvMisclass {
 			misclassEvents++
 		}
@@ -517,12 +518,15 @@ func TestAddEventHookChains(t *testing.T) {
 	s := sim.New()
 	dst := &sinkNode{s: s}
 	p := newTestPort(t, s, units.Gbps, units.MB, 1, buffer.NewBestEffort(), dst)
-	var first, second int
-	p.SetEventHook(func(ev PortEvent) { first++ })
-	p.AddEventHook(func(ev PortEvent) { second++ })
+	var calls []string
+	p.AddEventHook(func(ev PortEvent) { calls = append(calls, "first:"+ev.Kind.String()) })
+	p.AddEventHook(func(ev PortEvent) { calls = append(calls, "second:"+ev.Kind.String()) })
 	p.Enqueue(dataPkt(1, 0, 1500))
 	s.Run()
-	if first == 0 || first != second {
-		t.Fatalf("chained hooks saw %d and %d events", first, second)
+	// Each event reaches the hooks in installation order before the next
+	// event is emitted.
+	want := []string{"first:enqueue", "second:enqueue", "first:transmit", "second:transmit"}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("chained hooks ran %v, want %v", calls, want)
 	}
 }

@@ -1,40 +1,15 @@
 // Package pias implements the two-level PIAS classifier (Bai et al.,
 // NSDI'15) the paper uses in its dynamic-flow experiments: a flow's first
-// DemotionThreshold bytes are tagged into a shared high-priority queue; the
-// remainder is demoted to the flow's own service queue. With SPQ above DRR
-// this accelerates small flows without starving large ones.
+// DemotionThreshold bytes are tagged into the shared high-priority queue 0;
+// the remainder is demoted to the flow's own service queue. With SPQ above
+// DRR this accelerates small flows without starving large ones.
 package pias
 
-import (
-	"fmt"
+import "dynaq/internal/units"
 
-	"dynaq/internal/units"
-)
-
-// DefaultDemotionThreshold is the paper's priority demotion threshold
-// (§V-A2 and §V-B2: 100KB).
-const DefaultDemotionThreshold = 100 * units.KB
-
-// Classifier maps a flow's byte offsets to service classes.
-type Classifier struct {
-	threshold units.ByteSize
-	highClass int
-}
-
-// NewClassifier builds a two-level classifier: bytes below threshold go to
-// highClass (the shared SPQ queue).
-func NewClassifier(threshold units.ByteSize, highClass int) (*Classifier, error) {
-	if threshold <= 0 {
-		return nil, fmt.Errorf("pias: demotion threshold %d must be positive", threshold)
-	}
-	if highClass < 0 {
-		return nil, fmt.Errorf("pias: high-priority class %d must be non-negative", highClass)
-	}
-	return &Classifier{threshold: threshold, highClass: highClass}, nil
-}
-
-// Threshold returns the demotion threshold.
-func (c *Classifier) Threshold() units.ByteSize { return c.threshold }
+// DemotionThreshold is the paper's priority demotion threshold (§V-A2 and
+// §V-B2: 100KB).
+const DemotionThreshold = 100 * units.KB
 
 // ClassOf returns the per-flow classification function for a flow whose
 // demoted traffic belongs to serviceClass. The returned function plugs into
@@ -45,10 +20,10 @@ func (c *Classifier) Threshold() units.ByteSize { return c.threshold }
 // retransmissions offset-tagging keeps a segment in the queue it
 // originally used, which is deterministic and avoids re-promoting a large
 // flow's tail.
-func (c *Classifier) ClassOf(serviceClass int) func(seq int64) int {
+func ClassOf(serviceClass int) func(seq int64) int {
 	return func(seq int64) int {
-		if seq < int64(c.threshold) {
-			return c.highClass
+		if seq < int64(DemotionThreshold) {
+			return 0
 		}
 		return serviceClass
 	}

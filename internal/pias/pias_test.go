@@ -6,24 +6,11 @@ import (
 	"dynaq/internal/units"
 )
 
-func TestNewClassifierValidation(t *testing.T) {
-	if _, err := NewClassifier(0, 0); err == nil {
-		t.Error("zero threshold should fail")
-	}
-	if _, err := NewClassifier(units.KB, -1); err == nil {
-		t.Error("negative class should fail")
-	}
-}
-
 func TestTwoLevelClassification(t *testing.T) {
-	c, err := NewClassifier(DefaultDemotionThreshold, 0)
-	if err != nil {
-		t.Fatal(err)
+	if DemotionThreshold != 100*units.KB {
+		t.Fatalf("threshold = %v", DemotionThreshold)
 	}
-	if c.Threshold() != 100*units.KB {
-		t.Fatalf("threshold = %v", c.Threshold())
-	}
-	classOf := c.ClassOf(3)
+	classOf := ClassOf(3)
 	tests := []struct {
 		seq  int64
 		want int
@@ -41,11 +28,7 @@ func TestTwoLevelClassification(t *testing.T) {
 }
 
 func TestDistinctServiceClasses(t *testing.T) {
-	c, err := NewClassifier(DefaultDemotionThreshold, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := c.ClassOf(1), c.ClassOf(2)
+	a, b := ClassOf(1), ClassOf(2)
 	if a(200000) != 1 || b(200000) != 2 {
 		t.Fatal("demoted classes must follow the service class")
 	}

@@ -73,9 +73,6 @@ type Document struct {
 	// packetization of congested ports). Every topology runs on every
 	// engine; faults/guard/failure-aware require the packet engine.
 	Engine string `json:"engine,omitempty"`
-	// FlowCutoffB overrides the fluid engines' short/long flow cutoff in
-	// bytes (default: the 100KB PIAS demotion threshold).
-	FlowCutoffB int64 `json:"flow_cutoff_bytes,omitempty"`
 
 	// Fault injection (both kinds). Targets are resolved against the
 	// topology's fault registry: "tor:<i>" / "host<i>:nic" / "tor" on the
@@ -303,9 +300,6 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 		if err != nil {
 			return nil, invalidf("engine", "unknown engine %q (want packet, flow or hybrid)", doc.Engine)
 		}
-		if doc.FlowCutoffB < 0 {
-			return nil, invalidf("flow_cutoff_bytes", "must not be negative, got %d", doc.FlowCutoffB)
-		}
 		var cdfs []*workload.CDF
 		for i, name := range doc.Workloads {
 			cdf, err := workload.ByName(name)
@@ -318,7 +312,6 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 			Scheme:         experiment.Scheme(doc.Scheme),
 			Params:         params,
 			Engine:         engine,
-			FlowCutoff:     units.ByteSize(doc.FlowCutoffB),
 			Topo:           experiment.TopoKind(doc.Topo),
 			Servers:        doc.Servers,
 			Leaves:         doc.Leaves,

@@ -124,8 +124,8 @@ func TestDRREqualQuantumFairBytes(t *testing.T) {
 	}
 }
 
-func TestDRRWeightedQuantums(t *testing.T) {
-	// Quantums 4:3:2:1 (Fig 6 config) must yield proportional service for
+func TestDRRWeightedQuanta(t *testing.T) {
+	// Quanta 4:3:2:1 (Fig 6 config) must yield proportional service for
 	// persistently backlogged queues.
 	d, err := NewDRR([]units.ByteSize{6000, 4500, 3000, 1500})
 	if err != nil {
@@ -532,9 +532,9 @@ func (s refShiftedView) NumQueues() int                { return s.View.NumQueues
 func (s refShiftedView) QueueLen(i int) units.ByteSize { return s.View.QueueLen(i + s.off) }
 func (s refShiftedView) HeadSize(i int) units.ByteSize { return s.View.HeadSize(i + s.off) }
 
-// oracleQuantums are unequal on purpose, and the smallest is well under the
+// oracleQuanta are unequal on purpose, and the smallest is well under the
 // jumbo heads the script pushes, so walks of many rounds occur.
-var oracleQuantums = []units.ByteSize{1500, 4500, 500, 3000}
+var oracleQuanta = []units.ByteSize{1500, 4500, 500, 3000}
 
 // selectAgainstReference interprets script as port activity over prio strict
 // queues above the oracle quantums' DRR queues (prio 0: plain DRR) and fails
@@ -548,21 +548,21 @@ func selectAgainstReference(t testing.TB, prio int, script []byte) {
 	var drr *DRR
 	var refDrr *refDRR
 	if prio == 0 {
-		d, err := NewDRR(oracleQuantums)
+		d, err := NewDRR(oracleQuanta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		drr, refDrr = d, newRefDRR(oracleQuantums)
+		drr, refDrr = d, newRefDRR(oracleQuanta)
 		sut, ref = drr, refDrr
 	} else {
-		h, err := NewSPQDRR(prio, oracleQuantums)
+		h, err := NewSPQDRR(prio, oracleQuanta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		drr, refDrr = h.drr, newRefDRR(oracleQuantums)
+		drr, refDrr = h.drr, newRefDRR(oracleQuanta)
 		sut, ref = h, &refSPQDRR{prio: prio, drr: refDrr}
 	}
-	f := newFakeQueues(prio + len(oracleQuantums))
+	f := newFakeQueues(prio + len(oracleQuanta))
 	for step := 0; step+1 < len(script); step += 2 {
 		op, q := script[step]%4, int(script[step]/4)%f.NumQueues()
 		switch op {

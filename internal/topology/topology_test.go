@@ -337,41 +337,6 @@ func TestLeafSpineIntraRackStaysLocal(t *testing.T) {
 	}
 }
 
-func TestDelayedAcksEndToEnd(t *testing.T) {
-	// Receiver-side ACK coalescing must not break the flow, and must
-	// roughly halve the ACKs crossing the reverse path.
-	run := func(delayed bool) (acks int64, done bool) {
-		st := testbedStar(t, 2, bestEffort)
-		if delayed {
-			if err := st.Endpoints[1].SetDelayedAcks(2, 500*units.Microsecond); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// 400KB fits a single flow's slow-start ramp without loss, so the
-		// coalescing effect is not masked by immediate ACKs on gaps.
-		if _, err := st.Endpoints[0].StartFlow(transport.FlowConfig{
-			Flow: 1, Dst: 1, Class: 0, Size: 400 * units.KB,
-			OnComplete: func(units.Duration) { done = true },
-		}); err != nil {
-			t.Fatal(err)
-		}
-		st.Sim.RunUntil(units.Time(2 * units.Second))
-		// ACKs traverse the switch port facing host 0.
-		return st.Port(0).Stats().TxPackets, done
-	}
-	ackImmediate, ok1 := run(false)
-	ackDelayed, ok2 := run(true)
-	if !ok1 || !ok2 {
-		t.Fatalf("flows incomplete: immediate=%v delayed=%v", ok1, ok2)
-	}
-	if ackDelayed >= ackImmediate*3/4 {
-		t.Fatalf("delayed ACKs = %d, want well below immediate %d", ackDelayed, ackImmediate)
-	}
-	if ackDelayed < ackImmediate/3 {
-		t.Fatalf("delayed ACKs = %d suspiciously low vs %d", ackDelayed, ackImmediate)
-	}
-}
-
 func TestTCNWithGenericECNTransport(t *testing.T) {
 	// TCN markets itself as "ECN over generic packet scheduling"; it must
 	// work with classic RFC 3168 TCP too, not only DCTCP. A single

@@ -472,60 +472,27 @@ func (s *Sender) complete() {
 }
 
 // Receiver is the flow sink: cumulative ACKs with out-of-order buffering
-// and ECN echo. By default every data packet is acknowledged immediately
-// (per-packet echo, DCTCP-exact). With delayed ACKs enabled, in-order
-// unmarked segments coalesce up to ackEvery packets or the delayed-ACK
-// timer, while the RFC 8257 rules force an immediate ACK on any CE-state
-// change (so DCTCP's mark-fraction estimate stays exact) and on any
-// out-of-order arrival (so duplicate ACKs still drive fast retransmit).
+// and ECN echo. Every data packet is acknowledged at once, echoing its own
+// CE mark (per-packet echo, DCTCP-exact).
 type Receiver struct {
-	sim    *sim.Simulator
-	pkts   *packet.Pool
-	me     int
-	emit   func(*packet.Packet)
-	flow   packet.FlowID
-	rcvNxt int64
-	ooo    map[int64]int64 // seq → end of buffered out-of-order segments
-	rcvd   units.ByteSize
-
-	ackEvery int            // coalescing factor; ≤1 = immediate ACKs
-	ackDelay units.Duration // flush deadline for a pending delayed ACK
-	ackTimer *sim.Timer
-	unacked  int
-	lastCE   bool // CE state of the most recent data packet
+	pkts     *packet.Pool
+	me       int
+	emit     func(*packet.Packet)
+	flow     packet.FlowID
+	rcvNxt   int64
+	ooo      map[int64]int64 // seq → end of buffered out-of-order segments
+	rcvd     units.ByteSize
 	acksSent int64
-
-	// What an ACK takes from the most recent data packet: where it goes and
-	// the service class it travels in. The packet itself is gone by the
-	// time a delayed ACK is flushed. peer is -1 until data has arrived.
-	peer      int
-	peerClass int
 }
 
-func newReceiver(s *sim.Simulator, pkts *packet.Pool, me int, emit func(*packet.Packet), flow packet.FlowID) *Receiver {
-	r := &Receiver{sim: s, pkts: pkts, me: me, emit: emit, flow: flow, ooo: make(map[int64]int64), peer: -1}
-	r.ackTimer = s.NewTimer(func() { r.flush() })
-	return r
-}
-
-// setDelayedAcks enables ACK coalescing: at most every packets per ACK,
-// flushed after delay at the latest.
-func (r *Receiver) setDelayedAcks(every int, delay units.Duration) {
-	r.ackEvery = every
-	r.ackDelay = delay
+func newReceiver(pkts *packet.Pool, me int, emit func(*packet.Packet), flow packet.FlowID) *Receiver {
+	return &Receiver{pkts: pkts, me: me, emit: emit, flow: flow, ooo: make(map[int64]int64)}
 }
 
 // Received returns the payload bytes delivered in order so far.
 func (r *Receiver) Received() units.ByteSize { return units.ByteSize(r.rcvNxt) }
 
-// AcksSent counts the acknowledgments emitted (for coalescing tests).
-func (r *Receiver) AcksSent() int64 { return r.acksSent }
-
 func (r *Receiver) onData(p *packet.Packet) {
-	// Immediate-ACK conditions (RFC 5681): out-of-order arrivals (to feed
-	// duplicate ACKs into fast retransmit) and arrivals while a
-	// reassembly gap is pending (gap fills must unblock the sender now).
-	inOrder := p.Seq == r.rcvNxt && len(r.ooo) == 0
 	end := p.Seq + int64(p.Payload)
 	if p.Seq <= r.rcvNxt {
 		if end > r.rcvNxt {
@@ -544,53 +511,21 @@ func (r *Receiver) onData(p *packet.Packet) {
 		r.ooo[p.Seq] = end
 	}
 	r.rcvd += p.Payload
-	ce := p.ECN == packet.CE
-	ceChanged := ce != r.lastCE && r.unacked > 0
-	r.lastCE = ce
-	r.peer, r.peerClass = p.Src, p.Class
-	if r.ackEvery <= 1 {
-		r.flush()
-		return
-	}
-	if ceChanged {
-		// RFC 8257: the CE state flipped — acknowledge the *previous*
-		// run first so its echo is not misattributed, then start a new
-		// run for this packet.
-		prevEcho := !ce
-		r.sendAck(prevEcho)
-		r.unacked = 0
-	}
-	r.unacked++
-	if !inOrder || r.unacked >= r.ackEvery {
-		r.flush()
-		return
-	}
-	if !r.ackTimer.Armed() {
-		r.ackTimer.Reset(r.ackDelay)
-	}
+	r.sendAck(p.Src, p.Class, p.ECN == packet.CE)
 }
 
-// flush acknowledges everything received so far with the current CE run's
-// echo state.
-func (r *Receiver) flush() {
-	if r.peer < 0 {
-		return
-	}
-	r.ackTimer.Stop()
-	r.unacked = 0
-	r.sendAck(r.lastCE)
-}
-
-func (r *Receiver) sendAck(echo bool) {
+// sendAck acknowledges everything received so far to peer, in the service
+// class the data arrived in.
+func (r *Receiver) sendAck(peer, class int, echo bool) {
 	r.acksSent++
 	p := r.pkts.Get()
 	p.Kind = packet.Ack
 	p.Flow = r.flow
 	p.Src = r.me
-	p.Dst = r.peer
+	p.Dst = peer
 	p.Ack = r.rcvNxt
 	p.Size = AckSize
-	p.Class = r.peerClass
+	p.Class = class
 	p.Echo = echo
 	r.emit(p)
 }
@@ -603,10 +538,6 @@ type Endpoint struct {
 	pkts      packet.Pool // every packet this host originates; see receive
 	senders   map[packet.FlowID]*Sender
 	receivers map[packet.FlowID]*Receiver
-
-	// Delayed-ACK policy applied to receivers created from now on.
-	ackEvery int
-	ackDelay units.Duration
 }
 
 // NewEndpoint installs a transport stack on host.
@@ -623,22 +554,6 @@ func NewEndpoint(s *sim.Simulator, host *netsim.Host) *Endpoint {
 
 // Host returns the attached host.
 func (ep *Endpoint) Host() *netsim.Host { return ep.host }
-
-// SetDelayedAcks enables ACK coalescing on receivers this endpoint creates
-// afterwards: at most every data packets per ACK, flushed after delay.
-// Out-of-order arrivals and ECN CE-state changes still acknowledge
-// immediately (RFC 5681 / RFC 8257).
-func (ep *Endpoint) SetDelayedAcks(every int, delay units.Duration) error {
-	if every < 2 {
-		return fmt.Errorf("transport: delayed ACKs need every ≥ 2, got %d", every)
-	}
-	if delay <= 0 {
-		return fmt.Errorf("transport: delayed ACKs need a positive delay")
-	}
-	ep.ackEvery = every
-	ep.ackDelay = delay
-	return nil
-}
 
 // StartFlow originates a flow from this endpoint. The sender begins
 // transmitting immediately (connection setup is not modelled, as in the
@@ -666,10 +581,7 @@ func (ep *Endpoint) receive(p *packet.Packet) {
 	case packet.Data:
 		r, ok := ep.receivers[p.Flow]
 		if !ok {
-			r = newReceiver(ep.sim, &ep.pkts, ep.host.ID(), ep.host.Send, p.Flow)
-			if ep.ackEvery >= 2 {
-				r.setDelayedAcks(ep.ackEvery, ep.ackDelay)
-			}
+			r = newReceiver(&ep.pkts, ep.host.ID(), ep.host.Send, p.Flow)
 			ep.receivers[p.Flow] = r
 		}
 		r.onData(p)
