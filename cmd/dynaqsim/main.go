@@ -1,6 +1,13 @@
-// Command dynaqsim runs a single static-flow scenario on a simulated rack
-// and prints the per-queue throughput series plus a summary — the
-// interactive counterpart of cmd/experiments.
+// Command dynaqsim runs one scenario document and prints its result: a
+// static scenario's per-queue throughput series plus a summary, or an fct
+// scenario's flow completion times — the interactive counterpart of
+// cmd/experiments.
+//
+// The document comes from a file (-config) or from flags, which are
+// shorthand for a static document: they are encoded as one and loaded
+// exactly as -config loads a file. With -telemetry the document's bytes are
+// written as scenario.json next to the manifest that hashes them, so
+// `dynaqsim -config DIR/scenario.json` reruns a flag run.
 //
 // Examples:
 //
@@ -8,12 +15,15 @@
 //	dynaqsim -scheme BestEffort -sched drr -rate 10 -buffer 192000 \
 //	    -queues 8 -spec 0:2,1:4,2:8 -duration 5
 //	dynaqsim -scheme PQL -weights 4,3,2,1 -spec 0:16,1:8,2:4,3:2
+//	dynaqsim -config scenarios/fig3_dynaq.json -seeds 8
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -29,218 +39,332 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+}
+
+// scenarioFlags are the flags that describe a static scenario; document
+// encodes them as a scenario document.
+type scenarioFlags struct {
+	scheme, sched, weights, spec, faults string
+	rate, duration, rtt, sample          float64
+	buffer, mtu, seed                    int64
+	queues                               int
+	guard                                bool
+}
+
+func (s *scenarioFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&s.scheme, "scheme", "DynaQ", "BestEffort | PQL | DynaQ | TCN | PMSB | PerQueueECN | MQ-ECN | TCNDrop")
+	fs.StringVar(&s.sched, "sched", "drr", "drr | wrr | spq+drr")
+	fs.Float64Var(&s.rate, "rate", 1, "link rate in Gbps")
+	fs.Int64Var(&s.buffer, "buffer", 85000, "port buffer in bytes")
+	fs.IntVar(&s.queues, "queues", 4, "service queues per port")
+	fs.StringVar(&s.weights, "weights", "", "comma-separated queue weights (default equal)")
+	fs.StringVar(&s.spec, "spec", "1:2,2:16", "traffic: class:flows[,class:flows...]")
+	fs.Float64Var(&s.duration, "duration", 10, "simulated seconds")
+	fs.Float64Var(&s.rtt, "rtt", 500, "base RTT in microseconds")
+	fs.Int64Var(&s.mtu, "mtu", 1500, "frame size in bytes")
+	fs.Float64Var(&s.sample, "sample", 0.5, "throughput sampling interval in seconds")
+	fs.Int64Var(&s.seed, "seed", 1, "random seed")
+	fs.StringVar(&s.faults, "faults", "", "JSON file with a fault schedule (array of fault specs; targets tor:<i>, host<i>:nic, group tor)")
+	fs.BoolVar(&s.guard, "guard", false, "arm the invariant guardrail on every switch port")
+}
+
+// flagDocument is the static document the flags describe. The -faults
+// file's bytes become its "faults" key as they are, so the loader alone
+// decodes and validates them.
+type flagDocument struct {
+	scenario.Document
+	Faults json.RawMessage `json:"faults,omitempty"`
+}
+
+// document encodes the flags as a static scenario document. Only the -spec
+// and -weights strings are parsed here; every range check is the loader's.
+func (s *scenarioFlags) document() ([]byte, error) {
+	doc := flagDocument{Document: scenario.Document{
+		Kind:      "static",
+		Scheme:    s.scheme,
+		Sched:     s.sched,
+		RateGbps:  s.rate,
+		BufferB:   s.buffer,
+		Queues:    s.queues,
+		RTTUs:     s.rtt,
+		MTU:       s.mtu,
+		Seed:      s.seed,
+		DurationS: s.duration,
+		SampleMs:  s.sample * 1e3,
+		Guard:     s.guard,
+	}}
+	if s.weights != "" {
+		for _, p := range strings.Split(s.weights, ",") {
+			w, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("bad weight %q", p)
+			}
+			doc.Weights = append(doc.Weights, w)
+		}
+	}
+	for _, part := range strings.Split(s.spec, ",") {
+		cf := strings.SplitN(strings.TrimSpace(part), ":", 2)
+		if len(cf) != 2 {
+			return nil, fmt.Errorf("bad -spec entry %q (want class:flows)", part)
+		}
+		class, err1 := strconv.Atoi(cf[0])
+		flows, err2 := strconv.Atoi(cf[1])
+		if err1 != nil || err2 != nil {
+			return nil, fmt.Errorf("bad -spec entry %q", part)
+		}
+		doc.Specs = append(doc.Specs, scenario.Spec{Class: class, Flows: flows})
+	}
+	if s.faults != "" {
+		var err error
+		if doc.Faults, err = os.ReadFile(s.faults); err != nil {
+			return nil, err
+		}
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("-faults %s: %v", s.faults, err)
+	}
+	return append(data, '\n'), nil
+}
+
+// run is the command: args are the flags, stdout receives the report.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("dynaqsim", flag.ExitOnError)
+	var sf scenarioFlags
+	sf.register(fs)
 	var (
-		scheme   = flag.String("scheme", "DynaQ", "BestEffort | PQL | DynaQ | TCN | PMSB | PerQueueECN | MQ-ECN | TCNDrop")
-		schedK   = flag.String("sched", "drr", "drr | wrr | spq+drr")
-		rateG    = flag.Float64("rate", 1, "link rate in Gbps")
-		bufB     = flag.Int64("buffer", 85000, "port buffer in bytes")
-		queues   = flag.Int("queues", 4, "service queues per port")
-		weights  = flag.String("weights", "", "comma-separated queue weights (default equal)")
-		spec     = flag.String("spec", "1:2,2:16", "traffic: class:flows[,class:flows...]")
-		duration = flag.Float64("duration", 10, "simulated seconds")
-		rttUS    = flag.Float64("rtt", 500, "base RTT in microseconds")
-		mtu      = flag.Int64("mtu", 1500, "frame size in bytes")
-		sample   = flag.Float64("sample", 0.5, "throughput sampling interval in seconds")
-		seed     = flag.Int64("seed", 1, "random seed")
-		seedsN   = flag.Int("seeds", 1, "repeat the scenario across N derived seeds and report mean ± std of the aggregate throughput")
-		parallel = flag.Int("parallel", 0, "worker goroutines for -seeds > 1 (0 = GOMAXPROCS, 1 = sequential); the stats are identical at any setting")
-		traceN   = flag.Int("trace", 0, "dump the last N drop/mark/evict events at the bottleneck")
-		faultsF  = flag.String("faults", "", "JSON file with a fault schedule (array of fault specs; targets tor:<i>, host<i>:nic, group tor)")
-		guard    = flag.Bool("guard", false, "arm the invariant guardrail on every switch port")
-		config   = flag.String("config", "", "run a JSON scenario file instead of flags (see internal/scenario)")
-		engineF  = flag.String("engine", "", "override the scenario's simulation engine: packet | flow | hybrid (-config fct scenarios only)")
-		teleDir  = flag.String("telemetry", "", "write run artifacts (manifest, metrics, events) into this directory")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		progress = flag.Bool("progress", false, "print wall-clock progress heartbeats to stderr")
-		version  = flag.Bool("version", false, "print the build version and exit")
+		seedsN   = fs.Int("seeds", 1, "repeat a static scenario across N derived seeds and report mean ± std of the aggregate throughput")
+		parallel = fs.Int("parallel", 0, "worker goroutines for -seeds > 1 (0 = GOMAXPROCS, 1 = sequential); the stats are identical at any setting")
+		traceN   = fs.Int("trace", 0, "dump the last N drop/mark/evict events at a static scenario's bottleneck")
+		config   = fs.String("config", "", "run a JSON scenario file instead of flags (see internal/scenario)")
+		engineF  = fs.String("engine", "", "override the scenario's simulation engine: packet | flow | hybrid (static scenarios run on packet)")
+		teleDir  = fs.String("telemetry", "", "write run artifacts (manifest, metrics, events, scenario.json) into this directory")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
+		progress = fs.Bool("progress", false, "print wall-clock progress heartbeats to stderr")
+		version  = fs.Bool("version", false, "print the build version and exit")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	if *version {
-		fmt.Println("dynaqsim", dynaq.Version)
-		return
+		fmt.Fprintln(stdout, "dynaqsim", dynaq.Version)
+		return nil
 	}
 
 	stopProf, err := telemetry.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	defer stopProf()
 
+	var data []byte
 	if *config != "" {
-		runConfig(*config, *engineF, *teleDir, *progress)
-		return
+		if name := scenarioFlagSet(fs); name != "" {
+			return fmt.Errorf("-%s describes the scenario, which -config reads from %s (drop one of them)", name, *config)
+		}
+		data, err = os.ReadFile(*config)
+	} else {
+		data, err = sf.document()
 	}
-	if *engineF != "" {
-		fatalf("-engine selects an fct scenario's fidelity; it needs -config")
+	if err != nil {
+		return err
 	}
-
-	ws := make([]int64, *queues)
-	for i := range ws {
-		ws[i] = 1
-	}
-	if *weights != "" {
-		parts := strings.Split(*weights, ",")
-		if len(parts) != *queues {
-			fatalf("-weights needs %d entries", *queues)
-		}
-		for i, p := range parts {
-			w, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
-			if err != nil || w <= 0 {
-				fatalf("bad weight %q", p)
-			}
-			ws[i] = w
-		}
-	}
-
-	var specs []experiment.QueueSpec
-	for _, part := range strings.Split(*spec, ",") {
-		cf := strings.SplitN(strings.TrimSpace(part), ":", 2)
-		if len(cf) != 2 {
-			fatalf("bad -spec entry %q (want class:flows)", part)
-		}
-		class, err1 := strconv.Atoi(cf[0])
-		flows, err2 := strconv.Atoi(cf[1])
-		if err1 != nil || err2 != nil || class < 0 || class >= *queues || flows <= 0 {
-			fatalf("bad -spec entry %q", part)
-		}
-		specs = append(specs, experiment.QueueSpec{Class: class, Flows: flows})
-	}
-
-	cfg := experiment.StaticConfig{
-		Scheme:      experiment.Scheme(*scheme),
-		Sched:       experiment.SchedKind(*schedK),
-		Params:      experiment.SchemeParams{Weights: ws},
-		Rate:        units.Rate(*rateG * 1e9),
-		Delay:       units.Seconds(*rttUS / 4 * 1e-6),
-		Buffer:      units.ByteSize(*bufB),
-		Queues:      *queues,
-		MTU:         units.ByteSize(*mtu),
-		Specs:       specs,
-		Duration:    units.Seconds(*duration),
-		SampleEvery: units.Seconds(*sample),
-		Seed:        *seed,
-	}
-	cfg.TraceEvents = *traceN
-	cfg.Guard = *guard
-	if *faultsF != "" {
-		data, err := os.ReadFile(*faultsF)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := json.Unmarshal(data, &cfg.Faults); err != nil {
-			fatalf("-faults %s: %v", *faultsF, err)
-		}
-		if err := faults.Validate(cfg.Faults); err != nil {
-			fatalf("-faults %s: %v", *faultsF, err)
-		}
+	r, err := scenario.LoadWith(data, scenario.Overrides{Engine: *engineF})
+	if err != nil {
+		return err
 	}
 	if *seedsN > 1 {
-		// Multi-seed mode aggregates across runs; single-stream sinks make
-		// no sense there.
-		if *teleDir != "" {
-			fatalf("-seeds > 1 runs many simulations; -telemetry writes a single run's artifacts (drop one of them)")
+		// Multi-seed mode aggregates across runs; single-run outputs make no
+		// sense there.
+		switch {
+		case *teleDir != "":
+			return errors.New("-seeds > 1 runs many simulations; -telemetry writes a single run's artifacts (drop one of them)")
+		case *progress:
+			return errors.New("-seeds > 1 interleaves runs; drop -progress")
+		case *traceN > 0:
+			return errors.New("-seeds > 1 reports aggregate throughput only; drop -trace")
 		}
-		if *progress {
-			fatalf("-seeds > 1 interleaves runs; drop -progress")
-		}
-		runMultiSeed(*seedsN, *parallel, cfg)
-		return
+		return runSeeds(stdout, data, r.Document(), *seedsN, *parallel)
 	}
-	var run *telemetry.Run
+	if *traceN > 0 {
+		if err := r.SetTraceEvents(*traceN); err != nil {
+			return err
+		}
+	}
+	var tele *telemetry.Run
 	if *teleDir != "" {
-		// Flag mode has no scenario file to hash, so the manifest hashes a
-		// canonical rendering of every behavior-affecting flag instead.
-		canonical := fmt.Sprintf(
-			"scheme=%s sched=%s rate=%v buffer=%d queues=%d weights=%s spec=%s duration=%v rtt=%v mtu=%d sample=%v seed=%d trace=%d faults=%s guard=%v",
-			*scheme, *schedK, *rateG, *bufB, *queues, *weights, *spec,
-			*duration, *rttUS, *mtu, *sample, *seed, *traceN, *faultsF, *guard)
-		run = openRun(*teleDir, []byte(canonical), *seed, *scheme, "")
-		cfg.Telemetry = run
+		tele, err = telemetry.NewRun(*teleDir, telemetry.Manifest{
+			Tool:         "dynaqsim",
+			Version:      dynaq.Version,
+			ScenarioHash: telemetry.Hash(data),
+			Seed:         r.Seed(),
+			Scheme:       r.Scheme(),
+			Engine:       r.Engine(),
+			Args:         args,
+		})
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(tele.Dir(), telemetry.ScenarioFile), data, 0o644); err != nil {
+			return err
+		}
+		r.SetTelemetry(tele)
 	}
 	if *progress {
-		cfg.Progress = os.Stderr
+		r.SetProgress(os.Stderr)
 	}
-	res, err := experiment.RunStatic(cfg)
+	res, err := r.Run()
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
-
-	fmt.Printf("scheme=%s sched=%s rate=%v buffer=%v queues=%d rtt=%vus\n\n",
-		*scheme, *schedK, cfg.Rate, cfg.Buffer, *queues, *rttUS)
-	fmt.Printf("%-10s", "time")
-	for q := 0; q < *queues; q++ {
-		fmt.Printf("  q%d(Mbps)", q)
+	if res.Static != nil {
+		err = printStatic(stdout, r.Document(), res.Static)
+	} else {
+		printFCT(stdout, r, res.Dynamic)
 	}
-	fmt.Printf("  aggregate\n")
-	for _, s := range res.Samples {
-		fmt.Printf("%-10s", s.At.String())
-		for _, r := range s.PerQueue {
-			fmt.Printf("  %8.1f", float64(r)/1e6)
-		}
-		fmt.Printf("  %8.1f\n", float64(s.Aggregate)/1e6)
+	if err != nil || tele == nil {
+		return err
 	}
-	end := units.Time(cfg.Duration)
-	warm := end / 5
-	fmt.Printf("\nsummary (after warmup):\n")
-	for q := 0; q < *queues; q++ {
-		fmt.Printf("  queue %d: %8.1f Mbps  share %.3f\n", q,
-			float64(res.AvgThroughput(q, warm, end))/1e6, res.ShareOf(q, warm, end))
+	for _, e := range res.Summary() {
+		tele.Summarize(e.Key, e.Value)
 	}
-	fmt.Printf("  aggregate: %.1f Mbps, drops at bottleneck: %d\n",
-		float64(res.AvgAggregate(warm, end))/1e6, res.Drops)
-	if res.Trace != nil {
-		fmt.Printf("\nbottleneck events: %s\n", res.Trace.Summary())
-		if err := res.Trace.Dump(os.Stdout); err != nil {
-			fatalf("%v", err)
+	if res.Static != nil && res.Static.Trace != nil {
+		if err := writeTrace(tele.Dir(), res.Static.Trace); err != nil {
+			return err
 		}
 	}
-	if len(res.FaultTimeline) > 0 {
-		fmt.Printf("\nfault timeline (%d transitions, %d lost, %d corrupted on links):\n",
-			len(res.FaultTimeline), res.LinkLost, res.LinkCorrupted)
-		for _, tr := range res.FaultTimeline {
-			fmt.Printf("  %s\n", tr)
-		}
-	}
-	if *guard {
-		printViolations(res.ViolationTotal, res.Violations)
-	}
-	if run != nil {
-		summarize(run, res.Summary())
-		run.Summarize("aggregate_mbps", fmt.Sprintf("%.1f", float64(res.AvgAggregate(warm, end))/1e6))
-		if res.Trace != nil {
-			if err := writeTrace(run.Dir(), res.Trace); err != nil {
-				fatalf("%v", err)
-			}
-		}
-		if err := run.Close(); err != nil {
-			fatalf("%v", err)
-		}
-	}
+	return tele.Close()
 }
 
-// runMultiSeed repeats the flag-built scenario across n derived seeds on a
-// worker pool and prints the aggregate-throughput statistics. Each seed runs
-// a fully independent simulation, so the reported stats are identical at any
+// scenarioFlagSet returns the name of the first scenario-describing flag
+// given on fs's command line, or "" when there is none.
+func scenarioFlagSet(fs *flag.FlagSet) string {
+	described := flag.NewFlagSet("", flag.ContinueOnError)
+	new(scenarioFlags).register(described)
+	name := ""
+	fs.Visit(func(f *flag.Flag) {
+		if name == "" && described.Lookup(f.Name) != nil {
+			name = f.Name
+		}
+	})
+	return name
+}
+
+// runSeeds reruns the static document across n derived seeds on a worker
+// pool and prints the aggregate-throughput statistics. Each seed runs a fully
+// independent simulation, so the reported stats are identical at any
 // -parallel setting.
-func runMultiSeed(n, parallel int, cfg experiment.StaticConfig) {
-	end := units.Time(cfg.Duration)
+func runSeeds(w io.Writer, data []byte, doc scenario.Document, n, parallel int) error {
+	if doc.Kind != "static" {
+		return fmt.Errorf("-seeds > 1 averages a static scenario's aggregate throughput; this one is %s", doc.Kind)
+	}
+	end := units.Time(units.Seconds(doc.DurationS))
 	warm := end / 5
-	st, err := experiment.RunSeeds(n, experiment.Options{Seed: cfg.Seed, Parallel: parallel},
+	st, err := experiment.RunSeeds(n, experiment.Options{Seed: doc.Seed, Parallel: parallel},
 		func(o experiment.Options) (float64, error) {
-			c := cfg
-			c.Seed = o.Seed
-			res, err := experiment.RunStatic(c)
+			rs, err := scenario.LoadWith(data, scenario.Overrides{Seed: &o.Seed})
 			if err != nil {
 				return 0, err
 			}
-			return float64(res.AvgAggregate(warm, end)) / 1e6, nil
+			res, err := rs.Run()
+			if err != nil {
+				return 0, err
+			}
+			return float64(res.Static.AvgAggregate(warm, end)) / 1e6, nil
 		})
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	fmt.Printf("scheme=%s aggregate Mbps after warmup, %d seeds on %d workers:\n  %s\n",
-		cfg.Scheme, n, experiment.Workers(parallel, n), st)
+	fmt.Fprintf(w, "scheme=%s aggregate Mbps after warmup, %d seeds on %d workers:\n  %s\n",
+		doc.Scheme, n, experiment.Workers(parallel, n), st)
+	return nil
+}
+
+// printStatic reports a static run: the per-queue throughput series, the
+// per-queue summary after a warmup of the first fifth, and the bottleneck
+// trace, fault timeline and guardrail verdict when the run has them.
+func printStatic(w io.Writer, doc scenario.Document, res *experiment.StaticResult) error {
+	sched, _ := experiment.ParseSchedKind(doc.Sched) // validated at load
+	fmt.Fprintf(w, "scheme=%s sched=%s rate=%v buffer=%v queues=%d rtt=%vus\n\n",
+		doc.Scheme, sched, units.Rate(doc.RateGbps*1e9), units.ByteSize(doc.BufferB), doc.Queues, doc.RTTUs)
+	fmt.Fprintf(w, "%-10s", "time")
+	for q := 0; q < doc.Queues; q++ {
+		fmt.Fprintf(w, "  q%d(Mbps)", q)
+	}
+	fmt.Fprintf(w, "  aggregate\n")
+	for _, s := range res.Samples {
+		fmt.Fprintf(w, "%-10s", s.At.String())
+		for _, rate := range s.PerQueue {
+			fmt.Fprintf(w, "  %8.1f", float64(rate)/1e6)
+		}
+		fmt.Fprintf(w, "  %8.1f\n", float64(s.Aggregate)/1e6)
+	}
+	end := units.Time(units.Seconds(doc.DurationS))
+	warm := end / 5
+	fmt.Fprintf(w, "\nsummary (after warmup):\n")
+	for q := 0; q < doc.Queues; q++ {
+		fmt.Fprintf(w, "  queue %d: %8.1f Mbps  share %.3f\n", q,
+			float64(res.AvgThroughput(q, warm, end))/1e6, res.ShareOf(q, warm, end))
+	}
+	fmt.Fprintf(w, "  aggregate: %.1f Mbps, drops at bottleneck: %d\n",
+		float64(res.AvgAggregate(warm, end))/1e6, res.Drops)
+	if res.Trace != nil {
+		fmt.Fprintf(w, "\nbottleneck events: %s\n", res.Trace.Summary())
+		if err := res.Trace.Dump(w); err != nil {
+			return err
+		}
+	}
+	if len(res.FaultTimeline) > 0 {
+		fmt.Fprintf(w, "\nfault timeline (%d transitions, %d lost, %d corrupted on links):\n",
+			len(res.FaultTimeline), res.LinkLost, res.LinkCorrupted)
+		for _, tr := range res.FaultTimeline {
+			fmt.Fprintf(w, "  %s\n", tr)
+		}
+	}
+	if doc.Guard {
+		printViolations(w, res.ViolationTotal, res.Violations)
+	}
+	return nil
+}
+
+// printFCT reports an fct run: flow counts, the fluid engine's work when it
+// ran, FCT headlines, and fault activity and guardrail verdict when the
+// scenario scheduled them.
+func printFCT(w io.Writer, r *scenario.Runner, d *experiment.DynamicResult) {
+	doc := r.Document()
+	fmt.Fprintf(w, "%s scenario (%s, load %.0f%%, engine %s): %d/%d flows\n",
+		doc.Kind, d.Scheme, d.Load*100, r.Engine(), d.Completed, d.Generated)
+	if fl := d.Fluid; fl != nil {
+		fmt.Fprintf(w, "engine events %d  rate recomputes %d  demotions %d  promotions %d\n",
+			d.Events, fl.Recomputes, fl.Demotions, fl.Promotions)
+	}
+	fmt.Fprintf(w, "avg FCT overall %.2fms  small %.2fms  large %.2fms  p99 small %.2fms\n",
+		d.FCT.Avg(metrics.AllFlows).Seconds()*1e3,
+		d.FCT.Avg(metrics.SmallFlows).Seconds()*1e3,
+		d.FCT.Avg(metrics.LargeFlows).Seconds()*1e3,
+		d.FCT.Percentile(metrics.SmallFlows, 0.99).Seconds()*1e3)
+	if n := len(d.FaultTimeline); n > 0 {
+		fmt.Fprintf(w, "faults: %d transitions, %d lost, %d corrupted on links\n", n, d.LinkLost, d.LinkCorrupted)
+	}
+	if doc.Guard {
+		printViolations(w, d.ViolationTotal, d.Violations)
+	}
+}
+
+// printViolations reports the guardrail outcome: silence is not a pass, so
+// the clean case is stated explicitly.
+func printViolations(w io.Writer, total int64, recorded []faults.Violation) {
+	if total == 0 {
+		fmt.Fprintf(w, "\nguardrail: no invariant violations\n")
+		return
+	}
+	fmt.Fprintf(w, "\nguardrail: %d violations (showing %d):\n", total, len(recorded))
+	for _, v := range recorded {
+		fmt.Fprintf(w, "  %s\n", v)
+	}
 }
 
 // writeTrace dumps the recorder's retained events as port_events.jsonl inside
@@ -255,122 +379,4 @@ func writeTrace(dir string, rec *metrics.EventRecorder) error {
 		return err
 	}
 	return f.Close()
-}
-
-// printViolations reports the guardrail outcome: silence is not a pass, so
-// the clean case is stated explicitly.
-func printViolations(total int64, recorded []faults.Violation) {
-	if total == 0 {
-		fmt.Printf("\nguardrail: no invariant violations\n")
-		return
-	}
-	fmt.Printf("\nguardrail: %d violations (showing %d):\n", total, len(recorded))
-	for _, v := range recorded {
-		fmt.Printf("  %s\n", v)
-	}
-}
-
-// runConfig executes a JSON scenario document, optionally writing run
-// artifacts (manifest hashed over the scenario file bytes) and progress.
-// engine, when non-empty, overrides the document's simulation engine; since
-// the scenario bytes (and so the hash) don't change, the override is carried
-// by the manifest's engine field instead.
-func runConfig(path, engine, teleDir string, progress bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	r, err := scenario.LoadWith(data, scenario.Overrides{Engine: engine})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var run *telemetry.Run
-	if teleDir != "" {
-		run = openRun(teleDir, data, r.Seed(), r.Scheme(), r.Engine())
-		r.SetTelemetry(run)
-	}
-	if progress {
-		r.SetProgress(os.Stderr)
-	}
-	res, err := r.Run()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	switch {
-	case res.Static != nil:
-		st := res.Static
-		n := len(st.Samples)
-		fmt.Printf("%s scenario (%s): %d throughput samples, %d drops\n",
-			r.Kind(), st.Scheme, n, st.Drops)
-		if n > 0 {
-			last := st.Samples[n-1]
-			fmt.Printf("final sample @ %v:", last.At)
-			for q, rate := range last.PerQueue {
-				fmt.Printf("  q%d=%.1fMbps", q, float64(rate)/1e6)
-			}
-			fmt.Printf("  aggregate=%.1fMbps\n", float64(last.Aggregate)/1e6)
-		}
-		reportFaults(r.Guarded(), st.FaultOutcome)
-	case res.Dynamic != nil:
-		d := res.Dynamic
-		fmt.Printf("%s scenario (%s, load %.0f%%, engine %s): %d/%d flows\n",
-			r.Kind(), d.Scheme, d.Load*100, r.Engine(), d.Completed, d.Generated)
-		if fl := d.Fluid; fl != nil {
-			fmt.Printf("engine events %d  rate recomputes %d  demotions %d  promotions %d\n",
-				d.Events, fl.Recomputes, fl.Demotions, fl.Promotions)
-		}
-		fmt.Printf("avg FCT overall %.2fms  small %.2fms  large %.2fms  p99 small %.2fms\n",
-			d.FCT.Avg(metrics.AllFlows).Seconds()*1e3,
-			d.FCT.Avg(metrics.SmallFlows).Seconds()*1e3,
-			d.FCT.Avg(metrics.LargeFlows).Seconds()*1e3,
-			d.FCT.Percentile(metrics.SmallFlows, 0.99).Seconds()*1e3)
-		reportFaults(r.Guarded(), d.FaultOutcome)
-	}
-	if run != nil {
-		summarize(run, res.Summary())
-		if err := run.Close(); err != nil {
-			fatalf("%v", err)
-		}
-	}
-}
-
-// openRun starts this invocation's artifact run in dir; hashed is what
-// identifies the scenario (the document, or flag mode's canonical rendering).
-func openRun(dir string, hashed []byte, seed int64, scheme, engine string) *telemetry.Run {
-	run, err := telemetry.NewRun(dir, telemetry.Manifest{
-		Tool:         "dynaqsim",
-		Version:      dynaq.Version,
-		ScenarioHash: telemetry.Hash(hashed),
-		Seed:         seed,
-		Scheme:       scheme,
-		Engine:       engine,
-		Args:         os.Args[1:],
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	return run
-}
-
-// summarize records a result's headline in the run's manifest.
-func summarize(run *telemetry.Run, entries []telemetry.SummaryEntry) {
-	for _, e := range entries {
-		run.Summarize(e.Key, e.Value)
-	}
-}
-
-// reportFaults summarises a scenario run's fault activity and guardrail
-// verdict (quiet when the scenario scheduled neither).
-func reportFaults(guarded bool, out experiment.FaultOutcome) {
-	if n := len(out.FaultTimeline); n > 0 {
-		fmt.Printf("faults: %d transitions, %d lost, %d corrupted on links\n", n, out.LinkLost, out.LinkCorrupted)
-	}
-	if guarded {
-		printViolations(out.ViolationTotal, out.Violations)
-	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(2)
 }

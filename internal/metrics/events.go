@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"strconv"
 
 	"dynaq/internal/netsim"
 	"dynaq/internal/packet"
@@ -117,30 +116,19 @@ func (r *EventRecorder) Dump(w io.Writer) error {
 // output. Events whose packet was synthesized away (nil Pkt) omit the
 // packet fields.
 func (r *EventRecorder) DumpJSON(w io.Writer) error {
-	buf := make([]byte, 0, 160)
+	var buf []byte
 	for _, ev := range r.Events() {
-		buf = buf[:0]
-		buf = append(buf, `{"t_ps":`...)
-		buf = strconv.AppendInt(buf, int64(ev.At), 10)
-		buf = append(buf, `,"kind":`...)
-		buf = strconv.AppendQuote(buf, ev.Kind.String())
-		buf = append(buf, `,"queue":`...)
-		buf = strconv.AppendInt(buf, int64(ev.Queue), 10)
+		fields := []telemetry.Field{telemetry.F("queue", ev.Queue)}
 		if p := ev.Pkt; p != nil {
-			buf = append(buf, `,"flow":`...)
-			buf = strconv.AppendInt(buf, int64(p.Flow), 10)
-			buf = append(buf, `,"src":`...)
-			buf = strconv.AppendInt(buf, int64(p.Src), 10)
-			buf = append(buf, `,"dst":`...)
-			buf = strconv.AppendInt(buf, int64(p.Dst), 10)
-			buf = append(buf, `,"seq":`...)
-			buf = strconv.AppendInt(buf, p.Seq, 10)
-			buf = append(buf, `,"size":`...)
-			buf = strconv.AppendInt(buf, int64(p.Size), 10)
-			buf = append(buf, `,"class":`...)
-			buf = strconv.AppendInt(buf, int64(p.Class), 10)
+			fields = append(fields,
+				telemetry.F("flow", int64(p.Flow)),
+				telemetry.F("src", int64(p.Src)),
+				telemetry.F("dst", int64(p.Dst)),
+				telemetry.F("seq", p.Seq),
+				telemetry.F("size", int64(p.Size)),
+				telemetry.F("class", int64(p.Class)))
 		}
-		buf = append(buf, '}', '\n')
+		buf = telemetry.AppendEvent(buf[:0], ev.At, ev.Kind.String(), fields...)
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}

@@ -144,9 +144,9 @@ func (c *FCTCollector) Records() []FCTRecord {
 	return append([]FCTRecord(nil), c.records...)
 }
 
-// Jain computes Jain's fairness index J = (Σx)² / (n·Σx²) over the positive
-// entries' count n... precisely: over all provided values. J = 1 for equal
-// shares, 1/n for a single hog. An empty or all-zero input returns 0.
+// Jain computes Jain's fairness index J = (Σx)² / (n·Σx²) over all n
+// values given, zeros included. J = 1 for equal shares, 1/n for a single
+// hog. An empty or all-zero input returns 0.
 func Jain(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0

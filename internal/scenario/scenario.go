@@ -144,17 +144,14 @@ type Runner struct {
 	hooks   *experiment.Hooks
 }
 
-// Kind returns "static" or "fct".
-func (r *Runner) Kind() string { return r.doc.Kind }
-
-// Guarded reports whether the scenario armed the invariant guardrail.
-func (r *Runner) Guarded() bool { return r.doc.Guard }
-
 // Scheme returns the scenario's scheme name (for run manifests).
 func (r *Runner) Scheme() string { return r.doc.Scheme }
 
 // Seed returns the scenario's seed.
 func (r *Runner) Seed() int64 { return r.doc.Seed }
+
+// Document returns the scenario as loaded, overrides applied.
+func (r *Runner) Document() Document { return r.doc }
 
 // Engine returns the scenario's simulation engine ("packet" unless the
 // document selected a fluid fidelity). Part of a run's cache identity: the
@@ -172,6 +169,17 @@ func (r *Runner) SetTelemetry(run *telemetry.Run) { r.hooks.Telemetry = run }
 
 // SetProgress attaches a wall-clock progress writer (typically os.Stderr).
 func (r *Runner) SetProgress(w io.Writer) { r.hooks.Progress = w }
+
+// SetTraceEvents records the last n drop/mark/evict events at a static
+// scenario's bottleneck port into the result's Trace. An fct scenario has no
+// single bottleneck, so it refuses.
+func (r *Runner) SetTraceEvents(n int) error {
+	if r.static == nil {
+		return fmt.Errorf("scenario: the event trace records a static scenario's bottleneck; this one is %s", r.doc.Kind)
+	}
+	r.static.TraceEvents = n
+	return nil
+}
 
 // SetSpans attaches a span tracer for retroactive sim-time phase spans,
 // parented under the given wall-time span id (empty for a root sim span).

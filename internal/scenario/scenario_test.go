@@ -67,8 +67,8 @@ func TestStaticScenarioRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Kind() != "static" {
-		t.Fatalf("kind = %q", r.Kind())
+	if r.Document().Kind != "static" {
+		t.Fatalf("kind = %q", r.Document().Kind)
 	}
 	res, err := r.Run()
 	if err != nil {
@@ -93,8 +93,8 @@ func TestFCTScenarioRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Kind() != "fct" {
-		t.Fatalf("kind = %q", r.Kind())
+	if r.Document().Kind != "fct" {
+		t.Fatalf("kind = %q", r.Document().Kind)
 	}
 	res, err := r.Run()
 	if err != nil {
@@ -137,7 +137,7 @@ func TestDTRunsGuarded(t *testing.T) {
 			out = res.Dynamic.FaultOutcome
 		}
 		if out.ViolationTotal != 0 {
-			t.Fatalf("%s run: %d guardrail violations, first %+v", r.Kind(), out.ViolationTotal, out.Violations[0])
+			t.Fatalf("%s run: %d guardrail violations, first %+v", r.Document().Kind, out.ViolationTotal, out.Violations[0])
 		}
 	}
 }

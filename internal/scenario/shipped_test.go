@@ -34,8 +34,8 @@ func TestShippedScenariosLoad(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Kind() != "static" && r.Kind() != "fct" {
-				t.Fatalf("kind = %q", r.Kind())
+			if r.Document().Kind != "static" && r.Document().Kind != "fct" {
+				t.Fatalf("kind = %q", r.Document().Kind)
 			}
 		})
 	}

@@ -6,8 +6,8 @@ import (
 	"dynaq/internal/units"
 )
 
-// reportEventsPerSec attaches the throughput metric cmd/benchjson records
-// into BENCH_<date>.json.
+// reportEventsPerSec attaches the engine's events/s throughput to the
+// benchmark's result line.
 func reportEventsPerSec(b *testing.B, events int) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }

@@ -19,6 +19,7 @@ const (
 	MetricsFile    = "metrics.jsonl"
 	ManifestFile   = "manifest.json"
 	PortEventsFile = "port_events.jsonl"
+	ScenarioFile   = "scenario.json" // the scenario document the run's hash names
 )
 
 // Manifest identifies a run so its artifacts can be audited and compared:
@@ -122,13 +123,23 @@ func (r *Run) Registry() *Registry { return r.reg }
 // it needs to hand the line to another goroutine.
 func (r *Run) Tee(fn func(line []byte)) { r.tee = fn }
 
-// Event implements EventWriter: one JSONL line with fixed leading fields
-// {"t_ps":...,"kind":...} followed by the caller's fields in call order.
+// Event implements EventWriter: one AppendEvent line.
 func (r *Run) Event(at units.Time, kind string, fields ...Field) {
 	if r.err != nil {
 		return
 	}
-	var b []byte
+	b := AppendEvent(nil, at, kind, fields...)
+	if r.tee != nil {
+		r.tee(b)
+	}
+	if _, err := r.buf.Write(b); err != nil {
+		r.err = err
+	}
+}
+
+// AppendEvent appends one event's JSONL line to b: the fixed leading fields
+// {"t_ps":...,"kind":...}, then fields in call order, then a newline.
+func AppendEvent(b []byte, at units.Time, kind string, fields ...Field) []byte {
 	b = append(b, `{"t_ps":`...)
 	b = strconv.AppendInt(b, int64(at), 10)
 	b = append(b, `,"kind":`...)
@@ -139,13 +150,7 @@ func (r *Run) Event(at units.Time, kind string, fields ...Field) {
 		b = append(b, ':')
 		b = appendValue(b, f.Val)
 	}
-	b = append(b, '}', '\n')
-	if r.tee != nil {
-		r.tee(b)
-	}
-	if _, err := r.buf.Write(b); err != nil {
-		r.err = err
-	}
+	return append(b, '}', '\n')
 }
 
 // appendValue encodes one event field value; the accepted types keep every
