@@ -1,8 +1,11 @@
 // Command dynaqlint is the repo's determinism linter: a stdlib-only
 // static-analysis pass (go/parser + go/types, no x/tools) that flags source
 // constructs which silently break the simulator's byte-identical
-// (scenario, seed) replay guarantee. See internal/lint for the analyzers and
-// DESIGN.md ("Static analysis") for the audit that chose them.
+// (scenario, seed) replay guarantee. `go list -export` finds the packages
+// and compiles their dependencies, so the go command on PATH must be the
+// toolchain that built dynaqlint, as `go run` guarantees. See internal/lint
+// for the analyzers and DESIGN.md ("Static analysis") for the audit that
+// chose them.
 //
 // Usage:
 //
@@ -21,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"dynaq"
 	"dynaq/internal/lint"
@@ -52,42 +56,37 @@ func main() {
 		os.Exit(2)
 	}
 
-	dirs, err := lint.ExpandPatterns(patterns)
+	_, pkgs, err := lint.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dynaqlint: %v\n", err)
 		os.Exit(2)
 	}
-	if len(dirs) == 0 {
+	if len(pkgs) == 0 {
 		fmt.Fprintf(os.Stderr, "dynaqlint: no packages matched %v\n", patterns)
 		os.Exit(2)
 	}
-	moduleRoot, modulePath, err := lint.ModuleInfo(".")
+	wd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dynaqlint: %v\n", err)
 		os.Exit(2)
 	}
 
-	loader := lint.NewLoader()
 	cfg := lint.DefaultConfig()
 	var diags []lint.Diagnostic
 	loadFailed := false
-	for _, dir := range dirs {
-		importPath, err := lint.DirImportPath(moduleRoot, modulePath, dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynaqlint: %v\n", err)
-			os.Exit(2)
-		}
-		pkg, err := loader.LoadDir(dir, importPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynaqlint: %s: %v\n", dir, err)
-			loadFailed = true
-			continue
-		}
+	for _, pkg := range pkgs {
 		for _, terr := range pkg.TypeErrors {
-			fmt.Fprintf(os.Stderr, "dynaqlint: %s: typecheck: %v\n", importPath, terr)
+			fmt.Fprintf(os.Stderr, "dynaqlint: %s: typecheck: %v\n", pkg.ImportPath, terr)
 			loadFailed = true
 		}
 		diags = append(diags, lint.Run(pkg, analyzers, cfg)...)
+	}
+	// The go tool reports absolute directories; print paths as the working
+	// directory sees them.
+	for i := range diags {
+		if rel, err := filepath.Rel(wd, diags[i].Pos.Filename); err == nil {
+			diags[i].Pos.Filename = rel
+		}
 	}
 
 	if err := lint.WriteText(os.Stdout, diags); err != nil {

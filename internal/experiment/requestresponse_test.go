@@ -56,19 +56,28 @@ func referenceRun(t testing.TB, cfg DynamicConfig) *refClient {
 	return client
 }
 
+// offered is a flow as RunDynamic offers it to the engine, without its
+// completion callback.
+type offered struct {
+	at              units.Time
+	id              packet.FlowID
+	src, dst, class int
+	size            units.ByteSize
+}
+
 // startLog is a cellEngine that records every flow RunDynamic offers it.
 type startLog struct {
 	cellEngine
-	starts []flowStart
+	starts []offered
 }
 
 func (l *startLog) start(at units.Time, f flowStart) {
-	l.starts = append(l.starts, f)
+	l.starts = append(l.starts, offered{at, f.id, f.src, f.dst, f.class, f.size})
 	l.cellEngine.start(at, f)
 }
 
 // runLogged is RunDynamic with the offered flows recorded.
-func runLogged(t testing.TB, cfg DynamicConfig) (*DynamicResult, []flowStart) {
+func runLogged(t testing.TB, cfg DynamicConfig) (*DynamicResult, []offered) {
 	t.Helper()
 	var log *startLog
 	res, err := runDynamic(cfg, func(s *sim.Simulator, g *fabric.Graph, c *DynamicConfig) (cellEngine, error) {
@@ -88,9 +97,9 @@ func runLogged(t testing.TB, cfg DynamicConfig) (*DynamicResult, []flowStart) {
 // takes the next id. The packet engine cannot see a one-segment flow's class
 // (PIAS sends every flow's first 100 KB through queue 0), so the class is
 // checked here, where the flows are handed to the engine.
-func checkExchanges(t testing.TB, starts []flowStart, generated int) {
+func checkExchanges(t testing.TB, starts []offered, generated int) {
 	t.Helper()
-	byID := map[packet.FlowID]flowStart{}
+	byID := map[packet.FlowID]offered{}
 	for _, f := range starts {
 		if _, dup := byID[f.id]; dup {
 			t.Fatalf("flow id %d offered twice", f.id)
@@ -177,10 +186,10 @@ type rrCell struct {
 	cfg  DynamicConfig
 }
 
-// requestResponseCells are the request/response cells the ported tests run:
-// the testbed star and a small leaf-spine on every engine.
-func requestResponseCells() []rrCell {
-	leafSpine := DynamicConfig{
+// smallLeafSpine is a 2×2 leaf-spine cell with two hosts per leaf, running
+// Fig. 13's fabric parameters and workloads.
+func smallLeafSpine() DynamicConfig {
+	return DynamicConfig{
 		Scheme:       DynaQ,
 		Params:       SchemeParams{Weights: equalWeights(8)},
 		Topo:         TopoLeafSpine,
@@ -198,6 +207,12 @@ func requestResponseCells() []rrCell {
 		MinRTO:       5 * units.Millisecond,
 		Seed:         3,
 	}
+}
+
+// requestResponseCells are the request/response cells the ported tests run:
+// the testbed star and a small leaf-spine on every engine.
+func requestResponseCells() []rrCell {
+	leafSpine := smallLeafSpine()
 	var cells []rrCell
 	for _, engine := range []EngineMode{EnginePacket, EngineFlow, EngineHybrid} {
 		star := requestResponseCfg(DynaQ, 0.6, 7, 40)
@@ -207,6 +222,51 @@ func requestResponseCells() []rrCell {
 		cells = append(cells, rrCell{"star/" + string(engine), star}, rrCell{"leafspine/" + string(engine), leafSpine})
 	}
 	return cells
+}
+
+// TestOfferedTrafficIsSchemeIndependent pins what a per-flow comparison of
+// two schemes rests on: RunDynamic offers every scheme the same flows. On a
+// star and a leaf-spine cell, on the packet and flow engines, open-loop and
+// request/response, each flow id must start at the same time with the same
+// endpoints, class and size under DynaQ, PQL, BestEffort and TCN with DCTCP.
+// A response starts when its request completes, which the scheme decides, so
+// responses are compared without their start.
+func TestOfferedTrafficIsSchemeIndependent(t *testing.T) {
+	star := requestResponseCfg(DynaQ, 0.6, 7, 40)
+	for _, engine := range []EngineMode{EnginePacket, EngineFlow} {
+		for _, c := range []rrCell{{"star", star}, {"leafspine", smallLeafSpine()}} {
+			for _, rr := range []bool{false, true} {
+				cfg := c.cfg
+				cfg.Engine, cfg.RequestResponse = engine, rr
+				t.Run(fmt.Sprintf("%s/%s/rr=%v", c.name, engine, rr), func(t *testing.T) {
+					var want map[packet.FlowID]offered
+					for _, scheme := range []Scheme{DynaQ, PQL, BestEffort, TCN} {
+						cfg.Scheme, cfg.DCTCP = scheme, scheme.IsECNBased()
+						_, starts := runLogged(t, cfg)
+						got := make(map[packet.FlowID]offered, len(starts))
+						for _, f := range starts {
+							if rr && f.id%2 == 0 {
+								f.at = 0
+							}
+							got[f.id] = f
+						}
+						if want == nil {
+							want = got
+							continue
+						}
+						if len(got) != len(want) {
+							t.Fatalf("%s offered %d flows, %s %d", scheme, len(got), DynaQ, len(want))
+						}
+						for id, w := range want {
+							if got[id] != w {
+								t.Fatalf("flow %d under %s: %+v, under %s: %+v", id, scheme, got[id], DynaQ, w)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
 }
 
 // TestRequestResponseCompletes checks that every request is answered on

@@ -22,15 +22,15 @@ func FuzzLoadAndRun(f *testing.F) {
 	f.Add("\x00\xff not go at all")
 
 	f.Fuzz(func(t *testing.T, src string) {
-		// A fresh Loader per input keeps the shared FileSet bounded and makes
-		// inputs independent, like real CLI invocations.
-		l := NewLoader()
+		// Inputs share only the imported stdlib packages: each LoadFiles
+		// type-checks its files afresh.
+		l := stdLoader(t)
 		file, err := parser.ParseFile(l.Fset, "fuzz.go", src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			if file == nil {
 				return // nothing even partially parsed
 			}
-			// Keep going: LoadDir would reject this, but the analyzers must
+			// Keep going: Load would reject this, but the analyzers must
 			// survive partial ASTs regardless.
 		}
 		pkg := l.LoadFiles(".", "fuzzpkg", []*ast.File{file})

@@ -19,7 +19,12 @@
 //     value compared against a raw non-zero literal.
 //
 // Everything is built on the stdlib go/parser, go/ast, go/types and
-// go/importer packages; dynaqlint adds no module dependencies.
+// go/importer packages; dynaqlint adds no module dependencies. Load asks
+// `go list -export` for the packages: the go tool expands patterns, applies
+// build constraints and compiles every dependency, and each listed package
+// is type-checked from source against that export data. The go command on
+// PATH must therefore be the toolchain that built the linter, which `go run`
+// guarantees.
 //
 // Legitimate violations are suppressed with a directive comment on the same
 // line or the line directly above:

@@ -5,19 +5,50 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/types"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// loadFixtureDir loads one testdata package with the given loader.
+var std struct {
+	once   sync.Once
+	loader *Loader
+	err    error
+}
+
+// stdLoader returns a Loader over the standard-library packages the fixtures
+// and fuzz inputs import, listed once per test binary.
+func stdLoader(t testing.TB) *Loader {
+	t.Helper()
+	std.once.Do(func() {
+		std.loader, _, std.err = Load(".", "fmt", "io", "math/rand", "os", "sort", "time")
+	})
+	if std.err != nil {
+		t.Fatal(std.err)
+	}
+	return std.loader
+}
+
+// loadFixtureDir parses one testdata package and type-checks it as the bare
+// import path name with the given loader.
 func loadFixtureDir(t *testing.T, l *Loader, name string) *Package {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
-	pkg, err := l.LoadDir(dir, name)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", name, err)
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("fixture %s: no Go files (%v)", name, err)
 	}
+	var files []*ast.File
+	for _, path := range paths {
+		f, err := parser.ParseFile(l.Fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("loading fixture %s: %v", name, err)
+		}
+		files = append(files, f)
+	}
+	pkg := l.LoadFiles(dir, name, files)
 	for _, terr := range pkg.TypeErrors {
 		t.Errorf("fixture %s: typecheck: %v", name, terr)
 	}
@@ -25,7 +56,7 @@ func loadFixtureDir(t *testing.T, l *Loader, name string) *Package {
 }
 
 // chainImporter serves already-type-checked fixture packages by import path
-// and defers everything else (stdlib) to the source importer.
+// and defers everything else (stdlib) to the export-data importer.
 type chainImporter struct {
 	known    map[string]*types.Package
 	fallback types.Importer
@@ -65,7 +96,7 @@ func TestFixtures(t *testing.T) {
 	for _, name := range []string{"determ", "fleetdet", "maporder", "floateq"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			pkg := loadFixtureDir(t, NewLoader(), name)
+			pkg := loadFixtureDir(t, stdLoader(t), name)
 			checkFixture(t, pkg)
 		})
 	}
@@ -88,13 +119,13 @@ func checkFixture(t *testing.T, pkg *Package) {
 // arithmetic is flagged in the consumer and that the declaring package is
 // exempt.
 func TestUnitsFixture(t *testing.T) {
-	l := NewLoader()
-	def := loadFixtureDir(t, l, "unitsdef")
+	l := *stdLoader(t)
+	def := loadFixtureDir(t, &l, "unitsdef")
 	l.Importer = chainImporter{
 		known:    map[string]*types.Package{"unitsdef": def.Types},
 		fallback: l.Importer,
 	}
-	use := loadFixtureDir(t, l, "unitsfix")
+	use := loadFixtureDir(t, &l, "unitsfix")
 	if diags := Run(def, All(), fixtureConfig()); len(diags) != 0 {
 		t.Errorf("declaring package must be exempt, got %v", diags)
 	}
@@ -151,7 +182,7 @@ func f(a, b int) bool {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			l := NewLoader()
+			l := stdLoader(t)
 			f, err := parser.ParseFile(l.Fset, "fix.go", tc.src, parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
 				t.Fatal(err)
@@ -185,22 +216,19 @@ func f(a, b int) bool {
 // package, and require a correctly-positioned determinism diagnostic. This
 // is exactly the regression the CI gate would catch.
 func TestInjectedWallClockCaught(t *testing.T) {
-	moduleRoot, modulePath, err := ModuleInfo(".")
+	l, pkgs, err := Load(".", "dynaq/internal/sim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	simDir := filepath.Join(moduleRoot, "internal", "sim")
-
-	l := NewLoader()
-	pkg, err := l.LoadDir(simDir, modulePath+"/internal/sim")
-	if err != nil {
-		t.Fatal(err)
+	if len(pkgs) != 1 {
+		t.Fatalf("want internal/sim alone, got %d packages", len(pkgs))
 	}
+	pkg := pkgs[0]
 	if diags := Run(pkg, All(), DefaultConfig()); len(diags) != 0 {
 		t.Fatalf("internal/sim should be clean before injection, got %v", diags)
 	}
 
-	injected := filepath.Join(simDir, "zz_injected_clock.go")
+	injected := filepath.Join(pkg.Dir, "zz_injected_clock.go")
 	src := `package sim
 
 import "time"
@@ -212,7 +240,7 @@ func injectedNow() time.Time { return time.Now() }
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg = l.LoadFiles(simDir, modulePath+"/internal/sim", append(pkg.Files, f))
+	pkg = l.LoadFiles(pkg.Dir, pkg.ImportPath, append(pkg.Files, f))
 	for _, terr := range pkg.TypeErrors {
 		t.Fatalf("injected package must still type-check: %v", terr)
 	}
@@ -229,54 +257,58 @@ func injectedNow() time.Time { return time.Now() }
 // TestCleanTree is the in-process version of the CI gate: every package in
 // the module must lint clean with the default configuration.
 func TestCleanTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module from source")
-	}
-	moduleRoot, modulePath, err := ModuleInfo(".")
+	_, pkgs, err := Load(".", "dynaq/...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs, err := ExpandPatterns([]string{moduleRoot + "/..."})
-	if err != nil {
-		t.Fatal(err)
+	if len(pkgs) < 15 {
+		t.Fatalf("go list found only %d packages", len(pkgs))
 	}
-	if len(dirs) < 15 {
-		t.Fatalf("pattern expansion found only %d package dirs: %v", len(dirs), dirs)
-	}
-	l := NewLoader()
-	for _, dir := range dirs {
-		importPath, err := DirImportPath(moduleRoot, modulePath, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkg, err := l.LoadDir(dir, importPath)
-		if err != nil {
-			t.Fatalf("%s: %v", importPath, err)
-		}
+	for _, pkg := range pkgs {
 		for _, terr := range pkg.TypeErrors {
-			t.Errorf("%s: typecheck: %v", importPath, terr)
+			t.Errorf("%s: typecheck: %v", pkg.ImportPath, terr)
 		}
 		for _, d := range Run(pkg, All(), DefaultConfig()) {
-			t.Errorf("%s: unsuppressed diagnostic: %s", importPath, d)
+			t.Errorf("%s: unsuppressed diagnostic: %s", pkg.ImportPath, d)
 		}
 	}
 }
 
-// TestExpandPatternsSkipsTestdata ensures fixtures and hidden dirs never
-// leak into a ./... lint run.
-func TestExpandPatternsSkipsTestdata(t *testing.T) {
-	moduleRoot, _, err := ModuleInfo(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := ExpandPatterns([]string{moduleRoot + "/..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range dirs {
-		if strings.Contains(d, "testdata") {
-			t.Errorf("testdata dir leaked into expansion: %s", d)
+// TestLoadListsWhatTheGoToolBuilds holds Load to the go tool's idea of a
+// package: in a fresh module, a file behind //go:build ignore and a package
+// under testdata both read the wall clock, and neither may reach the
+// analyzers.
+func TestLoadListsWhatTheGoToolBuilds(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":                      "module loadcheck\n\ngo 1.22\n",
+		"clean/clean.go":              "package clean\n\nfunc Two() int { return 2 }\n",
+		"clean/ignored.go":            "//go:build ignore\n\npackage clean\n\nimport \"time\"\n\nfunc now() time.Time { return time.Now() }\n",
+		"testdata/fixture/fixture.go": "package fixture\n\nimport \"time\"\n\nfunc Now() time.Time { return time.Now() }\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
 		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, pkgs, err := Load(dir, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || pkgs[0].ImportPath != "loadcheck/clean" || len(pkgs[0].Files) != 1 {
+		for _, p := range pkgs {
+			t.Logf("loaded %s (%d files)", p.ImportPath, len(p.Files))
+		}
+		t.Fatalf("want loadcheck/clean with one file, got %d packages", len(pkgs))
+	}
+	for _, terr := range pkgs[0].TypeErrors {
+		t.Errorf("typecheck: %v", terr)
+	}
+	if diags := Run(pkgs[0], All(), DefaultConfig()); len(diags) != 0 {
+		t.Errorf("want no diagnostics, got %v", diags)
 	}
 }
 

@@ -1,13 +1,17 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -27,55 +31,87 @@ type Package struct {
 	TypeErrors []error
 }
 
-// Loader parses and type-checks packages. One Loader shares a FileSet and an
-// importer across loads, so the (expensive) source-based type-checking of
-// shared dependencies is cached between packages.
+// Loader type-checks packages against the compiler export data of the
+// packages Load listed. One Loader shares a FileSet and an importer across
+// loads, so each dependency's export data is read once.
 type Loader struct {
 	Fset     *token.FileSet
 	Importer types.Importer
 }
 
-// NewLoader returns a Loader backed by the stdlib source importer, which
-// type-checks dependencies (including this module's own packages) straight
-// from source — no compiled export data, no x/tools.
-func NewLoader() *Loader {
-	fset := token.NewFileSet()
-	return &Loader{Fset: fset, Importer: importer.ForCompiler(fset, "source", nil)}
+// listedPackage is the part of a `go list -json` record Load reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	DepOnly    bool
+	Module     *struct{ Main bool }
+	Error      *struct{ Err string }
 }
 
-// LoadDir parses the non-test Go files of one directory and type-checks them
-// as importPath. Test files are excluded on purpose: the determinism rules
-// govern simulator code, while tests routinely (and legitimately) use
-// literal-seeded generators and exhaustive map iteration.
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+// Load runs `go list -e -export -deps -json` on patterns in dir and
+// type-checks every listed package of the main module from source, against
+// its dependencies' compiler export data. The go tool expands the patterns,
+// applies build constraints, skips testdata directories and maps directories
+// to import paths; a package it cannot list or compile is an error. Test
+// files are excluded on purpose: the determinism rules govern simulator
+// code, while tests routinely (and legitimately) use literal-seeded
+// generators and exhaustive map iteration.
+//
+// The packages come back sorted by directory. The Loader imports every
+// listed package, dependencies included, so LoadFiles can type-check more
+// files against them.
+func Load(dir string, patterns ...string) (*Loader, []*Package, error) {
+	cmd := exec.Command("go", append([]string{"list", "-e", "-export", "-deps", "-json", "--"}, patterns...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("lint: go list: %v: %s", err, bytes.TrimSpace(stderr.Bytes()))
 	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
+	exports := make(map[string]string)
+	var own []listedPackage
+	var errs []string
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			return nil, nil, fmt.Errorf("lint: go list output: %w", err)
 		}
-		if strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
-			continue
+		switch {
+		case p.Error != nil:
+			errs = append(errs, strings.TrimSpace(p.Error.Err))
+		case !p.DepOnly && p.Module != nil && p.Module.Main:
+			own = append(own, p)
 		}
-		names = append(names, name)
+		exports[p.ImportPath] = p.Export
 	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("lint: no buildable Go files in %s", dir)
+	if len(errs) > 0 {
+		return nil, nil, fmt.Errorf("lint: %s", strings.Join(errs, "\n"))
 	}
-	sort.Strings(names)
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
+
+	fset := token.NewFileSet()
+	l := &Loader{Fset: fset, Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("lint: no export data for %q", path)
 		}
-		files = append(files, f)
+		return os.Open(exports[path])
+	})}
+	sort.Slice(own, func(i, j int) bool { return own[i].Dir < own[j].Dir })
+	pkgs := make([]*Package, 0, len(own))
+	for _, p := range own {
+		files := make([]*ast.File, 0, len(p.GoFiles))
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return nil, nil, err
+			}
+			files = append(files, f)
+		}
+		pkgs = append(pkgs, l.LoadFiles(p.Dir, p.ImportPath, files))
 	}
-	return l.LoadFiles(dir, importPath, files), nil
+	return l, pkgs, nil
 }
 
 // LoadFiles type-checks an already-parsed file set as importPath. It is the
@@ -101,121 +137,4 @@ func (l *Loader) LoadFiles(dir, importPath string, files []*ast.File) *Package {
 	tpkg, _ := conf.Check(importPath, l.Fset, files, pkg.TypesInfo) // errors land in TypeErrors
 	pkg.Types = tpkg
 	return pkg
-}
-
-// ModuleInfo walks up from dir to the enclosing go.mod and returns the
-// module root directory and module path.
-func ModuleInfo(dir string) (root, path string, err error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
-	for d := abs; ; {
-		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
-					return d, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("lint: %s/go.mod has no module directive", d)
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", "", fmt.Errorf("lint: no go.mod found above %s", abs)
-		}
-		d = parent
-	}
-}
-
-// ExpandPatterns resolves command-line package patterns into directories.
-// Supported forms: a directory path ("./internal/core"), or a recursive
-// pattern ("./...", "./internal/..."). Directories named testdata or vendor,
-// and those starting with "." or "_", are skipped, matching the go tool.
-// Directories without buildable non-test Go files are dropped.
-func ExpandPatterns(patterns []string) ([]string, error) {
-	seen := make(map[string]bool)
-	var dirs []string
-	add := func(dir string) {
-		dir = filepath.Clean(dir)
-		if !seen[dir] && hasGoFiles(dir) {
-			seen[dir] = true
-			dirs = append(dirs, dir)
-		}
-	}
-	for _, pat := range patterns {
-		if rest, ok := strings.CutSuffix(pat, "..."); ok {
-			root := filepath.Clean(rest)
-			if rest == "" {
-				root = "."
-			}
-			err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				name := d.Name()
-				if path != root && (name == "testdata" || name == "vendor" ||
-					strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-					return filepath.SkipDir
-				}
-				add(path)
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		info, err := os.Stat(pat)
-		if err != nil {
-			return nil, fmt.Errorf("lint: pattern %q: %w", pat, err)
-		}
-		if !info.IsDir() {
-			return nil, fmt.Errorf("lint: pattern %q is not a directory", pat)
-		}
-		add(pat)
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		if strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		return true
-	}
-	return false
-}
-
-// DirImportPath maps a directory inside the module to its import path.
-func DirImportPath(moduleRoot, modulePath, dir string) (string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	rel, err := filepath.Rel(moduleRoot, abs)
-	if err != nil {
-		return "", err
-	}
-	if rel == "." {
-		return modulePath, nil
-	}
-	if strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("lint: %s is outside module %s", dir, moduleRoot)
-	}
-	return modulePath + "/" + filepath.ToSlash(rel), nil
 }

@@ -148,22 +148,18 @@ func (r *EventRecorder) Publish(reg *telemetry.Registry) {
 	}
 }
 
-// allKinds lists every port event kind in declaration order.
+// allKinds lists every port event kind in the order Summary prints them.
+// The registry dumps series sorted by id, so Publish does not depend on it.
 var allKinds = []netsim.PortEventKind{
-	netsim.EvEnqueue, netsim.EvDrop, netsim.EvMark, netsim.EvEvict,
-	netsim.EvDequeueDrop, netsim.EvTransmit, netsim.EvMisclass,
-	netsim.EvLinkDrop, netsim.EvLinkCorrupt,
+	netsim.EvEnqueue, netsim.EvTransmit, netsim.EvDrop,
+	netsim.EvMark, netsim.EvEvict, netsim.EvDequeueDrop,
+	netsim.EvMisclass, netsim.EvLinkDrop, netsim.EvLinkCorrupt,
 }
 
 // Summary renders the per-kind counters.
 func (r *EventRecorder) Summary() string {
-	kinds := []netsim.PortEventKind{
-		netsim.EvEnqueue, netsim.EvTransmit, netsim.EvDrop,
-		netsim.EvMark, netsim.EvEvict, netsim.EvDequeueDrop,
-		netsim.EvMisclass, netsim.EvLinkDrop, netsim.EvLinkCorrupt,
-	}
 	out := ""
-	for _, k := range kinds {
+	for _, k := range allKinds {
 		if c := r.counts[k]; c > 0 {
 			out += fmt.Sprintf("%s=%d ", k, c)
 		}

@@ -291,51 +291,34 @@ func (r *Registry) Value(id string) (int64, bool) {
 // WriteJSONL dumps every series as one JSON line, sorted by series id, with
 // hand-encoded fixed field order so the bytes are stable across runs.
 func (r *Registry) WriteJSONL(w io.Writer) error {
-	ids := make([]string, 0, len(r.series))
-	for id := range r.series {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	var b []byte
-	for _, id := range ids {
-		s := r.series[id]
-		b = b[:0]
-		b = append(b, `{"series":`...)
-		b = strconv.AppendQuote(b, s.id)
+	for _, sv := range r.Snapshot() {
+		b = append(b[:0], `{"series":`...)
+		b = strconv.AppendQuote(b, sv.ID)
 		b = append(b, `,"type":`...)
-		b = strconv.AppendQuote(b, s.kind)
-		if s.hist != nil {
-			h := s.hist
+		b = strconv.AppendQuote(b, sv.Kind)
+		if sv.Kind == "histogram" {
 			b = append(b, `,"count":`...)
-			b = strconv.AppendInt(b, h.count, 10)
+			b = strconv.AppendInt(b, sv.Value, 10)
 			b = append(b, `,"sum":`...)
-			b = strconv.AppendInt(b, h.sum, 10)
+			b = strconv.AppendInt(b, sv.Sum, 10)
 			b = append(b, `,"buckets":[`...)
-			for i, bound := range h.bounds {
+			for i, bound := range sv.Bounds {
 				if i > 0 {
 					b = append(b, ',')
 				}
 				b = append(b, `{"le":`...)
 				b = strconv.AppendInt(b, bound, 10)
 				b = append(b, `,"n":`...)
-				b = strconv.AppendInt(b, h.counts[i], 10)
+				b = strconv.AppendInt(b, sv.Counts[i], 10)
 				b = append(b, '}')
 			}
 			b = append(b, `,{"le":"+Inf","n":`...)
-			b = strconv.AppendInt(b, h.counts[len(h.bounds)], 10)
+			b = strconv.AppendInt(b, sv.Counts[len(sv.Bounds)], 10)
 			b = append(b, `}]}`...)
 		} else {
-			var v int64
-			switch {
-			case s.ctr != nil:
-				v = s.ctr.Value()
-			case s.gge != nil:
-				v = s.gge.Value()
-			case s.fn != nil:
-				v = s.fn()
-			}
 			b = append(b, `,"value":`...)
-			b = strconv.AppendInt(b, v, 10)
+			b = strconv.AppendInt(b, sv.Value, 10)
 			b = append(b, '}')
 		}
 		b = append(b, '\n')
