@@ -103,8 +103,8 @@ func TestTelemetryDeterministicStatic(t *testing.T) {
 
 // TestEngineCountersInMetrics asserts the engine series land in
 // metrics.jsonl: events processed, heap high-water mark, and the free-list
-// reuse counter — and that reuse is actually happening (a long static run
-// recycles nearly every event object).
+// reuse counter — and that the heap, whose events are the only ones reused,
+// holds a small share of what runs.
 func TestEngineCountersInMetrics(t *testing.T) {
 	arts := runStaticWithTelemetry(t, t.TempDir(), DynaQ)
 	metrics := string(arts[telemetry.MetricsFile])
@@ -117,9 +117,10 @@ func TestEngineCountersInMetrics(t *testing.T) {
 			t.Errorf("metrics.jsonl is missing %s", series)
 		}
 	}
-	// The reuse counter must be a large share of processed events, not a
-	// token non-zero value: every packet/timer event past warmup re-arms a
-	// pooled object.
+	// Serialization completions and link arrivals, nearly every event of a
+	// packet run, wait in the simulator's lanes and take no Event object;
+	// the heap holds only timers and flow arrivals, so reuse stays a small
+	// share of processed events.
 	var processed, reused int64
 	for _, line := range strings.Split(metrics, "\n") {
 		var rec struct {
@@ -139,8 +140,8 @@ func TestEngineCountersInMetrics(t *testing.T) {
 	if processed == 0 {
 		t.Fatal("sim_events_processed_total = 0; metrics not parsed")
 	}
-	if reused < processed/2 {
-		t.Errorf("pool reuse %d out of %d events; free list is not recycling", reused, processed)
+	if reused == 0 || reused*10 >= processed {
+		t.Errorf("pool reuse %d out of %d events; want under 10%%: packet events are on the heap", reused, processed)
 	}
 }
 

@@ -297,6 +297,7 @@ type Port struct {
 	link  *Link
 
 	queues    []pktQueue
+	backlog   uint64 // bit i set while queues[i] holds a packet
 	total     units.ByteSize
 	sched     sched.Scheduler
 	admit     buffer.Admission
@@ -322,13 +323,19 @@ type Port struct {
 
 	// Serialization state. The busy flag guarantees at most one packet is
 	// serializing per port, so the in-flight packet lives in fields instead
-	// of a closure; the two callbacks are bound once at construction. With
-	// the link's wire FIFO and a scheduler that does not allocate, a packet
-	// crosses Enqueue → txDone → delivery without a heap allocation.
-	txPkt      *packet.Packet
-	txQueue    int
-	txDoneFn   func()
-	transmitFn func()
+	// of a closure, and its completion is a package-level callback with the
+	// port as argument. With the link's wire FIFO and a scheduler that does
+	// not allocate, a packet crosses Enqueue → txDone → delivery without a
+	// heap allocation.
+	txPkt   *packet.Packet
+	txQueue int
+	// Nearly every packet a port serializes is an ACK or the largest size it
+	// has served, so their completions wait in the simulator's lanes for those
+	// two delays (sim.Lane) and not on the event heap. The largest size starts
+	// at an ACK's.
+	ackLane *sim.Lane
+	maxLane *sim.Lane
+	maxSize units.ByteSize
 }
 
 // pktQueue is a FIFO of packets with byte accounting, backed by a ring-less
@@ -403,9 +410,14 @@ func NewPort(s *sim.Simulator, cfg PortConfig) (*Port, error) {
 	if cfg.Queues <= 0 {
 		return nil, fmt.Errorf("netsim: port needs at least one queue")
 	}
+	if cfg.Queues > sched.MaxQueues {
+		return nil, fmt.Errorf("netsim: port has %d queues, more than the %d a scheduler's backlog word holds",
+			cfg.Queues, sched.MaxQueues)
+	}
 	if cfg.Scheduler == nil || cfg.Admission == nil || cfg.Link == nil {
 		return nil, fmt.Errorf("netsim: port needs a scheduler, an admission scheme, and a link")
 	}
+	ackLane := s.Lane(cfg.Rate.Transmit(packet.AckSize))
 	p := &Port{
 		sim:        s,
 		rate:       cfg.Rate,
@@ -416,9 +428,10 @@ func NewPort(s *sim.Simulator, cfg PortConfig) (*Port, error) {
 		admit:      cfg.Admission,
 		queueDrops: make([]int64, cfg.Queues),
 		queueTx:    make([]units.ByteSize, cfg.Queues),
+		ackLane:    ackLane,
+		maxLane:    ackLane,
+		maxSize:    packet.AckSize,
 	}
-	p.txDoneFn = p.txDone
-	p.transmitFn = p.transmitNext
 	p.enqMark, _ = cfg.Admission.(buffer.EnqueueMarker)
 	p.deqMark, _ = cfg.Admission.(buffer.DequeueMarker)
 	p.deqDrop, _ = cfg.Admission.(buffer.DequeueDropper)
@@ -540,6 +553,7 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 	}
 	pkt.EnqueueTime = p.sim.Now()
 	p.queues[cls].push(pkt)
+	p.backlog |= 1 << cls
 	p.total += pkt.Size
 	p.stats.Enqueued++
 	p.emit(EvEnqueue, cls, pkt)
@@ -578,6 +592,9 @@ func (p *Port) admitWithEviction(cls int, size units.ByteSize) bool {
 			return false
 		}
 		evicted := p.queues[victim].popTail()
+		if p.queues[victim].len() == 0 {
+			p.backlog &^= 1 << victim
+		}
 		p.total -= evicted.Size
 		if p.pool != nil {
 			p.pool.Release(evicted.Size)
@@ -590,25 +607,24 @@ func (p *Port) admitWithEviction(cls int, size units.ByteSize) bool {
 
 // transmitNext serves one packet according to the scheduler and re-arms
 // itself after the serialization delay. A port with nothing buffered goes
-// idle without asking: total is Σ QueueLen, so it is zero exactly when the
-// scheduler would find every queue empty, and by the sched.Scheduler
-// contract that poll changes nothing.
+// idle without asking: by the sched.Scheduler contract a poll with an empty
+// backlog word changes nothing.
 func (p *Port) transmitNext() {
-	if p.total == 0 {
+	if p.backlog == 0 {
 		p.busy = false
 		return
 	}
-	i := p.sched.Select(p)
-	if i < 0 {
-		p.busy = false
-		return
-	}
+	i := p.sched.Pick(p.backlog, p)
 	pkt := p.queues[i].pop()
+	nowEmpty := p.queues[i].len() == 0
+	if nowEmpty {
+		p.backlog &^= 1 << i
+	}
 	p.total -= pkt.Size
 	if p.pool != nil {
 		p.pool.Release(pkt.Size)
 	}
-	p.sched.OnDequeue(i, pkt.Size, p.queues[i].len() == 0)
+	p.sched.OnDequeue(i, pkt.Size, nowEmpty)
 	if p.deqObs != nil {
 		p.deqObs.ObserveDequeue(p, i, pkt.Size, p.sim.Now())
 	}
@@ -620,7 +636,7 @@ func (p *Port) transmitNext() {
 		p.stats.DequeueDrops++
 		p.emit(EvDequeueDrop, i, pkt)
 		p.notify()
-		p.sim.After(p.rate.Transmit(pkt.Size), p.transmitFn)
+		p.sim.AfterCall(p.rate.Transmit(pkt.Size), idleComplete, p)
 		pkt.Release()
 		return
 	}
@@ -632,8 +648,33 @@ func (p *Port) transmitNext() {
 	}
 	p.notify()
 	p.txPkt, p.txQueue = pkt, i
-	p.sim.After(p.rate.Transmit(pkt.Size), p.txDoneFn)
+	p.serialize(pkt.Size)
 }
+
+// serialize schedules txDone for when size bytes have left at the port's
+// rate. An ACK, or a packet of the largest size served so far, waits in that
+// size's lane; a packet larger than any before makes its own size the
+// largest. Any other size waits on the heap. A lane event runs at the same
+// (when, seq) as the heap event would, so which one holds it changes no
+// event's order.
+func (p *Port) serialize(size units.ByteSize) {
+	switch {
+	case size == packet.AckSize:
+		p.ackLane.Call(txComplete, p)
+	case size == p.maxSize:
+		p.maxLane.Call(txComplete, p)
+	case size > p.maxSize:
+		p.maxSize, p.maxLane = size, p.sim.Lane(p.rate.Transmit(size))
+		p.maxLane.Call(txComplete, p)
+	default:
+		p.sim.AfterCall(p.rate.Transmit(size), txComplete, p)
+	}
+}
+
+// txComplete and idleComplete end a port's serialization slot: one that
+// carried a packet, or one a dequeue drop left idle.
+func txComplete(a any)   { a.(*Port).txDone() }
+func idleComplete(a any) { a.(*Port).transmitNext() }
 
 // txDone completes serialization of the packet parked in txPkt: account it,
 // put it on the wire, and serve the next packet.

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dynaq/internal/buffer"
@@ -69,6 +70,11 @@ func TestPortConfigValidation(t *testing.T) {
 	}
 	if _, err := NewPort(s, base); err != nil {
 		t.Errorf("valid config rejected: %v", err)
+	}
+	wide := base
+	wide.Queues = sched.MaxQueues + 1
+	if _, err := NewPort(s, wide); err == nil || !strings.Contains(err.Error(), "64") {
+		t.Errorf("65 queues: error %v, want one naming the limit of 64", err)
 	}
 }
 
@@ -239,6 +245,44 @@ func TestPortObserverSeesEveryTransition(t *testing.T) {
 type portObserverFunc func(now units.Time, p *Port)
 
 func (f portObserverFunc) ObservePort(now units.Time, p *Port) { f(now, p) }
+
+// TestPortBacklogWordTracksQueues: bit i of the backlog word a port hands
+// its scheduler is set exactly while queue i holds a packet, after every
+// enqueue, eviction and dequeue.
+func TestPortBacklogWordTracksQueues(t *testing.T) {
+	s := sim.New()
+	p := newTestPort(t, s, units.Gbps, 16*units.KB, 6, buffer.NewBarberQ(), &consumer{})
+	checks := 0
+	check := func(after string) {
+		checks++
+		for i := range p.queues {
+			if got, want := p.backlog&(1<<i) != 0, p.queues[i].len() > 0; got != want {
+				t.Fatalf("after %s at %v: backlog bit %d is %v, queue %d holds %d packets",
+					after, s.Now(), i, got, i, p.queues[i].len())
+			}
+		}
+	}
+	// The observer runs after every enqueue, drop and dequeue; an eviction
+	// reaches only the hook.
+	p.Observe(portObserverFunc(func(units.Time, *Port) { check("an enqueue, drop or dequeue") }))
+	p.AddEventHook(func(ev PortEvent) {
+		if ev.Kind == EvEvict {
+			check("an eviction")
+		}
+	})
+	rng := rand.New(rand.NewSource(11))
+	for wave := 0; wave < 200; wave++ {
+		for n := rng.Intn(12); n > 0; n-- {
+			p.Enqueue(dataPkt(packet.FlowID(wave), rng.Intn(6), units.ByteSize(40+rng.Intn(8960))))
+		}
+		s.RunUntil(s.Now().Add(units.Duration(rng.Intn(150)) * units.Microsecond))
+	}
+	s.Run()
+	st := p.Stats()
+	if st.Evicted == 0 || st.Dropped == 0 || st.TxPackets == 0 || p.backlog != 0 {
+		t.Fatalf("after %d checks: %+v, backlog %b: a case was never taken or the port did not drain", checks, st, p.backlog)
+	}
+}
 
 func TestSwitchRoutesByFunction(t *testing.T) {
 	s := sim.New()

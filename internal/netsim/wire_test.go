@@ -116,6 +116,34 @@ func TestLinkKeepsOnePendingEvent(t *testing.T) {
 	}
 }
 
+// TestSerializationStaysOffTheHeap: a port's ACK and MTU serialization
+// completions wait in the simulator's lanes, as link arrivals do, and only a
+// packet of another size puts one on the heap.
+func TestSerializationStaysOffTheHeap(t *testing.T) {
+	s := sim.New()
+	dst := &sinkNode{s: s}
+	p := newTestPort(t, s, units.Gbps, units.MB, 2, buffer.NewBestEffort(), dst)
+	for i := 0; i < 50; i++ {
+		p.Enqueue(dataPkt(packet.FlowID(i), i%2, 1500))
+		p.Enqueue(dataPkt(packet.FlowID(i), i%2, packet.AckSize))
+	}
+	s.Run()
+	if len(dst.pkts) != 100 || s.MaxPending() != 0 {
+		t.Fatalf("100 MTU and ACK packets: %d delivered, heap high-water mark %d; want 100 and 0",
+			len(dst.pkts), s.MaxPending())
+	}
+	sent := s.Now()
+	p.Enqueue(dataPkt(100, 0, 700))
+	if s.MaxPending() != 1 {
+		t.Fatalf("a 700 B packet: heap high-water mark %d, want 1", s.MaxPending())
+	}
+	s.Run()
+	// 700 B at 1 Gbps is 5.6 µs, then 10 µs on the wire.
+	if want := sent.Add(15600 * units.Nanosecond); len(dst.pkts) != 101 || dst.at[100] != want {
+		t.Fatalf("the 700 B packet: %d delivered, the last at %v; want 101, at %v", len(dst.pkts), dst.at[len(dst.at)-1], want)
+	}
+}
+
 func TestLinkSetDownMidFlightStillDelivers(t *testing.T) {
 	s := sim.New()
 	dst := &sinkNode{s: s}

@@ -35,6 +35,9 @@ const (
 	Ack
 )
 
+// AckSize is the wire size of a pure ACK.
+const AckSize units.ByteSize = 40
+
 // Packet is one simulated segment. Packets are passed by pointer and are not
 // copied after creation; the switch annotates EnqueueTime for sojourn-time
 // schemes (TCN).

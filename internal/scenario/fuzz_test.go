@@ -36,6 +36,11 @@ func TestLoadRejectsBadNumbersAndFaults(t *testing.T) {
 			"queues",
 		},
 		{
+			"more queues than a backlog word",
+			`{"kind": "static", "rate_gbps": 1, "buffer_bytes": 1000, "queues": 65, "rtt_us": 100, "duration_s": 1}`,
+			"queues",
+		},
+		{
 			"negative rtt",
 			`{"kind": "static", "rate_gbps": 1, "buffer_bytes": 1000, "queues": 2, "rtt_us": -5, "duration_s": 1}`,
 			"rtt_us",
@@ -101,6 +106,9 @@ func TestLoadRejectsBadNumbersAndFaults(t *testing.T) {
 	}
 	if _, err := Load([]byte(staticWith(`"seed": 1`, okSpecs))); err != nil {
 		t.Fatalf("the static base document must load: %v", err)
+	}
+	if _, err := Load([]byte(strings.Replace(staticWith(`"seed": 1`, okSpecs), `"queues": 2`, `"queues": 64`, 1))); err != nil {
+		t.Fatalf("64 queues, one backlog word, must load: %v", err)
 	}
 	for _, tc := range cases {
 		_, err := Load([]byte(tc.doc))

@@ -19,6 +19,7 @@ import (
 
 	"dynaq/internal/experiment"
 	"dynaq/internal/faults"
+	"dynaq/internal/sched"
 	"dynaq/internal/telemetry"
 	"dynaq/internal/telemetry/trace"
 	"dynaq/internal/transport"
@@ -88,10 +89,11 @@ type Document struct {
 	DetectMs float64 `json:"detection_delay_ms,omitempty"`
 }
 
-// maxQueues bounds the queues field: real multi-queue switch ASICs expose a
-// handful of service queues per port, and an absurd count would otherwise
-// make Load allocate the default weight vector before any experiment runs.
-const maxQueues = 1024
+// maxQueues bounds the queues field. A port tells its scheduler which queues
+// hold packets in one 64-bit word, so no port has more; real multi-queue
+// switch ASICs expose a handful of service queues per port, and no shipped
+// document uses more than 8.
+const maxQueues = sched.MaxQueues
 
 // MaxDocumentBytes bounds the scenario documents Load accepts. Scenarios
 // are small hand-written configurations (the largest shipped one is under

@@ -148,7 +148,7 @@ func drrAgainstReference(t testing.TB, script []byte) (served, emptyPolls, panic
 			sut.OnDequeue(i, size, script[step+2]&64 != 0)
 			refOnDequeue(ref, i, size, script[step+2]&64 != 0)
 		default:
-			got, gotPanic := selectOrPanic(func() int { return sut.selectFrom(v, off) })
+			got, gotPanic := selectOrPanic(func() int { return sut.pickFrom(Backlog(v)>>off, v, off) })
 			want, wantPanic := selectOrPanic(func() int { return refSelectFrom(ref, v, off) })
 			if gotPanic != wantPanic {
 				t.Fatalf("step %d: panic %q, reference %q", step/3, gotPanic, wantPanic)
@@ -212,7 +212,7 @@ func TestDRRWalkBoundCountsEmptyQueues(t *testing.T) {
 	sut.OnDequeue(1, 320, false)
 	refOnDequeue(ref, 1, 320, false)
 	v := &looseView{qlen: []units.ByteSize{0, 64}, head: []units.ByteSize{0, 64}}
-	_, gotPanic := selectOrPanic(func() int { return sut.selectFrom(v, 0) })
+	_, gotPanic := selectOrPanic(func() int { return sut.Pick(Backlog(v), v) })
 	_, wantPanic := selectOrPanic(func() int { return refSelectFrom(ref, v, 0) })
 	if wantPanic == "" {
 		t.Fatal("the reference served the queue: this view no longer reaches the bound")
@@ -239,12 +239,12 @@ func TestEmptyPollChangesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		queues int
-		build  func() Scheduler
+		build  func() selector
 	}{
-		{"drr", 3, func() Scheduler { d, _ := NewDRR(quantums); return d }},
-		{"wrr", 3, func() Scheduler { w, _ := NewWRR([]int64{1, 3, 2}); return w }},
-		{"spq", 3, func() Scheduler { return NewSPQ() }},
-		{"spq+drr", 4, func() Scheduler { h, _ := NewSPQDRR(1, quantums); return h }},
+		{"drr", 3, func() selector { d, _ := NewDRR(quantums); return d }},
+		{"wrr", 3, func() selector { w, _ := NewWRR([]int64{1, 3, 2}); return w }},
+		{"spq", 3, func() selector { return NewSPQ() }},
+		{"spq+drr", 4, func() selector { h, _ := NewSPQDRR(1, quantums); return h }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(8))

@@ -5,15 +5,22 @@
 // dedicated DRR queues).
 //
 // A Scheduler only decides *which* queue to serve next; the switch port owns
-// the queues themselves and exposes their state through the View interface.
+// the queues themselves. It tells the scheduler which of them hold bytes as
+// one backlog word, and exposes the rest of their state through the View
+// interface.
 package sched
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"dynaq/internal/units"
 )
+
+// MaxQueues is the most service queues a scheduler serves: each is one bit
+// of a backlog word.
+const MaxQueues = 64
 
 // View is the read-only queue state a scheduler consults.
 type View interface {
@@ -28,26 +35,48 @@ type View interface {
 
 // Scheduler selects the next service queue to dequeue from.
 type Scheduler interface {
-	// Select returns the index of the queue to serve next, or -1 when
-	// every queue is empty. It may mutate internal round state when it
-	// returns a queue, never when it returns -1: a poll that finds every
-	// queue empty leaves the scheduler exactly as it was, so a caller that
-	// knows nothing is buffered need not call at all.
-	Select(v View) int
+	// Pick returns the index of the queue to serve next, or -1 when
+	// backlog is zero. Bit i of backlog is set exactly when queue i of v
+	// holds bytes, as Backlog(v) computes it. Pick may mutate internal round
+	// state when it returns a queue, never when it returns -1: a poll that
+	// finds every queue empty leaves the scheduler exactly as it was, so a
+	// caller that knows nothing is buffered need not call at all.
+	Pick(backlog uint64, v View) int
 	// OnDequeue informs the scheduler that size bytes left queue i, and
 	// whether that left the queue empty (a queue leaving the active set
 	// resets its DRR deficit).
 	OnDequeue(i int, size units.ByteSize, nowEmpty bool)
 }
 
-// anyBacklogged reports whether a queue of v holds bytes.
-func anyBacklogged(v View) bool {
-	for i := 0; i < v.NumQueues(); i++ {
+// Backlog returns v's backlog word: bit i set when queue i holds bytes. A
+// caller that keeps the word as its queues change need not call it.
+func Backlog(v View) uint64 {
+	n := v.NumQueues()
+	if n > MaxQueues {
+		panic(fmt.Sprintf("sched: a view of %d queues has no backlog word (at most %d)", n, MaxQueues))
+	}
+	var b uint64
+	for i := 0; i < n; i++ {
 		if v.QueueLen(i) > 0 {
-			return true
+			b |= 1 << i
 		}
 	}
-	return false
+	return b
+}
+
+// lowBits returns the word with bits [0, n) set.
+func lowBits(n int) uint64 { return ^uint64(0) >> (64 - n) }
+
+// checkQueues rejects a scheduler over no queues or over more than a backlog
+// word holds.
+func checkQueues(kind string, n int) error {
+	if n == 0 {
+		return fmt.Errorf("sched: %s needs at least one queue", kind)
+	}
+	if n > MaxQueues {
+		return fmt.Errorf("sched: %s over %d queues, more than the %d a backlog word holds", kind, n, MaxQueues)
+	}
+	return nil
 }
 
 // DRR is deficit round-robin (Shreedhar & Varghese): each queue holds a
@@ -64,8 +93,8 @@ type DRR struct {
 // NewDRR builds a DRR scheduler with the given per-queue quantums (the
 // paper's default is one MTU, 1.5KB).
 func NewDRR(quantums []units.ByteSize) (*DRR, error) {
-	if len(quantums) == 0 {
-		return nil, fmt.Errorf("sched: DRR needs at least one queue")
+	if err := checkQueues("DRR", len(quantums)); err != nil {
+		return nil, err
 	}
 	for i, q := range quantums {
 		if q <= 0 {
@@ -96,49 +125,59 @@ func EqualDRR(n int, quantum units.ByteSize) *DRR {
 // Deficit exposes queue i's current deficit counter (for tests and traces).
 func (d *DRR) Deficit(i int) units.ByteSize { return d.deficit[i] }
 
-// Select implements Scheduler.
-func (d *DRR) Select(v View) int { return d.selectFrom(v, 0) }
+// Pick implements Scheduler.
+func (d *DRR) Pick(backlog uint64, v View) int { return d.pickFrom(backlog, v, 0) }
 
-// selectFrom runs DRR over queues [off, N) of v, which it numbers from 0.
-// The hybrid calls it with its strict-priority queues skipped. It takes an
-// offset and not a View that shifts the indices, because such a wrapper is
-// boxed into the interface on every call: one allocation per packet served.
-func (d *DRR) selectFrom(v View, off int) int {
+// Select is Pick with the backlog word read off v.
+func (d *DRR) Select(v View) int { return d.Pick(Backlog(v), v) }
+
+// pickFrom runs DRR over queues [off, N) of v, which it numbers from 0, and
+// whose backlog word, shifted down by off, is backlog. The hybrid calls it
+// with its strict-priority queues skipped. It takes an offset and not a View
+// that shifts the indices, because such a wrapper is boxed into the
+// interface on every call: one allocation per packet served.
+func (d *DRR) pickFrom(backlog uint64, v View, off int) int {
+	nq := len(d.quantum)
+	own := backlog & lowBits(nq)
+	if own == 0 {
+		// None of the scheduler's queues holds bytes: such a poll must leave
+		// cur, fresh and the deficits alone, and a backlogged queue beyond
+		// them, having no quantum, would never be served.
+		if backlog != 0 {
+			panic(drrStuck)
+		}
+		return -1
+	}
 	// A backlogged queue is served after at most ceil(head/quantum) rounds,
-	// so the walk is bounded by n·(maxHead/minQuantum + 2); going beyond
-	// means the deficit accounting broke, not a transient condition. Nearly
-	// every call returns within the first 2n steps, the least that bound can
-	// be, so the scan for the largest head waits until a walk gets that far.
-	n := v.NumQueues() - off
-	bound, exact := 2*n, false
+	// so the walk is bounded by n·(maxHead/minQuantum + 2) over the n queues
+	// of v from off; going beyond means the deficit accounting broke, not a
+	// transient condition. That bound is at least 2n ≥ 2·nq, and nearly every
+	// call returns within 2·nq steps, so it is worked out only once a walk
+	// gets that far.
+	bound := -1
 	for iter := 0; ; iter++ {
-		// Walk from cur to the next backlogged queue, writing nothing on the
-		// way: should the walk come round to cur, every queue is empty, and
-		// such a poll must leave cur, fresh and the deficits alone.
-		i, skipped := d.cur, 0
-		for v.QueueLen(i+off) == 0 {
-			if skipped++; skipped == len(d.quantum) {
-				d.checkNoneBeyond(v, off)
-				return -1
-			}
-			if i++; i == len(d.quantum) {
-				i = 0
-			}
+		// The next backlogged queue from cur on, cyclically: the bits at and
+		// above cur first, else the lowest one below it.
+		i := d.cur
+		if ahead := own >> i; ahead != 0 {
+			i += bits.TrailingZeros64(ahead)
+		} else {
+			i = bits.TrailingZeros64(own)
 		}
 		// The queues walked past are inactive and carry no deficit; each
 		// was a step of the walk and counts toward its bound.
-		for ; skipped > 0; skipped-- {
+		for d.cur != i {
 			d.deficit[d.cur] = 0
 			d.advance()
 			iter++
 		}
-		if iter >= bound {
-			if !exact {
-				maxHead := units.ByteSize(0)
+		if iter >= 2*nq {
+			if bound < 0 {
+				n, maxHead := v.NumQueues()-off, units.ByteSize(0)
 				for j := 0; j < n; j++ {
 					maxHead = max(maxHead, v.HeadSize(j+off))
 				}
-				bound, exact = n*(int(maxHead/d.minQuantum)+2), true
+				bound = n * (int(maxHead/d.minQuantum) + 2)
 			}
 			if iter >= bound {
 				panic(drrStuck)
@@ -156,16 +195,6 @@ func (d *DRR) selectFrom(v View, off int) int {
 }
 
 const drrStuck = "sched: DRR failed to select a backlogged queue (deficit accounting bug)"
-
-// checkNoneBeyond panics when v has a backlogged queue the scheduler has no
-// quantum for: no walk over the scheduler's own queues would ever serve it.
-func (d *DRR) checkNoneBeyond(v View, off int) {
-	for i := len(d.quantum) + off; i < v.NumQueues(); i++ {
-		if v.QueueLen(i) > 0 {
-			panic(drrStuck)
-		}
-	}
-}
 
 // OnDequeue implements Scheduler.
 func (d *DRR) OnDequeue(i int, size units.ByteSize, nowEmpty bool) {
@@ -195,8 +224,8 @@ type WRR struct {
 
 // NewWRR builds a WRR scheduler with the given integer weights.
 func NewWRR(weights []int64) (*WRR, error) {
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("sched: WRR needs at least one queue")
+	if err := checkQueues("WRR", len(weights)); err != nil {
+		return nil, err
 	}
 	for i, w := range weights {
 		if w <= 0 {
@@ -219,20 +248,22 @@ func EqualWRR(n int) *WRR {
 	return w
 }
 
-// Select implements Scheduler.
-func (w *WRR) Select(v View) int {
-	if !anyBacklogged(v) {
+// Pick implements Scheduler.
+func (w *WRR) Pick(backlog uint64, _ View) int {
+	if backlog == 0 {
 		return -1
 	}
-	for iter := 0; iter <= v.NumQueues(); iter++ {
-		i := w.cur
-		if v.QueueLen(i) > 0 && w.served < w.weights[i] {
-			return i
+	for iter := 0; iter <= len(w.weights); iter++ {
+		if backlog&(1<<w.cur) != 0 && w.served < w.weights[w.cur] {
+			return w.cur
 		}
 		w.advance()
 	}
 	panic("sched: WRR failed to select a backlogged queue")
 }
+
+// Select is Pick with the backlog word read off v.
+func (w *WRR) Select(v View) int { return w.Pick(Backlog(v), v) }
 
 // OnDequeue implements Scheduler.
 func (w *WRR) OnDequeue(i int, _ units.ByteSize, nowEmpty bool) {
@@ -257,15 +288,16 @@ type SPQ struct{}
 // NewSPQ returns a strict-priority scheduler.
 func NewSPQ() *SPQ { return &SPQ{} }
 
-// Select implements Scheduler.
-func (*SPQ) Select(v View) int {
-	for i := 0; i < v.NumQueues(); i++ {
-		if v.QueueLen(i) > 0 {
-			return i
-		}
+// Pick implements Scheduler.
+func (*SPQ) Pick(backlog uint64, _ View) int {
+	if backlog == 0 {
+		return -1
 	}
-	return -1
+	return bits.TrailingZeros64(backlog)
 }
+
+// Select is Pick with the backlog word read off v.
+func (s *SPQ) Select(v View) int { return s.Pick(Backlog(v), v) }
 
 // OnDequeue implements Scheduler.
 func (*SPQ) OnDequeue(int, units.ByteSize, bool) {}
@@ -290,24 +322,28 @@ func NewSPQDRR(prio int, quantums []units.ByteSize) (*SPQDRR, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkQueues("SPQDRR", prio+len(quantums)); err != nil {
+		return nil, err
+	}
 	return &SPQDRR{prio: prio, drr: drr}, nil
 }
 
 // PriorityQueues returns the number of strict-priority queues.
 func (s *SPQDRR) PriorityQueues() int { return s.prio }
 
-// Select implements Scheduler.
-func (s *SPQDRR) Select(v View) int {
-	for i := 0; i < s.prio; i++ {
-		if v.QueueLen(i) > 0 {
-			return i
-		}
+// Pick implements Scheduler.
+func (s *SPQDRR) Pick(backlog uint64, v View) int {
+	if strict := backlog & lowBits(s.prio); strict != 0 {
+		return bits.TrailingZeros64(strict)
 	}
-	if i := s.drr.selectFrom(v, s.prio); i >= 0 {
+	if i := s.drr.pickFrom(backlog>>s.prio, v, s.prio); i >= 0 {
 		return i + s.prio
 	}
 	return -1
 }
+
+// Select is Pick with the backlog word read off v.
+func (s *SPQDRR) Select(v View) int { return s.Pick(Backlog(v), v) }
 
 // OnDequeue implements Scheduler.
 func (s *SPQDRR) OnDequeue(i int, size units.ByteSize, nowEmpty bool) {

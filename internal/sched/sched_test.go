@@ -3,6 +3,7 @@ package sched
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"dynaq/internal/units"
@@ -39,9 +40,16 @@ func (f *fakeQueues) HeadSize(i int) units.ByteSize {
 	return f.pkts[i][0]
 }
 
+// selector is a scheduler driven through its View adapter, Select, as the
+// reference implementations kept in these tests are.
+type selector interface {
+	Select(v View) int
+	OnDequeue(i int, size units.ByteSize, nowEmpty bool)
+}
+
 // serve pops the head of the scheduler-selected queue and notifies the
 // scheduler, returning the selected queue, or -1.
-func (f *fakeQueues) serve(s Scheduler) int {
+func (f *fakeQueues) serve(s selector) int {
 	i := s.Select(f)
 	if i < 0 {
 		return -1
@@ -53,7 +61,7 @@ func (f *fakeQueues) serve(s Scheduler) int {
 }
 
 // drain serves until empty, returning the byte count served per queue.
-func (f *fakeQueues) drain(t *testing.T, s Scheduler, maxIter int) []units.ByteSize {
+func (f *fakeQueues) drain(t *testing.T, s selector, maxIter int) []units.ByteSize {
 	t.Helper()
 	served := make([]units.ByteSize, f.NumQueues())
 	for iter := 0; ; iter++ {
@@ -77,6 +85,9 @@ func TestDRRValidation(t *testing.T) {
 	}
 	if _, err := NewDRR([]units.ByteSize{1500, 0}); err == nil {
 		t.Error("zero quantum should fail")
+	}
+	if _, err := NewDRR(make([]units.ByteSize, MaxQueues+1)); err == nil || !strings.Contains(err.Error(), "64") {
+		t.Errorf("65 queues: error %v, want one naming the limit of 64", err)
 	}
 }
 
@@ -202,6 +213,9 @@ func TestWRRValidation(t *testing.T) {
 	if _, err := NewWRR([]int64{1, -1}); err == nil {
 		t.Error("negative weight should fail")
 	}
+	if _, err := NewWRR(make([]int64, MaxQueues+1)); err == nil || !strings.Contains(err.Error(), "64") {
+		t.Errorf("65 queues: error %v, want one naming the limit of 64", err)
+	}
 }
 
 func TestWRRPacketProportions(t *testing.T) {
@@ -273,6 +287,16 @@ func TestSPQDRRValidation(t *testing.T) {
 	if _, err := NewSPQDRR(1, nil); err == nil {
 		t.Error("no DRR queues should fail")
 	}
+	quantums := make([]units.ByteSize, MaxQueues-1)
+	for i := range quantums {
+		quantums[i] = 1500
+	}
+	if _, err := NewSPQDRR(1, quantums); err != nil {
+		t.Errorf("64 queues: %v", err)
+	}
+	if _, err := NewSPQDRR(2, quantums); err == nil || !strings.Contains(err.Error(), "64") {
+		t.Errorf("65 queues: error %v, want one naming the limit of 64", err)
+	}
 }
 
 func TestSPQDRRPriorityFirst(t *testing.T) {
@@ -321,12 +345,12 @@ func TestSchedulersNeverStarveRandomized(t *testing.T) {
 	// Property: under random arrivals every scheduler eventually drains
 	// all queues (work conservation + no starvation).
 	rng := rand.New(rand.NewSource(7))
-	build := []func() Scheduler{
-		func() Scheduler { return EqualDRR(4, 1500) },
-		func() Scheduler { d, _ := NewDRR([]units.ByteSize{6000, 4500, 3000, 1500}); return d },
-		func() Scheduler { return EqualWRR(4) },
-		func() Scheduler { return NewSPQ() },
-		func() Scheduler { s, _ := NewSPQDRR(1, []units.ByteSize{1500, 1500, 1500}); return s },
+	build := []func() selector{
+		func() selector { return EqualDRR(4, 1500) },
+		func() selector { d, _ := NewDRR([]units.ByteSize{6000, 4500, 3000, 1500}); return d },
+		func() selector { return EqualWRR(4) },
+		func() selector { return NewSPQ() },
+		func() selector { s, _ := NewSPQDRR(1, []units.ByteSize{1500, 1500, 1500}); return s },
 	}
 	for bi, mk := range build {
 		for trial := 0; trial < 20; trial++ {
@@ -359,21 +383,26 @@ func BenchmarkDRRSelect(b *testing.B) {
 			f.push(q, 1500)
 		}
 	}
+	backlog := Backlog(f)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := d.Select(f)
+		q := d.Pick(backlog, f)
 		d.OnDequeue(q, 1500, false)
 		// Keep queues statically backlogged: no pops.
 	}
 }
 
+// BenchmarkSPQDRRSelect is the hybrid as a port drives it, as
+// BenchmarkDRRSelect is DRR: the backlog word kept by the port, the view
+// consulted only for head sizes.
 func BenchmarkSPQDRRSelect(b *testing.B) {
 	s, f := backloggedHybrid(b)
+	backlog := Backlog(f)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := s.Select(f)
+		q := s.Pick(backlog, f)
 		s.OnDequeue(q, 1500, false)
 	}
 }
@@ -410,7 +439,7 @@ func TestSelectDoesNotAllocate(t *testing.T) {
 		f    *fakeQueues
 	}{{"drr", drr, df}, {"spq+drr", hybrid, hf}} {
 		if n := testing.AllocsPerRun(1000, func() {
-			tc.s.OnDequeue(tc.s.Select(tc.f), 1500, false)
+			tc.s.OnDequeue(tc.s.Pick(Backlog(tc.f), tc.f), 1500, false)
 		}); n != 0 {
 			t.Errorf("%s: %v allocations per Select, want 0", tc.name, n)
 		}
@@ -544,7 +573,7 @@ var oracleQuanta = []units.ByteSize{1500, 4500, 500, 3000}
 // all-empty poll; a tail eviction empties queues without an OnDequeue, as
 // BarberQ's push-out does.
 func selectAgainstReference(t testing.TB, prio int, script []byte) {
-	var sut, ref Scheduler
+	var sut, ref selector
 	var drr *DRR
 	var refDrr *refDRR
 	if prio == 0 {

@@ -279,6 +279,7 @@ func TestSubmitValidation(t *testing.T) {
 	for _, tc := range []struct{ body, field string }{
 		{strings.Replace(testScenario, "BestEffort", "DynQ", 1), "scheme"},
 		{strings.Replace(testScenario, `"kind"`, `"sched":"fifo","kind"`, 1), "sched"},
+		{strings.Replace(testScenario, `"queues":2`, `"queues":65`, 1), "queues"},
 		{`{"scenario":` + testScenario + `,"schemes":["DynaQ","DynQ"]}`, "schemes[1]"},
 		{`{"scenario":` + testScenario + `,"schemes":["DynaQ",""]}`, "schemes[1]"},
 		{`{"scenario":` + flowDoc + `,"schemes":["DynQ"]}`, "schemes[0]"},

@@ -313,8 +313,10 @@ type laneEvent struct {
 }
 
 // Lane returns the simulator's lane for delay d, creating it on first use.
-// There is one lane per distinct delay; callers look theirs up once, at
-// construction. A negative delay is zero, as for AfterCall.
+// There is one lane per distinct delay, and a lookup walks them all, so
+// callers keep the lanes they use: a link looks its delay up once, at
+// construction, and a port again only when the largest packet it has served
+// grows. A negative delay is zero, as for AfterCall.
 func (s *Simulator) Lane(d units.Duration) *Lane {
 	if d < 0 {
 		d = 0

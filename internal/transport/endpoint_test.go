@@ -64,7 +64,7 @@ func TestEndpointIgnoresStaleAcks(t *testing.T) {
 	a, _ := wirePair(t, s)
 	// An ACK for a flow this endpoint never started must be dropped
 	// silently (e.g. after sender teardown).
-	a.Host().Receive(&packet.Packet{Kind: packet.Ack, Flow: 99, Ack: 1000, Size: AckSize})
+	a.Host().Receive(&packet.Packet{Kind: packet.Ack, Flow: 99, Ack: 1000, Size: packet.AckSize})
 	// And an unknown-kind-free path: data auto-creates a receiver.
 	a.Host().Receive(&packet.Packet{
 		Kind: packet.Data, Flow: 50, Src: 1, Dst: 0, Seq: 0, Payload: 100, Size: 140,

@@ -19,8 +19,6 @@ import (
 const (
 	// HeaderSize is the TCP/IP header overhead per segment.
 	HeaderSize units.ByteSize = 40
-	// AckSize is the wire size of a pure ACK.
-	AckSize units.ByteSize = 40
 	// DefaultMSS is the payload of a full segment on a 1500B MTU.
 	DefaultMSS units.ByteSize = 1460
 	// JumboMSS is the payload of a full segment on a 9000B jumbo frame
@@ -524,7 +522,7 @@ func (r *Receiver) sendAck(peer, class int, echo bool) {
 	p.Src = r.me
 	p.Dst = peer
 	p.Ack = r.rcvNxt
-	p.Size = AckSize
+	p.Size = packet.AckSize
 	p.Class = class
 	p.Echo = echo
 	r.emit(p)
