@@ -15,6 +15,7 @@ import (
 	"dynaq/internal/sim"
 	"dynaq/internal/telemetry"
 	"dynaq/internal/telemetry/trace"
+	"dynaq/internal/transport"
 	"dynaq/internal/units"
 	"dynaq/internal/workload"
 )
@@ -186,8 +187,8 @@ func (cfg *DynamicConfig) normalize() (*fabric.Graph, error) {
 	if _, err := buffer.LookupScheme(string(cfg.Scheme)); err != nil {
 		return nil, &ConfigError{"scheme", err.Error()}
 	}
-	if cfg.MTU == 0 {
-		cfg.MTU = 1500
+	if err := resolveMTU(&cfg.MTU); err != nil {
+		return nil, err
 	}
 	if cfg.MaxRuntime == 0 {
 		cfg.MaxRuntime = 10 * units.Second
@@ -228,6 +229,18 @@ func checkWeights(weights []int64, queues int) error {
 		if w <= 0 {
 			return &ConfigError{"weights", fmt.Sprintf("weight %d must be positive", w)}
 		}
+	}
+	return nil
+}
+
+// resolveMTU fills an unset frame size with 1500 bytes and rejects one that
+// leaves no payload after the TCP/IP header.
+func resolveMTU(mtu *units.ByteSize) error {
+	if *mtu == 0 {
+		*mtu = 1500
+	}
+	if *mtu <= transport.HeaderSize {
+		return &ConfigError{"mtu", fmt.Sprintf("must exceed the %d-byte TCP/IP header, got %d", transport.HeaderSize, *mtu)}
 	}
 	return nil
 }

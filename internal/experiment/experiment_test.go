@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"dynaq/internal/buffer"
+	"dynaq/internal/fabric"
 	"dynaq/internal/metrics"
+	"dynaq/internal/sim"
+	"dynaq/internal/transport"
 	"dynaq/internal/units"
 	"dynaq/internal/workload"
 )
@@ -505,6 +508,28 @@ func TestAblationSchemesConstruct(t *testing.T) {
 		}
 		if adm.Name() != string(s) {
 			t.Errorf("%s: Name() = %q", s, adm.Name())
+		}
+	}
+}
+
+// TestExtensionSurface checks the pieces the extension figures plug in:
+// every congestion controller has its own name, and every extension scheme
+// wires a rack through topology.Build.
+func TestExtensionSurface(t *testing.T) {
+	names := map[string]bool{}
+	for _, c := range []transport.Controller{
+		transport.NewReno(), transport.NewCubic(), transport.NewDCTCP(),
+		transport.NewECNReno(), transport.NewTimely(),
+	} {
+		if names[c.Name()] {
+			t.Errorf("duplicate controller name %q", c.Name())
+		}
+		names[c.Name()] = true
+	}
+	p := SchemeParams{Rate: testbedRate, BaseRTT: fabric.Star.BaseRTT(testbedDelay), Weights: equalWeights(4)}
+	for _, s := range []Scheme{BarberQ, DynaQTofino, DynaQNaiveVictim, DynaQWBDP} {
+		if _, err := testbedRack(sim.New(), 2, 4, 85*units.KB, Factories(s, SchedDRR, p, testbedMTU)); err != nil {
+			t.Errorf("%s: %v", s, err)
 		}
 	}
 }

@@ -128,8 +128,8 @@ func (cfg *StaticConfig) normalize() (*fabric.Graph, error) {
 	if _, err := buffer.LookupScheme(string(cfg.Scheme)); err != nil {
 		return nil, &ConfigError{"scheme", err.Error()}
 	}
-	if cfg.MTU == 0 {
-		cfg.MTU = 1500
+	if err := resolveMTU(&cfg.MTU); err != nil {
+		return nil, err
 	}
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = 500 * units.Millisecond

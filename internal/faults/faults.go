@@ -10,8 +10,8 @@
 // reproduces an identical fault timeline and identical experiment output.
 //
 // Topologies publish their links under stable names (see
-// topology.Star.FaultRegistry and topology.LeafSpine.FaultRegistry); a
-// schedule addresses links (or whole switches, via groups) by those names.
+// topology.Network.FaultRegistry); a schedule addresses links (or whole
+// switches, via groups) by those names.
 package faults
 
 import (

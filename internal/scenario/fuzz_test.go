@@ -310,6 +310,7 @@ func FuzzLoad(f *testing.F) {
 	  "duration_s": 1, "faults": [{"kind": "flap", "target": "", "at_s": -1}]}`))
 	f.Add([]byte(staticWith(`"sample_ms": -5`, okSpecs)))
 	f.Add([]byte(staticWith(`"sample_ms": 1e-300`, `[]`)))
+	f.Add([]byte(staticWith(`"mtu": 20`, okSpecs)))
 	f.Add([]byte(staticWith(`"weights": [0, -1]`, `[{"class": 7, "flows": -1, "hosts": 9223372036854775807}]`)))
 	f.Add([]byte(strings.Replace(staticWith(`"seed": 1`, okSpecs), `"duration_s": 1`, `"duration_s": -1e300`, 1)))
 	f.Add([]byte(hybridWith("DT", "hybrid")))

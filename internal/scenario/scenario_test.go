@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -58,6 +59,20 @@ func TestLoadValidation(t *testing.T) {
 	for i, doc := range bad {
 		if _, err := Load([]byte(doc)); err == nil {
 			t.Errorf("document %d should fail", i)
+		}
+	}
+	// A frame no larger than the 40-byte TCP/IP header carries no payload.
+	// Such documents used to load, then panic on the flows' MSS (20), run
+	// default-sized segments under 40-byte DRR quanta (40), or fail only
+	// when the ports were built (-1).
+	for _, mtu := range []string{"20", "40", "-1"} {
+		for _, doc := range []string{staticDoc, fctDoc} {
+			doc = strings.Replace(doc, `"seed": 1`, `"mtu": `+mtu+`, "seed": 1`, 1)
+			_, err := Load([]byte(doc))
+			var verr *ValidationError
+			if !errors.As(err, &verr) || verr.Field != "mtu" {
+				t.Errorf("mtu %s: got %v, want a ValidationError on mtu\n%s", mtu, err, doc)
+			}
 		}
 	}
 }

@@ -280,6 +280,7 @@ func TestSubmitValidation(t *testing.T) {
 		{strings.Replace(testScenario, "BestEffort", "DynQ", 1), "scheme"},
 		{strings.Replace(testScenario, `"kind"`, `"sched":"fifo","kind"`, 1), "sched"},
 		{strings.Replace(testScenario, `"queues":2`, `"queues":65`, 1), "queues"},
+		{strings.Replace(testScenario, `"queues":2`, `"mtu":20,"queues":2`, 1), "mtu"},
 		{`{"scenario":` + testScenario + `,"schemes":["DynaQ","DynQ"]}`, "schemes[1]"},
 		{`{"scenario":` + testScenario + `,"schemes":["DynaQ",""]}`, "schemes[1]"},
 		{`{"scenario":` + flowDoc + `,"schemes":["DynQ"]}`, "schemes[0]"},

@@ -27,7 +27,7 @@ func TestLinkFailureRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	link := st.Port(1).Link()
+	link := st.HostPort(1).Link()
 	st.Sim.At(units.Time(50*units.Millisecond), func() { link.SetDown(true) })
 	st.Sim.At(units.Time(350*units.Millisecond), func() { link.SetDown(false) })
 	st.Sim.RunUntil(units.Time(10 * units.Second))
@@ -70,8 +70,9 @@ func TestFailedSpineStallsAffectedFlows(t *testing.T) {
 	}
 	// Cut every uplink of spine 0 after 1ms.
 	s.At(units.Time(units.Millisecond), func() {
-		for p := 0; p < ls.Spines[0].NumPorts(); p++ {
-			ls.Spines[0].Port(p).Link().SetDown(true)
+		spine0 := spines(ls)[0]
+		for p := 0; p < spine0.NumPorts(); p++ {
+			spine0.Port(p).Link().SetDown(true)
 		}
 	})
 	s.RunUntil(units.Time(2 * units.Second))
@@ -149,38 +150,25 @@ func TestFailureAwareECMPMatchesStaticWhenClean(t *testing.T) {
 }
 
 // leafSpine builds a small fabric for failure tests.
-func leafSpine(t *testing.T) (*sim.Simulator, *topology.LeafSpine) {
+func leafSpine(t *testing.T) (*sim.Simulator, *topology.Network) {
 	return leafSpineAware(t, false, 0)
 }
 
-func leafSpineAware(t *testing.T, aware bool, detect units.Duration) (*sim.Simulator, *topology.LeafSpine) {
+func leafSpineAware(t *testing.T, aware bool, detect units.Duration) (*sim.Simulator, *topology.Network) {
 	t.Helper()
-	s := sim.New()
-	ls, err := topology.NewLeafSpine(s, topology.LeafSpineConfig{
-		Leaves: 2, Spines: 2, HostsPerLeaf: 2,
-		Rate: 10 * units.Gbps, Delay: 10 * units.Microsecond,
-		Buffer: 192 * units.KB, Queues: 4,
+	ls := testLeafSpine(t, 2, topology.Config{
+		Queues:       4,
 		FailureAware: aware, DetectionDelay: detect,
-		Factories: topology.Factories{
-			NewScheduler: func(n int) (sched.Scheduler, error) { return sched.EqualWRR(n), nil },
-			NewAdmission: bestEffort,
-		},
+		Factories: topology.Factories{NewAdmission: bestEffort},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, ls
+	return ls.Sim, ls
 }
 
 // fatTree builds a k=4 fat tree on the packet engine.
 func fatTree(t *testing.T, aware bool) (*sim.Simulator, *topology.Network) {
 	t.Helper()
 	g, err := fabric.NewFatTree(4, 10*units.Gbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sim.New()
-	net, err := topology.Build(s, g, topology.Config{
+	net := build(t, g, err, topology.Config{
 		Delay: 10 * units.Microsecond, Buffer: 192 * units.KB, Queues: 4,
 		FailureAware: aware, DetectionDelay: 500 * units.Microsecond,
 		Factories: topology.Factories{
@@ -188,10 +176,7 @@ func fatTree(t *testing.T, aware bool) (*sim.Simulator, *topology.Network) {
 			NewAdmission: bestEffort,
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, net
+	return net.Sim, net
 }
 
 // TestFatTreeHopsFollowPath sends one packet between every host pair of the

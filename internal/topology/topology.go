@@ -231,89 +231,3 @@ func (n *Network) FaultRegistry() *faults.Registry {
 	}
 	return reg
 }
-
-// StarConfig describes a single-switch rack.
-type StarConfig struct {
-	// Hosts is the number of end hosts, each on its own switch port.
-	Hosts int
-	// Rate is the speed of every link.
-	Rate units.Rate
-	// Delay is the one-way propagation delay of each link. A data packet
-	// and its ACK cross four links, so the base RTT is 4·Delay plus
-	// serialization.
-	Delay units.Duration
-	// Buffer is the switch per-port buffer size B.
-	Buffer units.ByteSize
-	// Queues is the number of service queues per switch port.
-	Queues int
-
-	Factories
-}
-
-// Star is a Network over a star graph.
-type Star struct {
-	*Network
-	Switch *netsim.Switch
-}
-
-// NewStar wires cfg.Hosts hosts to one switch.
-func NewStar(s *sim.Simulator, cfg StarConfig) (*Star, error) {
-	g, err := fabric.NewStar(cfg.Hosts, cfg.Rate)
-	if err != nil {
-		return nil, err
-	}
-	n, err := Build(s, g, Config{Delay: cfg.Delay, Buffer: cfg.Buffer, Queues: cfg.Queues, Factories: cfg.Factories})
-	if err != nil {
-		return nil, err
-	}
-	return &Star{Network: n, Switch: n.Switches[0]}, nil
-}
-
-// Port returns the switch output port facing host i.
-func (st *Star) Port(i int) *netsim.Port { return st.HostPort(i) }
-
-// LeafSpineConfig describes the non-blocking two-tier fabric of §V-B2; see
-// fabric.NewLeafSpine for the shape and Config for the rest.
-type LeafSpineConfig struct {
-	// Leaves and Spines set the fabric size.
-	Leaves, Spines int
-	// HostsPerLeaf hosts hang off each leaf.
-	HostsPerLeaf int
-	// Rate is the speed of every link (the fabric is non-blocking).
-	Rate units.Rate
-	// Delay is the one-way propagation per link. A spine-crossing path is
-	// host→leaf→spine→leaf→host, so the base RTT is 8·Delay plus
-	// serialization.
-	Delay  units.Duration
-	Buffer units.ByteSize
-	Queues int
-
-	FailureAware   bool
-	DetectionDelay units.Duration
-
-	Factories
-}
-
-// LeafSpine is a Network over a leaf-spine graph.
-type LeafSpine struct {
-	*Network
-	Leaves []*netsim.Switch
-	Spines []*netsim.Switch
-}
-
-// NewLeafSpine wires the fabric.
-func NewLeafSpine(s *sim.Simulator, cfg LeafSpineConfig) (*LeafSpine, error) {
-	g, err := fabric.NewLeafSpine(cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf, cfg.Rate)
-	if err != nil {
-		return nil, err
-	}
-	n, err := Build(s, g, Config{
-		Delay: cfg.Delay, Buffer: cfg.Buffer, Queues: cfg.Queues,
-		FailureAware: cfg.FailureAware, DetectionDelay: cfg.DetectionDelay,
-		Factories: cfg.Factories,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &LeafSpine{Network: n, Leaves: n.Switches[:cfg.Leaves], Spines: n.Switches[cfg.Leaves:]}, nil
-}

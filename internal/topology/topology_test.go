@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dynaq/internal/buffer"
+	"dynaq/internal/fabric"
 	"dynaq/internal/netsim"
 	"dynaq/internal/packet"
 	"dynaq/internal/sched"
@@ -13,14 +14,26 @@ import (
 	"dynaq/internal/units"
 )
 
+// build wires g into a packet network on a fresh simulator; err is the
+// error of the graph constructor that returned g.
+func build(t *testing.T, g *fabric.Graph, err error, cfg topology.Config) *topology.Network {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := topology.Build(sim.New(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // testbedStar builds the paper's testbed-like rack: 1Gbps links, 85KB port
 // buffer, ~500µs base RTT (125µs per link), 4 DRR queues.
-func testbedStar(t *testing.T, hosts int, admit func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error)) *topology.Star {
+func testbedStar(t *testing.T, hosts int, admit func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error)) *topology.Network {
 	t.Helper()
-	s := sim.New()
-	st, err := topology.NewStar(s, topology.StarConfig{
-		Hosts:  hosts,
-		Rate:   units.Gbps,
+	g, err := fabric.NewStar(hosts, units.Gbps)
+	return build(t, g, err, topology.Config{
 		Delay:  125 * units.Microsecond,
 		Buffer: 85 * units.KB,
 		Queues: 4,
@@ -31,23 +44,36 @@ func testbedStar(t *testing.T, hosts int, admit func(b units.ByteSize, n int, _ 
 			NewAdmission: admit,
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
 }
+
+// testLeafSpine builds a two-leaf, two-spine fabric of 10Gbps links with
+// 10µs propagation, 192KB port buffers and WRR service queues; cfg supplies
+// the queue count, the admission and the routing. Switches are numbered
+// leaves first: spine i is Switches[2+i].
+func testLeafSpine(t *testing.T, hostsPerLeaf int, cfg topology.Config) *topology.Network {
+	t.Helper()
+	g, err := fabric.NewLeafSpine(2, 2, hostsPerLeaf, 10*units.Gbps)
+	cfg.Delay, cfg.Buffer = 10*units.Microsecond, 192*units.KB
+	cfg.NewScheduler = func(n int) (sched.Scheduler, error) { return sched.EqualWRR(n), nil }
+	return build(t, g, err, cfg)
+}
+
+// spines returns a testLeafSpine fabric's spine switches.
+func spines(ls *topology.Network) []*netsim.Switch { return ls.Switches[2:] }
 
 func bestEffort(units.ByteSize, int, *buffer.SharedPool) (buffer.Admission, error) {
 	return buffer.NewBestEffort(), nil
 }
 
 func TestStarConfigValidation(t *testing.T) {
-	s := sim.New()
-	if _, err := topology.NewStar(s, topology.StarConfig{Hosts: 1}); err == nil {
+	if _, err := fabric.NewStar(1, units.Gbps); err == nil {
 		t.Error("1-host star should fail")
 	}
-	if _, err := topology.NewStar(s, topology.StarConfig{Hosts: 3, Rate: units.Gbps,
-		Buffer: units.KB, Queues: 1}); err == nil {
+	g, err := fabric.NewStar(3, units.Gbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := topology.Build(sim.New(), g, topology.Config{Buffer: units.KB, Queues: 1}); err == nil {
 		t.Error("missing factories should fail")
 	}
 }
@@ -88,7 +114,7 @@ func TestLongFlowThroughputNearLineRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Sim.RunUntil(units.Time(units.Second))
-	got := units.Throughput(st.Port(1).Stats().TxBytes, units.Second)
+	got := units.Throughput(st.HostPort(1).Stats().TxBytes, units.Second)
 	// Goodput ≥ 90% of line rate (headers + ramp-up eat a few percent).
 	if got < 900*units.Mbps {
 		t.Fatalf("throughput = %v, want ≥ 900Mbps (sender stats: %+v)", got, snd.Stats())
@@ -111,7 +137,7 @@ func TestTwoFlowsShareBottleneck(t *testing.T) {
 		}
 	}
 	st.Sim.RunUntil(units.Time(4 * units.Second))
-	agg := units.Throughput(st.Port(2).Stats().TxBytes, 4*units.Second)
+	agg := units.Throughput(st.HostPort(2).Stats().TxBytes, 4*units.Second)
 	if agg < 900*units.Mbps {
 		t.Fatalf("aggregate = %v, want ≥ 900Mbps (work conservation)", agg)
 	}
@@ -136,7 +162,7 @@ func TestLossRecoveryUnderIncast(t *testing.T) {
 	if completed != 8 {
 		t.Fatalf("completed = %d/8 flows", completed)
 	}
-	if st.Port(8).Stats().Dropped == 0 {
+	if st.HostPort(8).Stats().Dropped == 0 {
 		t.Fatal("expected drops under incast with an 85KB buffer")
 	}
 }
@@ -164,7 +190,7 @@ func TestDRRQueuesIsolateWithDynaQ(t *testing.T) {
 		}
 	}
 	st.Sim.RunUntil(units.Time(5 * units.Second))
-	port := st.Port(2)
+	port := st.HostPort(2)
 	q1 := float64(port.QueueTxBytes(1))
 	q2 := float64(port.QueueTxBytes(2))
 	share := q1 / (q1 + q2)
@@ -185,25 +211,9 @@ func equalWeights(n int) []int64 {
 func TestDCTCPWithPerQueueECNBoundsQueue(t *testing.T) {
 	// A DCTCP flow against per-queue marking (K=30KB) must keep the
 	// bottleneck queue around K and complete without massive loss.
-	s := sim.New()
-	st, err := topology.NewStar(s, topology.StarConfig{
-		Hosts:  2,
-		Rate:   units.Gbps,
-		Delay:  125 * units.Microsecond,
-		Buffer: 85 * units.KB,
-		Queues: 4,
-		Factories: topology.Factories{
-			NewScheduler: func(n int) (sched.Scheduler, error) {
-				return sched.EqualDRR(n, 1500), nil
-			},
-			NewAdmission: func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
-				return buffer.NewPerQueueECN(n, 30*units.KB)
-			},
-		},
+	st := testbedStar(t, 2, func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
+		return buffer.NewPerQueueECN(n, 30*units.KB)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	snd, err := st.Endpoints[0].StartFlow(transport.FlowConfig{
 		Flow: 1, Dst: 1, Class: 0, Size: 0, ECN: true, Ctrl: transport.NewDCTCP(),
 	})
@@ -211,7 +221,7 @@ func TestDCTCPWithPerQueueECNBoundsQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Sim.RunUntil(units.Time(units.Second))
-	port := st.Port(1)
+	port := st.HostPort(1)
 	if port.Stats().Marked == 0 {
 		t.Fatal("DCTCP flow saw no ECN marks")
 	}
@@ -255,28 +265,13 @@ func TestDuplicateFlowIDRejected(t *testing.T) {
 }
 
 func TestLeafSpineValidation(t *testing.T) {
-	s := sim.New()
-	if _, err := topology.NewLeafSpine(s, topology.LeafSpineConfig{Leaves: 1}); err == nil {
+	if _, err := fabric.NewLeafSpine(1, 2, 2, 10*units.Gbps); err == nil {
 		t.Error("1-leaf fabric should fail")
 	}
 }
 
 func TestLeafSpineCrossRackFlow(t *testing.T) {
-	s := sim.New()
-	ls, err := topology.NewLeafSpine(s, topology.LeafSpineConfig{
-		Leaves: 2, Spines: 2, HostsPerLeaf: 2,
-		Rate:   10 * units.Gbps,
-		Delay:  10 * units.Microsecond,
-		Buffer: 192 * units.KB,
-		Queues: 8,
-		Factories: topology.Factories{
-			NewScheduler: func(n int) (sched.Scheduler, error) { return sched.EqualWRR(n), nil },
-			NewAdmission: bestEffort,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := testLeafSpine(t, 2, topology.Config{Queues: 8, Factories: topology.Factories{NewAdmission: bestEffort}})
 	done := 0
 	// Host 0 (leaf 0) → host 3 (leaf 1): crosses a spine.
 	if _, err := ls.Endpoints[0].StartFlow(transport.FlowConfig{
@@ -292,7 +287,7 @@ func TestLeafSpineCrossRackFlow(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s.RunUntil(units.Time(2 * units.Second))
+	ls.Sim.RunUntil(units.Time(2 * units.Second))
 	if done != 2 {
 		t.Fatalf("completed = %d/2 cross-rack flows", done)
 	}
@@ -302,21 +297,7 @@ func TestLeafSpineCrossRackFlow(t *testing.T) {
 }
 
 func TestLeafSpineIntraRackStaysLocal(t *testing.T) {
-	s := sim.New()
-	ls, err := topology.NewLeafSpine(s, topology.LeafSpineConfig{
-		Leaves: 2, Spines: 2, HostsPerLeaf: 2,
-		Rate:   10 * units.Gbps,
-		Delay:  10 * units.Microsecond,
-		Buffer: 192 * units.KB,
-		Queues: 4,
-		Factories: topology.Factories{
-			NewScheduler: func(n int) (sched.Scheduler, error) { return sched.EqualWRR(n), nil },
-			NewAdmission: bestEffort,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := testLeafSpine(t, 2, topology.Config{Queues: 4, Factories: topology.Factories{NewAdmission: bestEffort}})
 	done := false
 	if _, err := ls.Endpoints[0].StartFlow(transport.FlowConfig{
 		Flow: 1, Dst: 1, Class: 0, Size: units.MB, MinRTO: 5 * units.Millisecond,
@@ -324,11 +305,11 @@ func TestLeafSpineIntraRackStaysLocal(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s.RunUntil(units.Time(units.Second))
+	ls.Sim.RunUntil(units.Time(units.Second))
 	if !done {
 		t.Fatal("intra-rack flow did not complete")
 	}
-	for i, sp := range ls.Spines {
+	for i, sp := range spines(ls) {
 		for p := 0; p < sp.NumPorts(); p++ {
 			if sp.Port(p).Stats().TxBytes != 0 {
 				t.Fatalf("intra-rack traffic leaked through spine %d", i)
@@ -342,33 +323,17 @@ func TestTCNWithGenericECNTransport(t *testing.T) {
 	// work with classic RFC 3168 TCP too, not only DCTCP. A single
 	// ECN-Reno flow against TCN sojourn marking: bounded queue, marks
 	// observed, near line rate, (almost) no drops.
-	s := sim.New()
-	st, err := topology.NewStar(s, topology.StarConfig{
-		Hosts:  2,
-		Rate:   units.Gbps,
-		Delay:  125 * units.Microsecond,
-		Buffer: 85 * units.KB,
-		Queues: 4,
-		Factories: topology.Factories{
-			NewScheduler: func(n int) (sched.Scheduler, error) {
-				return sched.EqualDRR(n, 1500), nil
-			},
-			NewAdmission: func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
-				return buffer.NewTCN(240 * units.Microsecond)
-			},
-		},
+	st := testbedStar(t, 2, func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
+		return buffer.NewTCN(240 * units.Microsecond)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	snd, err := st.Endpoints[0].StartFlow(transport.FlowConfig{
 		Flow: 1, Dst: 1, Class: 0, Size: 0, ECN: true, Ctrl: transport.NewECNReno(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunUntil(units.Time(2 * units.Second))
-	port := st.Port(1)
+	st.Sim.RunUntil(units.Time(2 * units.Second))
+	port := st.HostPort(1)
 	if port.Stats().Marked == 0 {
 		t.Fatal("TCN produced no marks")
 	}
@@ -405,9 +370,9 @@ func TestECMPSpreadsFlowsAcrossSpines(t *testing.T) {
 	}
 	s.RunUntil(units.Time(units.Second))
 	var perSpine [2]int64
-	for sp := 0; sp < 2; sp++ {
-		for p := 0; p < ls.Spines[sp].NumPorts(); p++ {
-			perSpine[sp] += ls.Spines[sp].Port(p).Stats().TxPackets
+	for sp, spine := range spines(ls) {
+		for p := 0; p < spine.NumPorts(); p++ {
+			perSpine[sp] += spine.Port(p).Stats().TxPackets
 		}
 	}
 	total := perSpine[0] + perSpine[1]
@@ -428,21 +393,11 @@ func TestECMPSpreadsFlowsAcrossSpines(t *testing.T) {
 // ports' admission reads, host NICs draw from none, and an incast inside
 // leaf 0 never touches leaf 1's memory.
 func TestSwitchMemoryIsPerSwitch(t *testing.T) {
-	s := sim.New()
-	ls, err := topology.NewLeafSpine(s, topology.LeafSpineConfig{
-		Leaves: 2, Spines: 2, HostsPerLeaf: 3,
-		Rate: 10 * units.Gbps, Delay: 10 * units.Microsecond,
-		Buffer: 192 * units.KB, Queues: 4,
-		Factories: topology.Factories{
-			NewScheduler: func(n int) (sched.Scheduler, error) { return sched.EqualWRR(n), nil },
-			NewAdmission: func(_ units.ByteSize, _ int, mem *buffer.SharedPool) (buffer.Admission, error) {
-				return buffer.NewDT(mem, 2)
-			},
+	ls := testLeafSpine(t, 3, topology.Config{Queues: 4, Factories: topology.Factories{
+		NewAdmission: func(_ units.ByteSize, _ int, mem *buffer.SharedPool) (buffer.Admission, error) {
+			return buffer.NewDT(mem, 2)
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}})
 	owner := map[*buffer.SharedPool]int{}
 	mems := make([]*buffer.SharedPool, len(ls.Switches))
 	for sw, nsw := range ls.Switches {
@@ -474,8 +429,8 @@ func TestSwitchMemoryIsPerSwitch(t *testing.T) {
 	// Hosts 0 and 1 incast into host 2, all on leaf 0.
 	leaf0, leaf1 := mems[0], mems[1]
 	var peak units.ByteSize
-	for i := 0; i < ls.Leaves[0].NumPorts(); i++ {
-		ls.Leaves[0].Port(i).AddEventHook(func(netsim.PortEvent) {
+	for i := 0; i < ls.Switches[0].NumPorts(); i++ {
+		ls.Switches[0].Port(i).AddEventHook(func(netsim.PortEvent) {
 			peak = max(peak, leaf0.Used())
 			if leaf1.Free() != leaf1.Total() {
 				t.Fatalf("traffic inside leaf 0 reserved %v of leaf 1's memory", leaf1.Used())
@@ -489,7 +444,7 @@ func TestSwitchMemoryIsPerSwitch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.RunUntil(units.Time(units.Second))
+	ls.Sim.RunUntil(units.Time(units.Second))
 	if peak == 0 {
 		t.Fatal("the incast never queued in leaf 0's memory")
 	}

@@ -1,3 +1,6 @@
+// Package dynaq holds the module's build version and nothing else. The
+// simulator lives under internal/ (the DynaQ algorithm in internal/core) and
+// is driven through the commands under cmd/.
 package dynaq
 
 // Version identifies the build of this module. It defaults to "dev" and is
