@@ -10,8 +10,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,212 +26,158 @@ import (
 
 type renderer interface{ Table() string }
 
-var figures = []struct {
-	name string
-	desc string
-	run  func(o experiment.Options) (renderer, error)
-}{
-	{"1", "violated fair sharing under BestEffort (motivation)", wrap(experiment.Fig1)},
-	{"3", "throughput convergence, 2 active DRR queues", convergence},
-	{"4", "queue length evolution (same runs as fig 3)", convergence},
-	{"5", "bandwidth sharing, 4 DRR queues with departures", wrap(experiment.Fig5)},
-	{"6", "weighted fair sharing, weights 4:3:2:1", wrap(experiment.Fig6)},
-	{"7", "mixed transports: NewReno + CUBIC under DynaQ", wrap(experiment.Fig7)},
-	{"8", "FCT vs non-ECN schemes, SPQ+DRR, web search", wrap(experiment.Fig8)},
-	{"9", "FCT vs ECN schemes (DCTCP), SPQ+DRR, web search", wrap(experiment.Fig9)},
-	{"10", "bandwidth sharing on 10Gbps links", wrap(experiment.Fig10)},
-	{"11", "bandwidth sharing on 100Gbps links (jumbo)", wrap(experiment.Fig11)},
-	{"12", "100Gbps with extreme flow counts", wrap(experiment.Fig12)},
-	{"13", "leaf-spine FCT, 4 workloads, ECMP", wrap(experiment.Fig13)},
-	{"cycles", "§IV-A ASIC cycle budget of Algorithm 1", func(experiment.Options) (renderer, error) {
-		return experiment.Cycles(), nil
-	}},
-	{"ablation-victim", "victim selection: max-extra vs naive max-threshold (§III-B)", wrap(experiment.AblationVictim)},
-	{"ablation-wbdp", "satisfaction threshold: Eq.3 buffer share vs WBDP", wrap(experiment.AblationSatisfaction)},
-	{"ablation-tcndrop", "TCN-drop strawman: dequeue dropping idles the link (§II-C)", wrap(experiment.AblationDequeueDrop)},
-	{"ext-microburst", "microburst absorption: DynaQ vs BarberQ eviction vs BestEffort", wrap(experiment.ExtMicroburst)},
-	{"ext-sharedmem", "shared-memory DT vs dedicated per-port buffers (§II-C)", wrap(experiment.ExtSharedMemory)},
-	{"ext-protocol", "mixed DCTCP + CUBIC tenants: ECN schemes break, DynaQ holds (§II-B)", wrap(experiment.ExtProtocolDependence)},
-	{"ext-tofino", "programmable-switch model: DynaQ on stale deq_qdepth (§IV-A)", wrap(experiment.ExtTofino)},
-	{"ext-zoo", "transport zoo: reno/cubic/dctcp/timely queues under one scheme", wrap(experiment.ExtTransportZoo)},
-	{"ext-closedloop", "Fig 8 with the §V-A2 request/response application (closed loop)", wrap(experiment.ExtClosedLoop)},
-	{"ext-dynaq-ecn", "DynaQ drop mode (TCP) vs ECN mode (PMSB marking, DCTCP) (§III-B3)", wrap(experiment.ExtDynaQECNMode)},
-	{"ext-faults", "scripted faults: flapping NIC/spine + lossy optics, guardrail armed", wrap(experiment.ExtFaults)},
-	{"2", "workload flow-size distributions (Figure 2)", wrap(experiment.Fig2)},
+type figure struct {
+	name, desc string
+	run        func(o experiment.Options) (renderer, error)
 }
 
-// convergence is Figures 3 and 4: two views of the same three runs, simulated
-// once per invocation (the options are the invocation's) and printed under
-// both ids.
-func convergence(o experiment.Options) (renderer, error) {
-	if !fig3Run.ran {
-		fig3Run.res, fig3Run.err = experiment.Fig3(o)
-		fig3Run.ran = true
+// figures lists every figure in print order. Figures 3 and 4 are two views
+// of the same three runs: they share one result, simulated once per list
+// (the options are the invocation's) and printed under both ids.
+func figures() []figure {
+	var fig3 renderer
+	var fig3Err error
+	convergence := func(o experiment.Options) (renderer, error) {
+		if fig3 == nil && fig3Err == nil {
+			fig3, fig3Err = experiment.Fig3(o)
+		}
+		return fig3, fig3Err
 	}
-	return fig3Run.res, fig3Run.err
-}
-
-var fig3Run struct {
-	res renderer
-	err error
-	ran bool
+	return []figure{
+		{"1", "violated fair sharing under BestEffort (motivation)", wrap(experiment.Fig1)},
+		{"3", "throughput convergence, 2 active DRR queues", convergence},
+		{"4", "queue length evolution (same runs as fig 3)", convergence},
+		{"5", "bandwidth sharing, 4 DRR queues with departures", wrap(experiment.Fig5)},
+		{"6", "weighted fair sharing, weights 4:3:2:1", wrap(experiment.Fig6)},
+		{"7", "mixed transports: NewReno + CUBIC under DynaQ", wrap(experiment.Fig7)},
+		{"8", "FCT vs non-ECN schemes, SPQ+DRR, web search", wrap(experiment.Fig8)},
+		{"9", "FCT vs ECN schemes (DCTCP), SPQ+DRR, web search", wrap(experiment.Fig9)},
+		{"10", "bandwidth sharing on 10Gbps links", wrap(experiment.Fig10)},
+		{"11", "bandwidth sharing on 100Gbps links (jumbo)", wrap(experiment.Fig11)},
+		{"12", "100Gbps with extreme flow counts", wrap(experiment.Fig12)},
+		{"13", "leaf-spine FCT, 4 workloads, ECMP", wrap(experiment.Fig13)},
+		{"cycles", "§IV-A ASIC cycle budget of Algorithm 1", func(experiment.Options) (renderer, error) {
+			return experiment.Cycles(), nil
+		}},
+		{"ablation-victim", "victim selection: max-extra vs naive max-threshold (§III-B)", wrap(experiment.AblationVictim)},
+		{"ablation-wbdp", "satisfaction threshold: Eq.3 buffer share vs WBDP", wrap(experiment.AblationSatisfaction)},
+		{"ablation-tcndrop", "TCN-drop strawman: dequeue dropping idles the link (§II-C)", wrap(experiment.AblationDequeueDrop)},
+		{"ext-microburst", "microburst absorption: DynaQ vs BarberQ eviction vs BestEffort", wrap(experiment.ExtMicroburst)},
+		{"ext-sharedmem", "shared-memory DT vs dedicated per-port buffers (§II-C)", wrap(experiment.ExtSharedMemory)},
+		{"ext-protocol", "mixed DCTCP + CUBIC tenants: ECN schemes break, DynaQ holds (§II-B)", wrap(experiment.ExtProtocolDependence)},
+		{"ext-tofino", "programmable-switch model: DynaQ on stale deq_qdepth (§IV-A)", wrap(experiment.ExtTofino)},
+		{"ext-zoo", "transport zoo: reno/cubic/dctcp/timely queues under one scheme", wrap(experiment.ExtTransportZoo)},
+		{"ext-closedloop", "Fig 8 with the §V-A2 request/response application (closed loop)", wrap(experiment.ExtClosedLoop)},
+		{"ext-dynaq-ecn", "DynaQ drop mode (TCP) vs ECN mode (PMSB marking, DCTCP) (§III-B3)", wrap(experiment.ExtDynaQECNMode)},
+		{"ext-faults", "scripted faults: flapping NIC/spine + lossy optics, guardrail armed", wrap(experiment.ExtFaults)},
+		{"2", "workload flow-size distributions (Figure 2)", wrap(experiment.Fig2)},
+	}
 }
 
 func wrap[T renderer](f func(experiment.Options) (T, error)) func(experiment.Options) (renderer, error) {
 	return func(o experiment.Options) (renderer, error) { return f(o) }
 }
 
+// errFlags marks a command line the flag package has already reported.
+var errFlags = errors.New("bad flags")
+
 func main() {
-	fig := flag.String("fig", "all", "comma-separated figure ids, or 'all'")
-	scale := flag.String("scale", "standard", "quick | standard | full")
-	engineF := flag.String("engine", "", "simulation engine for the FCT figures: packet (default) | flow | hybrid; static figures always run at packet level")
-	seed := flag.Int64("seed", 1, "random seed")
-	parallel := flag.Int("parallel", 0, "worker goroutines for a figure's independent simulation cells, static and FCT figures alike (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
-	list := flag.Bool("list", false, "list available figures")
-	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-	csvDir := flag.String("csv", "", "also write plottable CSV series into this directory")
-	teleDir := flag.String("telemetry", "", "write per-figure run artifacts (manifest + result JSON) into this directory")
-	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProf := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	progress := flag.Bool("progress", false, "print wall-clock progress heartbeats to stderr while figures run")
-	showVersion := flag.Bool("version", false, "print the build version and exit")
-	flag.Parse()
-	if *showVersion {
-		fmt.Println("experiments", dynaq.Version)
-		return
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		if !errors.Is(err, errFlags) {
+			fmt.Fprintln(os.Stderr, err)
+		}
+		os.Exit(2)
+	}
+}
+
+// run is the command: args are the flags, stdout receives each figure's
+// table.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	var (
+		fig      = fs.String("fig", "all", "comma-separated figure ids, or 'all'")
+		scale    = fs.String("scale", "standard", "quick | standard | full")
+		engineF  = fs.String("engine", "", "simulation engine for the FCT figures: packet (default) | flow | hybrid; static figures always run at packet level")
+		seed     = fs.Int64("seed", 1, "random seed")
+		parallel = fs.Int("parallel", 0, "worker goroutines for a figure's independent simulation cells, static and FCT figures alike (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
+		list     = fs.Bool("list", false, "list available figures")
+		teleDir  = fs.String("telemetry", "", "write per-figure run artifacts (manifest + result JSON) into this directory")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
+		version  = fs.Bool("version", false, "print the build version and exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errFlags, err)
+	}
+	if *version {
+		fmt.Fprintln(stdout, "experiments", dynaq.Version)
+		return nil
 	}
 
 	stopProf, err := telemetry.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(2)
+		return err
 	}
 	defer stopProf()
 
 	if *list {
-		for _, f := range figures {
-			fmt.Printf("  %-7s %s\n", f.name, f.desc)
+		for _, f := range figures() {
+			fmt.Fprintf(stdout, "  %-7s %s\n", f.name, f.desc)
 		}
-		return
+		return nil
 	}
-	var lvl experiment.ScaleLevel
-	switch *scale {
-	case "quick":
-		lvl = experiment.Quick
-	case "standard":
-		lvl = experiment.Standard
-	case "full":
-		lvl = experiment.Full
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
-		os.Exit(2)
+	lvl := experiment.ScaleLevel(-1)
+	for _, l := range []experiment.ScaleLevel{experiment.Quick, experiment.Standard, experiment.Full} {
+		if l.String() == *scale {
+			lvl = l
+		}
+	}
+	if lvl < 0 {
+		return fmt.Errorf("unknown scale %q", *scale)
 	}
 	engine, err := experiment.ParseEngineMode(*engineF)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(2)
+		return err
 	}
 	opts := experiment.Options{Scale: lvl, Seed: *seed, Parallel: *parallel, Engine: engine}
 
 	want := map[string]bool{}
-	if *fig != "all" {
-		for _, f := range strings.Split(*fig, ",") {
-			want[strings.TrimSpace(f)] = true
-		}
+	for _, f := range strings.Split(*fig, ",") {
+		want[strings.TrimSpace(f)] = true
 	}
 	ran := 0
-	for _, f := range figures {
+	for _, f := range figures() {
 		if *fig != "all" && !want[f.name] {
 			continue
 		}
 		ran++
 		//dynaqlint:allow determinism wall-clock progress timing for the operator; never feeds simulation state
 		start := time.Now()
-		if !*asJSON {
-			fmt.Printf("=== Figure %s: %s (scale=%s) ===\n", f.name, f.desc, lvl)
-		}
-		stopTick := startTicker(*progress, f.name, start)
+		fmt.Fprintf(stdout, "=== Figure %s: %s (scale=%s) ===\n", f.name, f.desc, lvl)
 		res, err := f.run(opts)
-		stopTick()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figure %s: %v\n", f.name, err)
-			os.Exit(1)
+			return fmt.Errorf("figure %s: %w", f.name, err)
 		}
 		if *teleDir != "" {
-			if err := writeFigureArtifacts(*teleDir, f.name, lvl.String(), string(engine), *seed, res); err != nil {
-				fmt.Fprintf(os.Stderr, "figure %s: telemetry: %v\n", f.name, err)
-				os.Exit(1)
+			if err := writeFigureArtifacts(*teleDir, f.name, lvl.String(), string(engine), *seed, args, res); err != nil {
+				return fmt.Errorf("figure %s: telemetry: %w", f.name, err)
 			}
 		}
-		if *asJSON {
-			out := map[string]any{
-				"figure": f.name,
-				"scale":  lvl.String(),
-				"seed":   *seed,
-				//dynaqlint:allow determinism reports wall-clock runtime to the operator; excluded from result comparison
-				"seconds": time.Since(start).Seconds(),
-				"result":  res,
-			}
-			enc := json.NewEncoder(os.Stdout)
-			if err := enc.Encode(out); err != nil {
-				fmt.Fprintf(os.Stderr, "figure %s: encode: %v\n", f.name, err)
-				os.Exit(1)
-			}
-			continue
-		}
-		fmt.Print(res.Table())
-		if *csvDir != "" {
-			if d, ok := res.(experiment.CSVDumper); ok {
-				paths, err := d.WriteCSV(*csvDir)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "figure %s: csv: %v\n", f.name, err)
-					os.Exit(1)
-				}
-				for _, p := range paths {
-					fmt.Printf("wrote %s\n", p)
-				}
-			}
-		}
+		fmt.Fprint(stdout, res.Table())
 		//dynaqlint:allow determinism wall-clock progress timing for the operator; never feeds simulation state
-		fmt.Printf("(%.1fs)\n\n", time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "(%.1fs)\n\n", time.Since(start).Seconds())
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no figure matched %q (use -list)\n", *fig)
-		os.Exit(2)
+		return fmt.Errorf("no figure matched %q (use -list)", *fig)
 	}
-}
-
-// startTicker, when enabled, prints a wall-clock heartbeat to stderr every
-// few seconds while a figure runs; the returned stop function silences it.
-// The ticker only reports to the operator — nothing it touches feeds results.
-func startTicker(enabled bool, name string, start time.Time) func() {
-	if !enabled {
-		return func() {}
-	}
-	t := time.NewTicker(5 * time.Second)
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-t.C:
-				//dynaqlint:allow determinism wall-clock heartbeat for the operator; never feeds simulation state
-				fmt.Fprintf(os.Stderr, "experiments: figure %s running (%.0fs)\n", name, time.Since(start).Seconds())
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		t.Stop()
-		close(done)
-	}
+	return nil
 }
 
 // writeFigureArtifacts records one figure run under <dir>/<figure>: a
 // manifest (hashing the figure/scale/seed tuple that fully determines the
 // run) and the figure's result rendered as JSON. Struct field order keeps
 // result.json byte-stable across identical runs.
-func writeFigureArtifacts(dir, figure, scale, engine string, seed int64, res renderer) error {
+func writeFigureArtifacts(dir, figure, scale, engine string, seed int64, args []string, res renderer) error {
 	sub := filepath.Join(dir, figure)
 	canonical := fmt.Sprintf("fig=%s scale=%s engine=%s seed=%d", figure, scale, engine, seed)
 	man := telemetry.Manifest{
@@ -239,7 +187,7 @@ func writeFigureArtifacts(dir, figure, scale, engine string, seed int64, res ren
 		Seed:         seed,
 		Scheme:       figure,
 		Engine:       engine,
-		Args:         os.Args[1:],
+		Args:         args,
 	}
 	if err := os.MkdirAll(sub, 0o755); err != nil {
 		return err

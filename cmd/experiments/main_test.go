@@ -1,0 +1,91 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"dynaq/internal/experiment"
+)
+
+// goldenBlock returns figure id's table from the experiment package's
+// pinned quick-scale tables.
+func goldenBlock(t *testing.T, id string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiment", "testdata", "figures_quick.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(data), "=== "+id+" ===\n")
+	if !ok {
+		t.Fatalf("no figure %s in the golden file", id)
+	}
+	if end := strings.Index(block, "\n=== "); end >= 0 {
+		block = block[:end+1]
+	}
+	return block
+}
+
+var wallTime = regexp.MustCompile(`\A\(\d+\.\ds\)\n\n\z`)
+
+// TestFig3TableAndResult runs Figure 3 as CI does: stdout is the pinned
+// table between its header and wall-time lines, and result.json carries
+// every scheme's throughput series and queue trace.
+func TestFig3TableAndResult(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run([]string{"-fig", "3", "-scale", "quick", "-seed", "1", "-parallel", "1", "-telemetry", dir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	header, body, _ := strings.Cut(out.String(), "\n")
+	if !strings.HasPrefix(header, "=== Figure 3: ") {
+		t.Fatalf("header %q", header)
+	}
+	cut := strings.LastIndex(body, "(")
+	if cut < 0 || !wallTime.MatchString(body[cut:]) {
+		t.Fatalf("stdout does not end in a wall-time line:\n%s", out.String())
+	}
+	if got, want := body[:cut], goldenBlock(t, "3"); got != want {
+		t.Errorf("table differs from the golden one:\n%s--- want ---\n%s", got, want)
+	}
+
+	data, err := os.ReadFile(filepath.Join(dir, "3", "result.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res experiment.ConvergenceResult
+	if err := json.Unmarshal(data, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Schemes) == 0 || len(res.Series) != len(res.Schemes) || len(res.Traces) != len(res.Schemes) {
+		t.Fatalf("result.json has %d schemes, %d series, %d traces", len(res.Schemes), len(res.Series), len(res.Traces))
+	}
+	for i, s := range res.Schemes {
+		if len(res.Series[i]) == 0 || len(res.Traces[i]) == 0 {
+			t.Errorf("%s: %d throughput samples, %d queue samples", s, len(res.Series[i]), len(res.Traces[i]))
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "3", "manifest.json")); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRemovedFlagsAreErrors: result.json is the one machine-readable output,
+// so the flags that printed it another way are unknown.
+func TestRemovedFlagsAreErrors(t *testing.T) {
+	for _, args := range [][]string{{"-json"}, {"-csv", "x"}, {"-progress"}} {
+		var out bytes.Buffer
+		err := run(append(args, "-fig", "cycles"), &out)
+		if !errors.Is(err, errFlags) || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: error %v, want a flag error", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q", args, out.String())
+		}
+	}
+}

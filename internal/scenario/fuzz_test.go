@@ -103,9 +103,44 @@ func TestLoadRejectsBadNumbersAndFaults(t *testing.T) {
 			`[{"class": 0, "flows": 2, "hosts": 16000}, {"class": 1, "flows": 2, "hosts": 16000}]`), "specs[1].hosts"},
 		{"fct zero weight", `{"kind": "fct", "scheme": "DynaQ", "topo": "star", "rate_gbps": 1, "buffer_bytes": 85000,
 			"queues": 2, "rtt_us": 100, "load": 0.5, "flows": 10, "workloads": ["websearch"], "weights": [1, 0]}`, "weights"},
+		// Keys a run of the document's kind, or of its topology, never reads:
+		// they used to load, run something else and be cached under the
+		// document's hash.
+		{"static topo", staticWith(`"topo": "leafspine"`, okSpecs), unread("topo")},
+		{"static servers", staticWith(`"servers": 4`, okSpecs), unread("servers")},
+		{"static leaves", staticWith(`"leaves": 4`, okSpecs), unread("leaves")},
+		{"static spines", staticWith(`"spines": 2`, okSpecs), unread("spines")},
+		{"static hosts_per_leaf", staticWith(`"hosts_per_leaf": 2`, okSpecs), unread("hosts_per_leaf")},
+		{"static k", staticWith(`"k": 4`, okSpecs), unread("k")},
+		{"static load", staticWith(`"load": 0.5`, okSpecs), unread("load")},
+		{"static flows", staticWith(`"flows": 100`, okSpecs), unread("flows")},
+		{"static workloads", staticWith(`"workloads": ["websearch"]`, okSpecs), unread("workloads")},
+		{"static dctcp", staticWith(`"dctcp": true`, okSpecs), unread("dctcp")},
+		{"static failure_aware", staticWith(`"failure_aware": true`, okSpecs), unread("failure_aware")},
+		{"static detection_delay_ms", staticWith(`"detection_delay_ms": 0.5`, okSpecs), unread("detection_delay_ms")},
+		{"fct duration_s", fctOn(onStar, `"duration_s": 1`), unread("duration_s")},
+		{"fct sample_ms", fctOn(onStar, `"sample_ms": 10`), unread("sample_ms")},
+		{"fct specs", fctOn(onStar, `"specs": `+okSpecs), unread("specs")},
+		{"fct sched wrr", fctOn(onStar, `"sched": "wrr"`), unread("sched")},
+		{"fct sched drr", fctOn(onStar, `"sched": "drr"`), unread("sched")},
+		{"star leaves", fctOn(onStar, `"leaves": 4`), unread("leaves")},
+		{"star spines", fctOn(onStar, `"spines": 2`), unread("spines")},
+		{"star hosts_per_leaf", fctOn(onStar, `"hosts_per_leaf": 2`), unread("hosts_per_leaf")},
+		{"star k", fctOn(onStar, `"k": 4`), unread("k")},
+		{"leafspine servers", fctOn(onLeafSpine, `"servers": 4`), unread("servers")},
+		{"leafspine k", fctOn(onLeafSpine, `"k": 4`), unread("k")},
+		{"fattree servers", fctOn(onFatTree, `"servers": 4`), unread("servers")},
+		{"fattree leaves", fctOn(onFatTree, `"leaves": 4`), unread("leaves")},
+		{"fattree spines", fctOn(onFatTree, `"spines": 2`), unread("spines")},
+		{"fattree hosts_per_leaf", fctOn(onFatTree, `"hosts_per_leaf": 2`), unread("hosts_per_leaf")},
 	}
 	if _, err := Load([]byte(staticWith(`"seed": 1`, okSpecs))); err != nil {
 		t.Fatalf("the static base document must load: %v", err)
+	}
+	for _, topo := range []string{onStar, onLeafSpine, onFatTree} {
+		if _, err := Load([]byte(fctOn(topo, `"sched": "spq+drr"`))); err != nil {
+			t.Fatalf("the fct base document on %s must load: %v", topo, err)
+		}
 	}
 	if _, err := Load([]byte(strings.Replace(staticWith(`"seed": 1`, okSpecs), `"queues": 2`, `"queues": 64`, 1))); err != nil {
 		t.Fatalf("64 queues, one backlog word, must load: %v", err)
@@ -135,6 +170,23 @@ func staticWith(field, specs string) string {
 	return `{"kind": "static", "scheme": "DynaQ", "rate_gbps": 1, "buffer_bytes": 85000, "queues": 2,
 		"rtt_us": 100, "duration_s": 1, ` + field + `, "specs": ` + specs + `}`
 }
+
+// The "topo" key and shape keys of one topology each, for fctOn.
+const (
+	onStar      = `"topo": "star", "servers": 4`
+	onLeafSpine = `"topo": "leafspine", "leaves": 2, "spines": 2, "hosts_per_leaf": 2`
+	onFatTree   = `"topo": "fattree", "k": 4`
+)
+
+// fctOn is an otherwise valid fct document on topo carrying one extra field.
+func fctOn(topo, field string) string {
+	return `{"kind": "fct", "scheme": "DynaQ", ` + topo + `, "rate_gbps": 1, "buffer_bytes": 85000, "queues": 4,
+		"rtt_us": 500, "load": 0.5, "flows": 10, "workloads": ["websearch"], ` + field + `}`
+}
+
+// unread is the start of the error that refuses key as one the run never
+// reads.
+func unread(key string) string { return "scenario: " + key + ": " }
 
 // TestLoadTypedErrors: validation failures carry the offending JSON field so
 // an HTTP server can return a structured 400 body; decode failures carry an
@@ -315,6 +367,8 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte(strings.Replace(staticWith(`"seed": 1`, okSpecs), `"duration_s": 1`, `"duration_s": -1e300`, 1)))
 	f.Add([]byte(hybridWith("DT", "hybrid")))
 	f.Add([]byte(hybridWith("BarberQ", "hybrid")))
+	f.Add([]byte(staticWith(`"topo": "leafspine", "leaves": 4, "flows": 100, "load": 0.5`, okSpecs)))
+	f.Add([]byte(fctOn(onFatTree, `"sched": "wrr", "servers": 4, "duration_s": 1`)))
 	// Untrusted-upload hardening corpus: a body past the size limit must be
 	// refused outright, and pathologically deep nesting must come back as
 	// the decoder's depth error, never a stack overflow.

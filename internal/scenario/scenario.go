@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 
 	"dynaq/internal/experiment"
@@ -354,7 +355,48 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 	} else if refused != nil {
 		return nil, &ValidationError{Msg: refused.Error()}
 	}
+	if err := checkRead(doc); err != nil {
+		return nil, err
+	}
 	return r, nil
+}
+
+// checkRead refuses a key that doc sets and a run of its kind never reads:
+// the run would ignore it, and a result cached under the document's hash
+// would describe a network nobody asked for.
+func checkRead(doc Document) error {
+	if doc.Kind == "fct" && doc.Sched != "" && doc.Sched != string(experiment.SchedSPQDRR) {
+		return invalidf("sched", "an fct scenario runs spq+drr, got %q", doc.Sched)
+	}
+	for _, k := range []struct {
+		name, readBy string // readBy: the kind that reads the key, or the topology it shapes
+		value        any    // set unless it is its type's zero value
+	}{
+		{"duration_s", "static", doc.DurationS},
+		{"sample_ms", "static", doc.SampleMs},
+		{"specs", "static", doc.Specs},
+		{"topo", "fct", doc.Topo},
+		{"servers", string(experiment.TopoStar), doc.Servers},
+		{"leaves", string(experiment.TopoLeafSpine), doc.Leaves},
+		{"spines", string(experiment.TopoLeafSpine), doc.Spines},
+		{"hosts_per_leaf", string(experiment.TopoLeafSpine), doc.HostsPerLeaf},
+		{"k", string(experiment.TopoFatTree), doc.FatTreeK},
+		{"load", "fct", doc.Load},
+		{"flows", "fct", doc.Flows},
+		{"workloads", "fct", doc.Workloads},
+		{"dctcp", "fct", doc.DCTCP},
+		{"failure_aware", "fct", doc.FailureAware},
+		{"detection_delay_ms", "fct", doc.DetectMs},
+	} {
+		switch {
+		case reflect.ValueOf(k.value).IsZero() || k.readBy == doc.Kind || k.readBy == doc.Topo:
+		case doc.Kind == "static" || k.readBy == "static":
+			return invalidf(k.name, "%s scenarios do not read it", doc.Kind)
+		default: // an fct shape key of another topology; Validate accepted the topo
+			return invalidf(k.name, "topo %s does not read it (it shapes %s)", doc.Topo, k.readBy)
+		}
+	}
+	return nil
 }
 
 // Run executes the scenario.

@@ -287,6 +287,9 @@ func TestSubmitValidation(t *testing.T) {
 		{strings.Replace(hybridDoc, "DynaQ", "BarberQ", 1), "scheme"},
 		{`{"scenario":` + hybridDoc + `,"schemes":["DynaQ","BarberQ"]}`, "schemes[1]"},
 		{`{"scenario":` + hybridDoc + `,"schemes":["DynaQ","DT"]}`, "schemes[1]"},
+		// An fct cell runs SPQ+DRR whatever its document says, so a job that
+		// names another scheduler would be cached as a run nobody asked for.
+		{strings.Replace(flowDoc, `"k":4`, `"k":4,"sched":"wrr"`, 1), "sched"},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
