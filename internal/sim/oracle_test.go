@@ -348,11 +348,21 @@ type rec struct {
 }
 
 // oracleDelays are coarse and overlap the lane delays, so ties between heap
-// and lane events at one instant are the rule.
+// and lane events at one instant are the rule. The first recurringLanes lane
+// delays (five lanes) come back all program long, so lanes empty and refill;
+// a program takes each of the other five only once, in order, so those lanes
+// fill, empty and are never used again, like the lanes a port leaves behind
+// as its largest packet grows. Ten lanes in all: emptying one moves another
+// lane's head into its slot.
 var (
 	oracleDelays = []units.Duration{0, units.Microsecond, 2 * units.Microsecond, 5 * units.Microsecond}
-	laneDelays   = []units.Duration{0, units.Microsecond, units.Microsecond, 2 * units.Microsecond, 5 * units.Microsecond, -units.Microsecond}
+	laneDelays   = []units.Duration{
+		0, units.Microsecond, units.Microsecond, 2 * units.Microsecond, 5 * units.Microsecond, -units.Microsecond, 3 * units.Microsecond,
+		883200 * units.Picosecond, 553600 * units.Picosecond, 7 * units.Microsecond, 289600 * units.Picosecond, 225600 * units.Picosecond,
+	}
 )
+
+const recurringLanes = 7
 
 // program is one random schedule, a function of its script alone: callbacks
 // that log themselves and then schedule, cancel, re-arm, start and stop
@@ -366,6 +376,7 @@ type program struct {
 	stops   []func()
 	nextID  int
 	depth   int
+	once    int // one-shot lane delays handed out so far
 }
 
 const (
@@ -395,6 +406,16 @@ func (p *program) probe() int64 {
 
 func (p *program) delay() units.Duration { return oracleDelays[p.sc.n(len(oracleDelays))] }
 
+// laneDelay picks a recurring lane delay or, one time in eight while any
+// are left, the next one-shot delay.
+func (p *program) laneDelay() units.Duration {
+	if p.sc.n(8) == 7 && recurringLanes+p.once < len(laneDelays) {
+		p.once++
+		return laneDelays[recurringLanes+p.once-1]
+	}
+	return laneDelays[p.sc.n(recurringLanes)]
+}
+
 func (p *program) op() {
 	p.nextID++
 	id := p.nextID
@@ -408,7 +429,7 @@ func (p *program) op() {
 	case 4:
 		p.handles = append(p.handles, p.e.AfterCall(p.delay(), p.firedArg, id))
 	case 5, 6, 7:
-		p.e.LaneCall(laneDelays[p.sc.n(len(laneDelays))], p.firedArg, id)
+		p.e.LaneCall(p.laneDelay(), p.firedArg, id)
 	case 8:
 		if len(p.handles) > 0 {
 			p.e.Cancel(p.handles[p.sc.n(len(p.handles))])

@@ -59,10 +59,11 @@ func (r EventRef) Time() units.Time {
 type Simulator struct {
 	now     units.Time
 	seq     uint64
-	heap    []*Event // four-ary min-heap ordered by (when, seq)
-	free    []*Event // recycled Event objects awaiting reuse
-	lanes   []*Lane  // one per distinct delay, in order of first use
-	inLanes int      // events waiting in lanes
+	heap    []*Event   // four-ary min-heap ordered by (when, seq)
+	free    []*Event   // recycled Event objects awaiting reuse
+	lanes   []*Lane    // one per distinct delay, in order of first use
+	heads   []laneHead // the head of every non-empty lane, in no order
+	inLanes int        // events waiting in lanes
 	nrun    uint64
 	reused  uint64
 	maxHeap int
@@ -303,6 +304,7 @@ type Lane struct {
 	ring []laneEvent
 	head int
 	n    int
+	slot int // index of this lane's entry in sim.heads while n > 0
 }
 
 type laneEvent struct {
@@ -310,6 +312,16 @@ type laneEvent struct {
 	seq  uint64
 	fn   func(any)
 	arg  any
+}
+
+// laneHead is a copy of a non-empty lane's first (when, seq). The simulator
+// keeps one per non-empty lane, packed, so the search for the next event
+// reads a short array instead of every lane ever created: a port leaves a
+// lane behind each time its largest packet grows, and those never refill.
+type laneHead struct {
+	when units.Time
+	seq  uint64
+	lane *Lane
 }
 
 // Lane returns the simulator's lane for delay d, creating it on first use.
@@ -339,7 +351,18 @@ func (l *Lane) Call(fn func(any), arg any) {
 		l.grow()
 	}
 	s := l.sim
-	l.ring[(l.head+l.n)&(len(l.ring)-1)] = laneEvent{when: s.now.Add(l.delay), seq: s.nextSeq(), fn: fn, arg: arg}
+	// Field by field: a laneEvent literal is built on the stack and copied
+	// in 16-byte moves that straddle the two 8-byte stores just made, which
+	// defeats store-to-load forwarding on the hottest line of a packet cell.
+	e := &l.ring[(l.head+l.n)&(len(l.ring)-1)]
+	e.when = s.now.Add(l.delay)
+	e.seq = s.nextSeq()
+	e.fn = fn
+	e.arg = arg
+	if l.n == 0 {
+		l.slot = len(s.heads)
+		s.heads = append(s.heads, laneHead{when: e.when, seq: e.seq, lane: l})
+	}
 	l.n++
 	s.inLanes++
 }
@@ -360,13 +383,10 @@ func (s *Simulator) earliest() (from *Lane, when units.Time, ok bool) {
 	if len(s.heap) > 0 {
 		when, seq, ok = s.heap[0].when, s.heap[0].seq, true
 	}
-	for _, l := range s.lanes {
-		if l.n == 0 {
-			continue
-		}
-		h := &l.ring[l.head]
+	for i := range s.heads {
+		h := &s.heads[i]
 		if !ok || h.when < when || (h.when == when && h.seq < seq) {
-			from, when, seq, ok = l, h.when, h.seq, true
+			from, when, seq, ok = h.lane, h.when, h.seq, true
 		}
 	}
 	return from, when, ok
@@ -404,14 +424,28 @@ func (s *Simulator) fire(from *Lane, when units.Time) {
 	}
 }
 
-// run pops the lane's head and calls it.
+// run pops the lane's head and calls it. Before the call, the lane's entry in
+// heads shows its new first event, or, when the lane has emptied, is gone:
+// the last entry takes its slot.
 func (l *Lane) run() {
 	h := &l.ring[l.head]
 	fn, arg := h.fn, h.arg
 	h.fn, h.arg = nil, nil
 	l.head = (l.head + 1) & (len(l.ring) - 1)
 	l.n--
-	l.sim.inLanes--
+	s := l.sim
+	s.inLanes--
+	if l.n > 0 {
+		next := &l.ring[l.head]
+		hd := &s.heads[l.slot]
+		hd.when, hd.seq = next.when, next.seq
+	} else {
+		last := len(s.heads) - 1
+		moved := s.heads[last]
+		s.heads[l.slot] = moved
+		moved.lane.slot = l.slot
+		s.heads = s.heads[:last]
+	}
 	fn(arg)
 }
 

@@ -383,7 +383,7 @@ func TestControllersReportNames(t *testing.T) {
 
 func TestReceiverInOrderAndOutOfOrder(t *testing.T) {
 	var acks []*packet.Packet
-	r := newReceiver(&packet.Pool{}, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
+	r := newReceiver(&packet.Pool{}, &runStock{}, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
 	seg := func(seq int64, n units.ByteSize, ecn packet.ECN) *packet.Packet {
 		return &packet.Packet{Kind: packet.Data, Flow: 1, Src: 0, Dst: 2, Seq: seq, Payload: n, Size: n + HeaderSize, ECN: ecn}
 	}
@@ -408,7 +408,7 @@ func TestReceiverInOrderAndOutOfOrder(t *testing.T) {
 
 func TestReceiverEchoesCE(t *testing.T) {
 	var acks []*packet.Packet
-	r := newReceiver(&packet.Pool{}, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
+	r := newReceiver(&packet.Pool{}, &runStock{}, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
 	p := &packet.Packet{Kind: packet.Data, Flow: 1, Src: 0, Dst: 2, Seq: 0, Payload: 1000, Size: 1040, ECN: packet.ECT}
 	p.Mark()
 	r.onData(p)
@@ -423,7 +423,7 @@ func TestReceiverEchoesCE(t *testing.T) {
 
 func TestReceiverDuplicateSegment(t *testing.T) {
 	var acks []*packet.Packet
-	r := newReceiver(&packet.Pool{}, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
+	r := newReceiver(&packet.Pool{}, &runStock{}, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
 	seg := &packet.Packet{Kind: packet.Data, Flow: 1, Src: 0, Dst: 2, Seq: 0, Payload: 1000, Size: 1040}
 	r.onData(seg)
 	r.onData(seg) // retransmitted duplicate

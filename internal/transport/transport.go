@@ -8,6 +8,7 @@ package transport
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dynaq/internal/netsim"
 	"dynaq/internal/packet"
@@ -474,17 +475,35 @@ func (s *Sender) complete() {
 // CE mark (per-packet echo, DCTCP-exact).
 type Receiver struct {
 	pkts     *packet.Pool
+	stock    *runStock
 	me       int
 	emit     func(*packet.Packet)
 	flow     packet.FlowID
 	rcvNxt   int64
-	ooo      map[int64]int64 // seq → end of buffered out-of-order segments
-	rcvd     units.ByteSize
+	ooo      []byteRun // buffered out-of-order data: sorted, disjoint, non-touching, above rcvNxt; nil when none
 	acksSent int64
 }
 
-func newReceiver(pkts *packet.Pool, me int, emit func(*packet.Packet), flow packet.FlowID) *Receiver {
-	return &Receiver{pkts: pkts, me: me, emit: emit, flow: flow, ooo: make(map[int64]int64)}
+// byteRun is the payload bytes [seq, end) of a flow.
+type byteRun struct{ seq, end int64 }
+
+// runStock is an endpoint's supply of empty run slices. A receiver holds one
+// only while it has out-of-order data, so a host's receivers share about as
+// many as they have flows with holes at once, not one per flow ever received.
+type runStock [][]byteRun
+
+func (st *runStock) take() []byteRun {
+	n := len(*st)
+	if n == 0 {
+		return nil
+	}
+	runs := (*st)[n-1]
+	*st = (*st)[:n-1]
+	return runs
+}
+
+func newReceiver(pkts *packet.Pool, stock *runStock, me int, emit func(*packet.Packet), flow packet.FlowID) *Receiver {
+	return &Receiver{pkts: pkts, stock: stock, me: me, emit: emit, flow: flow}
 }
 
 // Received returns the payload bytes delivered in order so far.
@@ -496,20 +515,56 @@ func (r *Receiver) onData(p *packet.Packet) {
 		if end > r.rcvNxt {
 			r.rcvNxt = end
 		}
-		// Pull any now-contiguous out-of-order segments.
-		for {
-			e, ok := r.ooo[r.rcvNxt]
-			if !ok {
-				break
-			}
-			delete(r.ooo, r.rcvNxt)
-			r.rcvNxt = e
+		// Pull every buffered run the delivered prefix now reaches.
+		n := 0
+		for ; n < len(r.ooo) && r.ooo[n].seq <= r.rcvNxt; n++ {
+			r.rcvNxt = max(r.rcvNxt, r.ooo[n].end)
 		}
-	} else if e, ok := r.ooo[p.Seq]; !ok || end > e {
-		r.ooo[p.Seq] = end
+		if n > 0 {
+			r.ooo = r.ooo[:copy(r.ooo, r.ooo[n:])]
+			if len(r.ooo) == 0 {
+				*r.stock = append(*r.stock, r.ooo)
+				r.ooo = nil
+			}
+		}
+	} else {
+		r.buffer(p.Seq, end)
 	}
-	r.rcvd += p.Payload
 	r.sendAck(p.Src, p.Class, p.ECN == packet.CE)
+}
+
+// buffer adds [seq, end), which lies above rcvNxt, to the out-of-order runs.
+// Data that extends the last run or lands after it, the common case behind a
+// single hole, costs O(1); anything else merges with every run it overlaps
+// or touches.
+func (r *Receiver) buffer(seq, end int64) {
+	n := len(r.ooo)
+	if n == 0 {
+		r.ooo = r.stock.take()
+	}
+	if n == 0 || seq > r.ooo[n-1].end {
+		r.ooo = append(r.ooo, byteRun{seq, end})
+		return
+	}
+	if last := &r.ooo[n-1]; seq >= last.seq {
+		last.end = max(last.end, end)
+		return
+	}
+	// Runs [i, j) overlap or touch [seq, end).
+	i := 0
+	for r.ooo[i].end < seq {
+		i++
+	}
+	j := i
+	for j < n && r.ooo[j].seq <= end {
+		j++
+	}
+	if i == j {
+		r.ooo = slices.Insert(r.ooo, i, byteRun{seq, end})
+		return
+	}
+	r.ooo[i] = byteRun{min(seq, r.ooo[i].seq), max(end, r.ooo[j-1].end)}
+	r.ooo = slices.Delete(r.ooo, i+1, j)
 }
 
 // sendAck acknowledges everything received so far to peer, in the service
@@ -534,6 +589,7 @@ type Endpoint struct {
 	sim       *sim.Simulator
 	host      *netsim.Host
 	pkts      packet.Pool // every packet this host originates; see receive
+	runs      runStock    // its receivers' empty run slices
 	senders   map[packet.FlowID]*Sender
 	receivers map[packet.FlowID]*Receiver
 }
@@ -579,7 +635,7 @@ func (ep *Endpoint) receive(p *packet.Packet) {
 	case packet.Data:
 		r, ok := ep.receivers[p.Flow]
 		if !ok {
-			r = newReceiver(&ep.pkts, ep.host.ID(), ep.host.Send, p.Flow)
+			r = newReceiver(&ep.pkts, &ep.runs, ep.host.ID(), ep.host.Send, p.Flow)
 			ep.receivers[p.Flow] = r
 		}
 		r.onData(p)
