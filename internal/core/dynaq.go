@@ -316,21 +316,6 @@ func (st *State) victimMetric(i int) units.ByteSize {
 	return st.t[i] - st.s[i]
 }
 
-// victimLinear is the straightforward loop implementation of line 2,
-// retained as a cross-check oracle for the tournament (see tests).
-func (st *State) victimLinear(p int) int {
-	best := -1
-	for i := range st.t {
-		if i == p {
-			continue
-		}
-		if best == -1 || st.victimMetric(i) > st.victimMetric(best) {
-			best = i
-		}
-	}
-	return best
-}
-
 // CheckInvariants verifies Σ T_i = B and T_i ≥ 0; it returns a descriptive
 // error on violation. Property tests call it after every operation.
 func (st *State) CheckInvariants() error {

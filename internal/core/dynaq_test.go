@@ -14,6 +14,21 @@ type qlens []units.ByteSize
 
 func (q qlens) QueueLen(i int) units.ByteSize { return q[i] }
 
+// victimLinear is the straightforward loop implementation of line 2, the
+// cross-check oracle for the tournament.
+func (st *State) victimLinear(p int) int {
+	best := -1
+	for i := range st.t {
+		if i == p {
+			continue
+		}
+		if best == -1 || st.victimMetric(i) > st.victimMetric(best) {
+			best = i
+		}
+	}
+	return best
+}
+
 func TestNewValidation(t *testing.T) {
 	tests := []struct {
 		name    string

@@ -17,6 +17,7 @@ package flowsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dynaq/internal/buffer"
 	"dynaq/internal/fabric"
@@ -128,7 +129,7 @@ type linkState struct {
 	backlog units.ByteSize // fluid queue, clamped to [0, Buffer]
 
 	demoted bool
-	ep      episode // hybrid episode state, allocated on first demotion
+	ep      *episode // hybrid episode state, allocated on first demotion
 }
 
 // Engine is the flow-level engine. It shares the discrete-event core with
@@ -142,6 +143,10 @@ type Engine struct {
 	flows  []fflow
 	active []int32
 	links  []linkState
+	// busy has bit i set for every fluid link i with inRate > cap or
+	// backlog > 0, and possibly for others: advance and armCrossing walk
+	// only its bits. recompute and promote set bits; advance clears them.
+	busy []uint64
 
 	wf     waterfiller
 	caps   []units.Rate
@@ -212,6 +217,7 @@ func New(s *sim.Simulator, cfg Config) (*Engine, error) {
 		cutoff:     pias.DemotionThreshold,
 	}
 	e.links = make([]linkState, cfg.Topo.NumLinks())
+	e.busy = make([]uint64, (len(e.links)+63)/64)
 	for i := range e.links {
 		e.links[i].cap = cfg.Topo.Capacity(i)
 	}
@@ -235,8 +241,8 @@ func (e *Engine) Close() {
 	e.completion.Stop()
 	e.crossing.Stop()
 	for i := range e.links {
-		if p := e.links[i].ep.pump; p != nil {
-			p.Stop()
+		if ep := e.links[i].ep; ep != nil {
+			ep.pump.Stop()
 		}
 	}
 }
@@ -363,9 +369,11 @@ func (e *Engine) sendCap(f *fflow, now units.Time) units.Rate {
 }
 
 // advance integrates the fluid state from the last advance point to now:
-// every allocated flow delivers rate×dt bytes, every link's backlog grows
-// or drains by (inRate − capacity)×dt. Demoted links are owned by their
-// episode pump and skipped here.
+// every allocated flow delivers rate×dt bytes, every busy link's backlog
+// grows or drains by (inRate − capacity)×dt. Demoted links are owned by
+// their episode pump and skipped here. The links are walked in ascending
+// order, which the hybrid needs: a flow's episode owner is the first link
+// demoted on its path, and pumps armed at one instant fire in arming order.
 func (e *Engine) advance() {
 	now := e.s.Now()
 	dt := now.Sub(e.lastAdvance)
@@ -385,36 +393,44 @@ func (e *Engine) advance() {
 			f.remaining -= got
 		}
 	}
-	for i := range e.links {
-		l := &e.links[i]
-		if l.demoted {
-			continue
-		}
-		switch {
-		case l.inRate > l.cap:
-			prev := l.backlog
-			l.backlog += (l.inRate - l.cap).BytesIn(dt)
-			if l.backlog > e.cfg.Buffer {
-				e.stats.FluidDropBytes += int64(l.backlog - e.cfg.Buffer)
-				l.backlog = e.cfg.Buffer
-				e.fluidOverflow(i)
-			}
-			if prev < e.demoteB && l.backlog >= e.demoteB {
-				e.stats.ThresholdCrossings++
-				if e.cfg.Hybrid {
-					e.demote(i)
+	for w, word := range e.busy {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			l := &e.links[i]
+			if !l.demoted {
+				switch {
+				case l.inRate > l.cap:
+					prev := l.backlog
+					l.backlog += (l.inRate - l.cap).BytesIn(dt)
+					if l.backlog > e.cfg.Buffer {
+						e.stats.FluidDropBytes += int64(l.backlog - e.cfg.Buffer)
+						l.backlog = e.cfg.Buffer
+						e.fluidOverflow(i)
+					}
+					if prev < e.demoteB && l.backlog >= e.demoteB {
+						e.stats.ThresholdCrossings++
+						if e.cfg.Hybrid {
+							e.demote(i)
+						}
+					}
+				case l.backlog > 0:
+					drained := (l.cap - l.inRate).BytesIn(dt)
+					if drained >= l.backlog {
+						l.backlog = 0
+					} else {
+						l.backlog -= drained
+					}
 				}
 			}
-		case l.backlog > 0:
-			drained := (l.cap - l.inRate).BytesIn(dt)
-			if drained >= l.backlog {
-				l.backlog = 0
-			} else {
-				l.backlog -= drained
+			if l.demoted || (l.inRate <= l.cap && l.backlog == 0) {
+				e.busy[w] &^= word & -word
 			}
 		}
 	}
 }
+
+// markBusy puts link i in the set advance walks.
+func (e *Engine) markBusy(i int32) { e.busy[i>>6] |= 1 << uint(i&63) }
 
 // fluidOverflow models a full fluid buffer: every slow-start flow crossing
 // the link took losses, so it exits slow start and halves, exactly the
@@ -523,7 +539,10 @@ func (e *Engine) recompute() {
 			}
 		}
 		for _, l := range f.path {
-			e.links[l].inRate += offered
+			ls := &e.links[l]
+			if ls.inRate += offered; ls.inRate > ls.cap {
+				e.markBusy(l)
+			}
 		}
 	}
 }
@@ -645,27 +664,37 @@ func (e *Engine) complete(fi int32, withQDelay bool) {
 // threshold crossing among growing fluid backlogs, so demotion lands at the
 // crossing instant rather than the next quantum tick.
 func (e *Engine) armCrossing() {
-	best := units.MaxTime
-	now := e.s.Now()
-	horizon := units.MaxTime.Sub(now)
-	for i := range e.links {
-		l := &e.links[i]
-		if l.demoted || l.inRate <= l.cap || l.backlog >= e.demoteB {
-			continue
-		}
-		d := (l.inRate - l.cap).Transmit(e.demoteB - l.backlog)
-		if d >= horizon {
-			continue // crossing projects past the horizon; wait for a tick
-		}
-		if t := now.Add(d + units.Picosecond); t < best {
-			best = t
-		}
-	}
+	best := e.nextCrossing()
 	if best == units.MaxTime {
 		e.crossing.Stop()
 		return
 	}
-	e.crossing.Reset(best.Sub(now))
+	e.crossing.Reset(best.Sub(e.s.Now()))
+}
+
+// nextCrossing returns the earliest projected demote threshold crossing
+// among the busy links, or MaxTime if none projects inside the horizon.
+// Only an overloaded link can cross, and every one is busy.
+func (e *Engine) nextCrossing() units.Time {
+	best := units.MaxTime
+	now := e.s.Now()
+	horizon := units.MaxTime.Sub(now)
+	for w, word := range e.busy {
+		for ; word != 0; word &= word - 1 {
+			l := &e.links[w<<6|bits.TrailingZeros64(word)]
+			if l.demoted || l.inRate <= l.cap || l.backlog >= e.demoteB {
+				continue
+			}
+			d := (l.inRate - l.cap).Transmit(e.demoteB - l.backlog)
+			if d >= horizon {
+				continue // crossing projects past the horizon; wait for a tick
+			}
+			if t := now.Add(d + units.Picosecond); t < best {
+				best = t
+			}
+		}
+	}
+	return best
 }
 
 // onCrossingTimer fires at a projected threshold crossing: the advance

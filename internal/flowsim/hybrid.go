@@ -97,26 +97,28 @@ func CheckPumpable(adm buffer.Admission) error {
 // pump takes over arrival and drain at MTU-batch resolution.
 func (e *Engine) demote(li int) {
 	l := &e.links[li]
-	ep := &l.ep
-	if ep.adm == nil {
+	if l.ep == nil {
 		adm, err := e.cfg.NewAdmission()
 		if err != nil {
 			// New() pre-validates the factory; a failure here means the
 			// configuration changed mid-run, which cannot happen.
 			panic("flowsim: admission factory failed mid-run: " + err.Error())
 		}
-		ep.adm = adm
+		ep := &episode{
+			adm:     adm,
+			buf:     e.cfg.Buffer,
+			queues:  make([]chunkQueue, e.cfg.Queues),
+			qlen:    make([]units.ByteSize, e.cfg.Queues),
+			deficit: make([]int64, e.cfg.Queues),
+			pump:    e.s.NewTimer(func() { e.pump(li) }),
+		}
 		ep.enqMark, _ = adm.(buffer.EnqueueMarker)
 		ep.deqDrop, _ = adm.(buffer.DequeueDropper)
 		ep.deqObs, _ = adm.(buffer.DequeueObserver)
 		ep.deqMark, _ = adm.(buffer.DequeueMarker)
-		ep.buf = e.cfg.Buffer
-		ep.queues = make([]chunkQueue, e.cfg.Queues)
-		ep.qlen = make([]units.ByteSize, e.cfg.Queues)
-		ep.deficit = make([]int64, e.cfg.Queues)
-		link := li
-		ep.pump = e.s.NewTimer(func() { e.pump(link) })
+		l.ep = ep
 	}
+	ep := l.ep
 	// Enroll every active flow crossing the link.
 	ep.flows = ep.flows[:0]
 	ep.credit = ep.credit[:0]
@@ -191,7 +193,7 @@ func (e *Engine) pump(li int) {
 	if !l.demoted {
 		return
 	}
-	ep := &l.ep
+	ep := l.ep
 	now := e.s.Now()
 	dt := now.Sub(ep.lastPump)
 	ep.lastPump = now
@@ -344,10 +346,11 @@ func (e *Engine) deliverChunk(ep *episode, cls int, c chunk, now units.Time) {
 // again, enrolled flows are released, and the episode span is emitted.
 func (e *Engine) promote(li int) {
 	l := &e.links[li]
-	ep := &l.ep
+	ep := l.ep
 	now := e.s.Now()
 	l.demoted = false
 	l.backlog = ep.total
+	e.markBusy(int32(li)) // the residual backlog drains in advance
 	for q := range ep.queues {
 		ep.queues[q] = chunkQueue{chunks: ep.queues[q].chunks[:0]}
 		ep.qlen[q] = 0

@@ -179,6 +179,11 @@ func (r Rate) BytesIn(d Duration) ByteSize {
 	// Saturates at the largest ByteSize if the true count does not fit.
 	const div = uint64(8) * uint64(Second)
 	hi, lo := mathbits.Mul64(uint64(r), uint64(d))
+	if hi == 0 {
+		// The product fits in 64 bits, and a divide by a constant compiles
+		// to a multiply; the quotient is below 2^64/8e12, so it fits too.
+		return ByteSize(lo / div)
+	}
 	if hi >= div {
 		return ByteSize(math.MaxInt64)
 	}
