@@ -58,17 +58,20 @@ func TestFig3TableAndResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res experiment.ConvergenceResult
+	var res experiment.Figure
 	if err := json.Unmarshal(data, &res); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Schemes) == 0 || len(res.Series) != len(res.Schemes) || len(res.Traces) != len(res.Schemes) {
-		t.Fatalf("result.json has %d schemes, %d series, %d traces", len(res.Schemes), len(res.Series), len(res.Traces))
+	if len(res.Rows) == 0 {
+		t.Fatal("result.json has no rows")
 	}
-	for i, s := range res.Schemes {
-		if len(res.Series[i]) == 0 || len(res.Traces[i]) == 0 {
-			t.Errorf("%s: %d throughput samples, %d queue samples", s, len(res.Series[i]), len(res.Traces[i]))
+	for _, row := range res.Rows {
+		if len(row.Series) == 0 || len(row.Trace) == 0 {
+			t.Errorf("%s: %d throughput samples, %d queue samples", row.Labels, len(row.Series), len(row.Trace))
 		}
+	}
+	if got, want := res.Table(), goldenBlock(t, "3"); got != want {
+		t.Errorf("result.json re-renders as\n%s--- want ---\n%s", got, want)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "3", "manifest.json")); err != nil {
 		t.Error(err)

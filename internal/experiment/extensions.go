@@ -52,13 +52,13 @@ func hogAndBurst(s *sim.Simulator, net *topology.Network, hogSrc func(i int) int
 	return fct
 }
 
-// burstRow starts a row with the burst's average and p99 completion time in
-// milliseconds.
-func burstRow(fct *metrics.FCTCollector) []float64 {
-	return []float64{
+// burstRow starts scheme s's row with the burst's average and p99
+// completion time in milliseconds, and ends it with more.
+func burstRow(s Scheme, fct *metrics.FCTCollector, more ...float64) Row {
+	return Row{Labels: []string{string(s)}, Values: append([]float64{
 		float64(fct.Avg(metrics.AllFlows)) / float64(units.Millisecond),
 		float64(fct.Percentile(metrics.AllFlows, 0.99)) / float64(units.Millisecond),
-	}
+	}, more...)}
 }
 
 // ExtMicroburst compares how the schemes absorb a synchronized microburst
@@ -66,21 +66,22 @@ func burstRow(fct *metrics.FCTCollector) []float64 {
 // hog queue. It extends the paper's §II-C discussion: BarberQ ([12])
 // evicts the hog's packets to make room, DynaQ protects the burst queue's
 // threshold budget, BestEffort simply drops the burst.
-func ExtMicroburst(o Options) (*AblationResult, error) {
-	out := &AblationResult{
+func ExtMicroburst(o Options) (*Figure, error) {
+	out := &Figure{
 		Name:    "microburst-absorption",
-		Labels:  []string{"burst-avgFCT-ms", "burst-p99FCT-ms", "burst-drops", "evictions"},
-		Schemes: []Scheme{DynaQ, BarberQ, BestEffort},
+		Labels:  bySchemes,
+		Columns: fixed3("burst-avgFCT-ms", "burst-p99FCT-ms", "burst-drops", "evictions"),
 	}
+	schemes := []Scheme{DynaQ, BarberQ, BestEffort}
 	burstFlows := pick(o, 16, 32, 32)
 	var err error
-	out.Rows, err = RunTrials(len(out.Schemes), o.Parallel, func(i int) ([]float64, error) {
+	out.Rows, err = RunTrials(len(schemes), o.Parallel, func(i int) (Row, error) {
 		s := sim.New()
-		net, err := testbedRack(s, 3, 4, testbedBuffer, Factories(out.Schemes[i], SchedDRR,
+		net, err := testbedRack(s, 3, 4, testbedBuffer, Factories(schemes[i], SchedDRR,
 			SchemeParams{Rate: testbedRate, BaseRTT: fabric.Star.BaseRTT(testbedDelay), Weights: equalWeights(4)},
 			testbedMTU))
 		if err != nil {
-			return nil, err
+			return Row{}, err
 		}
 		// Hog: queue 2 from host 0. Burst: queue 1 from host 1. Both sink at
 		// host 2.
@@ -90,7 +91,7 @@ func ExtMicroburst(o Options) (*AblationResult, error) {
 		dropsBefore := int64(0)
 		s.At(units.Time(units.Second-units.Picosecond), func() { dropsBefore = port.QueueDrops(1) })
 		s.RunUntil(units.Time(3 * units.Second))
-		return append(burstRow(fct), float64(port.QueueDrops(1)-dropsBefore), float64(port.Stats().Evicted)), nil
+		return burstRow(schemes[i], fct, float64(port.QueueDrops(1)-dropsBefore), float64(port.Stats().Evicted)), nil
 	})
 	if err != nil {
 		return nil, err
@@ -103,32 +104,33 @@ func ExtMicroburst(o Options) (*AblationResult, error) {
 // absorb buffer "that can be assigned to the other ports", hurting a
 // lightly-loaded port's bursts; dedicating each port its slice (here
 // managed by DynaQ) keeps the quiet port's headroom intact.
-func ExtSharedMemory(o Options) (*AblationResult, error) {
-	out := &AblationResult{
+func ExtSharedMemory(o Options) (*Figure, error) {
+	out := &Figure{
 		Name:    "shared-memory-vs-dedicated",
-		Labels:  []string{"burst-avgFCT-ms", "burst-p99FCT-ms", "quietport-drops"},
-		Schemes: []Scheme{"DT-shared", "DynaQ-dedicated"},
+		Labels:  bySchemes,
+		Columns: fixed3("burst-avgFCT-ms", "burst-p99FCT-ms", "quietport-drops"),
 	}
+	setups := []Scheme{"DT-shared", "DynaQ-dedicated"}
 	totalMem := 2 * testbedBuffer // the switch SRAM covering both hot and quiet port
 	burstFlows := pick(o, 24, 48, 48)
 	var err error
-	out.Rows, err = RunTrials(len(out.Schemes), o.Parallel, func(i int) ([]float64, error) {
+	out.Rows, err = RunTrials(len(setups), o.Parallel, func(i int) (Row, error) {
 		s := sim.New()
 		// Under DT the buffer size names the switch's memory, all of which
 		// any one port may occupy, bounded only by α·free.
 		scheme, buf := DynaQ, testbedBuffer
-		if out.Schemes[i] == "DT-shared" {
+		if setups[i] == "DT-shared" {
 			scheme, buf = DT, totalMem
 		}
 		net, err := testbedRack(s, 4, 4, buf, Factories(scheme, SchedDRR, SchemeParams{Weights: equalWeights(4)}, testbedMTU))
 		if err != nil {
-			return nil, err
+			return Row{}, err
 		}
 		// Hot port: hosts 0 and 1 blast queue 0 at host 2. Quiet port: the
 		// microburst from host 1 to host 3.
 		fct := hogAndBurst(s, net, func(k int) int { return k % 2 }, 2, 0, 3, burstFlows)
 		s.RunUntil(units.Time(3 * units.Second))
-		return append(burstRow(fct), float64(net.HostPort(3).Stats().Dropped)), nil
+		return burstRow(setups[i], fct, float64(net.HostPort(3).Stats().Dropped)), nil
 	})
 	if err != nil {
 		return nil, err
@@ -142,37 +144,29 @@ func ExtSharedMemory(o Options) (*AblationResult, error) {
 // ECN-based isolation scheme can only slow the cooperating tenant: the
 // CUBIC queue ignores marks and overruns the buffer. DynaQ's dropping
 // thresholds discipline both.
-func ExtProtocolDependence(o Options) (*AblationResult, error) {
+func ExtProtocolDependence(o Options) (*Figure, error) {
 	dur := pick(o, 4*units.Second, 10*units.Second, 10*units.Second)
-	out := &AblationResult{
-		Name:    "protocol-dependence",
-		Labels:  []string{"dctcp-share(0.5)", "Jain", "agg-Gbps"},
-		Schemes: []Scheme{DynaQ, PMSB, MQECN, PerQueueECN},
-	}
+	out := &Figure{Name: "protocol-dependence", Labels: bySchemes, Columns: fixed3("dctcp-share(0.5)", "Jain", "agg-Gbps")}
 	specs := twoVsSixteen()
 	specs[0].ECN, specs[0].Ctrl = true, newDCTCPCtrl
 	specs[1].Ctrl = func() transport.Controller { return transport.NewCubic() }
-	return out.staticRows(o, func(scheme Scheme) StaticConfig {
+	return out.staticRows(o, []Scheme{DynaQ, PMSB, MQECN, PerQueueECN}, func(scheme Scheme) StaticConfig {
 		cfg := testbedStatic(scheme, equalWeights(4), specs, dur, o.Seed)
 		cfg.Params = SchemeParams{Weights: cfg.Params.Weights, PerQueueK: 30 * units.KB}
 		return cfg
-	}, func(res *StaticResult) []float64 { return shareJainAgg(res, dur) })
+	}, func(res *StaticResult) Row { return Row{Values: shareJainAgg(res, dur)} })
 }
 
 // ExtTofino verifies the §IV-A conjecture for programmable switches: with
 // round-robin scheduling, DynaQ decided on dequeue-time-stale queue
 // lengths (the bridged deq_qdepth register) still isolates service queues
 // — "some inaccuracy is tolerable".
-func ExtTofino(o Options) (*AblationResult, error) {
+func ExtTofino(o Options) (*Figure, error) {
 	dur := pick(o, 4*units.Second, 10*units.Second, 10*units.Second)
-	out := &AblationResult{
-		Name:    "tofino-stale-queue-lengths",
-		Labels:  []string{"q1-share(0.5)", "Jain", "agg-Gbps"},
-		Schemes: []Scheme{DynaQ, DynaQTofino, BestEffort},
-	}
-	return out.staticRows(o, func(scheme Scheme) StaticConfig {
+	out := &Figure{Name: "tofino-stale-queue-lengths", Labels: bySchemes, Columns: fixed3("q1-share(0.5)", "Jain", "agg-Gbps")}
+	return out.staticRows(o, []Scheme{DynaQ, DynaQTofino, BestEffort}, func(scheme Scheme) StaticConfig {
 		return testbedStatic(scheme, equalWeights(4), twoVsSixteen(), dur, o.Seed)
-	}, func(res *StaticResult) []float64 { return shareJainAgg(res, dur) })
+	}, func(res *StaticResult) Row { return Row{Values: shareJainAgg(res, dur)} })
 }
 
 // ExtTransportZoo pushes protocol independence past Fig. 7: four service
@@ -180,13 +174,9 @@ func ExtTofino(o Options) (*AblationResult, error) {
 // CUBIC, DCTCP (falling back to loss signals since nothing marks), and a
 // TIMELY-like delay-based controller. DynaQ must still split the link four
 // ways; no ECN scheme could even be configured for this population.
-func ExtTransportZoo(o Options) (*AblationResult, error) {
+func ExtTransportZoo(o Options) (*Figure, error) {
 	dur := pick(o, 4*units.Second, 10*units.Second, 10*units.Second)
-	out := &AblationResult{
-		Name:    "transport-zoo",
-		Labels:  []string{"reno", "cubic", "dctcp", "timely", "Jain", "agg-Gbps"},
-		Schemes: []Scheme{DynaQ, BestEffort},
-	}
+	out := &Figure{Name: "transport-zoo", Labels: bySchemes, Columns: fixed3("reno", "cubic", "dctcp", "timely", "Jain", "agg-Gbps")}
 	ctrls := []func() transport.Controller{
 		func() transport.Controller { return transport.NewReno() },
 		func() transport.Controller { return transport.NewCubic() },
@@ -198,16 +188,16 @@ func ExtTransportZoo(o Options) (*AblationResult, error) {
 		specs = append(specs, QueueSpec{Class: q, Flows: 4, Hosts: 1, Ctrl: ctrl})
 	}
 	warm, end := units.Time(dur/5), units.Time(dur)
-	return out.staticRows(o, func(scheme Scheme) StaticConfig {
+	return out.staticRows(o, []Scheme{DynaQ, BestEffort}, func(scheme Scheme) StaticConfig {
 		return testbedStatic(scheme, equalWeights(4), specs, dur, o.Seed)
-	}, func(res *StaticResult) []float64 {
+	}, func(res *StaticResult) Row {
 		xs := make([]float64, 4)
 		row := make([]float64, 0, 6)
 		for q := range xs {
 			xs[q] = float64(res.AvgThroughput(q, warm, end))
 			row = append(row, res.ShareOf(q, warm, end))
 		}
-		return append(row, metrics.Jain(xs), float64(res.AvgAggregate(warm, end))/1e9)
+		return Row{Values: append(row, metrics.Jain(xs), float64(res.AvgAggregate(warm, end))/1e9)}
 	})
 }
 
@@ -215,7 +205,7 @@ func ExtTransportZoo(o Options) (*AblationResult, error) {
 // model instead of the open-loop generator: the client's Poisson requests
 // each pull a web-search-sized response from one of the 4 servers, and
 // latency is user-perceived (request issue → response completion).
-func ExtClosedLoop(o Options) (*FCTResult, error) {
+func ExtClosedLoop(o Options) (*Figure, error) {
 	cfg := testbedFCT(o, SchemeParams{Weights: equalWeights(5)})
 	cfg.RequestResponse = true
 	cfg.Flows = pick(o, 150, 1000, 10000)
@@ -228,14 +218,10 @@ func ExtClosedLoop(o Options) (*FCTResult, error) {
 // plain TCP versus ECN mode (PMSB-style marking) with DCTCP. Both must
 // isolate the 2-vs-16-flow queues; ECN mode additionally keeps the
 // bottleneck port drop-free.
-func ExtDynaQECNMode(o Options) (*AblationResult, error) {
+func ExtDynaQECNMode(o Options) (*Figure, error) {
 	dur := pick(o, 4*units.Second, 10*units.Second, 10*units.Second)
-	out := &AblationResult{
-		Name:    "dynaq-ecn-mode",
-		Labels:  []string{"q1-share(0.5)", "Jain", "agg-Gbps", "drops-k"},
-		Schemes: []Scheme{DynaQ, DynaQECN},
-	}
-	return out.staticRows(o, func(scheme Scheme) StaticConfig {
+	out := &Figure{Name: "dynaq-ecn-mode", Labels: bySchemes, Columns: fixed3("q1-share(0.5)", "Jain", "agg-Gbps", "drops-k")}
+	return out.staticRows(o, []Scheme{DynaQ, DynaQECN}, func(scheme Scheme) StaticConfig {
 		specs := twoVsSixteen()
 		if scheme.IsECNBased() {
 			for i := range specs {
@@ -244,5 +230,7 @@ func ExtDynaQECNMode(o Options) (*AblationResult, error) {
 			}
 		}
 		return testbedStatic(scheme, equalWeights(4), specs, dur, o.Seed)
-	}, func(res *StaticResult) []float64 { return append(shareJainAgg(res, dur), float64(res.Drops)/1000) })
+	}, func(res *StaticResult) Row {
+		return Row{Values: append(shareJainAgg(res, dur), float64(res.Drops)/1000)}
+	})
 }

@@ -28,18 +28,19 @@ import (
 // The violations column must read zero for every scheme: the guardrail
 // audits Σ T_i == B, T_i ≥ 0, occupancy, and pool accounting on every
 // port event of both scenarios.
-func ExtFaults(o Options) (*AblationResult, error) {
+func ExtFaults(o Options) (*Figure, error) {
 	dur := pick(o, 4*units.Second, 10*units.Second, 10*units.Second)
-	out := &AblationResult{
-		Name: "fault-injection",
-		Labels: []string{
+	out := &Figure{
+		Name:   "fault-injection",
+		Labels: bySchemes,
+		Columns: fixed3(
 			"Jain", "q1-share", "agg-Gbps",
 			"fct-avg-ms", "completed",
 			"linkdrops-k", "violations",
-		},
-		Schemes: NonECNSchemes(),
+		),
 	}
-	static, err := staticGrid(o, out.Schemes, func(scheme Scheme) StaticConfig {
+	schemes := NonECNSchemes()
+	static, err := staticGrid(o, schemes, func(scheme Scheme) StaticConfig {
 		// Queue 1 is the light tenant the faults pick on, queue 2 the heavy
 		// competitor.
 		cfg := testbedStatic(scheme, equalWeights(4), twoVsSixteen(), dur, o.Seed)
@@ -61,8 +62,8 @@ func ExtFaults(o Options) (*AblationResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ext-faults static: %w", err)
 	}
-	dynamic, err := RunTrials(len(out.Schemes), o.Parallel, func(i int) (*DynamicResult, error) {
-		return RunDynamic(extFaultsFabric(o, out.Schemes[i]))
+	dynamic, err := RunTrials(len(schemes), o.Parallel, func(i int) (*DynamicResult, error) {
+		return RunDynamic(extFaultsFabric(o, schemes[i]))
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ext-faults dynamic: %w", err)
@@ -73,13 +74,13 @@ func ExtFaults(o Options) (*AblationResult, error) {
 	warm, end := units.Time(dur).Add(-dur.Scale(0.4)), units.Time(dur)
 	for i, st := range static {
 		dy := dynamic[i]
-		out.Rows = append(out.Rows, []float64{
+		out.Rows = append(out.Rows, Row{Labels: []string{string(schemes[i])}, Values: []float64{
 			st.JainOver([]int{1, 2}, warm, end), st.ShareOf(1, warm, end), float64(st.AvgAggregate(warm, end)) / 1e9,
 			float64(dy.FCT.Avg(metrics.AllFlows)) / float64(units.Millisecond),
 			float64(dy.Completed) / float64(dy.Generated),
 			float64(st.LinkLost+st.LinkCorrupted+dy.LinkLost+dy.LinkCorrupted) / 1000,
 			float64(st.ViolationTotal + dy.ViolationTotal),
-		})
+		}})
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"math"
 
 	"dynaq/internal/metrics"
@@ -11,53 +10,11 @@ import (
 
 func newDCTCPCtrl() transport.Controller { return transport.NewDCTCP() }
 
-// AblationResult compares DynaQ against one of its design-choice variants
-// on a scenario that exposes the difference.
-type AblationResult struct {
-	Name    string
-	Schemes []Scheme
-	// Metric rows, one per scheme; Labels names the columns.
-	Labels []string
-	Rows   [][]float64
-}
-
-// Table renders the comparison.
-func (r *AblationResult) Table() string {
-	var t table
-	header := append([]string{"scheme"}, r.Labels...)
-	t.add(header...)
-	for i, s := range r.Schemes {
-		cells := []string{string(s)}
-		for _, v := range r.Rows[i] {
-			cells = append(cells, trim3(v))
-		}
-		t.add(cells...)
-	}
-	return t.String()
-}
-
-func trim3(v float64) string {
-	return fmt.Sprintf("%.3f", v)
-}
-
-// staticRows is the comparison as grid × extractor: one static cell per
-// scheme of r, and the row each result yields, in scheme order.
-func (r *AblationResult) staticRows(o Options, cell func(Scheme) StaticConfig, row func(*StaticResult) []float64) (*AblationResult, error) {
-	cells, err := staticGrid(o, r.Schemes, cell)
-	if err != nil {
-		return nil, err
-	}
-	for _, res := range cells {
-		r.Rows = append(r.Rows, row(res))
-	}
-	return r, nil
-}
-
 // AblationVictim reproduces the §III-B victim-selection argument: under
 // DRR weights 4:3:2:1 the naive largest-threshold rule keeps victimizing
 // the heavy queue (or dropping when it is protected), hurting weighted
 // fairness and throughput; the paper's largest-extra rule does not.
-func AblationVictim(o Options) (*AblationResult, error) {
+func AblationVictim(o Options) (*Figure, error) {
 	dur := pick(o, 4*units.Second, 10*units.Second, 10*units.Second)
 	// §III-B's own example: weights 1:2:3. The heavy queue (weight 3)
 	// stops mid-run; while it is idle the naive rule keeps stripping its
@@ -66,10 +23,10 @@ func AblationVictim(o Options) (*AblationResult, error) {
 	// structure — erodes, and overflowing queues drop against it while
 	// it is active even when lighter queues hold surplus.
 	weights := []int64{1, 2, 3}
-	out := &AblationResult{
+	out := &Figure{
 		Name:    "victim-selection",
-		Labels:  []string{"weighted-Jain", "q3-share(0.5)", "agg-Gbps", "drops-k"},
-		Schemes: []Scheme{DynaQ, DynaQNaiveVictim},
+		Labels:  bySchemes,
+		Columns: fixed3("weighted-Jain", "q3-share(0.5)", "agg-Gbps", "drops-k"),
 	}
 	specs := []QueueSpec{
 		{Class: 0, Flows: 16, Hosts: 1}, // light queue floods
@@ -77,19 +34,19 @@ func AblationVictim(o Options) (*AblationResult, error) {
 		{Class: 2, Flows: 2, Hosts: 1}, // heavy queue, few flows
 	}
 	warm, end := units.Time(dur/5), units.Time(dur)
-	return out.staticRows(o, func(scheme Scheme) StaticConfig {
+	return out.staticRows(o, []Scheme{DynaQ, DynaQNaiveVictim}, func(scheme Scheme) StaticConfig {
 		return testbedStatic(scheme, weights, specs, dur, o.Seed)
-	}, func(res *StaticResult) []float64 {
+	}, func(res *StaticResult) Row {
 		xs := make([]float64, 3)
 		for q := range xs {
 			xs[q] = float64(res.AvgThroughput(q, warm, end))
 		}
-		return []float64{
+		return Row{Values: []float64{
 			metrics.WeightedJain(xs, weights),
 			res.ShareOf(2, warm, end),
 			float64(res.AvgAggregate(warm, end)) / 1e9,
 			float64(res.Drops) / 1000,
-		}
+		}}
 	})
 }
 
@@ -97,19 +54,19 @@ func AblationVictim(o Options) (*AblationResult, error) {
 // S_i = WBDP_i the thresholds leave no slack above the fair-share pipe, so
 // the protected budget of a lightly-loaded queue erodes and its share
 // destabilizes; S_i = B·w_i/Σw holds it steady.
-func AblationSatisfaction(o Options) (*AblationResult, error) {
+func AblationSatisfaction(o Options) (*Figure, error) {
 	dur := pick(o, 4*units.Second, 10*units.Second, 10*units.Second)
-	out := &AblationResult{
+	out := &Figure{
 		Name:    "satisfaction-threshold",
-		Labels:  []string{"q1-share(0.5)", "share-stddev", "Jain"},
-		Schemes: []Scheme{DynaQ, DynaQWBDP},
+		Labels:  bySchemes,
+		Columns: fixed3("q1-share(0.5)", "share-stddev", "Jain"),
 	}
 	warm, end := units.Time(dur/4), units.Time(dur)
-	return out.staticRows(o, func(scheme Scheme) StaticConfig {
+	return out.staticRows(o, []Scheme{DynaQ, DynaQWBDP}, func(scheme Scheme) StaticConfig {
 		cfg := testbedStatic(scheme, equalWeights(4), twoVsSixteen(), dur, o.Seed)
 		cfg.SampleEvery = 100 * units.Millisecond
 		return cfg
-	}, func(res *StaticResult) []float64 {
+	}, func(res *StaticResult) Row {
 		// Per-sample share of queue 1 and its standard deviation: the
 		// instability metric.
 		var shares []float64
@@ -119,7 +76,7 @@ func AblationSatisfaction(o Options) (*AblationResult, error) {
 			}
 		}
 		mean, sd := meanStd(shares)
-		return []float64{mean, sd, res.JainOver([]int{1, 2}, warm, end)}
+		return Row{Values: []float64{mean, sd, res.JainOver([]int{1, 2}, warm, end)}}
 	})
 }
 
@@ -127,15 +84,11 @@ func AblationSatisfaction(o Options) (*AblationResult, error) {
 // just-dequeued packet wastes its transmission slot, idling the link, on
 // top of buffering a packet that is then thrown away. Two backlogged
 // queues drive the port; the dropping variant must lose goodput.
-func AblationDequeueDrop(o Options) (*AblationResult, error) {
+func AblationDequeueDrop(o Options) (*Figure, error) {
 	dur := pick(o, 3*units.Second, 10*units.Second, 10*units.Second)
-	out := &AblationResult{
-		Name:    "tcn-dequeue-drop",
-		Labels:  []string{"agg-Gbps", "Jain"},
-		Schemes: []Scheme{DynaQ, TCN, TCNDrop},
-	}
+	out := &Figure{Name: "tcn-dequeue-drop", Labels: bySchemes, Columns: fixed3("agg-Gbps", "Jain")}
 	warm, end := units.Time(dur/5), units.Time(dur)
-	return out.staticRows(o, func(scheme Scheme) StaticConfig {
+	return out.staticRows(o, []Scheme{DynaQ, TCN, TCNDrop}, func(scheme Scheme) StaticConfig {
 		specs := []QueueSpec{
 			{Class: 1, Flows: 8, Hosts: 1},
 			{Class: 2, Flows: 8, Hosts: 1},
@@ -150,8 +103,8 @@ func AblationDequeueDrop(o Options) (*AblationResult, error) {
 			}
 		}
 		return cfg
-	}, func(res *StaticResult) []float64 {
-		return []float64{float64(res.AvgAggregate(warm, end)) / 1e9, res.JainOver([]int{1, 2}, warm, end)}
+	}, func(res *StaticResult) Row {
+		return Row{Values: []float64{float64(res.AvgAggregate(warm, end)) / 1e9, res.JainOver([]int{1, 2}, warm, end)}}
 	})
 }
 

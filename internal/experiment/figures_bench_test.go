@@ -16,7 +16,7 @@ func BenchmarkFig01(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.Share[1], "q2share")
+		b.ReportMetric(value(b, r, "share", "queue 2"), "q2share")
 	}
 }
 
@@ -26,7 +26,7 @@ func BenchmarkFig03(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.Share1[0], "dynaq-q1share")
+		b.ReportMetric(value(b, r, "queue1 share (ideal 0.5)", DynaQ), "dynaq-q1share")
 	}
 }
 
@@ -37,7 +37,11 @@ func BenchmarkFig04(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(len(r.Traces[0])), "trace-samples")
+		row, err := r.find(string(DynaQ))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(len(row.Trace)), "trace-samples")
 	}
 }
 
@@ -47,7 +51,7 @@ func BenchmarkFig05(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.JainPerPhase[0][0], "dynaq-jain")
+		b.ReportMetric(value(b, r, "Jain", DynaQ, phases[0]), "dynaq-jain")
 	}
 }
 
@@ -57,7 +61,7 @@ func BenchmarkFig06(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.WJain[0], "dynaq-wjain")
+		b.ReportMetric(value(b, r, "weighted Jain", DynaQ), "dynaq-wjain")
 	}
 }
 
@@ -67,7 +71,7 @@ func BenchmarkFig07(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.JainPerPhase[0][0], "mixed-jain")
+		b.ReportMetric(value(b, r, "Jain", DynaQ, phases[0]), "mixed-jain")
 	}
 }
 
@@ -77,8 +81,7 @@ func BenchmarkFig08(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c := r.Cell(DynaQ, r.Loads()[0])
-		b.ReportMetric(float64(c.AvgSmall)/1e9, "dynaq-small-ms")
+		b.ReportMetric(value(b, r, "avg small", DynaQ)/1e9, "dynaq-small-ms")
 	}
 }
 
@@ -88,8 +91,7 @@ func BenchmarkFig09(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c := r.Cell(DynaQ, r.Loads()[0])
-		b.ReportMetric(float64(c.AvgSmall)/1e9, "dynaq-small-ms")
+		b.ReportMetric(value(b, r, "avg small", DynaQ)/1e9, "dynaq-small-ms")
 	}
 }
 
@@ -99,7 +101,7 @@ func BenchmarkFig10(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.MeanJain[0], "dynaq-jain")
+		b.ReportMetric(value(b, r, "mean Jain", DynaQ), "dynaq-jain")
 	}
 }
 
@@ -109,7 +111,7 @@ func BenchmarkFig11(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.MeanJain[0], "dynaq-jain")
+		b.ReportMetric(value(b, r, "mean Jain", DynaQ), "dynaq-jain")
 	}
 }
 
@@ -119,7 +121,7 @@ func BenchmarkFig12(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.MeanJain[0], "dynaq-jain")
+		b.ReportMetric(value(b, r, "mean Jain", DynaQ), "dynaq-jain")
 	}
 }
 
@@ -129,8 +131,7 @@ func BenchmarkFig13(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c := r.Cell(DynaQ, r.Loads()[0])
-		b.ReportMetric(float64(c.AvgOverall)/1e9, "dynaq-overall-ms")
+		b.ReportMetric(value(b, r, "avg overall", DynaQ)/1e9, "dynaq-overall-ms")
 	}
 }
 
@@ -141,7 +142,6 @@ func BenchmarkExtClosedLoop(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c := r.Cell(DynaQ, r.Loads()[0])
-		b.ReportMetric(float64(c.AvgSmall)/1e9, "dynaq-small-ms")
+		b.ReportMetric(value(b, r, "avg small", DynaQ)/1e9, "dynaq-small-ms")
 	}
 }

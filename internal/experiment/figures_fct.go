@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"strconv"
 
 	"dynaq/internal/core"
 	"dynaq/internal/metrics"
@@ -9,44 +10,10 @@ import (
 	"dynaq/internal/workload"
 )
 
-// FCTStats is one (scheme, load) cell of an FCT figure.
-type FCTStats struct {
-	Scheme     Scheme
-	Load       float64
-	AvgOverall units.Duration
-	AvgSmall   units.Duration
-	AvgLarge   units.Duration
-	P99Small   units.Duration
-	Completed  int
-	Generated  int
-}
-
-// FCTResult reproduces an FCT comparison figure: a matrix of stats over
-// (scheme, load), with DynaQ always first so normalization is against it
-// (§V: "the FCT results are normalized by the values of DynaQ").
-type FCTResult struct {
-	Figure string
-	Cells  []FCTStats
-}
-
 // fctCell identifies one independent simulation of an FCT figure grid.
 type fctCell struct {
 	load   float64
 	scheme Scheme
-}
-
-// stats summarizes the cell's completion times.
-func (c fctCell) stats(fct *metrics.FCTCollector, completed, generated int) FCTStats {
-	return FCTStats{
-		Scheme:     c.scheme,
-		Load:       c.load,
-		AvgOverall: fct.Avg(metrics.AllFlows),
-		AvgSmall:   fct.Avg(metrics.SmallFlows),
-		AvgLarge:   fct.Avg(metrics.LargeFlows),
-		P99Small:   fct.Percentile(metrics.SmallFlows, 0.99),
-		Completed:  completed,
-		Generated:  generated,
-	}
 }
 
 // fctCells lists a figure grid load-major: every scheme at the first load,
@@ -62,107 +29,52 @@ func fctCells(loads []float64, schemes []Scheme) []fctCell {
 }
 
 // fctRun executes one FCT figure: the given schemes across the given loads
-// on a shared base configuration. The (load, scheme) cells are independent
-// simulations, so they run on `workers` goroutines (0 = GOMAXPROCS) and are
-// merged in grid order — the Cells slice is identical at any worker count.
-func fctRun(figure string, schemes []Scheme, loads []float64, base DynamicConfig, workers int) (*FCTResult, error) {
+// on a shared base configuration. A row per (load, scheme) cell gives the
+// average FCT overall and of small and large flows, the small flows' p99,
+// and the flows completed out of those generated. The FCTs print normalized
+// by DynaQ's at the same load, as the paper plots them (a ratio > 1 means
+// the scheme is slower than DynaQ), so schemes must include DynaQ. The
+// cells are independent simulations, so they run on `workers` goroutines
+// (0 = GOMAXPROCS) and are merged in grid order — the rows are identical at
+// any worker count.
+func fctRun(figure string, schemes []Scheme, loads []float64, base DynamicConfig, workers int) (*Figure, error) {
 	cells := fctCells(loads, schemes)
 	if base.singleStream() {
 		workers = 1
 	}
-	stats, err := RunTrials(len(cells), workers, func(i int) (FCTStats, error) {
+	rows, err := RunTrials(len(cells), workers, func(i int) (Row, error) {
+		c := cells[i]
 		cfg := base
-		cfg.Scheme = cells[i].scheme
-		cfg.Load = cells[i].load
-		cfg.DCTCP = cells[i].scheme.IsECNBased()
+		cfg.Scheme = c.scheme
+		cfg.Load = c.load
+		cfg.DCTCP = c.scheme.IsECNBased()
 		res, err := RunDynamic(cfg)
 		if err != nil {
-			return FCTStats{}, err
+			return Row{}, err
 		}
-		return cells[i].stats(res.FCT, res.Completed, res.Generated), nil
+		return Row{
+			Labels: []string{fmt.Sprintf("%.0f%%", c.load*100), string(c.scheme)},
+			Values: []float64{
+				float64(res.FCT.Avg(metrics.AllFlows)),
+				float64(res.FCT.Avg(metrics.SmallFlows)),
+				float64(res.FCT.Avg(metrics.LargeFlows)),
+				float64(res.FCT.Percentile(metrics.SmallFlows, 0.99)),
+				float64(res.Completed), float64(res.Generated),
+			},
+		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &FCTResult{Figure: figure, Cells: stats}, nil
-}
-
-// Cell returns the stats for (scheme, load), or nil.
-func (r *FCTResult) Cell(s Scheme, load float64) *FCTStats {
-	for i := range r.Cells {
-		//dynaqlint:allow float-eq Load values are copied experiment literals (0.5, 0.8, ...), never arithmetic results, so exact lookup is intended
-		if r.Cells[i].Scheme == s && r.Cells[i].Load == load {
-			return &r.Cells[i]
-		}
-	}
-	return nil
-}
-
-// Loads returns the distinct loads in run order.
-func (r *FCTResult) Loads() []float64 {
-	return distinct(r.Cells, func(c FCTStats) float64 { return c.Load })
-}
-
-// Schemes returns the distinct schemes in run order.
-func (r *FCTResult) Schemes() []Scheme {
-	return distinct(r.Cells, func(c FCTStats) Scheme { return c.Scheme })
-}
-
-// distinct lists key(c) over cells, each value once, in first-seen order.
-func distinct[K comparable](cells []FCTStats, key func(FCTStats) K) []K {
-	var ks []K
-	seen := map[K]bool{}
-	for _, c := range cells {
-		if k := key(c); !seen[k] {
-			seen[k] = true
-			ks = append(ks, k)
-		}
-	}
-	return ks
-}
-
-// Table renders the figure with FCTs normalized by DynaQ, as the paper
-// plots them (a ratio > 1 means the scheme is slower than DynaQ).
-func (r *FCTResult) Table() string {
-	var t table
-	t.add("load", "scheme", "avg overall", "avg small", "avg large", "p99 small", "flows")
-	norm := func(v, base units.Duration) string {
-		if base == 0 {
-			return "-"
-		}
-		return formatRatio(float64(v) / float64(base))
-	}
-	for _, load := range r.Loads() {
-		base := r.Cell(DynaQ, load)
-		for _, s := range r.Schemes() {
-			c := r.Cell(s, load)
-			if c == nil {
-				continue
-			}
-			if s == DynaQ {
-				t.addf("%.0f%%\t%s\t%s\t%s\t%s\t%s\t%d/%d", load*100, s,
-					formatMillis(c.AvgOverall), formatMillis(c.AvgSmall),
-					formatMillis(c.AvgLarge), formatMillis(c.P99Small),
-					c.Completed, c.Generated)
-				continue
-			}
-			t.addf("%.0f%%\t%s\t%s\t%s\t%s\t%s\t%d/%d", load*100, s,
-				norm(c.AvgOverall, base.AvgOverall), norm(c.AvgSmall, base.AvgSmall),
-				norm(c.AvgLarge, base.AvgLarge), norm(c.P99Small, base.P99Small),
-				c.Completed, c.Generated)
-		}
-	}
-	return t.String()
-}
-
-func formatRatio(x float64) string {
-	return fmt.Sprintf("%.2fx", x)
-}
-
-// formatMillis renders a duration as fractional milliseconds, the unit the
-// paper's FCT plots use.
-func formatMillis(d units.Duration) string {
-	return fmt.Sprintf("%.2fms", float64(d)/float64(units.Millisecond))
+	return &Figure{
+		Name:   figure,
+		Labels: []string{"load", "scheme"},
+		Columns: []Column{
+			{"avg overall", FCT}, {"avg small", FCT}, {"avg large", FCT}, {"p99 small", FCT},
+			{"flows", Count}, {"generated", OutOf},
+		},
+		Rows: rows,
+	}, nil
 }
 
 // fctLoads returns the figure's load sweep at the chosen scale.
@@ -197,13 +109,13 @@ func testbedFCT(o Options, params SchemeParams) DynamicConfig {
 
 // Fig8 compares DynaQ with the non-ECN schemes (BestEffort, PQL) on the
 // testbed rack.
-func Fig8(o Options) (*FCTResult, error) {
+func Fig8(o Options) (*Figure, error) {
 	return fctRun("fig8", NonECNSchemes(), fctLoads(o), testbedFCT(o, SchemeParams{Weights: equalWeights(5)}), o.Parallel)
 }
 
 // Fig9 compares DynaQ (drop-based, plain TCP) with the ECN-based schemes
 // (TCN, PMSB, Per-Queue ECN) running DCTCP, on the same rack as Fig8.
-func Fig9(o Options) (*FCTResult, error) {
+func Fig9(o Options) (*Figure, error) {
 	// Thresholds tuned like the testbed: DCTCP K = 30KB, TCN target = 240µs
 	// (§V-A "the best values experimentally found").
 	tuned := SchemeParams{Weights: equalWeights(5), PerQueueK: 30 * units.KB, TCNTarget: 240 * units.Microsecond}
@@ -212,7 +124,7 @@ func Fig9(o Options) (*FCTResult, error) {
 
 // Fig13 runs the large-scale leaf-spine FCT simulation: SPQ(1)+DRR(7), the
 // four workloads striped over the seven services, ECMP, 10Gbps fabric.
-func Fig13(o Options) (*FCTResult, error) {
+func Fig13(o Options) (*Figure, error) {
 	leaves := pick(o, 2, 4, 12)
 	spines := pick(o, 2, 4, 12)
 	hostsPerLeaf := pick(o, 2, 4, 12)
@@ -239,12 +151,18 @@ func Fig13(o Options) (*FCTResult, error) {
 }
 
 // Cycles reproduces the §IV-A hardware cost analysis (Table-less in the
-// paper but a headline claim: ≤7 cycles for 8 queues, 0.88% of Trident 3).
-func Cycles() *CyclesResult {
-	res := &CyclesResult{TridentOverhead: core.CycleOverhead(8, 800)}
-	for _, m := range []int{1, 2, 4, 8, 16} {
-		res.QueueCounts = append(res.QueueCounts, m)
-		res.Cycles = append(res.Cycles, core.CycleCost(m))
+// paper but a headline claim: ≤7 cycles for 8 queues, 0.88% of Trident 3):
+// Algorithm 1's worst-case cycles per queue count, and under it the share of
+// a Trident 3's ≥800-cycle per-packet budget that 8 queues take.
+func Cycles(Options) (*Figure, error) {
+	out := &Figure{
+		Name:    "cycles",
+		Labels:  []string{"queues"},
+		Columns: []Column{{"worst-case cycles", Count}},
+		Note:    &Note{Column{"Trident 3 overhead (8 queues / 800 cycles)", Percent2}, core.CycleOverhead(8, 800)},
 	}
-	return res
+	for _, m := range []int{1, 2, 4, 8, 16} {
+		out.Rows = append(out.Rows, Row{Labels: []string{strconv.Itoa(m)}, Values: []float64{float64(core.CycleCost(m))}})
+	}
+	return out, nil
 }

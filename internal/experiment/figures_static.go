@@ -83,21 +83,39 @@ func shareJainAgg(res *StaticResult, dur units.Duration) []float64 {
 	}
 }
 
-// Fig1Result reproduces Figure 1: fair sharing violated by unfair buffer
-// occupancy under the best-effort scheme.
-type Fig1Result struct {
-	// Rate and Share are per active queue (queue 1 and queue 2).
-	Rate  [2]units.Rate
-	Share [2]float64
-	// AvgOccupancy is the mean buffer occupancy per queue over the trace.
-	AvgOccupancy [2]units.ByteSize
+// bySchemes is the label column of a figure with one row per scheme.
+var bySchemes = []string{"scheme"}
+
+// fixed3 lists value columns that print with three decimals.
+func fixed3(names ...string) []Column {
+	cols := make([]Column, len(names))
+	for i, n := range names {
+		cols[i] = Column{Name: n, Unit: Fixed3}
+	}
+	return cols
+}
+
+// staticRows is a figure as grid × extractor: one static cell per scheme,
+// and the row each result yields, labelled by its scheme, in scheme order.
+func (f *Figure) staticRows(o Options, schemes []Scheme, cell func(Scheme) StaticConfig, row func(*StaticResult) Row) (*Figure, error) {
+	cells, err := staticGrid(o, schemes, cell)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range cells {
+		r := row(res)
+		r.Labels = []string{string(schemes[i])}
+		f.Rows = append(f.Rows, r)
+	}
+	return f, nil
 }
 
 // Fig1 runs the motivation experiment: 4 equal DRR queues, queue 1 fed by
 // 8 flows from one sender, queue 2 by 24 flows from three senders, under
 // BestEffort. The paper's point: queue 2's arrival pressure monopolizes
-// the buffer, so equal DRR weights do not yield equal throughput.
-func Fig1(o Options) (*Fig1Result, error) {
+// the buffer, so equal DRR weights do not yield equal throughput. A row per
+// active queue gives its throughput, share and mean buffer occupancy.
+func Fig1(o Options) (*Figure, error) {
 	dur := pick(o, 3*units.Second, 15*units.Second, 60*units.Second)
 	specs := []QueueSpec{
 		{Class: 1, Flows: 8, Hosts: 1},
@@ -111,66 +129,54 @@ func Fig1(o Options) (*Fig1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, out := cells[0], &Fig1Result{}
-	warm, end := units.Time(dur/10), units.Time(dur)
-	var occ [2]float64
-	for _, s := range res.QueueTrace {
-		occ[0] += float64(s.PerQueue[1])
-		occ[1] += float64(s.PerQueue[2])
+	res := cells[0]
+	out := &Figure{
+		Name:    "fig1",
+		Labels:  []string{"queue"},
+		Columns: []Column{{"throughput", BitRate}, {"share", Fixed2}, {"avg occupancy", Bytes}},
 	}
-	for i := range out.Rate {
-		out.Rate[i] = res.AvgThroughput(i+1, warm, end)
-		out.Share[i] = res.ShareOf(i+1, warm, end)
-		if n := len(res.QueueTrace); n > 0 {
-			out.AvgOccupancy[i] = units.ByteSize(occ[i] / float64(n))
-		}
+	warm, end := units.Time(dur/10), units.Time(dur)
+	for q := 1; q <= 2; q++ {
+		out.Rows = append(out.Rows, Row{
+			Labels: []string{fmt.Sprintf("queue %d", q)},
+			Values: []float64{
+				float64(res.AvgThroughput(q, warm, end)), res.ShareOf(q, warm, end),
+				float64(units.ByteSize(meanQueue(res.QueueTrace, q))),
+			},
+		})
 	}
 	return out, nil
 }
 
-// Table renders the figure as text.
-func (r *Fig1Result) Table() string {
-	var t table
-	t.add("queue", "throughput", "share", "avg occupancy")
-	for i := 0; i < 2; i++ {
-		t.addf("queue %d\t%v\t%.2f\t%v", i+1, r.Rate[i], r.Share[i], r.AvgOccupancy[i])
+// meanQueue is queue q's mean length over a trace, 0 over an empty one.
+func meanQueue(trace []metrics.QueueSample, q int) float64 {
+	var sum float64
+	for _, s := range trace {
+		sum += float64(s.PerQueue[q])
 	}
-	return t.String()
+	if len(trace) == 0 {
+		return 0
+	}
+	return sum / float64(len(trace))
 }
 
-// ConvergenceResult reproduces Figures 3 and 4: throughput convergence and
-// queue evolution of two active DRR queues (2 vs 16 flows) under each
-// scheme.
-type ConvergenceResult struct {
-	Schemes []Scheme
-	// Share1 is queue 1's long-run throughput share per scheme (ideal
-	// 0.5); JainIdx the mean Jain index over the two active queues.
-	Share1  []float64
-	JainIdx []float64
-	// Traces carries 1K-sample queue evolutions per scheme (Fig. 4).
-	Traces [][]metrics.QueueSample
-	// Series carries the full throughput series per scheme (Fig. 3).
-	Series [][]metrics.ThroughputSample
-}
-
-// Fig3 runs the convergence experiment for BestEffort, PQL and DynaQ; Fig. 4
-// is the queue-evolution view (Traces) of the same runs.
-func Fig3(o Options) (*ConvergenceResult, error) {
+// Fig3 runs the convergence experiment of Figures 3 and 4 — two active DRR
+// queues, 2 vs 16 flows — for BestEffort, PQL and DynaQ. Each scheme's row
+// carries its throughput series (Fig. 3) and a 1K-sample queue trace
+// (Fig. 4).
+func Fig3(o Options) (*Figure, error) {
 	dur := pick(o, 3*units.Second, 10*units.Second, 10*units.Second)
-	out := &ConvergenceResult{Schemes: NonECNSchemes()}
-	cells, err := staticGrid(o, out.Schemes, func(scheme Scheme) StaticConfig {
+	out := &Figure{
+		Name:    "fig3",
+		Labels:  bySchemes,
+		Columns: append(fixed3("queue1 share (ideal 0.5)", "Jain index"), Column{"mean qlen q1", Bytes}, Column{"mean qlen q2", Bytes}),
+	}
+	warm, end := units.Time(dur/5), units.Time(dur)
+	return out.staticRows(o, NonECNSchemes(), func(scheme Scheme) StaticConfig {
 		cfg := testbedStatic(scheme, equalWeights(4), twoVsSixteen(), dur, o.Seed)
 		cfg.TraceStride = 4
 		return cfg
-	})
-	if err != nil {
-		return nil, err
-	}
-	warm, end := units.Time(dur/5), units.Time(dur)
-	for _, res := range cells {
-		out.Share1 = append(out.Share1, res.ShareOf(1, warm, end))
-		out.JainIdx = append(out.JainIdx, res.JainOver([]int{1, 2}, warm, end))
-		out.Series = append(out.Series, res.Samples)
+	}, func(res *StaticResult) Row {
 		// Fig. 4's "1K sequential samples at random time": take them from
 		// the middle of the run.
 		trace := res.QueueTrace
@@ -178,55 +184,28 @@ func Fig3(o Options) (*ConvergenceResult, error) {
 			start := len(trace) / 2
 			trace = trace[start : start+1000]
 		}
-		out.Traces = append(out.Traces, trace)
-	}
-	return out, nil
-}
-
-// Table renders the convergence summary.
-func (r *ConvergenceResult) Table() string {
-	var t table
-	t.add("scheme", "queue1 share (ideal 0.5)", "Jain index", "mean qlen q1", "mean qlen q2")
-	for i, s := range r.Schemes {
-		var q1, q2 float64
-		for _, smp := range r.Traces[i] {
-			q1 += float64(smp.PerQueue[1])
-			q2 += float64(smp.PerQueue[2])
+		return Row{
+			Values: []float64{
+				res.ShareOf(1, warm, end), res.JainOver([]int{1, 2}, warm, end),
+				float64(units.ByteSize(meanQueue(trace, 1))), float64(units.ByteSize(meanQueue(trace, 2))),
+			},
+			Series: res.Samples,
+			Trace:  trace,
 		}
-		if n := len(r.Traces[i]); n > 0 {
-			q1 /= float64(n)
-			q2 /= float64(n)
-		}
-		t.addf("%s\t%.3f\t%.3f\t%v\t%v", s, r.Share1[i], r.JainIdx[i],
-			units.ByteSize(q1), units.ByteSize(q2))
-	}
-	return t.String()
-}
-
-// PhasedResult reproduces Figures 5 and 7: bandwidth sharing among 4 DRR
-// queues as queues go inactive over time.
-type PhasedResult struct {
-	Schemes []Scheme
-	// Phase boundaries (queues stop at each boundary).
-	Boundaries []units.Time
-	// JainPerPhase[i][p] is scheme i's mean Jain index over the queues
-	// active in phase p; AggPerPhase the mean aggregate throughput.
-	JainPerPhase [][]float64
-	AggPerPhase  [][]units.Rate
-	Series       [][]metrics.ThroughputSample
+	})
 }
 
 // phasedRun drives the Fig. 5/7 scenario: queue i carries 2^i flows; from
 // mid-run the highest queue stops every interval until only queue 1
-// remains.
-func phasedRun(o Options, schemes []Scheme, ctrlFor func(class int) func() transport.Controller) (*PhasedResult, error) {
+// remains. A row per (scheme, phase) gives the mean Jain index over the
+// queues active in the phase and the mean aggregate throughput; a scheme's
+// first row carries its throughput series.
+func phasedRun(o Options, name string, schemes []Scheme, ctrlFor func(class int) func() transport.Controller) (*Figure, error) {
 	// Paper timeline: stops at 10, 15, 20, 25 s; scale the whole timeline.
 	unit := pick(o, units.Second, 5*units.Second, 5*units.Second)
 	dur := 5 * unit
-	out := &PhasedResult{
-		Schemes:    schemes,
-		Boundaries: []units.Time{0, units.Time(2 * unit), units.Time(3 * unit), units.Time(4 * unit), units.Time(5 * unit)},
-	}
+	// Phase boundaries: queues stop at each.
+	boundaries := []units.Time{0, units.Time(2 * unit), units.Time(3 * unit), units.Time(4 * unit), units.Time(5 * unit)}
 	// Paper's queue q (1-based) is service class q-1. Queue q carries 2^q
 	// flows; queue 4 stops first (at 2·unit), then 3, then 2; queue 1 runs
 	// to the end (5·unit).
@@ -252,33 +231,40 @@ func phasedRun(o Options, schemes []Scheme, ctrlFor func(class int) func() trans
 	if err != nil {
 		return nil, err
 	}
+	out := &Figure{
+		Name:    name,
+		Labels:  []string{"scheme", "phase(active)"},
+		Columns: []Column{{"Jain", Fixed3}, {"aggregate", BitRate}},
+	}
 	activeIn := [][]int{{0, 1, 2, 3}, {0, 1, 2}, {0, 1}, {0}}
-	for _, res := range cells {
-		var jain []float64
-		var agg []units.Rate
+	phases := []string{"4 queues", "3 queues", "2 queues", "1 queue"}
+	for i, res := range cells {
 		for p, active := range activeIn {
 			// Skip the convergence transient right after a stop.
-			from, to := out.Boundaries[p].Add(unit/5), out.Boundaries[p+1]
-			jain = append(jain, res.JainOver(active, from, to))
-			agg = append(agg, res.AvgAggregate(from, to))
+			from, to := boundaries[p].Add(unit/5), boundaries[p+1]
+			r := Row{
+				Labels: []string{string(schemes[i]), phases[p]},
+				Values: []float64{res.JainOver(active, from, to), float64(res.AvgAggregate(from, to))},
+			}
+			if p == 0 {
+				r.Series = res.Samples
+			}
+			out.Rows = append(out.Rows, r)
 		}
-		out.JainPerPhase = append(out.JainPerPhase, jain)
-		out.AggPerPhase = append(out.AggPerPhase, agg)
-		out.Series = append(out.Series, res.Samples)
 	}
 	return out, nil
 }
 
 // Fig5 runs the equal-weight bandwidth-sharing experiment with queue
 // departures for BestEffort, PQL and DynaQ.
-func Fig5(o Options) (*PhasedResult, error) {
-	return phasedRun(o, NonECNSchemes(), nil)
+func Fig5(o Options) (*Figure, error) {
+	return phasedRun(o, "fig5", NonECNSchemes(), nil)
 }
 
 // Fig7 repeats Fig5 under DynaQ with CUBIC senders on queues 3 and 4 — the
 // protocol-independence demonstration.
-func Fig7(o Options) (*PhasedResult, error) {
-	return phasedRun(o, []Scheme{DynaQ}, func(class int) func() transport.Controller {
+func Fig7(o Options) (*Figure, error) {
+	return phasedRun(o, "fig7", []Scheme{DynaQ}, func(class int) func() transport.Controller {
 		if class >= 3 {
 			return func() transport.Controller { return transport.NewCubic() }
 		}
@@ -286,89 +272,44 @@ func Fig7(o Options) (*PhasedResult, error) {
 	})
 }
 
-// Table renders per-phase fairness and aggregate throughput.
-func (r *PhasedResult) Table() string {
-	var t table
-	t.add("scheme", "phase(active)", "Jain", "aggregate")
-	names := []string{"4 queues", "3 queues", "2 queues", "1 queue"}
-	for i, s := range r.Schemes {
-		for p := range names {
-			t.addf("%s\t%s\t%.3f\t%v", s, names[p], r.JainPerPhase[i][p], r.AggPerPhase[i][p])
-		}
-	}
-	return t.String()
-}
-
-// Fig6Result reproduces Figure 6: throughput shares under DRR weights
-// 4:3:2:1.
-type Fig6Result struct {
-	Schemes []Scheme
-	// Shares[i][q] is queue q+1's mean throughput share under scheme i;
-	// ideal 0.4/0.3/0.2/0.1.
-	Shares [][4]float64
-	// WJain is the weighted Jain index (1 = perfectly weighted-fair).
-	WJain []float64
-}
-
-// Fig6 runs the weighted sharing experiment for BestEffort, PQL and DynaQ.
-func Fig6(o Options) (*Fig6Result, error) {
+// Fig6 runs the weighted sharing experiment of Figure 6 for BestEffort,
+// PQL and DynaQ: each queue's throughput share under DRR weights 4:3:2:1
+// against its ideal, and the weighted Jain index (1 = perfectly
+// weighted-fair).
+func Fig6(o Options) (*Figure, error) {
 	dur := pick(o, 3*units.Second, 10*units.Second, 10*units.Second)
 	weights := []int64{4, 3, 2, 1}
 	var specs []QueueSpec
 	for q := 1; q <= 4; q++ {
 		specs = append(specs, QueueSpec{Class: q - 1, Flows: 1 << q, Hosts: 1})
 	}
-	out := &Fig6Result{Schemes: NonECNSchemes()}
-	cells, err := staticGrid(o, out.Schemes, func(scheme Scheme) StaticConfig {
-		return testbedStatic(scheme, weights, specs, dur, o.Seed)
-	})
-	if err != nil {
-		return nil, err
+	out := &Figure{
+		Name:    "fig6",
+		Labels:  bySchemes,
+		Columns: fixed3("q1 (0.4)", "q2 (0.3)", "q3 (0.2)", "q4 (0.1)", "weighted Jain"),
 	}
 	warm, end := units.Time(dur/5), units.Time(dur)
-	for _, res := range cells {
-		var shares [4]float64
+	return out.staticRows(o, NonECNSchemes(), func(scheme Scheme) StaticConfig {
+		return testbedStatic(scheme, weights, specs, dur, o.Seed)
+	}, func(res *StaticResult) Row {
+		var r Row
 		xs := make([]float64, 4)
 		for q := range xs {
-			shares[q] = res.ShareOf(q, warm, end)
+			r.Values = append(r.Values, res.ShareOf(q, warm, end))
 			xs[q] = float64(res.AvgThroughput(q, warm, end))
 		}
-		out.Shares = append(out.Shares, shares)
-		out.WJain = append(out.WJain, metrics.WeightedJain(xs, weights))
-	}
-	return out, nil
-}
-
-// Table renders shares against the 0.4/0.3/0.2/0.1 ideal.
-func (r *Fig6Result) Table() string {
-	var t table
-	t.add("scheme", "q1 (0.4)", "q2 (0.3)", "q3 (0.2)", "q4 (0.1)", "weighted Jain")
-	for i, s := range r.Schemes {
-		t.addf("%s\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f", s,
-			r.Shares[i][0], r.Shares[i][1], r.Shares[i][2], r.Shares[i][3], r.WJain[i])
-	}
-	return t.String()
-}
-
-// HighSpeedResult reproduces Figures 10-12: Jain fairness over active
-// queues plus aggregate throughput on 10/100 Gbps links as queues stop one
-// by one.
-type HighSpeedResult struct {
-	Schemes []Scheme
-	// MinJain is the worst per-sample Jain index over the run (the
-	// paper's plots dip at stop instants); MeanJain the average.
-	MinJain, MeanJain []float64
-	// MeanAgg and MinAgg summarize aggregate throughput over the run.
-	MeanAgg, MinAgg []units.Rate
-	Series          [][]metrics.ThroughputSample
-	Rate            units.Rate
+		r.Values = append(r.Values, metrics.WeightedJain(xs, weights))
+		return r
+	})
 }
 
 // highSpeedRun drives the Fig. 10-12 scenario on a star with 8 WRR queues:
 // queue i has senders[i] single-flow senders; queues 2..8 stop every 50ms
-// from 200ms.
-func highSpeedRun(o Options, rate units.Rate, buf units.ByteSize, rtt units.Duration,
-	mtu units.ByteSize, senders [8]int) (*HighSpeedResult, error) {
+// from 200ms. A row per scheme gives the mean and the worst per-sample Jain
+// index over the active queues (the paper's plots dip at stop instants) and
+// the mean and minimum aggregate throughput, and carries the series.
+func highSpeedRun(o Options, name string, rate units.Rate, buf units.ByteSize, rtt units.Duration,
+	mtu units.ByteSize, senders [8]int) (*Figure, error) {
 	var specs []QueueSpec
 	for q := 1; q <= 8; q++ {
 		stop := units.Duration(0)
@@ -382,8 +323,12 @@ func highSpeedRun(o Options, rate units.Rate, buf units.ByteSize, rtt units.Dura
 			StopAt: stop,
 		})
 	}
-	out := &HighSpeedResult{Rate: rate, Schemes: NonECNSchemes()}
-	cells, err := staticGrid(o, out.Schemes, func(scheme Scheme) StaticConfig {
+	out := &Figure{
+		Name:    name,
+		Labels:  bySchemes,
+		Columns: append(fixed3("mean Jain", "min Jain"), Column{"mean aggregate", BitRate}, Column{"min aggregate", BitRate}),
+	}
+	return out.staticRows(o, NonECNSchemes(), func(scheme Scheme) StaticConfig {
 		return StaticConfig{
 			Scheme:      scheme,
 			Sched:       SchedWRR,
@@ -399,11 +344,7 @@ func highSpeedRun(o Options, rate units.Rate, buf units.ByteSize, rtt units.Dura
 			MinRTO:      5 * units.Millisecond,
 			Seed:        o.Seed,
 		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, res := range cells {
+	}, func(res *StaticResult) Row {
 		minJ, sumJ, nJ := 1.0, 0.0, 0
 		var minA units.Rate = units.Rate(1) << 62
 		var sumA int64
@@ -427,13 +368,11 @@ func highSpeedRun(o Options, rate units.Rate, buf units.ByteSize, rtt units.Dura
 			minA = min(minA, smp.Aggregate)
 			sumA += int64(smp.Aggregate)
 		}
-		out.MinJain = append(out.MinJain, minJ)
-		out.MeanJain = append(out.MeanJain, sumJ/float64(nJ))
-		out.MinAgg = append(out.MinAgg, minA)
-		out.MeanAgg = append(out.MeanAgg, units.Rate(sumA/int64(nJ)))
-		out.Series = append(out.Series, res.Samples)
-	}
-	return out, nil
+		return Row{
+			Values: []float64{sumJ / float64(nJ), minJ, float64(units.Rate(sumA / int64(nJ))), float64(minA)},
+			Series: res.Samples,
+		}
+	})
 }
 
 // highSpeedSenders is the Fig. 10/11 sender table: 2·i single-flow senders
@@ -447,53 +386,23 @@ func highSpeedSenders(o Options) (senders [8]int) {
 
 // Fig10 runs the 10Gbps bandwidth-sharing simulation (2·i senders for
 // queue i, Broadcom Trident+-like 192KB port buffer, 84µs RTT).
-func Fig10(o Options) (*HighSpeedResult, error) {
-	return highSpeedRun(o, 10*units.Gbps, 192*units.KB, 84*units.Microsecond, 1500, highSpeedSenders(o))
+func Fig10(o Options) (*Figure, error) {
+	return highSpeedRun(o, "fig10", 10*units.Gbps, 192*units.KB, 84*units.Microsecond, 1500, highSpeedSenders(o))
 }
 
 // Fig11 repeats Fig10 at 100Gbps with jumbo frames and a Trident 3-like
 // 1MB buffer (40µs RTT).
-func Fig11(o Options) (*HighSpeedResult, error) {
-	return highSpeedRun(o, 100*units.Gbps, units.MB, 40*units.Microsecond, 9000, highSpeedSenders(o))
+func Fig11(o Options) (*Figure, error) {
+	return highSpeedRun(o, "fig11", 100*units.Gbps, units.MB, 40*units.Microsecond, 9000, highSpeedSenders(o))
 }
 
 // Fig12 is the extreme traffic-dynamics run: queue i has 2^(3+i)
 // single-flow senders (16 up to 2048 at full scale).
-func Fig12(o Options) (*HighSpeedResult, error) {
+func Fig12(o Options) (*Figure, error) {
 	shift := pick(o, 1, 2, 3)
 	var senders [8]int
 	for i := range senders {
 		senders[i] = 1 << (shift + i + 1)
 	}
-	return highSpeedRun(o, 100*units.Gbps, units.MB, 40*units.Microsecond, 9000, senders)
-}
-
-// Table renders the high-speed fairness summary.
-func (r *HighSpeedResult) Table() string {
-	var t table
-	t.add("scheme", "mean Jain", "min Jain", "mean aggregate", "min aggregate")
-	for i, s := range r.Schemes {
-		t.addf("%s\t%.3f\t%.3f\t%v\t%v", s, r.MeanJain[i], r.MinJain[i], r.MeanAgg[i], r.MinAgg[i])
-	}
-	return t.String()
-}
-
-// CyclesResult reproduces the §IV-A hardware cost analysis.
-type CyclesResult struct {
-	QueueCounts []int
-	Cycles      []int
-	// TridentOverhead is the fraction of a Trident 3's ≥800-cycle
-	// per-packet budget for 8 queues.
-	TridentOverhead float64
-}
-
-// Table renders the cycle budget.
-func (r *CyclesResult) Table() string {
-	var t table
-	t.add("queues", "worst-case cycles")
-	for i, m := range r.QueueCounts {
-		t.addf("%d\t%d", m, r.Cycles[i])
-	}
-	return t.String() + fmt.Sprintf("Trident 3 overhead (8 queues / 800 cycles): %.2f%%\n",
-		100*r.TridentOverhead)
+	return highSpeedRun(o, "fig12", 100*units.Gbps, units.MB, 40*units.Microsecond, 9000, senders)
 }

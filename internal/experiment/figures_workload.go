@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -10,31 +9,22 @@ import (
 	"dynaq/internal/workload"
 )
 
-// WorkloadRow characterizes one of Figure 2's flow-size distributions.
-type WorkloadRow struct {
-	Name string
-	Mean units.ByteSize
-	P50  units.ByteSize
-	P90  units.ByteSize
-	P99  units.ByteSize
-	// SmallFrac is the fraction of flows ≤ 100KB (the paper's "small").
-	SmallFrac float64
-	// HeavyByteFrac is the fraction of bytes carried by flows > 10MB —
-	// the heavy-tail property ("90% of bytes are from flows larger than
-	// 100MB" for data mining).
-	HeavyByteFrac float64
-}
-
-// WorkloadResult reproduces Figure 2 as a table: the four production
-// workloads' size distributions and their skew.
-type WorkloadResult struct {
-	Rows []WorkloadRow
-}
-
-// Fig2 samples each workload CDF and summarizes the distribution shape.
-func Fig2(o Options) (*WorkloadResult, error) {
+// Fig2 reproduces Figure 2 as a table: it samples each production
+// workload's CDF and summarizes the distribution's shape and skew. A row per
+// workload gives the mean and percentiles of flow size, the fraction of
+// flows ≤ 100KB (the paper's "small"), and the fraction of bytes carried by
+// flows > 10MB — the heavy-tail property ("90% of bytes are from flows
+// larger than 100MB" for data mining).
+func Fig2(o Options) (*Figure, error) {
 	n := pick(o, 20000, 200000, 1000000)
-	out := &WorkloadResult{}
+	out := &Figure{
+		Name:   "fig2",
+		Labels: []string{"workload"},
+		Columns: []Column{
+			{"mean", Size}, {"p50", Size}, {"p90", Size}, {"p99", Size},
+			{"flows≤100KB", Percent}, {"bytes from >10MB flows", Percent},
+		},
+	}
 	for _, cdf := range workload.All() {
 		rng := rand.New(rand.NewSource(o.Seed))
 		sizes := make([]units.ByteSize, n)
@@ -52,42 +42,14 @@ func Fig2(o Options) (*WorkloadResult, error) {
 			}
 		}
 		sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-		q := func(p float64) units.ByteSize { return sizes[int(p*float64(n-1))] }
-		out.Rows = append(out.Rows, WorkloadRow{
-			Name:          cdf.Name(),
-			Mean:          units.ByteSize(total / float64(n)),
-			P50:           q(0.50),
-			P90:           q(0.90),
-			P99:           q(0.99),
-			SmallFrac:     float64(small) / float64(n),
-			HeavyByteFrac: heavy / total,
+		q := func(p float64) float64 { return float64(sizes[int(p*float64(n-1))]) }
+		out.Rows = append(out.Rows, Row{
+			Labels: []string{cdf.Name()},
+			Values: []float64{
+				float64(units.ByteSize(total / float64(n))), q(0.50), q(0.90), q(0.99),
+				float64(small) / float64(n), heavy / total,
+			},
 		})
 	}
 	return out, nil
-}
-
-// Table renders the workload characterization.
-func (r *WorkloadResult) Table() string {
-	var t table
-	t.add("workload", "mean", "p50", "p90", "p99", "flows≤100KB", "bytes from >10MB flows")
-	for _, row := range r.Rows {
-		t.addf("%s\t%s\t%s\t%s\t%s\t%.0f%%\t%.0f%%",
-			row.Name, sizeStr(row.Mean), sizeStr(row.P50), sizeStr(row.P90),
-			sizeStr(row.P99), 100*row.SmallFrac, 100*row.HeavyByteFrac)
-	}
-	return t.String()
-}
-
-// sizeStr renders a byte size compactly with one decimal.
-func sizeStr(b units.ByteSize) string {
-	switch {
-	case b >= units.GB:
-		return fmt.Sprintf("%.1fGB", float64(b)/1e9)
-	case b >= units.MB:
-		return fmt.Sprintf("%.1fMB", float64(b)/1e6)
-	case b >= units.KB:
-		return fmt.Sprintf("%.1fKB", float64(b)/1e3)
-	default:
-		return fmt.Sprintf("%dB", int64(b))
-	}
 }

@@ -56,12 +56,7 @@ func TestRunSeedsOnRealExperiment(t *testing.T) {
 		if err != nil {
 			return 0, err
 		}
-		for i, s := range r.Schemes {
-			if s == DynaQ {
-				return r.Share1[i], nil
-			}
-		}
-		return 0, errors.New("DynaQ row missing")
+		return r.Value("queue1 share (ideal 0.5)", string(DynaQ))
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -212,8 +212,8 @@ func TestFCTGridParallelParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq.Cells) != len(schemes)*len(loads) {
-		t.Fatalf("cells = %d, want %d", len(seq.Cells), len(schemes)*len(loads))
+	if len(seq.Rows) != len(schemes)*len(loads) {
+		t.Fatalf("cells = %d, want %d", len(seq.Rows), len(schemes)*len(loads))
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("FCT grids differ across worker counts:\n  sequential: %+v\n  parallel:   %+v", seq, par)
