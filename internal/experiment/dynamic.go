@@ -179,6 +179,8 @@ func (cfg *DynamicConfig) normalize() (*fabric.Graph, error) {
 		return nil, &ConfigError{"workloads", "dynamic run needs at least one workload"}
 	case cfg.Queues < 2:
 		return nil, &ConfigError{"queues", "dynamic run needs an SPQ queue plus DRR queues"}
+	case cfg.MinRTO < 0:
+		return nil, &ConfigError{"min_rto_ms", "RTO floor must not be negative"}
 	case engine != EnginePacket && (len(cfg.Faults) > 0 || cfg.Guard || cfg.FailureAware):
 		// The fluid engines build no netsim ports or links for faults to
 		// hit, the guardrail to watch or routing to probe.

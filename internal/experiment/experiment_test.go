@@ -9,6 +9,7 @@ import (
 	"dynaq/internal/fabric"
 	"dynaq/internal/metrics"
 	"dynaq/internal/sim"
+	"dynaq/internal/topology"
 	"dynaq/internal/transport"
 	"dynaq/internal/units"
 	"dynaq/internal/workload"
@@ -548,9 +549,15 @@ func TestExtensionSurface(t *testing.T) {
 		}
 		names[c.Name()] = true
 	}
+	g, err := fabric.NewStar(2, testbedRate)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := SchemeParams{Rate: testbedRate, BaseRTT: fabric.Star.BaseRTT(testbedDelay), Weights: equalWeights(4)}
 	for _, s := range []Scheme{BarberQ, DynaQTofino, DynaQNaiveVictim, DynaQWBDP} {
-		if _, err := testbedRack(sim.New(), 2, 4, 85*units.KB, Factories(s, SchedDRR, p, testbedMTU)); err != nil {
+		if _, err := topology.Build(sim.New(), g, topology.Config{
+			Delay: testbedDelay, Buffer: 85 * units.KB, Queues: 4, Factories: Factories(s, SchedDRR, p, testbedMTU),
+		}); err != nil {
 			t.Errorf("%s: %v", s, err)
 		}
 	}

@@ -1,63 +1,24 @@
 package experiment
 
 import (
-	"dynaq/internal/fabric"
 	"dynaq/internal/metrics"
-	"dynaq/internal/packet"
-	"dynaq/internal/sim"
-	"dynaq/internal/topology"
 	"dynaq/internal/transport"
 	"dynaq/internal/units"
 )
 
-// testbedRack wires the §V-A rack — hosts 1GbE hosts around one switch,
-// 500µs base RTT — with the given per-port buffer and factories.
-func testbedRack(s *sim.Simulator, hosts, queues int, buf units.ByteSize, f topology.Factories) (*topology.Network, error) {
-	g, err := fabric.NewStar(hosts, testbedRate)
-	if err != nil {
-		return nil, err
-	}
-	w, err := newPacketWorld(s, g, topology.Config{
-		Delay: testbedDelay, Buffer: buf, Queues: queues, Factories: f,
-	}, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	return w.net, nil
+// microburstSpecs is the §II-C script: 16 long hog flows 250µs apart, then
+// from 1s a burst of 6KB flows in queue 1, 1µs apart.
+func microburstSpecs(hog, burst QueueSpec) []QueueSpec {
+	hog.Flows, hog.Spacing = 16, units.Millisecond/4
+	burst.Class, burst.Size, burst.Start, burst.Spacing = 1, 6*units.KB, units.Second, units.Microsecond
+	return []QueueSpec{hog, burst}
 }
 
-// hogAndBurst scripts the §II-C scenario on net: 16 long flows of class
-// hogClass from hosts hogSrc(0..15) to hogDst, started 250µs apart, then at
-// 1s burst 6KB flows of class 1 from host 1 to burstDst within microseconds
-// of each other. It returns the burst's completion times.
-func hogAndBurst(s *sim.Simulator, net *topology.Network, hogSrc func(i int) int, hogDst, hogClass, burstDst, burst int) *metrics.FCTCollector {
-	start := func(at units.Time, src int, fc transport.FlowConfig) {
-		s.At(at, func() {
-			if _, err := net.Endpoints[src].StartFlow(fc); err != nil {
-				panic(err) // the scripted ids are distinct
-			}
-		})
-	}
-	for i := 0; i < 16; i++ {
-		start(units.Time(i)*units.Time(units.Millisecond)/4, hogSrc(i),
-			transport.FlowConfig{Flow: packet.FlowID(1 + i), Dst: hogDst, Class: hogClass})
-	}
-	fct := metrics.NewFCTCollector()
-	for i := 0; i < burst; i++ {
-		start(units.Time(units.Second).Add(units.Duration(i)*units.Microsecond), 1, transport.FlowConfig{
-			Flow: packet.FlowID(100 + i), Dst: burstDst, Class: 1, Size: 6 * units.KB,
-			OnComplete: func(d units.Duration) { fct.Add(6*units.KB, d) },
-		})
-	}
-	return fct
-}
-
-// burstRow starts scheme s's row with the burst's average and p99
-// completion time in milliseconds, and ends it with more.
-func burstRow(s Scheme, fct *metrics.FCTCollector, more ...float64) Row {
-	return Row{Labels: []string{string(s)}, Values: append([]float64{
-		float64(fct.Avg(metrics.AllFlows)) / float64(units.Millisecond),
-		float64(fct.Percentile(metrics.AllFlows, 0.99)) / float64(units.Millisecond),
+// burstRow is the burst's average and p99 completion time in ms, then more.
+func burstRow(res *StaticResult, more ...float64) Row {
+	return Row{Values: append([]float64{
+		float64(res.FCT.Avg(metrics.AllFlows)) / float64(units.Millisecond),
+		float64(res.FCT.Percentile(metrics.AllFlows, 0.99)) / float64(units.Millisecond),
 	}, more...)}
 }
 
@@ -72,31 +33,12 @@ func ExtMicroburst(o Options) (*Figure, error) {
 		Labels:  bySchemes,
 		Columns: fixed3("burst-avgFCT-ms", "burst-p99FCT-ms", "burst-drops", "evictions"),
 	}
-	schemes := []Scheme{DynaQ, BarberQ, BestEffort}
-	burstFlows := pick(o, 16, 32, 32)
-	var err error
-	out.Rows, err = RunTrials(len(schemes), o.Parallel, func(i int) (Row, error) {
-		s := sim.New()
-		net, err := testbedRack(s, 3, 4, testbedBuffer, Factories(schemes[i], SchedDRR,
-			SchemeParams{Rate: testbedRate, BaseRTT: fabric.Star.BaseRTT(testbedDelay), Weights: equalWeights(4)},
-			testbedMTU))
-		if err != nil {
-			return Row{}, err
-		}
-		// Hog: queue 2 from host 0. Burst: queue 1 from host 1. Both sink at
-		// host 2.
-		const receiver = 2
-		fct := hogAndBurst(s, net, func(int) int { return 0 }, receiver, 2, receiver, burstFlows)
-		port := net.HostPort(receiver)
-		dropsBefore := int64(0)
-		s.At(units.Time(units.Second-units.Picosecond), func() { dropsBefore = port.QueueDrops(1) })
-		s.RunUntil(units.Time(3 * units.Second))
-		return burstRow(schemes[i], fct, float64(port.QueueDrops(1)-dropsBefore), float64(port.Stats().Evicted)), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	// Hog: queue 2 from host 0. Burst: queue 1 from host 1. Both sink at
+	// the receiver.
+	specs := microburstSpecs(QueueSpec{Class: 2}, QueueSpec{Flows: pick(o, 16, 32, 32)})
+	return out.staticRows(o, []Scheme{DynaQ, BarberQ, BestEffort}, func(scheme Scheme) StaticConfig {
+		return testbedStatic(scheme, equalWeights(4), specs, 3*units.Second, o.Seed)
+	}, func(res *StaticResult) Row { return burstRow(res, float64(res.QueueDrops[1]), float64(res.Evicted)) })
 }
 
 // ExtSharedMemory reproduces the other §II-C argument: a shared-memory
@@ -110,32 +52,20 @@ func ExtSharedMemory(o Options) (*Figure, error) {
 		Labels:  bySchemes,
 		Columns: fixed3("burst-avgFCT-ms", "burst-p99FCT-ms", "quietport-drops"),
 	}
-	setups := []Scheme{"DT-shared", "DynaQ-dedicated"}
-	totalMem := 2 * testbedBuffer // the switch SRAM covering both hot and quiet port
-	burstFlows := pick(o, 24, 48, 48)
-	var err error
-	out.Rows, err = RunTrials(len(setups), o.Parallel, func(i int) (Row, error) {
-		s := sim.New()
-		// Under DT the buffer size names the switch's memory, all of which
-		// any one port may occupy, bounded only by α·free.
-		scheme, buf := DynaQ, testbedBuffer
-		if setups[i] == "DT-shared" {
-			scheme, buf = DT, totalMem
+	// Hot port: hosts 0 and 1 blast queue 0 at a sink of their own. Quiet
+	// port, the receiver's: the microburst from host 1.
+	specs := microburstSpecs(QueueSpec{Class: 0, Hosts: 2, OwnSink: true},
+		QueueSpec{Flows: pick(o, 24, 48, 48), SharedHosts: 1})
+	return out.staticRows(o, []Scheme{"DT-shared", "DynaQ-dedicated"}, func(setup Scheme) StaticConfig {
+		cfg := testbedStatic(DynaQ, equalWeights(4), specs, 3*units.Second, o.Seed)
+		if setup == "DT-shared" {
+			// Under DT the buffer size names the switch's memory — the SRAM
+			// covering both hot and quiet port — all of which any one port
+			// may occupy, bounded only by α·free.
+			cfg.Scheme, cfg.Buffer = DT, 2*testbedBuffer
 		}
-		net, err := testbedRack(s, 4, 4, buf, Factories(scheme, SchedDRR, SchemeParams{Weights: equalWeights(4)}, testbedMTU))
-		if err != nil {
-			return Row{}, err
-		}
-		// Hot port: hosts 0 and 1 blast queue 0 at host 2. Quiet port: the
-		// microburst from host 1 to host 3.
-		fct := hogAndBurst(s, net, func(k int) int { return k % 2 }, 2, 0, 3, burstFlows)
-		s.RunUntil(units.Time(3 * units.Second))
-		return burstRow(setups[i], fct, float64(net.HostPort(3).Stats().Dropped)), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+		return cfg
+	}, func(res *StaticResult) Row { return burstRow(res, float64(res.Drops)) })
 }
 
 // ExtProtocolDependence demonstrates the paper's core motivation (§II-B)

@@ -9,6 +9,7 @@ import (
 	"dynaq/internal/packet"
 	"dynaq/internal/pias"
 	"dynaq/internal/sim"
+	"dynaq/internal/topology"
 	"dynaq/internal/units"
 	"dynaq/internal/workload"
 )
@@ -28,9 +29,15 @@ func requestResponseCfg(scheme Scheme, load float64, seed int64, requests int) D
 func referenceRun(t testing.TB, cfg DynamicConfig) *refClient {
 	t.Helper()
 	s := sim.New()
-	star, err := testbedRack(s, 5, 5, testbedBuffer, Factories(cfg.Scheme, SchedSPQDRR,
-		SchemeParams{Rate: testbedRate, BaseRTT: fabric.Star.BaseRTT(testbedDelay),
-			Weights: equalWeights(5)}, testbedMTU))
+	g, err := fabric.NewStar(5, testbedRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	star, err := topology.Build(s, g, topology.Config{
+		Delay: testbedDelay, Buffer: testbedBuffer, Queues: 5,
+		Factories: Factories(cfg.Scheme, SchedSPQDRR, SchemeParams{Rate: testbedRate,
+			BaseRTT: fabric.Star.BaseRTT(testbedDelay), Weights: equalWeights(5)}, testbedMTU),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,15 +22,26 @@ import (
 // QueueSpec describes one service queue's traffic in a static-flow
 // experiment: long-lived iperf-style flows that start together (with a
 // small seeded jitter, as real senders would) and optionally stop at a
-// fixed time.
+// fixed time — or, for the §II-C scenarios, finite flows on a script.
 type QueueSpec struct {
 	// Class is the service queue index.
 	Class int
-	// Flows is the number of long-lived flows feeding this queue.
+	// Flows is the number of flows feeding this queue.
 	Flows int
 	// Hosts is the number of distinct sender hosts the flows spread over
 	// (defaults to 1: one sender per queue, like the testbed).
 	Hosts int
+	// SharedHosts of those hosts are the last sender hosts of the specs
+	// before this one (0 = fresh hosts only).
+	SharedHosts int
+	// OwnSink sinks the flows at a host of their own, not the receiver.
+	OwnSink bool
+	// Size makes every flow finite, of Size payload bytes, timed into
+	// StaticResult.FCT (0 = long-lived).
+	Size units.ByteSize
+	// Spacing scripts the starts: flow i starts at Start + i·Spacing with no
+	// jitter (0 = at Start plus a seeded jitter).
+	Start, Spacing units.Duration
 	// StopAt stops all of this queue's senders at the given time
 	// (0 = run until the end).
 	StopAt units.Duration
@@ -42,8 +53,9 @@ type QueueSpec struct {
 	ECN bool
 }
 
-// StaticConfig assembles a static-flow scenario on a star: all flows sink
-// at one receiver, making its switch port the measured bottleneck.
+// StaticConfig assembles a static-flow scenario on a star: all flows but
+// those of an OwnSink spec sink at one receiver, making its switch port the
+// measured bottleneck.
 type StaticConfig struct {
 	Scheme Scheme
 	Sched  SchedKind
@@ -89,8 +101,14 @@ type StaticResult struct {
 	Scheme     Scheme
 	Samples    []metrics.ThroughputSample
 	QueueTrace []metrics.QueueSample
-	// Drops counts enqueue drops at the bottleneck port.
-	Drops int64
+	// Drops counts enqueue drops at the bottleneck port, QueueDrops the
+	// same per service queue, and Evicted the buffered packets the port
+	// pushed out.
+	Drops      int64
+	QueueDrops []int64
+	Evicted    int64
+	// FCT holds the completion time of every finite flow.
+	FCT *metrics.FCTCollector
 	// Trace holds the bottleneck event recorder when TraceEvents was set.
 	Trace *metrics.EventRecorder
 
@@ -112,8 +130,9 @@ func (r *StaticResult) Summary() []telemetry.SummaryEntry {
 const maxStaticSenders = 1 << 14
 
 // normalize validates cfg, fills its defaults and builds its star: the
-// senders first, the receiver last. Spec-level failures name the offending
-// spec as "specs[i].<field>", like the scenario document does.
+// senders first, then the OwnSink specs' sinks in reverse spec order, the
+// receiver last. Spec-level failures name the offending spec as
+// "specs[i].<field>", like the scenario document does.
 func (cfg *StaticConfig) normalize() (*fabric.Graph, error) {
 	switch {
 	case len(cfg.Specs) == 0:
@@ -124,6 +143,8 @@ func (cfg *StaticConfig) normalize() (*fabric.Graph, error) {
 		return nil, &ConfigError{"sample_ms", "sampling interval must not be negative"}
 	case cfg.Queues < 1:
 		return nil, &ConfigError{"queues", "static run needs at least one service queue"}
+	case cfg.MinRTO < 0:
+		return nil, &ConfigError{"min_rto_ms", "RTO floor must not be negative"}
 	}
 	if _, err := buffer.LookupScheme(string(cfg.Scheme)); err != nil {
 		return nil, &ConfigError{"scheme", err.Error()}
@@ -143,7 +164,7 @@ func (cfg *StaticConfig) normalize() (*fabric.Graph, error) {
 	// the Specs slice still shares its backing array with the caller's — and
 	// parallel cells hand the same specs to concurrent runs.
 	cfg.Specs = append([]QueueSpec(nil), cfg.Specs...)
-	senders := 0
+	senders, sinks := 0, 0
 	for i := range cfg.Specs {
 		spec := &cfg.Specs[i]
 		field := func(name string) string { return fmt.Sprintf("specs[%d].%s", i, name) }
@@ -154,15 +175,29 @@ func (cfg *StaticConfig) normalize() (*fabric.Graph, error) {
 			return nil, &ConfigError{field("class"), fmt.Sprintf("class %d outside [0, %d)", spec.Class, cfg.Queues)}
 		case spec.Hosts < 0 || spec.Hosts > maxStaticSenders:
 			return nil, &ConfigError{field("hosts"), fmt.Sprintf("hosts %d outside [0, %d]", spec.Hosts, maxStaticSenders)}
+		case spec.StopAt < 0:
+			return nil, &ConfigError{field("stop_at_s"), "stop time must not be negative"}
+		case spec.Size < 0:
+			return nil, &ConfigError{field("size_bytes"), "flow size must not be negative"}
+		case spec.Start < 0:
+			return nil, &ConfigError{field("start_at_s"), "start time must not be negative"}
+		case spec.Spacing < 0:
+			return nil, &ConfigError{field("spacing_s"), "start spacing must not be negative"}
 		}
 		if spec.Hosts == 0 {
 			spec.Hosts = 1
 		}
-		if senders += spec.Hosts; senders > maxStaticSenders {
+		if shared := min(spec.Hosts, senders); spec.SharedHosts < 0 || spec.SharedHosts > shared {
+			return nil, &ConfigError{field("shared_hosts"), fmt.Sprintf("shared hosts %d outside [0, %d], the spec's hosts that earlier specs have", spec.SharedHosts, shared)}
+		}
+		if senders += spec.Hosts - spec.SharedHosts; senders > maxStaticSenders {
 			return nil, &ConfigError{field("hosts"), fmt.Sprintf("more than %d sender hosts in total", maxStaticSenders)}
 		}
+		if spec.OwnSink {
+			sinks++
+		}
 	}
-	return fabric.NewStar(senders+1, cfg.Rate)
+	return fabric.NewStar(senders+sinks+1, cfg.Rate)
 }
 
 // Validate reports what RunStatic would reject before simulating anything,
@@ -196,31 +231,46 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 		return nil, err
 	}
 	receiver := g.Hosts() - 1
+	sink := receiver
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	fct := metrics.NewFCTCollector()
 
 	var flowID packet.FlowID
 	host := 0
 	for _, spec := range cfg.Specs {
+		first, dst := host-spec.SharedHosts, receiver
+		if spec.OwnSink {
+			sink--
+			dst = sink
+		}
+		var done func(units.Duration)
+		if spec.Size > 0 {
+			done = func(d units.Duration) { fct.Add(spec.Size, d) }
+		}
 		var senders []*transport.Sender
 		for f := 0; f < spec.Flows; f++ {
-			ep := w.net.Endpoints[host+f%spec.Hosts]
+			ep := w.net.Endpoints[first+f%spec.Hosts]
 			flowID++
 			id := flowID
-			start := units.Duration(rng.Int63n(int64(startJitterSpan)))
+			start := spec.Start + units.Duration(f)*spec.Spacing
+			if spec.Spacing == 0 {
+				start += units.Duration(rng.Int63n(int64(startJitterSpan)))
+			}
 			s.At(units.Time(start), func() {
 				var ctrl transport.Controller
 				if spec.Ctrl != nil {
 					ctrl = spec.Ctrl()
 				}
 				snd, err := ep.StartFlow(transport.FlowConfig{
-					Flow:   id,
-					Dst:    receiver,
-					Class:  spec.Class,
-					Size:   0, // long-lived
-					MSS:    mss,
-					Ctrl:   ctrl,
-					ECN:    spec.ECN,
-					MinRTO: cfg.MinRTO,
+					Flow:       id,
+					Dst:        dst,
+					Class:      spec.Class,
+					Size:       spec.Size,
+					MSS:        mss,
+					Ctrl:       ctrl,
+					ECN:        spec.ECN,
+					MinRTO:     cfg.MinRTO,
+					OnComplete: done,
 				})
 				if err != nil {
 					panic(err) // duplicate ids cannot happen: ids are sequential
@@ -235,7 +285,7 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 				}
 			})
 		}
-		host += spec.Hosts
+		host = first + spec.Hosts
 	}
 
 	port := w.net.HostPort(receiver)
@@ -280,11 +330,18 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 		}
 	}
 
+	stats := port.Stats()
 	res := &StaticResult{
-		Scheme:  cfg.Scheme,
-		Samples: ts.Samples(),
-		Drops:   port.Stats().Dropped,
-		Trace:   rec,
+		Scheme:     cfg.Scheme,
+		Samples:    ts.Samples(),
+		Drops:      stats.Dropped,
+		QueueDrops: make([]int64, cfg.Queues),
+		Evicted:    stats.Evicted,
+		FCT:        fct,
+		Trace:      rec,
+	}
+	for q := range res.QueueDrops {
+		res.QueueDrops[q] = port.QueueDrops(q)
 	}
 	if qt != nil {
 		res.QueueTrace = qt.Samples()

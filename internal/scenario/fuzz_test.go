@@ -101,6 +101,9 @@ func TestLoadRejectsBadNumbersAndFaults(t *testing.T) {
 		{"static negative hosts", staticWith(`"seed": 1`, `[{"class": 0, "flows": 2, "hosts": -1}]`), "specs[0].hosts"},
 		{"static hosts unbounded in total", staticWith(`"seed": 1`,
 			`[{"class": 0, "flows": 2, "hosts": 16000}, {"class": 1, "flows": 2, "hosts": 16000}]`), "specs[1].hosts"},
+		{"static negative stop", staticWith(`"seed": 1`, `[{"class": 0, "flows": 2}, {"class": 1, "flows": 4, "stop_at_s": -1}]`), "specs[1].stop_at_s"},
+		{"static negative min rto", staticWith(`"min_rto_ms": -5`, okSpecs), "min_rto_ms"},
+		{"fct negative min rto", fctOn(onStar, `"min_rto_ms": -5`), "min_rto_ms"},
 		{"fct zero weight", `{"kind": "fct", "scheme": "DynaQ", "topo": "star", "rate_gbps": 1, "buffer_bytes": 85000,
 			"queues": 2, "rtt_us": 100, "load": 0.5, "flows": 10, "workloads": ["websearch"], "weights": [1, 0]}`, "weights"},
 		// Keys a run of the document's kind, or of its topology, never reads:

@@ -28,7 +28,10 @@ import (
 	"dynaq/internal/workload"
 )
 
-// Spec mirrors experiment.QueueSpec in JSON form.
+// Spec mirrors experiment.QueueSpec in JSON form. QueueSpec's SharedHosts,
+// OwnSink, Size, Start and Spacing have no key yet: only the scripted §II-C
+// figures (ext-microburst, ext-sharedmem) set them, and they get keys when
+// figure cells become documents.
 type Spec struct {
 	Class int     `json:"class"`
 	Flows int     `json:"flows"`

@@ -37,6 +37,9 @@ func TestSenderConfigValidation(t *testing.T) {
 	if _, err := newSender(s, &packet.Pool{}, 0, sink, FlowConfig{Dst: 1, MSS: -5}); err == nil {
 		t.Error("negative MSS should fail")
 	}
+	if _, err := newSender(s, &packet.Pool{}, 0, sink, FlowConfig{Dst: 1, MinRTO: -units.Millisecond}); err == nil {
+		t.Error("negative minimum RTO should fail")
+	}
 }
 
 func TestInitialWindowBurst(t *testing.T) {

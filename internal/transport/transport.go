@@ -144,6 +144,9 @@ func newSender(s *sim.Simulator, pkts *packet.Pool, src int, emit func(*packet.P
 	if cfg.Size < 0 {
 		return nil, fmt.Errorf("transport: flow %d has negative size %d", cfg.Flow, cfg.Size)
 	}
+	if cfg.MinRTO < 0 { // the RTO timer would re-arm at the same instant forever
+		return nil, fmt.Errorf("transport: flow %d has negative minimum RTO %v", cfg.Flow, cfg.MinRTO)
+	}
 	mss := cfg.MSS
 	if mss == 0 {
 		mss = DefaultMSS
