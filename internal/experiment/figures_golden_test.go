@@ -1,4 +1,4 @@
-package experiment
+package experiment_test
 
 import (
 	"encoding/json"
@@ -9,7 +9,8 @@ import (
 	"sync"
 	"testing"
 
-	"dynaq/internal/workload"
+	"dynaq/internal/experiment"
+	"dynaq/internal/figures"
 )
 
 var updateFigures = flag.Bool("update-figures", false, "rewrite testdata/figures_quick.golden from the code under test")
@@ -23,18 +24,18 @@ var slowFigures = map[string]bool{"10": true, "11": true, "12": true, "13": true
 // quickFigure is one figure of the list run at quick scale, seed 1.
 type quickFigure struct {
 	id  string
-	fig *Figure
+	fig *figures.Figure
 }
 
 // runFigures runs every figure in the list at quick scale, seed 1, on
 // parallel workers; skipSlow leaves out slowFigures.
 func runFigures(parallel int, skipSlow bool) ([]quickFigure, error) {
 	var out []quickFigure
-	for _, f := range Figures() {
+	for _, f := range figures.Figures() {
 		if skipSlow && slowFigures[f.ID] {
 			continue
 		}
-		fig, err := f.Run(Options{Scale: Quick, Seed: 1, Parallel: parallel})
+		fig, err := f.Run(experiment.Options{Scale: experiment.Quick, Seed: 1, Parallel: parallel})
 		if err != nil {
 			return nil, fmt.Errorf("figure %s: %w", f.ID, err)
 		}
@@ -59,7 +60,7 @@ func render(figs []quickFigure) string {
 // skipSlowTests skips a test that runs every figure in the list.
 func skipSlowTests(t *testing.T) {
 	t.Helper()
-	if testing.Short() || raceEnabled {
+	if testing.Short() || experiment.RaceEnabled {
 		// Under the detector's ~10x cost the package would not fit go test's
 		// 10m default; the per-figure tests already run these grids on
 		// GOMAXPROCS workers under -race.
@@ -116,20 +117,23 @@ func TestFiguresQuickGolden(t *testing.T) {
 
 // TestResultJSONRoundTrip: every pinned figure, encoded as result.json and
 // decoded into a Figure, prints its table unchanged. So does an FCT figure
-// whose DynaQ cells are 0 and whose other rows print "-" against them.
+// whose DynaQ cell is 0 and whose other rows print "-" against it.
 func TestResultJSONRoundTrip(t *testing.T) {
 	skipSlowTests(t)
 	figs, err := sequentialFigures()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The cache workload has no flow above 10MB, so every avg-large cell
-	// is 0.
-	base := testbedFCT(quick, SchemeParams{Weights: equalWeights(5)})
-	base.Flows, base.Workloads = 40, []*workload.CDF{workload.Cache()}
-	zero, err := fctRun("zero-base", NonECNSchemes(), []float64{0.5}, base, 0)
-	if err != nil {
-		t.Fatal(err)
+	// An FCT figure whose DynaQ avg large is 0, as a cache-workload run's is
+	// (no flow above 10MB).
+	zero := &figures.Figure{
+		Name:    "zero-base",
+		Labels:  []string{"load", "scheme"},
+		Columns: []figures.Column{{Name: "avg overall", Unit: figures.FCT}, {Name: "avg small", Unit: figures.FCT}, {Name: "avg large", Unit: figures.FCT}},
+		Rows: []figures.Row{
+			{Labels: []string{"50%", "DynaQ"}, Values: []float64{2e9, 1e9, 0}},
+			{Labels: []string{"50%", "BestEffort"}, Values: []float64{3e9, 2e9, 5e9}},
+		},
 	}
 	if got := strings.Fields(strings.Split(zero.Table(), "\n")[3])[4]; got != "-" {
 		t.Fatalf("BestEffort avg large against DynaQ's 0 prints %q, want -\n%s", got, zero.Table())
@@ -140,7 +144,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 			t.Errorf("figure %s: %v", f.id, err)
 			continue
 		}
-		var back Figure
+		var back figures.Figure
 		if err := json.Unmarshal(data, &back); err != nil {
 			t.Errorf("figure %s: %v", f.id, err)
 			continue

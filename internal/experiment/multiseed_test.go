@@ -48,23 +48,3 @@ func TestRunSeedsAggregates(t *testing.T) {
 		t.Errorf("String() = %q", st.String())
 	}
 }
-
-func TestRunSeedsOnRealExperiment(t *testing.T) {
-	// DynaQ's queue-1 share across 3 seeds must be tight around 0.5.
-	st, err := RunSeeds(3, quick, func(o Options) (float64, error) {
-		r, err := Fig3(o)
-		if err != nil {
-			return 0, err
-		}
-		return r.Value("queue1 share (ideal 0.5)", string(DynaQ))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Mean < 0.42 || st.Mean > 0.58 {
-		t.Fatalf("mean share = %v", st.Mean)
-	}
-	if st.Std > 0.06 {
-		t.Fatalf("share std = %v across seeds, want tight", st.Std)
-	}
-}

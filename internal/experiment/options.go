@@ -44,15 +44,3 @@ type Options struct {
 	// default); see EngineMode. Static figures always run at packet level.
 	Engine EngineMode
 }
-
-// pick returns the value for the chosen scale.
-func pick[T any](o Options, quick, standard, full T) T {
-	switch o.Scale {
-	case Quick:
-		return quick
-	case Full:
-		return full
-	default:
-		return standard
-	}
-}

@@ -4,14 +4,10 @@ import (
 	"errors"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"dynaq/internal/telemetry"
 	"dynaq/internal/units"
-	"dynaq/internal/workload"
 )
 
 func TestRunTrialsValidation(t *testing.T) {
@@ -183,163 +179,6 @@ func TestRunSeedsParallelParity(t *testing.T) {
 	// parity contract (and sidesteps float-eq lint on ==).
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("stats differ across worker counts:\n  sequential: %+v\n  parallel:   %+v", a, b)
-	}
-}
-
-// TestFCTGridParallelParity runs a small Fig8-shaped grid sequentially and
-// with 8 workers and demands identical cells in identical order.
-func TestFCTGridParallelParity(t *testing.T) {
-	base := DynamicConfig{
-		Params:    SchemeParams{Weights: equalWeights(3)},
-		Topo:      TopoStar,
-		Servers:   3,
-		Rate:      units.Gbps,
-		Delay:     20 * units.Microsecond,
-		Buffer:    200 * units.KB,
-		Queues:    3,
-		Load:      0.5,
-		Flows:     40,
-		Workloads: []*workload.CDF{workload.WebSearch()},
-		Seed:      9,
-	}
-	schemes := NonECNSchemes()
-	loads := []float64{0.4, 0.7}
-	seq, err := fctRun("parity", schemes, loads, base, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := fctRun("parity", schemes, loads, base, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Rows) != len(schemes)*len(loads) {
-		t.Fatalf("cells = %d, want %d", len(seq.Rows), len(schemes)*len(loads))
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("FCT grids differ across worker counts:\n  sequential: %+v\n  parallel:   %+v", seq, par)
-	}
-}
-
-// overlapWriter is a progress sink that catches two cells writing at once.
-// Its first Write holds the stream until a second writer arrives or half a
-// second passes, so a cell running alongside the first is caught inside
-// Write, not missed by timing.
-type overlapWriter struct {
-	inFlight, overlaps atomic.Int32
-	hold, release      sync.Once
-	overlapped         chan struct{}
-}
-
-func newOverlapWriter() *overlapWriter { return &overlapWriter{overlapped: make(chan struct{})} }
-
-func (w *overlapWriter) Write(p []byte) (int, error) {
-	if w.inFlight.Add(1) > 1 {
-		w.overlaps.Add(1)
-		w.release.Do(func() { close(w.overlapped) })
-	}
-	w.hold.Do(func() {
-		select {
-		case <-w.overlapped:
-		case <-time.After(500 * time.Millisecond):
-		}
-	})
-	w.inFlight.Add(-1)
-	return len(p), nil
-}
-
-// TestSingleStreamGridsRunOneWorker: a progress writer is one stream, so an
-// FCT grid and a static grid that carry one run their cells one at a time,
-// whatever worker count they are given.
-func TestSingleStreamGridsRunOneWorker(t *testing.T) {
-	w := newOverlapWriter()
-	base := DynamicConfig{
-		Params:    SchemeParams{Weights: equalWeights(3)},
-		Topo:      TopoStar,
-		Rate:      units.Gbps,
-		Delay:     20 * units.Microsecond,
-		Buffer:    200 * units.KB,
-		Queues:    3,
-		Flows:     20,
-		Workloads: []*workload.CDF{workload.WebSearch()},
-		Seed:      9,
-		Hooks:     Hooks{Progress: w},
-	}
-	if _, err := fctRun("single-stream", NonECNSchemes(), []float64{0.5}, base, 4); err != nil {
-		t.Fatal(err)
-	}
-	if n := w.overlaps.Load(); n != 0 {
-		t.Errorf("FCT grid: %d progress writes overlapped another cell's", n)
-	}
-
-	w = newOverlapWriter()
-	if _, err := staticGrid(Options{Seed: 1, Parallel: 4}, NonECNSchemes(), func(s Scheme) StaticConfig {
-		cfg := testbedStatic(s, equalWeights(2), []QueueSpec{{Class: 0, Flows: 2}}, 20*units.Millisecond, 1)
-		cfg.Progress = w
-		return cfg
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n := w.overlaps.Load(); n != 0 {
-		t.Errorf("static grid: %d progress writes overlapped another cell's", n)
-	}
-}
-
-// teedRun opens a telemetry run in a temporary directory whose every event
-// line also goes through an overlapWriter, so two cells streaming into the
-// run at once are caught.
-func teedRun(t *testing.T) (*telemetry.Run, *overlapWriter) {
-	t.Helper()
-	run, err := telemetry.NewRun(t.TempDir(), telemetry.Manifest{Tool: "test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := newOverlapWriter()
-	run.Tee(func(line []byte) { w.Write(line) })
-	return run, w
-}
-
-// TestFCTGridTelemetryRunsOneWorker: a telemetry run is one stream, so an
-// FCT grid carrying one runs its cells one at a time on any worker count.
-func TestFCTGridTelemetryRunsOneWorker(t *testing.T) {
-	run, w := teedRun(t)
-	base := DynamicConfig{
-		Params:    SchemeParams{Weights: equalWeights(3)},
-		Topo:      TopoStar,
-		Rate:      units.Gbps,
-		Delay:     20 * units.Microsecond,
-		Buffer:    200 * units.KB,
-		Queues:    3,
-		Flows:     20,
-		Workloads: []*workload.CDF{workload.WebSearch()},
-		Seed:      9,
-		Hooks:     Hooks{Telemetry: run},
-	}
-	if _, err := fctRun("single-stream", NonECNSchemes(), []float64{0.5}, base, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := run.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n := w.overlaps.Load(); n != 0 {
-		t.Errorf("%d telemetry events overlapped another cell's", n)
-	}
-}
-
-// TestStaticGridTelemetryRunsOneWorker is the same for a static grid.
-func TestStaticGridTelemetryRunsOneWorker(t *testing.T) {
-	run, w := teedRun(t)
-	if _, err := staticGrid(Options{Seed: 1, Parallel: 4}, NonECNSchemes(), func(s Scheme) StaticConfig {
-		cfg := testbedStatic(s, equalWeights(2), []QueueSpec{{Class: 0, Flows: 2}}, 20*units.Millisecond, 1)
-		cfg.Telemetry = run
-		return cfg
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n := w.overlaps.Load(); n != 0 {
-		t.Errorf("%d telemetry events overlapped another cell's", n)
 	}
 }
 

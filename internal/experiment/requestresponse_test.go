@@ -17,7 +17,7 @@ import (
 // requestResponseCfg is ext-closedloop's cell: the testbed rack under
 // request/response traffic.
 func requestResponseCfg(scheme Scheme, load float64, seed int64, requests int) DynamicConfig {
-	cfg := testbedFCT(Options{Scale: Quick, Seed: seed}, SchemeParams{Weights: equalWeights(5)})
+	cfg := testbedFCT(seed)
 	cfg.RequestResponse = true
 	cfg.Scheme, cfg.Load, cfg.Flows = scheme, load, requests
 	cfg.MaxRuntime = 60 * units.Second
