@@ -81,8 +81,9 @@ type DynamicConfig struct {
 
 	MinRTO units.Duration
 	Seed   int64
-	// MaxRuntime bounds the simulated time after the last arrival to
-	// drain stragglers (default 10s of simulated time).
+	// MaxRuntime is the run's absolute simulated-time horizon: the run
+	// stops there even if flows are still arriving or in flight (default
+	// 10s).
 	MaxRuntime units.Duration
 
 	// Faults is the scripted fault schedule, resolved against the

@@ -1,6 +1,7 @@
-// Package experiment assembles and runs the paper's evaluation scenarios
-// (§V): one runner per figure, parameterized so the same code serves both
-// CI-scale smoke runs and paper-scale reproductions.
+// Package experiment runs the paper's evaluation scenarios (§V): a static
+// run (long-lived flows, throughput and fairness) and an FCT run (Poisson
+// flows on any topology and engine), each configured once and sized by its
+// caller, from CI-scale smoke runs to paper-scale reproductions.
 package experiment
 
 import (

@@ -136,6 +136,39 @@ func TestLoadRejectsBadNumbersAndFaults(t *testing.T) {
 		{"fattree leaves", fctOn(onFatTree, `"leaves": 4`), unread("leaves")},
 		{"fattree spines", fctOn(onFatTree, `"spines": 2`), unread("spines")},
 		{"fattree hosts_per_leaf", fctOn(onFatTree, `"hosts_per_leaf": 2`), unread("hosts_per_leaf")},
+		{"static max_runtime_s", staticWith(`"max_runtime_s": 5`, okSpecs), unread("max_runtime_s")},
+		{"static request_response", staticWith(`"request_response": true`, okSpecs), unread("request_response")},
+		{"fct queue_trace_stride", fctOn(onStar, `"queue_trace_stride": 4`), unread("queue_trace_stride")},
+		// Float keys whose value does not fit int64 picoseconds or bits per
+		// second once converted: they used to load and then panic (negative
+		// link delay), run for ever, or be refused under the wrong key or as
+		// negative.
+		{"static rtt too large", strings.Replace(staticWith(`"seed": 1`, okSpecs), `"rtt_us": 100`, `"rtt_us": 1e20`, 1), "rtt_us: too large"},
+		{"fct rtt too large", strings.Replace(fctOn(onStar, `"seed": 1`), `"rtt_us": 500`, `"rtt_us": 1e20`, 1), "rtt_us: too large"},
+		{"static rate too large", strings.Replace(staticWith(`"seed": 1`, okSpecs), `"rate_gbps": 1`, `"rate_gbps": 1e10`, 1), "rate_gbps: too large"},
+		{"fct rate too large", strings.Replace(fctOn(onStar, `"seed": 1`), `"rate_gbps": 1`, `"rate_gbps": 1e10`, 1), "rate_gbps: too large"},
+		{"static min rto too large", staticWith(`"min_rto_ms": 1e15`, okSpecs), "min_rto_ms: too large"},
+		{"fct min rto too large", fctOn(onStar, `"min_rto_ms": 1e15`), "min_rto_ms: too large"},
+		{"static sample too large", staticWith(`"sample_ms": 1e12`, okSpecs), "sample_ms: too large"},
+		{"static duration too large", strings.Replace(staticWith(`"seed": 1`, okSpecs), `"duration_s": 1`, `"duration_s": 1e20`, 1), "duration_s: too large"},
+		{"fct detection delay too large", fctOn(onStar, `"detection_delay_ms": 1e15`), "detection_delay_ms: too large"},
+		{"static stop too large", staticWith(`"seed": 1`, `[{"class": 0, "flows": 2, "stop_at_s": 1e20}]`), "specs[0].stop_at_s: too large"},
+		{"static start too large", staticWith(`"seed": 1`, `[{"class": 0, "flows": 2, "start_at_s": 1e20}]`), "specs[0].start_at_s: too large"},
+		{"static spacing too large", staticWith(`"seed": 1`, `[{"class": 0, "flows": 2, "spacing_s": 1e20}]`), "specs[0].spacing_s: too large"},
+		{"static tcn target too large", staticWith(`"tcn_target_us": 1e20`, okSpecs), "tcn_target_us: too large"},
+		{"fct tcn target too large", fctOn(onStar, `"tcn_target_us": 1e20`), "tcn_target_us: too large"},
+		{"fct max runtime too large", fctOn(onStar, `"max_runtime_s": 1e20`), "max_runtime_s: too large"},
+		// The keys figure cells need, out of range.
+		{"static negative size", staticWith(`"seed": 1`, `[{"class": 0, "flows": 2, "size_bytes": -6000}]`), "specs[0].size_bytes"},
+		{"static negative start", staticWith(`"seed": 1`, `[{"class": 0, "flows": 2, "start_at_s": -1}]`), "specs[0].start_at_s"},
+		{"static negative spacing", staticWith(`"seed": 1`, `[{"class": 0, "flows": 2, "spacing_s": -0.001}]`), "specs[0].spacing_s"},
+		{"static negative stride", staticWith(`"queue_trace_stride": -4`, okSpecs), "queue_trace_stride"},
+		{"static shared hosts past the earlier specs'", staticWith(`"seed": 1`,
+			`[{"class": 0, "flows": 2}, {"class": 1, "flows": 4, "hosts": 2, "shared_hosts": 2}]`), "specs[1].shared_hosts"},
+		{"static negative shared hosts", staticWith(`"seed": 1`, `[{"class": 0, "flows": 2, "shared_hosts": -1}]`), "specs[0].shared_hosts"},
+		{"fct negative max runtime", fctOn(onStar, `"max_runtime_s": -1`), "max_runtime_s"},
+		{"negative per-queue K", staticWith(`"per_queue_k_bytes": -30000`, okSpecs), "per_queue_k_bytes"},
+		{"negative tcn target", fctOn(onStar, `"tcn_target_us": -240`), "tcn_target_us"},
 	}
 	if _, err := Load([]byte(staticWith(`"seed": 1`, okSpecs))); err != nil {
 		t.Fatalf("the static base document must load: %v", err)

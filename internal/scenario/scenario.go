@@ -28,17 +28,19 @@ import (
 	"dynaq/internal/workload"
 )
 
-// Spec mirrors experiment.QueueSpec in JSON form. QueueSpec's SharedHosts,
-// OwnSink, Size, Start and Spacing have no key yet: only the scripted §II-C
-// figures (ext-microburst, ext-sharedmem) set them, and they get keys when
-// figure cells become documents.
+// Spec mirrors experiment.QueueSpec in JSON form.
 type Spec struct {
-	Class int     `json:"class"`
-	Flows int     `json:"flows"`
-	Hosts int     `json:"hosts,omitempty"`
-	StopS float64 `json:"stop_at_s,omitempty"`
-	Ctrl  string  `json:"ctrl,omitempty"` // reno | cubic | dctcp | ecn-reno | timely
-	ECN   bool    `json:"ecn,omitempty"`
+	Class       int     `json:"class"`
+	Flows       int     `json:"flows"`
+	Hosts       int     `json:"hosts,omitempty"`
+	SharedHosts int     `json:"shared_hosts,omitempty"`
+	OwnSink     bool    `json:"own_sink,omitempty"`
+	SizeB       int64   `json:"size_bytes,omitempty"`
+	StartS      float64 `json:"start_at_s,omitempty"`
+	SpacingS    float64 `json:"spacing_s,omitempty"`
+	StopS       float64 `json:"stop_at_s,omitempty"`
+	Ctrl        string  `json:"ctrl,omitempty"` // reno | cubic | dctcp | ecn-reno | timely
+	ECN         bool    `json:"ecn,omitempty"`
 }
 
 // Document is the top-level JSON scenario.
@@ -55,11 +57,15 @@ type Document struct {
 	MTU      int64   `json:"mtu,omitempty"`
 	Seed     int64   `json:"seed,omitempty"`
 	MinRTOMs float64 `json:"min_rto_ms,omitempty"`
+	// Scheme constants the schemes otherwise derive from the link.
+	PerQueueKB  int64   `json:"per_queue_k_bytes,omitempty"`
+	TCNTargetUs float64 `json:"tcn_target_us,omitempty"`
 
 	// Static fields.
-	DurationS float64 `json:"duration_s,omitempty"`
-	SampleMs  float64 `json:"sample_ms,omitempty"`
-	Specs     []Spec  `json:"specs,omitempty"`
+	DurationS   float64 `json:"duration_s,omitempty"`
+	SampleMs    float64 `json:"sample_ms,omitempty"`
+	TraceStride int     `json:"queue_trace_stride,omitempty"`
+	Specs       []Spec  `json:"specs,omitempty"`
 
 	// FCT fields.
 	Topo         string   `json:"topo,omitempty"` // star | leafspine | fattree
@@ -72,6 +78,9 @@ type Document struct {
 	Flows        int      `json:"flows,omitempty"`
 	Workloads    []string `json:"workloads,omitempty"`
 	DCTCP        bool     `json:"dctcp,omitempty"`
+	// RequestResponse runs every flow as the response to a request (§V-A2).
+	RequestResponse bool    `json:"request_response,omitempty"`
+	MaxRuntimeS     float64 `json:"max_runtime_s,omitempty"`
 
 	// Engine selects the fct simulation fidelity: "packet" (default),
 	// "flow" (fluid fast path) or "hybrid" (fluid with selective
@@ -243,11 +252,8 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 	if doc.Queues < 1 || doc.Queues > maxQueues {
 		return nil, invalidf("queues", "must be in [1, %d], got %d", maxQueues, doc.Queues)
 	}
-	if doc.RTTUs < 0 {
-		return nil, invalidf("rtt_us", "must not be negative, got %v", doc.RTTUs)
-	}
-	if doc.DetectMs < 0 {
-		return nil, invalidf("detection_delay_ms", "must not be negative, got %v", doc.DetectMs)
+	if doc.PerQueueKB < 0 {
+		return nil, invalidf("per_queue_k_bytes", "must not be negative, got %d", doc.PerQueueKB)
 	}
 	if err := faults.Validate(doc.Faults); err != nil {
 		return nil, &ValidationError{Field: "faults", Msg: err.Error()}
@@ -260,11 +266,16 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 	if err != nil {
 		return nil, invalidf("sched", "unknown scheduler %q (want drr, wrr or spq+drr)", doc.Sched)
 	}
-	params := experiment.SchemeParams{Weights: doc.Weights}
+	var n numbers
+	params := experiment.SchemeParams{
+		Weights:   doc.Weights,
+		PerQueueK: units.ByteSize(doc.PerQueueKB),
+		TCNTarget: n.seconds("tcn_target_us", doc.TCNTargetUs, doc.TCNTargetUs*1e-6),
+	}
 	mtu := units.ByteSize(doc.MTU)
-	rate := units.Rate(doc.RateGbps * 1e9)
-	delay := units.Seconds(doc.RTTUs / 4 * 1e-6)
-	minRTO := units.Seconds(doc.MinRTOMs * 1e-3)
+	rate := units.Rate(n.fit("rate_gbps", doc.RateGbps, doc.RateGbps*1e9))
+	delay := n.seconds("rtt_us", doc.RTTUs, doc.RTTUs/4*1e-6)
+	minRTO := n.seconds("min_rto_ms", doc.MinRTOMs, doc.MinRTOMs*1e-3)
 
 	// refused is what the experiment runner would refuse on a worker.
 	var refused error
@@ -279,13 +290,19 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 			if err != nil {
 				return nil, invalidf(fmt.Sprintf("specs[%d].ctrl", i), "%v", err)
 			}
+			field := func(key string) string { return fmt.Sprintf("specs[%d].%s", i, key) }
 			specs = append(specs, experiment.QueueSpec{
-				Class:  sp.Class,
-				Flows:  sp.Flows,
-				Hosts:  sp.Hosts,
-				StopAt: units.Seconds(sp.StopS),
-				Ctrl:   ctrl,
-				ECN:    sp.ECN,
+				Class:       sp.Class,
+				Flows:       sp.Flows,
+				Hosts:       sp.Hosts,
+				SharedHosts: sp.SharedHosts,
+				OwnSink:     sp.OwnSink,
+				Size:        units.ByteSize(sp.SizeB),
+				Start:       n.seconds(field("start_at_s"), sp.StartS, sp.StartS),
+				Spacing:     n.seconds(field("spacing_s"), sp.SpacingS, sp.SpacingS),
+				StopAt:      n.seconds(field("stop_at_s"), sp.StopS, sp.StopS),
+				Ctrl:        ctrl,
+				ECN:         sp.ECN,
 			})
 		}
 		r.static = &experiment.StaticConfig{
@@ -298,8 +315,9 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 			Queues:      doc.Queues,
 			MTU:         mtu,
 			Specs:       specs,
-			Duration:    units.Seconds(doc.DurationS),
-			SampleEvery: units.Seconds(doc.SampleMs * 1e-3),
+			Duration:    n.seconds("duration_s", doc.DurationS, doc.DurationS),
+			SampleEvery: n.seconds("sample_ms", doc.SampleMs, doc.SampleMs*1e-3),
+			TraceStride: doc.TraceStride,
 			MinRTO:      minRTO,
 			Seed:        doc.Seed,
 			Faults:      doc.Faults,
@@ -323,34 +341,39 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 			cdfs = append(cdfs, cdf)
 		}
 		r.dynamic = &experiment.DynamicConfig{
-			Scheme:         experiment.Scheme(doc.Scheme),
-			Params:         params,
-			Engine:         engine,
-			Topo:           experiment.TopoKind(doc.Topo),
-			Servers:        doc.Servers,
-			Leaves:         doc.Leaves,
-			Spines:         doc.Spines,
-			HostsPerLeaf:   doc.HostsPerLeaf,
-			FatTreeK:       doc.FatTreeK,
-			Rate:           rate,
-			Delay:          delay,
-			Buffer:         units.ByteSize(doc.BufferB),
-			Queues:         doc.Queues,
-			MTU:            mtu,
-			Load:           doc.Load,
-			Flows:          doc.Flows,
-			Workloads:      cdfs,
-			DCTCP:          doc.DCTCP,
-			MinRTO:         minRTO,
-			Seed:           doc.Seed,
-			Faults:         doc.Faults,
-			Guard:          doc.Guard,
-			FailureAware:   doc.FailureAware,
-			DetectionDelay: units.Seconds(doc.DetectMs * 1e-3),
+			Scheme:          experiment.Scheme(doc.Scheme),
+			Params:          params,
+			Engine:          engine,
+			Topo:            experiment.TopoKind(doc.Topo),
+			Servers:         doc.Servers,
+			Leaves:          doc.Leaves,
+			Spines:          doc.Spines,
+			HostsPerLeaf:    doc.HostsPerLeaf,
+			FatTreeK:        doc.FatTreeK,
+			Rate:            rate,
+			Delay:           delay,
+			Buffer:          units.ByteSize(doc.BufferB),
+			Queues:          doc.Queues,
+			MTU:             mtu,
+			Load:            doc.Load,
+			Flows:           doc.Flows,
+			Workloads:       cdfs,
+			DCTCP:           doc.DCTCP,
+			RequestResponse: doc.RequestResponse,
+			MinRTO:          minRTO,
+			Seed:            doc.Seed,
+			MaxRuntime:      n.seconds("max_runtime_s", doc.MaxRuntimeS, doc.MaxRuntimeS),
+			Faults:          doc.Faults,
+			Guard:           doc.Guard,
+			FailureAware:    doc.FailureAware,
+			DetectionDelay:  n.seconds("detection_delay_ms", doc.DetectMs, doc.DetectMs*1e-3),
 		}
 		r.hooks, refused = &r.dynamic.Hooks, r.dynamic.Validate()
 	default:
 		return nil, invalidf("kind", "unknown kind %q (want static or fct)", doc.Kind)
+	}
+	if n.err != nil {
+		return nil, n.err
 	}
 	var cerr *experiment.ConfigError
 	if errors.As(refused, &cerr) {
@@ -362,6 +385,29 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// numbers converts a document's float keys to the int64 units a run counts
+// in, picoseconds and bits per second, and keeps the first key whose
+// converted value is negative or does not fit an int64.
+type numbers struct{ err error }
+
+// fit checks key's value v, which is x in its int64 unit, and returns x.
+func (n *numbers) fit(key string, v, x float64) float64 {
+	switch {
+	case n.err != nil:
+	case x < 0:
+		n.err = invalidf(key, "must not be negative, got %v", v)
+	case x >= 1<<63:
+		n.err = invalidf(key, "too large for 64-bit picoseconds or bits per second, got %v", v)
+	}
+	return x
+}
+
+// seconds converts key's value v, which is s seconds, to a Duration.
+func (n *numbers) seconds(key string, v, s float64) units.Duration {
+	n.fit(key, v, s*float64(units.Second))
+	return units.Seconds(s)
 }
 
 // checkRead refuses a key that doc sets and a run of its kind never reads:
@@ -377,6 +423,7 @@ func checkRead(doc Document) error {
 	}{
 		{"duration_s", "static", doc.DurationS},
 		{"sample_ms", "static", doc.SampleMs},
+		{"queue_trace_stride", "static", doc.TraceStride},
 		{"specs", "static", doc.Specs},
 		{"topo", "fct", doc.Topo},
 		{"servers", string(experiment.TopoStar), doc.Servers},
@@ -388,6 +435,8 @@ func checkRead(doc Document) error {
 		{"flows", "fct", doc.Flows},
 		{"workloads", "fct", doc.Workloads},
 		{"dctcp", "fct", doc.DCTCP},
+		{"request_response", "fct", doc.RequestResponse},
+		{"max_runtime_s", "fct", doc.MaxRuntimeS},
 		{"failure_aware", "fct", doc.FailureAware},
 		{"detection_delay_ms", "fct", doc.DetectMs},
 	} {

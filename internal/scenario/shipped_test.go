@@ -41,7 +41,8 @@ func TestShippedScenariosLoad(t *testing.T) {
 	}
 }
 
-// TestShippedSmokeRun executes the quickest shipped scenario end to end.
+// TestShippedSmokeRun executes the quickest shipped scenario and the
+// request/response one end to end.
 func TestShippedSmokeRun(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "fig3_dynaq.json"))
 	if err != nil {
@@ -61,6 +62,22 @@ func TestShippedSmokeRun(t *testing.T) {
 	}
 	if len(res.Static.Samples) == 0 {
 		t.Fatal("no samples")
+	}
+
+	// The shipped closed-loop cell runs as it is: every request is answered.
+	data, err = os.ReadFile(filepath.Join("..", "..", "scenarios", "fct_request_response.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := Load(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = rr.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Dynamic; d.Completed != d.Generated || d.Generated != rr.doc.Flows {
+		t.Fatalf("%d/%d exchanges answered, want all %d", d.Completed, d.Generated, rr.doc.Flows)
 	}
 }
 
