@@ -256,6 +256,12 @@ func (d *DynaQ) State() *core.State { return d.state }
 
 // Admit implements Admission.
 func (d *DynaQ) Admit(v View, cls int, size units.ByteSize) bool {
+	// Algorithm 1's line 1, which Process would run first on a valid
+	// arrival: a packet within its queue's threshold passes and leaves every
+	// threshold alone, and the post-check below is then the same comparison.
+	if cls >= 0 && cls < d.state.NumQueues() && size > 0 && v.QueueLen(cls)+size <= d.state.Threshold(cls) {
+		return true
+	}
 	d.lens.v = v
 	res := d.state.Process(cls, size, d.li)
 	switch res.Verdict {

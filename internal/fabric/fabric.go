@@ -106,13 +106,15 @@ type Group struct {
 // [down, down+nDown); ports [nDown, nDown+nUp) lead up, are links
 // [up, up+nUp), and are equal-cost toward every host outside [lo, hi).
 // shift selects the bits of the flow hash that pick among the uplinks, so
-// successive tiers choose independently.
+// successive tiers choose independently. below[dst−lo] is the down port
+// toward host dst, (dst−lo)/span, worked out once so a hop divides nothing.
 type node struct {
 	name         string
 	nDown, nUp   int
 	down, up     int
 	lo, hi, span int
 	shift        uint
+	below        []int32
 }
 
 // Graph is a fabric. Link indices follow one layout for every kind: links
@@ -138,7 +140,19 @@ func newGraph(kind Kind, hosts, access int, rate units.Rate) (*Graph, error) {
 	return g, nil
 }
 
-func (g *Graph) addSwitch(n node) { g.switches = append(g.switches, n) }
+// addSwitch appends n with its down-port table. The switches of one tier
+// come one after another and share one shape, so they share one table.
+func (g *Graph) addSwitch(n node) {
+	if k := len(g.switches); k > 0 && g.switches[k-1].hi-g.switches[k-1].lo == n.hi-n.lo && g.switches[k-1].span == n.span {
+		n.below = g.switches[k-1].below
+	} else {
+		n.below = make([]int32, n.hi-n.lo)
+		for d := range n.below {
+			n.below[d] = int32(d / n.span)
+		}
+	}
+	g.switches = append(g.switches, n)
+}
 
 // lay appends one block of links: for every switch in [first, first+count),
 // its downlinks (or uplinks) in port order. to reports the node a port
@@ -334,16 +348,20 @@ func (g *Graph) PortLink(sw, port int) int {
 // The flow key is hashed only when there is a choice to make.
 func (g *Graph) Choices(sw, dst int, key uint64) (first, n int, sel uint64) {
 	s := &g.switches[sw]
-	if dst >= s.lo && dst < s.hi {
-		return (dst - s.lo) / s.span, 1, 0
+	if d := dst - s.lo; d >= 0 && d < len(s.below) {
+		return int(s.below[d]), 1, 0
 	}
 	return s.nDown, s.nUp, Hash(key) >> s.shift
 }
 
 // NextHop returns the static-ECMP output port of switch sw toward host dst
-// for a flow key. It allocates nothing.
+// for a flow key. It allocates nothing, and a hop with one choice divides
+// nothing.
 func (g *Graph) NextHop(sw, dst int, key uint64) int {
 	first, n, sel := g.Choices(sw, dst, key)
+	if n == 1 {
+		return first
+	}
 	return first + int(sel%uint64(n))
 }
 

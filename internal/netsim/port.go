@@ -6,6 +6,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dynaq/internal/buffer"
 	"dynaq/internal/packet"
@@ -55,13 +56,11 @@ type Link struct {
 	// injected (seeded) by the fault engine so runs stay deterministic.
 	rnd func() float64
 
-	// wire is the FIFO of packets in flight, oldest first, as a ring:
-	// flying of its slots are in use, starting at head. The delay is fixed,
-	// so packets arrive in the order they were sent: each Send appends one
-	// packet here and one arrival to the lane, and each arrival pops one.
-	wire   []*packet.Packet
-	head   int
-	flying int
+	// wire is the FIFO of packets in flight, oldest first. The delay is
+	// fixed, so packets arrive in the order they were sent: each Send
+	// appends one packet here and one arrival to the lane, and each arrival
+	// pops one.
+	wire pktRing
 }
 
 // arriveFn is the shared callback for every link's arrivals.
@@ -69,10 +68,7 @@ func arriveFn(a any) { a.(*Link).arrive() }
 
 // arrive delivers the head of the wire.
 func (l *Link) arrive() {
-	p := l.wire[l.head]
-	l.wire[l.head] = nil
-	l.head = (l.head + 1) & (len(l.wire) - 1)
-	l.flying--
+	p := l.wire.pop()
 	if l.dst == nil {
 		panic("netsim: link used before wiring completed")
 	}
@@ -111,22 +107,9 @@ func (l *Link) Send(p *packet.Packet) SendOutcome {
 		l.corrupted++
 		return SendCorrupted
 	}
-	if l.flying == len(l.wire) {
-		l.growWire()
-	}
-	l.wire[(l.head+l.flying)&(len(l.wire)-1)] = p
-	l.flying++
+	l.wire.push(p)
 	l.lane.Call(arriveFn, l)
 	return SendDelivered
-}
-
-// growWire doubles the ring (its length stays a power of two, so positions
-// wrap with a mask) and moves the packets in flight to its start.
-func (l *Link) growWire() {
-	grown := make([]*packet.Packet, max(8, 2*len(l.wire)))
-	n := copy(grown, l.wire[l.head:])
-	copy(grown[n:], l.wire[:l.head])
-	l.wire, l.head = grown, 0
 }
 
 // SetDown injects or clears a link failure, recording the failure instant
@@ -338,49 +321,81 @@ type Port struct {
 	maxSize units.ByteSize
 }
 
-// pktQueue is a FIFO of packets with byte accounting, backed by a ring-less
-// slice with amortized compaction.
+// pktRing is a FIFO of packet pointers in a ring: n of its slots are in
+// use, starting at head. Its length is a power of two, so positions wrap
+// with a mask. It starts at 8 slots and doubles only when full, so it stays
+// as long as the deepest the FIFO has been.
+type pktRing struct {
+	ring    []*packet.Packet
+	head, n int
+}
+
+func (r *pktRing) push(p *packet.Packet) {
+	if r.n == len(r.ring) {
+		r.grow()
+	}
+	r.ring[(r.head+r.n)&(len(r.ring)-1)] = p
+	r.n++
+}
+
+// grow doubles the ring (or makes its first 8 slots) and moves the packets
+// to its start.
+func (r *pktRing) grow() {
+	grown := make([]*packet.Packet, max(8, 2*len(r.ring)))
+	k := copy(grown, r.ring[r.head:])
+	copy(grown[k:], r.ring[:r.head])
+	r.ring, r.head = grown, 0
+}
+
+func (r *pktRing) pop() *packet.Packet {
+	p := r.ring[r.head]
+	r.ring[r.head] = nil
+	r.head = (r.head + 1) & (len(r.ring) - 1)
+	r.n--
+	return p
+}
+
+// popTail removes the newest packet.
+func (r *pktRing) popTail() *packet.Packet {
+	r.n--
+	i := (r.head + r.n) & (len(r.ring) - 1)
+	p := r.ring[i]
+	r.ring[i] = nil
+	return p
+}
+
+// pktQueue is a service queue: a FIFO of packets with byte accounting.
 type pktQueue struct {
-	pkts  []*packet.Packet
-	head  int
+	pktRing
 	bytes units.ByteSize
 }
 
 func (q *pktQueue) push(p *packet.Packet) {
-	q.pkts = append(q.pkts, p)
+	q.pktRing.push(p)
 	q.bytes += p.Size
 }
 
 func (q *pktQueue) pop() *packet.Packet {
-	p := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	q.head++
+	p := q.pktRing.pop()
 	q.bytes -= p.Size
-	if q.head > 64 && q.head*2 >= len(q.pkts) {
-		n := copy(q.pkts, q.pkts[q.head:])
-		q.pkts = q.pkts[:n]
-		q.head = 0
-	}
 	return p
 }
 
-func (q *pktQueue) len() int { return len(q.pkts) - q.head }
+func (q *pktQueue) len() int { return q.n }
 
 // popTail removes the newest packet (eviction victims leave from the
 // tail, keeping in-flight ordering of the survivors intact).
 func (q *pktQueue) popTail() *packet.Packet {
-	p := q.pkts[len(q.pkts)-1]
-	q.pkts[len(q.pkts)-1] = nil
-	q.pkts = q.pkts[:len(q.pkts)-1]
+	p := q.pktRing.popTail()
 	q.bytes -= p.Size
 	return p
 }
 
 func (q *pktQueue) headPkt() *packet.Packet {
-	if q.len() == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	return q.pkts[q.head]
+	return q.ring[q.head]
 }
 
 // PortConfig assembles a Port.
@@ -520,6 +535,14 @@ func (p *Port) notify() {
 
 // Enqueue runs the buffer-management scheme for an arriving packet and, if
 // admitted, buffers it and kicks the transmitter.
+//
+// A packet admitted at an idle port that nothing watches is served at once:
+// an idle port has every queue empty, so the scheduler would pick the
+// packet's queue and the packet would leave it at once with sojourn 0. It
+// skips the push, the pop and the scheduler's walk, and meets every other
+// step of the queued path in the same order. A watched port (an event hook
+// or an observer) queues it, so the hooks see the enqueue and the state
+// between the two halves.
 func (p *Port) Enqueue(pkt *packet.Packet) {
 	cls := pkt.Class
 	if cls < 0 || cls >= len(p.queues) {
@@ -535,7 +558,7 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 			p.emit(EvMisclass, cls, pkt)
 		}
 	}
-	if !p.admitWithEviction(cls, pkt.Size) {
+	if !p.admit.Admit(p, cls, pkt.Size) && !p.evictToAdmit(cls, pkt.Size) {
 		p.drop(cls, pkt)
 		return
 	}
@@ -552,10 +575,19 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 		}
 	}
 	pkt.EnqueueTime = p.sim.Now()
+	p.stats.Enqueued++
+	if !p.busy && p.hook == nil && len(p.observers) == 0 {
+		p.busy = true
+		if p.pool != nil {
+			p.pool.Release(pkt.Size)
+		}
+		p.sched.ServeLone(cls, pkt.Size, true)
+		p.dispatch(cls, pkt, 0)
+		return
+	}
 	p.queues[cls].push(pkt)
 	p.backlog |= 1 << cls
 	p.total += pkt.Size
-	p.stats.Enqueued++
 	p.emit(EvEnqueue, cls, pkt)
 	p.notify()
 	if !p.busy {
@@ -576,14 +608,12 @@ func (p *Port) drop(cls int, pkt *packet.Packet) {
 	pkt.Release()
 }
 
-// admitWithEviction runs the admission scheme and, when it refuses and the
-// scheme supports eviction (BarberQ), pushes out tail packets of the
-// designated victim queues until the arrival fits or the scheme gives up.
-func (p *Port) admitWithEviction(cls int, size units.ByteSize) bool {
+// evictToAdmit runs after the admission scheme refused an arrival: when the
+// scheme supports eviction (BarberQ), it pushes out tail packets of the
+// designated victim queues and asks again, until the arrival fits or the
+// scheme gives up.
+func (p *Port) evictToAdmit(cls int, size units.ByteSize) bool {
 	for {
-		if p.admit.Admit(p, cls, size) {
-			return true
-		}
 		if p.evictor == nil {
 			return false
 		}
@@ -602,19 +632,27 @@ func (p *Port) admitWithEviction(cls int, size units.ByteSize) bool {
 		p.stats.Evicted++
 		p.emit(EvEvict, victim, evicted)
 		evicted.Release()
+		if p.admit.Admit(p, cls, size) {
+			return true
+		}
 	}
 }
 
 // transmitNext serves one packet according to the scheduler and re-arms
 // itself after the serialization delay. A port with nothing buffered goes
 // idle without asking: by the sched.Scheduler contract a poll with an empty
-// backlog word changes nothing.
+// backlog word changes nothing. With one queue backlogged there is nothing
+// to pick, and the scheduler is told which queue it serves.
 func (p *Port) transmitNext() {
 	if p.backlog == 0 {
 		p.busy = false
 		return
 	}
-	i := p.sched.Pick(p.backlog, p)
+	lone := p.backlog&(p.backlog-1) == 0
+	i := bits.TrailingZeros64(p.backlog)
+	if !lone {
+		i = p.sched.Pick(p.backlog, p)
+	}
 	pkt := p.queues[i].pop()
 	nowEmpty := p.queues[i].len() == 0
 	if nowEmpty {
@@ -624,11 +662,21 @@ func (p *Port) transmitNext() {
 	if p.pool != nil {
 		p.pool.Release(pkt.Size)
 	}
-	p.sched.OnDequeue(i, pkt.Size, nowEmpty)
+	if lone {
+		p.sched.ServeLone(i, pkt.Size, nowEmpty)
+	} else {
+		p.sched.OnDequeue(i, pkt.Size, nowEmpty)
+	}
+	p.dispatch(i, pkt, p.sim.Now().Sub(pkt.EnqueueTime))
+}
+
+// dispatch runs the dequeue half of the scheme on pkt, just taken from queue
+// i after sojourn in it, and starts its serialization unless the scheme drops
+// it.
+func (p *Port) dispatch(i int, pkt *packet.Packet, sojourn units.Duration) {
 	if p.deqObs != nil {
 		p.deqObs.ObserveDequeue(p, i, pkt.Size, p.sim.Now())
 	}
-	sojourn := p.sim.Now().Sub(pkt.EnqueueTime)
 	if p.deqDrop != nil && p.deqDrop.DropOnDequeue(i, sojourn) {
 		// TCN-drop ablation: the transmission opportunity is wasted — the
 		// qdisc returned nothing to the NIC — so the link idles for the

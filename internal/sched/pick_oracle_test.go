@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dynaq/internal/units"
@@ -165,16 +168,60 @@ func newPickCase(t testing.TB, kind byte, n int, params []byte) pickCase {
 	}
 }
 
-// pickOutcome tallies what a script exercised.
-type pickOutcome struct{ served, emptyPolls, panics, beyond int }
+// pickOutcome tallies what a script exercised: lone counts the serves of a
+// lone backlogged queue that ServeLone was held to, scrambles the round
+// states a script set at random.
+type pickOutcome struct{ served, emptyPolls, panics, beyond, lone, scrambles int }
+
+// cloneScheduler deep-copies one of the four schedulers, round state and all.
+func cloneScheduler(s Scheduler) Scheduler {
+	switch s := s.(type) {
+	case *DRR:
+		c := *s
+		c.quantum, c.deficit = slices.Clone(s.quantum), slices.Clone(s.deficit)
+		return &c
+	case *WRR:
+		c := *s
+		c.weights = slices.Clone(s.weights)
+		return &c
+	case *SPQ:
+		return NewSPQ()
+	case *SPQDRR:
+		return &SPQDRR{prio: s.prio, drr: cloneScheduler(s.drr).(*DRR)}
+	}
+	panic(fmt.Sprintf("cloneScheduler: %T", s))
+}
+
+// scramble sets s's round state from seed: DRR's cur, fresh flag and
+// deficits (any of them stale for an empty queue, as BarberQ's tail evictions
+// leave them), WRR's cur and served count up to its weight.
+func scramble(s Scheduler, seed []byte) {
+	b := func(i int) int { return int(seed[i%len(seed)]) }
+	switch s := s.(type) {
+	case *DRR:
+		s.cur, s.fresh = b(0)%len(s.quantum), b(1)&1 != 0
+		for j := range s.deficit {
+			s.deficit[j] = 0
+			if k := b(2+j) % 8; k < len(oracleSizes) {
+				s.deficit[j] = oracleSizes[k]
+			}
+		}
+	case *WRR:
+		s.cur = b(0) % len(s.weights)
+		s.served = int64(b(1)) % (s.weights[s.cur] + 1)
+	case *SPQDRR:
+		scramble(s.drr, seed)
+	}
+}
 
 // pickAgainstSelect interprets script. Its first three bytes choose the
 // scheduler kind, how many queues it has (1 and 64 among them) and how many
 // more the view has; the next eight its quanta or weights. Then three bytes
 // make a step, as in drrAgainstReference: add to a queue, set its backlog
 // and a head that may exceed it, empty it, report a dequeue the view does
-// not bear out, or pick — Pick on Backlog(v) against the oracle on v — and
-// dequeue the head picked.
+// not bear out, set the round state at random, or pick — Pick on Backlog(v)
+// against the oracle on v — and dequeue the head picked. A pick from a lone
+// backlogged queue also holds ServeLone to the state Pick and OnDequeue left.
 func pickAgainstSelect(t testing.TB, script []byte) (out pickOutcome) {
 	if len(script) < 11 {
 		return
@@ -203,6 +250,12 @@ func pickAgainstSelect(t testing.TB, script []byte) (out pickOutcome) {
 		case 5, 6:
 			v.qlen[q], v.head[q] = 0, 0
 		case 7:
+			if c := script[step+2]; c >= 160 && c < 224 {
+				seed := []byte{byte(q), c, script[step+1] ^ c, c >> 3, byte(step), byte(q) * c}
+				scramble(pc.sut, seed)
+				scramble(pc.ref, seed)
+				out.scrambles++
+			}
 			if script[step+2] < 224 {
 				break
 			}
@@ -214,12 +267,26 @@ func pickAgainstSelect(t testing.TB, script []byte) (out pickOutcome) {
 			if backlog>>pc.queues != 0 {
 				out.beyond++
 			}
+			// A lone backlogged queue: Pick and OnDequeue below must leave
+			// the state ServeLone leaves in a copy taken now, or both panic
+			// alike on a queue beyond the scheduler's own.
+			var lone Scheduler
+			if backlog != 0 && backlog&(backlog-1) == 0 {
+				lone = cloneScheduler(pc.sut)
+			}
 			got, gotPanic := selectOrPanic(func() int { return pc.sut.Pick(backlog, v) })
 			want, wantPanic := selectOrPanic(func() int { return pc.oracle(v) })
 			if gotPanic != wantPanic {
 				t.Fatalf("step %d: %T panic %q, oracle %q", step/3, pc.sut, gotPanic, wantPanic)
 			}
 			if wantPanic != "" {
+				if lone != nil {
+					i := bits.TrailingZeros64(backlog)
+					_, lonePanic := selectOrPanic(func() int { lone.ServeLone(i, v.head[i], true); return i })
+					if lonePanic != wantPanic {
+						t.Fatalf("step %d: %T ServeLone(%d) panic %q, Pick %q", step/3, lone, i, lonePanic, wantPanic)
+					}
+				}
 				out.panics++
 				return out // the walk was abandoned midway; its state means nothing
 			}
@@ -236,6 +303,14 @@ func pickAgainstSelect(t testing.TB, script []byte) (out pickOutcome) {
 				}
 				pc.sut.OnDequeue(got, head, v.qlen[got] == 0)
 				pc.ref.OnDequeue(got, head, v.qlen[got] == 0)
+				if lone != nil {
+					lone.ServeLone(got, head, v.qlen[got] == 0)
+					if !reflect.DeepEqual(lone, pc.sut) {
+						t.Fatalf("step %d: %T ServeLone(%d, %d) left %+v, Pick and OnDequeue %+v",
+							step/3, lone, got, head, lone, pc.sut)
+					}
+					out.lone++
+				}
 			}
 		}
 		if !reflect.DeepEqual(pc.sut, pc.ref) {
@@ -270,10 +345,12 @@ func TestPickMatchesSelect(t *testing.T) {
 		k := &perKind[trial%4]
 		k.served, k.emptyPolls = k.served+out.served, k.emptyPolls+out.emptyPolls
 		k.panics, k.beyond = k.panics+out.panics, k.beyond+out.beyond
+		k.lone, k.scrambles = k.lone+out.lone, k.scrambles+out.scrambles
 	}
 	for kind, k := range perKind {
 		// SPQ alone has no panic to reach.
-		if k.served < 10000 || k.emptyPolls < 100 || k.beyond < 100 || (kind != 2 && k.panics < 20) {
+		if k.served < 10000 || k.emptyPolls < 100 || k.beyond < 100 || (kind != 2 && k.panics < 20) ||
+			k.lone < 1000 || k.scrambles < 1000 {
 			t.Errorf("kind %d: %+v: the scripts miss a case", kind, k)
 		}
 	}

@@ -46,6 +46,11 @@ type Scheduler interface {
 	// whether that left the queue empty (a queue leaving the active set
 	// resets its DRR deficit).
 	OnDequeue(i int, size units.ByteSize, nowEmpty bool)
+	// ServeLone makes the state change Pick(1<<i, v) followed by
+	// OnDequeue(i, size, nowEmpty) makes when queue i is the only backlogged
+	// queue of v and its head packet is size bytes: the caller knows which
+	// queue Pick would return, so it need not ask, nor expose its head.
+	ServeLone(i int, size units.ByteSize, nowEmpty bool)
 }
 
 // Backlog returns v's backlog word: bit i set when queue i holds bytes. A
@@ -164,13 +169,9 @@ func (d *DRR) pickFrom(backlog uint64, v View, off int) int {
 		} else {
 			i = bits.TrailingZeros64(own)
 		}
-		// The queues walked past are inactive and carry no deficit; each
-		// was a step of the walk and counts toward its bound.
-		for d.cur != i {
-			d.deficit[d.cur] = 0
-			d.advance()
-			iter++
-		}
+		// Each queue walked past was a step of the walk and counts toward
+		// its bound.
+		iter += d.walkTo(i)
 		if iter >= 2*nq {
 			if bound < 0 {
 				n, maxHead := v.NumQueues()-off, units.ByteSize(0)
@@ -195,6 +196,48 @@ func (d *DRR) pickFrom(backlog uint64, v View, off int) int {
 }
 
 const drrStuck = "sched: DRR failed to select a backlogged queue (deficit accounting bug)"
+
+// walkTo moves the round from cur to queue i, cyclically, and returns how
+// many queues it passed. Those are inactive and carry no deficit, so theirs
+// are zeroed; arriving at i is a fresh visit unless the round was there.
+func (d *DRR) walkTo(i int) int {
+	if d.cur == i {
+		return 0
+	}
+	steps := 0
+	for j := d.cur; j != i; steps++ {
+		d.deficit[j] = 0
+		if j++; j == len(d.deficit) {
+			j = 0
+		}
+	}
+	d.cur, d.fresh = i, true
+	return steps
+}
+
+// ServeLone implements Scheduler: Pick's walk with queue i alone backlogged,
+// in closed form. The walk steps from cur to i and tops up i's deficit if it
+// arrives fresh. While the head does not fit, the walk goes round once more:
+// that zeroes every other queue's deficit, stale ones included, and gives i
+// another quantum.
+func (d *DRR) ServeLone(i int, size units.ByteSize, nowEmpty bool) {
+	if i >= len(d.quantum) {
+		panic(drrStuck) // Pick's verdict on a backlogged queue beyond its own
+	}
+	d.walkTo(i)
+	if d.fresh {
+		d.deficit[i] += d.quantum[i]
+		d.fresh = false
+	}
+	if size > d.deficit[i] {
+		clear(d.deficit[:i])
+		clear(d.deficit[i+1:])
+		for size > d.deficit[i] {
+			d.deficit[i] += d.quantum[i]
+		}
+	}
+	d.OnDequeue(i, size, nowEmpty)
+}
 
 // OnDequeue implements Scheduler.
 func (d *DRR) OnDequeue(i int, size units.ByteSize, nowEmpty bool) {
@@ -259,8 +302,10 @@ func (w *WRR) Pick(backlog uint64, _ View) int {
 		}
 		w.advance()
 	}
-	panic("sched: WRR failed to select a backlogged queue")
+	panic(wrrStuck)
 }
+
+const wrrStuck = "sched: WRR failed to select a backlogged queue"
 
 // Select is Pick with the backlog word read off v.
 func (w *WRR) Select(v View) int { return w.Pick(Backlog(v), v) }
@@ -274,6 +319,21 @@ func (w *WRR) OnDequeue(i int, _ units.ByteSize, nowEmpty bool) {
 	if nowEmpty || w.served >= w.weights[i] {
 		w.advance()
 	}
+}
+
+// ServeLone implements Scheduler: Pick's walk with queue i alone backlogged
+// advances round to i unless i is current with quota left.
+func (w *WRR) ServeLone(i int, size units.ByteSize, nowEmpty bool) {
+	if i >= len(w.weights) {
+		panic(wrrStuck)
+	}
+	if w.cur != i || w.served >= w.weights[i] {
+		w.advance()
+		for w.cur != i {
+			w.advance()
+		}
+	}
+	w.OnDequeue(i, size, nowEmpty)
 }
 
 func (w *WRR) advance() {
@@ -301,6 +361,9 @@ func (s *SPQ) Select(v View) int { return s.Pick(Backlog(v), v) }
 
 // OnDequeue implements Scheduler.
 func (*SPQ) OnDequeue(int, units.ByteSize, bool) {}
+
+// ServeLone implements Scheduler.
+func (*SPQ) ServeLone(int, units.ByteSize, bool) {}
 
 // SPQDRR is the hybrid of §V-A2: queues [0, prio) are strict-priority
 // (shared high-priority queues), and the remaining queues are DRR among
@@ -349,5 +412,13 @@ func (s *SPQDRR) Select(v View) int { return s.Pick(Backlog(v), v) }
 func (s *SPQDRR) OnDequeue(i int, size units.ByteSize, nowEmpty bool) {
 	if i >= s.prio {
 		s.drr.OnDequeue(i-s.prio, size, nowEmpty)
+	}
+}
+
+// ServeLone implements Scheduler: a strict queue changes nothing, a DRR queue
+// is the DRR's lone queue.
+func (s *SPQDRR) ServeLone(i int, size units.ByteSize, nowEmpty bool) {
+	if i >= s.prio {
+		s.drr.ServeLone(i-s.prio, size, nowEmpty)
 	}
 }
