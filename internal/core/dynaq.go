@@ -89,6 +89,8 @@ type State struct {
 	// design: extra-buffer victim selection and S_i = B·w_i/Σw.
 	victimPolicy    VictimPolicy
 	satisfactionBDP units.ByteSize // 0 = Eq. 3; >0 = S_i = BDP·w_i/Σw
+
+	resizes int // SetBuffer calls so far
 }
 
 // New builds DynaQ state for a port with buffer b shared by len(weights)
@@ -204,9 +206,14 @@ func (st *State) SetBuffer(b units.ByteSize) error {
 		return fmt.Errorf("core: buffer size %d must be positive", b)
 	}
 	st.b = b
+	st.resizes++
 	st.reinit()
 	return nil
 }
+
+// Resizes counts SetBuffer calls, so an observer comparing thresholds across
+// time can tell Algorithm 1's moves from a re-initialisation.
+func (st *State) Resizes() int { return st.resizes }
 
 // QueueLens provides the instantaneous backlog q_i of each queue to
 // Algorithm 1. It is an interface rather than a slice so the switch port can

@@ -11,15 +11,18 @@ import (
 // Violation is one failed runtime invariant check, with enough context to
 // reproduce it.
 type Violation struct {
-	At    units.Time
-	Port  string
-	Check string
-	Err   error
+	At   units.Time
+	Port string
+	// Scheme is the port's admission scheme, so a run that mixes schemes
+	// reports its violations per scheme.
+	Scheme string
+	Check  string
+	Err    error
 }
 
 // String renders the violation for logs and CLI output.
 func (v Violation) String() string {
-	return fmt.Sprintf("%v %s [%s]: %v", v.At, v.Port, v.Check, v.Err)
+	return fmt.Sprintf("%v %s (%s) [%s]: %v", v.At, v.Port, v.Scheme, v.Check, v.Err)
 }
 
 // thresholdState is satisfied by the DynaQ-family admission schemes
@@ -31,7 +34,10 @@ type thresholdState interface {
 // Guardrail audits DynaQ's accounting invariants on every port event while
 // faults churn the network: Σ T_i == B and T_i ≥ 0 (Algorithm 1's conserved
 // quantities), occupancy ≤ B, per-queue byte accounting, and shared-pool
-// reservations. Violations are recorded as structured records instead of
+// reservations. On a DynaQ-family port it also checks the property the paper
+// is named for, one event at a time (see transition): a threshold moves only
+// as Algorithm 1 moves it, and never at the cost of an unsatisfied active
+// queue. Violations are recorded as structured records instead of
 // panicking, so an experiment under fault injection reports corruption
 // rather than silently producing wrong numbers.
 //
@@ -46,12 +52,20 @@ type Guardrail struct {
 	total      int64
 	violations []Violation
 
-	ports []guardedPort
+	ports []*guardedPort
 }
 
 type guardedPort struct {
-	label string
-	port  *netsim.Port
+	label  string
+	port   *netsim.Port
+	scheme string
+
+	// st is the port's Algorithm 1 state (nil off the DynaQ family); t and
+	// resizes are its T vector and SetBuffer count as of the previous port
+	// event.
+	st      *core.State
+	t       []units.ByteSize
+	resizes int
 }
 
 // NewGuardrail builds a guardrail retaining at most maxRecorded violations
@@ -66,30 +80,120 @@ func NewGuardrail(maxRecorded int) *Guardrail {
 // Watch installs the guardrail on a port (chained after any existing hook),
 // checking invariants on every subsequent port event.
 func (g *Guardrail) Watch(label string, p *netsim.Port) {
-	g.ports = append(g.ports, guardedPort{label: label, port: p})
-	p.AddEventHook(func(ev netsim.PortEvent) { g.check(label, p, ev.At) })
+	gp := &guardedPort{label: label, port: p, scheme: p.Admission().Name()}
+	if ts, ok := p.Admission().(thresholdState); ok {
+		gp.st = ts.State()
+		gp.rebase()
+	}
+	g.ports = append(g.ports, gp)
+	p.AddEventHook(func(ev netsim.PortEvent) {
+		g.check(gp, ev.At)
+		if gp.st != nil {
+			g.transition(gp, ev)
+		}
+	})
 }
 
-func (g *Guardrail) check(label string, p *netsim.Port, at units.Time) {
+// rebase takes the port's current thresholds as the snapshot the next event
+// is checked against.
+func (gp *guardedPort) rebase() {
+	gp.resizes = gp.st.Resizes()
+	gp.t = gp.t[:0]
+	for i := 0; i < gp.st.NumQueues(); i++ {
+		gp.t = append(gp.t, gp.st.Threshold(i))
+	}
+}
+
+// transition checks that the thresholds moved between the previous port
+// event and ev exactly as Algorithm 1 moves them for ev's packet of size s on
+// queue p: either not at all, or T_p rose by s while exactly one T_v fell by
+// s, where v is the victim the algorithm's rule picks on the previous
+// thresholds (the state's VictimPolicy, lower index on ties), and afterwards
+// q_v = 0 or T_v ≥ S_v — a queue is never robbed below its satisfaction
+// threshold while it holds packets. A SetBuffer re-initialisation since the
+// previous event re-bases the snapshot instead.
+func (g *Guardrail) transition(gp *guardedPort, ev netsim.PortEvent) {
+	st := gp.st
+	defer gp.rebase()
+	if st.Resizes() != gp.resizes {
+		return
+	}
+	moved, first, second := 0, -1, -1
+	for i, prev := range gp.t {
+		if st.Threshold(i) != prev {
+			moved++
+			first, second = second, i
+		}
+	}
+	if moved == 0 {
+		return
+	}
+	p, size := ev.Queue, ev.Pkt.Size
+	fail := func(format string, args ...any) {
+		g.report(ev.At, gp, "transition",
+			fmt.Errorf("%s on queue %d (size %d): %s", ev.Kind, p, size, fmt.Sprintf(format, args...)))
+	}
+	if moved != 2 || p < 0 || p >= len(gp.t) || st.Threshold(p)-gp.t[p] != size {
+		fail("%d thresholds moved from %v", moved, gp.t)
+		return
+	}
+	v := first
+	if v == p {
+		v = second
+	}
+	if st.Threshold(v) != gp.t[v]-size {
+		fail("T_%d went %d → %d, want a fall of %d", v, gp.t[v], st.Threshold(v), size)
+		return
+	}
+	if want := gp.victim(p); v != want {
+		fail("T_%d paid, but the victim rule picks queue %d", v, want)
+		return
+	}
+	if q := gp.port.QueueLen(v); q > 0 && st.Threshold(v) < st.Satisfaction(v) {
+		fail("robbed active queue %d (q=%d) below its satisfaction: T=%d < S=%d", v, q, st.Threshold(v), st.Satisfaction(v))
+	}
+}
+
+// victim is Algorithm 1's line 2 on the snapshot: argmax over i ≠ p of the
+// policy's metric, the lower index on ties; -1 when p is the only queue.
+func (gp *guardedPort) victim(p int) int {
+	best := -1
+	var bestM units.ByteSize
+	for i, t := range gp.t {
+		if i == p {
+			continue
+		}
+		m := t
+		if gp.st.VictimPolicy() == core.VictimMaxExtra {
+			m -= gp.st.Satisfaction(i)
+		}
+		if best < 0 || m > bestM {
+			best, bestM = i, m
+		}
+	}
+	return best
+}
+
+func (g *Guardrail) check(gp *guardedPort, at units.Time) {
+	p := gp.port
 	// Per-queue byte accounting: the queues must sum to the port total.
 	var qsum units.ByteSize
 	for i := 0; i < p.NumQueues(); i++ {
 		q := p.QueueLen(i)
 		if q < 0 {
-			g.report(at, label, "queue-bytes", fmt.Errorf("queue %d length %d < 0", i, q))
+			g.report(at, gp, "queue-bytes", fmt.Errorf("queue %d length %d < 0", i, q))
 		}
 		qsum += q
 	}
 	if qsum != p.TotalLen() {
-		g.report(at, label, "queue-bytes",
+		g.report(at, gp, "queue-bytes",
 			fmt.Errorf("Σ queue lengths %d != port total %d", qsum, p.TotalLen()))
 	}
 
 	// Occupancy ≤ B, with the DynaQ stale-backlog allowance.
 	limit := p.Buffer()
-	ts, dynaq := p.Admission().(thresholdState)
-	if dynaq {
-		st := ts.State()
+	st := gp.st
+	if st != nil {
 		for i := 0; i < p.NumQueues() && i < st.NumQueues(); i++ {
 			if over := p.QueueLen(i) - st.Threshold(i); over > 0 {
 				limit += over
@@ -97,14 +201,14 @@ func (g *Guardrail) check(label string, p *netsim.Port, at units.Time) {
 		}
 	}
 	if p.TotalLen() > limit {
-		g.report(at, label, "occupancy",
+		g.report(at, gp, "occupancy",
 			fmt.Errorf("occupancy %d exceeds buffer %d (allowed %d)", p.TotalLen(), p.Buffer(), limit))
 	}
 
 	// Algorithm 1's conserved quantities: Σ T_i == B, T_i ≥ 0.
-	if dynaq {
-		if err := ts.State().CheckInvariants(); err != nil {
-			g.report(at, label, "thresholds", err)
+	if st != nil {
+		if err := st.CheckInvariants(); err != nil {
+			g.report(at, gp, "thresholds", err)
 		}
 	}
 
@@ -112,20 +216,20 @@ func (g *Guardrail) check(label string, p *netsim.Port, at units.Time) {
 	// this port's buffered bytes must be covered by reservations.
 	if pool := p.Pool(); pool != nil {
 		if pool.Used() > pool.Total() {
-			g.report(at, label, "pool",
+			g.report(at, gp, "pool",
 				fmt.Errorf("pool used %d exceeds total %d", pool.Used(), pool.Total()))
 		}
 		if p.TotalLen() > pool.Used() {
-			g.report(at, label, "pool",
+			g.report(at, gp, "pool",
 				fmt.Errorf("port holds %d bytes but pool has only %d reserved", p.TotalLen(), pool.Used()))
 		}
 	}
 }
 
-func (g *Guardrail) report(at units.Time, port, check string, err error) {
+func (g *Guardrail) report(at units.Time, gp *guardedPort, check string, err error) {
 	g.total++
 	if len(g.violations) < g.max {
-		g.violations = append(g.violations, Violation{At: at, Port: port, Check: check, Err: err})
+		g.violations = append(g.violations, Violation{At: at, Port: gp.label, Scheme: gp.scheme, Check: check, Err: err})
 	}
 }
 
@@ -133,7 +237,7 @@ func (g *Guardrail) report(at units.Time, port, check string, err error) {
 // state (useful as a final sweep after a run completes).
 func (g *Guardrail) Recheck(now units.Time) {
 	for _, gp := range g.ports {
-		g.check(gp.label, gp.port, now)
+		g.check(gp, now)
 	}
 }
 

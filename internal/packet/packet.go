@@ -48,15 +48,37 @@ const AckSize units.ByteSize = 40
 // packet again. A pointer seen in passing, such as netsim.PortEvent.Pkt, is
 // good only until the call that passed it returns; keep Detached copies.
 type Packet struct {
+	// Everything a switch hop reads or writes (routing, admission, marking,
+	// sojourn, release) comes before Src, in the first 51 bytes, so a hop
+	// touches at most two cache lines of the packet, and one when the
+	// packet starts early enough in a line (every other packet of a slab).
+
 	Flow FlowID
-	Kind Kind
-
-	// Src and Dst are host ids used for routing.
-	Src, Dst int
-
+	// Dst is the destination host id used for routing.
+	Dst int
 	// Size is the wire size in bytes, including headers.
 	Size units.ByteSize
+	// Class is the service class: the index of the switch service queue
+	// this packet maps to (the paper's DSCP-derived queue index). For
+	// SPQ/DRR hybrids, class 0 is the high-priority queue.
+	Class int
+	// EnqueueTime is stamped by the switch port on enqueue so that
+	// dequeue-time schemes (TCN) can compute the sojourn time.
+	EnqueueTime units.Time
+	// pool is the free list this packet came from and returns to; nil for a
+	// packet built with a literal, which Release leaves to the collector.
+	pool *Pool
+	// ECN state. Echo is the receiver->sender congestion echo (the
+	// TCP ECE flag); CWR would be modelled symmetrically but DCTCP's
+	// per-packet echo makes it unnecessary here.
+	ECN  ECN
+	Kind Kind
+	// free is set while the packet sits in pool, to catch a second Release.
+	free bool
+	Echo bool
 
+	// Src is the originating host id.
+	Src int
 	// Seq is the first payload byte's sequence number (Data), in bytes.
 	Seq int64
 	// Ack is the cumulative acknowledgment (Ack packets): the next byte
@@ -64,40 +86,26 @@ type Packet struct {
 	Ack int64
 	// Payload is the number of payload bytes carried (Data).
 	Payload units.ByteSize
-
-	// Class is the service class: the index of the switch service queue
-	// this packet maps to (the paper's DSCP-derived queue index). For
-	// SPQ/DRR hybrids, class 0 is the high-priority queue.
-	Class int
-
-	// ECN state. Echo is the receiver->sender congestion echo (the
-	// TCP ECE flag); CWR would be modelled symmetrically but DCTCP's
-	// per-packet echo makes it unnecessary here.
-	ECN  ECN
-	Echo bool
-
 	// SentAt is when the sender (re)transmitted this packet; used for RTT
 	// estimation without timestamps options.
 	SentAt units.Time
-
-	// EnqueueTime is stamped by the switch port on enqueue so that
-	// dequeue-time schemes (TCN) can compute the sojourn time.
-	EnqueueTime units.Time
-
-	// pool is the free list this packet came from and returns to; nil for a
-	// packet built with a literal, which Release leaves to the collector.
-	pool *Pool
-	// free is set while the packet sits in pool, to catch a second Release.
-	free bool
 }
 
-// Pool is a free list of packets private to its owner — each transport
-// endpoint has one; simulations run in parallel, so there is no global pool.
-// Get hands out zeroed packets and Packet.Release returns them; after
-// warm-up a steady packet stream allocates nothing. The zero value is ready
-// to use.
+// slabSize is how many packets a pool carves from one allocation when its
+// free list runs empty.
+const slabSize = 64
+
+// Pool is a free list of packets. A simulation's endpoints share one —
+// topology.Build gives every endpoint of a network the same pool, and a
+// standalone transport.NewEndpoint gets one of its own — and simulations run
+// in parallel, so there is no global pool. Get hands out zeroed packets and
+// Packet.Release returns them; when the list is empty Get carves the next
+// packet from a slab of slabSize, so a cell allocates about one object per
+// slabSize packets of the network's peak in flight, and after warm-up a
+// steady packet stream allocates nothing. The zero value is ready to use.
 type Pool struct {
 	idle  []*Packet
+	slab  []Packet // the uncarved rest of the last slab
 	alloc int
 }
 
@@ -109,12 +117,18 @@ func (pl *Pool) Get() *Packet {
 		*p = Packet{pool: pl}
 		return p
 	}
+	if len(pl.slab) == 0 {
+		pl.slab = make([]Packet, slabSize)
+	}
+	p := &pl.slab[0]
+	pl.slab = pl.slab[1:]
 	pl.alloc++
-	return &Packet{pool: pl}
+	p.pool = pl
+	return p
 }
 
-// Allocated reports how many packets the pool has ever taken from the
-// allocator; Idle how many of them are back on the free list. The two are
+// Allocated reports how many packets the pool has ever carved from its
+// slabs; Idle how many of them are back on the free list. The two are
 // equal exactly when every packet handed out has been released once.
 func (pl *Pool) Allocated() int { return pl.alloc }
 

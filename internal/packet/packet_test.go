@@ -3,6 +3,7 @@ package packet
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestMarkRequiresECT(t *testing.T) {
@@ -96,5 +97,52 @@ func TestDetachedCopyBelongsToNoPool(t *testing.T) {
 	c.Release()
 	if pl.Idle() != 0 {
 		t.Fatal("releasing a detached copy reached the pool")
+	}
+}
+
+// TestHopFieldsShareTheFirstCacheLine pins the layout a switch hop relies
+// on: everything routing, admission, marking, sojourn and release touch ends
+// within the packet's first 64 bytes, and the whole packet is 96.
+func TestHopFieldsShareTheFirstCacheLine(t *testing.T) {
+	var p Packet
+	if got := unsafe.Sizeof(p); got != 96 {
+		t.Errorf("sizeof(Packet) = %d, want 96", got)
+	}
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"Flow", unsafe.Offsetof(p.Flow), unsafe.Sizeof(p.Flow)},
+		{"Dst", unsafe.Offsetof(p.Dst), unsafe.Sizeof(p.Dst)},
+		{"Size", unsafe.Offsetof(p.Size), unsafe.Sizeof(p.Size)},
+		{"Class", unsafe.Offsetof(p.Class), unsafe.Sizeof(p.Class)},
+		{"EnqueueTime", unsafe.Offsetof(p.EnqueueTime), unsafe.Sizeof(p.EnqueueTime)},
+		{"ECN", unsafe.Offsetof(p.ECN), unsafe.Sizeof(p.ECN)},
+		{"Kind", unsafe.Offsetof(p.Kind), unsafe.Sizeof(p.Kind)},
+		{"pool", unsafe.Offsetof(p.pool), unsafe.Sizeof(p.pool)},
+		{"free", unsafe.Offsetof(p.free), unsafe.Sizeof(p.free)},
+	} {
+		if end := f.off + f.size; end > 64 {
+			t.Errorf("%s ends at byte %d, past the first cache line", f.name, end)
+		}
+	}
+}
+
+// TestPoolCarvesSlabs checks that an empty free list costs one allocation
+// per slab, not one per packet, and that every carved packet counts.
+func TestPoolCarvesSlabs(t *testing.T) {
+	var pl Pool
+	const n = 10 * slabSize
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			pl.Get()
+		}
+	})
+	if allocs > n/slabSize {
+		t.Errorf("%v allocations for %d packets carved, want at most one per slab of %d", allocs, n, slabSize)
+	}
+	// AllocsPerRun runs the function once to warm up, then once measured.
+	if pl.Allocated() != 2*n || pl.Idle() != 0 {
+		t.Fatalf("allocated %d, idle %d, want %d and 0", pl.Allocated(), pl.Idle(), 2*n)
 	}
 }

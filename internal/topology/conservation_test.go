@@ -15,41 +15,44 @@ import (
 	"dynaq/internal/units"
 )
 
+// conservationSchemes are the admission schemes the end-to-end accounting
+// tests run, each on a star or on a k=4 fat tree.
+var conservationSchemes = []struct {
+	name string
+	mk   func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error)
+	// fatTree runs the traffic across a k=4 fat tree (hosts 0–3 in pod
+	// 0 to host 4 in pod 1) instead of the star.
+	fatTree bool
+}{
+	{"besteffort", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
+		return buffer.NewBestEffort(), nil
+	}, false},
+	{"dynaq", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
+		return buffer.NewDynaQ(b, equalWeights(n))
+	}, false},
+	{"pql", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
+		return buffer.NewWeightedPQL(b, equalWeights(n))
+	}, false},
+	{"barberq", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
+		return buffer.NewBarberQ(), nil
+	}, false},
+	{"tcndrop", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
+		return buffer.NewTCNDrop(240 * units.Microsecond)
+	}, false},
+	{"tofino", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
+		return buffer.NewDynaQTofino(b, equalWeights(n))
+	}, false},
+	{"dynaq-fattree", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
+		return buffer.NewDynaQ(b, equalWeights(n))
+	}, true},
+}
+
 // TestPacketConservationAcrossSchemes is the end-to-end accounting
 // invariant: at every switch port, admitted packets either left on the
 // wire, were discarded at dequeue, were evicted, or are still buffered.
 // It must hold for every scheme under randomized traffic.
 func TestPacketConservationAcrossSchemes(t *testing.T) {
-	schemes := []struct {
-		name string
-		mk   func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error)
-		// fatTree runs the traffic across a k=4 fat tree (hosts 0–3 in pod
-		// 0 to host 4 in pod 1) instead of the star.
-		fatTree bool
-	}{
-		{"besteffort", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
-			return buffer.NewBestEffort(), nil
-		}, false},
-		{"dynaq", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
-			return buffer.NewDynaQ(b, equalWeights(n))
-		}, false},
-		{"pql", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
-			return buffer.NewWeightedPQL(b, equalWeights(n))
-		}, false},
-		{"barberq", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
-			return buffer.NewBarberQ(), nil
-		}, false},
-		{"tcndrop", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
-			return buffer.NewTCNDrop(240 * units.Microsecond)
-		}, false},
-		{"tofino", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
-			return buffer.NewDynaQTofino(b, equalWeights(n))
-		}, false},
-		{"dynaq-fattree", func(b units.ByteSize, n int, _ *buffer.SharedPool) (buffer.Admission, error) {
-			return buffer.NewDynaQ(b, equalWeights(n))
-		}, true},
-	}
-	for _, sc := range schemes {
+	for _, sc := range conservationSchemes {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			s := sim.New()

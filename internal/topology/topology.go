@@ -67,13 +67,17 @@ type Network struct {
 	Switches  []*netsim.Switch
 	Hosts     []*netsim.Host
 	Endpoints []*transport.Endpoint
+	// Packets is the one free list every endpoint takes its packets from
+	// and every discard site returns them to.
+	Packets *packet.Pool
 
 	ports []*netsim.Port // by graph link index
 }
 
 // Build wires g: one netsim.Switch per switch node with one netsim.Port per
 // out-link in the graph's port order, one host with a NIC and a transport
-// endpoint per host node, routed by the graph's next-hop oracle.
+// endpoint per host node, routed by the graph's next-hop oracle. Every
+// endpoint takes its packets from the network's one pool, Packets.
 func Build(s *sim.Simulator, g *fabric.Graph, cfg Config) (*Network, error) {
 	if cfg.NewScheduler == nil || cfg.NewAdmission == nil {
 		return nil, fmt.Errorf("topology: %s needs scheduler and admission factories", g.Kind())
@@ -81,7 +85,7 @@ func Build(s *sim.Simulator, g *fabric.Graph, cfg Config) (*Network, error) {
 	if cfg.FailureAware && cfg.DetectionDelay == 0 {
 		cfg.DetectionDelay = units.Millisecond
 	}
-	n := &Network{Sim: s, Graph: g, ports: make([]*netsim.Port, g.NumLinks())}
+	n := &Network{Sim: s, Graph: g, Packets: new(packet.Pool), ports: make([]*netsim.Port, g.NumLinks())}
 	for h := 0; h < g.Hosts(); h++ {
 		n.Hosts = append(n.Hosts, netsim.NewHost(h, nil))
 	}
@@ -143,7 +147,7 @@ func Build(s *sim.Simulator, g *fabric.Graph, cfg Config) (*Network, error) {
 		}
 		host.SetEgress(nic)
 		n.ports[g.Uplink(h)] = nic
-		n.Endpoints = append(n.Endpoints, transport.NewEndpoint(s, host))
+		n.Endpoints = append(n.Endpoints, transport.NewPooledEndpoint(s, host, n.Packets))
 	}
 	// Switches point at each other, so wiring is two-phase: every link was
 	// built without a destination and gets it now that both ends exist.

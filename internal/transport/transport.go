@@ -591,17 +591,26 @@ func (r *Receiver) sendAck(peer, class int, echo bool) {
 type Endpoint struct {
 	sim       *sim.Simulator
 	host      *netsim.Host
-	pkts      packet.Pool // every packet this host originates; see receive
-	runs      runStock    // its receivers' empty run slices
+	pkts      *packet.Pool // where this host's packets come from; see receive
+	runs      runStock     // its receivers' empty run slices
 	senders   map[packet.FlowID]*Sender
 	receivers map[packet.FlowID]*Receiver
 }
 
-// NewEndpoint installs a transport stack on host.
+// NewEndpoint installs a transport stack on host, with a packet free list of
+// its own.
 func NewEndpoint(s *sim.Simulator, host *netsim.Host) *Endpoint {
+	return NewPooledEndpoint(s, host, new(packet.Pool))
+}
+
+// NewPooledEndpoint installs a transport stack on host that takes its packets
+// from pkts. A network's endpoints share one pool, so the network allocates
+// for its own peak of packets in flight, not for the sum of every host's.
+func NewPooledEndpoint(s *sim.Simulator, host *netsim.Host, pkts *packet.Pool) *Endpoint {
 	ep := &Endpoint{
 		sim:       s,
 		host:      host,
+		pkts:      pkts,
 		senders:   make(map[packet.FlowID]*Sender),
 		receivers: make(map[packet.FlowID]*Receiver),
 	}
@@ -619,7 +628,7 @@ func (ep *Endpoint) StartFlow(cfg FlowConfig) (*Sender, error) {
 	if _, ok := ep.senders[cfg.Flow]; ok {
 		return nil, fmt.Errorf("transport: duplicate flow id %d at host %d", cfg.Flow, ep.host.ID())
 	}
-	snd, err := newSender(ep.sim, &ep.pkts, ep.host.ID(), ep.host.Send, cfg)
+	snd, err := newSender(ep.sim, ep.pkts, ep.host.ID(), ep.host.Send, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -629,16 +638,15 @@ func (ep *Endpoint) StartFlow(cfg FlowConfig) (*Sender, error) {
 }
 
 // receive is where a delivered packet's life ends: the flow state machines
-// read it and keep nothing of it, so it goes back to the pool of the
-// endpoint that sent it. Packets dropped on the way are released by the port
-// that dropped them, which is why each endpoint's pool refills no matter
-// where its packets die.
+// read it and keep nothing of it, so it goes back to the pool it came from.
+// Packets dropped on the way are released by the port that dropped them,
+// which is why the pool refills no matter where its packets die.
 func (ep *Endpoint) receive(p *packet.Packet) {
 	switch p.Kind {
 	case packet.Data:
 		r, ok := ep.receivers[p.Flow]
 		if !ok {
-			r = newReceiver(&ep.pkts, &ep.runs, ep.host.ID(), ep.host.Send, p.Flow)
+			r = newReceiver(ep.pkts, &ep.runs, ep.host.ID(), ep.host.Send, p.Flow)
 			ep.receivers[p.Flow] = r
 		}
 		r.onData(p)
