@@ -30,6 +30,7 @@ import (
 	"strings"
 
 	"dynaq"
+	"dynaq/internal/buffer"
 	"dynaq/internal/experiment"
 	"dynaq/internal/faults"
 	"dynaq/internal/metrics"
@@ -56,7 +57,7 @@ type scenarioFlags struct {
 }
 
 func (s *scenarioFlags) register(fs *flag.FlagSet) {
-	fs.StringVar(&s.scheme, "scheme", "DynaQ", "BestEffort | PQL | DynaQ | TCN | PMSB | PerQueueECN | MQ-ECN | TCNDrop")
+	fs.StringVar(&s.scheme, "scheme", "DynaQ", strings.Join(buffer.SchemeNames(), " | "))
 	fs.StringVar(&s.sched, "sched", "drr", "drr | wrr | spq+drr")
 	fs.Float64Var(&s.rate, "rate", 1, "link rate in Gbps")
 	fs.Int64Var(&s.buffer, "buffer", 85000, "port buffer in bytes")

@@ -72,18 +72,20 @@ func directConfig(t *testing.T, s *scenarioFlags, traceN int) experiment.StaticC
 	}
 
 	cfg := experiment.StaticConfig{
-		Scheme:      experiment.Scheme(s.scheme),
+		Cell: experiment.Cell{
+			Scheme: experiment.Scheme(s.scheme),
+			Params: experiment.SchemeParams{Weights: ws},
+			Rate:   units.Rate(s.rate * 1e9),
+			Delay:  units.Seconds(s.rtt / 4 * 1e-6),
+			Buffer: units.ByteSize(s.buffer),
+			Queues: s.queues,
+			MTU:    units.ByteSize(s.mtu),
+			Seed:   s.seed,
+		},
 		Sched:       experiment.SchedKind(s.sched),
-		Params:      experiment.SchemeParams{Weights: ws},
-		Rate:        units.Rate(s.rate * 1e9),
-		Delay:       units.Seconds(s.rtt / 4 * 1e-6),
-		Buffer:      units.ByteSize(s.buffer),
-		Queues:      s.queues,
-		MTU:         units.ByteSize(s.mtu),
 		Specs:       specs,
 		Duration:    units.Seconds(s.duration),
 		SampleEvery: units.Seconds(s.sample),
-		Seed:        s.seed,
 	}
 	cfg.TraceEvents = traceN
 	cfg.Guard = s.guard

@@ -156,11 +156,16 @@ func LookupScheme(name string) (Scheme, error) {
 			return s, nil
 		}
 	}
+	return Scheme{}, fmt.Errorf("unknown scheme %q (known: %s)", name, strings.Join(SchemeNames(), ", "))
+}
+
+// SchemeNames lists every scheme's name in table order.
+func SchemeNames() []string {
 	names := make([]string, len(schemes))
 	for i, s := range schemes {
 		names[i] = s.Name
 	}
-	return Scheme{}, fmt.Errorf("unknown scheme %q (known: %s)", name, strings.Join(names, ", "))
+	return names
 }
 
 // NewScheme builds the named scheme's instance for one port of a switch with

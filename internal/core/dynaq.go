@@ -30,6 +30,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 
@@ -113,6 +114,10 @@ func New(b units.ByteSize, weights []int64) (*State, error) {
 			return nil, fmt.Errorf("core: weight of queue %d is %d, must be positive", i, w)
 		}
 		sum += w
+		// Eq. 1 multiplies B by a weight: B·Σw must fit 64 bits.
+		if sum < 0 || int64(b) > math.MaxInt64/sum {
+			return nil, fmt.Errorf("core: buffer %d times the weights' sum overflows 64 bits", b)
+		}
 	}
 	st := &State{
 		b:       b,
@@ -204,6 +209,9 @@ func (st *State) Satisfied(i int) bool { return st.t[i] >= st.s[i] }
 func (st *State) SetBuffer(b units.ByteSize) error {
 	if b <= 0 {
 		return fmt.Errorf("core: buffer size %d must be positive", b)
+	}
+	if int64(b) > math.MaxInt64/st.sumW {
+		return fmt.Errorf("core: buffer %d times the weights' sum overflows 64 bits", b)
 	}
 	st.b = b
 	st.resizes++

@@ -1,11 +1,12 @@
-package experiment
+package experiment_test
 
 import (
 	"runtime"
 	"testing"
 
+	"dynaq/internal/experiment"
+	"dynaq/internal/scenario"
 	"dynaq/internal/units"
-	"dynaq/internal/workload"
 )
 
 // TestPacketCellAllocBudget holds the packet engine's per-packet path to its
@@ -23,65 +24,51 @@ import (
 // with the receivers' runs under 10.
 func TestPacketCellAllocBudget(t *testing.T) {
 	const bytesBudget = 16 * 1024 // bytes allocated per 1000 offered MSS packets
+	star := fctCell(experiment.EnginePacket, 250, 0.6, 1)
+	star.MaxRuntimeS = 30
 	for _, tc := range []struct {
 		name   string
 		budget float64 // mallocs per 1000 offered MSS packets
-		cfg    DynamicConfig
+		doc    scenario.Document
 	}{
-		{"star", 40, DynamicConfig{
-			Scheme:     DynaQ,
-			Params:     SchemeParams{Weights: equalWeights(5)},
-			Topo:       TopoStar,
-			Servers:    4,
-			Rate:       testbedRate,
-			Delay:      testbedDelay,
-			Buffer:     testbedBuffer,
-			Queues:     5,
-			MTU:        testbedMTU,
-			Load:       0.6,
-			Flows:      250,
-			Workloads:  []*workload.CDF{workload.WebSearch()},
-			MinRTO:     testbedMinRTO,
-			Seed:       1,
-			MaxRuntime: 30 * units.Second,
-		}},
-		{"leafspine", 80, DynamicConfig{
-			Scheme:       DynaQ,
-			Params:       SchemeParams{Weights: equalWeights(8)},
-			Topo:         TopoLeafSpine,
+		{"star", 40, star},
+		{"leafspine", 80, scenario.Document{
+			Kind:         "fct",
+			Scheme:       string(experiment.DynaQ),
+			Topo:         string(experiment.TopoLeafSpine),
 			Leaves:       4,
 			Spines:       4,
 			HostsPerLeaf: 4,
-			Rate:         10 * units.Gbps,
-			Delay:        units.Seconds(85.2 / 4 * 1e-6),
-			Buffer:       192000,
+			RateGbps:     10,
+			BufferB:      192000,
 			Queues:       8,
+			RTTUs:        85.2,
 			MTU:          1500,
 			Load:         0.6,
 			Flows:        160,
-			Workloads:    []*workload.CDF{workload.WebSearch()},
-			MinRTO:       5 * units.Millisecond,
+			Workloads:    []string{"websearch"},
+			MinRTOMs:     5,
 			Seed:         1,
-			MaxRuntime:   30 * units.Second,
+			MaxRuntimeS:  30,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
 			cell := func() (mallocs, bytes uint64, kpkt float64) {
+				r := loadCell(t, tc.doc)
 				var m0, m1 runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&m0)
-				res, err := RunDynamic(cfg)
+				res, err := r.Run()
 				runtime.ReadMemStats(&m1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Completed != cfg.Flows {
-					t.Fatalf("%d of %d flows completed", res.Completed, cfg.Flows)
+				if d := res.Dynamic; d.Completed != tc.doc.Flows {
+					t.Fatalf("%d of %d flows completed", d.Completed, tc.doc.Flows)
 				}
-				mss := cfg.MTU - 40
+				mss := units.ByteSize(tc.doc.MTU) - 40
 				var pkts int64
-				for _, rec := range res.FCT.Records() {
+				for _, rec := range res.Dynamic.FCT.Records() {
 					pkts += int64((rec.Size + mss - 1) / mss)
 				}
 				return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc, float64(pkts) / 1e3

@@ -1,16 +1,18 @@
-package experiment
+package experiment_test
 
 import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"dynaq/internal/experiment"
+	"dynaq/internal/scenario"
 	"dynaq/internal/telemetry"
 	"dynaq/internal/units"
-	"dynaq/internal/workload"
 )
 
 // telemetryFiles are the artifacts that must be byte-identical across two
@@ -24,7 +26,7 @@ var telemetryFiles = []string{
 
 // runStaticWithTelemetry executes one instrumented static run into dir and
 // returns the artifact bytes keyed by file name.
-func runStaticWithTelemetry(t *testing.T, dir string, scheme Scheme) map[string][]byte {
+func runStaticWithTelemetry(t *testing.T, dir string, scheme experiment.Scheme) map[string][]byte {
 	t.Helper()
 	run, err := telemetry.NewRun(dir, telemetry.Manifest{
 		Tool:         "determinism_test",
@@ -35,26 +37,27 @@ func runStaticWithTelemetry(t *testing.T, dir string, scheme Scheme) map[string]
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := StaticConfig{
-		Scheme:      scheme,
-		Sched:       SchedDRR,
-		Params:      SchemeParams{Weights: []int64{1, 1}},
-		Rate:        units.Gbps,
-		Delay:       20 * units.Microsecond,
-		Buffer:      200 * units.KB,
-		Queues:      2,
-		MTU:         1500,
-		Specs:       []QueueSpec{{Class: 0, Flows: 2}, {Class: 1, Flows: 4}},
-		Duration:    100 * units.Millisecond,
-		SampleEvery: 10 * units.Millisecond,
-		Seed:        7,
-		Hooks:       Hooks{Telemetry: run},
-	}
-	res, err := RunStatic(cfg)
+	r := loadCell(t, scenario.Document{
+		Kind:      "static",
+		Scheme:    string(scheme),
+		Sched:     string(experiment.SchedDRR),
+		RateGbps:  1,
+		BufferB:   200000,
+		Queues:    2,
+		Weights:   []int64{1, 1},
+		RTTUs:     80,
+		MTU:       1500,
+		DurationS: 0.1,
+		SampleMs:  10,
+		Seed:      7,
+		Specs:     []scenario.Spec{{Class: 0, Flows: 2}, {Class: 1, Flows: 4}},
+	})
+	r.SetTelemetry(run)
+	res, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	run.Summarize("drops", strconv.FormatInt(res.Drops, 10))
+	run.Summarize("drops", strconv.FormatInt(res.Static.Drops, 10))
 	if err := run.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,7 @@ func readArtifacts(t *testing.T, dir string) map[string][]byte {
 // telemetry layer may observe the simulation but must never perturb it,
 // and its encoding must be a pure function of simulation state.
 func TestTelemetryDeterministicStatic(t *testing.T) {
-	for _, scheme := range []Scheme{DynaQ, PQL, BestEffort} {
+	for _, scheme := range []experiment.Scheme{experiment.DynaQ, experiment.PQL, experiment.BestEffort} {
 		scheme := scheme
 		t.Run(string(scheme), func(t *testing.T) {
 			t.Parallel()
@@ -106,7 +109,7 @@ func TestTelemetryDeterministicStatic(t *testing.T) {
 // reuse counter — and that the heap, whose events are the only ones reused,
 // holds a small share of what runs.
 func TestEngineCountersInMetrics(t *testing.T) {
-	arts := runStaticWithTelemetry(t, t.TempDir(), DynaQ)
+	arts := runStaticWithTelemetry(t, t.TempDir(), experiment.DynaQ)
 	metrics := string(arts[telemetry.MetricsFile])
 	for _, series := range []string{
 		"sim_events_processed_total",
@@ -153,27 +156,27 @@ func TestTelemetryDeterministicDynamic(t *testing.T) {
 			Tool:         "determinism_test",
 			ScenarioHash: telemetry.Hash([]byte("determinism fct")),
 			Seed:         3,
-			Scheme:       string(DynaQ),
+			Scheme:       string(experiment.DynaQ),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := DynamicConfig{
-			Scheme:    DynaQ,
-			Params:    SchemeParams{Weights: []int64{1, 1, 1, 1}},
-			Topo:      TopoStar,
+		r := loadCell(t, scenario.Document{
+			Kind:      "fct",
+			Scheme:    string(experiment.DynaQ),
+			Topo:      string(experiment.TopoStar),
 			Servers:   4,
-			Rate:      units.Gbps,
-			Delay:     20 * units.Microsecond,
-			Buffer:    200 * units.KB,
+			RateGbps:  1,
+			BufferB:   200000,
 			Queues:    4,
+			RTTUs:     80,
 			Load:      0.4,
 			Flows:     40,
-			Workloads: []*workload.CDF{workload.WebSearch()},
+			Workloads: []string{"websearch"},
 			Seed:      3,
-			Hooks:     Hooks{Telemetry: run},
-		}
-		if _, err := RunDynamic(cfg); err != nil {
+		})
+		r.SetTelemetry(run)
+		if _, err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if err := run.Close(); err != nil {
@@ -188,5 +191,54 @@ func TestTelemetryDeterministicDynamic(t *testing.T) {
 		if string(a[name]) != string(b[name]) {
 			t.Errorf("%s: artifacts differ between identical runs", name)
 		}
+	}
+}
+
+// TestRunSeedsParallelParity is the satellite acceptance test: the same
+// aggregate stats bit-for-bit at -parallel 1 and -parallel 8, on a real
+// (if tiny) simulation workload.
+func TestRunSeedsParallelParity(t *testing.T) {
+	metric := func(o experiment.Options) (float64, error) {
+		data, err := json.Marshal(scenario.Document{
+			Kind:      "static",
+			Scheme:    string(experiment.DynaQ),
+			Sched:     string(experiment.SchedDRR),
+			RateGbps:  1,
+			BufferB:   200000,
+			Queues:    2,
+			Weights:   []int64{1, 1},
+			RTTUs:     80,
+			MTU:       1500,
+			DurationS: 0.05,
+			Seed:      o.Seed,
+			Specs:     []scenario.Spec{{Class: 0, Flows: 2}, {Class: 1, Flows: 4}},
+		})
+		if err != nil {
+			return 0, err
+		}
+		r, err := scenario.Load(data)
+		if err != nil {
+			return 0, err
+		}
+		res, err := r.Run()
+		if err != nil {
+			return 0, err
+		}
+		return float64(res.Static.AvgAggregate(10*units.Time(units.Millisecond), 50*units.Time(units.Millisecond))), nil
+	}
+	seq := experiment.Options{Seed: 42, Parallel: 1}
+	par := experiment.Options{Seed: 42, Parallel: 8}
+	a, err := experiment.RunSeeds(4, seq, metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := experiment.RunSeeds(4, par, metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// DeepEqual compares the float fields bitwise, which is exactly the
+	// parity contract (and sidesteps float-eq lint on ==).
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("stats differ across worker counts:\n  sequential: %+v\n  parallel:   %+v", a, b)
 	}
 }

@@ -6,16 +6,15 @@ import (
 	"math/rand"
 	"strconv"
 
-	"dynaq/internal/buffer"
 	"dynaq/internal/fabric"
 	"dynaq/internal/faults"
 	"dynaq/internal/flowsim"
 	"dynaq/internal/metrics"
 	"dynaq/internal/packet"
+	"dynaq/internal/sched"
 	"dynaq/internal/sim"
 	"dynaq/internal/telemetry"
 	"dynaq/internal/telemetry/trace"
-	"dynaq/internal/transport"
 	"dynaq/internal/units"
 	"dynaq/internal/workload"
 )
@@ -34,13 +33,13 @@ const (
 // empirical sizes, SPQ+DRR scheduling with two-level PIAS classification
 // (§V-A2 and §V-B2).
 type DynamicConfig struct {
-	Scheme Scheme
-	Params SchemeParams
+	Cell
 
 	// Engine selects the fidelity: EnginePacket (the default) runs the
 	// per-packet discrete-event engine; EngineFlow runs the fluid fast
 	// path; EngineHybrid adds selective packetization of congested ports
-	// (see internal/flowsim).
+	// (see internal/flowsim). Faults, Guard and FailureAware need the
+	// packet engine.
 	Engine EngineMode
 	// FatTreeK is the fat-tree arity (TopoFatTree only).
 	FatTreeK int
@@ -52,14 +51,6 @@ type DynamicConfig struct {
 	Servers int
 	// Leaf-spine parameters.
 	Leaves, Spines, HostsPerLeaf int
-
-	Rate   units.Rate
-	Delay  units.Duration
-	Buffer units.ByteSize
-	// Queues counts all service queues: queue 0 is the shared SPQ queue,
-	// queues 1..Queues-1 are DRR service queues.
-	Queues int
-	MTU    units.ByteSize
 
 	// Load is the target bottleneck utilization (0.3–0.8 in the paper).
 	Load float64
@@ -79,27 +70,17 @@ type DynamicConfig struct {
 	// DCTCP runs all flows with DCTCP + ECN (the ECN-based lineup).
 	DCTCP bool
 
-	MinRTO units.Duration
-	Seed   int64
 	// MaxRuntime is the run's absolute simulated-time horizon: the run
 	// stops there even if flows are still arriving or in flight (default
 	// 10s).
 	MaxRuntime units.Duration
 
-	// Faults is the scripted fault schedule, resolved against the
-	// network's fault registry (see topology.Network.FaultRegistry for the
-	// link names). Faults, Guard and FailureAware need the packet engine.
-	Faults []faults.Spec
-	// Guard wires the invariant guardrail into every switch port.
-	Guard bool
 	// FailureAware enables failure-aware ECMP (a no-op on the star, which
 	// has a single path per destination).
 	FailureAware bool
 	// DetectionDelay is the failure-aware routing convergence time
 	// (default 1ms when FailureAware is set).
 	DetectionDelay units.Duration
-
-	Hooks
 }
 
 // DynamicResult is the outcome of an FCT run.
@@ -136,27 +117,35 @@ func (r *DynamicResult) Summary() []telemetry.SummaryEntry {
 	return sum
 }
 
-// ConfigError is a rejected StaticConfig or DynamicConfig setting. Field is the
-// setting's scenario-document name, so a loader can report which input to fix.
+// ConfigError is a refused scenario: Field names the document key to fix
+// (empty when the document itself failed to decode) and Msg what was wrong
+// with it. scenario.ValidationError is this type, so the loader's refusals
+// and the configs' are one error a server maps to an HTTP 400 body.
 type ConfigError struct {
 	Field string
 	Msg   string
 }
 
 // Error implements error.
-func (e *ConfigError) Error() string { return "experiment: " + e.Msg }
+func (e *ConfigError) Error() string {
+	if e.Field == "" {
+		return "scenario: " + e.Msg
+	}
+	return "scenario: " + e.Field + ": " + e.Msg
+}
 
 // fabric builds the graph the cell runs on: the one place a TopoKind and
 // its shape parameters become a fabric.
 func (cfg *DynamicConfig) fabric() (*fabric.Graph, error) {
 	switch cfg.Topo {
 	case TopoStar:
-		// Servers sender hosts plus the client.
+		// Servers sender hosts plus the client; zero means the testbed's 4,
+		// and the star refuses a negative count as too few hosts.
 		servers := cfg.Servers
-		if servers <= 0 {
+		if servers == 0 {
 			servers = 4
 		}
-		return fabric.NewStar(servers+1, cfg.Rate)
+		return newStar(servers+1, cfg.Rate, "servers")
 	case TopoLeafSpine:
 		return fabric.NewLeafSpine(cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf, cfg.Rate)
 	case TopoFatTree:
@@ -166,60 +155,67 @@ func (cfg *DynamicConfig) fabric() (*fabric.Graph, error) {
 	}
 }
 
-// normalize validates cfg, fills its defaults and builds its fabric.
+// newStar is fabric.NewStar with a refused host count blamed on key, the
+// document key the count comes from.
+func newStar(hosts int, rate units.Rate, key string) (*fabric.Graph, error) {
+	g, err := fabric.NewStar(hosts, rate)
+	if shape := (*fabric.ShapeError)(nil); errors.As(err, &shape) && shape.Param == "hosts" {
+		shape.Param = key
+	}
+	return g, err
+}
+
+// normalize validates cfg, fills its defaults and builds its fabric. The
+// loader has already resolved the engine name and refused negative times.
 func (cfg *DynamicConfig) normalize() (*fabric.Graph, error) {
-	engine, err := ParseEngineMode(string(cfg.Engine))
-	if err != nil {
+	if cfg.Engine == "" {
+		cfg.Engine = EnginePacket
+	}
+	// Queue 0 is the shared SPQ queue; the DRR service queues follow it.
+	if err := checkQueues(cfg.Queues, 2); err != nil {
 		return nil, err
 	}
-	cfg.Engine = engine
 	switch {
 	case cfg.Flows <= 0:
 		return nil, &ConfigError{"flows", "dynamic run needs flows > 0"}
 	case len(cfg.Workloads) == 0:
 		return nil, &ConfigError{"workloads", "dynamic run needs at least one workload"}
-	case cfg.Queues < 2:
-		return nil, &ConfigError{"queues", "dynamic run needs an SPQ queue plus DRR queues"}
-	case cfg.MinRTO < 0:
-		return nil, &ConfigError{"min_rto_ms", "RTO floor must not be negative"}
-	case engine != EnginePacket && (len(cfg.Faults) > 0 || cfg.Guard || cfg.FailureAware):
+	case cfg.Engine != EnginePacket && (len(cfg.Faults) > 0 || cfg.Guard || cfg.FailureAware):
 		// The fluid engines build no netsim ports or links for faults to
 		// hit, the guardrail to watch or routing to probe.
 		return nil, &ConfigError{"engine", "faults, guardrails and failure-aware routing need the packet engine"}
 	}
-	if _, err := buffer.LookupScheme(string(cfg.Scheme)); err != nil {
-		return nil, &ConfigError{"scheme", err.Error()}
-	}
-	if err := resolveMTU(&cfg.MTU); err != nil {
+	if err := cfg.resolve(cfg.Topo); err != nil {
 		return nil, err
 	}
 	if cfg.MaxRuntime == 0 {
 		cfg.MaxRuntime = 10 * units.Second
 	}
 	g, err := cfg.fabric()
+	return g, refusal(err)
+}
+
+// refusal is err, a fabric or flowsim constructor's, as a *ConfigError
+// naming the document key it refused.
+func refusal(err error) error {
 	var shape *fabric.ShapeError
-	if errors.As(err, &shape) {
-		return nil, &ConfigError{shape.Param, shape.Msg}
+	var fluid *flowsim.ConfigError
+	switch {
+	case errors.As(err, &shape):
+		return &ConfigError{shape.Param, shape.Msg}
+	case errors.As(err, &fluid):
+		return &ConfigError{fluid.Param, fluid.Msg}
 	}
-	if err != nil {
-		return nil, err
+	return err
+}
+
+// checkQueues refuses a queue count outside [least, sched.MaxQueues]: a port
+// tells its scheduler which queues hold packets in one 64-bit word.
+func checkQueues(n, least int) error {
+	if n < least || n > sched.MaxQueues {
+		return &ConfigError{"queues", fmt.Sprintf("must be in [%d, %d], got %d", least, sched.MaxQueues, n)}
 	}
-	cfg.Params = cfg.Params.Resolved(cfg.Rate, cfg.Topo.BaseRTT(cfg.Delay), cfg.MTU, nil, cfg.Queues)
-	if err := checkWeights(cfg.Params.Weights, cfg.Queues); err != nil {
-		return nil, err
-	}
-	if engine == EngineHybrid {
-		// The episode pump builds its scheme outside any switch and runs only
-		// the hooks flowsim.CheckPumpable allows.
-		adm, err := cfg.Scheme.NewAdmission(cfg.Params, cfg.Buffer, cfg.Queues)
-		if err == nil {
-			err = flowsim.CheckPumpable(adm)
-		}
-		if err != nil {
-			return nil, &ConfigError{"scheme", fmt.Sprintf("the hybrid engine cannot run %s: %v", cfg.Scheme, err)}
-		}
-	}
-	return g, nil
+	return nil
 }
 
 // checkWeights rejects a weight vector the schedulers and schemes cannot
@@ -236,24 +232,48 @@ func checkWeights(weights []int64, queues int) error {
 	return nil
 }
 
-// resolveMTU fills an unset frame size with 1500 bytes and rejects one that
-// leaves no payload after the TCP/IP header.
-func resolveMTU(mtu *units.ByteSize) error {
-	if *mtu == 0 {
-		*mtu = 1500
+// flowGens builds one arrival process per workload. Their aggregate rate
+// targets Load on one bottleneck link: the star's client downlink, or each
+// host's downlink scaled by the host count, as every host is a receiver.
+func (cfg *DynamicConfig) flowGens(g *fabric.Graph) ([]*workload.FlowGen, error) {
+	capacity := cfg.Rate
+	if g.Kind() != fabric.Star {
+		capacity = cfg.Rate * units.Rate(g.Hosts())
 	}
-	if *mtu <= transport.HeaderSize {
-		return &ConfigError{"mtu", fmt.Sprintf("must exceed the %d-byte TCP/IP header, got %d", transport.HeaderSize, *mtu)}
+	gens := make([]*workload.FlowGen, len(cfg.Workloads))
+	for i, cdf := range cfg.Workloads {
+		var err error
+		gens[i], err = workload.NewFlowGen(cfg.Seed+int64(i), cdf, capacity, cfg.Load/float64(len(cfg.Workloads)))
+		if err != nil {
+			return nil, err
+		}
 	}
-	return nil
+	return gens, nil
 }
 
-// Validate reports what RunDynamic would reject before simulating anything,
-// as a *ConfigError, so loaders can refuse a cell at submission instead of
-// on a worker.
+// Validate reports, as a *ConfigError naming the document key to fix, every
+// setting RunDynamic would refuse, so a loader refuses the cell at
+// submission instead of on a worker: the fault specs, normalize's rules,
+// then the checks RunDynamic's constructors run, which RunDynamic itself
+// does not repeat: the flow generators', then Cell.checkNetwork on the
+// packet engine or flowsim's on a fluid one.
 func (cfg DynamicConfig) Validate() error {
-	_, err := cfg.normalize()
-	return err
+	if err := faults.Validate(cfg.Faults); err != nil {
+		return &ConfigError{"faults", err.Error()}
+	}
+	g, err := cfg.normalize()
+	if err != nil {
+		return err
+	}
+	if _, err := cfg.flowGens(g); err != nil {
+		// The generators offer load × rate on each receiving downlink: a
+		// load too small to time, or a rate times the host count past int64.
+		return &ConfigError{"load", err.Error()}
+	}
+	if cfg.Engine == EnginePacket {
+		return cfg.checkNetwork(g, SchedSPQDRR)
+	}
+	return refusal(cfg.fluid(g).Check())
 }
 
 // requestSize is the wire payload of a RequestResponse request (a small RPC
@@ -279,19 +299,9 @@ func runDynamic(cfg DynamicConfig, newEngine func(*sim.Simulator, *fabric.Graph,
 	// On the star the servers all answer one client, the last host (the
 	// testbed's request/response model); elsewhere any distinct pair talks.
 	incast := g.Kind() == fabric.Star
-	// Flow generation: the aggregate arrival rate targets Load on one
-	// bottleneck link — the star's client downlink, or each host's
-	// downlink scaled by the host count as every host is a receiver.
-	genCap := cfg.Rate
-	if !incast {
-		genCap = cfg.Rate * units.Rate(hosts)
-	}
-	gens := make([]*workload.FlowGen, len(cfg.Workloads))
-	for i, cdf := range cfg.Workloads {
-		gens[i], err = workload.NewFlowGen(cfg.Seed+int64(i), cdf, genCap, cfg.Load/float64(len(cfg.Workloads)))
-		if err != nil {
-			return nil, err
-		}
+	gens, err := cfg.flowGens(g)
+	if err != nil {
+		return nil, err
 	}
 
 	s := sim.New()

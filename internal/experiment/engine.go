@@ -10,7 +10,6 @@ import (
 	"dynaq/internal/pias"
 	"dynaq/internal/sim"
 	"dynaq/internal/telemetry"
-	"dynaq/internal/topology"
 	"dynaq/internal/transport"
 	"dynaq/internal/units"
 )
@@ -70,6 +69,25 @@ func newCellEngine(s *sim.Simulator, g *fabric.Graph, cfg *DynamicConfig) (cellE
 	return newFluidEngine(s, g, cfg)
 }
 
+// fluid is the flowsim configuration of cfg's cell on g.
+func (cfg *DynamicConfig) fluid(g *fabric.Graph) flowsim.Config {
+	return flowsim.Config{
+		Topo:       g,
+		Queues:     cfg.Queues,
+		Weights:    cfg.Params.Weights,
+		Buffer:     cfg.Buffer,
+		MTU:        cfg.MTU,
+		MSS:        cfg.MTU - transport.HeaderSize,
+		RTT:        cfg.Params.BaseRTT,
+		Spans:      cfg.Spans,
+		SpanParent: cfg.SpanParent,
+		Hybrid:     cfg.Engine == EngineHybrid,
+		NewAdmission: func() (buffer.Admission, error) {
+			return cfg.Scheme.NewAdmission(cfg.Params, cfg.Buffer, cfg.Queues)
+		},
+	}
+}
+
 // packetEngine runs flows as per-packet transfers over a packetWorld, with
 // SPQ+DRR scheduling and two-level PIAS classification.
 type packetEngine struct {
@@ -78,14 +96,9 @@ type packetEngine struct {
 }
 
 func newPacketEngine(s *sim.Simulator, g *fabric.Graph, cfg *DynamicConfig) (*packetEngine, error) {
-	w, err := newPacketWorld(s, g, topology.Config{
-		Delay:          cfg.Delay,
-		Buffer:         cfg.Buffer,
-		Queues:         cfg.Queues,
-		FailureAware:   cfg.FailureAware,
-		DetectionDelay: cfg.DetectionDelay,
-		Factories:      Factories(cfg.Scheme, SchedSPQDRR, cfg.Params, cfg.MTU),
-	}, cfg.Faults, cfg.Seed)
+	tc := cfg.network(SchedSPQDRR)
+	tc.FailureAware, tc.DetectionDelay = cfg.FailureAware, cfg.DetectionDelay
+	w, err := newPacketWorld(s, g, tc, cfg.Faults, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -127,22 +140,7 @@ type fluidEngine struct {
 }
 
 func newFluidEngine(s *sim.Simulator, g *fabric.Graph, cfg *DynamicConfig) (*fluidEngine, error) {
-	fcfg := flowsim.Config{
-		Topo:       g,
-		Queues:     cfg.Queues,
-		Weights:    cfg.Params.Weights,
-		Buffer:     cfg.Buffer,
-		MTU:        cfg.MTU,
-		MSS:        cfg.MTU - transport.HeaderSize,
-		RTT:        cfg.Params.BaseRTT,
-		Spans:      cfg.Spans,
-		SpanParent: cfg.SpanParent,
-		Hybrid:     cfg.Engine == EngineHybrid,
-		NewAdmission: func() (buffer.Admission, error) {
-			return cfg.Scheme.NewAdmission(cfg.Params, cfg.Buffer, cfg.Queues)
-		},
-	}
-	fe, err := flowsim.New(s, fcfg)
+	fe, err := flowsim.New(s, cfg.fluid(g))
 	if err != nil {
 		return nil, err
 	}

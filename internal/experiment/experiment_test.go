@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"testing"
 
 	"dynaq/internal/buffer"
@@ -10,7 +11,6 @@ import (
 	"dynaq/internal/topology"
 	"dynaq/internal/transport"
 	"dynaq/internal/units"
-	"dynaq/internal/workload"
 )
 
 func TestSchemeFactoryValidation(t *testing.T) {
@@ -70,9 +70,9 @@ func TestSchedKindFactory(t *testing.T) {
 // not from 1500-byte ones.
 func TestMQECNQuantaFollowMTU(t *testing.T) {
 	cfg := StaticConfig{
-		Scheme: MQECN, Sched: SchedDRR, Params: SchemeParams{Weights: []int64{2, 1}},
-		Rate: 10 * units.Gbps, Delay: 10 * units.Microsecond, Buffer: units.MB, Queues: 2, MTU: 9000,
-		Specs: []QueueSpec{{Class: 0, Flows: 1}}, Duration: units.Second,
+		Cell: Cell{Scheme: MQECN, Params: SchemeParams{Weights: []int64{2, 1}},
+			Rate: 10 * units.Gbps, Delay: 10 * units.Microsecond, Buffer: units.MB, Queues: 2, MTU: 9000},
+		Sched: SchedDRR, Specs: []QueueSpec{{Class: 0, Flows: 1}}, Duration: units.Second,
 	}
 	if _, err := cfg.normalize(); err != nil {
 		t.Fatal(err)
@@ -97,43 +97,6 @@ func TestMQECNQuantaFollowMTU(t *testing.T) {
 		if g, w := got.QueueThreshold(q), want.QueueThreshold(q); g != w {
 			t.Errorf("queue %d: MQ-ECN threshold %v at MTU 9000, want %v (quanta of weight·MTU)", q, g, w)
 		}
-	}
-}
-
-func TestRunStaticValidation(t *testing.T) {
-	if _, err := RunStatic(StaticConfig{}); err == nil {
-		t.Error("empty config should fail")
-	}
-	if _, err := RunStatic(StaticConfig{
-		Specs: []QueueSpec{{Class: 0, Flows: 1}},
-	}); err == nil {
-		t.Error("zero duration should fail")
-	}
-	if _, err := RunStatic(StaticConfig{
-		Specs:    []QueueSpec{{Class: 0, Flows: 0}},
-		Duration: units.Second,
-	}); err == nil {
-		t.Error("flowless spec should fail")
-	}
-}
-
-func TestRunDynamicValidation(t *testing.T) {
-	if _, err := RunDynamic(DynamicConfig{}); err == nil {
-		t.Error("empty config should fail")
-	}
-	if _, err := RunDynamic(DynamicConfig{Flows: 10}); err == nil {
-		t.Error("missing workloads should fail")
-	}
-	if _, err := RunDynamic(DynamicConfig{
-		Flows: 10, Workloads: []*workload.CDF{workload.WebSearch()}, Queues: 1,
-	}); err == nil {
-		t.Error("too few queues should fail")
-	}
-	if _, err := RunDynamic(DynamicConfig{
-		Flows: 10, Workloads: []*workload.CDF{workload.WebSearch()}, Queues: 2,
-		Topo: TopoKind("blimp"),
-	}); err == nil {
-		t.Error("unknown topology should fail")
 	}
 }
 
@@ -213,6 +176,21 @@ func TestExtensionSurface(t *testing.T) {
 			Delay: testbedDelay, Buffer: 85 * units.KB, Queues: 4, Factories: Factories(s, SchedDRR, p, testbedMTU),
 		}); err != nil {
 			t.Errorf("%s: %v", s, err)
+		}
+	}
+}
+
+// TestStarHostsNameTheirKey: a star too large for a fabric is refused under
+// the document key its host count comes from: servers on an fct cell, specs
+// on a static one, whose senders and own sinks make up the star. No document
+// under scenario.MaxDocumentBytes holds the static one's half a million
+// own-sink specs, so the loader's tests cannot reach it.
+func TestStarHostsNameTheirKey(t *testing.T) {
+	for _, key := range []string{"servers", "specs"} {
+		_, err := newStar(1<<20, units.Gbps, key)
+		var cerr *ConfigError
+		if !errors.As(refusal(err), &cerr) || cerr.Field != key {
+			t.Errorf("newStar(1<<20, %q) = %v, want a ConfigError on %q", key, err, key)
 		}
 	}
 }

@@ -1,41 +1,35 @@
-package experiment
+package experiment_test
 
 import (
 	"reflect"
 	"testing"
 
+	"dynaq/internal/experiment"
 	"dynaq/internal/faults"
 	"dynaq/internal/metrics"
-	"dynaq/internal/units"
-	"dynaq/internal/workload"
+	"dynaq/internal/scenario"
 )
 
-func staticFaultCfg(seed int64) StaticConfig {
-	cfg := testbedStatic(DynaQ, equalWeights(4), []QueueSpec{
-		{Class: 1, Flows: 2, Hosts: 1},
-		{Class: 2, Flows: 8, Hosts: 1},
-	}, 1500*units.Millisecond, seed)
-	cfg.SampleEvery = 100 * units.Millisecond
-	cfg.Guard = true
-	cfg.Faults = []faults.Spec{
+// staticFault runs the testbed rack under a lossy switch port and a flapping
+// sender NIC, guardrail armed.
+func staticFault(t *testing.T, seed int64) *experiment.StaticResult {
+	doc := staticCell(experiment.DynaQ, 4, 1.5, seed,
+		scenario.Spec{Class: 1, Flows: 2, Hosts: 1},
+		scenario.Spec{Class: 2, Flows: 8, Hosts: 1})
+	doc.SampleMs = 100
+	doc.Guard = true
+	doc.Faults = []faults.Spec{
 		{Kind: faults.KindLoss, Target: "tor:2", AtS: 0, Rate: 0.002},
 		{Kind: faults.KindFlap, Target: "host0:nic", AtS: 0.3, UntilS: 0.8, PeriodS: 0.2, JitterS: 0.02},
 	}
-	return cfg
+	return runCell(t, doc).Static
 }
 
 // TestStaticFaultRunReplays is the replay acceptance test: the same
 // scenario + seed must reproduce the identical fault timeline and the
 // identical measurements, sample for sample.
 func TestStaticFaultRunReplays(t *testing.T) {
-	r1, err := RunStatic(staticFaultCfg(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := RunStatic(staticFaultCfg(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, r2 := staticFault(t, 3), staticFault(t, 3)
 	if !reflect.DeepEqual(r1.FaultTimeline, r2.FaultTimeline) {
 		t.Fatalf("fault timelines diverged:\n%v\n%v", r1.FaultTimeline, r2.FaultTimeline)
 	}
@@ -53,10 +47,7 @@ func TestStaticFaultRunReplays(t *testing.T) {
 		t.Fatal("faults blackholed no packets")
 	}
 	// A different seed must shift the jittered flap timeline.
-	r3, err := RunStatic(staticFaultCfg(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r3 := staticFault(t, 4)
 	if reflect.DeepEqual(r1.FaultTimeline, r3.FaultTimeline) {
 		t.Fatal("different seeds produced identical jittered timelines")
 	}
@@ -65,56 +56,47 @@ func TestStaticFaultRunReplays(t *testing.T) {
 // TestStaticFaultRunGuardClean: DynaQ under flap + loss must not violate a
 // single invariant.
 func TestStaticFaultRunGuardClean(t *testing.T) {
-	res, err := RunStatic(staticFaultCfg(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := staticFault(t, 3)
 	if res.ViolationTotal != 0 {
 		t.Fatalf("guardrail recorded %d violations, first: %v",
 			res.ViolationTotal, res.Violations[0])
 	}
 }
 
-func dynamicFaultCfg(seed int64) DynamicConfig {
-	return DynamicConfig{
-		Scheme:       DynaQ,
-		Params:       SchemeParams{Weights: equalWeights(4)},
-		Topo:         TopoLeafSpine,
+// dynamicFault runs a small leaf-spine under a flapping spine and a lossy
+// uplink, with failure-aware routing and the guardrail armed.
+func dynamicFault(t *testing.T, seed int64) *experiment.DynamicResult {
+	return runCell(t, scenario.Document{
+		Kind:         "fct",
+		Scheme:       string(experiment.DynaQ),
+		Topo:         string(experiment.TopoLeafSpine),
 		Leaves:       2,
 		Spines:       2,
 		HostsPerLeaf: 2,
-		Rate:         10 * units.Gbps,
-		Delay:        10 * units.Microsecond,
-		Buffer:       192 * units.KB,
+		RateGbps:     10,
+		BufferB:      192000,
 		Queues:       4,
+		RTTUs:        40,
 		Load:         0.4,
 		Flows:        60,
-		Workloads:    []*workload.CDF{workload.WebSearch()},
-		MinRTO:       5 * units.Millisecond,
+		Workloads:    []string{"websearch"},
+		MinRTOMs:     5,
 		Seed:         seed,
-		MaxRuntime:   20 * units.Second,
-
-		Guard:          true,
-		FailureAware:   true,
-		DetectionDelay: 500 * units.Microsecond,
+		MaxRuntimeS:  20,
+		Guard:        true,
+		FailureAware: true,
+		DetectMs:     0.5,
 		Faults: []faults.Spec{
 			{Kind: faults.KindFlap, Target: "spine0", AtS: 0.002, UntilS: 0.03, PeriodS: 0.01, JitterS: 0.001},
 			{Kind: faults.KindLoss, Target: "leaf0:spine1", AtS: 0, Rate: 0.005},
 		},
-	}
+	}).Dynamic
 }
 
 // TestDynamicFaultRunReplays covers the FCT side of the replay criterion:
 // leaf-spine under a flapping spine and a lossy uplink, twice, identically.
 func TestDynamicFaultRunReplays(t *testing.T) {
-	r1, err := RunDynamic(dynamicFaultCfg(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := RunDynamic(dynamicFaultCfg(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, r2 := dynamicFault(t, 5), dynamicFault(t, 5)
 	if !reflect.DeepEqual(r1.FaultTimeline, r2.FaultTimeline) {
 		t.Fatalf("fault timelines diverged:\n%v\n%v", r1.FaultTimeline, r2.FaultTimeline)
 	}

@@ -1,57 +1,42 @@
-package experiment
+package experiment_test
 
 import (
+	"encoding/json"
 	"testing"
 
+	"dynaq/internal/experiment"
 	"dynaq/internal/metrics"
+	"dynaq/internal/scenario"
 	"dynaq/internal/units"
 	"dynaq/internal/workload"
 )
 
-// fatTreeFlowCfg is the fat-tree stress case: the topology whose paper-scale
+// fatTreeFlow is the fat-tree stress case: the topology whose paper-scale
 // instances only the fluid engines can afford. k=4 keeps the test fast (and
 // within the packet engine's reach); the shipped scenario uses k=8.
-func fatTreeFlowCfg(engine EngineMode, flows int, seed int64) DynamicConfig {
-	return DynamicConfig{
-		Scheme:   DynaQ,
-		Engine:   engine,
-		Params:   SchemeParams{Weights: equalWeights(8)},
-		Topo:     TopoFatTree,
-		FatTreeK: 4,
-		Rate:     10 * units.Gbps,
-		Delay:    10 * units.Microsecond,
-		Buffer:   192 * units.KB,
-		Queues:   8,
-		MTU:      1500,
-		Load:     0.6,
-		Flows:    flows,
-		Workloads: []*workload.CDF{
-			workload.WebSearch(), workload.DataMining(),
-		},
-		Seed: seed,
+func fatTreeFlow(engine experiment.EngineMode, flows int, seed int64) scenario.Document {
+	return scenario.Document{
+		Kind:      "fct",
+		Scheme:    string(experiment.DynaQ),
+		Engine:    string(engine),
+		Topo:      string(experiment.TopoFatTree),
+		FatTreeK:  4,
+		RateGbps:  10,
+		BufferB:   192000,
+		Queues:    8,
+		RTTUs:     40,
+		MTU:       1500,
+		Load:      0.6,
+		Flows:     flows,
+		Workloads: []string{"websearch", "datamining"},
+		Seed:      seed,
 	}
 }
 
-// starFlowCfg mirrors the Fig8 quick grid so the fluid engines can be
-// compared against the packet engine on identical offered traffic.
-func starFlowCfg(engine EngineMode, flows int, load float64, seed int64) DynamicConfig {
-	return DynamicConfig{
-		Scheme:    DynaQ,
-		Engine:    engine,
-		Params:    SchemeParams{Weights: equalWeights(5)},
-		Topo:      TopoStar,
-		Servers:   4,
-		Rate:      testbedRate,
-		Delay:     testbedDelay,
-		Buffer:    testbedBuffer,
-		Queues:    5,
-		MTU:       testbedMTU,
-		Load:      load,
-		Flows:     flows,
-		Workloads: []*workload.CDF{workload.WebSearch()},
-		MinRTO:    testbedMinRTO,
-		Seed:      seed,
-	}
+// runFlows runs doc, an fct cell.
+func runFlows(t testing.TB, doc scenario.Document) *experiment.DynamicResult {
+	t.Helper()
+	return runCell(t, doc).Dynamic
 }
 
 // TestFlowEngineEventBudget is the perf acceptance gate: the flow engine
@@ -63,10 +48,7 @@ func starFlowCfg(engine EngineMode, flows int, load float64, seed int64) Dynamic
 // propagate, ack-side traffic).
 func TestFlowEngineEventBudget(t *testing.T) {
 	const flows = 2000
-	res, err := RunDynamic(fatTreeFlowCfg(EngineFlow, flows, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFlows(t, fatTreeFlow(experiment.EngineFlow, flows, 1))
 	if res.Completed < flows*99/100 {
 		t.Fatalf("only %d/%d flows completed", res.Completed, flows)
 	}
@@ -93,12 +75,20 @@ func TestFlowEngineEventBudget(t *testing.T) {
 // cells out to any fleet shape.
 func TestFlowEngineParallelParity(t *testing.T) {
 	run := func(workers int) []string {
-		out, err := RunTrials(3, workers, func(trial int) (string, error) {
-			res, err := RunDynamic(fatTreeFlowCfg(EngineFlow, 500, int64(trial+1)))
+		out, err := experiment.RunTrials(3, workers, func(trial int) (string, error) {
+			data, err := json.Marshal(fatTreeFlow(experiment.EngineFlow, 500, int64(trial+1)))
 			if err != nil {
 				return "", err
 			}
-			return fctSignature(res), nil
+			r, err := scenario.Load(data)
+			if err != nil {
+				return "", err
+			}
+			res, err := r.Run()
+			if err != nil {
+				return "", err
+			}
+			return fctSignature(res.Dynamic), nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +106,7 @@ func TestFlowEngineParallelParity(t *testing.T) {
 
 // fctSignature summarizes a run's FCT distribution precisely enough that
 // any nondeterminism shows up as a string mismatch.
-func fctSignature(res *DynamicResult) string {
+func fctSignature(res *experiment.DynamicResult) string {
 	sig := ""
 	for _, b := range []metrics.Bucket{metrics.AllFlows, metrics.SmallFlows, metrics.LargeFlows} {
 		sig += res.FCT.Avg(b).String() + "/" +
@@ -133,21 +123,13 @@ func fctSignature(res *DynamicResult) string {
 // hundreds of microseconds, large flows in the same order of magnitude as
 // the packet engine, and load ordering is preserved.
 func TestFlowEngineFidelity(t *testing.T) {
-	type point struct{ pkt, fluid *DynamicResult }
-	type cell func(EngineMode) DynamicConfig
+	type point struct{ pkt, fluid *experiment.DynamicResult }
+	type cell func(experiment.EngineMode) scenario.Document
 	star := func(load float64) cell {
-		return func(e EngineMode) DynamicConfig { return starFlowCfg(e, 200, load, 1) }
+		return func(e experiment.EngineMode) scenario.Document { return fctCell(e, 200, load, 1) }
 	}
 	runBoth := func(mk cell) point {
-		pkt, err := RunDynamic(mk(EnginePacket))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fl, err := RunDynamic(mk(EngineFlow))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return point{pkt, fl}
+		return point{runFlows(t, mk(experiment.EnginePacket)), runFlows(t, mk(experiment.EngineFlow))}
 	}
 	ratio := func(a, b units.Duration) float64 {
 		if b == 0 {
@@ -163,7 +145,7 @@ func TestFlowEngineFidelity(t *testing.T) {
 		{"load 0.6", star(0.6)},
 		// The same fabric graph under both engines, now that the packet
 		// engine wires a fat tree too.
-		{"fat tree", func(e EngineMode) DynamicConfig { return fatTreeFlowCfg(e, 200, 1) }},
+		{"fat tree", func(e experiment.EngineMode) scenario.Document { return fatTreeFlow(e, 200, 1) }},
 	} {
 		p := runBoth(tc.mk)
 		if p.pkt.Completed != p.pkt.Generated || p.fluid.Completed != p.fluid.Generated {
@@ -196,11 +178,7 @@ func TestFlowEngineFidelity(t *testing.T) {
 // bottleneck: an overloaded downlink must demote at least once, packetize
 // real traffic through the scheme admission, and still complete every flow.
 func TestHybridEngineDemotes(t *testing.T) {
-	cfg := starFlowCfg(EngineHybrid, 300, 0.9, 1)
-	res, err := RunDynamic(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFlows(t, fctCell(experiment.EngineHybrid, 300, 0.9, 1))
 	if res.Completed != res.Generated {
 		t.Fatalf("hybrid run completed %d/%d flows", res.Completed, res.Generated)
 	}

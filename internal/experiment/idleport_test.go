@@ -82,16 +82,18 @@ func TestIdlePortPathMatchesQueuedPath(t *testing.T) {
 		t.Skip("runs 32 packet cells")
 	}
 	star := DynamicConfig{
-		Topo: TopoStar, Servers: 4, Rate: testbedRate, Delay: testbedDelay, Buffer: testbedBuffer,
-		Queues: 5, MTU: testbedMTU, Load: 0.7, Flows: 120,
-		Workloads: []*workload.CDF{workload.WebSearch(), workload.Cache()},
-		MinRTO:    testbedMinRTO, Seed: 3, MaxRuntime: 20 * units.Second,
+		Cell: Cell{Rate: testbedRate, Delay: testbedDelay, Buffer: testbedBuffer, Queues: 5, MTU: testbedMTU,
+			MinRTO: testbedMinRTO, Seed: 3},
+		Topo: TopoStar, Servers: 4, Load: 0.7, Flows: 120,
+		Workloads:  []*workload.CDF{workload.WebSearch(), workload.Cache()},
+		MaxRuntime: 20 * units.Second,
 	}
 	leafspine := DynamicConfig{
-		Topo: TopoLeafSpine, Leaves: 2, Spines: 2, HostsPerLeaf: 3, Rate: 10 * units.Gbps,
-		Delay: 2 * units.Microsecond, Buffer: 64 * units.KB, Queues: 4, MTU: testbedMTU,
+		Cell: Cell{Rate: 10 * units.Gbps, Delay: 2 * units.Microsecond, Buffer: 64 * units.KB, Queues: 4,
+			MTU: testbedMTU, MinRTO: 5 * units.Millisecond, Seed: 5},
+		Topo: TopoLeafSpine, Leaves: 2, Spines: 2, HostsPerLeaf: 3,
 		Load: 0.7, Flows: 60, Workloads: []*workload.CDF{workload.WebSearch(), workload.Hadoop()},
-		MinRTO: 5 * units.Millisecond, Seed: 5, MaxRuntime: 20 * units.Second,
+		MaxRuntime: 20 * units.Second,
 	}
 	schemes := []Scheme{DynaQ, BestEffort, PQL, TCN, TCNDrop, PMSB, BarberQ, DT}
 	for _, base := range []DynamicConfig{star, leafspine} {

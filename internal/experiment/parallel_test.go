@@ -2,12 +2,9 @@ package experiment
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"dynaq/internal/units"
 )
 
 func TestRunTrialsValidation(t *testing.T) {
@@ -138,47 +135,6 @@ func TestRunSeedsErrorCancelsPool(t *testing.T) {
 	}
 	if got := calls.Load(); got != workers {
 		t.Errorf("%d seeds ran, want %d", got, workers)
-	}
-}
-
-// TestRunSeedsParallelParity is the satellite acceptance test: the same
-// aggregate stats bit-for-bit at -parallel 1 and -parallel 8, on a real
-// (if tiny) simulation workload.
-func TestRunSeedsParallelParity(t *testing.T) {
-	metric := func(o Options) (float64, error) {
-		cfg := StaticConfig{
-			Scheme:   DynaQ,
-			Sched:    SchedDRR,
-			Params:   SchemeParams{Weights: []int64{1, 1}},
-			Rate:     units.Gbps,
-			Delay:    20 * units.Microsecond,
-			Buffer:   200 * units.KB,
-			Queues:   2,
-			MTU:      1500,
-			Specs:    []QueueSpec{{Class: 0, Flows: 2}, {Class: 1, Flows: 4}},
-			Duration: 50 * units.Millisecond,
-			Seed:     o.Seed,
-		}
-		res, err := RunStatic(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return float64(res.AvgAggregate(10*units.Time(units.Millisecond), 50*units.Time(units.Millisecond))), nil
-	}
-	seq := Options{Seed: 42, Parallel: 1}
-	par := Options{Seed: 42, Parallel: 8}
-	a, err := RunSeeds(4, seq, metric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunSeeds(4, par, metric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// DeepEqual compares the float fields bitwise, which is exactly the
-	// parity contract (and sidesteps float-eq lint on ==).
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("stats differ across worker counts:\n  sequential: %+v\n  parallel:   %+v", a, b)
 	}
 }
 

@@ -197,22 +197,24 @@ type rrCell struct {
 // Fig. 13's fabric parameters and workloads.
 func smallLeafSpine() DynamicConfig {
 	return DynamicConfig{
-		Scheme:       DynaQ,
-		Params:       SchemeParams{Weights: equalWeights(8)},
+		Cell: Cell{
+			Scheme: DynaQ,
+			Params: SchemeParams{Weights: equalWeights(8)},
+			Rate:   10 * units.Gbps,
+			Delay:  10650 * units.Nanosecond,
+			Buffer: 192 * units.KB,
+			Queues: 8,
+			MTU:    1500,
+			MinRTO: 5 * units.Millisecond,
+			Seed:   3,
+		},
 		Topo:         TopoLeafSpine,
 		Leaves:       2,
 		Spines:       2,
 		HostsPerLeaf: 2,
-		Rate:         10 * units.Gbps,
-		Delay:        10650 * units.Nanosecond,
-		Buffer:       192 * units.KB,
-		Queues:       8,
-		MTU:          1500,
 		Load:         0.6,
 		Flows:        40,
 		Workloads:    workload.All(),
-		MinRTO:       5 * units.Millisecond,
-		Seed:         3,
 	}
 }
 

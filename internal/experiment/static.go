@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strconv"
 
-	"dynaq/internal/buffer"
 	"dynaq/internal/fabric"
 	"dynaq/internal/faults"
 	"dynaq/internal/metrics"
@@ -14,7 +13,6 @@ import (
 	"dynaq/internal/sim"
 	"dynaq/internal/telemetry"
 	"dynaq/internal/telemetry/trace"
-	"dynaq/internal/topology"
 	"dynaq/internal/transport"
 	"dynaq/internal/units"
 )
@@ -55,19 +53,11 @@ type QueueSpec struct {
 
 // StaticConfig assembles a static-flow scenario on a star: all flows but
 // those of an OwnSink spec sink at one receiver, making its switch port the
-// measured bottleneck.
+// measured bottleneck. Its fault targets are "tor:<i>", "host<i>:nic" and
+// the group "tor".
 type StaticConfig struct {
-	Scheme Scheme
-	Sched  SchedKind
-	// Params carries weights and threshold constants; Rate/BaseRTT are
-	// filled from the topology if zero.
-	Params SchemeParams
-
-	Rate   units.Rate
-	Delay  units.Duration // per-link propagation (base RTT = 4·Delay)
-	Buffer units.ByteSize
-	Queues int
-	MTU    units.ByteSize // 1500, or 9000 for jumbo (Fig. 11/12)
+	Cell
+	Sched SchedKind
 
 	Specs    []QueueSpec
 	Duration units.Duration
@@ -81,19 +71,6 @@ type StaticConfig struct {
 	// TraceEvents, when positive, records the last N drop/mark/evict
 	// events at the bottleneck port into the result's Trace recorder.
 	TraceEvents int
-
-	// Faults is the scripted fault schedule, applied against the star's
-	// fault registry (targets "tor:<i>", "host<i>:nic", group "tor"); the
-	// timeline is a deterministic function of Seed.
-	Faults []faults.Spec
-	// Guard wires the invariant guardrail into every switch port,
-	// recording Σ T_i == B / T_i ≥ 0 / occupancy / pool violations.
-	Guard bool
-
-	MinRTO units.Duration
-	Seed   int64
-
-	Hooks
 }
 
 // StaticResult is the outcome of a static-flow run.
@@ -132,34 +109,25 @@ const maxStaticSenders = 1 << 14
 // normalize validates cfg, fills its defaults and builds its star: the
 // senders first, then the OwnSink specs' sinks in reverse spec order, the
 // receiver last. Spec-level failures name the offending spec as
-// "specs[i].<field>", like the scenario document does.
+// "specs[i].<field>", like the scenario document does. The loader has
+// already refused negative times.
 func (cfg *StaticConfig) normalize() (*fabric.Graph, error) {
+	if err := checkQueues(cfg.Queues, 1); err != nil {
+		return nil, err
+	}
 	switch {
 	case len(cfg.Specs) == 0:
 		return nil, &ConfigError{"specs", "static run needs at least one queue spec"}
 	case cfg.Duration <= 0:
 		return nil, &ConfigError{"duration_s", "static run needs a positive duration"}
-	case cfg.SampleEvery < 0:
-		return nil, &ConfigError{"sample_ms", "sampling interval must not be negative"}
 	case cfg.TraceStride < 0:
 		return nil, &ConfigError{"queue_trace_stride", "queue trace stride must not be negative"}
-	case cfg.Queues < 1:
-		return nil, &ConfigError{"queues", "static run needs at least one service queue"}
-	case cfg.MinRTO < 0:
-		return nil, &ConfigError{"min_rto_ms", "RTO floor must not be negative"}
 	}
-	if _, err := buffer.LookupScheme(string(cfg.Scheme)); err != nil {
-		return nil, &ConfigError{"scheme", err.Error()}
-	}
-	if err := resolveMTU(&cfg.MTU); err != nil {
+	if err := cfg.resolve(fabric.Star); err != nil {
 		return nil, err
 	}
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = 500 * units.Millisecond
-	}
-	cfg.Params = cfg.Params.Resolved(cfg.Rate, fabric.Star.BaseRTT(cfg.Delay), cfg.MTU, nil, cfg.Queues)
-	if err := checkWeights(cfg.Params.Weights, cfg.Queues); err != nil {
-		return nil, err
 	}
 
 	// Copy the queue specs before defaulting them: cfg arrives by value, but
@@ -177,14 +145,8 @@ func (cfg *StaticConfig) normalize() (*fabric.Graph, error) {
 			return nil, &ConfigError{field("class"), fmt.Sprintf("class %d outside [0, %d)", spec.Class, cfg.Queues)}
 		case spec.Hosts < 0 || spec.Hosts > maxStaticSenders:
 			return nil, &ConfigError{field("hosts"), fmt.Sprintf("hosts %d outside [0, %d]", spec.Hosts, maxStaticSenders)}
-		case spec.StopAt < 0:
-			return nil, &ConfigError{field("stop_at_s"), "stop time must not be negative"}
 		case spec.Size < 0:
 			return nil, &ConfigError{field("size_bytes"), "flow size must not be negative"}
-		case spec.Start < 0:
-			return nil, &ConfigError{field("start_at_s"), "start time must not be negative"}
-		case spec.Spacing < 0:
-			return nil, &ConfigError{field("spacing_s"), "start spacing must not be negative"}
 		}
 		if spec.Hosts == 0 {
 			spec.Hosts = 1
@@ -199,15 +161,25 @@ func (cfg *StaticConfig) normalize() (*fabric.Graph, error) {
 			sinks++
 		}
 	}
-	return fabric.NewStar(senders+sinks+1, cfg.Rate)
+	g, err := newStar(senders+sinks+1, cfg.Rate, "specs")
+	return g, refusal(err)
 }
 
-// Validate reports what RunStatic would reject before simulating anything,
-// as a *ConfigError, so loaders can refuse a cell at submission instead of
-// on a worker.
+// Validate reports, as a *ConfigError naming the document key to fix, every
+// setting RunStatic would refuse, so a loader refuses the cell at submission
+// instead of on a worker: the fault specs, normalize's rules, then the
+// checks RunStatic's constructors run (Cell.checkNetwork: one port's
+// scheduler and scheme, the fault targets), which RunStatic itself does not
+// repeat.
 func (cfg StaticConfig) Validate() error {
-	_, err := cfg.normalize()
-	return err
+	if err := faults.Validate(cfg.Faults); err != nil {
+		return &ConfigError{"faults", err.Error()}
+	}
+	g, err := cfg.normalize()
+	if err != nil {
+		return err
+	}
+	return cfg.checkNetwork(g, cfg.Sched)
 }
 
 // startJitterSpan spreads flow starts over the first milliseconds like
@@ -223,12 +195,7 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 	}
 	mss := cfg.MTU - transport.HeaderSize
 	s := sim.New()
-	w, err := newPacketWorld(s, g, topology.Config{
-		Delay:     cfg.Delay,
-		Buffer:    cfg.Buffer,
-		Queues:    cfg.Queues,
-		Factories: Factories(cfg.Scheme, cfg.Sched, cfg.Params, cfg.MTU),
-	}, cfg.Faults, cfg.Seed)
+	w, err := newPacketWorld(s, g, cfg.network(cfg.Sched), cfg.Faults, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

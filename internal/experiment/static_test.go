@@ -1,66 +1,23 @@
-package experiment
+package experiment_test
 
 import (
-	"errors"
 	"testing"
 
+	"dynaq/internal/experiment"
+	"dynaq/internal/scenario"
 	"dynaq/internal/units"
 )
-
-// TestStaticConfigRejectsBadSpecs: every spec field a static run cannot
-// honour is refused before simulating, naming the spec and the field.
-func TestStaticConfigRejectsBadSpecs(t *testing.T) {
-	cfg := func(specs ...QueueSpec) StaticConfig {
-		return testbedStatic(DynaQ, equalWeights(4), specs, units.Second, 1)
-	}
-	hog := QueueSpec{Class: 2, Flows: 4, Hosts: 2}
-	negativeRTO := cfg(hog)
-	negativeRTO.MinRTO = -units.Millisecond
-	cases := []struct {
-		name  string
-		cfg   StaticConfig
-		field string
-	}{
-		{"negative min rto", negativeRTO, "min_rto_ms"},
-		{"negative stop", cfg(hog, QueueSpec{Class: 1, Flows: 1, StopAt: -units.Second}), "specs[1].stop_at_s"},
-		{"negative size", cfg(QueueSpec{Class: 1, Flows: 1, Size: -1}), "specs[0].size_bytes"},
-		{"negative start", cfg(QueueSpec{Class: 1, Flows: 1, Start: -units.Millisecond}), "specs[0].start_at_s"},
-		{"negative spacing", cfg(QueueSpec{Class: 1, Flows: 1, Spacing: -units.Microsecond}), "specs[0].spacing_s"},
-		{"negative shared hosts", cfg(hog, QueueSpec{Class: 1, Flows: 1, SharedHosts: -1}), "specs[1].shared_hosts"},
-		{"shared host with no spec before", cfg(QueueSpec{Class: 1, Flows: 1, SharedHosts: 1}), "specs[0].shared_hosts"},
-		{"shared hosts past the earlier specs'", cfg(hog, QueueSpec{Class: 1, Flows: 3, Hosts: 3, SharedHosts: 3}), "specs[1].shared_hosts"},
-		{"shared hosts past the spec's own", cfg(hog, QueueSpec{Class: 1, Flows: 1, SharedHosts: 2}), "specs[1].shared_hosts"},
-	}
-	for _, tc := range cases {
-		err := tc.cfg.Validate()
-		var cerr *ConfigError
-		if !errors.As(err, &cerr) {
-			t.Errorf("%s: Validate() = %v, want a *ConfigError", tc.name, err)
-			continue
-		}
-		if cerr.Field != tc.field {
-			t.Errorf("%s: field %q, want %q", tc.name, cerr.Field, tc.field)
-		}
-	}
-	if err := cfg(hog, QueueSpec{Class: 1, Flows: 1, SharedHosts: 2, Hosts: 2, Size: units.KB}).Validate(); err != nil {
-		t.Errorf("a spec on both of the hog's hosts must validate: %v", err)
-	}
-}
 
 // TestRunStaticFiniteFlowsRecordOneFCTEach: every finite flow completes
 // once into StaticResult.FCT and no long-lived flow does; an OwnSink spec
 // never reaches the measured port.
 func TestRunStaticFiniteFlowsRecordOneFCTEach(t *testing.T) {
-	specs := []QueueSpec{
-		{Class: 0, Flows: 3, Hosts: 2, OwnSink: true},
-		{Class: 1, Flows: 4},
-		{Class: 2, Flows: 5, Size: 30 * units.KB, Start: 100 * units.Millisecond, Spacing: units.Millisecond},
-		{Class: 3, Flows: 6, Size: 6 * units.KB, SharedHosts: 1, Start: 200 * units.Millisecond, Spacing: units.Microsecond},
-	}
-	res, err := RunStatic(testbedStatic(DynaQ, equalWeights(4), specs, units.Second, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCell(t, staticCell(experiment.DynaQ, 4, 1, 1,
+		scenario.Spec{Class: 0, Flows: 3, Hosts: 2, OwnSink: true},
+		scenario.Spec{Class: 1, Flows: 4},
+		scenario.Spec{Class: 2, Flows: 5, SizeB: 30000, StartS: 0.1, SpacingS: 0.001},
+		scenario.Spec{Class: 3, Flows: 6, SizeB: 6000, SharedHosts: 1, StartS: 0.2, SpacingS: 1e-6},
+	)).Static
 	got := map[units.ByteSize]int{}
 	for _, r := range res.FCT.Records() {
 		got[r.Size]++

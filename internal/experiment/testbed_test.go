@@ -23,41 +23,24 @@ func equalWeights(n int) []int64 {
 	return w
 }
 
-// testbedStatic is a static run on the testbed rack under DRR.
-func testbedStatic(scheme Scheme, weights []int64, specs []QueueSpec, dur units.Duration, seed int64) StaticConfig {
-	return StaticConfig{
-		Scheme:      scheme,
-		Sched:       SchedDRR,
-		Params:      SchemeParams{Weights: weights},
-		Rate:        testbedRate,
-		Delay:       testbedDelay,
-		Buffer:      testbedBuffer,
-		Queues:      len(weights),
-		MTU:         testbedMTU,
-		Specs:       specs,
-		Duration:    dur,
-		SampleEvery: 500 * units.Millisecond,
-		MinRTO:      testbedMinRTO,
-		Seed:        seed,
-	}
-}
-
 // testbedFCT is Fig. 8's quick-scale cell without a scheme or load: 4
 // servers answering one client, SPQ(1)+DRR(4), web-search traffic.
 func testbedFCT(seed int64) DynamicConfig {
 	return DynamicConfig{
-		Params:     SchemeParams{Weights: equalWeights(5)},
+		Cell: Cell{
+			Params: SchemeParams{Weights: equalWeights(5)},
+			Rate:   testbedRate,
+			Delay:  testbedDelay,
+			Buffer: testbedBuffer,
+			Queues: 5,
+			MTU:    testbedMTU,
+			MinRTO: testbedMinRTO,
+			Seed:   seed,
+		},
 		Topo:       TopoStar,
 		Servers:    4,
-		Rate:       testbedRate,
-		Delay:      testbedDelay,
-		Buffer:     testbedBuffer,
-		Queues:     5,
-		MTU:        testbedMTU,
 		Flows:      200,
 		Workloads:  []*workload.CDF{workload.WebSearch()},
-		MinRTO:     testbedMinRTO,
-		Seed:       seed,
 		MaxRuntime: 30 * units.Second,
 	}
 }

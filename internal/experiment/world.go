@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"fmt"
+
+	"dynaq/internal/buffer"
 	"dynaq/internal/fabric"
 	"dynaq/internal/faults"
 	"dynaq/internal/netsim"
@@ -8,6 +11,7 @@ import (
 	"dynaq/internal/telemetry"
 	"dynaq/internal/topology"
 	"dynaq/internal/transport"
+	"dynaq/internal/units"
 )
 
 // FaultOutcome is what a packet run's fault schedule and guardrail left
@@ -52,6 +56,90 @@ func newPacketWorld(s *sim.Simulator, g *fabric.Graph, cfg topology.Config, sche
 		}
 	}
 	return w, nil
+}
+
+// Cell is what a static and an fct run share: the scheme under test, the
+// links, every switch port's buffer and service queues, the frame, the RTO
+// floor, the seed, the fault schedule and the guardrail. StaticConfig and
+// DynamicConfig embed it.
+type Cell struct {
+	Scheme Scheme
+	// Params carries weights and threshold constants; Rate, BaseRTT and
+	// MTU are filled from the links if zero.
+	Params SchemeParams
+
+	Rate   units.Rate
+	Delay  units.Duration // per-link propagation
+	Buffer units.ByteSize
+	// Queues counts a port's service queues; an fct run's queue 0 is the
+	// shared SPQ queue and its DRR service queues follow.
+	Queues int
+	MTU    units.ByteSize // 1500 when zero, 9000 for jumbo (Figs. 11/12)
+
+	MinRTO units.Duration
+	Seed   int64
+
+	// Faults is the scripted fault schedule, resolved against the network's
+	// fault registry (topology.Network.FaultRegistry lists the link names);
+	// the timeline is a deterministic function of Seed.
+	Faults []faults.Spec
+	// Guard wires the invariant guardrail into every switch port, recording
+	// Σ T_i == B / T_i ≥ 0 / occupancy / pool / transition violations.
+	Guard bool
+
+	Hooks
+}
+
+// resolve checks the scheme, frame and weights every port of the cell
+// shares, filling what is unset, for a fabric of kind k.
+func (c *Cell) resolve(k fabric.Kind) error {
+	if _, err := buffer.LookupScheme(string(c.Scheme)); err != nil {
+		return &ConfigError{"scheme", err.Error()}
+	}
+	if c.MTU == 0 {
+		c.MTU = 1500
+	}
+	if c.MTU <= transport.HeaderSize {
+		return &ConfigError{"mtu", fmt.Sprintf("must exceed the %d-byte TCP/IP header, got %d", transport.HeaderSize, c.MTU)}
+	}
+	c.Params = c.Params.Resolved(c.Rate, k.BaseRTT(c.Delay), c.MTU, nil, c.Queues)
+	return checkWeights(c.Params.Weights, c.Queues)
+}
+
+// network is the packet network the cell's fabric is wired as, every switch
+// port scheduled by sched.
+func (c *Cell) network(sched SchedKind) topology.Config {
+	return topology.Config{Delay: c.Delay, Buffer: c.Buffer, Queues: c.Queues, Factories: Factories(c.Scheme, sched, c.Params, c.MTU)}
+}
+
+// checkNetwork reports what newPacketWorld would refuse on g, without wiring
+// it. Every switch port is built from the same arguments, so one port's
+// scheduler and scheme, built as topology.Build builds each, stand for all.
+// Every fault target must then resolve in g's fault registry, each of whose
+// links is a stand-in, as Engine.Schedule resolves them before it plans.
+func (c *Cell) checkNetwork(g *fabric.Graph, sched SchedKind) error {
+	f := c.network(sched)
+	if _, err := f.NewScheduler(c.Queues); err != nil {
+		return &ConfigError{"queues", err.Error()}
+	}
+	mem, err := buffer.NewSharedPool(c.Buffer)
+	if err == nil {
+		_, err = f.NewAdmission(c.Buffer, c.Queues, mem)
+	}
+	if err != nil {
+		return &ConfigError{"scheme", err.Error()}
+	}
+	if len(c.Faults) == 0 {
+		return nil
+	}
+	standIn := new(netsim.Link)
+	reg := topology.FaultRegistry(g, func(int) *netsim.Link { return standIn })
+	for i, spec := range c.Faults {
+		if _, err := reg.Resolve(spec.Target); err != nil {
+			return &ConfigError{"faults", fmt.Sprintf("spec %d: %v", i, err)}
+		}
+	}
+	return nil
 }
 
 // watch arms the invariant guardrail on every switch port, after any hook

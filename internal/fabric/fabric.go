@@ -13,6 +13,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 
 	"dynaq/internal/units"
 )
@@ -67,6 +68,11 @@ func Hash(key uint64) uint64 {
 	key = (key ^ (key >> 27)) * 0x94d049bb133111eb
 	return key ^ (key >> 31)
 }
+
+// maxLinks bounds a graph's directed links, so that a hostile shape is
+// refused before any of it is allocated. The largest shipped fabric, a k=8
+// fat tree, has 768.
+const maxLinks = 1 << 20
 
 // ShapeError rejects a constructor argument. Param is the shape parameter's
 // scenario-document name, so a loader can point at the offending field.
@@ -130,8 +136,11 @@ type Graph struct {
 
 // newGraph starts a graph and lays its host uplinks.
 func newGraph(kind Kind, hosts, access int, rate units.Rate) (*Graph, error) {
-	if rate <= 0 {
-		return nil, shapeErr("rate", "link rate must be positive, got %v", rate)
+	switch {
+	case rate <= 0:
+		return nil, shapeErr("rate_gbps", "link rate must be positive, got %v", rate)
+	case rate > math.MaxInt64/HostNICSpeedup:
+		return nil, shapeErr("rate_gbps", "link rate %v past 64 bits at the host NICs' %d× speed-up", rate, HostNICSpeedup)
 	}
 	g := &Graph{kind: kind, hosts: hosts, access: access}
 	for h := 0; h < hosts; h++ {
@@ -186,8 +195,11 @@ func (g *Graph) lay(first, count int, up bool, rate units.Rate, to func(sw, port
 // NewStar builds the paper's testbed rack: hosts hosts around one switch
 // "tor" whose port i faces host i.
 func NewStar(hosts int, rate units.Rate) (*Graph, error) {
-	if hosts < 2 {
+	switch {
+	case hosts < 2:
 		return nil, shapeErr("hosts", "star needs at least 2 hosts, got %d", hosts)
+	case hosts > maxLinks/2:
+		return nil, shapeErr("hosts", "more than the %d links a fabric may have", maxLinks)
 	}
 	g, err := newGraph(Star, hosts, hosts, rate)
 	if err != nil {
@@ -212,6 +224,10 @@ func NewLeafSpine(leaves, spines, hostsPerLeaf int, rate units.Rate) (*Graph, er
 		return nil, shapeErr("spines", "leaf-spine needs ≥1 spine, got %d", spines)
 	case hostsPerLeaf < 1:
 		return nil, shapeErr("hosts_per_leaf", "leaf-spine needs ≥1 host per leaf, got %d", hostsPerLeaf)
+	// Each leaf has a link to and from each of its hosts and each spine.
+	case leaves > maxLinks || spines > maxLinks || hostsPerLeaf > maxLinks ||
+		2*leaves*(hostsPerLeaf+spines) > maxLinks:
+		return nil, shapeErr("leaves", "more than the %d links a fabric may have", maxLinks)
 	}
 	hosts := leaves * hostsPerLeaf
 	g, err := newGraph(LeafSpine, hosts, hostsPerLeaf, rate)
@@ -241,6 +257,11 @@ func NewLeafSpine(leaves, spines, hostsPerLeaf int, rate units.Rate) (*Graph, er
 func NewFatTree(k int, rate units.Rate) (*Graph, error) {
 	if k < 2 || k%2 != 0 {
 		return nil, shapeErr("k", "fat-tree arity must be even and ≥2, got %d", k)
+	}
+	// k³/4 hosts, each with a link each way, and k³/4 links in each
+	// direction of each of the two switch tiers.
+	if k > 128 || 3*k*k*k/2 > maxLinks {
+		return nil, shapeErr("k", "more than the %d links a fabric may have", maxLinks)
 	}
 	half := k / 2
 	pod := half * half // hosts per pod

@@ -151,12 +151,20 @@ func TestShapeErrorsNameTheParameter(t *testing.T) {
 		build func() (*Graph, error)
 	}{
 		{"hosts", func() (*Graph, error) { return NewStar(1, units.Gbps) }},
-		{"rate", func() (*Graph, error) { return NewStar(4, 0) }},
+		{"rate_gbps", func() (*Graph, error) { return NewStar(4, 0) }},
+		{"rate_gbps", func() (*Graph, error) { return NewStar(4, 1<<62) }},
 		{"leaves", func() (*Graph, error) { return NewLeafSpine(1, 2, 2, units.Gbps) }},
 		{"spines", func() (*Graph, error) { return NewLeafSpine(2, 0, 2, units.Gbps) }},
 		{"hosts_per_leaf", func() (*Graph, error) { return NewLeafSpine(2, 2, 0, units.Gbps) }},
 		{"k", func() (*Graph, error) { return NewFatTree(5, units.Gbps) }},
 		{"k", func() (*Graph, error) { return NewFatTree(0, units.Gbps) }},
+		// Shapes too large to allocate are refused before they are.
+		{"hosts", func() (*Graph, error) { return NewStar(1<<40, units.Gbps) }},
+		{"leaves", func() (*Graph, error) { return NewLeafSpine(1<<40, 2, 2, units.Gbps) }},
+		{"leaves", func() (*Graph, error) { return NewLeafSpine(2, 1<<19, 2, units.Gbps) }},
+		{"leaves", func() (*Graph, error) { return NewLeafSpine(2, 2, 1<<62, units.Gbps) }},
+		{"k", func() (*Graph, error) { return NewFatTree(200, units.Gbps) }},
+		{"k", func() (*Graph, error) { return NewFatTree(1<<40, units.Gbps) }},
 	}
 	for _, tc := range cases {
 		_, err := tc.build()

@@ -25,6 +25,9 @@ func TestSpecValidate(t *testing.T) {
 		{Kind: "flap", Target: "a", AtS: 0.1, UntilS: 0.5, PeriodS: 0.1, JitterS: 0.02},
 		{Kind: "loss", Target: "a", AtS: 0, Rate: 0.01},
 		{Kind: "corrupt", Target: "a", AtS: 0, UntilS: 1, Rate: 0.5},
+		{Kind: "down", Target: "a", AtS: 9e6},                                    // inside 64-bit picoseconds
+		{Kind: "flap", Target: "a", AtS: 0, UntilS: 1, PeriodS: 2e-5},            // 100 000 toggles
+		{Kind: "flap", Target: "a", AtS: 1e6, UntilS: 1e6 + 1e-3, PeriodS: 2e-3}, // one toggle, late
 	}
 	for i, s := range valid {
 		if err := s.Validate(); err != nil {
@@ -42,6 +45,10 @@ func TestSpecValidate(t *testing.T) {
 		{Kind: "loss", Target: "a", AtS: 0},                                             // no rate
 		{Kind: "loss", Target: "a", AtS: 0, Rate: 1},                                    // rate = 1
 		{Kind: "corrupt", Target: "a", AtS: 0, Rate: -0.1},                              // negative rate
+		{Kind: "down", Target: "a", AtS: 1e7},                                           // past 64-bit picoseconds
+		{Kind: "loss", Target: "a", AtS: 0, UntilS: 1e300, Rate: 0.1},                   // heals past them
+		{Kind: "flap", Target: "a", AtS: 0, UntilS: 1000, PeriodS: 1e-9},                // 2e12 toggles
+		{Kind: "flap", Target: "a", AtS: 1e6, UntilS: 1e6 + 1e-9, PeriodS: 1e-12},       // a step that cannot move at_s
 	}
 	for i, s := range invalid {
 		if err := s.Validate(); err == nil {

@@ -53,6 +53,9 @@ type Spec struct {
 	Rate    float64 `json:"rate,omitempty"`     // loss|corrupt probability, [0,1)
 }
 
+// maxFlapToggles bounds the toggles one flap plans.
+const maxFlapToggles = 100_000
+
 // Validate checks the spec's internal consistency (target existence is
 // checked separately, against a registry, when the schedule is applied).
 func (s Spec) Validate() error {
@@ -61,6 +64,10 @@ func (s Spec) Validate() error {
 	}
 	if s.AtS < 0 {
 		return fmt.Errorf("faults: %s %q: at_s %v must be non-negative", s.Kind, s.Target, s.AtS)
+	}
+	// Every fault time becomes 64-bit picoseconds.
+	if horizon := float64(units.MaxDuration) / float64(units.Second); s.AtS >= horizon || s.UntilS >= horizon {
+		return fmt.Errorf("faults: %s %q: at_s %v and until_s %v must fall before %v s, the 64-bit picosecond horizon", s.Kind, s.Target, s.AtS, s.UntilS, horizon)
 	}
 	switch s.Kind {
 	case KindDown, KindUp:
@@ -77,6 +84,11 @@ func (s Spec) Validate() error {
 		}
 		if s.JitterS < 0 || s.JitterS >= s.PeriodS/2 {
 			return fmt.Errorf("faults: flap %q: jitter_s %v must be in [0, period_s/2)", s.Target, s.JitterS)
+		}
+		// Schedule plans every toggle up front, stepping half a period at a
+		// time: the step must move until_s, and the toggles stay few.
+		if half := s.PeriodS / 2; (s.UntilS-s.AtS)/half > maxFlapToggles || s.UntilS+half/2 <= s.UntilS {
+			return fmt.Errorf("faults: flap %q: period_s %v toggles more than %d times between at_s and until_s", s.Target, s.PeriodS, maxFlapToggles)
 		}
 	case KindLoss, KindCorrupt:
 		if s.Rate <= 0 || s.Rate >= 1 {

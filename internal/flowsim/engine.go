@@ -176,46 +176,75 @@ type Engine struct {
 	stats Stats
 }
 
+// ConfigError rejects a Config setting a scenario document sets. Param is
+// the document key, as fabric.ShapeError's is, so a loader can point at the
+// offending field.
+type ConfigError struct {
+	Param string
+	Msg   string
+}
+
+// Error implements error.
+func (e *ConfigError) Error() string { return "flowsim: " + e.Msg }
+
+// thresholds are the hybrid episode thresholds: a link is promoted back to
+// fluid once its queue drains to B/10 and demoted when it crosses B/2.
+func (cfg Config) thresholds() (promote, demote units.ByteSize) {
+	return cfg.Buffer / 10, cfg.Buffer / 2
+}
+
+// Check reports what New would refuse in cfg without building an engine;
+// under Hybrid it builds one admission instance. What a document can still
+// set wrong once its config is built, the RTT, a buffer too small for the
+// episode thresholds and a scheme the pump cannot run, is a *ConfigError.
+func (cfg Config) Check() error {
+	promote, demote := cfg.thresholds()
+	switch {
+	case cfg.Topo == nil:
+		return fmt.Errorf("flowsim: config needs a topology")
+	case cfg.Queues < 2:
+		return fmt.Errorf("flowsim: need an SPQ queue plus DRR queues, got %d", cfg.Queues)
+	case len(cfg.Weights) != cfg.Queues:
+		return fmt.Errorf("flowsim: %d weights for %d queues", len(cfg.Weights), cfg.Queues)
+	case cfg.Buffer <= 0 || cfg.MTU <= 0:
+		return fmt.Errorf("flowsim: buffer and MTU must be positive")
+	case cfg.RTT <= 0:
+		return &ConfigError{"rtt_us", fmt.Sprintf("RTT %v must be positive", cfg.RTT)}
+	case promote >= demote:
+		return &ConfigError{"buffer_bytes", fmt.Sprintf("promote threshold %v must sit below demote threshold %v", promote, demote)}
+	case !cfg.Hybrid:
+		return nil
+	case cfg.NewAdmission == nil:
+		return fmt.Errorf("flowsim: hybrid mode needs an admission factory")
+	}
+	// A factory error or a scheme the episode pump cannot run surfaces here,
+	// not mid-run.
+	adm, err := cfg.NewAdmission()
+	if err == nil {
+		err = checkPumpable(adm)
+	}
+	if err != nil {
+		return &ConfigError{"scheme", "hybrid engine: " + err.Error()}
+	}
+	return nil
+}
+
 // New builds an engine on s. The caller schedules arrivals (ScheduleArrival)
 // and steps s; the engine keeps itself consistent through its own events.
 func New(s *sim.Simulator, cfg Config) (*Engine, error) {
-	if cfg.Topo == nil {
-		return nil, fmt.Errorf("flowsim: config needs a topology")
-	}
-	if cfg.Queues < 2 {
-		return nil, fmt.Errorf("flowsim: need an SPQ queue plus DRR queues, got %d", cfg.Queues)
-	}
-	if len(cfg.Weights) != cfg.Queues {
-		return nil, fmt.Errorf("flowsim: %d weights for %d queues", len(cfg.Weights), cfg.Queues)
-	}
-	if cfg.Buffer <= 0 || cfg.MTU <= 0 || cfg.RTT <= 0 {
-		return nil, fmt.Errorf("flowsim: buffer, MTU and RTT must be positive")
+	if err := cfg.Check(); err != nil {
+		return nil, err
 	}
 	if cfg.MSS <= 0 {
 		cfg.MSS = cfg.MTU
-	}
-	if cfg.Hybrid {
-		if cfg.NewAdmission == nil {
-			return nil, fmt.Errorf("flowsim: hybrid mode needs an admission factory")
-		}
-		// Pre-validate so a factory error or a scheme the pump cannot run
-		// surfaces here, not mid-run.
-		adm, err := cfg.NewAdmission()
-		if err == nil {
-			err = CheckPumpable(adm)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("flowsim: admission factory: %w", err)
-		}
 	}
 	e := &Engine{
 		s: s, cfg: cfg, topo: cfg.Topo,
 		initWindow: 10 * cfg.MSS,
 		quantum:    cfg.RTT / 4,
-		demoteB:    cfg.Buffer / 2,
-		promoteB:   cfg.Buffer / 10,
 		cutoff:     pias.DemotionThreshold,
 	}
+	e.promoteB, e.demoteB = cfg.thresholds()
 	e.links = make([]linkState, cfg.Topo.NumLinks())
 	e.busy = make([]uint64, (len(e.links)+63)/64)
 	for i := range e.links {
@@ -223,9 +252,6 @@ func New(s *sim.Simulator, cfg Config) (*Engine, error) {
 	}
 	if e.quantum <= 0 {
 		e.quantum = cfg.RTT
-	}
-	if e.promoteB >= e.demoteB {
-		return nil, fmt.Errorf("flowsim: promote threshold %v must sit below demote threshold %v", e.promoteB, e.demoteB)
 	}
 	e.completion = s.NewTimer(e.onCompletionTimer)
 	e.crossing = s.NewTimer(e.onCrossingTimer)

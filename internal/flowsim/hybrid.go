@@ -77,12 +77,12 @@ func (ep *episode) QueueLen(i int) units.ByteSize { return ep.qlen[i] }
 func (ep *episode) TotalLen() units.ByteSize      { return ep.total }
 func (ep *episode) Buffer() units.ByteSize        { return ep.buf }
 
-// CheckPumpable reports whether the episode pump can run adm. The pump runs
+// checkPumpable reports whether the episode pump can run adm. The pump runs
 // admission and the four hooks demote resolves (EnqueueMarker,
 // DequeueDropper, DequeueObserver, DequeueMarker), one link at a time. It
 // never evicts, and the fluid model has no switch whose memory ports share,
 // so it refuses a buffer.Evictor and a scheme with a Pool.
-func CheckPumpable(adm buffer.Admission) error {
+func checkPumpable(adm buffer.Admission) error {
 	switch adm.(type) {
 	case buffer.Evictor:
 		return fmt.Errorf("%s evicts, and the hybrid episode pump does not", adm.Name())

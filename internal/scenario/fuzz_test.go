@@ -85,6 +85,14 @@ func TestLoadRejectsBadNumbersAndFaults(t *testing.T) {
 			  "duration_s": 1, "faults": [{"kind": "flap", "target": "tor:0", "at_s": 0, "until_s": 1}]}`,
 			"period",
 		},
+		// Fault times past 64-bit picoseconds used to panic the schedule,
+		// and a flap's toggles were planned without bound.
+		{"fault at_s past 64-bit picoseconds", staticWith(`"faults": [{"kind": "down", "target": "tor:0", "at_s": 1e7}]`, okSpecs),
+			"faults: spec 0: faults: down \"tor:0\": at_s 1e+07"},
+		{"fault until_s past 64-bit picoseconds", staticWith(`"faults": [{"kind": "loss", "target": "tor:0", "at_s": 0, "until_s": 1e300, "rate": 0.1}]`, okSpecs),
+			"picosecond horizon"},
+		{"sub-nanosecond flap period", staticWith(`"faults": [{"kind": "flap", "target": "tor:0", "at_s": 0, "until_s": 2e-5, "period_s": 1e-10}]`, okSpecs),
+			"faults: spec 0: faults: flap \"tor:0\": period_s 1e-10 toggles more than 100000 times"},
 		// Static documents that used to pass Load and fail — or panic, or run
 		// as misclassified traffic — on a worker.
 		{"static negative sample", staticWith(`"sample_ms": -5`, okSpecs), "sample_ms"},
@@ -169,6 +177,14 @@ func TestLoadRejectsBadNumbersAndFaults(t *testing.T) {
 		{"fct negative max runtime", fctOn(onStar, `"max_runtime_s": -1`), "max_runtime_s"},
 		{"negative per-queue K", staticWith(`"per_queue_k_bytes": -30000`, okSpecs), "per_queue_k_bytes"},
 		{"negative tcn target", fctOn(onStar, `"tcn_target_us": -240`), "tcn_target_us"},
+		// Values that loaded and then overflowed inside a run's constructors:
+		// a rate past 64 bits at the host NICs' speed-up, an arrival rate
+		// whose gaps overflow picoseconds, weights whose product with the
+		// buffer does.
+		{"static rate past the NIC speed-up", strings.Replace(staticWith(`"seed": 1`, okSpecs), `"rate_gbps": 1`, `"rate_gbps": 9e9`, 1), "scenario: rate_gbps: "},
+		{"fct rate past the NIC speed-up", strings.Replace(fctOn(onStar, `"seed": 1`), `"rate_gbps": 1`, `"rate_gbps": 9e9`, 1), "scenario: rate_gbps: "},
+		{"fct load too small to time", strings.Replace(fctOn(onStar, `"seed": 1`), `"load": 0.5`, `"load": 1e-12`, 1), "scenario: load: "},
+		{"weights past 64 bits", fctOn(onStar, `"weights": [9223372036854775807, 1, 1, 1]`), "overflows 64 bits"},
 	}
 	if _, err := Load([]byte(staticWith(`"seed": 1`, okSpecs))); err != nil {
 		t.Fatalf("the static base document must load: %v", err)
@@ -180,6 +196,10 @@ func TestLoadRejectsBadNumbersAndFaults(t *testing.T) {
 	}
 	if _, err := Load([]byte(strings.Replace(staticWith(`"seed": 1`, okSpecs), `"queues": 2`, `"queues": 64`, 1))); err != nil {
 		t.Fatalf("64 queues, one backlog word, must load: %v", err)
+	}
+	if _, err := Load([]byte(staticWith(`"seed": 1`,
+		`[{"class": 0, "flows": 4, "hosts": 2}, {"class": 1, "flows": 1, "hosts": 2, "shared_hosts": 2, "size_bytes": 1000}]`))); err != nil {
+		t.Fatalf("a spec on both of the first spec's hosts must load: %v", err)
 	}
 	for _, tc := range cases {
 		_, err := Load([]byte(tc.doc))
@@ -262,6 +282,22 @@ func TestLoadTypedErrors(t *testing.T) {
 		{fct + `"scheme": "DynaQ", "topo": "fattree", "k": 5}`, "k"},
 		{fct + `"scheme": "DynaQ", "topo": "fattree", "k": 4, "engine": "flow", "guard": true}`, "engine"},
 		{fct + `"scheme": "DynaQ", "topo": "star", "flows": 0}`, "flows"},
+		// What the runners' own validation tests held configs to, as documents.
+		{staticWith(`"seed": 1`, `[{"class": 0, "flows": 0}]`), "specs[0].flows"},
+		{staticWith(`"seed": 1`, `[{"class": 0, "flows": 4, "hosts": 2}, {"class": 1, "flows": 1, "shared_hosts": -1}]`), "specs[1].shared_hosts"},
+		{staticWith(`"seed": 1`, `[{"class": 1, "flows": 1, "shared_hosts": 1}]`), "specs[0].shared_hosts"},
+		{staticWith(`"seed": 1`, `[{"class": 0, "flows": 4, "hosts": 2}, {"class": 1, "flows": 1, "shared_hosts": 2}]`), "specs[1].shared_hosts"},
+		{`{"kind": "fct", "scheme": "DynaQ", "topo": "star", "rate_gbps": 1, "buffer_bytes": 85000, "queues": 4,
+			"rtt_us": 500, "load": 0.5, "flows": 10}`, "workloads"},
+		{strings.Replace(fctOn(onStar, `"seed": 1`), `"queues": 4`, `"queues": 1`, 1), "queues"},
+		// A negative server count used to run the default four; a detection
+		// delay without failure-aware routing was ignored.
+		{fctOn(`"topo": "star", "servers": -3`, `"seed": 1`), "servers"},
+		{fctOn(onStar, `"detection_delay_ms": 3`), "detection_delay_ms"},
+		// Fabrics too large to allocate used to exhaust memory at load.
+		{fctOn(`"topo": "star", "servers": 1000000000`, `"seed": 1`), "servers"},
+		{fctOn(`"topo": "leafspine", "leaves": 2, "spines": 1000000000, "hosts_per_leaf": 2`, `"seed": 1`), "leaves"},
+		{fctOn(`"topo": "fattree", "k": 200`, `"seed": 1`), "k"},
 	} {
 		_, err := Load([]byte(tc.doc))
 		if !errors.As(err, &verr) || verr.Field != tc.field {
@@ -389,32 +425,17 @@ func TestLoadAcceptsFaultFields(t *testing.T) {
 // FuzzLoad asserts that Load never panics: arbitrary byte soup must come
 // back as (runner, nil) or (nil, error), nothing else.
 func FuzzLoad(f *testing.F) {
-	f.Add([]byte(staticDoc))
-	f.Add([]byte(fctDoc))
-	f.Add([]byte(`{`))
-	f.Add([]byte(`{"kind": "static"}`))
-	f.Add([]byte(`{"kind": "fct", "rate_gbps": 1e308, "buffer_bytes": 9223372036854775807, "queues": 2147483647}`))
-	f.Add([]byte(`{"kind": "static", "rate_gbps": 1, "buffer_bytes": 1000, "queues": 2, "rtt_us": 100,
-	  "duration_s": 1, "faults": [{"kind": "flap", "target": "", "at_s": -1}]}`))
-	f.Add([]byte(staticWith(`"sample_ms": -5`, okSpecs)))
-	f.Add([]byte(staticWith(`"sample_ms": 1e-300`, `[]`)))
-	f.Add([]byte(staticWith(`"mtu": 20`, okSpecs)))
-	f.Add([]byte(staticWith(`"weights": [0, -1]`, `[{"class": 7, "flows": -1, "hosts": 9223372036854775807}]`)))
-	f.Add([]byte(strings.Replace(staticWith(`"seed": 1`, okSpecs), `"duration_s": 1`, `"duration_s": -1e300`, 1)))
-	f.Add([]byte(hybridWith("DT", "hybrid")))
-	f.Add([]byte(hybridWith("BarberQ", "hybrid")))
-	f.Add([]byte(staticWith(`"topo": "leafspine", "leaves": 4, "flows": 100, "load": 0.5`, okSpecs)))
-	f.Add([]byte(fctOn(onFatTree, `"sched": "wrr", "servers": 4, "duration_s": 1`)))
-	// Untrusted-upload hardening corpus: a body past the size limit must be
-	// refused outright, and pathologically deep nesting must come back as
-	// the decoder's depth error, never a stack overflow.
-	f.Add(bytes.Repeat([]byte(`{"kind":`), MaxDocumentBytes/8+1))
-	f.Add(append(append(bytes.Repeat([]byte("["), 50_000), []byte("1")...), bytes.Repeat([]byte("]"), 50_000)...))
-	f.Add([]byte(`{"specs": ` + strings.Repeat(`[`, 12_000) + strings.Repeat(`]`, 12_000) + `}`))
+	for _, data := range loadCorpus() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := Load(data)
 		if (r == nil) == (err == nil) {
 			t.Fatalf("Load returned runner=%v err=%v", r != nil, err)
+		}
+		var verr *ValidationError
+		if err != nil && !errors.As(err, &verr) {
+			t.Fatalf("Load error %T is not a *ValidationError: %v", err, err)
 		}
 	})
 }

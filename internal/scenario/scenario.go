@@ -12,7 +12,6 @@ package scenario
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -20,7 +19,6 @@ import (
 
 	"dynaq/internal/experiment"
 	"dynaq/internal/faults"
-	"dynaq/internal/sched"
 	"dynaq/internal/telemetry"
 	"dynaq/internal/telemetry/trace"
 	"dynaq/internal/transport"
@@ -43,7 +41,8 @@ type Spec struct {
 	ECN         bool    `json:"ecn,omitempty"`
 }
 
-// Document is the top-level JSON scenario.
+// Document is the top-level JSON scenario. A key tagged read:"X" is read
+// only by a run of kind X or on topology X; checkRead refuses it elsewhere.
 type Document struct {
 	Kind string `json:"kind"` // static | fct
 
@@ -62,25 +61,25 @@ type Document struct {
 	TCNTargetUs float64 `json:"tcn_target_us,omitempty"`
 
 	// Static fields.
-	DurationS   float64 `json:"duration_s,omitempty"`
-	SampleMs    float64 `json:"sample_ms,omitempty"`
-	TraceStride int     `json:"queue_trace_stride,omitempty"`
-	Specs       []Spec  `json:"specs,omitempty"`
+	DurationS   float64 `json:"duration_s,omitempty" read:"static"`
+	SampleMs    float64 `json:"sample_ms,omitempty" read:"static"`
+	TraceStride int     `json:"queue_trace_stride,omitempty" read:"static"`
+	Specs       []Spec  `json:"specs,omitempty" read:"static"`
 
 	// FCT fields.
-	Topo         string   `json:"topo,omitempty"` // star | leafspine | fattree
-	Servers      int      `json:"servers,omitempty"`
-	Leaves       int      `json:"leaves,omitempty"`
-	Spines       int      `json:"spines,omitempty"`
-	HostsPerLeaf int      `json:"hosts_per_leaf,omitempty"`
-	FatTreeK     int      `json:"k,omitempty"` // fat-tree arity (topo=fattree)
-	Load         float64  `json:"load,omitempty"`
-	Flows        int      `json:"flows,omitempty"`
-	Workloads    []string `json:"workloads,omitempty"`
-	DCTCP        bool     `json:"dctcp,omitempty"`
+	Topo         string   `json:"topo,omitempty" read:"fct"` // star | leafspine | fattree
+	Servers      int      `json:"servers,omitempty" read:"star"`
+	Leaves       int      `json:"leaves,omitempty" read:"leafspine"`
+	Spines       int      `json:"spines,omitempty" read:"leafspine"`
+	HostsPerLeaf int      `json:"hosts_per_leaf,omitempty" read:"leafspine"`
+	FatTreeK     int      `json:"k,omitempty" read:"fattree"` // fat-tree arity (topo=fattree)
+	Load         float64  `json:"load,omitempty" read:"fct"`
+	Flows        int      `json:"flows,omitempty" read:"fct"`
+	Workloads    []string `json:"workloads,omitempty" read:"fct"`
+	DCTCP        bool     `json:"dctcp,omitempty" read:"fct"`
 	// RequestResponse runs every flow as the response to a request (§V-A2).
-	RequestResponse bool    `json:"request_response,omitempty"`
-	MaxRuntimeS     float64 `json:"max_runtime_s,omitempty"`
+	RequestResponse bool    `json:"request_response,omitempty" read:"fct"`
+	MaxRuntimeS     float64 `json:"max_runtime_s,omitempty" read:"fct"`
 
 	// Engine selects the fct simulation fidelity: "packet" (default),
 	// "flow" (fluid fast path) or "hybrid" (fluid with selective
@@ -97,16 +96,11 @@ type Document struct {
 	// Guard arms the runtime invariant guardrail on every switch port.
 	Guard bool `json:"guard,omitempty"`
 	// FailureAware enables failure-aware ECMP (fct only).
-	FailureAware bool `json:"failure_aware,omitempty"`
-	// DetectMs is the failure-detection delay in milliseconds.
-	DetectMs float64 `json:"detection_delay_ms,omitempty"`
+	FailureAware bool `json:"failure_aware,omitempty" read:"fct"`
+	// DetectMs is the failure-detection delay in milliseconds, read only
+	// with FailureAware set.
+	DetectMs float64 `json:"detection_delay_ms,omitempty" read:"fct"`
 }
-
-// maxQueues bounds the queues field. A port tells its scheduler which queues
-// hold packets in one 64-bit word, so no port has more; real multi-queue
-// switch ASICs expose a handful of service queues per port, and no shipped
-// document uses more than 8.
-const maxQueues = sched.MaxQueues
 
 // MaxDocumentBytes bounds the scenario documents Load accepts. Scenarios
 // are small hand-written configurations (the largest shipped one is under
@@ -118,18 +112,7 @@ const MaxDocumentBytes = 1 << 20
 // ValidationError is a typed Load failure suitable for an HTTP 400 body:
 // Field names the offending JSON field (empty when the document itself
 // failed to decode) and Msg says what was wrong with it.
-type ValidationError struct {
-	Field string
-	Msg   string
-}
-
-// Error implements error.
-func (e *ValidationError) Error() string {
-	if e.Field == "" {
-		return "scenario: " + e.Msg
-	}
-	return "scenario: " + e.Field + ": " + e.Msg
-}
+type ValidationError = experiment.ConfigError
 
 // invalidf builds a ValidationError for field with a formatted message.
 func invalidf(field, format string, args ...any) *ValidationError {
@@ -249,36 +232,35 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 	if doc.BufferB <= 0 {
 		return nil, invalidf("buffer_bytes", "must be positive, got %d", doc.BufferB)
 	}
-	if doc.Queues < 1 || doc.Queues > maxQueues {
-		return nil, invalidf("queues", "must be in [1, %d], got %d", maxQueues, doc.Queues)
-	}
 	if doc.PerQueueKB < 0 {
 		return nil, invalidf("per_queue_k_bytes", "must not be negative, got %d", doc.PerQueueKB)
-	}
-	if err := faults.Validate(doc.Faults); err != nil {
-		return nil, &ValidationError{Field: "faults", Msg: err.Error()}
-	}
-	// Absent weights are equal weights; the runners fill them in.
-	if doc.Weights != nil && len(doc.Weights) != doc.Queues {
-		return nil, invalidf("weights", "%d weights for %d queues", len(doc.Weights), doc.Queues)
 	}
 	schedKind, err := experiment.ParseSchedKind(doc.Sched)
 	if err != nil {
 		return nil, invalidf("sched", "unknown scheduler %q (want drr, wrr or spq+drr)", doc.Sched)
 	}
 	var n numbers
-	params := experiment.SchemeParams{
-		Weights:   doc.Weights,
-		PerQueueK: units.ByteSize(doc.PerQueueKB),
-		TCNTarget: n.seconds("tcn_target_us", doc.TCNTargetUs, doc.TCNTargetUs*1e-6),
+	cell := experiment.Cell{
+		Scheme: experiment.Scheme(doc.Scheme),
+		Params: experiment.SchemeParams{
+			Weights:   doc.Weights,
+			PerQueueK: units.ByteSize(doc.PerQueueKB),
+			TCNTarget: n.seconds("tcn_target_us", doc.TCNTargetUs, doc.TCNTargetUs*1e-6),
+		},
+		Rate:   units.Rate(n.fit("rate_gbps", doc.RateGbps, doc.RateGbps*1e9)),
+		Delay:  n.seconds("rtt_us", doc.RTTUs, doc.RTTUs/4*1e-6),
+		Buffer: units.ByteSize(doc.BufferB),
+		Queues: doc.Queues,
+		MTU:    units.ByteSize(doc.MTU),
+		MinRTO: n.seconds("min_rto_ms", doc.MinRTOMs, doc.MinRTOMs*1e-3),
+		Seed:   doc.Seed,
+		Faults: doc.Faults,
+		Guard:  doc.Guard,
 	}
-	mtu := units.ByteSize(doc.MTU)
-	rate := units.Rate(n.fit("rate_gbps", doc.RateGbps, doc.RateGbps*1e9))
-	delay := n.seconds("rtt_us", doc.RTTUs, doc.RTTUs/4*1e-6)
-	minRTO := n.seconds("min_rto_ms", doc.MinRTOMs, doc.MinRTOMs*1e-3)
 
-	// refused is what the experiment runner would refuse on a worker.
-	var refused error
+	// validate is the config's Validate: what the runner would refuse on a
+	// worker, checked once the document's numbers have converted.
+	var validate func() error
 	switch doc.Kind {
 	case "static":
 		if doc.Engine != "" && doc.Engine != string(experiment.EnginePacket) {
@@ -306,24 +288,14 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 			})
 		}
 		r.static = &experiment.StaticConfig{
-			Scheme:      experiment.Scheme(doc.Scheme),
+			Cell:        cell,
 			Sched:       schedKind,
-			Params:      params,
-			Rate:        rate,
-			Delay:       delay,
-			Buffer:      units.ByteSize(doc.BufferB),
-			Queues:      doc.Queues,
-			MTU:         mtu,
 			Specs:       specs,
 			Duration:    n.seconds("duration_s", doc.DurationS, doc.DurationS),
 			SampleEvery: n.seconds("sample_ms", doc.SampleMs, doc.SampleMs*1e-3),
 			TraceStride: doc.TraceStride,
-			MinRTO:      minRTO,
-			Seed:        doc.Seed,
-			Faults:      doc.Faults,
-			Guard:       doc.Guard,
 		}
-		r.hooks, refused = &r.static.Hooks, r.static.Validate()
+		r.hooks, validate = &r.static.Hooks, r.static.Validate
 	case "fct":
 		if doc.Load <= 0 || doc.Load > 1 {
 			return nil, invalidf("load", "must be in (0, 1], got %v", doc.Load)
@@ -341,8 +313,7 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 			cdfs = append(cdfs, cdf)
 		}
 		r.dynamic = &experiment.DynamicConfig{
-			Scheme:          experiment.Scheme(doc.Scheme),
-			Params:          params,
+			Cell:            cell,
 			Engine:          engine,
 			Topo:            experiment.TopoKind(doc.Topo),
 			Servers:         doc.Servers,
@@ -350,36 +321,24 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 			Spines:          doc.Spines,
 			HostsPerLeaf:    doc.HostsPerLeaf,
 			FatTreeK:        doc.FatTreeK,
-			Rate:            rate,
-			Delay:           delay,
-			Buffer:          units.ByteSize(doc.BufferB),
-			Queues:          doc.Queues,
-			MTU:             mtu,
 			Load:            doc.Load,
 			Flows:           doc.Flows,
 			Workloads:       cdfs,
 			DCTCP:           doc.DCTCP,
 			RequestResponse: doc.RequestResponse,
-			MinRTO:          minRTO,
-			Seed:            doc.Seed,
 			MaxRuntime:      n.seconds("max_runtime_s", doc.MaxRuntimeS, doc.MaxRuntimeS),
-			Faults:          doc.Faults,
-			Guard:           doc.Guard,
 			FailureAware:    doc.FailureAware,
 			DetectionDelay:  n.seconds("detection_delay_ms", doc.DetectMs, doc.DetectMs*1e-3),
 		}
-		r.hooks, refused = &r.dynamic.Hooks, r.dynamic.Validate()
+		r.hooks, validate = &r.dynamic.Hooks, r.dynamic.Validate
 	default:
 		return nil, invalidf("kind", "unknown kind %q (want static or fct)", doc.Kind)
 	}
 	if n.err != nil {
 		return nil, n.err
 	}
-	var cerr *experiment.ConfigError
-	if errors.As(refused, &cerr) {
-		return nil, invalidf(cerr.Field, "%s", cerr.Msg)
-	} else if refused != nil {
-		return nil, &ValidationError{Msg: refused.Error()}
+	if err := validate(); err != nil {
+		return nil, err
 	}
 	if err := checkRead(doc); err != nil {
 		return nil, err
@@ -417,36 +376,20 @@ func checkRead(doc Document) error {
 	if doc.Kind == "fct" && doc.Sched != "" && doc.Sched != string(experiment.SchedSPQDRR) {
 		return invalidf("sched", "an fct scenario runs spq+drr, got %q", doc.Sched)
 	}
-	for _, k := range []struct {
-		name, readBy string // readBy: the kind that reads the key, or the topology it shapes
-		value        any    // set unless it is its type's zero value
-	}{
-		{"duration_s", "static", doc.DurationS},
-		{"sample_ms", "static", doc.SampleMs},
-		{"queue_trace_stride", "static", doc.TraceStride},
-		{"specs", "static", doc.Specs},
-		{"topo", "fct", doc.Topo},
-		{"servers", string(experiment.TopoStar), doc.Servers},
-		{"leaves", string(experiment.TopoLeafSpine), doc.Leaves},
-		{"spines", string(experiment.TopoLeafSpine), doc.Spines},
-		{"hosts_per_leaf", string(experiment.TopoLeafSpine), doc.HostsPerLeaf},
-		{"k", string(experiment.TopoFatTree), doc.FatTreeK},
-		{"load", "fct", doc.Load},
-		{"flows", "fct", doc.Flows},
-		{"workloads", "fct", doc.Workloads},
-		{"dctcp", "fct", doc.DCTCP},
-		{"request_response", "fct", doc.RequestResponse},
-		{"max_runtime_s", "fct", doc.MaxRuntimeS},
-		{"failure_aware", "fct", doc.FailureAware},
-		{"detection_delay_ms", "fct", doc.DetectMs},
-	} {
+	t, v := reflect.TypeOf(doc), reflect.ValueOf(doc)
+	for i := 0; i < t.NumField(); i++ {
+		readBy := t.Field(i).Tag.Get("read")
+		key, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
 		switch {
-		case reflect.ValueOf(k.value).IsZero() || k.readBy == doc.Kind || k.readBy == doc.Topo:
-		case doc.Kind == "static" || k.readBy == "static":
-			return invalidf(k.name, "%s scenarios do not read it", doc.Kind)
+		case readBy == "" || v.Field(i).IsZero() || readBy == doc.Kind || readBy == doc.Topo:
+		case doc.Kind == "static" || readBy == "static":
+			return invalidf(key, "%s scenarios do not read it", doc.Kind)
 		default: // an fct shape key of another topology; Validate accepted the topo
-			return invalidf(k.name, "topo %s does not read it (it shapes %s)", doc.Topo, k.readBy)
+			return invalidf(key, "topo %s does not read it (it shapes %s)", doc.Topo, readBy)
 		}
+	}
+	if doc.DetectMs > 0 && !doc.FailureAware { // the loader refused a negative one
+		return invalidf("detection_delay_ms", "only failure-aware routing reads it, and failure_aware is not set")
 	}
 	return nil
 }

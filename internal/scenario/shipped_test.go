@@ -81,32 +81,54 @@ func TestShippedSmokeRun(t *testing.T) {
 	}
 }
 
-// TestFatTreePacketGuarded runs the shipped fat-tree scenario — the packet
-// engine on a topology it gained through the shared fabric graph — trimmed
-// for CI, with the guardrail armed on every edge, aggregation and core port.
-func TestFatTreePacketGuarded(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "fattree_packet.json"))
+// TestShippedPacketScenariosGuarded runs every shipped packet-engine
+// scenario, trimmed for CI, with the guardrail armed on every switch port:
+// no row may record a violation, and an fct row must complete every flow.
+// The shipped bytes are not touched; the guard is set on the decoded
+// document. fattree_flows.json runs on the flow engine, which has no ports to
+// guard.
+func TestShippedPacketScenariosGuarded(t *testing.T) {
+	dir := filepath.Join("..", "..", "scenarios")
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Load(data)
-	if err != nil {
-		t.Fatal(err)
+	rows := 0
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Load(data)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if r.Engine() != "packet" {
+			continue
+		}
+		rows++
+		t.Run(filepath.Base(file), func(t *testing.T) {
+			doc := r.Document()
+			doc.Guard = true
+			doc.Flows = min(doc.Flows, 200)
+			doc.DurationS = min(doc.DurationS, 1)
+			trimmed, err := Load(mustJSON(t, doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := trimmed.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := res.Static; s != nil && s.ViolationTotal != 0 {
+				t.Fatalf("%d guardrail violations, first: %v", s.ViolationTotal, s.Violations[0])
+			}
+			if d := res.Dynamic; d != nil && (d.Completed != doc.Flows || d.ViolationTotal != 0) {
+				t.Fatalf("completed %d/%d flows with %d guardrail violations", d.Completed, doc.Flows, d.ViolationTotal)
+			}
+		})
 	}
-	doc := r.doc
-	if doc.Engine != "packet" || doc.Topo != "fattree" || !doc.Guard {
-		t.Fatalf("shipped scenario is %s on %s, guard %v", doc.Engine, doc.Topo, doc.Guard)
-	}
-	doc.Flows = 120
-	trimmed, err := Load(mustJSON(t, doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := trimmed.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := res.Dynamic; d.Completed != doc.Flows || d.ViolationTotal != 0 {
-		t.Fatalf("completed %d/%d flows with %d guardrail violations", d.Completed, doc.Flows, d.ViolationTotal)
+	if rows != 9 {
+		t.Errorf("%d shipped packet scenarios, want 9", rows)
 	}
 }

@@ -222,14 +222,21 @@ func (n *Network) EachPort(fn func(label string, p *netsim.Port)) {
 // Outside the star a switch's group is every link incident to it, both
 // directions — whole-switch failure.
 func (n *Network) FaultRegistry() *faults.Registry {
+	return FaultRegistry(n.Graph, func(li int) *netsim.Link { return n.ports[li].Link() })
+}
+
+// FaultRegistry publishes g's links and link groups under the names
+// Network.FaultRegistry gives them, link li being link(li): a fault schedule
+// can be resolved against a graph before it is wired.
+func FaultRegistry(g *fabric.Graph, link func(li int) *netsim.Link) *faults.Registry {
 	reg := faults.NewRegistry()
-	for li, p := range n.ports {
-		reg.AddLink(n.Graph.LinkName(li), p.Link())
+	for li := 0; li < g.NumLinks(); li++ {
+		reg.AddLink(g.LinkName(li), link(li))
 	}
-	for _, grp := range n.Graph.Groups() {
+	for _, grp := range g.Groups() {
 		names := make([]string, len(grp.Links))
 		for i, li := range grp.Links {
-			names[i] = n.Graph.LinkName(li)
+			names[i] = g.LinkName(li)
 		}
 		reg.AddGroup(grp.Name, names...)
 	}

@@ -37,6 +37,11 @@ func NewFlowGen(seed int64, cdf *CDF, capacity units.Rate, load float64) (*FlowG
 	}
 	// λ [flows/s] = load · C [bits/s] / (8 · E[size] [bytes]).
 	lambda := load * float64(capacity) / (8 * float64(mean))
+	// The largest draw, −ln(2⁻⁵³)/λ ≈ 37/λ, must stay well inside 64-bit
+	// picoseconds.
+	if maxSeconds := float64(units.MaxDuration) / float64(units.Second); lambda < 64/maxSeconds {
+		return nil, fmt.Errorf("workload: load %v offers %v flows/s, too few to time in 64-bit picoseconds", load, lambda)
+	}
 	return &FlowGen{
 		rng:    rand.New(rand.NewSource(seed)),
 		cdf:    cdf,
