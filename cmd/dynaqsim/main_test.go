@@ -37,7 +37,7 @@ var flagSets = [][]string{
 // directConfig builds the StaticConfig the flags stand for the way flag
 // mode did before the flags became a document: the oracle document() is
 // held to.
-func directConfig(t *testing.T, s *scenarioFlags, traceN int) experiment.StaticConfig {
+func directConfig(t *testing.T, s *scenarioFlags, traceN int) scenario.StaticConfig {
 	t.Helper()
 	ws := make([]int64, s.queues)
 	for i := range ws {
@@ -57,7 +57,7 @@ func directConfig(t *testing.T, s *scenarioFlags, traceN int) experiment.StaticC
 		}
 	}
 
-	var specs []experiment.QueueSpec
+	var specs []scenario.QueueSpec
 	for _, part := range strings.Split(s.spec, ",") {
 		cf := strings.SplitN(strings.TrimSpace(part), ":", 2)
 		if len(cf) != 2 {
@@ -68,11 +68,11 @@ func directConfig(t *testing.T, s *scenarioFlags, traceN int) experiment.StaticC
 		if err1 != nil || err2 != nil || class < 0 || class >= s.queues || flows <= 0 {
 			t.Fatalf("bad -spec entry %q", part)
 		}
-		specs = append(specs, experiment.QueueSpec{Class: class, Flows: flows})
+		specs = append(specs, scenario.QueueSpec{Class: class, Flows: flows})
 	}
 
-	cfg := experiment.StaticConfig{
-		Cell: experiment.Cell{
+	cfg := scenario.StaticConfig{
+		Cell: scenario.Cell{
 			Scheme: experiment.Scheme(s.scheme),
 			Params: experiment.SchemeParams{Weights: ws},
 			Rate:   units.Rate(s.rate * 1e9),
@@ -117,7 +117,7 @@ func TestFlagDocumentRunsTheFlagScenario(t *testing.T) {
 			if err := fs.Parse(args); err != nil {
 				t.Fatal(err)
 			}
-			want, err := experiment.RunStatic(directConfig(t, &sf, *traceN))
+			want, err := scenario.RunStatic(directConfig(t, &sf, *traceN))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,8 @@
 package experiment
 
 import (
-	"errors"
 	"testing"
 
-	"dynaq/internal/buffer"
 	"dynaq/internal/fabric"
 	"dynaq/internal/metrics"
 	"dynaq/internal/sim"
@@ -61,42 +59,6 @@ func TestSchedKindFactory(t *testing.T) {
 	}
 	if _, err := SchedWRR.NewScheduler([]int64{2, 1}, 1500, 2); err != nil {
 		t.Errorf("valid WRR rejected: %v", err)
-	}
-}
-
-// TestMQECNQuantaFollowMTU: on jumbo frames the DRR scheduler serves
-// weight·9000 bytes per round, so the MQ-ECN instance a static run builds for
-// its ports must estimate each queue's service rate from those same quanta,
-// not from 1500-byte ones.
-func TestMQECNQuantaFollowMTU(t *testing.T) {
-	cfg := StaticConfig{
-		Cell: Cell{Scheme: MQECN, Params: SchemeParams{Weights: []int64{2, 1}},
-			Rate: 10 * units.Gbps, Delay: 10 * units.Microsecond, Buffer: units.MB, Queues: 2, MTU: 9000},
-		Sched: SchedDRR, Specs: []QueueSpec{{Class: 0, Flows: 1}}, Duration: units.Second,
-	}
-	if _, err := cfg.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	adm, err := Factories(cfg.Scheme, cfg.Sched, cfg.Params, cfg.MTU).NewAdmission(cfg.Buffer, cfg.Queues, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := adm.(*buffer.MQECN)
-	want, err := buffer.NewMQECN(cfg.Rate, cfg.Params.BaseRTT, []units.ByteSize{2 * 9000, 9000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One 100µs round: both queues well under the 10Gbps link rate, so
-	// each threshold is set by its quantum.
-	for _, m := range []*buffer.MQECN{got, want} {
-		m.ObserveDequeue(nil, 0, 9000, 0)
-		m.ObserveDequeue(nil, 1, 9000, units.Time(50*units.Microsecond))
-		m.ObserveDequeue(nil, 0, 9000, units.Time(100*units.Microsecond))
-	}
-	for q := 0; q < cfg.Queues; q++ {
-		if g, w := got.QueueThreshold(q), want.QueueThreshold(q); g != w {
-			t.Errorf("queue %d: MQ-ECN threshold %v at MTU 9000, want %v (quanta of weight·MTU)", q, g, w)
-		}
 	}
 }
 
@@ -166,31 +128,18 @@ func TestExtensionSurface(t *testing.T) {
 		}
 		names[c.Name()] = true
 	}
-	g, err := fabric.NewStar(2, testbedRate)
+	g, err := fabric.NewStar(2, units.Gbps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := SchemeParams{Rate: testbedRate, BaseRTT: fabric.Star.BaseRTT(testbedDelay), Weights: equalWeights(4)}
+	p := SchemeParams{Rate: units.Gbps, BaseRTT: fabric.Star.BaseRTT(125 * units.Microsecond), Weights: []int64{1, 1, 1, 1}}
 	for _, s := range []Scheme{BarberQ, DynaQTofino, DynaQNaiveVictim, DynaQWBDP} {
 		if _, err := topology.Build(sim.New(), g, topology.Config{
-			Delay: testbedDelay, Buffer: 85 * units.KB, Queues: 4, Factories: Factories(s, SchedDRR, p, testbedMTU),
+			Delay: 125 * units.Microsecond, Buffer: 85 * units.KB, Queues: 4, Factories: Factories(s, SchedDRR, p, 1500),
 		}); err != nil {
 			t.Errorf("%s: %v", s, err)
 		}
 	}
 }
 
-// TestStarHostsNameTheirKey: a star too large for a fabric is refused under
-// the document key its host count comes from: servers on an fct cell, specs
-// on a static one, whose senders and own sinks make up the star. No document
-// under scenario.MaxDocumentBytes holds the static one's half a million
-// own-sink specs, so the loader's tests cannot reach it.
-func TestStarHostsNameTheirKey(t *testing.T) {
-	for _, key := range []string{"servers", "specs"} {
-		_, err := newStar(1<<20, units.Gbps, key)
-		var cerr *ConfigError
-		if !errors.As(refusal(err), &cerr) || cerr.Field != key {
-			t.Errorf("newStar(1<<20, %q) = %v, want a ConfigError on %q", key, err, key)
-		}
-	}
-}
+var quick = Options{Scale: Quick, Seed: 1}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"dynaq/internal/buffer"
+	"dynaq/internal/fabric"
 	"dynaq/internal/sched"
 	"dynaq/internal/topology"
 	"dynaq/internal/units"
@@ -154,4 +155,39 @@ func schedWeights(k SchedKind, weights []int64) []int64 {
 		return weights[1:]
 	}
 	return weights
+}
+
+// TopoKind selects the network shape of a dynamic-flow experiment.
+type TopoKind = fabric.Kind
+
+// Topology kinds; every kind runs on every engine.
+const (
+	TopoStar      = fabric.Star
+	TopoLeafSpine = fabric.LeafSpine
+	TopoFatTree   = fabric.FatTree
+)
+
+// EngineMode selects the fidelity of a dynamic-flow run: the per-packet
+// discrete-event engine, the flow-level fluid engine, or the hybrid that
+// packetizes individual ports only while buffer precision matters.
+type EngineMode string
+
+// Engine modes.
+const (
+	EnginePacket EngineMode = "packet"
+	EngineFlow   EngineMode = "flow"
+	EngineHybrid EngineMode = "hybrid"
+)
+
+// ParseEngineMode maps a flag/scenario string to an EngineMode; the empty
+// string is the packet default.
+func ParseEngineMode(s string) (EngineMode, error) {
+	switch m := EngineMode(s); m {
+	case "", EnginePacket:
+		return EnginePacket, nil
+	case EngineFlow, EngineHybrid:
+		return m, nil
+	default:
+		return "", fmt.Errorf("experiment: unknown engine %q (want packet, flow or hybrid)", s)
+	}
 }

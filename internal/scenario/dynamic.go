@@ -1,10 +1,11 @@
-package experiment
+package scenario
 
 import (
+	. "dynaq/internal/experiment"
+
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
 
 	"dynaq/internal/fabric"
 	"dynaq/internal/faults"
@@ -17,16 +18,6 @@ import (
 	"dynaq/internal/telemetry/trace"
 	"dynaq/internal/units"
 	"dynaq/internal/workload"
-)
-
-// TopoKind selects the network shape of a dynamic-flow experiment.
-type TopoKind = fabric.Kind
-
-// Topology kinds; every kind runs on every engine.
-const (
-	TopoStar      = fabric.Star
-	TopoLeafSpine = fabric.LeafSpine
-	TopoFatTree   = fabric.FatTree
 )
 
 // DynamicConfig assembles an FCT experiment: Poisson flow arrivals with
@@ -81,40 +72,6 @@ type DynamicConfig struct {
 	// DetectionDelay is the failure-aware routing convergence time
 	// (default 1ms when FailureAware is set).
 	DetectionDelay units.Duration
-}
-
-// DynamicResult is the outcome of an FCT run.
-type DynamicResult struct {
-	Scheme    Scheme
-	Load      float64
-	FCT       *metrics.FCTCollector
-	Generated int
-	Completed int
-
-	FaultOutcome
-
-	// Events counts the discrete events the simulator processed — the
-	// basis for comparing engine fidelities' costs.
-	Events int64
-	// Fluid holds the flow-engine counters (nil under the packet engine).
-	Fluid *flowsim.Stats
-}
-
-// Summary is the run's headline for a manifest, the same keys from every
-// tool that writes one.
-func (r *DynamicResult) Summary() []telemetry.SummaryEntry {
-	sum := []telemetry.SummaryEntry{
-		{Key: "flows_generated", Value: strconv.Itoa(r.Generated)},
-		{Key: "flows_completed", Value: strconv.Itoa(r.Completed)},
-		{Key: "avg_fct_us_overall", Value: strconv.FormatInt(int64(r.FCT.Avg(metrics.AllFlows)/units.Microsecond), 10)},
-	}
-	if fl := r.Fluid; fl != nil {
-		sum = append(sum,
-			telemetry.SummaryEntry{Key: "events", Value: strconv.FormatInt(r.Events, 10)},
-			telemetry.SummaryEntry{Key: "recomputes", Value: strconv.FormatInt(fl.Recomputes, 10)},
-			telemetry.SummaryEntry{Key: "demotions", Value: strconv.FormatInt(fl.Demotions, 10)})
-	}
-	return sum
 }
 
 // ConfigError is a refused scenario: Field names the document key to fix

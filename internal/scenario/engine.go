@@ -1,7 +1,7 @@
-package experiment
+package scenario
 
 import (
-	"fmt"
+	. "dynaq/internal/experiment"
 
 	"dynaq/internal/buffer"
 	"dynaq/internal/fabric"
@@ -13,31 +13,6 @@ import (
 	"dynaq/internal/transport"
 	"dynaq/internal/units"
 )
-
-// EngineMode selects the fidelity of a dynamic-flow run: the per-packet
-// discrete-event engine, the flow-level fluid engine, or the hybrid that
-// packetizes individual ports only while buffer precision matters.
-type EngineMode string
-
-// Engine modes.
-const (
-	EnginePacket EngineMode = "packet"
-	EngineFlow   EngineMode = "flow"
-	EngineHybrid EngineMode = "hybrid"
-)
-
-// ParseEngineMode maps a flag/scenario string to an EngineMode; the empty
-// string is the packet default.
-func ParseEngineMode(s string) (EngineMode, error) {
-	switch m := EngineMode(s); m {
-	case "", EnginePacket:
-		return EnginePacket, nil
-	case EngineFlow, EngineHybrid:
-		return m, nil
-	default:
-		return "", fmt.Errorf("experiment: unknown engine %q (want packet, flow or hybrid)", s)
-	}
-}
 
 // flowStart is one generated flow: the traffic RunDynamic offers is the same
 // sequence of these on every engine.

@@ -1,6 +1,8 @@
-package experiment
+package scenario
 
 import (
+	. "dynaq/internal/experiment"
+
 	"reflect"
 	"testing"
 

@@ -1,4 +1,4 @@
-package experiment
+package scenario
 
 // A standalone §V-A2 request/response client driving transport endpoints
 // directly, with its own flow ids, rng and connection pool: the reference

@@ -4,8 +4,8 @@
 //
 // Two kinds are supported:
 //
-//	{"kind": "static", ...}  → experiment.RunStatic (throughput/fairness)
-//	{"kind": "fct", ...}     → experiment.RunDynamic (FCT benchmarks)
+//	{"kind": "static", ...}  → RunStatic (throughput/fairness)
+//	{"kind": "fct", ...}     → RunDynamic (FCT benchmarks)
 //
 // See testdata in scenario_test.go for complete documents.
 package scenario
@@ -26,7 +26,7 @@ import (
 	"dynaq/internal/workload"
 )
 
-// Spec mirrors experiment.QueueSpec in JSON form.
+// Spec mirrors QueueSpec in JSON form.
 type Spec struct {
 	Class       int     `json:"class"`
 	Flows       int     `json:"flows"`
@@ -112,7 +112,7 @@ const MaxDocumentBytes = 1 << 20
 // ValidationError is a typed Load failure suitable for an HTTP 400 body:
 // Field names the offending JSON field (empty when the document itself
 // failed to decode) and Msg says what was wrong with it.
-type ValidationError = experiment.ConfigError
+type ValidationError = ConfigError
 
 // invalidf builds a ValidationError for field with a formatted message.
 func invalidf(field, format string, args ...any) *ValidationError {
@@ -137,9 +137,9 @@ func (r *Result) Summary() []telemetry.SummaryEntry {
 // dynamic is set, and hooks points at its embedded observers.
 type Runner struct {
 	doc     Document
-	static  *experiment.StaticConfig
-	dynamic *experiment.DynamicConfig
-	hooks   *experiment.Hooks
+	static  *StaticConfig
+	dynamic *DynamicConfig
+	hooks   *Hooks
 }
 
 // Scheme returns the scenario's scheme name (for run manifests).
@@ -240,7 +240,7 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 		return nil, invalidf("sched", "unknown scheduler %q (want drr, wrr or spq+drr)", doc.Sched)
 	}
 	var n numbers
-	cell := experiment.Cell{
+	cell := Cell{
 		Scheme: experiment.Scheme(doc.Scheme),
 		Params: experiment.SchemeParams{
 			Weights:   doc.Weights,
@@ -266,14 +266,14 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 		if doc.Engine != "" && doc.Engine != string(experiment.EnginePacket) {
 			return nil, invalidf("engine", "static scenarios run at packet level, got %q", doc.Engine)
 		}
-		var specs []experiment.QueueSpec
+		var specs []QueueSpec
 		for i, sp := range doc.Specs {
 			ctrl, err := controllerByName(sp.Ctrl)
 			if err != nil {
 				return nil, invalidf(fmt.Sprintf("specs[%d].ctrl", i), "%v", err)
 			}
 			field := func(key string) string { return fmt.Sprintf("specs[%d].%s", i, key) }
-			specs = append(specs, experiment.QueueSpec{
+			specs = append(specs, QueueSpec{
 				Class:       sp.Class,
 				Flows:       sp.Flows,
 				Hosts:       sp.Hosts,
@@ -287,7 +287,7 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 				ECN:         sp.ECN,
 			})
 		}
-		r.static = &experiment.StaticConfig{
+		r.static = &StaticConfig{
 			Cell:        cell,
 			Sched:       schedKind,
 			Specs:       specs,
@@ -312,7 +312,7 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 			}
 			cdfs = append(cdfs, cdf)
 		}
-		r.dynamic = &experiment.DynamicConfig{
+		r.dynamic = &DynamicConfig{
 			Cell:            cell,
 			Engine:          engine,
 			Topo:            experiment.TopoKind(doc.Topo),
@@ -401,9 +401,9 @@ func (r *Runner) Run() (*Result, error) {
 		err error
 	)
 	if r.static != nil {
-		res.Static, err = experiment.RunStatic(*r.static)
+		res.Static, err = RunStatic(*r.static)
 	} else {
-		res.Dynamic, err = experiment.RunDynamic(*r.dynamic)
+		res.Dynamic, err = RunDynamic(*r.dynamic)
 	}
 	if err != nil {
 		return nil, err

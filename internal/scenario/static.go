@@ -1,9 +1,10 @@
-package experiment
+package scenario
 
 import (
+	. "dynaq/internal/experiment"
+
 	"fmt"
 	"math/rand"
-	"strconv"
 
 	"dynaq/internal/fabric"
 	"dynaq/internal/faults"
@@ -71,34 +72,6 @@ type StaticConfig struct {
 	// TraceEvents, when positive, records the last N drop/mark/evict
 	// events at the bottleneck port into the result's Trace recorder.
 	TraceEvents int
-}
-
-// StaticResult is the outcome of a static-flow run.
-type StaticResult struct {
-	Scheme     Scheme
-	Samples    []metrics.ThroughputSample
-	QueueTrace []metrics.QueueSample
-	// Drops counts enqueue drops at the bottleneck port, QueueDrops the
-	// same per service queue, and Evicted the buffered packets the port
-	// pushed out.
-	Drops      int64
-	QueueDrops []int64
-	Evicted    int64
-	// FCT holds the completion time of every finite flow.
-	FCT *metrics.FCTCollector
-	// Trace holds the bottleneck event recorder when TraceEvents was set.
-	Trace *metrics.EventRecorder
-
-	FaultOutcome
-}
-
-// Summary is the run's headline for a manifest, the same keys from every
-// tool that writes one.
-func (r *StaticResult) Summary() []telemetry.SummaryEntry {
-	return []telemetry.SummaryEntry{
-		{Key: "drops", Value: strconv.FormatInt(r.Drops, 10)},
-		{Key: "samples", Value: strconv.Itoa(len(r.Samples))},
-	}
 }
 
 // maxStaticSenders bounds the sender hosts of one static run: the paper's
@@ -317,71 +290,4 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 	}
 	w.finish(&res.FaultOutcome)
 	return res, nil
-}
-
-// Window returns the samples taken in (from, to]; samples are in time order.
-func (r *StaticResult) Window(from, to units.Time) []metrics.ThroughputSample {
-	lo := 0
-	for lo < len(r.Samples) && r.Samples[lo].At <= from {
-		lo++
-	}
-	hi := lo
-	for hi < len(r.Samples) && r.Samples[hi].At <= to {
-		hi++
-	}
-	return r.Samples[lo:hi]
-}
-
-// meanRate averages rate(sample) over the samples in (from, to].
-func (r *StaticResult) meanRate(from, to units.Time, rate func(metrics.ThroughputSample) units.Rate) units.Rate {
-	win := r.Window(from, to)
-	if len(win) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, s := range win {
-		sum += int64(rate(s))
-	}
-	return units.Rate(sum / int64(len(win)))
-}
-
-// AvgThroughput averages per-queue throughput over samples in (from, to].
-func (r *StaticResult) AvgThroughput(queue int, from, to units.Time) units.Rate {
-	return r.meanRate(from, to, func(s metrics.ThroughputSample) units.Rate { return s.PerQueue[queue] })
-}
-
-// AvgAggregate averages total throughput over samples in (from, to].
-func (r *StaticResult) AvgAggregate(from, to units.Time) units.Rate {
-	return r.meanRate(from, to, func(s metrics.ThroughputSample) units.Rate { return s.Aggregate })
-}
-
-// ShareOf returns queue's mean share of the aggregate over (from, to].
-func (r *StaticResult) ShareOf(queue int, from, to units.Time) float64 {
-	var q, agg units.Rate
-	for _, s := range r.Window(from, to) {
-		q += s.PerQueue[queue]
-		agg += s.Aggregate
-	}
-	if agg == 0 {
-		return 0
-	}
-	return float64(q) / float64(agg)
-}
-
-// JainOver computes the mean Jain index across samples in (from, to],
-// considering only the queues listed as active.
-func (r *StaticResult) JainOver(active []int, from, to units.Time) float64 {
-	win := r.Window(from, to)
-	if len(win) == 0 {
-		return 0
-	}
-	var sum float64
-	xs := make([]float64, len(active))
-	for _, s := range win {
-		for i, q := range active {
-			xs[i] = float64(s.PerQueue[q])
-		}
-		sum += metrics.Jain(xs)
-	}
-	return sum / float64(len(win))
 }

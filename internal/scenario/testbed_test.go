@@ -1,6 +1,8 @@
-package experiment
+package scenario
 
 import (
+	. "dynaq/internal/experiment"
+
 	"dynaq/internal/units"
 	"dynaq/internal/workload"
 )
@@ -44,5 +46,3 @@ func testbedFCT(seed int64) DynamicConfig {
 		MaxRuntime: 30 * units.Second,
 	}
 }
-
-var quick = Options{Scale: Quick, Seed: 1}

@@ -1,6 +1,8 @@
-package experiment
+package scenario
 
 import (
+	. "dynaq/internal/experiment"
+
 	"fmt"
 
 	"dynaq/internal/buffer"
@@ -13,20 +15,6 @@ import (
 	"dynaq/internal/transport"
 	"dynaq/internal/units"
 )
-
-// FaultOutcome is what a packet run's fault schedule and guardrail left
-// behind; StaticResult and DynamicResult embed it.
-type FaultOutcome struct {
-	// FaultTimeline is the applied fault transitions (empty without Faults).
-	FaultTimeline []faults.Transition
-	// LinkLost / LinkCorrupted total the packets the faults blackholed or
-	// corrupted across every link of the topology.
-	LinkLost, LinkCorrupted int64
-	// Violations holds the recorded guardrail violations (Guard only);
-	// ViolationTotal counts all of them, recorded or not.
-	Violations     []faults.Violation
-	ViolationTotal int64
-}
 
 // packetWorld is the packet-level network of one run, wired from a fabric
 // graph, with the fault engine and the invariant guardrail hung on it: the
