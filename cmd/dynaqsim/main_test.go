@@ -15,7 +15,6 @@ import (
 	"dynaq/internal/faults"
 	"dynaq/internal/scenario"
 	"dynaq/internal/telemetry"
-	"dynaq/internal/units"
 )
 
 // flagSets are the flag invocations the README and CI document, shortened
@@ -34,10 +33,10 @@ var flagSets = [][]string{
 	{"-scheme", "DynaQ", "-duration", "2", "-trace", "50"},
 }
 
-// directConfig builds the StaticConfig the flags stand for the way flag
-// mode did before the flags became a document: the oracle document() is
-// held to.
-func directConfig(t *testing.T, s *scenarioFlags, traceN int) scenario.StaticConfig {
+// directDocument builds the static document the flags stand for straight
+// from the flag values, the way flag mode configured a run before the flags
+// became a document: the oracle document() is held to.
+func directDocument(t *testing.T, s *scenarioFlags) scenario.Document {
 	t.Helper()
 	ws := make([]int64, s.queues)
 	for i := range ws {
@@ -57,7 +56,7 @@ func directConfig(t *testing.T, s *scenarioFlags, traceN int) scenario.StaticCon
 		}
 	}
 
-	var specs []scenario.QueueSpec
+	var specs []scenario.Spec
 	for _, part := range strings.Split(s.spec, ",") {
 		cf := strings.SplitN(strings.TrimSpace(part), ":", 2)
 		if len(cf) != 2 {
@@ -68,44 +67,62 @@ func directConfig(t *testing.T, s *scenarioFlags, traceN int) scenario.StaticCon
 		if err1 != nil || err2 != nil || class < 0 || class >= s.queues || flows <= 0 {
 			t.Fatalf("bad -spec entry %q", part)
 		}
-		specs = append(specs, scenario.QueueSpec{Class: class, Flows: flows})
+		specs = append(specs, scenario.Spec{Class: class, Flows: flows})
 	}
 
-	cfg := scenario.StaticConfig{
-		Cell: scenario.Cell{
-			Scheme: experiment.Scheme(s.scheme),
-			Params: experiment.SchemeParams{Weights: ws},
-			Rate:   units.Rate(s.rate * 1e9),
-			Delay:  units.Seconds(s.rtt / 4 * 1e-6),
-			Buffer: units.ByteSize(s.buffer),
-			Queues: s.queues,
-			MTU:    units.ByteSize(s.mtu),
-			Seed:   s.seed,
-		},
-		Sched:       experiment.SchedKind(s.sched),
-		Specs:       specs,
-		Duration:    units.Seconds(s.duration),
-		SampleEvery: units.Seconds(s.sample),
+	doc := scenario.Document{
+		Kind:      "static",
+		Scheme:    s.scheme,
+		Sched:     s.sched,
+		Weights:   ws,
+		RateGbps:  s.rate,
+		RTTUs:     s.rtt,
+		BufferB:   s.buffer,
+		Queues:    s.queues,
+		MTU:       s.mtu,
+		Seed:      s.seed,
+		Specs:     specs,
+		DurationS: s.duration,
+		SampleMs:  s.sample * 1e3,
+		Guard:     s.guard,
 	}
-	cfg.TraceEvents = traceN
-	cfg.Guard = s.guard
 	if s.faults != "" {
 		data, err := os.ReadFile(s.faults)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(data, &cfg.Faults); err != nil {
+		if err := json.Unmarshal(data, &doc.Faults); err != nil {
 			t.Fatalf("-faults %s: %v", s.faults, err)
 		}
-		if err := faults.Validate(cfg.Faults); err != nil {
+		if err := faults.Validate(doc.Faults); err != nil {
 			t.Fatalf("-faults %s: %v", s.faults, err)
 		}
 	}
-	return cfg
+	return doc
+}
+
+// runStatic loads the static document data with the last traceN bottleneck
+// events kept, runs it, and returns the result and the document as loaded.
+func runStatic(t *testing.T, data []byte, traceN int) (*experiment.StaticResult, scenario.Document) {
+	t.Helper()
+	r, err := scenario.Load(data)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, data)
+	}
+	if traceN > 0 {
+		if err := r.SetTraceEvents(traceN); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Static, r.Document()
 }
 
 // TestFlagDocumentRunsTheFlagScenario holds the document the flags encode
-// to the StaticConfig they stand for: a field the encoding drops or
+// to the one directDocument builds from them: a field the encoding drops or
 // mistranslates (mtu, sample_ms, weights, faults, ...) changes a result.
 func TestFlagDocumentRunsTheFlagScenario(t *testing.T) {
 	for _, args := range flagSets {
@@ -117,10 +134,11 @@ func TestFlagDocumentRunsTheFlagScenario(t *testing.T) {
 			if err := fs.Parse(args); err != nil {
 				t.Fatal(err)
 			}
-			want, err := scenario.RunStatic(directConfig(t, &sf, *traceN))
+			direct, err := json.Marshal(directDocument(t, &sf))
 			if err != nil {
 				t.Fatal(err)
 			}
+			want, _ := runStatic(t, direct, *traceN)
 			if sf.faults != "" && len(want.FaultTimeline) == 0 {
 				t.Fatal("the fault schedule applied no transition")
 			}
@@ -129,37 +147,24 @@ func TestFlagDocumentRunsTheFlagScenario(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := scenario.Load(data)
-			if err != nil {
-				t.Fatalf("%v\n%s", err, data)
+			got, doc := runStatic(t, data, *traceN)
+			if doc.Guard != sf.guard {
+				t.Errorf("document guard %v, -guard %v", doc.Guard, sf.guard)
 			}
-			if r.Document().Guard != sf.guard {
-				t.Errorf("document guard %v, -guard %v", r.Document().Guard, sf.guard)
-			}
-			if *traceN > 0 {
-				if err := r.SetTraceEvents(*traceN); err != nil {
-					t.Fatal(err)
-				}
-			}
-			res, err := r.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := res.Static
 			if !reflect.DeepEqual(got.Samples, want.Samples) {
-				t.Errorf("samples differ from the direct config's\n%s", data)
+				t.Errorf("samples differ from the direct document's\n%s", data)
 			}
 			if got.Drops != want.Drops {
-				t.Errorf("drops %d, direct config %d", got.Drops, want.Drops)
+				t.Errorf("drops %d, direct document %d", got.Drops, want.Drops)
 			}
 			if (got.Trace == nil) != (want.Trace == nil) {
-				t.Fatalf("trace recorded %v, direct config %v", got.Trace != nil, want.Trace != nil)
+				t.Fatalf("trace recorded %v, direct document %v", got.Trace != nil, want.Trace != nil)
 			}
 			if want.Trace != nil && !reflect.DeepEqual(got.Trace.Events(), want.Trace.Events()) {
-				t.Errorf("trace events differ from the direct config's")
+				t.Errorf("trace events differ from the direct document's")
 			}
 			if !reflect.DeepEqual(got.FaultOutcome, want.FaultOutcome) {
-				t.Errorf("fault outcome %+v, direct config %+v", got.FaultOutcome, want.FaultOutcome)
+				t.Errorf("fault outcome %+v, direct document %+v", got.FaultOutcome, want.FaultOutcome)
 			}
 		})
 	}

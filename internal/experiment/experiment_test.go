@@ -3,8 +3,10 @@ package experiment
 import (
 	"testing"
 
+	"dynaq/internal/buffer"
 	"dynaq/internal/fabric"
 	"dynaq/internal/metrics"
+	"dynaq/internal/sched"
 	"dynaq/internal/sim"
 	"dynaq/internal/topology"
 	"dynaq/internal/transport"
@@ -134,8 +136,14 @@ func TestExtensionSurface(t *testing.T) {
 	}
 	p := SchemeParams{Rate: units.Gbps, BaseRTT: fabric.Star.BaseRTT(125 * units.Microsecond), Weights: []int64{1, 1, 1, 1}}
 	for _, s := range []Scheme{BarberQ, DynaQTofino, DynaQNaiveVictim, DynaQWBDP} {
+		f := topology.Factories{
+			NewScheduler: func(n int) (sched.Scheduler, error) { return SchedDRR.NewScheduler(p.Weights, 1500, n) },
+			NewAdmission: func(b units.ByteSize, n int, mem *buffer.SharedPool) (buffer.Admission, error) {
+				return buffer.NewScheme(string(s), p, b, n, mem)
+			},
+		}
 		if _, err := topology.Build(sim.New(), g, topology.Config{
-			Delay: 125 * units.Microsecond, Buffer: 85 * units.KB, Queues: 4, Factories: Factories(s, SchedDRR, p, 1500),
+			Delay: 125 * units.Microsecond, Buffer: 85 * units.KB, Queues: 4, Factories: f,
 		}); err != nil {
 			t.Errorf("%s: %v", s, err)
 		}

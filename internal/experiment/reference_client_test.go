@@ -1,9 +1,9 @@
-package scenario
+package experiment_test
 
 // A standalone §V-A2 request/response client driving transport endpoints
 // directly, with its own flow ids, rng and connection pool: the reference
-// that TestRequestResponseMatchesReference compares RunDynamic's
-// RequestResponse mode against. It is kept verbatim bar the ref prefix on
+// that TestRequestResponseMatchesReference compares an fct run's
+// request_response mode against. It is kept verbatim bar the ref prefix on
 // its identifiers; the pool changes no simulated byte, because each response
 // is a fresh transport flow.
 

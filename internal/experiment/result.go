@@ -13,12 +13,12 @@ import (
 // FaultOutcome is what a packet run's fault schedule and guardrail left
 // behind; StaticResult and DynamicResult embed it.
 type FaultOutcome struct {
-	// FaultTimeline is the applied fault transitions (empty without Faults).
+	// FaultTimeline is the applied fault transitions (empty without faults).
 	FaultTimeline []faults.Transition
 	// LinkLost / LinkCorrupted total the packets the faults blackholed or
 	// corrupted across every link of the topology.
 	LinkLost, LinkCorrupted int64
-	// Violations holds the recorded guardrail violations (Guard only);
+	// Violations holds the recorded guardrail violations (guard only);
 	// ViolationTotal counts all of them, recorded or not.
 	Violations     []faults.Violation
 	ViolationTotal int64
@@ -37,7 +37,8 @@ type StaticResult struct {
 	Evicted    int64
 	// FCT holds the completion time of every finite flow.
 	FCT *metrics.FCTCollector
-	// Trace holds the bottleneck event recorder when TraceEvents was set.
+	// Trace holds the bottleneck event recorder when the runner was asked
+	// for one (scenario.Runner.SetTraceEvents).
 	Trace *metrics.EventRecorder
 
 	FaultOutcome

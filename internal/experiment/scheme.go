@@ -1,7 +1,8 @@
-// Package experiment runs the paper's evaluation scenarios (§V): a static
-// run (long-lived flows, throughput and fairness) and an FCT run (Poisson
-// flows on any topology and engine), each configured once and sized by its
-// caller, from CI-scale smoke runs to paper-scale reproductions.
+// Package experiment holds what the paper's evaluation (§V) shares above
+// one cell: the names of the schemes, schedulers, engines and topologies a
+// cell varies, the results a static and an FCT cell return, and the
+// harness that runs independent cells and seeds in parallel. A cell itself
+// is a scenario document, run by package scenario.
 package experiment
 
 import (
@@ -10,7 +11,6 @@ import (
 	"dynaq/internal/buffer"
 	"dynaq/internal/fabric"
 	"dynaq/internal/sched"
-	"dynaq/internal/topology"
 	"dynaq/internal/units"
 )
 
@@ -132,29 +132,6 @@ func (k SchedKind) NewScheduler(weights []int64, mtu units.ByteSize, n int) (sch
 	default:
 		return nil, fmt.Errorf("experiment: unknown scheduler kind %q", k)
 	}
-}
-
-// Factories bundles the per-port factories for a (scheme, scheduler)
-// combination into the form the topology builders consume.
-func Factories(s Scheme, k SchedKind, p SchemeParams, mtu units.ByteSize) topology.Factories {
-	return topology.Factories{
-		NewScheduler: func(n int) (sched.Scheduler, error) {
-			return k.NewScheduler(schedWeights(k, p.Weights), mtu, n)
-		},
-		NewAdmission: func(b units.ByteSize, n int, mem *buffer.SharedPool) (buffer.Admission, error) {
-			return buffer.NewScheme(string(s), p, b, n, mem)
-		},
-	}
-}
-
-// schedWeights returns the weights the scheduler constructor expects: for
-// SPQ+DRR the admission weights include the priority queue (index 0) while
-// the DRR sub-scheduler covers only the rest.
-func schedWeights(k SchedKind, weights []int64) []int64 {
-	if k == SchedSPQDRR {
-		return weights[1:]
-	}
-	return weights
 }
 
 // TopoKind selects the network shape of a dynamic-flow experiment.

@@ -3,6 +3,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"dynaq/internal/units"
@@ -145,6 +146,10 @@ func TestPublishedNames(t *testing.T) {
 	eq("core1.0 ports", portNames(ft, 18), []string{"core1.0:agg0.1", "core1.0:agg1.1", "core1.0:agg2.1", "core1.0:agg3.1"})
 }
 
+// huge is a shape count past any fabric that also overflows an int when
+// doubled, with 32-bit words as with 64-bit ones.
+const huge = math.MaxInt/2 + 1
+
 func TestShapeErrorsNameTheParameter(t *testing.T) {
 	cases := []struct {
 		param string
@@ -159,12 +164,12 @@ func TestShapeErrorsNameTheParameter(t *testing.T) {
 		{"k", func() (*Graph, error) { return NewFatTree(5, units.Gbps) }},
 		{"k", func() (*Graph, error) { return NewFatTree(0, units.Gbps) }},
 		// Shapes too large to allocate are refused before they are.
-		{"hosts", func() (*Graph, error) { return NewStar(1<<40, units.Gbps) }},
-		{"leaves", func() (*Graph, error) { return NewLeafSpine(1<<40, 2, 2, units.Gbps) }},
+		{"hosts", func() (*Graph, error) { return NewStar(huge, units.Gbps) }},
+		{"leaves", func() (*Graph, error) { return NewLeafSpine(huge, 2, 2, units.Gbps) }},
 		{"leaves", func() (*Graph, error) { return NewLeafSpine(2, 1<<19, 2, units.Gbps) }},
-		{"leaves", func() (*Graph, error) { return NewLeafSpine(2, 2, 1<<62, units.Gbps) }},
+		{"leaves", func() (*Graph, error) { return NewLeafSpine(2, 2, huge, units.Gbps) }},
 		{"k", func() (*Graph, error) { return NewFatTree(200, units.Gbps) }},
-		{"k", func() (*Graph, error) { return NewFatTree(1<<40, units.Gbps) }},
+		{"k", func() (*Graph, error) { return NewFatTree(huge, units.Gbps) }},
 	}
 	for _, tc := range cases {
 		_, err := tc.build()

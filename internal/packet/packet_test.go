@@ -102,11 +102,12 @@ func TestDetachedCopyBelongsToNoPool(t *testing.T) {
 
 // TestHopFieldsShareTheFirstCacheLine pins the layout a switch hop relies
 // on: everything routing, admission, marking, sojourn and release touch ends
-// within the packet's first 64 bytes, and the whole packet is 96.
+// within the packet's first 64 bytes, and the whole packet takes at most 96
+// (96 with 64-bit words, 76 with 32-bit ones).
 func TestHopFieldsShareTheFirstCacheLine(t *testing.T) {
 	var p Packet
-	if got := unsafe.Sizeof(p); got != 96 {
-		t.Errorf("sizeof(Packet) = %d, want 96", got)
+	if got := unsafe.Sizeof(p); got > 96 {
+		t.Errorf("sizeof(Packet) = %d, want at most 96", got)
 	}
 	for _, f := range []struct {
 		name      string

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dynaq/internal/buffer"
-	. "dynaq/internal/experiment"
 	"dynaq/internal/units"
 )
 
@@ -14,20 +13,15 @@ import (
 // its ports must estimate each queue's service rate from those same quanta,
 // not from 1500-byte ones.
 func TestMQECNQuantaFollowMTU(t *testing.T) {
-	cfg := StaticConfig{
-		Cell: Cell{Scheme: MQECN, Params: SchemeParams{Weights: []int64{2, 1}},
-			Rate: 10 * units.Gbps, Delay: 10 * units.Microsecond, Buffer: units.MB, Queues: 2, MTU: 9000},
-		Sched: SchedDRR, Specs: []QueueSpec{{Class: 0, Flows: 1}}, Duration: units.Second,
-	}
-	if _, err := cfg.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	adm, err := Factories(cfg.Scheme, cfg.Sched, cfg.Params, cfg.MTU).NewAdmission(cfg.Buffer, cfg.Queues, nil)
+	r := load(t, Document{Kind: "static", Scheme: "MQ-ECN", Sched: "drr", Weights: []int64{2, 1},
+		RateGbps: 10, RTTUs: 40, BufferB: 1000000, Queues: 2, MTU: 9000,
+		Specs: []Spec{{Class: 0, Flows: 1}}, DurationS: 1})
+	adm, err := r.network().NewAdmission(units.MB, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := adm.(*buffer.MQECN)
-	want, err := buffer.NewMQECN(cfg.Rate, cfg.Params.BaseRTT, []units.ByteSize{2 * 9000, 9000})
+	want, err := buffer.NewMQECN(10*units.Gbps, r.params.BaseRTT, []units.ByteSize{2 * 9000, 9000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +32,7 @@ func TestMQECNQuantaFollowMTU(t *testing.T) {
 		m.ObserveDequeue(nil, 1, 9000, units.Time(50*units.Microsecond))
 		m.ObserveDequeue(nil, 0, 9000, units.Time(100*units.Microsecond))
 	}
-	for q := 0; q < cfg.Queues; q++ {
+	for q := 0; q < 2; q++ {
 		if g, w := got.QueueThreshold(q), want.QueueThreshold(q); g != w {
 			t.Errorf("queue %d: MQ-ECN threshold %v at MTU 9000, want %v (quanta of weight·MTU)", q, g, w)
 		}
@@ -53,9 +47,9 @@ func TestMQECNQuantaFollowMTU(t *testing.T) {
 func TestStarHostsNameTheirKey(t *testing.T) {
 	for _, key := range []string{"servers", "specs"} {
 		_, err := newStar(1<<20, units.Gbps, key)
-		var cerr *ConfigError
+		var cerr *ValidationError
 		if !errors.As(refusal(err), &cerr) || cerr.Field != key {
-			t.Errorf("newStar(1<<20, %q) = %v, want a ConfigError on %q", key, err, key)
+			t.Errorf("newStar(1<<20, %q) = %v, want a ValidationError on %q", key, err, key)
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package scenario
 
 import (
-	. "dynaq/internal/experiment"
-
 	"dynaq/internal/buffer"
-	"dynaq/internal/fabric"
+	"dynaq/internal/experiment"
 	"dynaq/internal/flowsim"
 	"dynaq/internal/packet"
 	"dynaq/internal/pias"
@@ -14,7 +12,7 @@ import (
 	"dynaq/internal/units"
 )
 
-// flowStart is one generated flow: the traffic RunDynamic offers is the same
+// flowStart is one generated flow: the traffic runDynamic offers is the same
 // sequence of these on every engine.
 type flowStart struct {
 	id       packet.FlowID
@@ -24,7 +22,7 @@ type flowStart struct {
 	done     func(fct units.Duration)
 }
 
-// cellEngine is what RunDynamic needs from a fidelity: everything else —
+// cellEngine is what runDynamic needs from a fidelity: everything else —
 // the fabric, the arrival processes, the run loop — is shared.
 type cellEngine interface {
 	// start begins f at the current simulated time at.
@@ -33,32 +31,33 @@ type cellEngine interface {
 	instrument(reg *telemetry.Registry, run *telemetry.Run)
 	// finish runs once the run loop has stopped and folds the engine's
 	// outcome into res.
-	finish(res *DynamicResult)
+	finish(res *experiment.DynamicResult)
 }
 
-// newCellEngine builds the fidelity cfg.Engine names on s.
-func newCellEngine(s *sim.Simulator, g *fabric.Graph, cfg *DynamicConfig) (cellEngine, error) {
-	if cfg.Engine == EnginePacket {
-		return newPacketEngine(s, g, cfg)
+// newCellEngine builds the fidelity r's engine names on s.
+func newCellEngine(s *sim.Simulator, r *Runner) (cellEngine, error) {
+	if r.engine == experiment.EnginePacket {
+		return newPacketEngine(s, r)
 	}
-	return newFluidEngine(s, g, cfg)
+	return newFluidEngine(s, r)
 }
 
-// fluid is the flowsim configuration of cfg's cell on g.
-func (cfg *DynamicConfig) fluid(g *fabric.Graph) flowsim.Config {
+// fluid is the flowsim configuration of r's cell.
+func (r *Runner) fluid() flowsim.Config {
+	buf, queues := units.ByteSize(r.doc.BufferB), r.doc.Queues
 	return flowsim.Config{
-		Topo:       g,
-		Queues:     cfg.Queues,
-		Weights:    cfg.Params.Weights,
-		Buffer:     cfg.Buffer,
-		MTU:        cfg.MTU,
-		MSS:        cfg.MTU - transport.HeaderSize,
-		RTT:        cfg.Params.BaseRTT,
-		Spans:      cfg.Spans,
-		SpanParent: cfg.SpanParent,
-		Hybrid:     cfg.Engine == EngineHybrid,
+		Topo:       r.g,
+		Queues:     queues,
+		Weights:    r.params.Weights,
+		Buffer:     buf,
+		MTU:        r.params.MTU,
+		MSS:        r.params.MTU - transport.HeaderSize,
+		RTT:        r.params.BaseRTT,
+		Spans:      r.hooks.spans,
+		SpanParent: r.hooks.spanParent,
+		Hybrid:     r.engine == experiment.EngineHybrid,
 		NewAdmission: func() (buffer.Admission, error) {
-			return cfg.Scheme.NewAdmission(cfg.Params, cfg.Buffer, cfg.Queues)
+			return experiment.Scheme(r.doc.Scheme).NewAdmission(r.params, buf, queues)
 		},
 	}
 }
@@ -67,25 +66,28 @@ func (cfg *DynamicConfig) fluid(g *fabric.Graph) flowsim.Config {
 // SPQ+DRR scheduling and two-level PIAS classification.
 type packetEngine struct {
 	*packetWorld
-	cfg *DynamicConfig
+	dctcp  bool
+	mss    units.ByteSize
+	minRTO units.Duration
 }
 
-func newPacketEngine(s *sim.Simulator, g *fabric.Graph, cfg *DynamicConfig) (*packetEngine, error) {
-	tc := cfg.network(SchedSPQDRR)
-	tc.FailureAware, tc.DetectionDelay = cfg.FailureAware, cfg.DetectionDelay
-	w, err := newPacketWorld(s, g, tc, cfg.Faults, cfg.Seed)
+func newPacketEngine(s *sim.Simulator, r *Runner) (*packetEngine, error) {
+	d := &r.doc
+	tc := r.network()
+	tc.FailureAware, tc.DetectionDelay = d.FailureAware, d.detectionDelay(nil)
+	w, err := newPacketWorld(s, r.g, tc, d.Faults, d.Seed)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Guard {
+	if d.Guard {
 		w.watch()
 	}
-	return &packetEngine{packetWorld: w, cfg: cfg}, nil
+	return &packetEngine{packetWorld: w, dctcp: d.DCTCP, mss: r.params.MTU - transport.HeaderSize, minRTO: d.minRTO(nil)}, nil
 }
 
 func (e *packetEngine) start(_ units.Time, f flowStart) {
 	ctrl := transport.Controller(nil)
-	if e.cfg.DCTCP {
+	if e.dctcp {
 		ctrl = transport.NewDCTCP()
 	}
 	if _, err := e.net.Endpoints[f.src].StartFlow(transport.FlowConfig{
@@ -94,28 +96,28 @@ func (e *packetEngine) start(_ units.Time, f flowStart) {
 		Class:      f.class,
 		ClassOf:    pias.ClassOf(f.class),
 		Size:       f.size,
-		MSS:        e.cfg.MTU - transport.HeaderSize,
+		MSS:        e.mss,
 		Ctrl:       ctrl,
-		ECN:        e.cfg.DCTCP,
-		MinRTO:     e.cfg.MinRTO,
+		ECN:        e.dctcp,
+		MinRTO:     e.minRTO,
 		OnComplete: f.done,
 	}); err != nil {
 		panic(err) // duplicate ids cannot happen: ids are sequential
 	}
 }
 
-func (e *packetEngine) finish(res *DynamicResult) { e.packetWorld.finish(&res.FaultOutcome) }
+func (e *packetEngine) finish(res *experiment.DynamicResult) { e.packetWorld.finish(&res.FaultOutcome) }
 
 // fluidEngine runs flows as fluid rate processes in a flowsim.Engine; under
-// EngineHybrid congested ports are packetized through the real scheme
+// the hybrid engine congested ports are packetized through the real scheme
 // admission. It builds no netsim ports or links, which is why fault
 // schedules, the guardrail and failure-aware routing need the packet engine.
 type fluidEngine struct {
 	fe *flowsim.Engine
 }
 
-func newFluidEngine(s *sim.Simulator, g *fabric.Graph, cfg *DynamicConfig) (*fluidEngine, error) {
-	fe, err := flowsim.New(s, cfg.fluid(g))
+func newFluidEngine(s *sim.Simulator, r *Runner) (*fluidEngine, error) {
+	fe, err := flowsim.New(s, r.fluid())
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +132,7 @@ func (e *fluidEngine) start(at units.Time, f flowStart) {
 
 func (e *fluidEngine) instrument(reg *telemetry.Registry, _ *telemetry.Run) { e.fe.Instrument(reg) }
 
-func (e *fluidEngine) finish(res *DynamicResult) {
+func (e *fluidEngine) finish(res *experiment.DynamicResult) {
 	e.fe.Finish()
 	stats := e.fe.Stats()
 	res.Fluid = &stats

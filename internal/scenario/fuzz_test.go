@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"dynaq/internal/units"
 )
 
 // TestLoadRejectsBadNumbersAndFaults covers the numeric validation added on
@@ -185,6 +187,16 @@ func TestLoadRejectsBadNumbersAndFaults(t *testing.T) {
 		{"fct rate past the NIC speed-up", strings.Replace(fctOn(onStar, `"seed": 1`), `"rate_gbps": 1`, `"rate_gbps": 9e9`, 1), "scenario: rate_gbps: "},
 		{"fct load too small to time", strings.Replace(fctOn(onStar, `"seed": 1`), `"load": 0.5`, `"load": 1e-12`, 1), "scenario: load: "},
 		{"weights past 64 bits", fctOn(onStar, `"weights": [9223372036854775807, 1, 1, 1]`), "overflows 64 bits"},
+		// Positive values under one picosecond, which a run read as the
+		// key's default: 500ms, 10s, 10ms, 1ms, the base RTT, jittered
+		// starts, never.
+		{"sample under a picosecond", staticWith(`"sample_ms": 1e-12`, okSpecs), "scenario: sample_ms: "},
+		{"horizon under a picosecond", fctOn(onStar, `"max_runtime_s": 1e-13`), "scenario: max_runtime_s: "},
+		{"RTO floor under a picosecond", fctOn(onStar, `"min_rto_ms": 1e-10`), "scenario: min_rto_ms: "},
+		{"detection delay under a picosecond", fctOn(onLeafSpine, `"failure_aware": true, "detection_delay_ms": 1e-10`), "scenario: detection_delay_ms: "},
+		{"TCN target under a picosecond", fctOn(onStar, `"tcn_target_us": 1e-7`), "scenario: tcn_target_us: "},
+		{"spacing under a picosecond", staticWith(`"seed": 1`, `[{"class": 0, "flows": 2, "spacing_s": 1e-13}]`), "scenario: specs[0].spacing_s: "},
+		{"stop under a picosecond", staticWith(`"seed": 1`, `[{"class": 0, "flows": 2, "stop_at_s": 1e-13}]`), "scenario: specs[0].stop_at_s: "},
 	}
 	if _, err := Load([]byte(staticWith(`"seed": 1`, okSpecs))); err != nil {
 		t.Fatalf("the static base document must load: %v", err)
@@ -366,8 +378,8 @@ func TestLoadWithOverrides(t *testing.T) {
 	if r.Scheme() != "DynaQ" || r.Seed() != 42 {
 		t.Fatalf("overrides not applied: scheme=%q seed=%d", r.Scheme(), r.Seed())
 	}
-	if r.static == nil || string(r.static.Scheme) != "DynaQ" || r.static.Seed != 42 {
-		t.Fatal("overrides not wired into the experiment config")
+	if adm, err := r.network().NewAdmission(30000, 2, nil); err != nil || adm.Name() != "DynaQ" {
+		t.Fatalf("the overriding scheme does not reach the ports: %v", err)
 	}
 	// No overrides leaves the document untouched.
 	r, err = Load(doc)
@@ -408,17 +420,11 @@ func TestLoadAcceptsFaultFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.dynamic == nil {
-		t.Fatal("expected a dynamic runner")
+	if d := r.Document(); !d.Guard || !d.FailureAware || len(d.Faults) != 2 {
+		t.Fatalf("guard %v, failure-aware %v, %d faults; want true, true, 2", d.Guard, d.FailureAware, len(d.Faults))
 	}
-	if !r.dynamic.Guard || !r.dynamic.FailureAware {
-		t.Fatal("guard/failure-aware flags not wired through")
-	}
-	if len(r.dynamic.Faults) != 2 {
-		t.Fatalf("faults not wired through: %d", len(r.dynamic.Faults))
-	}
-	if r.dynamic.DetectionDelay <= 0 {
-		t.Fatal("detection delay not converted")
+	if got := r.doc.detectionDelay(nil); got != 500*units.Microsecond {
+		t.Fatalf("detection delay %v, want 500us", got)
 	}
 }
 

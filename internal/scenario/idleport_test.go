@@ -1,16 +1,13 @@
 package scenario
 
 import (
-	. "dynaq/internal/experiment"
-
 	"reflect"
 	"testing"
 
-	"dynaq/internal/fabric"
+	"dynaq/internal/experiment"
 	"dynaq/internal/netsim"
 	"dynaq/internal/sim"
 	"dynaq/internal/units"
-	"dynaq/internal/workload"
 )
 
 // noopObserver watches a port and does nothing: a watched port queues every
@@ -29,15 +26,15 @@ type portRecord struct {
 	PoolUsedEnd units.ByteSize
 }
 
-// runPorts runs cfg on the packet engine, with a no-op observer on every
+// runPorts runs doc on the packet engine, with a no-op observer on every
 // port (switch ports and host NICs) when watched, and returns the result and
 // every port's record, switch ports in graph order and then the NICs.
-func runPorts(t *testing.T, cfg DynamicConfig, watched bool) (*DynamicResult, []portRecord) {
+func runPorts(t *testing.T, doc Document, watched bool) (*experiment.DynamicResult, []portRecord) {
 	t.Helper()
 	var eng *packetEngine
-	res, err := runDynamic(cfg, func(s *sim.Simulator, g *fabric.Graph, c *DynamicConfig) (cellEngine, error) {
+	res, err := runDynamic(load(t, doc), func(s *sim.Simulator, r *Runner) (cellEngine, error) {
 		var err error
-		if eng, err = newPacketEngine(s, g, c); err == nil && watched {
+		if eng, err = newPacketEngine(s, r); err == nil && watched {
 			eachPort(eng, func(p *netsim.Port) { p.Observe(noopObserver{}) })
 		}
 		return eng, err
@@ -83,29 +80,24 @@ func TestIdlePortPathMatchesQueuedPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 32 packet cells")
 	}
-	star := DynamicConfig{
-		Cell: Cell{Rate: testbedRate, Delay: testbedDelay, Buffer: testbedBuffer, Queues: 5, MTU: testbedMTU,
-			MinRTO: testbedMinRTO, Seed: 3},
-		Topo: TopoStar, Servers: 4, Load: 0.7, Flows: 120,
-		Workloads:  []*workload.CDF{workload.WebSearch(), workload.Cache()},
-		MaxRuntime: 20 * units.Second,
+	star := testbedFCT(3)
+	star.Load, star.Flows, star.MaxRuntimeS = 0.7, 120, 20
+	star.Workloads = []string{"websearch", "cache"}
+	leafspine := Document{
+		Kind: "fct", RateGbps: 10, RTTUs: 8, BufferB: 64000, Queues: 4, MTU: 1500, MinRTOMs: 5, Seed: 5,
+		Topo: string(experiment.TopoLeafSpine), Leaves: 2, Spines: 2, HostsPerLeaf: 3,
+		Load: 0.7, Flows: 60, Workloads: []string{"websearch", "hadoop"}, MaxRuntimeS: 20,
 	}
-	leafspine := DynamicConfig{
-		Cell: Cell{Rate: 10 * units.Gbps, Delay: 2 * units.Microsecond, Buffer: 64 * units.KB, Queues: 4,
-			MTU: testbedMTU, MinRTO: 5 * units.Millisecond, Seed: 5},
-		Topo: TopoLeafSpine, Leaves: 2, Spines: 2, HostsPerLeaf: 3,
-		Load: 0.7, Flows: 60, Workloads: []*workload.CDF{workload.WebSearch(), workload.Hadoop()},
-		MaxRuntime: 20 * units.Second,
-	}
-	schemes := []Scheme{DynaQ, BestEffort, PQL, TCN, TCNDrop, PMSB, BarberQ, DT}
-	for _, base := range []DynamicConfig{star, leafspine} {
+	schemes := []experiment.Scheme{experiment.DynaQ, experiment.BestEffort, experiment.PQL, experiment.TCN,
+		experiment.TCNDrop, experiment.PMSB, experiment.BarberQ, experiment.DT}
+	for _, base := range []Document{star, leafspine} {
 		for _, scheme := range schemes {
-			cfg := base
-			cfg.Scheme = scheme
-			cfg.DCTCP = scheme == TCN || scheme == PMSB
-			t.Run(string(base.Topo)+"/"+string(scheme), func(t *testing.T) {
-				plain, plainPorts := runPorts(t, cfg, false)
-				watched, watchedPorts := runPorts(t, cfg, true)
+			doc := base
+			doc.Scheme = string(scheme)
+			doc.DCTCP = scheme == experiment.TCN || scheme == experiment.PMSB
+			t.Run(base.Topo+"/"+string(scheme), func(t *testing.T) {
+				plain, plainPorts := runPorts(t, doc, false)
+				watched, watchedPorts := runPorts(t, doc, true)
 				if plain.Completed == 0 {
 					t.Fatal("no flow completed")
 				}
@@ -118,8 +110,8 @@ func TestIdlePortPathMatchesQueuedPath(t *testing.T) {
 					sum.DequeueDrops += r.Stats.DequeueDrops
 					sum.Evicted += r.Stats.Evicted
 				}
-				if sum.Dropped == 0 || (cfg.DCTCP && sum.Marked == 0) ||
-					(scheme == TCNDrop && sum.DequeueDrops == 0) || (scheme == BarberQ && sum.Evicted == 0) {
+				if sum.Dropped == 0 || (doc.DCTCP && sum.Marked == 0) ||
+					(scheme == experiment.TCNDrop && sum.DequeueDrops == 0) || (scheme == experiment.BarberQ && sum.Evicted == 0) {
 					t.Fatalf("%+v: the cell misses the scheme's case", sum)
 				}
 				if plain.Events != watched.Events || plain.Completed != watched.Completed {

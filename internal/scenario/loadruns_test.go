@@ -36,6 +36,9 @@ func TestLoadRefusesWhatRunWouldRefuse(t *testing.T) {
 			strings.Replace(fctOn(onStar, `"engine": "hybrid"`), `"buffer_bytes": 85000`, `"buffer_bytes": 1`, 1),
 			fctOn(onStar, `"engine": "hybrid"`)},
 		{"negative servers", "servers", fctOn(with(onStarN, "-3"), `"seed": 1`), fctOn(with(onStarN, "3"), `"seed": 1`)},
+		{"more workloads than DRR queues", "workloads",
+			strings.Replace(fctOn(onStar, `"engine": "flow"`), `["websearch"]`, `["websearch", "cache", "hadoop", "datamining"]`, 1),
+			strings.Replace(fctOn(onStar, `"engine": "flow"`), `["websearch"]`, `["websearch", "cache", "hadoop"]`, 1)},
 		{"detection delay without failure-aware routing", "detection_delay_ms",
 			fctOn(onStar, `"detection_delay_ms": 3`), fctOn(onStar, `"detection_delay_ms": 3, "failure_aware": true`)},
 	} {
@@ -79,6 +82,7 @@ func loadCorpus() [][]byte {
 		// Documents that loaded and then failed to run.
 		[]byte(fctOn(onLeafSpine, `"faults": [{"kind": "loss", "target": "leaf9:spine9", "at_s": 0, "rate": 0.01}]`)),
 		[]byte(strings.Replace(fctOn(onStar, `"engine": "hybrid"`), `"buffer_bytes": 85000`, `"buffer_bytes": 1`, 1)),
+		[]byte(strings.Replace(fctOn(onStar, `"engine": "hybrid"`), `["websearch"]`, `["websearch", "cache", "hadoop", "datamining"]`, 1)),
 		[]byte(fctOn(onLeafSpine, `"guard": true, "failure_aware": true, "detection_delay_ms": 0.5,
 		  "faults": [{"kind": "flap", "target": "spine0", "at_s": 0.002, "until_s": 0.03, "period_s": 0.01, "jitter_s": 0.001}]`)),
 		// Untrusted-upload hardening: a body past the size limit must be

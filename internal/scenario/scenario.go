@@ -2,10 +2,11 @@
 // can be versioned and shared without recompiling — the configuration
 // format consumed by `dynaqsim -config`.
 //
-// Two kinds are supported:
+// A document is the one description of a cell, and this package also runs
+// it. Two kinds are supported:
 //
-//	{"kind": "static", ...}  → RunStatic (throughput/fairness)
-//	{"kind": "fct", ...}     → RunDynamic (FCT benchmarks)
+//	{"kind": "static", ...}  long-lived flows on a star: throughput, fairness
+//	{"kind": "fct", ...}     Poisson flows on any topology and engine: FCTs
 //
 // See testdata in scenario_test.go for complete documents.
 package scenario
@@ -18,6 +19,7 @@ import (
 	"strings"
 
 	"dynaq/internal/experiment"
+	"dynaq/internal/fabric"
 	"dynaq/internal/faults"
 	"dynaq/internal/telemetry"
 	"dynaq/internal/telemetry/trace"
@@ -26,7 +28,13 @@ import (
 	"dynaq/internal/workload"
 )
 
-// Spec mirrors QueueSpec in JSON form.
+// Spec is one service queue's traffic in a static document: long-lived
+// iperf-style flows that start together (with a small seeded jitter, as real
+// senders would) and optionally stop at stop_at_s, or, with size_bytes and
+// spacing_s, finite flows on a script, timed into StaticResult.FCT. The
+// flows spread over hosts sender hosts (default 1), of which shared_hosts
+// are the last sender hosts of the specs before; own_sink sinks them at a
+// host of their own instead of the measured receiver.
 type Spec struct {
 	Class       int     `json:"class"`
 	Flows       int     `json:"flows"`
@@ -109,10 +117,21 @@ type Document struct {
 // any validation runs.
 const MaxDocumentBytes = 1 << 20
 
-// ValidationError is a typed Load failure suitable for an HTTP 400 body:
-// Field names the offending JSON field (empty when the document itself
-// failed to decode) and Msg says what was wrong with it.
-type ValidationError = ConfigError
+// ValidationError is a refused document, suitable for an HTTP 400 body:
+// Field names the document key to fix (empty when the document itself failed
+// to decode) and Msg says what was wrong with it.
+type ValidationError struct {
+	Field string
+	Msg   string
+}
+
+// Error implements error.
+func (e *ValidationError) Error() string {
+	if e.Field == "" {
+		return "scenario: " + e.Msg
+	}
+	return "scenario: " + e.Field + ": " + e.Msg
+}
 
 // invalidf builds a ValidationError for field with a formatted message.
 func invalidf(field, format string, args ...any) *ValidationError {
@@ -133,13 +152,20 @@ func (r *Result) Summary() []telemetry.SummaryEntry {
 	return r.Dynamic.Summary()
 }
 
-// Runner is a validated, executable scenario: exactly one of static and
-// dynamic is set, and hooks points at its embedded observers.
+// Runner is a validated, executable scenario: the document, what the loader
+// resolved from it for the run, and the observers a caller attached.
 type Runner struct {
-	doc     Document
-	static  *StaticConfig
-	dynamic *DynamicConfig
-	hooks   *Hooks
+	doc Document
+
+	g      *fabric.Graph                 // the fabric the cell runs on
+	params experiment.SchemeParams       // the scheme constants, resolved against the links
+	sched  experiment.SchedKind          // every switch port's scheduler
+	ctrls  []func() transport.Controller // static: each spec's controller, nil for Reno
+	cdfs   []*workload.CDF               // fct: each workload's flow sizes
+	engine experiment.EngineMode         // fct: the fidelity
+
+	hooks       hooks
+	traceEvents int // static: bottleneck events kept in the result's Trace
 }
 
 // Scheme returns the scenario's scheme name (for run manifests).
@@ -148,41 +174,37 @@ func (r *Runner) Scheme() string { return r.doc.Scheme }
 // Seed returns the scenario's seed.
 func (r *Runner) Seed() int64 { return r.doc.Seed }
 
-// Document returns the scenario as loaded, overrides applied.
+// Document returns the scenario as loaded, overrides applied. The run reads
+// it, so its slices are not the caller's to modify.
 func (r *Runner) Document() Document { return r.doc }
 
 // Engine returns the scenario's simulation engine ("packet" unless the
 // document selected a fluid fidelity). Part of a run's cache identity: the
 // same document at a different fidelity is a different result.
-func (r *Runner) Engine() string {
-	if r.doc.Engine == "" {
-		return string(experiment.EnginePacket)
-	}
-	return r.doc.Engine
-}
+func (r *Runner) Engine() string { return string(r.engine) }
 
-// SetTelemetry attaches a telemetry run to the underlying experiment
-// configuration; the caller owns (and closes) the Run.
-func (r *Runner) SetTelemetry(run *telemetry.Run) { r.hooks.Telemetry = run }
+// SetTelemetry streams the run's metric registry and sim-time event log
+// into run's artifact directory; the caller owns (and closes) the Run.
+func (r *Runner) SetTelemetry(run *telemetry.Run) { r.hooks.run = run }
 
 // SetProgress attaches a wall-clock progress writer (typically os.Stderr).
-func (r *Runner) SetProgress(w io.Writer) { r.hooks.Progress = w }
+func (r *Runner) SetProgress(w io.Writer) { r.hooks.progress = w }
 
 // SetTraceEvents records the last n drop/mark/evict events at a static
 // scenario's bottleneck port into the result's Trace. An fct scenario has no
 // single bottleneck, so it refuses.
 func (r *Runner) SetTraceEvents(n int) error {
-	if r.static == nil {
+	if r.doc.Kind != "static" {
 		return fmt.Errorf("scenario: the event trace records a static scenario's bottleneck; this one is %s", r.doc.Kind)
 	}
-	r.static.TraceEvents = n
+	r.traceEvents = n
 	return nil
 }
 
 // SetSpans attaches a span tracer for retroactive sim-time phase spans,
 // parented under the given wall-time span id (empty for a root sim span).
 func (r *Runner) SetSpans(tr *trace.Tracer, parent string) {
-	r.hooks.Spans, r.hooks.SpanParent = tr, parent
+	r.hooks.spans, r.hooks.spanParent = tr, parent
 }
 
 // Overrides replaces selected document fields before validation. It is the
@@ -225,7 +247,6 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 	if ov.Engine != "" {
 		doc.Engine = ov.Engine
 	}
-	r := &Runner{doc: doc}
 	if doc.RateGbps <= 0 {
 		return nil, invalidf("rate_gbps", "must be positive, got %v", doc.RateGbps)
 	}
@@ -235,109 +256,67 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 	if doc.PerQueueKB < 0 {
 		return nil, invalidf("per_queue_k_bytes", "must not be negative, got %d", doc.PerQueueKB)
 	}
-	schedKind, err := experiment.ParseSchedKind(doc.Sched)
-	if err != nil {
+	r := &Runner{doc: doc, engine: experiment.EnginePacket}
+	var err error
+	if r.sched, err = experiment.ParseSchedKind(doc.Sched); err != nil {
 		return nil, invalidf("sched", "unknown scheduler %q (want drr, wrr or spq+drr)", doc.Sched)
 	}
 	var n numbers
-	cell := Cell{
-		Scheme: experiment.Scheme(doc.Scheme),
-		Params: experiment.SchemeParams{
-			Weights:   doc.Weights,
-			PerQueueK: units.ByteSize(doc.PerQueueKB),
-			TCNTarget: n.seconds("tcn_target_us", doc.TCNTargetUs, doc.TCNTargetUs*1e-6),
-		},
-		Rate:   units.Rate(n.fit("rate_gbps", doc.RateGbps, doc.RateGbps*1e9)),
-		Delay:  n.seconds("rtt_us", doc.RTTUs, doc.RTTUs/4*1e-6),
-		Buffer: units.ByteSize(doc.BufferB),
-		Queues: doc.Queues,
-		MTU:    units.ByteSize(doc.MTU),
-		MinRTO: n.seconds("min_rto_ms", doc.MinRTOMs, doc.MinRTOMs*1e-3),
-		Seed:   doc.Seed,
-		Faults: doc.Faults,
-		Guard:  doc.Guard,
-	}
+	doc.tcnTarget(&n)
+	doc.rate(&n)
+	doc.delay(&n)
+	doc.minRTO(&n)
 
-	// validate is the config's Validate: what the runner would refuse on a
-	// worker, checked once the document's numbers have converted.
-	var validate func() error
+	// build checks, once the document's numbers have converted, what a run
+	// of the document's kind would refuse on a worker, and builds the fabric
+	// the cell runs on.
+	var build func() (*fabric.Graph, error)
 	switch doc.Kind {
 	case "static":
 		if doc.Engine != "" && doc.Engine != string(experiment.EnginePacket) {
 			return nil, invalidf("engine", "static scenarios run at packet level, got %q", doc.Engine)
 		}
-		var specs []QueueSpec
-		for i, sp := range doc.Specs {
-			ctrl, err := controllerByName(sp.Ctrl)
+		for i := range doc.Specs {
+			ctrl, err := controllerByName(doc.Specs[i].Ctrl)
 			if err != nil {
 				return nil, invalidf(fmt.Sprintf("specs[%d].ctrl", i), "%v", err)
 			}
-			field := func(key string) string { return fmt.Sprintf("specs[%d].%s", i, key) }
-			specs = append(specs, QueueSpec{
-				Class:       sp.Class,
-				Flows:       sp.Flows,
-				Hosts:       sp.Hosts,
-				SharedHosts: sp.SharedHosts,
-				OwnSink:     sp.OwnSink,
-				Size:        units.ByteSize(sp.SizeB),
-				Start:       n.seconds(field("start_at_s"), sp.StartS, sp.StartS),
-				Spacing:     n.seconds(field("spacing_s"), sp.SpacingS, sp.SpacingS),
-				StopAt:      n.seconds(field("stop_at_s"), sp.StopS, sp.StopS),
-				Ctrl:        ctrl,
-				ECN:         sp.ECN,
-			})
+			r.ctrls = append(r.ctrls, ctrl)
+			doc.Specs[i].times(&n, i)
 		}
-		r.static = &StaticConfig{
-			Cell:        cell,
-			Sched:       schedKind,
-			Specs:       specs,
-			Duration:    n.seconds("duration_s", doc.DurationS, doc.DurationS),
-			SampleEvery: n.seconds("sample_ms", doc.SampleMs, doc.SampleMs*1e-3),
-			TraceStride: doc.TraceStride,
-		}
-		r.hooks, validate = &r.static.Hooks, r.static.Validate
+		doc.duration(&n)
+		doc.sampleEvery(&n)
+		build = r.staticFabric
 	case "fct":
 		if doc.Load <= 0 || doc.Load > 1 {
 			return nil, invalidf("load", "must be in (0, 1], got %v", doc.Load)
 		}
-		engine, err := experiment.ParseEngineMode(doc.Engine)
-		if err != nil {
+		if r.engine, err = experiment.ParseEngineMode(doc.Engine); err != nil {
 			return nil, invalidf("engine", "unknown engine %q (want packet, flow or hybrid)", doc.Engine)
 		}
-		var cdfs []*workload.CDF
 		for i, name := range doc.Workloads {
 			cdf, err := workload.ByName(name)
 			if err != nil {
 				return nil, invalidf(fmt.Sprintf("workloads[%d]", i), "%v", err)
 			}
-			cdfs = append(cdfs, cdf)
+			r.cdfs = append(r.cdfs, cdf)
 		}
-		r.dynamic = &DynamicConfig{
-			Cell:            cell,
-			Engine:          engine,
-			Topo:            experiment.TopoKind(doc.Topo),
-			Servers:         doc.Servers,
-			Leaves:          doc.Leaves,
-			Spines:          doc.Spines,
-			HostsPerLeaf:    doc.HostsPerLeaf,
-			FatTreeK:        doc.FatTreeK,
-			Load:            doc.Load,
-			Flows:           doc.Flows,
-			Workloads:       cdfs,
-			DCTCP:           doc.DCTCP,
-			RequestResponse: doc.RequestResponse,
-			MaxRuntime:      n.seconds("max_runtime_s", doc.MaxRuntimeS, doc.MaxRuntimeS),
-			FailureAware:    doc.FailureAware,
-			DetectionDelay:  n.seconds("detection_delay_ms", doc.DetectMs, doc.DetectMs*1e-3),
-		}
-		r.hooks, validate = &r.dynamic.Hooks, r.dynamic.Validate
+		doc.maxRuntime(&n)
+		doc.detectionDelay(&n)
+		r.sched, build = experiment.SchedSPQDRR, r.fctFabric
 	default:
 		return nil, invalidf("kind", "unknown kind %q (want static or fct)", doc.Kind)
 	}
 	if n.err != nil {
 		return nil, n.err
 	}
-	if err := validate(); err != nil {
+	if err := faults.Validate(doc.Faults); err != nil {
+		return nil, &ValidationError{"faults", err.Error()}
+	}
+	if r.g, err = build(); err != nil {
+		return nil, err
+	}
+	if err := r.checkConstructors(); err != nil {
 		return nil, err
 	}
 	if err := checkRead(doc); err != nil {
@@ -346,19 +325,43 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 	return r, nil
 }
 
+// checkConstructors reports what the run's constructors would refuse on r.g,
+// which the run does not check again: on an fct cell the flow generators',
+// then one port's scheduler and scheme and the fault targets on the packet
+// engine (checkNetwork), or flowsim's on a fluid one.
+func (r *Runner) checkConstructors() error {
+	if r.doc.Kind == "fct" {
+		if _, err := r.flowGens(); err != nil {
+			// The generators offer load × rate on each receiving downlink: a
+			// load too small to time, or a rate times the host count past
+			// int64.
+			return &ValidationError{"load", err.Error()}
+		}
+		if r.engine != experiment.EnginePacket {
+			return refusal(r.fluid().Check())
+		}
+	}
+	return r.checkNetwork()
+}
+
 // numbers converts a document's float keys to the int64 units a run counts
 // in, picoseconds and bits per second, and keeps the first key whose
-// converted value is negative or does not fit an int64.
+// converted value is negative, does not fit an int64, or is positive and
+// truncates to 0 (which a run would read as the key's default). The
+// conversions below are each key's only one: the loader calls them with a
+// *numbers, the run with nil.
 type numbers struct{ err error }
 
 // fit checks key's value v, which is x in its int64 unit, and returns x.
 func (n *numbers) fit(key string, v, x float64) float64 {
 	switch {
-	case n.err != nil:
+	case n == nil || n.err != nil:
 	case x < 0:
 		n.err = invalidf(key, "must not be negative, got %v", v)
 	case x >= 1<<63:
 		n.err = invalidf(key, "too large for 64-bit picoseconds or bits per second, got %v", v)
+	case v > 0 && x < 1:
+		n.err = invalidf(key, "too small for picoseconds or bits per second, got %v", v)
 	}
 	return x
 }
@@ -367,6 +370,69 @@ func (n *numbers) fit(key string, v, x float64) float64 {
 func (n *numbers) seconds(key string, v, s float64) units.Duration {
 	n.fit(key, v, s*float64(units.Second))
 	return units.Seconds(s)
+}
+
+func (d *Document) rate(n *numbers) units.Rate {
+	return units.Rate(n.fit("rate_gbps", d.RateGbps, d.RateGbps*1e9))
+}
+
+// delay is each link's propagation delay, a quarter of the base RTT.
+func (d *Document) delay(n *numbers) units.Duration {
+	return n.seconds("rtt_us", d.RTTUs, d.RTTUs/4*1e-6)
+}
+
+func (d *Document) minRTO(n *numbers) units.Duration {
+	return n.seconds("min_rto_ms", d.MinRTOMs, d.MinRTOMs*1e-3)
+}
+
+func (d *Document) tcnTarget(n *numbers) units.Duration {
+	return n.seconds("tcn_target_us", d.TCNTargetUs, d.TCNTargetUs*1e-6)
+}
+
+func (d *Document) duration(n *numbers) units.Duration {
+	return n.seconds("duration_s", d.DurationS, d.DurationS)
+}
+
+// sampleEvery is the throughput sampling interval, 500ms when unset (paper:
+// 0.5s testbed, 10ms simulation).
+func (d *Document) sampleEvery(n *numbers) units.Duration {
+	if every := n.seconds("sample_ms", d.SampleMs, d.SampleMs*1e-3); every != 0 {
+		return every
+	}
+	return 500 * units.Millisecond
+}
+
+// maxRuntime is the fct run's simulated-time horizon, 10s when unset: the
+// run stops there even if flows are still arriving or in flight.
+func (d *Document) maxRuntime(n *numbers) units.Duration {
+	if horizon := n.seconds("max_runtime_s", d.MaxRuntimeS, d.MaxRuntimeS); horizon != 0 {
+		return horizon
+	}
+	return 10 * units.Second
+}
+
+// detectionDelay is failure-aware routing's convergence time; topology
+// reads 0 as 1ms.
+func (d *Document) detectionDelay(n *numbers) units.Duration {
+	return n.seconds("detection_delay_ms", d.DetectMs, d.DetectMs*1e-3)
+}
+
+// times converts spec i's start, spacing and stop: flow f starts at start +
+// f·spacing, or at start plus a seeded jitter when spacing is 0, and every
+// flow of the spec stops at stop unless it is 0.
+func (sp *Spec) times(n *numbers, i int) (start, spacing, stop units.Duration) {
+	key := func(k string) string { return fmt.Sprintf("specs[%d].%s", i, k) }
+	return n.seconds(key("start_at_s"), sp.StartS, sp.StartS),
+		n.seconds(key("spacing_s"), sp.SpacingS, sp.SpacingS),
+		n.seconds(key("stop_at_s"), sp.StopS, sp.StopS)
+}
+
+// hosts is how many sender hosts the spec's flows spread over, 1 when unset.
+func (sp *Spec) hosts() int {
+	if sp.Hosts == 0 {
+		return 1
+	}
+	return sp.Hosts
 }
 
 // checkRead refuses a key that doc sets and a run of its kind never reads:
@@ -384,7 +450,7 @@ func checkRead(doc Document) error {
 		case readBy == "" || v.Field(i).IsZero() || readBy == doc.Kind || readBy == doc.Topo:
 		case doc.Kind == "static" || readBy == "static":
 			return invalidf(key, "%s scenarios do not read it", doc.Kind)
-		default: // an fct shape key of another topology; Validate accepted the topo
+		default: // an fct shape key of another topology; fctFabric accepted the topo
 			return invalidf(key, "topo %s does not read it (it shapes %s)", doc.Topo, readBy)
 		}
 	}
@@ -400,10 +466,10 @@ func (r *Runner) Run() (*Result, error) {
 		res Result
 		err error
 	)
-	if r.static != nil {
-		res.Static, err = RunStatic(*r.static)
+	if r.doc.Kind == "static" {
+		res.Static, err = r.runStatic()
 	} else {
-		res.Dynamic, err = RunDynamic(*r.dynamic)
+		res.Dynamic, err = runDynamic(r, newCellEngine)
 	}
 	if err != nil {
 		return nil, err

@@ -1,13 +1,11 @@
 package scenario
 
 import (
-	. "dynaq/internal/experiment"
-
 	"fmt"
 	"math/rand"
 
+	"dynaq/internal/experiment"
 	"dynaq/internal/fabric"
-	"dynaq/internal/faults"
 	"dynaq/internal/metrics"
 	"dynaq/internal/netsim"
 	"dynaq/internal/packet"
@@ -18,141 +16,59 @@ import (
 	"dynaq/internal/units"
 )
 
-// QueueSpec describes one service queue's traffic in a static-flow
-// experiment: long-lived iperf-style flows that start together (with a
-// small seeded jitter, as real senders would) and optionally stop at a
-// fixed time — or, for the §II-C scenarios, finite flows on a script.
-type QueueSpec struct {
-	// Class is the service queue index.
-	Class int
-	// Flows is the number of flows feeding this queue.
-	Flows int
-	// Hosts is the number of distinct sender hosts the flows spread over
-	// (defaults to 1: one sender per queue, like the testbed).
-	Hosts int
-	// SharedHosts of those hosts are the last sender hosts of the specs
-	// before this one (0 = fresh hosts only).
-	SharedHosts int
-	// OwnSink sinks the flows at a host of their own, not the receiver.
-	OwnSink bool
-	// Size makes every flow finite, of Size payload bytes, timed into
-	// StaticResult.FCT (0 = long-lived).
-	Size units.ByteSize
-	// Spacing scripts the starts: flow i starts at Start + i·Spacing with no
-	// jitter (0 = at Start plus a seeded jitter).
-	Start, Spacing units.Duration
-	// StopAt stops all of this queue's senders at the given time
-	// (0 = run until the end).
-	StopAt units.Duration
-	// Ctrl builds the congestion controller per flow (NewReno when nil).
-	Ctrl func() transport.Controller
-	// ECN marks this queue's data packets ECT: required when the port
-	// scheme marks and Ctrl is DCTCP, and how mixed ECN/non-ECN tenant
-	// scenarios tell their tenants apart.
-	ECN bool
-}
-
-// StaticConfig assembles a static-flow scenario on a star: all flows but
-// those of an OwnSink spec sink at one receiver, making its switch port the
-// measured bottleneck. Its fault targets are "tor:<i>", "host<i>:nic" and
-// the group "tor".
-type StaticConfig struct {
-	Cell
-	Sched SchedKind
-
-	Specs    []QueueSpec
-	Duration units.Duration
-	// SampleEvery sets the throughput sampling interval (paper: 0.5s
-	// testbed, 10ms simulation).
-	SampleEvery units.Duration
-	// TraceStride, when positive, additionally records the queue-length
-	// evolution (Fig. 4), keeping every TraceStride-th sample.
-	TraceStride int
-
-	// TraceEvents, when positive, records the last N drop/mark/evict
-	// events at the bottleneck port into the result's Trace recorder.
-	TraceEvents int
-}
-
 // maxStaticSenders bounds the sender hosts of one static run: the paper's
 // most extreme figure (Fig. 12 at full scale) uses 4080, and every host is a
 // NIC port, an endpoint and a switch port built before the run starts.
 const maxStaticSenders = 1 << 14
 
-// normalize validates cfg, fills its defaults and builds its star: the
-// senders first, then the OwnSink specs' sinks in reverse spec order, the
-// receiver last. Spec-level failures name the offending spec as
-// "specs[i].<field>", like the scenario document does. The loader has
-// already refused negative times.
-func (cfg *StaticConfig) normalize() (*fabric.Graph, error) {
-	if err := checkQueues(cfg.Queues, 1); err != nil {
+// staticFabric checks a static document's queues, specs, duration and trace
+// stride, resolves its cell and builds its star: the senders first, then the
+// own_sink specs' sinks in reverse spec order, the receiver last. All flows
+// but an own_sink spec's sink at the receiver, whose switch port is the
+// measured bottleneck. The loader has already refused negative times.
+func (r *Runner) staticFabric() (*fabric.Graph, error) {
+	d := &r.doc
+	if err := checkQueues(d.Queues, 1); err != nil {
 		return nil, err
 	}
 	switch {
-	case len(cfg.Specs) == 0:
-		return nil, &ConfigError{"specs", "static run needs at least one queue spec"}
-	case cfg.Duration <= 0:
-		return nil, &ConfigError{"duration_s", "static run needs a positive duration"}
-	case cfg.TraceStride < 0:
-		return nil, &ConfigError{"queue_trace_stride", "queue trace stride must not be negative"}
+	case len(d.Specs) == 0:
+		return nil, &ValidationError{"specs", "static run needs at least one queue spec"}
+	case d.duration(nil) <= 0:
+		return nil, &ValidationError{"duration_s", "static run needs a positive duration"}
+	case d.TraceStride < 0:
+		return nil, &ValidationError{"queue_trace_stride", "queue trace stride must not be negative"}
 	}
-	if err := cfg.resolve(fabric.Star); err != nil {
+	if err := r.resolve(fabric.Star); err != nil {
 		return nil, err
 	}
-	if cfg.SampleEvery == 0 {
-		cfg.SampleEvery = 500 * units.Millisecond
-	}
-
-	// Copy the queue specs before defaulting them: cfg arrives by value, but
-	// the Specs slice still shares its backing array with the caller's — and
-	// parallel cells hand the same specs to concurrent runs.
-	cfg.Specs = append([]QueueSpec(nil), cfg.Specs...)
 	senders, sinks := 0, 0
-	for i := range cfg.Specs {
-		spec := &cfg.Specs[i]
+	for i := range d.Specs {
+		spec := &d.Specs[i]
 		field := func(name string) string { return fmt.Sprintf("specs[%d].%s", i, name) }
 		switch {
 		case spec.Flows <= 0:
-			return nil, &ConfigError{field("flows"), "queue spec needs flows > 0"}
-		case spec.Class < 0 || spec.Class >= cfg.Queues:
-			return nil, &ConfigError{field("class"), fmt.Sprintf("class %d outside [0, %d)", spec.Class, cfg.Queues)}
+			return nil, &ValidationError{field("flows"), "queue spec needs flows > 0"}
+		case spec.Class < 0 || spec.Class >= d.Queues:
+			return nil, &ValidationError{field("class"), fmt.Sprintf("class %d outside [0, %d)", spec.Class, d.Queues)}
 		case spec.Hosts < 0 || spec.Hosts > maxStaticSenders:
-			return nil, &ConfigError{field("hosts"), fmt.Sprintf("hosts %d outside [0, %d]", spec.Hosts, maxStaticSenders)}
-		case spec.Size < 0:
-			return nil, &ConfigError{field("size_bytes"), "flow size must not be negative"}
+			return nil, &ValidationError{field("hosts"), fmt.Sprintf("hosts %d outside [0, %d]", spec.Hosts, maxStaticSenders)}
+		case spec.SizeB < 0:
+			return nil, &ValidationError{field("size_bytes"), "flow size must not be negative"}
 		}
-		if spec.Hosts == 0 {
-			spec.Hosts = 1
+		hosts := spec.hosts()
+		if shared := min(hosts, senders); spec.SharedHosts < 0 || spec.SharedHosts > shared {
+			return nil, &ValidationError{field("shared_hosts"), fmt.Sprintf("shared hosts %d outside [0, %d], the spec's hosts that earlier specs have", spec.SharedHosts, shared)}
 		}
-		if shared := min(spec.Hosts, senders); spec.SharedHosts < 0 || spec.SharedHosts > shared {
-			return nil, &ConfigError{field("shared_hosts"), fmt.Sprintf("shared hosts %d outside [0, %d], the spec's hosts that earlier specs have", spec.SharedHosts, shared)}
-		}
-		if senders += spec.Hosts - spec.SharedHosts; senders > maxStaticSenders {
-			return nil, &ConfigError{field("hosts"), fmt.Sprintf("more than %d sender hosts in total", maxStaticSenders)}
+		if senders += hosts - spec.SharedHosts; senders > maxStaticSenders {
+			return nil, &ValidationError{field("hosts"), fmt.Sprintf("more than %d sender hosts in total", maxStaticSenders)}
 		}
 		if spec.OwnSink {
 			sinks++
 		}
 	}
-	g, err := newStar(senders+sinks+1, cfg.Rate, "specs")
+	g, err := newStar(senders+sinks+1, d.rate(nil), "specs")
 	return g, refusal(err)
-}
-
-// Validate reports, as a *ConfigError naming the document key to fix, every
-// setting RunStatic would refuse, so a loader refuses the cell at submission
-// instead of on a worker: the fault specs, normalize's rules, then the
-// checks RunStatic's constructors run (Cell.checkNetwork: one port's
-// scheduler and scheme, the fault targets), which RunStatic itself does not
-// repeat.
-func (cfg StaticConfig) Validate() error {
-	if err := faults.Validate(cfg.Faults); err != nil {
-		return &ConfigError{"faults", err.Error()}
-	}
-	g, err := cfg.normalize()
-	if err != nil {
-		return err
-	}
-	return cfg.checkNetwork(g, cfg.Sched)
 }
 
 // startJitterSpan spreads flow starts over the first milliseconds like
@@ -160,58 +76,60 @@ func (cfg StaticConfig) Validate() error {
 // loss patterns no testbed exhibits.
 const startJitterSpan = 5 * units.Millisecond
 
-// RunStatic executes a static-flow scenario and returns its measurements.
-func RunStatic(cfg StaticConfig) (*StaticResult, error) {
-	g, err := cfg.normalize()
-	if err != nil {
-		return nil, err
-	}
-	mss := cfg.MTU - transport.HeaderSize
+// runStatic runs a static document and returns its measurements.
+func (r *Runner) runStatic() (*experiment.StaticResult, error) {
+	d := &r.doc
+	mss := r.params.MTU - transport.HeaderSize
+	minRTO := d.minRTO(nil)
 	s := sim.New()
-	w, err := newPacketWorld(s, g, cfg.network(cfg.Sched), cfg.Faults, cfg.Seed)
+	w, err := newPacketWorld(s, r.g, r.network(), d.Faults, d.Seed)
 	if err != nil {
 		return nil, err
 	}
-	receiver := g.Hosts() - 1
+	receiver := r.g.Hosts() - 1
 	sink := receiver
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(d.Seed))
 	fct := metrics.NewFCTCollector()
 
 	var flowID packet.FlowID
 	host := 0
-	for _, spec := range cfg.Specs {
+	for i, spec := range d.Specs {
 		first, dst := host-spec.SharedHosts, receiver
 		if spec.OwnSink {
 			sink--
 			dst = sink
 		}
+		size := units.ByteSize(spec.SizeB)
 		var done func(units.Duration)
-		if spec.Size > 0 {
-			done = func(d units.Duration) { fct.Add(spec.Size, d) }
+		if size > 0 {
+			done = func(t units.Duration) { fct.Add(size, t) }
 		}
+		start, spacing, stopAt := spec.times(nil, i)
+		newCtrl := r.ctrls[i]
+		hosts := spec.hosts()
 		var senders []*transport.Sender
 		for f := 0; f < spec.Flows; f++ {
-			ep := w.net.Endpoints[first+f%spec.Hosts]
+			ep := w.net.Endpoints[first+f%hosts]
 			flowID++
 			id := flowID
-			start := spec.Start + units.Duration(f)*spec.Spacing
-			if spec.Spacing == 0 {
-				start += units.Duration(rng.Int63n(int64(startJitterSpan)))
+			at := start + units.Duration(f)*spacing
+			if spacing == 0 {
+				at += units.Duration(rng.Int63n(int64(startJitterSpan)))
 			}
-			s.At(units.Time(start), func() {
+			s.At(units.Time(at), func() {
 				var ctrl transport.Controller
-				if spec.Ctrl != nil {
-					ctrl = spec.Ctrl()
+				if newCtrl != nil {
+					ctrl = newCtrl()
 				}
 				snd, err := ep.StartFlow(transport.FlowConfig{
 					Flow:       id,
 					Dst:        dst,
 					Class:      spec.Class,
-					Size:       spec.Size,
+					Size:       size,
 					MSS:        mss,
 					Ctrl:       ctrl,
 					ECN:        spec.ECN,
-					MinRTO:     cfg.MinRTO,
+					MinRTO:     minRTO,
 					OnComplete: done,
 				})
 				if err != nil {
@@ -220,36 +138,37 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 				senders = append(senders, snd)
 			})
 		}
-		if spec.StopAt > 0 {
-			s.At(units.Time(spec.StopAt), func() {
+		if stopAt > 0 {
+			s.At(units.Time(stopAt), func() {
 				for _, snd := range senders {
 					snd.Stop()
 				}
 			})
 		}
-		host = first + spec.Hosts
+		host = first + hosts
 	}
 
 	port := w.net.HostPort(receiver)
 	var rec *metrics.EventRecorder
-	if cfg.TraceEvents > 0 {
-		rec, err = metrics.NewEventRecorder(cfg.TraceEvents)
+	if r.traceEvents > 0 {
+		rec, err = metrics.NewEventRecorder(r.traceEvents)
 		if err != nil {
 			return nil, err
 		}
 		rec.Only(netsim.EvDrop, netsim.EvMark, netsim.EvEvict, netsim.EvDequeueDrop)
 		rec.Attach(port)
 	}
-	if cfg.Guard {
+	if d.Guard {
 		w.watch()
 	}
-	ts := metrics.NewThroughputSampler(s, port, cfg.SampleEvery)
+	ts := metrics.NewThroughputSampler(s, port, d.sampleEvery(nil))
 	var qt *metrics.QueueTrace
-	if cfg.TraceStride > 0 {
-		qt = metrics.NewQueueTrace(port, cfg.TraceStride)
+	if d.TraceStride > 0 {
+		qt = metrics.NewQueueTrace(port, d.TraceStride)
 	}
-	end := units.Time(cfg.Duration)
-	cfg.observe(s, cfg.Duration, func(reg *telemetry.Registry, run *telemetry.Run) {
+	duration := d.duration(nil)
+	end := units.Time(duration)
+	r.hooks.observe(s, duration, func(reg *telemetry.Registry, run *telemetry.Run) {
 		w.instrument(reg, run)
 		bottleneck := fmt.Sprintf("tor:%d", receiver)
 		ts.Publish(reg, run, bottleneck)
@@ -263,21 +182,21 @@ func RunStatic(cfg StaticConfig) (*StaticResult, error) {
 		s.RunUntil(end)
 		ts.Stop()
 	})
-	if cfg.Spans != nil {
-		root := cfg.simSpan(end, trace.A("kind", "static"))
+	if spans := r.hooks.spans; spans != nil {
+		root := r.hooks.simSpan(end, trace.A("kind", "static"))
 		warm := min(units.Time(startJitterSpan), end)
-		cfg.Spans.SimSpan("warmup", root, 0, warm)
+		spans.SimSpan("warmup", root, 0, warm)
 		if end > warm {
-			cfg.Spans.SimSpan("measure", root, warm, end)
+			spans.SimSpan("measure", root, warm, end)
 		}
 	}
 
 	stats := port.Stats()
-	res := &StaticResult{
-		Scheme:     cfg.Scheme,
+	res := &experiment.StaticResult{
+		Scheme:     experiment.Scheme(d.Scheme),
 		Samples:    ts.Samples(),
 		Drops:      stats.Dropped,
-		QueueDrops: make([]int64, cfg.Queues),
+		QueueDrops: make([]int64, d.Queues),
 		Evicted:    stats.Evicted,
 		FCT:        fct,
 		Trace:      rec,

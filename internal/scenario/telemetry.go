@@ -19,29 +19,25 @@ const heartbeatTicks = 20
 // completion-time ranges.
 var fctBounds = []int64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}
 
-// Hooks are the observers a caller may attach to a run; StaticConfig and
-// DynamicConfig embed them. None changes a simulated outcome.
-type Hooks struct {
-	// Telemetry, when non-nil, streams the run's metric registry and
-	// sim-time event log into the run's artifact directory; the caller
-	// owns (and closes) the Run.
-	Telemetry *telemetry.Run
-	// Progress, when non-nil, receives human-readable wall-clock progress
+// hooks are the observers a caller attaches to a Runner. None changes a
+// simulated outcome.
+type hooks struct {
+	// run, when non-nil, streams the run's metric registry and sim-time
+	// event log into the run's artifact directory; the caller owns (and
+	// closes) it.
+	run *telemetry.Run
+	// progress, when non-nil, receives human-readable wall-clock progress
 	// lines (typically os.Stderr); it never feeds the artifacts.
-	Progress io.Writer
+	progress io.Writer
 
-	// Spans, when non-nil, receives a retroactive sim-time "sim" span for
+	// spans, when non-nil, receives a retroactive sim-time "sim" span for
 	// the run (the static run adds "warmup"/"measure" children), parented
-	// under SpanParent. Sim spans carry simulated time only — wall-clock
-	// values must never reach them (scenario's TestSimSpansReplay compares
-	// two runs' spans).
-	Spans      *trace.Tracer
-	SpanParent string
+	// under spanParent. Sim spans carry simulated time only — wall-clock
+	// values must never reach them (TestSimSpansReplay compares two runs'
+	// spans).
+	spans      *trace.Tracer
+	spanParent string
 }
-
-// singleStream reports whether a sink is attached — a telemetry Run or a
-// progress writer — for the heartbeat to write to.
-func (h Hooks) singleStream() bool { return h.Telemetry != nil || h.Progress != nil }
 
 // observe is the run scaffold both runners share. With telemetry attached it
 // registers the event loop's series — events processed and pending, the
@@ -50,9 +46,9 @@ func (h Hooks) singleStream() bool { return h.Telemetry != nil || h.Progress != 
 // runner's own through series; with any sink attached it arms the heartbeat
 // over horizon — after everything the runner scheduled, so the tick order of
 // a run is fixed — then drives loop and stops the heartbeat.
-func (h Hooks) observe(s *sim.Simulator, horizon units.Duration, series func(reg *telemetry.Registry, run *telemetry.Run), loop func()) {
+func (h *hooks) observe(s *sim.Simulator, horizon units.Duration, series func(reg *telemetry.Registry, run *telemetry.Run), loop func()) {
 	var ew telemetry.EventWriter
-	if run := h.Telemetry; run != nil {
+	if run := h.run; run != nil {
 		ew = run
 		reg := run.Registry()
 		reg.CounterFunc("sim_events_processed_total", func() int64 { return int64(s.Processed()) })
@@ -62,16 +58,16 @@ func (h Hooks) observe(s *sim.Simulator, horizon units.Duration, series func(reg
 		reg.GaugeFunc("sim_now_ps", func() int64 { return int64(s.Now()) })
 		series(reg, run)
 	}
-	if h.singleStream() {
-		defer startHeartbeat(s, horizon, ew, h.Progress)()
+	if h.run != nil || h.progress != nil {
+		defer startHeartbeat(s, horizon, ew, h.progress)()
 	}
 	loop()
 }
 
 // simSpan records the run's retroactive "sim" span over [0, end] and returns
 // its id ("" without a tracer).
-func (h Hooks) simSpan(end units.Time, attrs ...trace.Attr) string {
-	return h.Spans.SimSpan("sim", h.SpanParent, 0, end, attrs...)
+func (h *hooks) simSpan(end units.Time, attrs ...trace.Attr) string {
+	return h.spans.SimSpan("sim", h.spanParent, 0, end, attrs...)
 }
 
 // startHeartbeat arms a periodic sim-time heartbeat over the run horizon:

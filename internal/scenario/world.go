@@ -1,14 +1,14 @@
 package scenario
 
 import (
-	. "dynaq/internal/experiment"
-
 	"fmt"
 
 	"dynaq/internal/buffer"
+	"dynaq/internal/experiment"
 	"dynaq/internal/fabric"
 	"dynaq/internal/faults"
 	"dynaq/internal/netsim"
+	"dynaq/internal/sched"
 	"dynaq/internal/sim"
 	"dynaq/internal/telemetry"
 	"dynaq/internal/topology"
@@ -46,88 +46,78 @@ func newPacketWorld(s *sim.Simulator, g *fabric.Graph, cfg topology.Config, sche
 	return w, nil
 }
 
-// Cell is what a static and an fct run share: the scheme under test, the
-// links, every switch port's buffer and service queues, the frame, the RTO
-// floor, the seed, the fault schedule and the guardrail. StaticConfig and
-// DynamicConfig embed it.
-type Cell struct {
-	Scheme Scheme
-	// Params carries weights and threshold constants; Rate, BaseRTT and
-	// MTU are filled from the links if zero.
-	Params SchemeParams
-
-	Rate   units.Rate
-	Delay  units.Duration // per-link propagation
-	Buffer units.ByteSize
-	// Queues counts a port's service queues; an fct run's queue 0 is the
-	// shared SPQ queue and its DRR service queues follow.
-	Queues int
-	MTU    units.ByteSize // 1500 when zero, 9000 for jumbo (Figs. 11/12)
-
-	MinRTO units.Duration
-	Seed   int64
-
-	// Faults is the scripted fault schedule, resolved against the network's
-	// fault registry (topology.Network.FaultRegistry lists the link names);
-	// the timeline is a deterministic function of Seed.
-	Faults []faults.Spec
-	// Guard wires the invariant guardrail into every switch port, recording
-	// Σ T_i == B / T_i ≥ 0 / occupancy / pool / transition violations.
-	Guard bool
-
-	Hooks
-}
-
 // resolve checks the scheme, frame and weights every port of the cell
-// shares, filling what is unset, for a fabric of kind k.
-func (c *Cell) resolve(k fabric.Kind) error {
-	if _, err := buffer.LookupScheme(string(c.Scheme)); err != nil {
-		return &ConfigError{"scheme", err.Error()}
+// shares and resolves the scheme's constants against the links of a fabric
+// of kind k.
+func (r *Runner) resolve(k fabric.Kind) error {
+	d := &r.doc
+	if _, err := buffer.LookupScheme(d.Scheme); err != nil {
+		return &ValidationError{"scheme", err.Error()}
 	}
-	if c.MTU == 0 {
-		c.MTU = 1500
+	mtu := units.ByteSize(d.MTU)
+	if mtu == 0 {
+		mtu = 1500
 	}
-	if c.MTU <= transport.HeaderSize {
-		return &ConfigError{"mtu", fmt.Sprintf("must exceed the %d-byte TCP/IP header, got %d", transport.HeaderSize, c.MTU)}
+	if mtu <= transport.HeaderSize {
+		return &ValidationError{"mtu", fmt.Sprintf("must exceed the %d-byte TCP/IP header, got %d", transport.HeaderSize, mtu)}
 	}
-	c.Params = c.Params.Resolved(c.Rate, k.BaseRTT(c.Delay), c.MTU, nil, c.Queues)
-	return checkWeights(c.Params.Weights, c.Queues)
+	p := experiment.SchemeParams{Weights: d.Weights, PerQueueK: units.ByteSize(d.PerQueueKB), TCNTarget: d.tcnTarget(nil)}
+	r.params = p.Resolved(d.rate(nil), k.BaseRTT(d.delay(nil)), mtu, nil, d.Queues)
+	return checkWeights(r.params.Weights, d.Queues)
 }
 
 // network is the packet network the cell's fabric is wired as, every switch
-// port scheduled by sched.
-func (c *Cell) network(sched SchedKind) topology.Config {
-	return topology.Config{Delay: c.Delay, Buffer: c.Buffer, Queues: c.Queues, Factories: Factories(c.Scheme, sched, c.Params, c.MTU)}
+// port scheduled by r.sched.
+func (r *Runner) network() topology.Config {
+	return topology.Config{Delay: r.doc.delay(nil), Buffer: units.ByteSize(r.doc.BufferB), Queues: r.doc.Queues,
+		Factories: factories(experiment.Scheme(r.doc.Scheme), r.sched, r.params)}
 }
 
-// checkNetwork reports what newPacketWorld would refuse on g, without wiring
-// it. Every switch port is built from the same arguments, so one port's
-// scheduler and scheme, built as topology.Build builds each, stand for all.
-// Every fault target must then resolve in g's fault registry, each of whose
-// links is a stand-in, as Engine.Schedule resolves them before it plans.
-func (c *Cell) checkNetwork(g *fabric.Graph, sched SchedKind) error {
-	f := c.network(sched)
-	if _, err := f.NewScheduler(c.Queues); err != nil {
-		return &ConfigError{"queues", err.Error()}
+// checkNetwork reports what newPacketWorld would refuse on r.g, without
+// wiring it. Every switch port is built from the same arguments, so one
+// port's scheduler and scheme, built as topology.Build builds each, stand
+// for all. Every fault target must then resolve in the fault registry, each
+// of whose links is a stand-in, as Engine.Schedule resolves them before it
+// plans.
+func (r *Runner) checkNetwork() error {
+	f, queues, buf := r.network(), r.doc.Queues, units.ByteSize(r.doc.BufferB)
+	if _, err := f.NewScheduler(queues); err != nil {
+		return &ValidationError{"queues", err.Error()}
 	}
-	mem, err := buffer.NewSharedPool(c.Buffer)
+	mem, err := buffer.NewSharedPool(buf)
 	if err == nil {
-		_, err = f.NewAdmission(c.Buffer, c.Queues, mem)
+		_, err = f.NewAdmission(buf, queues, mem)
 	}
 	if err != nil {
-		return &ConfigError{"scheme", err.Error()}
+		return &ValidationError{"scheme", err.Error()}
 	}
-	if len(c.Faults) == 0 {
+	if len(r.doc.Faults) == 0 {
 		return nil
 	}
 	standIn := new(netsim.Link)
-	reg := topology.FaultRegistry(g, func(int) *netsim.Link { return standIn })
-	for i, spec := range c.Faults {
+	reg := topology.FaultRegistry(r.g, func(int) *netsim.Link { return standIn })
+	for i, spec := range r.doc.Faults {
 		if _, err := reg.Resolve(spec.Target); err != nil {
-			return &ConfigError{"faults", fmt.Sprintf("spec %d: %v", i, err)}
+			return &ValidationError{"faults", fmt.Sprintf("spec %d: %v", i, err)}
 		}
 	}
 	return nil
+}
+
+// factories are the per-port constructors topology.Build calls for scheme
+// s under scheduler k.
+func factories(s experiment.Scheme, k experiment.SchedKind, p experiment.SchemeParams) topology.Factories {
+	weights := p.Weights
+	if k == experiment.SchedSPQDRR {
+		// The DRR sub-scheduler covers the queues after the priority queue.
+		weights = weights[1:]
+	}
+	return topology.Factories{
+		NewScheduler: func(n int) (sched.Scheduler, error) { return k.NewScheduler(weights, p.MTU, n) },
+		NewAdmission: func(b units.ByteSize, n int, mem *buffer.SharedPool) (buffer.Admission, error) {
+			return buffer.NewScheme(string(s), p, b, n, mem)
+		},
+	}
 }
 
 // watch arms the invariant guardrail on every switch port, after any hook
@@ -191,7 +181,7 @@ func (w *packetWorld) instrument(reg *telemetry.Registry, run *telemetry.Run) {
 
 // finish folds the fault timeline, the link totals and the guardrail's
 // verdict (after one last recheck at the current time) into out.
-func (w *packetWorld) finish(out *FaultOutcome) {
+func (w *packetWorld) finish(out *experiment.FaultOutcome) {
 	if w.faults != nil {
 		out.FaultTimeline = w.faults.Timeline()
 		out.LinkLost, out.LinkCorrupted = w.links.Totals()
