@@ -9,32 +9,38 @@ import (
 	"dynaq/internal/units"
 )
 
-// TestPacketCellAllocBudget holds the packet engine's per-packet path to its
-// allocation budget on whole cells, where a microbenchmark of one layer
-// cannot see another layer's regression: a Fig 8 star cell and a leaf-spine
-// cell shaped like bench's leafspine_packet. Per 1000 offered MSS packets
-// they read about 15 and 33 mallocs; with a packet free list per endpoint
-// instead of one per network they read 63 and 150, and before the packet
-// pool, the link's wire FIFO and the unboxed SPQ+DRR view the star cell
-// read about 6200. What is left is per flow (sender, receiver, timers, the
-// FCT record) and the free lists growing to their working size. The budgets
-// leave room for that to vary with the seed, not for one allocation per
-// endpoint's packet. Bytes are bounded too: with one map entry per buffered
-// out-of-order segment the star cell read 25 KB per 1000 offered packets,
-// with the receivers' runs under 10.
+// TestPacketCellAllocBudget holds whole cells to an allocation budget per
+// 1000 offered MSS packets, where a microbenchmark of one layer cannot see
+// another layer's regression: a Fig 8 star cell and a leaf-spine cell shaped
+// like bench's leafspine_packet on the packet engine, and cells shaped like
+// fattree_flow and leafspine_hybrid (fewer flows) on the fluid engines.
+//
+// At seed 1 they read 6.5, 23.9, 2.3 and 5.3 mallocs; over seeds 1–6, 4.9–8.1,
+// 19.7–35.8, 1.9–2.3 and 4.5–5.3. A flow allocates only its own state: on
+// the packet engine its sender, receiver and completion callback, on the
+// fluid ones its completion callback (TestPacketFlowAllocatesOnlyItsState and
+// TestFluidFlowAllocatesOnlyItsCompletion in internal/scenario hold those).
+// The rest is per cell: ports, Algorithm 1 state, rings and free lists
+// growing to their working size. When each flow still built an arrival
+// closure, a PIAS classifier, a retransmission Timer and send method values
+// (or, on the fluid engines, an arrival closure and a path slice), seed 1
+// read 15.0, 31.7, 6.6 and 9.5; with a packet free list per endpoint instead
+// of one per network the first two read 63 and 150, and before the packet
+// pool, the link's wire FIFO and the unboxed SPQ+DRR view the star cell read
+// about 6200. Each budget is its seed-1 reading plus about a quarter: those
+// per-flow mallocs put back exceed every one, and a single one put back is
+// for the per-flow tests to catch. Bytes are bounded too: with one map
+// entry per buffered out-of-order segment the star cell read 25 KB per 1000
+// offered packets, with the receivers' runs under 10.
 func TestPacketCellAllocBudget(t *testing.T) {
 	const bytesBudget = 16 * 1024 // bytes allocated per 1000 offered MSS packets
 	star := fctCell(experiment.EnginePacket, 250, 0.6, 1)
 	star.MaxRuntimeS = 30
-	for _, tc := range []struct {
-		name   string
-		budget float64 // mallocs per 1000 offered MSS packets
-		doc    scenario.Document
-	}{
-		{"star", 40, star},
-		{"leafspine", 80, scenario.Document{
+	leafSpine := func(engine experiment.EngineMode, flows int) scenario.Document {
+		return scenario.Document{
 			Kind:         "fct",
 			Scheme:       string(experiment.DynaQ),
+			Engine:       string(engine),
 			Topo:         string(experiment.TopoLeafSpine),
 			Leaves:       4,
 			Spines:       4,
@@ -45,12 +51,39 @@ func TestPacketCellAllocBudget(t *testing.T) {
 			RTTUs:        85.2,
 			MTU:          1500,
 			Load:         0.6,
-			Flows:        160,
+			Flows:        flows,
 			Workloads:    []string{"websearch"},
 			MinRTOMs:     5,
 			Seed:         1,
 			MaxRuntimeS:  30,
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		budget float64 // mallocs per 1000 offered MSS packets
+		doc    scenario.Document
+	}{
+		{"star", 8, star},
+		{"leafspine", 30, leafSpine(experiment.EnginePacket, 160)},
+		{"fattree_flow", 3, scenario.Document{
+			Kind:        "fct",
+			Scheme:      string(experiment.DynaQ),
+			Engine:      string(experiment.EngineFlow),
+			Topo:        string(experiment.TopoFatTree),
+			FatTreeK:    8,
+			RateGbps:    10,
+			BufferB:     192000,
+			Queues:      8,
+			RTTUs:       40,
+			MTU:         1500,
+			Load:        0.6,
+			Flows:       1000,
+			Workloads:   []string{"websearch"},
+			MinRTOMs:    5,
+			Seed:        1,
+			MaxRuntimeS: 30,
 		}},
+		{"leafspine_hybrid", 6.5, leafSpine(experiment.EngineHybrid, 1000)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cell := func() (mallocs, bytes uint64, kpkt float64) {
@@ -79,7 +112,7 @@ func TestPacketCellAllocBudget(t *testing.T) {
 			t.Logf("%d mallocs and %d bytes for %.0f thousand offered packets: %.1f mallocs and %.1f KB per 1000",
 				mallocs, bytes, kpkt, per, perBytes/1024)
 			if per > tc.budget {
-				t.Errorf("%.1f mallocs per 1000 offered packets, budget %.0f: something on the per-packet path allocates again", per, tc.budget)
+				t.Errorf("%.1f mallocs per 1000 offered packets, budget %.0f: something on the per-packet or per-flow path allocates again", per, tc.budget)
 			}
 			if perBytes > bytesBudget {
 				t.Errorf("%.1f KB allocated per 1000 offered packets, budget %d KB: per-flow state grows with the packets again",

@@ -163,6 +163,9 @@ type Engine struct {
 	crossing   *sim.Timer
 	stopTick   func()
 
+	arrivals  []*arrival // free list of pending-arrival records
+	pathArena []int32    // where flows' paths are carved from; see path
+
 	// What New derives from the config: the slow-start initial window (10
 	// MSS); the recompute quantum bounding how stale rate allocations get
 	// (RTT/4); the hybrid episode thresholds (B/2 and B/10); and the
@@ -306,7 +309,56 @@ func (e *Engine) Finish() {
 // arrival time feeds the event heap, so wall-clock values must never reach
 // it.
 func (e *Engine) ScheduleArrival(at units.Time, spec FlowSpec) {
-	e.s.At(at, func() { e.startFlow(spec) })
+	var a *arrival
+	if n := len(e.arrivals); n > 0 {
+		a = e.arrivals[n-1]
+		e.arrivals = e.arrivals[:n-1]
+	} else {
+		a = &arrival{e: e}
+	}
+	a.spec = spec
+	e.s.AtCall(at, startArrival, a)
+}
+
+// arrival is a flow waiting for its start time. The records come from the
+// engine's free list and the event calls a package function on one, so an
+// arrival allocates only while the list grows to the most arrivals ever
+// pending at once: one, when each arrival is scheduled as it starts.
+type arrival struct {
+	e    *Engine
+	spec FlowSpec
+}
+
+// startArrival starts a's flow, after returning a to the free list.
+func startArrival(x any) {
+	a := x.(*arrival)
+	e, spec := a.e, a.spec
+	a.spec = FlowSpec{}
+	e.arrivals = append(e.arrivals, a)
+	e.startFlow(spec)
+}
+
+// Flows keep their paths until the run ends, so paths are carved from
+// chunks of pathChunk links, pathReserve of which are left free for the next
+// path: a path is at most six links on the fabrics, and one that is longer
+// than the rest of a chunk gets a slice of its own.
+const (
+	pathChunk   = 4096
+	pathReserve = 16
+)
+
+// path returns the links from src to dst under ECMP key key, carved from the
+// engine's path arena.
+func (e *Engine) path(src, dst int, key uint64) []int32 {
+	if cap(e.pathArena)-len(e.pathArena) < pathReserve {
+		e.pathArena = make([]int32, 0, pathChunk)
+	}
+	n := len(e.pathArena)
+	p := e.topo.Path(src, dst, key, e.pathArena[n:n])
+	if len(p) <= cap(e.pathArena)-n {
+		e.pathArena = e.pathArena[:n+len(p)]
+	}
+	return p[:len(p):len(p)]
 }
 
 // startFlow admits one flow into the fluid state. Its rate stays zero until
@@ -328,7 +380,7 @@ func (e *Engine) startFlow(spec FlowSpec) {
 	// owns removing it.
 	e.flows = append(e.flows, fflow{
 		spec:      spec,
-		path:      e.topo.Path(spec.Src, spec.Dst, fabric.Hash(uint64(spec.ID)), make([]int32, 0, 6)),
+		path:      e.path(spec.Src, spec.Dst, fabric.Hash(uint64(spec.ID))),
 		remaining: spec.Size,
 		started:   e.s.Now(),
 		short:     spec.Size <= e.cutoff,

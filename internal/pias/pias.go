@@ -13,7 +13,8 @@ const DemotionThreshold = 100 * units.KB
 
 // ClassOf returns the per-flow classification function for a flow whose
 // demoted traffic belongs to serviceClass. The returned function plugs into
-// transport.FlowConfig.ClassOf.
+// transport.FlowConfig.ClassOf. It depends on the class alone and each call
+// allocates one, so build one per class and share it among the class's flows.
 //
 // Classification is by sequence offset rather than a running bytes-sent
 // counter: for the first pass through the data they coincide, and for

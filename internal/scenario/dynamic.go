@@ -197,7 +197,6 @@ func runDynamic(r *Runner, newEngine func(*sim.Simulator, *Runner) (cellEngine, 
 	// One arrival process per workload; workload w maps to the DRR queues
 	// w, w+len, w+2len, ... so that "different services use different
 	// traffic distributions" (§V-B2).
-	var schedule func(gi int, at units.Time)
 	launch := func(gi int, at units.Time) {
 		flowID += idsPerFlow
 		size := gens[gi].NextSize()
@@ -237,18 +236,31 @@ func runDynamic(r *Runner, newEngine func(*sim.Simulator, *Runner) (cellEngine, 
 		left = append(left, perGen)
 	}
 	left[0] += d.Flows - perGen*len(gens)
-	schedule = func(gi int, at units.Time) {
-		if left[gi] <= 0 {
+	// A generator has one arrival pending at a time, and that arrival
+	// schedules the next: the event carries the generator's own arrival
+	// record, so scheduling a flow allocates nothing.
+	type arrival struct {
+		gi int
+		at units.Time
+	}
+	var arrive func(any)
+	schedule := func(a *arrival) {
+		if left[a.gi] <= 0 {
 			return
 		}
-		left[gi]--
-		s.At(at, func() {
-			launch(gi, at)
-			schedule(gi, at.Add(gens[gi].NextInterarrival()))
-		})
+		left[a.gi]--
+		s.AtCall(a.at, arrive, a)
 	}
+	arrive = func(x any) {
+		a := x.(*arrival)
+		launch(a.gi, a.at)
+		a.at = a.at.Add(gens[a.gi].NextInterarrival())
+		schedule(a)
+	}
+	arrivals := make([]arrival, len(gens))
 	for gi, gen := range gens {
-		schedule(gi, units.Time(gen.NextInterarrival()))
+		arrivals[gi] = arrival{gi, units.Time(gen.NextInterarrival())}
+		schedule(&arrivals[gi])
 	}
 
 	// Flow accounting reads the same two sources the result does — the

@@ -69,6 +69,9 @@ type packetEngine struct {
 	dctcp  bool
 	mss    units.ByteSize
 	minRTO units.Duration
+	// classOf is the PIAS classifier of each service class, built once: a
+	// flow shares its class's instead of building its own.
+	classOf []func(seq int64) int
 }
 
 func newPacketEngine(s *sim.Simulator, r *Runner) (*packetEngine, error) {
@@ -82,7 +85,11 @@ func newPacketEngine(s *sim.Simulator, r *Runner) (*packetEngine, error) {
 	if d.Guard {
 		w.watch()
 	}
-	return &packetEngine{packetWorld: w, dctcp: d.DCTCP, mss: r.params.MTU - transport.HeaderSize, minRTO: d.minRTO(nil)}, nil
+	classOf := make([]func(seq int64) int, d.Queues)
+	for c := range classOf {
+		classOf[c] = pias.ClassOf(c)
+	}
+	return &packetEngine{packetWorld: w, dctcp: d.DCTCP, mss: r.params.MTU - transport.HeaderSize, minRTO: d.minRTO(nil), classOf: classOf}, nil
 }
 
 func (e *packetEngine) start(_ units.Time, f flowStart) {
@@ -94,7 +101,7 @@ func (e *packetEngine) start(_ units.Time, f flowStart) {
 		Flow:       f.id,
 		Dst:        f.dst,
 		Class:      f.class,
-		ClassOf:    pias.ClassOf(f.class),
+		ClassOf:    e.classOf[f.class],
 		Size:       f.size,
 		MSS:        e.mss,
 		Ctrl:       ctrl,

@@ -301,7 +301,7 @@ func TestCubicGrowsTowardWmax(t *testing.T) {
 	snd.nxt = snd.una + int64(100*snd.MSS())
 	cb.OnLoss(snd)
 	snd.SetSsthresh(snd.Cwnd()) // enter CA at the reduced window
-	snd.rtoTimer.Stop()         // pure window-math test: no retransmissions
+	snd.stopRTO()               // pure window-math test: no retransmissions
 	wLoss := snd.Cwnd()
 	// Feed ACKs over simulated time; the window must climb back toward
 	// W_max following the cubic curve.

@@ -108,13 +108,13 @@ type Sender struct {
 	inRecovery bool
 	recover    int64 // recovery ends when una passes this
 
-	rto      units.Duration
-	minRTO   units.Duration
-	backoff  uint
-	rtoTimer *sim.Timer
-	srtt     units.Duration
-	rttvar   units.Duration
-	hasSRTT  bool
+	rto     units.Duration
+	minRTO  units.Duration
+	backoff uint
+	rtoEv   sim.EventRef // the pending retransmission timeout; see resetRTO
+	srtt    units.Duration
+	rttvar  units.Duration
+	hasSRTT bool
 
 	// Karn-style single outstanding RTT sample.
 	sampleSeq  int64 // -1 when no sample outstanding
@@ -166,7 +166,7 @@ func newSender(s *sim.Simulator, pkts *packet.Pool, src int, emit func(*packet.P
 	if size == 0 {
 		size = math.MaxInt64
 	}
-	snd := &Sender{
+	return &Sender{
 		sim:        s,
 		pkts:       pkts,
 		emit:       emit,
@@ -186,9 +186,7 @@ func newSender(s *sim.Simulator, pkts *packet.Pool, src int, emit func(*packet.P
 		sampleSeq:  -1,
 		started:    s.Now(),
 		onComplete: cfg.OnComplete,
-	}
-	snd.rtoTimer = s.NewTimer(snd.onTimeout)
-	return snd, nil
+	}, nil
 }
 
 // Flow returns the flow id.
@@ -311,8 +309,8 @@ func (s *Sender) transmit(seq int64, payload units.ByteSize, isRtx bool) {
 	}
 	s.stats.SentPackets++
 	s.stats.SentBytes += p.Size
-	if !s.rtoTimer.Armed() {
-		s.rtoTimer.Reset(s.rto)
+	if !s.rtoEv.Pending() {
+		s.resetRTO()
 	}
 	s.emit(p)
 }
@@ -363,7 +361,7 @@ func (s *Sender) onNewAck(ack int64, echo bool) {
 		s.complete()
 		return
 	}
-	s.rtoTimer.Reset(s.rto)
+	s.resetRTO()
 	s.trySend()
 }
 
@@ -388,7 +386,7 @@ func (s *Sender) onDupAck() {
 	s.ctrl.OnLoss(s)
 	s.SetCwnd(s.ssthresh + dupThresh*float64(s.mss))
 	s.retransmitUna()
-	s.rtoTimer.Reset(s.rto)
+	s.resetRTO()
 }
 
 func (s *Sender) retransmitUna() {
@@ -400,6 +398,34 @@ func (s *Sender) retransmitUna() {
 		return
 	}
 	s.transmit(s.una, units.ByteSize(payload), true)
+}
+
+// resetRTO (re)arms the retransmission timeout s.rto from now. A flow's
+// timer is its rtoEv, not a sim.Timer: the event calls a package function on
+// the sender, so a flow allocates no timer and arming allocates nothing.
+func (s *Sender) resetRTO() { rearm(s.sim, &s.rtoEv, s.rto, senderTimeout, s) }
+
+// stopRTO disarms the retransmission timeout.
+func (s *Sender) stopRTO() {
+	s.sim.Cancel(s.rtoEv)
+	s.rtoEv = sim.EventRef{}
+}
+
+// rearm is sim.Timer.Reset for a timer kept as the event it has pending:
+// cancel *ev, then schedule fn(arg) d from now into it. The order is the
+// Timer's, so each arming draws its tie-break sequence number where a
+// Timer's would, and runs are event for event those of a Timer.
+func rearm(s *sim.Simulator, ev *sim.EventRef, d units.Duration, fn func(any), arg any) {
+	s.Cancel(*ev)
+	*ev = s.AfterCall(d, fn, arg)
+}
+
+// senderTimeout fires a sender's retransmission timeout. Like a Timer's
+// firing, it clears the handle before the handler runs.
+func senderTimeout(arg any) {
+	s := arg.(*Sender)
+	s.rtoEv = sim.EventRef{}
+	s.onTimeout()
 }
 
 func (s *Sender) onTimeout() {
@@ -428,7 +454,7 @@ func (s *Sender) onTimeout() {
 	}
 	s.transmit(s.nxt, units.ByteSize(payload), true)
 	s.nxt += payload
-	s.rtoTimer.Reset(s.rto)
+	s.resetRTO()
 }
 
 func (s *Sender) baseRTO() units.Duration {
@@ -467,7 +493,7 @@ func (s *Sender) complete() {
 		return
 	}
 	s.done = true
-	s.rtoTimer.Stop()
+	s.stopRTO()
 	if s.onComplete != nil {
 		s.onComplete(s.sim.Now().Sub(s.started))
 	}
@@ -591,8 +617,9 @@ func (r *Receiver) sendAck(peer, class int, echo bool) {
 type Endpoint struct {
 	sim       *sim.Simulator
 	host      *netsim.Host
-	pkts      *packet.Pool // where this host's packets come from; see receive
-	runs      runStock     // its receivers' empty run slices
+	send      func(*packet.Packet) // host.Send, bound once for every flow's sender and receiver
+	pkts      *packet.Pool         // where this host's packets come from; see receive
+	runs      runStock             // its receivers' empty run slices
 	senders   map[packet.FlowID]*Sender
 	receivers map[packet.FlowID]*Receiver
 }
@@ -610,6 +637,7 @@ func NewPooledEndpoint(s *sim.Simulator, host *netsim.Host, pkts *packet.Pool) *
 	ep := &Endpoint{
 		sim:       s,
 		host:      host,
+		send:      host.Send,
 		pkts:      pkts,
 		senders:   make(map[packet.FlowID]*Sender),
 		receivers: make(map[packet.FlowID]*Receiver),
@@ -628,7 +656,7 @@ func (ep *Endpoint) StartFlow(cfg FlowConfig) (*Sender, error) {
 	if _, ok := ep.senders[cfg.Flow]; ok {
 		return nil, fmt.Errorf("transport: duplicate flow id %d at host %d", cfg.Flow, ep.host.ID())
 	}
-	snd, err := newSender(ep.sim, ep.pkts, ep.host.ID(), ep.host.Send, cfg)
+	snd, err := newSender(ep.sim, ep.pkts, ep.host.ID(), ep.send, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -646,7 +674,7 @@ func (ep *Endpoint) receive(p *packet.Packet) {
 	case packet.Data:
 		r, ok := ep.receivers[p.Flow]
 		if !ok {
-			r = newReceiver(ep.pkts, &ep.runs, ep.host.ID(), ep.host.Send, p.Flow)
+			r = newReceiver(ep.pkts, &ep.runs, ep.host.ID(), ep.send, p.Flow)
 			ep.receivers[p.Flow] = r
 		}
 		r.onData(p)
