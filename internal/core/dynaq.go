@@ -347,6 +347,58 @@ func (st *State) CheckInvariants() error {
 	return nil
 }
 
+// CheckTransition checks that the thresholds moved from prev exactly as
+// Algorithm 1 moves them for one packet of size bytes on queue p, queue
+// lengths q as they are now: either not at all, or T_p rose by size while
+// exactly one T_v fell by size, where v is the victim the algorithm's rule
+// picks on prev (the state's VictimPolicy, lower index on ties), and
+// afterwards q_v = 0 or T_v ≥ S_v — a queue is never robbed below its
+// satisfaction threshold while it holds packets. The victim is found by a
+// linear scan, not the tournament Process runs. A SetBuffer since prev was
+// taken is outside what it can check.
+func (st *State) CheckTransition(prev []units.ByteSize, p int, size units.ByteSize, q QueueLens) error {
+	moved, first, second := 0, -1, -1
+	for i, t := range prev {
+		if st.t[i] != t {
+			moved++
+			first, second = second, i
+		}
+	}
+	if moved == 0 {
+		return nil
+	}
+	if moved != 2 || p < 0 || p >= len(prev) || st.t[p]-prev[p] != size {
+		return fmt.Errorf("%d thresholds moved from %v", moved, prev)
+	}
+	v := first
+	if v == p {
+		v = second
+	}
+	if st.t[v] != prev[v]-size {
+		return fmt.Errorf("T_%d went %d → %d, want a fall of %d", v, prev[v], st.t[v], size)
+	}
+	// Algorithm 1's line 2 on prev: argmax over i ≠ p of the policy's
+	// metric, the lower index on ties.
+	want := -1
+	var wantM units.ByteSize
+	for i, t := range prev {
+		m := t
+		if st.victimPolicy == VictimMaxExtra {
+			m -= st.s[i]
+		}
+		if i != p && (want < 0 || m > wantM) {
+			want, wantM = i, m
+		}
+	}
+	if v != want {
+		return fmt.Errorf("T_%d paid, but the victim rule picks queue %d", v, want)
+	}
+	if ql := q.QueueLen(v); ql > 0 && st.t[v] < st.s[v] {
+		return fmt.Errorf("robbed active queue %d (q=%d) below its satisfaction: T=%d < S=%d", v, ql, st.t[v], st.s[v])
+	}
+	return nil
+}
+
 // String renders the threshold state compactly for debugging:
 // per queue T/S/extra plus the ΣT=B check.
 func (st *State) String() string {

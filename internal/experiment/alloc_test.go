@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynaq/internal/experiment"
+	"dynaq/internal/fabric"
 	"dynaq/internal/scenario"
 	"dynaq/internal/units"
 )
@@ -41,7 +42,7 @@ func TestPacketCellAllocBudget(t *testing.T) {
 			Kind:         "fct",
 			Scheme:       string(experiment.DynaQ),
 			Engine:       string(engine),
-			Topo:         string(experiment.TopoLeafSpine),
+			Topo:         string(fabric.LeafSpine),
 			Leaves:       4,
 			Spines:       4,
 			HostsPerLeaf: 4,
@@ -69,7 +70,7 @@ func TestPacketCellAllocBudget(t *testing.T) {
 			Kind:        "fct",
 			Scheme:      string(experiment.DynaQ),
 			Engine:      string(experiment.EngineFlow),
-			Topo:        string(experiment.TopoFatTree),
+			Topo:        string(fabric.FatTree),
 			FatTreeK:    8,
 			RateGbps:    10,
 			BufferB:     192000,

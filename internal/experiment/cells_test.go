@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynaq/internal/experiment"
+	"dynaq/internal/fabric"
 	"dynaq/internal/scenario"
 )
 
@@ -63,7 +64,7 @@ func fctCell(engine experiment.EngineMode, flows int, load float64, seed int64) 
 		Kind:      "fct",
 		Scheme:    string(experiment.DynaQ),
 		Engine:    string(engine),
-		Topo:      string(experiment.TopoStar),
+		Topo:      string(fabric.Star),
 		Servers:   4,
 		RateGbps:  1,
 		BufferB:   85000,

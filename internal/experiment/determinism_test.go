@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dynaq/internal/experiment"
+	"dynaq/internal/fabric"
 	"dynaq/internal/scenario"
 	"dynaq/internal/telemetry"
 	"dynaq/internal/units"
@@ -164,7 +165,7 @@ func TestTelemetryDeterministicDynamic(t *testing.T) {
 		r := loadCell(t, scenario.Document{
 			Kind:      "fct",
 			Scheme:    string(experiment.DynaQ),
-			Topo:      string(experiment.TopoStar),
+			Topo:      string(fabric.Star),
 			Servers:   4,
 			RateGbps:  1,
 			BufferB:   200000,

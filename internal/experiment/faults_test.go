@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynaq/internal/experiment"
+	"dynaq/internal/fabric"
 	"dynaq/internal/faults"
 	"dynaq/internal/metrics"
 	"dynaq/internal/scenario"
@@ -69,7 +70,7 @@ func dynamicFault(t *testing.T, seed int64) *experiment.DynamicResult {
 	return runCell(t, scenario.Document{
 		Kind:         "fct",
 		Scheme:       string(experiment.DynaQ),
-		Topo:         string(experiment.TopoLeafSpine),
+		Topo:         string(fabric.LeafSpine),
 		Leaves:       2,
 		Spines:       2,
 		HostsPerLeaf: 2,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynaq/internal/experiment"
+	"dynaq/internal/fabric"
 	"dynaq/internal/metrics"
 	"dynaq/internal/scenario"
 	"dynaq/internal/units"
@@ -19,7 +20,7 @@ func fatTreeFlow(engine experiment.EngineMode, flows int, seed int64) scenario.D
 		Kind:      "fct",
 		Scheme:    string(experiment.DynaQ),
 		Engine:    string(engine),
-		Topo:      string(experiment.TopoFatTree),
+		Topo:      string(fabric.FatTree),
 		FatTreeK:  4,
 		RateGbps:  10,
 		BufferB:   192000,

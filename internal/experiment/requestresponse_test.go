@@ -143,7 +143,7 @@ func smallLeafSpine() scenario.Document {
 	return scenario.Document{
 		Kind:         "fct",
 		Scheme:       string(experiment.DynaQ),
-		Topo:         string(experiment.TopoLeafSpine),
+		Topo:         string(fabric.LeafSpine),
 		Leaves:       2,
 		Spines:       2,
 		HostsPerLeaf: 2,

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"dynaq/internal/buffer"
-	"dynaq/internal/fabric"
 	"dynaq/internal/sched"
 	"dynaq/internal/units"
 )
@@ -133,16 +132,6 @@ func (k SchedKind) NewScheduler(weights []int64, mtu units.ByteSize, n int) (sch
 		return nil, fmt.Errorf("experiment: unknown scheduler kind %q", k)
 	}
 }
-
-// TopoKind selects the network shape of a dynamic-flow experiment.
-type TopoKind = fabric.Kind
-
-// Topology kinds; every kind runs on every engine.
-const (
-	TopoStar      = fabric.Star
-	TopoLeafSpine = fabric.LeafSpine
-	TopoFatTree   = fabric.FatTree
-)
 
 // EngineMode selects the fidelity of a dynamic-flow run: the per-packet
 // discrete-event engine, the flow-level fluid engine, or the hybrid that

@@ -105,73 +105,17 @@ func (gp *guardedPort) rebase() {
 }
 
 // transition checks that the thresholds moved between the previous port
-// event and ev exactly as Algorithm 1 moves them for ev's packet of size s on
-// queue p: either not at all, or T_p rose by s while exactly one T_v fell by
-// s, where v is the victim the algorithm's rule picks on the previous
-// thresholds (the state's VictimPolicy, lower index on ties), and afterwards
-// q_v = 0 or T_v ≥ S_v — a queue is never robbed below its satisfaction
-// threshold while it holds packets. A SetBuffer re-initialisation since the
-// previous event re-bases the snapshot instead.
+// event and ev exactly as Algorithm 1 moves them for ev's packet on its
+// queue (core.State.CheckTransition). A SetBuffer re-initialisation since
+// the previous event re-bases the snapshot instead.
 func (g *Guardrail) transition(gp *guardedPort, ev netsim.PortEvent) {
-	st := gp.st
 	defer gp.rebase()
-	if st.Resizes() != gp.resizes {
+	if gp.st.Resizes() != gp.resizes {
 		return
 	}
-	moved, first, second := 0, -1, -1
-	for i, prev := range gp.t {
-		if st.Threshold(i) != prev {
-			moved++
-			first, second = second, i
-		}
+	if err := gp.st.CheckTransition(gp.t, ev.Queue, ev.Pkt.Size, gp.port); err != nil {
+		g.report(ev.At, gp, "transition", fmt.Errorf("%s on queue %d (size %d): %v", ev.Kind, ev.Queue, ev.Pkt.Size, err))
 	}
-	if moved == 0 {
-		return
-	}
-	p, size := ev.Queue, ev.Pkt.Size
-	fail := func(format string, args ...any) {
-		g.report(ev.At, gp, "transition",
-			fmt.Errorf("%s on queue %d (size %d): %s", ev.Kind, p, size, fmt.Sprintf(format, args...)))
-	}
-	if moved != 2 || p < 0 || p >= len(gp.t) || st.Threshold(p)-gp.t[p] != size {
-		fail("%d thresholds moved from %v", moved, gp.t)
-		return
-	}
-	v := first
-	if v == p {
-		v = second
-	}
-	if st.Threshold(v) != gp.t[v]-size {
-		fail("T_%d went %d → %d, want a fall of %d", v, gp.t[v], st.Threshold(v), size)
-		return
-	}
-	if want := gp.victim(p); v != want {
-		fail("T_%d paid, but the victim rule picks queue %d", v, want)
-		return
-	}
-	if q := gp.port.QueueLen(v); q > 0 && st.Threshold(v) < st.Satisfaction(v) {
-		fail("robbed active queue %d (q=%d) below its satisfaction: T=%d < S=%d", v, q, st.Threshold(v), st.Satisfaction(v))
-	}
-}
-
-// victim is Algorithm 1's line 2 on the snapshot: argmax over i ≠ p of the
-// policy's metric, the lower index on ties; -1 when p is the only queue.
-func (gp *guardedPort) victim(p int) int {
-	best := -1
-	var bestM units.ByteSize
-	for i, t := range gp.t {
-		if i == p {
-			continue
-		}
-		m := t
-		if gp.st.VictimPolicy() == core.VictimMaxExtra {
-			m -= gp.st.Satisfaction(i)
-		}
-		if best < 0 || m > bestM {
-			best, bestM = i, m
-		}
-	}
-	return best
 }
 
 func (g *Guardrail) check(gp *guardedPort, at units.Time) {

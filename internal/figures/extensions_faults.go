@@ -2,6 +2,7 @@ package figures
 
 import (
 	"dynaq/internal/experiment"
+	"dynaq/internal/fabric"
 	"dynaq/internal/faults"
 	"dynaq/internal/metrics"
 	"dynaq/internal/scenario"
@@ -60,7 +61,7 @@ func ExtFaults(o experiment.Options) (*Figure, error) {
 		cells[len(schemes)+i] = scenario.Document{
 			Kind:         "fct",
 			Scheme:       string(scheme),
-			Topo:         string(experiment.TopoLeafSpine),
+			Topo:         string(fabric.LeafSpine),
 			Leaves:       2,
 			Spines:       2,
 			HostsPerLeaf: 2,

@@ -6,6 +6,7 @@ import (
 
 	"dynaq/internal/core"
 	"dynaq/internal/experiment"
+	"dynaq/internal/fabric"
 	"dynaq/internal/metrics"
 	"dynaq/internal/scenario"
 )
@@ -68,7 +69,7 @@ func testbedFCT(o experiment.Options) scenario.Document {
 	return scenario.Document{
 		Kind:        "fct",
 		Engine:      string(o.Engine),
-		Topo:        string(experiment.TopoStar),
+		Topo:        string(fabric.Star),
 		Servers:     4,
 		RateGbps:    1,
 		BufferB:     85000,
@@ -105,7 +106,7 @@ func Fig13(o experiment.Options) (*Figure, error) {
 	return fctRows(o, "fig13", experiment.NonECNSchemes(), fctLoads(o), scenario.Document{
 		Kind:         "fct",
 		Engine:       string(o.Engine),
-		Topo:         string(experiment.TopoLeafSpine),
+		Topo:         string(fabric.LeafSpine),
 		Leaves:       size,
 		Spines:       size,
 		HostsPerLeaf: size,

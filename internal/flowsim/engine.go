@@ -159,8 +159,8 @@ type Engine struct {
 	ssCount     int  // flows still in slow start (caps grow every epoch)
 	penalized   int  // active flows holding a loss penalty (its expiry changes caps)
 
-	completion *sim.Timer
-	crossing   *sim.Timer
+	completion sim.EventRef // pending at the earliest projected finish
+	crossing   sim.EventRef // pending at the earliest projected crossing
 	stopTick   func()
 
 	arrivals  []*arrival // free list of pending-arrival records
@@ -256,8 +256,6 @@ func New(s *sim.Simulator, cfg Config) (*Engine, error) {
 	if e.quantum <= 0 {
 		e.quantum = cfg.RTT
 	}
-	e.completion = s.NewTimer(e.onCompletionTimer)
-	e.crossing = s.NewTimer(e.onCrossingTimer)
 	e.stopTick = s.Every(e.quantum, e.onTick)
 	return e, nil
 }
@@ -267,11 +265,11 @@ func New(s *sim.Simulator, cfg Config) (*Engine, error) {
 // reached.
 func (e *Engine) Close() {
 	e.stopTick()
-	e.completion.Stop()
-	e.crossing.Stop()
+	e.s.Cancel(e.completion)
+	e.s.Cancel(e.crossing)
 	for i := range e.links {
 		if ep := e.links[i].ep; ep != nil {
-			ep.pump.Stop()
+			e.s.Cancel(ep.pump)
 		}
 	}
 }
@@ -664,15 +662,17 @@ func (e *Engine) armCompletion() {
 		}
 	}
 	if best == units.MaxTime {
-		e.completion.Stop()
+		e.s.Cancel(e.completion)
 		return
 	}
-	e.completion.Reset(best.Sub(now))
+	e.s.Rearm(&e.completion, best.Sub(now), completionDue, e)
 }
 
-// onCompletionTimer fires at a projected finish: integrate and complete
-// every flow that has drained.
-func (e *Engine) onCompletionTimer() {
+// completionDue fires at a projected finish: integrate and complete every
+// flow that has drained.
+func completionDue(arg any) {
+	e := arg.(*Engine)
+	e.completion = sim.EventRef{}
 	e.advance()
 	e.completeDrained()
 	e.armCompletion()
@@ -744,10 +744,10 @@ func (e *Engine) complete(fi int32, withQDelay bool) {
 func (e *Engine) armCrossing() {
 	best := e.nextCrossing()
 	if best == units.MaxTime {
-		e.crossing.Stop()
+		e.s.Cancel(e.crossing)
 		return
 	}
-	e.crossing.Reset(best.Sub(e.s.Now()))
+	e.s.Rearm(&e.crossing, best.Sub(e.s.Now()), crossingDue, e)
 }
 
 // nextCrossing returns the earliest projected demote threshold crossing
@@ -775,9 +775,11 @@ func (e *Engine) nextCrossing() units.Time {
 	return best
 }
 
-// onCrossingTimer fires at a projected threshold crossing: the advance
-// detects the crossing (and demotes under hybrid) as a side effect.
-func (e *Engine) onCrossingTimer() {
+// crossingDue fires at a projected threshold crossing: the advance detects
+// the crossing (and demotes under hybrid) as a side effect.
+func crossingDue(arg any) {
+	e := arg.(*Engine)
+	e.crossing = sim.EventRef{}
 	e.advance()
 	e.armCrossing()
 }

@@ -64,7 +64,9 @@ type episode struct {
 	flows  []int32 // active flows crossing the link this episode
 	credit []int64 // per flows[i]: accrued bytes not yet packetized
 
-	pump     *sim.Timer
+	eng      *Engine
+	li       int          // the link this episode packetizes
+	pump     sim.EventRef // the next pump tick, pending while demoted
 	lastPump units.Time
 	startT   units.Time
 	packets  int64
@@ -110,7 +112,8 @@ func (e *Engine) demote(li int) {
 			queues:  make([]chunkQueue, e.cfg.Queues),
 			qlen:    make([]units.ByteSize, e.cfg.Queues),
 			deficit: make([]int64, e.cfg.Queues),
-			pump:    e.s.NewTimer(func() { e.pump(li) }),
+			eng:     e,
+			li:      li,
 		}
 		ep.enqMark, _ = adm.(buffer.EnqueueMarker)
 		ep.deqDrop, _ = adm.(buffer.DequeueDropper)
@@ -167,7 +170,7 @@ func (e *Engine) demote(li int) {
 			e.enqueueChunk(ep, cls, chunk{flow: -1, bytes: int32(b), at: now})
 		}
 	}
-	ep.pump.Reset(e.pumpInterval(l))
+	e.s.Rearm(&ep.pump, e.pumpInterval(l), pumpDue, ep)
 }
 
 // pumpInterval is the episode tick: pumpBatchMTUs MTUs of serialization
@@ -183,6 +186,13 @@ func (e *Engine) enqueueChunk(ep *episode, cls int, c chunk) {
 	ep.total += units.ByteSize(c.bytes)
 	ep.packets++
 	e.stats.PacketizedPackets++
+}
+
+// pumpDue is the event function of an episode's pump tick.
+func pumpDue(arg any) {
+	ep := arg.(*episode)
+	ep.pump = sim.EventRef{}
+	ep.eng.pump(ep.li)
 }
 
 // pump is one episode tick of link li: accrue per-flow send credit, feed it
@@ -293,7 +303,7 @@ func (e *Engine) pump(li int) {
 		e.promote(li)
 		return
 	}
-	ep.pump.Reset(e.pumpInterval(l))
+	e.s.Rearm(&ep.pump, e.pumpInterval(l), pumpDue, ep)
 }
 
 // deliverChunk hands one dequeued chunk to its flow (phantom chunks just
@@ -371,7 +381,7 @@ func (e *Engine) promote(li int) {
 	}
 	ep.flows = ep.flows[:0]
 	ep.credit = ep.credit[:0]
-	ep.pump.Stop()
+	e.s.Cancel(ep.pump)
 	e.stats.Promotions++
 	e.dirty = true
 	if e.cfg.Spans != nil {

@@ -22,13 +22,13 @@ type ThroughputSampler struct {
 	interval units.Duration
 	prev     []units.ByteSize
 	samples  []ThroughputSample
-	timer    *sim.Timer
+	tick     sim.EventRef
 	publish  func(now units.Time, per []units.Rate, agg units.Rate) // set by Publish
 }
 
 // NewThroughputSampler attaches a sampler to port with the given interval
-// and starts it immediately. The sampler re-arms one pooled timer per tick,
-// so long runs sample without allocating events.
+// and starts it immediately. Each sample re-arms the next through the
+// simulator's free list, so long runs sample without allocating events.
 func NewThroughputSampler(s *sim.Simulator, port *netsim.Port, interval units.Duration) *ThroughputSampler {
 	if interval <= 0 {
 		panic("metrics: sampler interval must be positive")
@@ -39,14 +39,16 @@ func NewThroughputSampler(s *sim.Simulator, port *netsim.Port, interval units.Du
 		interval: interval,
 		prev:     make([]units.ByteSize, port.NumQueues()),
 	}
-	ts.timer = s.NewTimer(ts.tick)
-	ts.timer.Reset(interval)
+	ts.tick = s.AfterCall(interval, samplerTick, ts)
 	return ts
 }
 
-func (ts *ThroughputSampler) tick() {
+// samplerTick is the event function of a sampler's tick: take the sample,
+// then schedule the next.
+func samplerTick(arg any) {
+	ts := arg.(*ThroughputSampler)
 	ts.sample(ts.sim.Now())
-	ts.timer.Reset(ts.interval)
+	ts.tick = ts.sim.AfterCall(ts.interval, samplerTick, ts)
 }
 
 func (ts *ThroughputSampler) sample(now units.Time) {
@@ -66,7 +68,7 @@ func (ts *ThroughputSampler) sample(now units.Time) {
 }
 
 // Stop halts sampling.
-func (ts *ThroughputSampler) Stop() { ts.timer.Stop() }
+func (ts *ThroughputSampler) Stop() { ts.sim.Cancel(ts.tick) }
 
 // Samples returns the collected series.
 func (ts *ThroughputSampler) Samples() []ThroughputSample { return ts.samples }

@@ -43,7 +43,7 @@ func (r *Runner) fctFabric() (*fabric.Graph, error) {
 		// hit, the guardrail to watch or routing to probe.
 		return nil, &ValidationError{"engine", "faults, guardrails and failure-aware routing need the packet engine"}
 	}
-	topo := experiment.TopoKind(d.Topo)
+	topo := fabric.Kind(d.Topo)
 	if err := r.resolve(topo); err != nil {
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func (r *Runner) fctFabric() (*fabric.Graph, error) {
 		err error
 	)
 	switch topo {
-	case experiment.TopoStar:
+	case fabric.Star:
 		// Servers sender hosts plus the client; zero means the testbed's 4,
 		// and the star refuses a negative count as too few hosts.
 		servers := d.Servers
@@ -61,9 +61,9 @@ func (r *Runner) fctFabric() (*fabric.Graph, error) {
 			servers = 4
 		}
 		g, err = newStar(servers+1, rate, "servers")
-	case experiment.TopoLeafSpine:
+	case fabric.LeafSpine:
 		g, err = fabric.NewLeafSpine(d.Leaves, d.Spines, d.HostsPerLeaf, rate)
-	case experiment.TopoFatTree:
+	case fabric.FatTree:
 		g, err = fabric.NewFatTree(d.FatTreeK, rate)
 	default:
 		return nil, &ValidationError{"topo", fmt.Sprintf("unknown topology %q", d.Topo)}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynaq/internal/experiment"
+	"dynaq/internal/fabric"
 	"dynaq/internal/netsim"
 	"dynaq/internal/sim"
 	"dynaq/internal/units"
@@ -85,7 +86,7 @@ func TestIdlePortPathMatchesQueuedPath(t *testing.T) {
 	star.Workloads = []string{"websearch", "cache"}
 	leafspine := Document{
 		Kind: "fct", RateGbps: 10, RTTUs: 8, BufferB: 64000, Queues: 4, MTU: 1500, MinRTOMs: 5, Seed: 5,
-		Topo: string(experiment.TopoLeafSpine), Leaves: 2, Spines: 2, HostsPerLeaf: 3,
+		Topo: string(fabric.LeafSpine), Leaves: 2, Spines: 2, HostsPerLeaf: 3,
 		Load: 0.7, Flows: 60, Workloads: []string{"websearch", "hadoop"}, MaxRuntimeS: 20,
 	}
 	schemes := []experiment.Scheme{experiment.DynaQ, experiment.BestEffort, experiment.PQL, experiment.TCN,

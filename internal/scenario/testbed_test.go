@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dynaq/internal/experiment"
+	"dynaq/internal/fabric"
 )
 
 // load loads doc as dynaqsim -config would: the engine-seam tests describe
@@ -23,7 +24,7 @@ func load(t testing.TB, doc Document) *Runner {
 func testbedFCT(seed int64) Document {
 	return Document{
 		Kind:        "fct",
-		Topo:        string(experiment.TopoStar),
+		Topo:        string(fabric.Star),
 		Servers:     4,
 		RateGbps:    1,
 		BufferB:     85000,
@@ -54,7 +55,7 @@ func smallLeafSpine() Document {
 	return Document{
 		Kind:         "fct",
 		Scheme:       string(experiment.DynaQ),
-		Topo:         string(experiment.TopoLeafSpine),
+		Topo:         string(fabric.LeafSpine),
 		Leaves:       2,
 		Spines:       2,
 		HostsPerLeaf: 2,

@@ -103,18 +103,20 @@ func BenchmarkEngineAfterCall(b *testing.B) {
 	reportEventsPerSec(b, b.N)
 }
 
-// BenchmarkEngineTimerReset is the transport-retransmission pattern: one
-// long-lived Timer re-armed on every ACK, rarely firing.
-func BenchmarkEngineTimerReset(b *testing.B) {
+// BenchmarkEngineRearm is the transport-retransmission pattern: one
+// long-lived timer, kept as its pending event, re-armed on every ACK and
+// rarely firing.
+func BenchmarkEngineRearm(b *testing.B) {
 	s := New()
-	tm := s.NewTimer(func() {})
+	var ev EventRef
+	fn := func(any) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tm.Reset(units.Millisecond)
+		s.Rearm(&ev, units.Millisecond, fn, nil)
 	}
 	b.StopTimer()
-	tm.Stop()
+	s.Cancel(ev)
 }
 
 // BenchmarkEngineCancel schedules and immediately cancels, exercising
@@ -149,17 +151,18 @@ func TestEngineScheduleZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestTimerResetZeroAlloc(t *testing.T) {
+func TestTimerRearmZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
 	s := New()
-	tm := s.NewTimer(func() {})
-	tm.Reset(units.Millisecond) // warm the free list
+	var ev EventRef
+	fn := func(any) {}
+	s.Rearm(&ev, units.Millisecond, fn, &ev) // warm the free list
 	avg := testing.AllocsPerRun(1000, func() {
-		tm.Reset(units.Millisecond)
+		s.Rearm(&ev, units.Millisecond, fn, &ev)
 	})
 	if avg != 0 {
-		t.Fatalf("Timer.Reset allocates %.2f per op, want 0", avg)
+		t.Fatalf("Rearm allocates %.2f per op, want 0", avg)
 	}
 }

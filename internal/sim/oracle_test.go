@@ -240,8 +240,13 @@ type timer interface {
 }
 
 // simEngine is the Simulator under test. LaneCall looks its lane up on every
-// call, so the lookup is exercised as well.
-type simEngine struct{ *Simulator }
+// call, so the lookup is exercised as well. Its timers are Rearm timers and
+// its tickers Every's or, with timers set, the Timer and ticker they
+// replaced (timer_oracle_test.go).
+type simEngine struct {
+	*Simulator
+	timers bool
+}
 
 func (s simEngine) At(t units.Time, fn func()) handle { return s.Simulator.At(t, fn) }
 func (s simEngine) After(d units.Duration, fn func()) handle {
@@ -255,11 +260,24 @@ func (s simEngine) AfterCall(d units.Duration, fn func(any), arg any) handle {
 }
 func (s simEngine) LaneCall(d units.Duration, fn func(any), arg any) { s.Lane(d).Call(fn, arg) }
 func (s simEngine) Cancel(h handle)                                  { s.Simulator.Cancel(h.(EventRef)) }
-func (s simEngine) NewTimer(fn func()) timer                         { return s.Simulator.NewTimer(fn) }
+
+func (s simEngine) NewTimer(fn func()) timer {
+	if s.timers {
+		return s.Simulator.NewTimer(fn)
+	}
+	return &rearmTimer{s: s.Simulator, fn: fn}
+}
+
+func (s simEngine) Every(d units.Duration, fn func()) (stop func()) {
+	if s.timers {
+		return s.timerEvery(d, fn)
+	}
+	return s.Simulator.Every(d, fn)
+}
 
 // refEngine is the reference: a lane call is an AfterCall of the lane's
 // delay, which is what a lane claims to be. Timer and Every are the
-// Simulator's own (with Every's re-arm check), rebuilt on the reference heap.
+// oracle's (with Every's re-arm check), rebuilt on the reference heap.
 type refEngine struct{ *refSim }
 
 func (s refEngine) At(t units.Time, fn func()) handle { return s.schedule(t, fn, nil, nil) }
@@ -499,25 +517,41 @@ func (p *program) run() {
 
 // queueAgainstReference fails at the first callback that ran out of the
 // reference's order, at another time, or saw another Pending() or another
-// answer from an EventRef.
+// answer from an EventRef. The same program with the Timer and ticker that
+// Rearm and Every replaced must also agree with it, and leave the heap's
+// high-water mark and the free list's reuse count where they left them:
+// an arming that scheduled before it canceled would move both.
 func queueAgainstReference(t testing.TB, data []byte) int {
-	got := &program{e: simEngine{New()}, sc: script{data: data}}
+	got := &program{e: simEngine{Simulator: New()}, sc: script{data: data}}
+	timers := &program{e: simEngine{Simulator: New(), timers: true}, sc: script{data: data}}
 	want := &program{e: refEngine{&refSim{}}, sc: script{data: data}}
 	got.run()
+	timers.run()
 	want.run()
-	if !slices.Equal(got.log, want.log) {
-		for i := range want.log {
-			if i >= len(got.log) || got.log[i] != want.log[i] {
-				var g any = "nothing"
-				if i < len(got.log) {
-					g = got.log[i]
-				}
-				t.Fatalf("record %d of %d: got %+v, reference %+v", i, len(want.log), g, want.log[i])
-			}
-		}
-		t.Fatalf("%d records, reference %d", len(got.log), len(want.log))
+	sameLog(t, "reference", got.log, want.log)
+	sameLog(t, "Timer", got.log, timers.log)
+	g, o := got.e.(simEngine), timers.e.(simEngine)
+	if g.MaxPending() != o.MaxPending() || g.PoolReuse() != o.PoolReuse() {
+		t.Fatalf("heap high-water %d, pool reuse %d; with Timer %d, %d",
+			g.MaxPending(), g.PoolReuse(), o.MaxPending(), o.PoolReuse())
 	}
 	return len(want.log)
+}
+
+func sameLog(t testing.TB, what string, got, want []rec) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		for i := range want {
+			if i >= len(got) || got[i] != want[i] {
+				var g any = "nothing"
+				if i < len(got) {
+					g = got[i]
+				}
+				t.Fatalf("record %d of %d: got %+v, %s %+v", i, len(want), g, what, want[i])
+			}
+		}
+		t.Fatalf("%d records, %s %d", len(got), what, len(want))
+	}
 }
 
 func TestQueueMatchesReference(t *testing.T) {

@@ -1,8 +1,9 @@
 // Package sim provides the discrete-event simulation engine that drives the
 // whole reproduction: a four-ary event heap specialized to *Event, fixed-delay
-// lanes for the events that need no heap, a virtual clock, re-armable timers,
-// and a free list that recycles Event objects so that scheduling and running
-// an event allocate nothing once the free list has grown to the heap's depth.
+// lanes for the events that need no heap, a virtual clock, and a free list
+// that recycles Event objects so that scheduling and running an event
+// allocate nothing once the free list has grown to the heap's depth. Every
+// event is a call fn(arg), and a timer is the EventRef it has pending.
 //
 // The engine is intentionally single-goroutine: every experiment in the
 // paper is a deterministic function of its seed, which makes results
@@ -17,7 +18,7 @@ import (
 	"dynaq/internal/units"
 )
 
-// Event is a callback scheduled to run at a fixed simulated time. Event
+// Event is a call fn(arg) scheduled to run at a fixed simulated time. Event
 // objects are owned and recycled by the Simulator's free list; callers hold
 // EventRef handles, never bare *Event.
 type Event struct {
@@ -25,8 +26,7 @@ type Event struct {
 	seq  uint64 // tie-break: FIFO order among same-time events
 	gen  uint64 // bumped on every recycle so stale refs can be detected
 	idx  int    // heap index; -1 while popped, canceled, or on the free list
-	fn   func()
-	fnA  func(any)
+	fn   func(any)
 	arg  any
 }
 
@@ -218,23 +218,8 @@ func (s *Simulator) release(e *Event) {
 	e.gen++
 	e.idx = -1
 	e.fn = nil
-	e.fnA = nil
 	e.arg = nil
 	s.free = append(s.free, e)
-}
-
-func (s *Simulator) schedule(t units.Time, fn func(), fnA func(any), arg any) EventRef {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
-	e := s.alloc()
-	e.when = t
-	e.seq = s.nextSeq()
-	e.fn = fn
-	e.fnA = fnA
-	e.arg = arg
-	s.push(e)
-	return EventRef{ev: e, gen: e.gen}
 }
 
 // nextSeq takes the next tie-break sequence number. Heap and lane events
@@ -246,26 +231,37 @@ func (s *Simulator) nextSeq() uint64 {
 	return seq
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it always indicates a model bug, and silently reordering time would
-// corrupt every queue measurement downstream.
+// At schedules fn to run at absolute time t: AtCall with fn as the arg of a
+// package-level trampoline. A func value is pointer-shaped, so the arg holds
+// it without allocating; a closure built for the call may allocate.
 func (s *Simulator) At(t units.Time, fn func()) EventRef {
-	return s.schedule(t, fn, nil, nil)
+	return s.AtCall(t, call, fn)
 }
 
 // After schedules fn to run d after the current time.
 func (s *Simulator) After(d units.Duration, fn func()) EventRef {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now.Add(d), fn)
+	return s.AfterCall(d, call, fn)
 }
 
+// call is the event function of At and After: arg is the func() to run.
+func call(arg any) { arg.(func())() }
+
 // AtCall schedules fn(arg) at absolute time t. With a package-level fn and a
-// pooled arg this schedules without allocating, where At would force a
-// closure per call. Lane.Call is the same form for fixed-delay events.
+// pooled arg this schedules without allocating. Lane.Call is the same form
+// for fixed-delay events. Scheduling in the past panics: it always indicates
+// a model bug, and silently reordering time would corrupt every queue
+// measurement downstream.
 func (s *Simulator) AtCall(t units.Time, fn func(any), arg any) EventRef {
-	return s.schedule(t, nil, fn, arg)
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+	}
+	e := s.alloc()
+	e.when = t
+	e.seq = s.nextSeq()
+	e.fn = fn
+	e.arg = arg
+	s.push(e)
+	return EventRef{ev: e, gen: e.gen}
 }
 
 // AfterCall schedules fn(arg) to run d after the current time.
@@ -286,6 +282,18 @@ func (s *Simulator) Cancel(ref EventRef) {
 	}
 	s.removeAt(e.idx)
 	s.release(e)
+}
+
+// Rearm makes *ev a timer: it cancels the event *ev refers to, if pending,
+// and schedules fn(arg) d from now into *ev. Cancelling first returns the
+// old event to the free list, so the new one reuses it, and a timer re-armed
+// on every ACK allocates nothing. The timer is armed while ev.Pending();
+// Cancel(*ev) stops it. A fired event's ref is stale and not pending, but
+// fn clears *ev before it acts all the same, so that a handle never points
+// at an Event the free list has handed on.
+func (s *Simulator) Rearm(ev *EventRef, d units.Duration, fn func(any), arg any) {
+	s.Cancel(*ev)
+	*ev = s.AfterCall(d, fn, arg)
 }
 
 // Lane is a FIFO of events that each fire one fixed delay after they are
@@ -415,13 +423,9 @@ func (s *Simulator) fire(from *Lane, when units.Time) {
 		return
 	}
 	e := s.popMin()
-	fn, fnA, arg := e.fn, e.fnA, e.arg
+	fn, arg := e.fn, e.arg
 	s.release(e)
-	if fn != nil {
-		fn()
-	} else {
-		fnA(arg)
-	}
+	fn(arg)
 }
 
 // run pops the lane's head and calls it. Before the call, the lane's entry in
@@ -470,63 +474,24 @@ func (s *Simulator) RunUntil(deadline units.Time) {
 	}
 }
 
-// Timer is a single-shot re-armable timer, the building block for TCP
-// retransmission timeouts and periodic samplers. The firing callback is
-// bound once at construction, so Reset/Stop cycles never allocate.
-type Timer struct {
-	sim    *Simulator
-	ev     EventRef
-	fn     func()
-	fireFn func() // t.fire bound once; a fresh method value per Reset would allocate
-}
-
-// NewTimer returns an unarmed timer that runs fn when it fires.
-func (s *Simulator) NewTimer(fn func()) *Timer {
-	t := &Timer{sim: s, fn: fn}
-	t.fireFn = t.fire
-	return t
-}
-
-// Reset (re)arms the timer to fire d from now, replacing any pending firing.
-func (t *Timer) Reset(d units.Duration) {
-	t.sim.Cancel(t.ev)
-	t.ev = t.sim.After(d, t.fireFn)
-}
-
-// Stop disarms the timer if armed.
-func (t *Timer) Stop() {
-	t.sim.Cancel(t.ev)
-	t.ev = EventRef{}
-}
-
-// Armed reports whether the timer has a pending firing.
-func (t *Timer) Armed() bool { return t.ev.Pending() }
-
-func (t *Timer) fire() {
-	t.ev = EventRef{}
-	t.fn()
-}
-
-// ticker carries the state for Every so each tick re-arms through one
-// precomputed callback instead of allocating a closure chain.
+// ticker is the state of one Every: its pending tick is its own event, as a
+// Rearm timer's is.
 type ticker struct {
 	sim     *Simulator
 	period  units.Duration
 	fn      func()
-	tickFn  func()
 	ev      EventRef
 	stopped bool
 }
 
-func (tk *ticker) tick() {
-	if tk.stopped {
-		return
-	}
+// tick is the event function of a ticker.
+func tick(arg any) {
+	tk := arg.(*ticker)
 	tk.fn()
 	if tk.stopped { // fn itself may have called stop
 		return
 	}
-	tk.ev = tk.sim.After(tk.period, tk.tickFn)
+	tk.ev = tk.sim.AfterCall(tk.period, tick, tk)
 }
 
 func (tk *ticker) stop() {
@@ -536,14 +501,13 @@ func (tk *ticker) stop() {
 }
 
 // Every schedules fn to run now+d, now+2d, ... until the returned stop
-// function is called. It is used by periodic throughput samplers. The
-// ticker allocates once; individual ticks are allocation-free.
+// function is called, from fn itself or from anywhere else. The ticker
+// allocates once; individual ticks are allocation-free.
 func (s *Simulator) Every(d units.Duration, fn func()) (stop func()) {
 	if d <= 0 {
 		panic("sim: Every requires a positive period")
 	}
 	tk := &ticker{sim: s, period: d, fn: fn}
-	tk.tickFn = tk.tick
-	tk.ev = s.After(d, tk.tickFn)
+	tk.ev = s.AfterCall(d, tick, tk)
 	return tk.stop
 }

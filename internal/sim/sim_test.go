@@ -127,16 +127,37 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestTimerResetReplacesPending(t *testing.T) {
+// testTimer is a timer kept as its pending event. fireTestTimer clears the
+// handle, as a model's fire function does, counts the firing and re-arms
+// the timer while rearms lasts.
+type testTimer struct {
+	s      *Simulator
+	ev     EventRef
+	fires  int
+	rearms int
+}
+
+func fireTestTimer(arg any) {
+	tm := arg.(*testTimer)
+	tm.ev = EventRef{}
+	tm.fires++
+	if tm.rearms > 0 {
+		tm.rearms--
+		tm.s.Rearm(&tm.ev, units.Millisecond, fireTestTimer, tm)
+	}
+}
+
+func TestTimerRearmReplacesPending(t *testing.T) {
 	s := New()
-	fires := 0
-	var tm *Timer
-	tm = s.NewTimer(func() { fires++ })
-	tm.Reset(10 * units.Millisecond)
-	tm.Reset(20 * units.Millisecond) // replaces the first arming
+	tm := &testTimer{s: s}
+	s.Rearm(&tm.ev, 10*units.Millisecond, fireTestTimer, tm)
+	s.Rearm(&tm.ev, 20*units.Millisecond, fireTestTimer, tm) // replaces the first arming
+	if s.Pending() != 1 {
+		t.Fatalf("pending = %d, want 1", s.Pending())
+	}
 	s.Run()
-	if fires != 1 {
-		t.Fatalf("fires = %d, want 1", fires)
+	if tm.fires != 1 {
+		t.Fatalf("fires = %d, want 1", tm.fires)
 	}
 	if s.Now() != units.Time(20*units.Millisecond) {
 		t.Fatalf("fired at %v, want 20ms", s.Now())
@@ -145,36 +166,28 @@ func TestTimerResetReplacesPending(t *testing.T) {
 
 func TestTimerStop(t *testing.T) {
 	s := New()
-	fires := 0
-	tm := s.NewTimer(func() { fires++ })
-	tm.Reset(units.Millisecond)
-	if !tm.Armed() {
+	tm := &testTimer{s: s}
+	s.Rearm(&tm.ev, units.Millisecond, fireTestTimer, tm)
+	if !tm.ev.Pending() {
 		t.Fatal("timer should be armed")
 	}
-	tm.Stop()
-	if tm.Armed() {
+	s.Cancel(tm.ev)
+	if tm.ev.Pending() {
 		t.Fatal("timer should be disarmed")
 	}
 	s.Run()
-	if fires != 0 {
+	if tm.fires != 0 {
 		t.Fatal("stopped timer fired")
 	}
 }
 
 func TestTimerRearmFromCallback(t *testing.T) {
 	s := New()
-	fires := 0
-	var tm *Timer
-	tm = s.NewTimer(func() {
-		fires++
-		if fires < 3 {
-			tm.Reset(units.Millisecond)
-		}
-	})
-	tm.Reset(units.Millisecond)
+	tm := &testTimer{s: s, rearms: 2}
+	s.Rearm(&tm.ev, units.Millisecond, fireTestTimer, tm)
 	s.Run()
-	if fires != 3 {
-		t.Fatalf("fires = %d, want 3", fires)
+	if tm.fires != 3 || s.Now() != units.Time(3*units.Millisecond) {
+		t.Fatalf("fires = %d by %v, want 3 by 3ms", tm.fires, s.Now())
 	}
 }
 

@@ -14,6 +14,43 @@ import (
 	"dynaq/internal/units"
 )
 
+// Timer is sim.Timer as it stood before a timer became its pending event,
+// the oracle for the sender's retransmission timer. The bodies are verbatim;
+// NewTimer, a Simulator method then, takes the simulator as its argument.
+type Timer struct {
+	sim    *sim.Simulator
+	ev     sim.EventRef
+	fn     func()
+	fireFn func() // t.fire bound once; a fresh method value per Reset would allocate
+}
+
+// NewTimer returns an unarmed timer that runs fn when it fires.
+func NewTimer(s *sim.Simulator, fn func()) *Timer {
+	t := &Timer{sim: s, fn: fn}
+	t.fireFn = t.fire
+	return t
+}
+
+// Reset (re)arms the timer to fire d from now, replacing any pending firing.
+func (t *Timer) Reset(d units.Duration) {
+	t.sim.Cancel(t.ev)
+	t.ev = t.sim.After(d, t.fireFn)
+}
+
+// Stop disarms the timer if armed.
+func (t *Timer) Stop() {
+	t.sim.Cancel(t.ev)
+	t.ev = sim.EventRef{}
+}
+
+// Armed reports whether the timer has a pending firing.
+func (t *Timer) Armed() bool { return t.ev.Pending() }
+
+func (t *Timer) fire() {
+	t.ev = sim.EventRef{}
+	t.fn()
+}
+
 // timerRTO is the retransmission timer as the sender held it before the timer
 // became its pending event, kept verbatim in its four uses as the oracle:
 //
@@ -21,7 +58,7 @@ import (
 //	if !s.rtoTimer.Armed() { s.rtoTimer.Reset(s.rto) }     // transmit
 //	s.rtoTimer.Reset(s.rto)                                // new ACK, fast retransmit, timeout
 //	s.rtoTimer.Stop()                                      // complete
-type timerRTO struct{ rtoTimer *sim.Timer }
+type timerRTO struct{ rtoTimer *Timer }
 
 func (t *timerRTO) armIfIdle(rto units.Duration) {
 	if !t.rtoTimer.Armed() {
@@ -33,7 +70,7 @@ func (t *timerRTO) stop()                    { t.rtoTimer.Stop() }
 func (t *timerRTO) armed() bool              { return t.rtoTimer.Armed() }
 
 // eventRTO is the same four uses the way Sender makes them now: the pending
-// event itself, armed through rearm on a package-level function.
+// event itself, armed through Rearm on a package-level function.
 type eventRTO struct {
 	s  *sim.Simulator
 	ev sim.EventRef
@@ -51,7 +88,7 @@ func (t *eventRTO) armIfIdle(rto units.Duration) {
 		t.reset(rto)
 	}
 }
-func (t *eventRTO) reset(rto units.Duration) { rearm(t.s, &t.ev, rto, fireEventRTO, t) }
+func (t *eventRTO) reset(rto units.Duration) { t.s.Rearm(&t.ev, rto, fireEventRTO, t) }
 func (t *eventRTO) stop() {
 	t.s.Cancel(t.ev)
 	t.ev = sim.EventRef{}
@@ -74,8 +111,8 @@ type rtoSide struct {
 
 // checkRTOMatchesTimer runs one seeded script of timer uses against both
 // forms on two simulators and compares them after every operation: what
-// fired, when and in which order, the clock, the event counts and which
-// timers are armed. Timers that fire re-arm or stop themselves from inside
+// fired, when and in which order, the clock, the event counts, the heap's
+// high-water mark, the free list's reuse and which timers are armed. Timers that fire re-arm or stop themselves from inside
 // the handler, as onTimeout and complete do, and unrelated events share the
 // heap with them, some at the same instants.
 func checkRTOMatchesTimer(tb testing.TB, seed int64) {
@@ -107,7 +144,7 @@ func checkRTOMatchesTimer(tb testing.TB, seed int64) {
 				}
 			}
 			if k == 0 {
-				t := &timerRTO{rtoTimer: side.s.NewTimer(fn)}
+				t := &timerRTO{rtoTimer: NewTimer(side.s, fn)}
 				self, side.timers = t, append(side.timers, t)
 			} else {
 				t := &eventRTO{s: side.s, fn: fn}
@@ -135,9 +172,11 @@ func checkRTOMatchesTimer(tb testing.TB, seed int64) {
 		}
 		a, b := sides[0], sides[1]
 		where := fmt.Sprintf("seed %d op %d (kind %d, timer %d, %v)", seed, op, kind, i, d)
-		if a.s.Now() != b.s.Now() || a.s.Processed() != b.s.Processed() || a.s.Pending() != b.s.Pending() {
-			tb.Fatalf("%s: event form at %v, %d run, %d pending; Timer at %v, %d run, %d pending",
-				where, b.s.Now(), b.s.Processed(), b.s.Pending(), a.s.Now(), a.s.Processed(), a.s.Pending())
+		if a.s.Now() != b.s.Now() || a.s.Processed() != b.s.Processed() || a.s.Pending() != b.s.Pending() ||
+			a.s.MaxPending() != b.s.MaxPending() || a.s.PoolReuse() != b.s.PoolReuse() {
+			tb.Fatalf("%s: event form at %v, %d run, %d pending, %d deepest, %d reused; Timer at %v, %d run, %d pending, %d deepest, %d reused",
+				where, b.s.Now(), b.s.Processed(), b.s.Pending(), b.s.MaxPending(), b.s.PoolReuse(),
+				a.s.Now(), a.s.Processed(), a.s.Pending(), a.s.MaxPending(), a.s.PoolReuse())
 		}
 		if !slices.Equal(a.log, b.log) {
 			tb.Fatalf("%s: event form fired %v, Timer %v", where, b.log, a.log)
@@ -156,7 +195,7 @@ func checkRTOMatchesTimer(tb testing.TB, seed int64) {
 	}
 }
 
-// TestRTOMatchesTimer holds the sender's event-form timer to the sim.Timer it
+// TestRTOMatchesTimer holds the sender's event-form timer to the Timer it
 // replaced, over seeded scripts.
 func TestRTOMatchesTimer(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {

@@ -401,9 +401,9 @@ func (s *Sender) retransmitUna() {
 }
 
 // resetRTO (re)arms the retransmission timeout s.rto from now. A flow's
-// timer is its rtoEv, not a sim.Timer: the event calls a package function on
-// the sender, so a flow allocates no timer and arming allocates nothing.
-func (s *Sender) resetRTO() { rearm(s.sim, &s.rtoEv, s.rto, senderTimeout, s) }
+// timer is its rtoEv: the event calls a package function on the sender, so
+// a flow allocates no timer and arming allocates nothing.
+func (s *Sender) resetRTO() { s.sim.Rearm(&s.rtoEv, s.rto, senderTimeout, s) }
 
 // stopRTO disarms the retransmission timeout.
 func (s *Sender) stopRTO() {
@@ -411,17 +411,8 @@ func (s *Sender) stopRTO() {
 	s.rtoEv = sim.EventRef{}
 }
 
-// rearm is sim.Timer.Reset for a timer kept as the event it has pending:
-// cancel *ev, then schedule fn(arg) d from now into it. The order is the
-// Timer's, so each arming draws its tie-break sequence number where a
-// Timer's would, and runs are event for event those of a Timer.
-func rearm(s *sim.Simulator, ev *sim.EventRef, d units.Duration, fn func(any), arg any) {
-	s.Cancel(*ev)
-	*ev = s.AfterCall(d, fn, arg)
-}
-
-// senderTimeout fires a sender's retransmission timeout. Like a Timer's
-// firing, it clears the handle before the handler runs.
+// senderTimeout fires a sender's retransmission timeout. It clears the
+// handle before the handler runs.
 func senderTimeout(arg any) {
 	s := arg.(*Sender)
 	s.rtoEv = sim.EventRef{}
