@@ -77,6 +77,11 @@ func goldenCells(t *testing.T) map[string]scenario.Document {
 		{Kind: faults.KindFlap, Target: "host0:nic", AtS: 0.15, UntilS: 0.35, PeriodS: 0.05, JitterS: 0.005},
 	}
 	cells["static/faults"] = staticFaults
+	// The shared-memory scheme's pool gauges and the queue trace's qlen
+	// events and sample counter.
+	dt := cells["static/guard"]
+	dt.Scheme, dt.Guard, dt.TraceStride = "DT", false, 64
+	cells["static/dt_queue_trace"] = dt
 	return cells
 }
 
