@@ -34,6 +34,7 @@ import (
 	"dynaq/internal/experiment"
 	"dynaq/internal/faults"
 	"dynaq/internal/metrics"
+	"dynaq/internal/netsim"
 	"dynaq/internal/scenario"
 	"dynaq/internal/telemetry"
 	"dynaq/internal/units"
@@ -375,9 +376,33 @@ func writeTrace(dir string, rec *metrics.EventRecorder) error {
 	if err != nil {
 		return err
 	}
-	if err := rec.DumpJSON(f); err != nil {
+	if err := dumpJSON(f, rec.Events()); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+// dumpJSON writes events to w as JSONL, one event per line, with a fixed
+// field order so two identical runs produce byte-identical output. Events
+// whose packet was synthesized away (nil Pkt) omit the packet fields.
+func dumpJSON(w io.Writer, events []netsim.PortEvent) error {
+	var buf []byte
+	for _, ev := range events {
+		fields := []telemetry.Field{telemetry.F("queue", ev.Queue)}
+		if p := ev.Pkt; p != nil {
+			fields = append(fields,
+				telemetry.F("flow", int64(p.Flow)),
+				telemetry.F("src", int64(p.Src)),
+				telemetry.F("dst", int64(p.Dst)),
+				telemetry.F("seq", p.Seq),
+				telemetry.F("size", int64(p.Size)),
+				telemetry.F("class", int64(p.Class)))
+		}
+		buf = telemetry.AppendEvent(buf[:0], ev.At, ev.Kind.String(), fields...)
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -24,6 +24,13 @@ import (
 	"dynaq/internal/units"
 )
 
+// ThresholdState is implemented by the DynaQ-family schemes (DynaQ,
+// DynaQTofino), which expose their Algorithm-1 threshold state to the
+// guardrail and to the runs' telemetry.
+type ThresholdState interface {
+	State() *core.State
+}
+
 // View is the port state an admission or marking decision may consult.
 type View interface {
 	// NumQueues returns the number of service queues of the port.

@@ -3,6 +3,7 @@ package faults
 import (
 	"fmt"
 
+	"dynaq/internal/buffer"
 	"dynaq/internal/core"
 	"dynaq/internal/netsim"
 	"dynaq/internal/units"
@@ -23,12 +24,6 @@ type Violation struct {
 // String renders the violation for logs and CLI output.
 func (v Violation) String() string {
 	return fmt.Sprintf("%v %s (%s) [%s]: %v", v.At, v.Port, v.Scheme, v.Check, v.Err)
-}
-
-// thresholdState is satisfied by the DynaQ-family admission schemes
-// (buffer.DynaQ, buffer.DynaQTofino), which expose their Algorithm-1 state.
-type thresholdState interface {
-	State() *core.State
 }
 
 // Guardrail audits DynaQ's accounting invariants on every port event while
@@ -81,7 +76,7 @@ func NewGuardrail(maxRecorded int) *Guardrail {
 // checking invariants on every subsequent port event.
 func (g *Guardrail) Watch(label string, p *netsim.Port) {
 	gp := &guardedPort{label: label, port: p, scheme: p.Admission().Name()}
-	if ts, ok := p.Admission().(thresholdState); ok {
+	if ts, ok := p.Admission().(buffer.ThresholdState); ok {
 		gp.st = ts.State()
 		gp.rebase()
 	}

@@ -24,7 +24,6 @@ import (
 	"dynaq/internal/packet"
 	"dynaq/internal/pias"
 	"dynaq/internal/sim"
-	"dynaq/internal/telemetry"
 	"dynaq/internal/telemetry/trace"
 	"dynaq/internal/units"
 )
@@ -279,18 +278,6 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // Active returns the number of in-flight flows.
 func (e *Engine) Active() int { return len(e.active) }
-
-// Instrument registers the engine's counters on reg.
-func (e *Engine) Instrument(reg *telemetry.Registry) {
-	reg.CounterFunc("flowsim_recomputes_total", func() int64 { return e.stats.Recomputes })
-	reg.CounterFunc("flowsim_demotions_total", func() int64 { return e.stats.Demotions })
-	reg.CounterFunc("flowsim_promotions_total", func() int64 { return e.stats.Promotions })
-	reg.CounterFunc("flowsim_packetized_packets_total", func() int64 { return e.stats.PacketizedPackets })
-	reg.CounterFunc("flowsim_packetized_drops_total", func() int64 { return e.stats.PacketizedDrops })
-	reg.CounterFunc("flowsim_packetized_marks_total", func() int64 { return e.stats.PacketizedMarks })
-	reg.CounterFunc("flowsim_fluid_drop_bytes_total", func() int64 { return e.stats.FluidDropBytes })
-	reg.CounterFunc("flowsim_threshold_crossings_total", func() int64 { return e.stats.ThresholdCrossings })
-}
 
 // Finish emits the run's summary span. Call once after the run loop.
 func (e *Engine) Finish() {

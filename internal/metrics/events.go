@@ -6,7 +6,6 @@ import (
 
 	"dynaq/internal/netsim"
 	"dynaq/internal/packet"
-	"dynaq/internal/telemetry"
 	"dynaq/internal/units"
 )
 
@@ -111,45 +110,7 @@ func (r *EventRecorder) Dump(w io.Writer) error {
 	return nil
 }
 
-// DumpJSON writes the retained events to w as JSONL, one event per line,
-// with a fixed field order so two identical runs produce byte-identical
-// output. Events whose packet was synthesized away (nil Pkt) omit the
-// packet fields.
-func (r *EventRecorder) DumpJSON(w io.Writer) error {
-	var buf []byte
-	for _, ev := range r.Events() {
-		fields := []telemetry.Field{telemetry.F("queue", ev.Queue)}
-		if p := ev.Pkt; p != nil {
-			fields = append(fields,
-				telemetry.F("flow", int64(p.Flow)),
-				telemetry.F("src", int64(p.Src)),
-				telemetry.F("dst", int64(p.Dst)),
-				telemetry.F("seq", p.Seq),
-				telemetry.F("size", int64(p.Size)),
-				telemetry.F("class", int64(p.Class)))
-		}
-		buf = telemetry.AppendEvent(buf[:0], ev.At, ev.Kind.String(), fields...)
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Publish exposes the recorder's per-kind counters through a telemetry
-// registry as trace_events_total{kind=...} counter funcs, one per event
-// kind, evaluated at dump time.
-func (r *EventRecorder) Publish(reg *telemetry.Registry) {
-	for _, k := range allKinds {
-		k := k
-		reg.CounterFunc("trace_events_total",
-			func() int64 { return r.counts[k] },
-			telemetry.L("kind", k.String()))
-	}
-}
-
 // allKinds lists every port event kind in the order Summary prints them.
-// The registry dumps series sorted by id, so Publish does not depend on it.
 var allKinds = []netsim.PortEventKind{
 	netsim.EvEnqueue, netsim.EvTransmit, netsim.EvDrop,
 	netsim.EvMark, netsim.EvEvict, netsim.EvDequeueDrop,

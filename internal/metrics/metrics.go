@@ -1,7 +1,8 @@
-// Package metrics implements the paper's measurement instruments: flow
-// completion time collection with the small/large breakdown of §V, Jain's
-// fairness index, per-queue throughput sampling, queue-length traces, and a
-// per-packet port event recorder.
+// Package metrics holds what the paper's figures read: flow completion time
+// collection with the small/large breakdown of §V, Jain's fairness index,
+// the per-queue throughput and queue-length sample types, and a per-packet
+// port event recorder. It names no telemetry series: the runs that take
+// these measurements register them (internal/scenario).
 package metrics
 
 import (
@@ -11,6 +12,19 @@ import (
 
 	"dynaq/internal/units"
 )
+
+// ThroughputSample is one interval's per-queue delivered rates at a port.
+type ThroughputSample struct {
+	At        units.Time
+	PerQueue  []units.Rate
+	Aggregate units.Rate
+}
+
+// QueueSample is one enqueue/dequeue-triggered occupancy snapshot.
+type QueueSample struct {
+	At       units.Time
+	PerQueue []units.ByteSize
+}
 
 // Flow-size buckets (§V "Performance Metric"): small ≤ 100KB, large > 10MB,
 // medium in between (the paper omits medium results as similar to overall).

@@ -192,7 +192,7 @@ type PortStats struct {
 	LinkCorrupted int64 // frames the attached link corrupted (CRC-discarded)
 }
 
-// PortObserver receives queue-state samples. QueueTrace in internal/metrics
+// PortObserver receives queue-state samples. The static run's queue trace
 // implements it; the hook fires on every enqueue and dequeue, matching the
 // paper's measurement ("every enqueueing and dequeueing operations").
 type PortObserver interface {

@@ -269,9 +269,7 @@ func runDynamic(r *Runner, newEngine func(*sim.Simulator, *Runner) (cellEngine, 
 	maxRuntime := d.maxRuntime(nil)
 	r.hooks.observe(s, maxRuntime, func(reg *telemetry.Registry, run *telemetry.Run) {
 		eng.instrument(reg, run)
-		reg.CounterFunc("flows_generated_total", func() int64 { return int64(flowID / idsPerFlow) })
-		reg.CounterFunc("flows_completed_total", func() int64 { return int64(res.FCT.Len()) })
-		fctHist = reg.Histogram("fct_us", fctBounds)
+		fctHist = fctSeries(reg, func() int64 { return int64(flowID / idsPerFlow) }, res.FCT)
 	}, func() {
 		// Run until all flows complete or the drain budget expires. The FCT
 		// collector is the single completion ledger (each completion adds

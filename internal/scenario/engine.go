@@ -137,8 +137,6 @@ func (e *fluidEngine) start(at units.Time, f flowStart) {
 	})
 }
 
-func (e *fluidEngine) instrument(reg *telemetry.Registry, _ *telemetry.Run) { e.fe.Instrument(reg) }
-
 func (e *fluidEngine) finish(res *experiment.DynamicResult) {
 	e.fe.Finish()
 	stats := e.fe.Stats()

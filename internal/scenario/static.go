@@ -161,26 +161,20 @@ func (r *Runner) runStatic() (*experiment.StaticResult, error) {
 	if d.Guard {
 		w.watch()
 	}
-	ts := metrics.NewThroughputSampler(s, port, d.sampleEvery(nil))
-	var qt *metrics.QueueTrace
+	bottleneck := fmt.Sprintf("tor:%d", receiver)
+	ts := newThroughputSampler(s, port, d.sampleEvery(nil), r.hooks.run, bottleneck)
+	var qt *queueTrace
 	if d.TraceStride > 0 {
-		qt = metrics.NewQueueTrace(port, d.TraceStride)
+		qt = newQueueTrace(port, d.TraceStride, r.hooks.run, bottleneck)
 	}
 	duration := d.duration(nil)
 	end := units.Time(duration)
 	r.hooks.observe(s, duration, func(reg *telemetry.Registry, run *telemetry.Run) {
 		w.instrument(reg, run)
-		bottleneck := fmt.Sprintf("tor:%d", receiver)
-		ts.Publish(reg, run, bottleneck)
-		if qt != nil {
-			qt.Publish(reg, run, bottleneck)
-		}
-		if rec != nil {
-			rec.Publish(reg)
-		}
+		staticSeries(reg, ts, qt, rec)
 	}, func() {
 		s.RunUntil(end)
-		ts.Stop()
+		ts.stop()
 	})
 	if spans := r.hooks.spans; spans != nil {
 		root := r.hooks.simSpan(end, trace.A("kind", "static"))
@@ -194,7 +188,7 @@ func (r *Runner) runStatic() (*experiment.StaticResult, error) {
 	stats := port.Stats()
 	res := &experiment.StaticResult{
 		Scheme:     experiment.Scheme(d.Scheme),
-		Samples:    ts.Samples(),
+		Samples:    ts.samples,
 		Drops:      stats.Dropped,
 		QueueDrops: make([]int64, d.Queues),
 		Evicted:    stats.Evicted,
@@ -205,8 +199,123 @@ func (r *Runner) runStatic() (*experiment.StaticResult, error) {
 		res.QueueDrops[q] = port.QueueDrops(q)
 	}
 	if qt != nil {
-		res.QueueTrace = qt.Samples()
+		res.QueueTrace = qt.samples
 	}
 	w.finish(&res.FaultOutcome)
 	return res, nil
+}
+
+// throughputSampler periodically differences the bottleneck's per-queue
+// transmit counters: the paper's "measure per-queue throughput every 0.5
+// seconds" (testbed) / "every 10ms" (simulation). Each sample re-arms the
+// next through the simulator's free list, so long runs sample without
+// allocating events. With a run attached, each sample is also a "throughput"
+// event carrying the per-queue vector.
+type throughputSampler struct {
+	sim      *sim.Simulator
+	port     *netsim.Port
+	interval units.Duration
+	prev     []units.ByteSize
+	samples  []metrics.ThroughputSample
+	tick     sim.EventRef
+	run      *telemetry.Run // nil without telemetry
+	label    string
+}
+
+// newThroughputSampler attaches a sampler to port with the given interval
+// and starts it immediately.
+func newThroughputSampler(s *sim.Simulator, port *netsim.Port, interval units.Duration, run *telemetry.Run, label string) *throughputSampler {
+	if interval <= 0 {
+		panic("scenario: sampler interval must be positive")
+	}
+	ts := &throughputSampler{
+		sim:      s,
+		port:     port,
+		interval: interval,
+		prev:     make([]units.ByteSize, port.NumQueues()),
+		run:      run,
+		label:    label,
+	}
+	ts.tick = s.AfterCall(interval, samplerTick, ts)
+	return ts
+}
+
+// samplerTick is the event function of a sampler's tick: take the sample,
+// then schedule the next.
+func samplerTick(arg any) {
+	ts := arg.(*throughputSampler)
+	ts.sample(ts.sim.Now())
+	ts.tick = ts.sim.AfterCall(ts.interval, samplerTick, ts)
+}
+
+func (ts *throughputSampler) sample(now units.Time) {
+	n := ts.port.NumQueues()
+	per := make([]units.Rate, n)
+	var agg units.Rate
+	for i := 0; i < n; i++ {
+		cur := ts.port.QueueTxBytes(i)
+		per[i] = units.Throughput(cur-ts.prev[i], ts.interval)
+		ts.prev[i] = cur
+		agg += per[i]
+	}
+	ts.samples = append(ts.samples, metrics.ThroughputSample{At: now, PerQueue: per, Aggregate: agg})
+	if ts.run == nil {
+		return
+	}
+	bps := make([]int64, n)
+	for i, r := range per {
+		bps[i] = int64(r)
+	}
+	ts.run.Event(now, "throughput",
+		telemetry.F("port", ts.label),
+		telemetry.F("agg_bps", int64(agg)),
+		telemetry.F("bps", bps))
+}
+
+// stop halts sampling.
+func (ts *throughputSampler) stop() { ts.sim.Cancel(ts.tick) }
+
+// queueTrace records the bottleneck's per-queue occupancy on every enqueue
+// and dequeue, the paper's queue-evolution measurement ("we measure
+// per-queue buffer occupancy every enqueueing and dequeueing operations and
+// obtain 1K sequential samples"), keeping every stride-th sample so memory
+// stays bounded on long runs. With a run attached, each kept sample is also
+// a "qlen" event carrying the per-queue vector.
+type queueTrace struct {
+	stride  int
+	count   int
+	samples []metrics.QueueSample
+	run     *telemetry.Run // nil without telemetry
+	label   string
+}
+
+// newQueueTrace attaches a trace to port, keeping every stride-th sample
+// (stride 1 keeps all).
+func newQueueTrace(port *netsim.Port, stride int, run *telemetry.Run, label string) *queueTrace {
+	qt := &queueTrace{stride: max(stride, 1), run: run, label: label}
+	port.Observe(qt)
+	return qt
+}
+
+// ObservePort implements netsim.PortObserver.
+func (qt *queueTrace) ObservePort(now units.Time, p *netsim.Port) {
+	qt.count++
+	if qt.count%qt.stride != 0 {
+		return
+	}
+	per := make([]units.ByteSize, p.NumQueues())
+	for i := range per {
+		per[i] = p.QueueLen(i)
+	}
+	qt.samples = append(qt.samples, metrics.QueueSample{At: now, PerQueue: per})
+	if qt.run == nil {
+		return
+	}
+	bytes := make([]int64, len(per))
+	for i, b := range per {
+		bytes[i] = int64(b)
+	}
+	qt.run.Event(now, "qlen",
+		telemetry.F("port", qt.label),
+		telemetry.F("bytes", bytes))
 }

@@ -10,7 +10,6 @@ import (
 	"dynaq/internal/netsim"
 	"dynaq/internal/sched"
 	"dynaq/internal/sim"
-	"dynaq/internal/telemetry"
 	"dynaq/internal/topology"
 	"dynaq/internal/transport"
 	"dynaq/internal/units"
@@ -125,58 +124,6 @@ func factories(s experiment.Scheme, k experiment.SchedKind, p experiment.SchemeP
 func (w *packetWorld) watch() {
 	w.guard = faults.NewGuardrail(32)
 	w.net.EachPort(w.guard.Watch)
-}
-
-// instrument registers the world's series: per-port counters, transport
-// totals over all endpoints (cardinality independent of host count), applied
-// fault transitions — each also streamed into the event log as it fires —
-// the guardrail total and the whole-topology link loss and corruption.
-func (w *packetWorld) instrument(reg *telemetry.Registry, run *telemetry.Run) {
-	w.net.EachPort(func(label string, p *netsim.Port) { p.Instrument(reg, label) })
-
-	total := func(f func(*transport.Endpoint) int64) func() int64 {
-		return func() int64 {
-			var t int64
-			for _, ep := range w.net.Endpoints {
-				t += f(ep)
-			}
-			return t
-		}
-	}
-	sent := func(f func(transport.SenderStats) int64) func() int64 {
-		return total(func(ep *transport.Endpoint) int64 { return f(ep.TotalStats()) })
-	}
-	reg.CounterFunc("transport_sent_packets_total", sent(func(s transport.SenderStats) int64 { return s.SentPackets }))
-	reg.CounterFunc("transport_sent_bytes_total", sent(func(s transport.SenderStats) int64 { return int64(s.SentBytes) }))
-	reg.CounterFunc("transport_retransmits_total", sent(func(s transport.SenderStats) int64 { return s.Retransmits }))
-	reg.CounterFunc("transport_timeouts_total", sent(func(s transport.SenderStats) int64 { return s.Timeouts }))
-	reg.CounterFunc("transport_fast_recoveries_total", sent(func(s transport.SenderStats) int64 { return s.FastRecovers }))
-	reg.CounterFunc("transport_echoed_acks_total", sent(func(s transport.SenderStats) int64 { return s.EchoedAcks }))
-	reg.CounterFunc("transport_acks_total", total((*transport.Endpoint).AcksSent))
-	reg.GaugeFunc("transport_cwnd_bytes", total((*transport.Endpoint).CwndTotal))
-	reg.GaugeFunc("transport_flows_active", total(func(ep *transport.Endpoint) int64 { return int64(ep.ActiveFlows()) }))
-
-	if w.faults != nil {
-		reg.CounterFunc("faults_transitions_total", func() int64 { return int64(w.faults.Applied()) })
-		w.faults.SetObserver(func(tr faults.Transition) {
-			run.Event(tr.At, "fault",
-				telemetry.F("target", tr.Target),
-				telemetry.F("action", tr.Action))
-		})
-	}
-	if w.guard != nil {
-		reg.CounterFunc("guard_violations_total", w.guard.Total)
-	}
-	if w.links != nil {
-		reg.CounterFunc("faults_link_lost_total", func() int64 {
-			lost, _ := w.links.Totals()
-			return lost
-		})
-		reg.CounterFunc("faults_link_corrupted_total", func() int64 {
-			_, corrupted := w.links.Totals()
-			return corrupted
-		})
-	}
 }
 
 // finish folds the fault timeline, the link totals and the guardrail's
