@@ -20,14 +20,15 @@ import (
 // entry is one catalogued series or event kind.
 type entry struct {
 	name    string
-	kind    string // counter | gauge | histogram | event
+	kind    string // counter | gauge | histogram | event | stream
 	unit    string
 	meaning string
 	emitter string // the function that registers or emits it
 }
 
-// catalogue names every series a cell or dynaqd registers and every event
-// kind a cell writes to events.jsonl. Cells register theirs in
+// catalogue names every series a cell or dynaqd registers, every event
+// kind a cell writes to events.jsonl, and every line kind dynaqd's
+// coordinator writes to a job's event stream. Cells register theirs in
 // internal/scenario/telemetry.go (static.go's samplers emit the throughput
 // and qlen events); dynaqd registers its own in internal/coord. A name that
 // dynaqtop or a CI step reads must be here. dynaqd's /metrics also re-exports
@@ -135,6 +136,11 @@ var catalogue = []entry{
 	{"dynaqd_tenant_dispatch_total", "counter", "cells", "cells dispatched, by tenant", "coord Core.ensureTenantMetrics"},
 	{"dynaqd_tenant_queue_wait_ms", "histogram", "ms", "wall time jobs wait before dispatch, by tenant", "coord Core.ensureTenantMetrics"},
 	{"dynaqd_worker_leases", "gauge", "leases", "leases one worker holds", "coord Core lease grant"},
+
+	// dynaqd's job event stream (GET /v1/jobs/<id>/events), beside the
+	// events of the job's cells.
+	{"job", "stream", "", "a job's lifecycle: running, queued behind a drain, or its terminal state", "coord Core.publish, FinalLine"},
+	{"cell", "stream", "", "a cell's lifecycle: leased, running locally, requeued, quarantined, done", "coord Core.publish, Core.ClaimLocal"},
 }
 
 // engineLayer are the packages that expose accessors and name no series.
@@ -285,6 +291,45 @@ func readNames(t *testing.T, kinds map[string]entry) map[string]string {
 	return out
 }
 
+var streamLine = regexp.MustCompile(`^\{"kind":"([^"]*)"`)
+
+// streamKinds returns the line kinds internal/coord writes to a job's event
+// stream, each found as a string literal that opens a {"kind":...} line,
+// with the file that writes it.
+func streamKinds(t *testing.T) map[string]string {
+	t.Helper()
+	files, err := filepath.Glob("internal/coord/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				s, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m := streamLine.FindStringSubmatch(s); m != nil {
+					out[m[1]] = filepath.ToSlash(path)
+				}
+			}
+			return true
+		})
+	}
+	if len(out) == 0 {
+		t.Fatal("internal/coord writes no {\"kind\":...} line")
+	}
+	return out
+}
+
 // internalImports maps every package under internal/ to the module packages
 // its non-test files import.
 func internalImports(t *testing.T) map[string][]string {
@@ -338,7 +383,7 @@ func TestMetricCatalogue(t *testing.T) {
 		if _, dup := byName[e.name]; dup {
 			t.Errorf("%s catalogued twice", e.name)
 		}
-		if e.unit == "" && e.kind != "event" || e.meaning == "" || e.emitter == "" {
+		if e.unit == "" && e.kind != "event" && e.kind != "stream" || e.meaning == "" || e.emitter == "" {
 			t.Errorf("%s: catalogue entry needs a unit, a meaning and an emitter", e.name)
 		}
 		byName[e.name] = e
@@ -365,6 +410,9 @@ func TestMetricCatalogue(t *testing.T) {
 	}
 	for name, kind := range daemon {
 		check("dynaqd", name, kind)
+	}
+	for kind, where := range streamKinds(t) {
+		check(where, kind, "stream")
 	}
 	for _, e := range catalogue {
 		if !seen[e.name] {

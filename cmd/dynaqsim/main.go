@@ -36,6 +36,7 @@ import (
 	"dynaq/internal/metrics"
 	"dynaq/internal/netsim"
 	"dynaq/internal/scenario"
+	"dynaq/internal/sched"
 	"dynaq/internal/telemetry"
 	"dynaq/internal/units"
 )
@@ -59,7 +60,7 @@ type scenarioFlags struct {
 
 func (s *scenarioFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&s.scheme, "scheme", "DynaQ", strings.Join(buffer.SchemeNames(), " | "))
-	fs.StringVar(&s.sched, "sched", "drr", "drr | wrr | spq+drr")
+	fs.StringVar(&s.sched, "sched", "drr", "port scheduler, a row of internal/sched's table: "+strings.Join(sched.KindNames(), " | "))
 	fs.Float64Var(&s.rate, "rate", 1, "link rate in Gbps")
 	fs.Int64Var(&s.buffer, "buffer", 85000, "port buffer in bytes")
 	fs.IntVar(&s.queues, "queues", 4, "service queues per port")
@@ -289,9 +290,9 @@ func runSeeds(w io.Writer, data []byte, doc scenario.Document, n, parallel int) 
 // per-queue summary after a warmup of the first fifth, and the bottleneck
 // trace, fault timeline and guardrail verdict when the run has them.
 func printStatic(w io.Writer, doc scenario.Document, res *experiment.StaticResult) error {
-	sched, _ := experiment.ParseSchedKind(doc.Sched) // validated at load
+	k, _ := sched.LookupKind(doc.Sched) // validated at load
 	fmt.Fprintf(w, "scheme=%s sched=%s rate=%v buffer=%v queues=%d rtt=%vus\n\n",
-		doc.Scheme, sched, units.Rate(doc.RateGbps*1e9), units.ByteSize(doc.BufferB), doc.Queues, doc.RTTUs)
+		doc.Scheme, k.Name, units.Rate(doc.RateGbps*1e9), units.ByteSize(doc.BufferB), doc.Queues, doc.RTTUs)
 	fmt.Fprintf(w, "%-10s", "time")
 	for q := 0; q < doc.Queues; q++ {
 		fmt.Fprintf(w, "  q%d(Mbps)", q)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"dynaq/internal/core"
+	"dynaq/internal/sched"
 	"dynaq/internal/units"
 )
 
@@ -103,16 +104,12 @@ var schemes = []Scheme{
 		}
 		return NewPerQueueECN(n, k)
 	}},
-	{"MQ-ECN", true, func(p SchemeParams, _ units.ByteSize, n int, _ *SharedPool) (Admission, error) {
+	{"MQ-ECN", true, func(p SchemeParams, _ units.ByteSize, _ int, _ *SharedPool) (Admission, error) {
 		mtu := p.MTU
 		if mtu == 0 {
 			mtu = 1500
 		}
-		quantums := make([]units.ByteSize, n)
-		for i, w := range p.Weights {
-			quantums[i] = units.ByteSize(w) * mtu
-		}
-		return NewMQECN(p.Rate, p.BaseRTT, quantums)
+		return NewMQECN(p.Rate, p.BaseRTT, sched.Quantums(p.Weights, mtu))
 	}},
 	// The §II-C strawman kept as an ablation.
 	{"TCNDrop", false, func(p SchemeParams, _ units.ByteSize, _ int, _ *SharedPool) (Admission, error) {

@@ -43,7 +43,7 @@ func staticCell(scheme experiment.Scheme, queues int, durationS float64, seed in
 	return scenario.Document{
 		Kind:      "static",
 		Scheme:    string(scheme),
-		Sched:     string(experiment.SchedDRR),
+		Sched:     "drr",
 		RateGbps:  1,
 		BufferB:   85000,
 		Queues:    queues,

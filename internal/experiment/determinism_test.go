@@ -41,7 +41,7 @@ func runStaticWithTelemetry(t *testing.T, dir string, scheme experiment.Scheme) 
 	r := loadCell(t, scenario.Document{
 		Kind:      "static",
 		Scheme:    string(scheme),
-		Sched:     string(experiment.SchedDRR),
+		Sched:     "drr",
 		RateGbps:  1,
 		BufferB:   200000,
 		Queues:    2,
@@ -203,7 +203,7 @@ func TestRunSeedsParallelParity(t *testing.T) {
 		data, err := json.Marshal(scenario.Document{
 			Kind:      "static",
 			Scheme:    string(experiment.DynaQ),
-			Sched:     string(experiment.SchedDRR),
+			Sched:     "drr",
 			RateGbps:  1,
 			BufferB:   200000,
 			Queues:    2,

@@ -9,7 +9,6 @@ import (
 	"dynaq/internal/sched"
 	"dynaq/internal/sim"
 	"dynaq/internal/topology"
-	"dynaq/internal/transport"
 	"dynaq/internal/units"
 )
 
@@ -43,24 +42,6 @@ func TestSchemeECNClassification(t *testing.T) {
 		if s.IsECNBased() {
 			t.Errorf("%s should not be ECN-based", s)
 		}
-	}
-}
-
-func TestSchedKindFactory(t *testing.T) {
-	if _, err := SchedKind("nope").NewScheduler([]int64{1}, 1500, 1); err == nil {
-		t.Error("unknown kind should fail")
-	}
-	if _, err := SchedDRR.NewScheduler([]int64{1}, 1500, 2); err == nil {
-		t.Error("DRR weight mismatch should fail")
-	}
-	if _, err := SchedSPQDRR.NewScheduler([]int64{1, 1}, 1500, 5); err == nil {
-		t.Error("SPQ+DRR needs n-1 weights")
-	}
-	if _, err := SchedSPQDRR.NewScheduler([]int64{1, 1, 1, 1}, 1500, 5); err != nil {
-		t.Errorf("valid SPQ+DRR rejected: %v", err)
-	}
-	if _, err := SchedWRR.NewScheduler([]int64{2, 1}, 1500, 2); err != nil {
-		t.Errorf("valid WRR rejected: %v", err)
 	}
 }
 
@@ -117,18 +98,12 @@ func TestAblationSchemesConstruct(t *testing.T) {
 }
 
 // TestExtensionSurface checks the pieces the extension figures plug in:
-// every congestion controller has its own name, and every extension scheme
-// wires a rack through topology.Build.
+// every extension scheme wires a rack through topology.Build. (Every
+// controller's name is transport's TestControllerTable.)
 func TestExtensionSurface(t *testing.T) {
-	names := map[string]bool{}
-	for _, c := range []transport.Controller{
-		transport.NewReno(), transport.NewCubic(), transport.NewDCTCP(),
-		transport.NewECNReno(), transport.NewTimely(),
-	} {
-		if names[c.Name()] {
-			t.Errorf("duplicate controller name %q", c.Name())
-		}
-		names[c.Name()] = true
+	drr, err := sched.LookupKind("drr")
+	if err != nil {
+		t.Fatal(err)
 	}
 	g, err := fabric.NewStar(2, units.Gbps)
 	if err != nil {
@@ -137,7 +112,7 @@ func TestExtensionSurface(t *testing.T) {
 	p := SchemeParams{Rate: units.Gbps, BaseRTT: fabric.Star.BaseRTT(125 * units.Microsecond), Weights: []int64{1, 1, 1, 1}}
 	for _, s := range []Scheme{BarberQ, DynaQTofino, DynaQNaiveVictim, DynaQWBDP} {
 		f := topology.Factories{
-			NewScheduler: func(n int) (sched.Scheduler, error) { return SchedDRR.NewScheduler(p.Weights, 1500, n) },
+			NewScheduler: func(n int) (sched.Scheduler, error) { return drr.New(p.Weights, 1500, n) },
 			NewAdmission: func(b units.ByteSize, n int, mem *buffer.SharedPool) (buffer.Admission, error) {
 				return buffer.NewScheme(string(s), p, b, n, mem)
 			},

@@ -38,12 +38,16 @@ func referenceRun(t testing.TB, doc scenario.Document) *refClient {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spqDRR, err := sched.LookupKind("spq+drr")
+	if err != nil {
+		t.Fatal(err)
+	}
 	params := experiment.SchemeParams{Rate: rate, BaseRTT: fabric.Star.BaseRTT(delay), Weights: []int64{1, 1, 1, 1, 1}}
 	star, err := topology.Build(s, g, topology.Config{
 		Delay: delay, Buffer: 85 * units.KB, Queues: 5,
 		Factories: topology.Factories{
 			NewScheduler: func(n int) (sched.Scheduler, error) {
-				return experiment.SchedSPQDRR.NewScheduler(params.Weights[1:], 1500, n)
+				return spqDRR.New(params.Weights, 1500, n)
 			},
 			NewAdmission: func(b units.ByteSize, n int, mem *buffer.SharedPool) (buffer.Admission, error) {
 				return buffer.NewScheme(doc.Scheme, params, b, n, mem)

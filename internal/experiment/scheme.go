@@ -1,15 +1,14 @@
 // Package experiment holds what the paper's evaluation (§V) shares above
-// one cell: the names of the schemes, schedulers, engines and topologies a
-// cell varies, the results a static and an FCT cell return, and the
-// harness that runs independent cells and seeds in parallel. A cell itself
-// is a scenario document, run by package scenario.
+// one cell: the names of the schemes and engines a cell varies, the results
+// a static and an FCT cell return, and the harness that runs independent
+// cells and seeds in parallel. A cell itself is a scenario document, run by
+// package scenario.
 package experiment
 
 import (
 	"fmt"
 
 	"dynaq/internal/buffer"
-	"dynaq/internal/sched"
 	"dynaq/internal/units"
 )
 
@@ -76,61 +75,6 @@ type SchemeParams = buffer.SchemeParams
 // outside any switch, through the scheme table in internal/buffer.
 func (s Scheme) NewAdmission(p SchemeParams, b units.ByteSize, n int) (buffer.Admission, error) {
 	return buffer.NewScheme(string(s), p, b, n, nil)
-}
-
-// SchedKind selects the packet scheduler used on every switch port.
-type SchedKind string
-
-// Scheduler kinds used across the experiments.
-const (
-	SchedDRR    SchedKind = "drr"
-	SchedWRR    SchedKind = "wrr"
-	SchedSPQDRR SchedKind = "spq+drr"
-)
-
-// ParseSchedKind maps a flag/scenario string to a SchedKind; the empty
-// string is the DRR default.
-func ParseSchedKind(s string) (SchedKind, error) {
-	switch k := SchedKind(s); k {
-	case "":
-		return SchedDRR, nil
-	case SchedDRR, SchedWRR, SchedSPQDRR:
-		return k, nil
-	default:
-		return "", fmt.Errorf("experiment: unknown scheduler kind %q (want drr, wrr or spq+drr)", s)
-	}
-}
-
-// NewScheduler builds a scheduler instance for one port. For SPQDRR, queue
-// 0 is the shared strict-priority queue and the weights describe the
-// remaining DRR queues.
-func (k SchedKind) NewScheduler(weights []int64, mtu units.ByteSize, n int) (sched.Scheduler, error) {
-	quantums := func(ws []int64) []units.ByteSize {
-		qs := make([]units.ByteSize, len(ws))
-		for i, w := range ws {
-			qs[i] = units.ByteSize(w) * mtu
-		}
-		return qs
-	}
-	switch k {
-	case SchedDRR:
-		if len(weights) != n {
-			return nil, fmt.Errorf("experiment: DRR: %d weights for %d queues", len(weights), n)
-		}
-		return sched.NewDRR(quantums(weights))
-	case SchedWRR:
-		if len(weights) != n {
-			return nil, fmt.Errorf("experiment: WRR: %d weights for %d queues", len(weights), n)
-		}
-		return sched.NewWRR(weights)
-	case SchedSPQDRR:
-		if len(weights) != n-1 {
-			return nil, fmt.Errorf("experiment: SPQ+DRR: %d DRR weights for %d queues", len(weights), n)
-		}
-		return sched.NewSPQDRR(1, quantums(weights))
-	default:
-		return nil, fmt.Errorf("experiment: unknown scheduler kind %q", k)
-	}
 }
 
 // EngineMode selects the fidelity of a dynamic-flow run: the per-packet

@@ -283,7 +283,7 @@ func highSpeedRun(o experiment.Options, name string, gbps float64, buf int64, rt
 		return scenario.Document{
 			Kind:      "static",
 			Scheme:    string(scheme),
-			Sched:     string(experiment.SchedWRR),
+			Sched:     "wrr",
 			RateGbps:  gbps,
 			BufferB:   buf,
 			Queues:    8,

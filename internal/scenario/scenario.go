@@ -21,6 +21,7 @@ import (
 	"dynaq/internal/experiment"
 	"dynaq/internal/fabric"
 	"dynaq/internal/faults"
+	"dynaq/internal/sched"
 	"dynaq/internal/telemetry"
 	"dynaq/internal/telemetry/trace"
 	"dynaq/internal/transport"
@@ -45,7 +46,7 @@ type Spec struct {
 	StartS      float64 `json:"start_at_s,omitempty"`
 	SpacingS    float64 `json:"spacing_s,omitempty"`
 	StopS       float64 `json:"stop_at_s,omitempty"`
-	Ctrl        string  `json:"ctrl,omitempty"` // reno | cubic | dctcp | ecn-reno | timely
+	Ctrl        string  `json:"ctrl,omitempty"` // a row of transport's controller table: reno | cubic | dctcp | ecn-reno | timely
 	ECN         bool    `json:"ecn,omitempty"`
 }
 
@@ -55,7 +56,7 @@ type Document struct {
 	Kind string `json:"kind"` // static | fct
 
 	Scheme   string  `json:"scheme"`
-	Sched    string  `json:"sched,omitempty"` // drr | wrr | spq+drr
+	Sched    string  `json:"sched,omitempty"` // a row of sched's table: drr | wrr | spq+drr
 	RateGbps float64 `json:"rate_gbps"`
 	BufferB  int64   `json:"buffer_bytes"`
 	Queues   int     `json:"queues"`
@@ -159,8 +160,8 @@ type Runner struct {
 
 	g      *fabric.Graph                 // the fabric the cell runs on
 	params experiment.SchemeParams       // the scheme constants, resolved against the links
-	sched  experiment.SchedKind          // every switch port's scheduler
-	ctrls  []func() transport.Controller // static: each spec's controller, nil for Reno
+	sched  sched.Kind                    // every switch port's scheduler
+	ctrls  []func() transport.Controller // static: each spec's controller
 	cdfs   []*workload.CDF               // fct: each workload's flow sizes
 	engine experiment.EngineMode         // fct: the fidelity
 
@@ -258,8 +259,8 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 	}
 	r := &Runner{doc: doc, engine: experiment.EnginePacket}
 	var err error
-	if r.sched, err = experiment.ParseSchedKind(doc.Sched); err != nil {
-		return nil, invalidf("sched", "unknown scheduler %q (want drr, wrr or spq+drr)", doc.Sched)
+	if r.sched, err = sched.LookupKind(doc.Sched); err != nil {
+		return nil, invalidf("sched", "%v", err)
 	}
 	var n numbers
 	doc.tcnTarget(&n)
@@ -277,11 +278,11 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 			return nil, invalidf("engine", "static scenarios run at packet level, got %q", doc.Engine)
 		}
 		for i := range doc.Specs {
-			ctrl, err := controllerByName(doc.Specs[i].Ctrl)
+			alg, err := transport.LookupAlgorithm(doc.Specs[i].Ctrl)
 			if err != nil {
 				return nil, invalidf(fmt.Sprintf("specs[%d].ctrl", i), "%v", err)
 			}
-			r.ctrls = append(r.ctrls, ctrl)
+			r.ctrls = append(r.ctrls, alg.New)
 			doc.Specs[i].times(&n, i)
 		}
 		doc.duration(&n)
@@ -303,7 +304,8 @@ func LoadWith(data []byte, ov Overrides) (*Runner, error) {
 		}
 		doc.maxRuntime(&n)
 		doc.detectionDelay(&n)
-		r.sched, build = experiment.SchedSPQDRR, r.fctFabric
+		r.sched, _ = sched.LookupKind(fctSched) // a row of the table
+		build = r.fctFabric
 	default:
 		return nil, invalidf("kind", "unknown kind %q (want static or fct)", doc.Kind)
 	}
@@ -435,11 +437,15 @@ func (sp *Spec) hosts() int {
 	return sp.Hosts
 }
 
+// fctSched is every fct cell's port scheduler (§V-A2): one shared
+// strict-priority queue above the DRR queues.
+const fctSched = "spq+drr"
+
 // checkRead refuses a key that doc sets and a run of its kind never reads:
 // the run would ignore it, and a result cached under the document's hash
 // would describe a network nobody asked for.
 func checkRead(doc Document) error {
-	if doc.Kind == "fct" && doc.Sched != "" && doc.Sched != string(experiment.SchedSPQDRR) {
+	if doc.Kind == "fct" && doc.Sched != "" && doc.Sched != fctSched {
 		return invalidf("sched", "an fct scenario runs spq+drr, got %q", doc.Sched)
 	}
 	t, v := reflect.TypeOf(doc), reflect.ValueOf(doc)
@@ -475,22 +481,4 @@ func (r *Runner) Run() (*Result, error) {
 		return nil, err
 	}
 	return &res, nil
-}
-
-// controllerByName maps a JSON name to a congestion-controller factory.
-func controllerByName(name string) (func() transport.Controller, error) {
-	switch name {
-	case "", "reno":
-		return nil, nil // sender default
-	case "cubic":
-		return func() transport.Controller { return transport.NewCubic() }, nil
-	case "dctcp":
-		return func() transport.Controller { return transport.NewDCTCP() }, nil
-	case "ecn-reno":
-		return func() transport.Controller { return transport.NewECNReno() }, nil
-	case "timely":
-		return func() transport.Controller { return transport.NewTimely() }, nil
-	default:
-		return nil, fmt.Errorf("unknown controller %q", name)
-	}
 }

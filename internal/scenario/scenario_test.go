@@ -185,14 +185,22 @@ func TestSimSpansReplay(t *testing.T) {
 	}
 }
 
+// TestControllerNames: a spec's ctrl resolves through transport's
+// controller table, and an unknown name is refused at its key with the
+// table's names.
 func TestControllerNames(t *testing.T) {
+	withCtrl := func(name string) []byte {
+		return []byte(staticWith(`"seed": 1`, `[{"class": 0, "flows": 1, "ctrl": "`+name+`"}]`))
+	}
 	for _, name := range []string{"", "reno", "cubic", "dctcp", "ecn-reno", "timely"} {
-		if _, err := controllerByName(name); err != nil {
+		if _, err := Load(withCtrl(name)); err != nil {
 			t.Errorf("%q: %v", name, err)
 		}
 	}
-	if _, err := controllerByName("quic"); err == nil ||
-		!strings.Contains(err.Error(), "unknown controller") {
-		t.Error("unknown controller should fail")
+	_, err := Load(withCtrl("quic"))
+	var verr *ValidationError
+	if !errors.As(err, &verr) || verr.Field != "specs[0].ctrl" ||
+		!strings.Contains(err.Error(), `unknown controller "quic" (known: reno, cubic, dctcp, ecn-reno, timely)`) {
+		t.Errorf("unknown controller: got %v", err)
 	}
 }

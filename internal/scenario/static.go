@@ -117,17 +117,13 @@ func (r *Runner) runStatic() (*experiment.StaticResult, error) {
 				at += units.Duration(rng.Int63n(int64(startJitterSpan)))
 			}
 			s.At(units.Time(at), func() {
-				var ctrl transport.Controller
-				if newCtrl != nil {
-					ctrl = newCtrl()
-				}
 				snd, err := ep.StartFlow(transport.FlowConfig{
 					Flow:       id,
 					Dst:        dst,
 					Class:      spec.Class,
 					Size:       size,
 					MSS:        mss,
-					Ctrl:       ctrl,
+					Ctrl:       newCtrl(),
 					ECN:        spec.ECN,
 					MinRTO:     minRTO,
 					OnComplete: done,

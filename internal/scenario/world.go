@@ -105,14 +105,9 @@ func (r *Runner) checkNetwork() error {
 
 // factories are the per-port constructors topology.Build calls for scheme
 // s under scheduler k.
-func factories(s experiment.Scheme, k experiment.SchedKind, p experiment.SchemeParams) topology.Factories {
-	weights := p.Weights
-	if k == experiment.SchedSPQDRR {
-		// The DRR sub-scheduler covers the queues after the priority queue.
-		weights = weights[1:]
-	}
+func factories(s experiment.Scheme, k sched.Kind, p experiment.SchemeParams) topology.Factories {
 	return topology.Factories{
-		NewScheduler: func(n int) (sched.Scheduler, error) { return k.NewScheduler(weights, p.MTU, n) },
+		NewScheduler: func(n int) (sched.Scheduler, error) { return k.New(p.Weights, p.MTU, n) },
 		NewAdmission: func(b units.ByteSize, n int, mem *buffer.SharedPool) (buffer.Admission, error) {
 			return buffer.NewScheme(string(s), p, b, n, mem)
 		},

@@ -278,19 +278,6 @@ func NewWRR(weights []int64) (*WRR, error) {
 	return &WRR{weights: append([]int64(nil), weights...)}, nil
 }
 
-// EqualWRR builds a WRR scheduler over n equally-weighted queues.
-func EqualWRR(n int) *WRR {
-	ws := make([]int64, n)
-	for i := range ws {
-		ws[i] = 1
-	}
-	w, err := NewWRR(ws)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
 // Pick implements Scheduler.
 func (w *WRR) Pick(backlog uint64, _ View) int {
 	if backlog == 0 {
@@ -390,9 +377,6 @@ func NewSPQDRR(prio int, quantums []units.ByteSize) (*SPQDRR, error) {
 	}
 	return &SPQDRR{prio: prio, drr: drr}, nil
 }
-
-// PriorityQueues returns the number of strict-priority queues.
-func (s *SPQDRR) PriorityQueues() int { return s.prio }
 
 // Pick implements Scheduler.
 func (s *SPQDRR) Pick(backlog uint64, v View) int {

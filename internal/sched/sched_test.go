@@ -239,7 +239,7 @@ func TestWRRPacketProportions(t *testing.T) {
 }
 
 func TestWRRSkipsEmptyQueues(t *testing.T) {
-	w := EqualWRR(3)
+	w, _ := NewWRR([]int64{1, 1, 1})
 	f := newFakeQueues(3)
 	f.push(1, 100)
 	if got := f.serve(w); got != 1 {
@@ -324,8 +324,8 @@ func TestSPQDRRFairAmongLowPriority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.PriorityQueues() != 1 {
-		t.Fatalf("PriorityQueues = %d", s.PriorityQueues())
+	if s.prio != 1 {
+		t.Fatalf("priority queues = %d", s.prio)
 	}
 	f := newFakeQueues(3)
 	for i := 0; i < 100; i++ {
@@ -348,7 +348,7 @@ func TestSchedulersNeverStarveRandomized(t *testing.T) {
 	build := []func() selector{
 		func() selector { return EqualDRR(4, 1500) },
 		func() selector { d, _ := NewDRR([]units.ByteSize{6000, 4500, 3000, 1500}); return d },
-		func() selector { return EqualWRR(4) },
+		func() selector { w, _ := NewWRR([]int64{1, 1, 1, 1}); return w },
 		func() selector { return NewSPQ() },
 		func() selector { s, _ := NewSPQDRR(1, []units.ByteSize{1500, 1500, 1500}); return s },
 	}

@@ -6,7 +6,6 @@ import (
 	"dynaq/internal/fabric"
 	"dynaq/internal/faults"
 	"dynaq/internal/packet"
-	"dynaq/internal/sched"
 	"dynaq/internal/sim"
 	"dynaq/internal/topology"
 	"dynaq/internal/transport"
@@ -172,7 +171,7 @@ func fatTree(t *testing.T, aware bool) (*sim.Simulator, *topology.Network) {
 		Delay: 10 * units.Microsecond, Buffer: 192 * units.KB, Queues: 4,
 		FailureAware: aware, DetectionDelay: 500 * units.Microsecond,
 		Factories: topology.Factories{
-			NewScheduler: func(n int) (sched.Scheduler, error) { return sched.EqualWRR(n), nil },
+			NewScheduler: equalWRR,
 			NewAdmission: bestEffort,
 		},
 	})

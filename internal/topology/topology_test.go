@@ -54,8 +54,17 @@ func testLeafSpine(t *testing.T, hostsPerLeaf int, cfg topology.Config) *topolog
 	t.Helper()
 	g, err := fabric.NewLeafSpine(2, 2, hostsPerLeaf, 10*units.Gbps)
 	cfg.Delay, cfg.Buffer = 10*units.Microsecond, 192*units.KB
-	cfg.NewScheduler = func(n int) (sched.Scheduler, error) { return sched.EqualWRR(n), nil }
+	cfg.NewScheduler = equalWRR
 	return build(t, g, err, cfg)
+}
+
+// equalWRR is a port scheduler of n equally weighted WRR queues.
+func equalWRR(n int) (sched.Scheduler, error) {
+	ws := make([]int64, n)
+	for i := range ws {
+		ws[i] = 1
+	}
+	return sched.NewWRR(ws)
 }
 
 // spines returns a testLeafSpine fabric's spine switches.

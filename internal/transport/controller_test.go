@@ -2,6 +2,7 @@ package transport
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"dynaq/internal/packet"
@@ -331,8 +332,8 @@ func TestDCTCPAlphaTracksMarkFraction(t *testing.T) {
 		snd.nxt = snd.una + int64(snd.MSS())
 		d.OnAck(snd, snd.MSS(), false)
 	}
-	if d.Alpha() > 0.01 {
-		t.Fatalf("α = %v after unmarked windows, want ≈0", d.Alpha())
+	if d.alpha > 0.01 {
+		t.Fatalf("α = %v after unmarked windows, want ≈0", d.alpha)
 	}
 	// All-marked windows: α must climb toward 1.
 	for i := 0; i < 500; i++ {
@@ -340,8 +341,8 @@ func TestDCTCPAlphaTracksMarkFraction(t *testing.T) {
 		snd.nxt = snd.una + int64(snd.MSS())
 		d.OnAck(snd, snd.MSS(), true)
 	}
-	if d.Alpha() < 0.9 {
-		t.Fatalf("α = %v after fully-marked windows, want ≈1", d.Alpha())
+	if d.alpha < 0.9 {
+		t.Fatalf("α = %v after fully-marked windows, want ≈1", d.alpha)
 	}
 }
 
@@ -368,19 +369,36 @@ func TestDCTCPReducesOncePerWindow(t *testing.T) {
 	}
 }
 
-func TestControllersReportNames(t *testing.T) {
-	tests := []struct {
-		c    Controller
-		want string
-	}{
-		{NewReno(), "reno"},
-		{NewCubic(), "cubic"},
-		{NewDCTCP(), "dctcp"},
+// TestControllerTable: every row has its own name and builds a fresh
+// instance of its own type, the empty name is the sender default, and an
+// unknown name's error lists the table.
+func TestControllerTable(t *testing.T) {
+	want := map[string]Controller{
+		"reno": NewReno(), "cubic": NewCubic(), "dctcp": NewDCTCP(),
+		"ecn-reno": NewECNReno(), "timely": NewTimely(),
 	}
-	for _, tt := range tests {
-		if got := tt.c.Name(); got != tt.want {
-			t.Errorf("Name() = %q, want %q", got, tt.want)
+	if len(algorithms) != len(want) {
+		t.Fatalf("%d rows, want %d", len(algorithms), len(want))
+	}
+	for _, a := range algorithms {
+		got, err := LookupAlgorithm(a.Name)
+		if err != nil || got.Name != a.Name {
+			t.Fatalf("%s resolves to %q, %v", a.Name, got.Name, err)
 		}
+		c1, c2 := got.New(), got.New()
+		if !reflect.DeepEqual(c1, want[a.Name]) {
+			t.Errorf("%s builds %#v, want %#v", a.Name, c1, want[a.Name])
+		}
+		if _, stateless := c1.(*Reno); !stateless && c1 == c2 {
+			t.Errorf("%s: two flows share one controller", a.Name)
+		}
+	}
+	if def, err := LookupAlgorithm(""); err != nil || def.Name != "reno" {
+		t.Errorf("the empty name resolves to %q, %v; want the sender default reno", def.Name, err)
+	}
+	if _, err := LookupAlgorithm("quic"); err == nil ||
+		err.Error() != `unknown controller "quic" (known: reno, cubic, dctcp, ecn-reno, timely)` {
+		t.Errorf("unknown name: %v", err)
 	}
 }
 

@@ -11,6 +11,8 @@ import (
 // window size W_max where the last loss occurred. It is the second generic
 // transport in the paper's mixed-protocol experiment (Fig. 7).
 type Cubic struct {
+	Reno // slow start
+
 	// c is the CUBIC scaling constant in segments/s³ (RFC 8312: 0.4).
 	c float64
 	// beta is the multiplicative decrease factor (RFC 8312: 0.7).
@@ -27,16 +29,13 @@ func NewCubic() *Cubic {
 	return &Cubic{c: 0.4, beta: 0.7}
 }
 
-// Name implements Controller.
-func (*Cubic) Name() string { return "cubic" }
-
 // OnAck implements Controller.
 func (cb *Cubic) OnAck(s *Sender, acked units.ByteSize, _ bool) {
-	mss := float64(s.MSS())
 	if s.Cwnd() < s.Ssthresh() {
-		s.SetCwnd(s.Cwnd() + float64(acked))
+		cb.Reno.OnAck(s, acked, false) // slow start
 		return
 	}
+	mss := float64(s.MSS())
 	now := s.Now()
 	if !cb.hasEpoch {
 		cb.hasEpoch = true

@@ -5,9 +5,11 @@ import "dynaq/internal/units"
 // DCTCP implements Data Center TCP (Alizadeh et al., SIGCOMM'10): the
 // sender maintains an EWMA estimate α of the fraction of ECN-marked bytes
 // per window and, once per window in which marks were observed, reduces
-// cwnd by a factor α/2. Loss handling falls back to Reno. Flows using DCTCP
-// must set FlowConfig.ECN so data packets carry ECT.
+// cwnd by a factor α/2. Growth and loss handling are Reno's. Flows using
+// DCTCP must set FlowConfig.ECN so data packets carry ECT.
 type DCTCP struct {
+	Reno
+
 	// g is the EWMA gain (the paper and RFC 8257 use 1/16).
 	g float64
 
@@ -24,12 +26,6 @@ type DCTCP struct {
 func NewDCTCP() *DCTCP {
 	return &DCTCP{g: 1.0 / 16.0, alpha: 1}
 }
-
-// Name implements Controller.
-func (*DCTCP) Name() string { return "dctcp" }
-
-// Alpha returns the current marked-fraction estimate.
-func (d *DCTCP) Alpha() float64 { return d.alpha }
 
 // OnAck implements Controller.
 func (d *DCTCP) OnAck(s *Sender, acked units.ByteSize, echo bool) {
@@ -59,24 +55,19 @@ func (d *DCTCP) OnAck(s *Sender, acked units.ByteSize, echo bool) {
 		d.inCWR = false
 	}
 	// Growth: standard slow start / congestion avoidance between marks.
-	mss := float64(s.MSS())
-	if s.Cwnd() < s.Ssthresh() {
-		s.SetCwnd(s.Cwnd() + float64(acked))
-		return
-	}
-	s.SetCwnd(s.Cwnd() + mss*float64(acked)/s.Cwnd())
+	d.Reno.OnAck(s, acked, echo)
 }
 
-// OnLoss implements Controller: packet loss falls back to Reno halving.
+// OnLoss implements Controller: packet loss falls back to Reno halving and
+// ends any window reduction in progress.
 func (d *DCTCP) OnLoss(s *Sender) {
-	s.SetSsthresh(float64(s.FlightSize()) / 2)
-	s.SetCwnd(s.Ssthresh())
+	d.Reno.OnLoss(s)
 	d.inCWR = false
 }
 
-// OnTimeout implements Controller.
+// OnTimeout implements Controller: Reno's collapse, ending any window
+// reduction in progress.
 func (d *DCTCP) OnTimeout(s *Sender) {
-	s.SetSsthresh(float64(s.FlightSize()) / 2)
-	s.SetCwnd(float64(s.MSS()))
+	d.Reno.OnTimeout(s)
 	d.inCWR = false
 }

@@ -9,15 +9,14 @@ import "dynaq/internal/units"
 // §II-B criticism of ECN as a signal) yet loss-free under marking schemes.
 // Flows using it must set FlowConfig.ECN.
 type ECNReno struct {
+	Reno
+
 	inCWR  bool
 	cwrEnd int64
 }
 
 // NewECNReno returns a classic-ECN NewReno controller.
 func NewECNReno() *ECNReno { return &ECNReno{} }
-
-// Name implements Controller.
-func (*ECNReno) Name() string { return "ecn-reno" }
 
 // OnAck implements Controller.
 func (e *ECNReno) OnAck(s *Sender, acked units.ByteSize, echo bool) {
@@ -32,24 +31,19 @@ func (e *ECNReno) OnAck(s *Sender, acked units.ByteSize, echo bool) {
 		s.SetCwnd(s.Ssthresh())
 		return
 	}
-	mss := float64(s.MSS())
-	if s.Cwnd() < s.Ssthresh() {
-		s.SetCwnd(s.Cwnd() + float64(acked))
-		return
-	}
-	s.SetCwnd(s.Cwnd() + mss*float64(acked)/s.Cwnd())
+	e.Reno.OnAck(s, acked, echo)
 }
 
-// OnLoss implements Controller.
+// OnLoss implements Controller: Reno's halving, ending any echo reduction
+// in progress.
 func (e *ECNReno) OnLoss(s *Sender) {
-	s.SetSsthresh(float64(s.FlightSize()) / 2)
-	s.SetCwnd(s.Ssthresh())
+	e.Reno.OnLoss(s)
 	e.inCWR = false
 }
 
-// OnTimeout implements Controller.
+// OnTimeout implements Controller: Reno's collapse, ending any echo
+// reduction in progress.
 func (e *ECNReno) OnTimeout(s *Sender) {
-	s.SetSsthresh(float64(s.FlightSize()) / 2)
-	s.SetCwnd(float64(s.MSS()))
+	e.Reno.OnTimeout(s)
 	e.inCWR = false
 }

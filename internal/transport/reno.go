@@ -5,14 +5,14 @@ import "dynaq/internal/units"
 // Reno implements NewReno congestion control (RFC 5681/6582): slow start,
 // AIMD congestion avoidance, and halving on loss. This is the paper's
 // "TCP" — the generic non-ECN transport the testbed servers run.
+//
+// It is the one implementation of these rules: every other controller
+// embeds Reno and overrides only what it does differently.
 type Reno struct{}
 
 // NewReno returns a NewReno controller. The zero value is also valid; the
 // constructor exists for symmetry with the stateful controllers.
 func NewReno() *Reno { return &Reno{} }
-
-// Name implements Controller.
-func (*Reno) Name() string { return "reno" }
 
 // OnAck implements Controller: byte-counting slow start below ssthresh,
 // one-MSS-per-window congestion avoidance above it.

@@ -4,31 +4,28 @@ package transport
 // over the endpoint's flow maps: integer addition is associative, so the
 // totals are order-independent despite Go's randomized map iteration.
 
-// TotalStats sums the per-flow sender counters of this endpoint.
+// add accumulates o's counters into st.
+func (st *SenderStats) add(o SenderStats) {
+	st.SentPackets += o.SentPackets
+	st.SentBytes += o.SentBytes
+	st.Retransmits += o.Retransmits
+	st.Timeouts += o.Timeouts
+	st.FastRecovers += o.FastRecovers
+	st.EchoedAcks += o.EchoedAcks
+}
+
+// TotalStats sums the sender counters of every flow this endpoint started,
+// live or completed.
 func (ep *Endpoint) TotalStats() SenderStats {
-	var t SenderStats
+	t := ep.retired
 	for _, snd := range ep.senders {
-		st := snd.Stats()
-		t.SentPackets += st.SentPackets
-		t.SentBytes += st.SentBytes
-		t.Retransmits += st.Retransmits
-		t.Timeouts += st.Timeouts
-		t.FastRecovers += st.FastRecovers
-		t.EchoedAcks += st.EchoedAcks
+		t.add(snd.stats)
 	}
 	return t
 }
 
 // ActiveFlows counts senders that have not yet completed.
-func (ep *Endpoint) ActiveFlows() int {
-	n := 0
-	for _, snd := range ep.senders {
-		if !snd.Done() {
-			n++
-		}
-	}
-	return n
-}
+func (ep *Endpoint) ActiveFlows() int { return len(ep.senders) }
 
 // CwndTotal sums the congestion windows of the endpoint's active senders,
 // truncating each window to whole bytes first so the sum stays
@@ -36,9 +33,7 @@ func (ep *Endpoint) ActiveFlows() int {
 func (ep *Endpoint) CwndTotal() int64 {
 	var total int64
 	for _, snd := range ep.senders {
-		if !snd.Done() {
-			total += int64(snd.cwnd)
-		}
+		total += int64(snd.cwnd)
 	}
 	return total
 }

@@ -8,8 +8,12 @@ import "dynaq/internal/units"
 // needed. This is a window-based simplification of the original's
 // rate-based engine: below T_low the window grows additively, above
 // T_high it shrinks multiplicatively, and in between the RTT gradient
-// steers the direction.
+// steers the direction. Loss and timeouts take Reno's halving and collapse
+// (TIMELY assumes a lossless fabric; under drop-based isolation the standard
+// reaction applies).
 type Timely struct {
+	Reno // OnLoss, OnTimeout
+
 	// beta is the multiplicative decrease factor (TIMELY's β = 0.8 region
 	// scaled for window mode).
 	beta float64
@@ -24,9 +28,6 @@ type Timely struct {
 func NewTimely() *Timely {
 	return &Timely{beta: 0.5, addSteps: 3}
 }
-
-// Name implements Controller.
-func (*Timely) Name() string { return "timely" }
 
 // OnAck implements Controller.
 func (tm *Timely) OnAck(s *Sender, acked units.ByteSize, _ bool) {
@@ -65,18 +66,4 @@ func (tm *Timely) OnAck(s *Sender, acked units.ByteSize, _ bool) {
 		s.SetCwnd(s.Cwnd() * scale)
 	}
 	s.SetSsthresh(s.Cwnd())
-}
-
-// OnLoss implements Controller: delay-based flows still halve on packet
-// loss (TIMELY assumes a lossless fabric; under drop-based isolation the
-// standard reaction applies).
-func (tm *Timely) OnLoss(s *Sender) {
-	s.SetSsthresh(float64(s.FlightSize()) / 2)
-	s.SetCwnd(s.Ssthresh())
-}
-
-// OnTimeout implements Controller.
-func (tm *Timely) OnTimeout(s *Sender) {
-	s.SetSsthresh(float64(s.FlightSize()) / 2)
-	s.SetCwnd(float64(s.MSS()))
 }

@@ -17,9 +17,6 @@ func TestTimelyRampsWithoutRTT(t *testing.T) {
 	if snd.Cwnd() <= w0 {
 		t.Fatal("no ramp before the first RTT sample")
 	}
-	if tm.Name() != "timely" {
-		t.Fatalf("Name = %q", tm.Name())
-	}
 }
 
 func TestTimelyBacksOffAboveTHigh(t *testing.T) {

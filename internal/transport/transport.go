@@ -40,9 +40,8 @@ const (
 // Controller is the congestion-control algorithm plugged into a Sender. A
 // controller mutates the sender's cwnd/ssthresh through the setters; the
 // sender owns loss detection, recovery bookkeeping, and retransmission.
+// The controller table (controllers.go) names every implementation.
 type Controller interface {
-	// Name identifies the algorithm in result tables.
-	Name() string
 	// OnAck processes an ACK that cumulatively acknowledged acked new
 	// bytes outside of fast recovery; echo reports the ECN congestion
 	// echo bit.
@@ -57,7 +56,7 @@ type Controller interface {
 // FlowConfig describes one flow from a local endpoint to a destination
 // host.
 type FlowConfig struct {
-	// Flow is the unique flow id.
+	// Flow is the flow id, unique among the endpoint's live flows.
 	Flow packet.FlowID
 	// Dst is the destination host id.
 	Dst int
@@ -84,6 +83,7 @@ type FlowConfig struct {
 
 // Sender is one TCP-like flow source.
 type Sender struct {
+	ep   *Endpoint // the endpoint that retires it on completion; nil for a bare sender
 	sim  *sim.Simulator
 	pkts *packet.Pool
 	emit func(*packet.Packet)
@@ -485,6 +485,9 @@ func (s *Sender) complete() {
 	}
 	s.done = true
 	s.stopRTO()
+	if s.ep != nil {
+		s.ep.retire(s)
+	}
 	if s.onComplete != nil {
 		s.onComplete(s.sim.Now().Sub(s.started))
 	}
@@ -608,11 +611,12 @@ func (r *Receiver) sendAck(peer, class int, echo bool) {
 type Endpoint struct {
 	sim       *sim.Simulator
 	host      *netsim.Host
-	send      func(*packet.Packet) // host.Send, bound once for every flow's sender and receiver
-	pkts      *packet.Pool         // where this host's packets come from; see receive
-	runs      runStock             // its receivers' empty run slices
-	senders   map[packet.FlowID]*Sender
+	send      func(*packet.Packet)      // host.Send, bound once for every flow's sender and receiver
+	pkts      *packet.Pool              // where this host's packets come from; see receive
+	runs      runStock                  // its receivers' empty run slices
+	senders   map[packet.FlowID]*Sender // live flows only; see retire
 	receivers map[packet.FlowID]*Receiver
+	retired   SenderStats // the counters of every completed sender
 }
 
 // NewEndpoint installs a transport stack on host, with a packet free list of
@@ -651,9 +655,18 @@ func (ep *Endpoint) StartFlow(cfg FlowConfig) (*Sender, error) {
 	if err != nil {
 		return nil, err
 	}
+	snd.ep = ep
 	ep.senders[cfg.Flow] = snd
 	snd.start()
 	return snd, nil
+}
+
+// retire forgets a completed sender, keeping its counters in the endpoint's
+// totals: an endpoint holds state for its live flows, not every flow it
+// ever started.
+func (ep *Endpoint) retire(snd *Sender) {
+	delete(ep.senders, snd.flow)
+	ep.retired.add(snd.stats)
 }
 
 // receive is where a delivered packet's life ends: the flow state machines
