@@ -66,7 +66,7 @@ const (
 	WriteTrace                          // write Job's span log (Data) beside its status
 	RemoveMarker                        // delete the queue marker named Marker
 	CloseStream                         // Job is terminal: end its event stream
-	Log                                 // emit Msg on the daemon log
+	Log                                 // emit Msg on the daemon log; Job is the job it names, if any
 )
 
 // Effect is one instruction to the shell. Which fields are set depends on

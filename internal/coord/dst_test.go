@@ -290,6 +290,8 @@ type world struct {
 	grants []grant       // held by workers, live or stale
 	claims []*LocalClaim // held by local executors
 
+	jobLogs []string // every log line that named a job, across lives
+
 	// For the starvation bound: when each queued cell becomes ready, what
 	// each cell and job looked like before the op, and how many pops have
 	// passed each tenant over while it had a cell to serve.
@@ -507,6 +509,8 @@ func (w *world) apply(e Effect) error {
 			return fmt.Errorf("job %s started out of submission order for tenant %s", e.Job.ID, e.Job.Tenant)
 		}
 		w.fifo[e.Job.Tenant] = q[1:]
+	case Log:
+		return w.checkLog(e)
 	case WriteTrace:
 		spans, err := trace.ParseJSONL(bytes.NewReader(e.Data))
 		if err == nil {
@@ -517,6 +521,25 @@ func (w *world) apply(e Effect) error {
 		}
 	default:
 		return w.disk.apply(e, func(j *Job) int { return w.specIdx[j] })
+	}
+	return nil
+}
+
+// checkLog: a log line that names a job is about the job the effect
+// carries and ends with that job's trace id, so the daemon log joins with
+// the job's trace.jsonl.
+func (w *world) checkLog(e Effect) error {
+	if !strings.HasPrefix(e.Msg, "job ") {
+		return nil
+	}
+	w.jobLogs = append(w.jobLogs, e.Msg)
+	switch {
+	case e.Job == nil:
+		return fmt.Errorf("log line %q names a job but carries none", e.Msg)
+	case !strings.HasPrefix(e.Msg, "job "+e.Job.ID+": "):
+		return fmt.Errorf("log line %q carries job %s", e.Msg, e.Job.ID)
+	case e.Job.TraceID() == "" || !strings.HasSuffix(e.Msg, " trace="+e.Job.TraceID()):
+		return fmt.Errorf("log line %q does not end with job %s's trace id %q", e.Msg, e.Job.ID, e.Job.TraceID())
 	}
 	return nil
 }
@@ -1200,6 +1223,43 @@ func TestDST(t *testing.T) {
 			small := shrink(cfg, ops)
 			t.Fatalf("seed %d: %v\nshrunk to %d ops, failing with: %v\nreplay: {seed: %d, ops: %s}",
 				seed, err, len(small), run(cfg, small), seed, literal(small))
+		}
+	}
+}
+
+// TestJobLogLinesCarryTheirTraceID runs the first 300 seeds of TestDST,
+// whose worlds check every log line as it is emitted (checkLog), and
+// requires that between them they logged each kind of job line the core
+// emits in a run without corrupt worker spans.
+func TestJobLogLinesCarryTheirTraceID(t *testing.T) {
+	kinds := []string{": queued (", ": running ", " leased to ", "; retrying in ", " quarantined after ",
+		": requeued for the next daemon instance", ": requeued from the dead letter list", ": done trace=", ": failed trace="}
+	seen := make([]int, len(kinds))
+	for seed := int64(1); seed <= 300; seed++ {
+		w := newWorld(configFor(seed))
+		var err error
+		for _, op := range genOps(seed, *dstOps) {
+			if err = w.step(op); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			err = w.converge()
+		}
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, line := range w.jobLogs {
+			for k, kind := range kinds {
+				if strings.Contains(line, kind) {
+					seen[k]++
+				}
+			}
+		}
+	}
+	for k, kind := range kinds {
+		if seen[k] == 0 {
+			t.Errorf("no job log line containing %q in 300 seeds", kind)
 		}
 	}
 }

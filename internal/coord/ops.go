@@ -140,7 +140,7 @@ func (c *Core) Submit(now time.Time, j *Job, body []byte, traceID string) (Submi
 	}
 	c.accept(now, j, body, traceID)
 	reply := SubmitReply{Outcome: Accepted, Status: c.status(j), TraceID: j.TraceID()}
-	c.logf("job %s: queued (%d cells)", j.ID, len(j.Cells))
+	c.jobLogf(j, "queued (%d cells)", len(j.Cells))
 	c.admit(now)
 	return reply, c.take()
 }
@@ -204,7 +204,7 @@ func (c *Core) admit(now time.Time) {
 		waitMs := now.Sub(j.queuedAt).Milliseconds()
 		c.hQueueWait.Observe(waitMs)
 		c.reg.Histogram("dynaqd_tenant_queue_wait_ms", latencyBucketsMs, telemetry.L("tenant", tenant)).Observe(waitMs)
-		c.logf("job %s: running %d cell(s)", j.ID, len(j.Cells))
+		c.jobLogf(j, "running %d cell(s)", len(j.Cells))
 		c.publish(j, -1, `{"kind":"job","state":"running"}`)
 		c.emit(Effect{Kind: Probe, Job: j})
 	}
@@ -298,7 +298,7 @@ func (c *Core) Lease(now time.Time, worker string) (grant *fleet.LeaseGrant, ret
 	cell.span.Annotate(trace.A("lease", l.ID))
 	c.leaseGrants.Inc()
 	c.publish(j, cell.Index, `{"kind":"cell","state":"leased","worker":`+strconv.Quote(worker)+`,"attempt":`+strconv.Itoa(l.Attempt)+`}`)
-	c.logf("job %s: cell %d leased to %s (%s, attempt %d)", j.ID, cell.Index, worker, l.ID, l.Attempt)
+	c.jobLogf(j, "cell %d leased to %s (%s, attempt %d)", cell.Index, worker, l.ID, l.Attempt)
 	return &fleet.LeaseGrant{
 		LeaseID:      l.ID,
 		JobID:        j.ID,
@@ -394,7 +394,7 @@ func (c *Core) Complete(now time.Time, leaseID string, up Upload) (bool, []Effec
 		if spans, err := trace.ParseJSONL(bytes.NewReader(up.Spans)); err == nil {
 			j.tr.Absorb(spans)
 		} else {
-			c.logf("lease %s: unparseable worker spans: %v", leaseID, err)
+			c.jobLogf(j, "lease %s: unparseable worker spans: %v", leaseID, err)
 		}
 	}
 	if !up.AbsorbStart.IsZero() {
@@ -541,7 +541,7 @@ func (c *Core) cellFailed(now time.Time, j *Job, cell *Cell, worker, reason stri
 			trace.AInt("attempt", int64(cell.Attempts)), trace.AInt("backoff_ms", delay.Milliseconds()))
 		c.publish(j, cell.Index, `{"kind":"cell","state":"requeued","attempt":`+strconv.Itoa(cell.Attempts)+
 			`,"backoff_ms":`+strconv.FormatInt(delay.Milliseconds(), 10)+`,"error":`+strconv.Quote(reason)+`}`)
-		c.logf("job %s: cell %d attempt %d failed (%s); retrying in %s", j.ID, cell.Index, cell.Attempts, reason, delay)
+		c.jobLogf(j, "cell %d attempt %d failed (%s); retrying in %s", cell.Index, cell.Attempts, reason, delay)
 		return
 	}
 	cell.State = StateQuarantined
@@ -557,7 +557,7 @@ func (c *Core) cellFailed(now time.Time, j *Job, cell *Cell, worker, reason stri
 	j.outstanding--
 	c.persistDeadLetter()
 	c.publish(j, cell.Index, `{"kind":"cell","state":"quarantined","attempts":`+strconv.Itoa(cell.Attempts)+`,"error":`+strconv.Quote(reason)+`}`)
-	c.logf("job %s: cell %d quarantined after %d attempt(s): %s", j.ID, cell.Index, cell.Attempts, reason)
+	c.jobLogf(j, "cell %d quarantined after %d attempt(s): %s", cell.Index, cell.Attempts, reason)
 }
 
 // persistDeadLetter snapshots the quarantine list; an empty list is written
@@ -630,7 +630,7 @@ func (c *Core) settle(now time.Time, j *Job) {
 		j.rootSpan.Event("job-requeued", trace.A("reason", "daemon draining"))
 		c.persistAttempts(j)
 		c.publish(j, -1, `{"kind":"job","state":"queued","reason":"daemon draining"}`)
-		c.logf("job %s: requeued for the next daemon instance (drain)", j.ID)
+		c.jobLogf(j, "requeued for the next daemon instance (drain)")
 		return
 	}
 
@@ -664,7 +664,7 @@ func (c *Core) settle(now time.Time, j *Job) {
 		Effect{Kind: Publish, Job: j, Cell: -1, Data: FinalLine(st)},
 		Effect{Kind: CloseStream, Job: j})
 	j.Marker = ""
-	c.logf("job %s: %s", j.ID, st.State)
+	c.jobLogf(j, "%s", st.State)
 	c.admit(now)
 }
 
@@ -690,8 +690,16 @@ func (c *Core) take() (out []Effect) {
 func (c *Core) publish(j *Job, cell int, line string) {
 	c.emit(Effect{Kind: Publish, Job: j, Cell: cell, Data: []byte(line + "\n")})
 }
-func (c *Core) logf(format string, args ...any) {
-	c.emit(Effect{Kind: Log, Msg: fmt.Sprintf(format, args...)})
+
+// jobLogf logs a line about job j: "job <id>: " and the message, then
+// " trace=<id>" naming the job's trace, so a daemon log line joins with the
+// job's trace.jsonl. A job recovered terminal has no trace and no suffix.
+func (c *Core) jobLogf(j *Job, format string, args ...any) {
+	msg := "job " + j.ID + ": " + fmt.Sprintf(format, args...)
+	if id := j.TraceID(); id != "" {
+		msg += " trace=" + id
+	}
+	c.emit(Effect{Kind: Log, Job: j, Msg: msg})
 }
 
 // Rebuilt is a quarantined cell's job as the shell rebuilt it from its
@@ -769,7 +777,7 @@ func (c *Core) Requeue(now time.Time, keys []string, rebuilt map[string]Rebuilt)
 			c.accept(now, rb.Job, rb.Body, "")
 			resp.Requeued = append(resp.Requeued, id)
 			requeued[id] = true
-			c.logf("deadletter: job %s requeued (%d quarantined cell(s) back in play)", id, len(byJob[id]))
+			c.jobLogf(rb.Job, "requeued from the dead letter list (%d quarantined cell(s) back in play)", len(byJob[id]))
 		}
 	}
 	if len(requeued) > 0 {

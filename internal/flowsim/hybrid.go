@@ -25,8 +25,8 @@ type chunk struct {
 }
 
 // chunkQueue is a FIFO of chunks: a slice with a head index and amortized
-// compaction, like netsim's pktQueue, so a steady episode reuses one backing
-// array instead of reallocating as the head slides.
+// compaction, so a steady episode reuses one backing array instead of
+// reallocating as the head slides.
 type chunkQueue struct {
 	chunks []chunk
 	head   int

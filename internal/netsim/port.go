@@ -60,7 +60,7 @@ type Link struct {
 	// fixed, so packets arrive in the order they were sent: each Send
 	// appends one packet here and one arrival to the lane, and each arrival
 	// pops one.
-	wire pktRing
+	wire packet.FIFO
 }
 
 // arriveFn is the shared callback for every link's arrivals.
@@ -68,7 +68,7 @@ func arriveFn(a any) { a.(*Link).arrive() }
 
 // arrive delivers the head of the wire.
 func (l *Link) arrive() {
-	p := l.wire.pop()
+	p := l.wire.Pop()
 	if l.dst == nil {
 		panic("netsim: link used before wiring completed")
 	}
@@ -107,7 +107,7 @@ func (l *Link) Send(p *packet.Packet) SendOutcome {
 		l.corrupted++
 		return SendCorrupted
 	}
-	l.wire.push(p)
+	l.wire.Push(p)
 	l.lane.Call(arriveFn, l)
 	return SendDelivered
 }
@@ -299,10 +299,8 @@ type Port struct {
 	// draws from (§II-C); every admitted byte must also fit in it.
 	pool *buffer.SharedPool
 
-	stats      PortStats
-	queueDrops []int64
-	queueTx    []units.ByteSize
-	hook       EventHook
+	stats PortStats
+	hook  EventHook
 
 	// Serialization state. The busy flag guarantees at most one packet is
 	// serializing per port, so the in-flight packet lives in fields instead
@@ -321,81 +319,32 @@ type Port struct {
 	maxSize units.ByteSize
 }
 
-// pktRing is a FIFO of packet pointers in a ring: n of its slots are in
-// use, starting at head. Its length is a power of two, so positions wrap
-// with a mask. It starts at 8 slots and doubles only when full, so it stays
-// as long as the deepest the FIFO has been.
-type pktRing struct {
-	ring    []*packet.Packet
-	head, n int
-}
-
-func (r *pktRing) push(p *packet.Packet) {
-	if r.n == len(r.ring) {
-		r.grow()
-	}
-	r.ring[(r.head+r.n)&(len(r.ring)-1)] = p
-	r.n++
-}
-
-// grow doubles the ring (or makes its first 8 slots) and moves the packets
-// to its start.
-func (r *pktRing) grow() {
-	grown := make([]*packet.Packet, max(8, 2*len(r.ring)))
-	k := copy(grown, r.ring[r.head:])
-	copy(grown[k:], r.ring[:r.head])
-	r.ring, r.head = grown, 0
-}
-
-func (r *pktRing) pop() *packet.Packet {
-	p := r.ring[r.head]
-	r.ring[r.head] = nil
-	r.head = (r.head + 1) & (len(r.ring) - 1)
-	r.n--
-	return p
-}
-
-// popTail removes the newest packet.
-func (r *pktRing) popTail() *packet.Packet {
-	r.n--
-	i := (r.head + r.n) & (len(r.ring) - 1)
-	p := r.ring[i]
-	r.ring[i] = nil
-	return p
-}
-
-// pktQueue is a service queue: a FIFO of packets with byte accounting.
+// pktQueue is a service queue: a FIFO of packets with its byte count and
+// the queue's own counters.
 type pktQueue struct {
-	pktRing
+	packet.FIFO
 	bytes units.ByteSize
+	drops int64          // packets refused at enqueue
+	tx    units.ByteSize // bytes put on the wire
 }
 
 func (q *pktQueue) push(p *packet.Packet) {
-	q.pktRing.push(p)
+	q.Push(p)
 	q.bytes += p.Size
 }
 
 func (q *pktQueue) pop() *packet.Packet {
-	p := q.pktRing.pop()
+	p := q.Pop()
 	q.bytes -= p.Size
 	return p
 }
-
-func (q *pktQueue) len() int { return q.n }
 
 // popTail removes the newest packet (eviction victims leave from the
 // tail, keeping in-flight ordering of the survivors intact).
 func (q *pktQueue) popTail() *packet.Packet {
-	p := q.pktRing.popTail()
+	p := q.PopTail()
 	q.bytes -= p.Size
 	return p
-}
-
-func (q *pktQueue) headPkt() *packet.Packet {
-	if q.n == 0 {
-		return nil
-	}
-	return q.ring[q.head]
 }
 
 // PortConfig assembles a Port.
@@ -434,18 +383,16 @@ func NewPort(s *sim.Simulator, cfg PortConfig) (*Port, error) {
 	}
 	ackLane := s.Lane(cfg.Rate.Transmit(packet.AckSize))
 	p := &Port{
-		sim:        s,
-		rate:       cfg.Rate,
-		bufSz:      cfg.Buffer,
-		link:       cfg.Link,
-		queues:     make([]pktQueue, cfg.Queues),
-		sched:      cfg.Scheduler,
-		admit:      cfg.Admission,
-		queueDrops: make([]int64, cfg.Queues),
-		queueTx:    make([]units.ByteSize, cfg.Queues),
-		ackLane:    ackLane,
-		maxLane:    ackLane,
-		maxSize:    packet.AckSize,
+		sim:     s,
+		rate:    cfg.Rate,
+		bufSz:   cfg.Buffer,
+		link:    cfg.Link,
+		queues:  make([]pktQueue, cfg.Queues),
+		sched:   cfg.Scheduler,
+		admit:   cfg.Admission,
+		ackLane: ackLane,
+		maxLane: ackLane,
+		maxSize: packet.AckSize,
 	}
 	p.enqMark, _ = cfg.Admission.(buffer.EnqueueMarker)
 	p.deqMark, _ = cfg.Admission.(buffer.DequeueMarker)
@@ -466,7 +413,7 @@ func (p *Port) QueueLen(i int) units.ByteSize { return p.queues[i].bytes }
 
 // HeadSize implements sched.View.
 func (p *Port) HeadSize(i int) units.ByteSize {
-	if h := p.queues[i].headPkt(); h != nil {
+	if h := p.queues[i].Head(); h != nil {
 		return h.Size
 	}
 	return 0
@@ -503,10 +450,10 @@ func (p *Port) Admission() buffer.Admission { return p.admit }
 func (p *Port) Pool() *buffer.SharedPool { return p.pool }
 
 // QueueDrops returns the enqueue-drop count of queue i.
-func (p *Port) QueueDrops(i int) int64 { return p.queueDrops[i] }
+func (p *Port) QueueDrops(i int) int64 { return p.queues[i].drops }
 
 // QueueTxBytes returns the bytes queue i has put on the wire.
-func (p *Port) QueueTxBytes(i int) units.ByteSize { return p.queueTx[i] }
+func (p *Port) QueueTxBytes(i int) units.ByteSize { return p.queues[i].tx }
 
 // Observe registers an observer notified on every enqueue and dequeue.
 func (p *Port) Observe(o PortObserver) { p.observers = append(p.observers, o) }
@@ -602,7 +549,7 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 // the frame) end the same way.
 func (p *Port) drop(cls int, pkt *packet.Packet) {
 	p.stats.Dropped++
-	p.queueDrops[cls]++
+	p.queues[cls].drops++
 	p.emit(EvDrop, cls, pkt)
 	p.notify()
 	pkt.Release()
@@ -618,11 +565,11 @@ func (p *Port) evictToAdmit(cls int, size units.ByteSize) bool {
 			return false
 		}
 		victim := p.evictor.EvictFor(p, cls, size)
-		if victim < 0 || p.queues[victim].len() == 0 {
+		if victim < 0 || p.queues[victim].Len() == 0 {
 			return false
 		}
 		evicted := p.queues[victim].popTail()
-		if p.queues[victim].len() == 0 {
+		if p.queues[victim].Len() == 0 {
 			p.backlog &^= 1 << victim
 		}
 		p.total -= evicted.Size
@@ -654,7 +601,7 @@ func (p *Port) transmitNext() {
 		i = p.sched.Pick(p.backlog, p)
 	}
 	pkt := p.queues[i].pop()
-	nowEmpty := p.queues[i].len() == 0
+	nowEmpty := p.queues[i].Len() == 0
 	if nowEmpty {
 		p.backlog &^= 1 << i
 	}
@@ -731,7 +678,7 @@ func (p *Port) txDone() {
 	p.txPkt = nil
 	p.stats.TxPackets++
 	p.stats.TxBytes += pkt.Size
-	p.queueTx[i] += pkt.Size
+	p.queues[i].tx += pkt.Size
 	p.emit(EvTransmit, i, pkt)
 	switch p.link.Send(pkt) {
 	case SendLost:

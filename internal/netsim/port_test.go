@@ -256,9 +256,9 @@ func TestPortBacklogWordTracksQueues(t *testing.T) {
 	check := func(after string) {
 		checks++
 		for i := range p.queues {
-			if got, want := p.backlog&(1<<i) != 0, p.queues[i].len() > 0; got != want {
+			if got, want := p.backlog&(1<<i) != 0, p.queues[i].Len() > 0; got != want {
 				t.Fatalf("after %s at %v: backlog bit %d is %v, queue %d holds %d packets",
-					after, s.Now(), i, got, i, p.queues[i].len())
+					after, s.Now(), i, got, i, p.queues[i].Len())
 			}
 		}
 	}
@@ -356,67 +356,6 @@ func TestLinkDelay(t *testing.T) {
 		}
 	}()
 	NewLink(s, -1, dst)
-}
-
-// TestPktQueueMatchesSlice drives the ring against a plain slice over random
-// runs of push, pop and popTail (BarberQ's eviction), deep enough to grow the
-// ring and long enough to wrap it many times: the same packets leave in the
-// same order, the byte count and head agree after every step, and the ring
-// is never longer than its first 8 slots or twice the deepest the queue has
-// been.
-func TestPktQueueMatchesSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 200; trial++ {
-		var q pktQueue
-		var ref []*packet.Packet
-		var refBytes units.ByteSize
-		deepest, wraps := 0, 0
-		for step := 0; step < 2000; step++ {
-			// Phases of growth and drain, so the depth both climbs and falls.
-			grow := (step/100)%2 == 0
-			switch op := rng.Intn(10); {
-			case op < 5 && grow || op < 3:
-				p := &packet.Packet{Seq: int64(step), Size: units.ByteSize(40 + rng.Intn(1460))}
-				q.push(p)
-				ref = append(ref, p)
-				refBytes += p.Size
-			case len(ref) == 0:
-				continue
-			case op < 9:
-				if q.head+q.n > len(q.ring) {
-					wraps++
-				}
-				if got := q.pop(); got != ref[0] {
-					t.Fatalf("trial %d step %d: pop gave seq %d, want %d", trial, step, got.Seq, ref[0].Seq)
-				}
-				refBytes -= ref[0].Size
-				ref = ref[1:]
-			default:
-				if got := q.popTail(); got != ref[len(ref)-1] {
-					t.Fatalf("trial %d step %d: popTail gave seq %d, want %d", trial, step, got.Seq, ref[len(ref)-1].Seq)
-				}
-				refBytes -= ref[len(ref)-1].Size
-				ref = ref[:len(ref)-1]
-			}
-			deepest = max(deepest, len(ref))
-			if q.len() != len(ref) || q.bytes != refBytes {
-				t.Fatalf("trial %d step %d: %d packets, %v; want %d, %v", trial, step, q.len(), q.bytes, len(ref), refBytes)
-			}
-			var oldest *packet.Packet
-			if len(ref) > 0 {
-				oldest = ref[0]
-			}
-			if q.headPkt() != oldest {
-				t.Fatalf("trial %d step %d: head is not the oldest packet", trial, step)
-			}
-			if l := len(q.ring); l&(l-1) != 0 || l > max(8, 2*deepest) {
-				t.Fatalf("trial %d step %d: ring of %d slots for a queue at most %d deep", trial, step, l, deepest)
-			}
-		}
-		if trial == 0 && wraps == 0 {
-			t.Fatal("no pop wrapped round the ring")
-		}
-	}
 }
 
 func TestPortAndHostAccessors(t *testing.T) {

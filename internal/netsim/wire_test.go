@@ -370,3 +370,69 @@ func TestPortPathDoesNotAllocate(t *testing.T) {
 		t.Fatalf("%v allocations per 32-packet burst, want 0", n)
 	}
 }
+
+// TestPortPathAllocatesNothing: once built, a host-NIC port and its link
+// take bursts that drive the port's queue and the link's wire deeper than
+// they have ever been, and nothing allocates. Queued packets are linked
+// through themselves, so a FIFO has no storage of its own to grow. The
+// setup gives the pool every packet the deepest burst takes and the
+// simulator's delay lane as many events; those grow with the packets in
+// flight, not with the queues.
+func TestPortPathAllocatesNothing(t *testing.T) {
+	const (
+		delay = 100 * units.Millisecond // longer than any burst takes to send
+		runs  = 5
+		step  = 1000 // packets added to each burst
+	)
+	s := sim.New()
+	var pkts packet.Pool
+	var dst consumer
+	port, err := NewPort(s, PortConfig{
+		Rate: 10 * units.Gbps, Buffer: 64 * units.MB, Queues: 1,
+		Scheduler: sched.NewSPQ(), Admission: buffer.NewBestEffort(),
+		Link: NewLink(s, delay, &dst),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deepest := step * (runs + 1) // AllocsPerRun runs once more to warm up
+	held := make([]*packet.Packet, deepest)
+	for i := range held {
+		held[i] = pkts.Get()
+	}
+	for _, p := range held {
+		p.Release()
+	}
+	lane := s.Lane(delay)
+	for range deepest {
+		lane.Call(func(any) {}, nil)
+	}
+	s.Run()
+
+	var queued, wired [runs + 1]int
+	call := 0
+	burst := func() {
+		n := step * (call + 1)
+		for range n {
+			p := pkts.Get()
+			p.Kind, p.Size, p.Payload = packet.Data, 1500, 1460
+			port.Enqueue(p)
+		}
+		queued[call] = port.queues[0].Len() // the first packet found the port idle
+		s.RunUntil(s.Now().Add(units.Duration(n) * port.Rate().Transmit(1500)))
+		wired[call] = port.Link().wire.Len()
+		s.Run()
+		call++
+	}
+	if n := testing.AllocsPerRun(runs, burst); n != 0 {
+		t.Errorf("%v allocations per burst, want 0", n)
+	}
+	for i := range call {
+		if n := step * (i + 1); queued[i] != n-1 || wired[i] != n {
+			t.Fatalf("burst %d of %d packets: %d queued, %d on the wire; want %d and %d", i, n, queued[i], wired[i], n-1, n)
+		}
+	}
+	if dst.n != step*(runs+1)*(runs+2)/2 || pkts.Idle() != pkts.Allocated() || pkts.Allocated() != deepest {
+		t.Fatalf("delivered %d, pool %d idle of %d carved", dst.n, pkts.Idle(), pkts.Allocated())
+	}
+}

@@ -49,9 +49,10 @@ const AckSize units.ByteSize = 40
 // good only until the call that passed it returns; keep Detached copies.
 type Packet struct {
 	// Everything a switch hop reads or writes (routing, admission, marking,
-	// sojourn, release) comes before Src, in the first 51 bytes, so a hop
-	// touches at most two cache lines of the packet, and one when the
-	// packet starts early enough in a line (every other packet of a slab).
+	// sojourn, queueing, release) comes before Payload, in the first 60
+	// bytes, so a hop touches at most two cache lines of the packet, and one
+	// when the packet starts early enough in a line (every other packet of a
+	// slab).
 
 	Flow FlowID
 	// Dst is the destination host id used for routing.
@@ -68,6 +69,10 @@ type Packet struct {
 	// pool is the free list this packet came from and returns to; nil for a
 	// packet built with a literal, which Release leaves to the collector.
 	pool *Pool
+	// next links the packet to the one behind it in the one list that holds
+	// it: a FIFO (a port's service queue, a link's wire) or its pool's free
+	// list. A packet has one owner, so it is in at most one list at a time.
+	next *Packet
 	// ECN state. Echo is the receiver->sender congestion echo (the
 	// TCP ECE flag); CWR would be modelled symmetrically but DCTCP's
 	// per-packet echo makes it unnecessary here.
@@ -76,6 +81,10 @@ type Packet struct {
 	// free is set while the packet sits in pool, to catch a second Release.
 	free bool
 	Echo bool
+	// Payload is the number of payload bytes carried (Data). It fits the
+	// four bytes after the flags: a frame is at most 65 535 bytes, the
+	// largest MTU a scenario accepts.
+	Payload int32
 
 	// Src is the originating host id.
 	Src int
@@ -84,8 +93,6 @@ type Packet struct {
 	// Ack is the cumulative acknowledgment (Ack packets): the next byte
 	// the receiver expects.
 	Ack int64
-	// Payload is the number of payload bytes carried (Data).
-	Payload units.ByteSize
 	// SentAt is when the sender (re)transmitted this packet; used for RTT
 	// estimation without timestamps options.
 	SentAt units.Time
@@ -102,18 +109,22 @@ const slabSize = 64
 // Packet.Release returns them; when the list is empty Get carves the next
 // packet from a slab of slabSize, so a cell allocates about one object per
 // slabSize packets of the network's peak in flight, and after warm-up a
-// steady packet stream allocates nothing. The zero value is ready to use.
+// steady packet stream allocates nothing. The free list is a stack linked
+// through the packets' next fields, so it never allocates either: the last
+// packet released is the first handed out again. The zero value is ready to
+// use.
 type Pool struct {
-	idle  []*Packet
+	idle  *Packet // top of the free list
+	nidle int
 	slab  []Packet // the uncarved rest of the last slab
 	alloc int
 }
 
 // Get returns a zeroed packet owned by the caller.
 func (pl *Pool) Get() *Packet {
-	if n := len(pl.idle); n > 0 {
-		p := pl.idle[n-1]
-		pl.idle = pl.idle[:n-1]
+	if p := pl.idle; p != nil {
+		pl.idle = p.next
+		pl.nidle--
 		*p = Packet{pool: pl}
 		return p
 	}
@@ -133,7 +144,7 @@ func (pl *Pool) Get() *Packet {
 func (pl *Pool) Allocated() int { return pl.alloc }
 
 // Idle reports how many packets sit on the free list.
-func (pl *Pool) Idle() int { return len(pl.idle) }
+func (pl *Pool) Idle() int { return pl.nidle }
 
 // Release ends the packet's life and returns it to the pool it came from.
 // On a packet that came from no pool it does nothing, so code that consumes
@@ -148,14 +159,16 @@ func (p *Packet) Release() {
 		panic(fmt.Sprintf("packet: %v released twice", p))
 	}
 	p.free = true
-	pl.idle = append(pl.idle, p)
+	p.next = pl.idle
+	pl.idle = p
+	pl.nidle++
 }
 
 // Detached returns a copy of the packet that belongs to no pool: a snapshot
 // that stays valid after the original is released and reused.
 func (p *Packet) Detached() Packet {
 	c := *p
-	c.pool, c.free = nil, false
+	c.pool, c.next, c.free = nil, nil, false
 	return c
 }
 

@@ -84,6 +84,42 @@ func TestSecondReleasePanics(t *testing.T) {
 	p.Release()
 }
 
+// TestSecondReleaseBelowTheTopPanics: a packet released twice panics when
+// other packets were released after it, so it is no longer on top of the
+// free list, and the list it sits in is left as it was.
+func TestSecondReleaseBelowTheTopPanics(t *testing.T) {
+	var pl Pool
+	p, q := pl.Get(), pl.Get()
+	p.Release()
+	q.Release()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a packet under another on the free list went back twice without a panic")
+			}
+		}()
+		p.Release()
+	}()
+	if pl.Idle() != 2 || pl.Get() != q || pl.Get() != p || pl.Idle() != 0 {
+		t.Fatal("a refused second release changed the free list")
+	}
+}
+
+func TestDetachedCopyLinksToNothing(t *testing.T) {
+	var pl Pool
+	var q FIFO
+	p := pl.Get()
+	q.Push(p)
+	q.Push(pl.Get())
+	if c := p.Detached(); c.next != nil {
+		t.Fatal("a detached copy of a queued packet still links to the packet behind it")
+	}
+	q.Pop().Release()
+	if c := p.Detached(); c.next != nil || c.free {
+		t.Fatal("a detached copy of a packet on the free list still links into it")
+	}
+}
+
 func TestDetachedCopyBelongsToNoPool(t *testing.T) {
 	var pl Pool
 	p := pl.Get()
@@ -101,8 +137,8 @@ func TestDetachedCopyBelongsToNoPool(t *testing.T) {
 }
 
 // TestHopFieldsShareTheFirstCacheLine pins the layout a switch hop relies
-// on: everything routing, admission, marking, sojourn and release touch ends
-// within the packet's first 64 bytes, and the whole packet takes at most 96
+// on: everything routing, admission, marking, sojourn, queueing and release
+// touch ends within the packet's first 64 bytes, and the whole packet takes at most 96
 // (96 with 64-bit words, 76 with 32-bit ones).
 func TestHopFieldsShareTheFirstCacheLine(t *testing.T) {
 	var p Packet
@@ -121,6 +157,7 @@ func TestHopFieldsShareTheFirstCacheLine(t *testing.T) {
 		{"ECN", unsafe.Offsetof(p.ECN), unsafe.Sizeof(p.ECN)},
 		{"Kind", unsafe.Offsetof(p.Kind), unsafe.Sizeof(p.Kind)},
 		{"pool", unsafe.Offsetof(p.pool), unsafe.Sizeof(p.pool)},
+		{"next", unsafe.Offsetof(p.next), unsafe.Sizeof(p.next)},
 		{"free", unsafe.Offsetof(p.free), unsafe.Sizeof(p.free)},
 	} {
 		if end := f.off + f.size; end > 64 {

@@ -75,6 +75,19 @@ func TestLoadValidation(t *testing.T) {
 			}
 		}
 	}
+	// A packet's payload is 32 bits, and a frame is at most an IPv4
+	// datagram: the largest one loads, one byte more is refused naming it.
+	for _, doc := range []string{staticDoc, fctDoc} {
+		if _, err := Load([]byte(strings.Replace(doc, `"seed": 1`, `"mtu": 65535, "seed": 1`, 1))); err != nil {
+			t.Errorf("mtu 65535: %v", err)
+		}
+		_, err := Load([]byte(strings.Replace(doc, `"seed": 1`, `"mtu": 65536, "seed": 1`, 1)))
+		var verr *ValidationError
+		if !errors.As(err, &verr) || verr.Field != "mtu" ||
+			!strings.Contains(err.Error(), "must be at most 65535 bytes, the largest IPv4 datagram, got 65536") {
+			t.Errorf("mtu 65536: got %v, want a ValidationError on mtu giving the bound", err)
+		}
+	}
 }
 
 func TestStaticScenarioRuns(t *testing.T) {

@@ -45,6 +45,10 @@ func newPacketWorld(s *sim.Simulator, g *fabric.Graph, cfg topology.Config, sche
 	return w, nil
 }
 
+// maxMTU is the largest frame a cell accepts, the IPv4 datagram limit; a
+// packet's payload field holds any payload up to it.
+const maxMTU = 65535
+
 // resolve checks the scheme, frame and weights every port of the cell
 // shares and resolves the scheme's constants against the links of a fabric
 // of kind k.
@@ -59,6 +63,9 @@ func (r *Runner) resolve(k fabric.Kind) error {
 	}
 	if mtu <= transport.HeaderSize {
 		return &ValidationError{"mtu", fmt.Sprintf("must exceed the %d-byte TCP/IP header, got %d", transport.HeaderSize, mtu)}
+	}
+	if mtu > maxMTU {
+		return &ValidationError{"mtu", fmt.Sprintf("must be at most %d bytes, the largest IPv4 datagram, got %d", maxMTU, mtu)}
 	}
 	p := experiment.SchemeParams{Weights: d.Weights, PerQueueK: units.ByteSize(d.PerQueueKB), TCNTarget: d.tcnTarget(nil)}
 	r.params = p.Resolved(d.rate(nil), k.BaseRTT(d.delay(nil)), mtu, nil, d.Queues)

@@ -56,7 +56,7 @@ func TestInitialWindowBurst(t *testing.T) {
 		if p.Seq != int64(i)*int64(DefaultMSS) {
 			t.Fatalf("packet %d seq = %d", i, p.Seq)
 		}
-		if p.Payload != DefaultMSS {
+		if units.ByteSize(p.Payload) != DefaultMSS {
 			t.Fatalf("packet %d payload = %d", i, p.Payload)
 		}
 		if p.Size != DefaultMSS+HeaderSize {
@@ -406,7 +406,7 @@ func TestReceiverInOrderAndOutOfOrder(t *testing.T) {
 	var acks []*packet.Packet
 	r := newReceiver(&packet.Pool{}, &runStock{}, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
 	seg := func(seq int64, n units.ByteSize, ecn packet.ECN) *packet.Packet {
-		return &packet.Packet{Kind: packet.Data, Flow: 1, Src: 0, Dst: 2, Seq: seq, Payload: n, Size: n + HeaderSize, ECN: ecn}
+		return &packet.Packet{Kind: packet.Data, Flow: 1, Src: 0, Dst: 2, Seq: seq, Payload: int32(n), Size: n + HeaderSize, ECN: ecn}
 	}
 	r.onData(seg(0, 1000, packet.ECT))
 	if acks[0].Ack != 1000 {

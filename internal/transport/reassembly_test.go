@@ -44,7 +44,7 @@ func (r *refReceiver) onData(p *packet.Packet) {
 	} else if e, ok := r.ooo[p.Seq]; !ok || end > e {
 		r.ooo[p.Seq] = end
 	}
-	r.rcvd += p.Payload
+	r.rcvd += units.ByteSize(p.Payload)
 	r.sendAck(p.Src, p.Class, p.ECN == packet.CE)
 }
 
@@ -129,7 +129,7 @@ func (f *reassemblyFlow) deliver(t testing.TB, k int64, class int, ecn packet.EC
 	payload := units.ByteSize(min(seq+f.mss, f.size) - seq)
 	mk := func() *packet.Packet {
 		return &packet.Packet{Kind: packet.Data, Flow: f.flow, Src: 0, Dst: 1, Seq: seq,
-			Payload: payload, Size: payload + HeaderSize, Class: class, ECN: ecn}
+			Payload: int32(payload), Size: payload + HeaderSize, Class: class, ECN: ecn}
 	}
 	f.rcv.onData(mk())
 	f.ref.onData(mk())
@@ -227,7 +227,7 @@ func TestRunsPullWhatTheMapStrands(t *testing.T) {
 	ref := &refReceiver{pkts: &packet.Pool{}, me: 1, flow: 9, ooo: make(map[int64]int64),
 		emit: func(p *packet.Packet) { refAcks = append(refAcks, p.Ack) }}
 	for _, s := range []struct{ seq, n int64 }{{150, 100}, {300, 100}, {0, 320}} {
-		p := packet.Packet{Kind: packet.Data, Flow: 9, Dst: 1, Seq: s.seq, Payload: units.ByteSize(s.n), Size: units.ByteSize(s.n) + HeaderSize}
+		p := packet.Packet{Kind: packet.Data, Flow: 9, Dst: 1, Seq: s.seq, Payload: int32(s.n), Size: units.ByteSize(s.n) + HeaderSize}
 		q := p
 		rcv.onData(&p)
 		ref.onData(&q)

@@ -151,7 +151,7 @@ func newSender(s *sim.Simulator, pkts *packet.Pool, src int, emit func(*packet.P
 	if mss == 0 {
 		mss = DefaultMSS
 	}
-	if mss <= 0 {
+	if mss <= 0 || mss > math.MaxInt32 { // a segment's payload is an int32
 		return nil, fmt.Errorf("transport: flow %d has invalid MSS %d", cfg.Flow, cfg.MSS)
 	}
 	ctrl := cfg.Ctrl
@@ -291,7 +291,7 @@ func (s *Sender) transmit(seq int64, payload units.ByteSize, isRtx bool) {
 	p.Src = s.src
 	p.Dst = s.dst
 	p.Seq = seq
-	p.Payload = payload
+	p.Payload = int32(payload)
 	p.Size = payload + HeaderSize
 	p.Class = s.classFor(seq)
 	p.SentAt = s.sim.Now()
