@@ -66,11 +66,11 @@ func admitAgainstParent(t testing.TB, script []byte) (out admitOutcome) {
 		opts = append(opts, core.WithWBDPSatisfaction(units.ByteSize(1+int(script[3])%5)*6000))
 	}
 	const b = 40 * units.KB
-	sut, err := NewDynaQWithOptions("", b, w, opts...)
+	sut, err := NewDynaQ(b, w, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := NewDynaQWithOptions("", b, w, opts...)
+	ref, _ := NewDynaQ(b, w, opts...)
 	v := &fakeView{b: b, qlens: make([]units.ByteSize, m)}
 	sizes := []units.ByteSize{64, 500, 1500, 4000, 9000, 0, -1500}
 	script = script[4:]

@@ -129,6 +129,19 @@ func NewWeightedPQL(b units.ByteSize, weights []int64) (*PQL, error) {
 	if b <= 0 {
 		return nil, fmt.Errorf("buffer: PQL buffer %d must be positive", b)
 	}
+	quotas, err := weightedSplit("PQL", b, weights)
+	if err != nil {
+		return nil, err
+	}
+	return NewPQL(quotas)
+}
+
+// weightedSplit divides total across queues in proportion to their weights,
+// total·w_i/Σw rounded down: PQL's quotas and PMSB's K_i.
+func weightedSplit(scheme string, total units.ByteSize, weights []int64) ([]units.ByteSize, error) {
+	if len(weights) == 0 {
+		return nil, fmt.Errorf("buffer: %s needs at least one queue", scheme)
+	}
 	var sum int64
 	for i, w := range weights {
 		if w <= 0 {
@@ -136,14 +149,11 @@ func NewWeightedPQL(b units.ByteSize, weights []int64) (*PQL, error) {
 		}
 		sum += w
 	}
-	if sum == 0 {
-		return nil, fmt.Errorf("buffer: PQL needs at least one queue")
-	}
-	quotas := make([]units.ByteSize, len(weights))
+	parts := make([]units.ByteSize, len(weights))
 	for i, w := range weights {
-		quotas[i] = units.ByteSize(int64(b) * w / sum)
+		parts[i] = units.ByteSize(int64(total) * w / sum)
 	}
-	return NewPQL(quotas)
+	return parts, nil
 }
 
 // Name implements Admission.
@@ -191,44 +201,23 @@ type DynaQ struct {
 }
 
 // NewDynaQ builds the DynaQ scheme for a port with buffer b and scheduler
-// weights.
-func NewDynaQ(b units.ByteSize, weights []int64) (*DynaQ, error) {
-	st, err := core.New(b, weights)
+// weights; opts are Algorithm 1's ablation options (victim policy, WBDP
+// satisfaction), whose rows in the scheme table rename the result. Every
+// queue starts satisfied, as initialization sets T_i = S_i (Eq. 1 and Eq. 3
+// coincide), except under the WBDP ablation where S_i may exceed the
+// initial T_i.
+func NewDynaQ(b units.ByteSize, weights []int64, opts ...core.Option) (*DynaQ, error) {
+	st, err := core.New(b, weights, opts...)
 	if err != nil {
 		return nil, err
 	}
-	d := &DynaQ{state: st, name: "DynaQ"}
-	d.initTelemetry()
+	n := st.NumQueues()
+	d := &DynaQ{state: st, name: "DynaQ", satTrans: make([]int64, n), satisfied: make([]bool, n)}
+	for i := range d.satisfied {
+		d.satisfied[i] = st.Satisfied(i)
+	}
 	d.li = &d.lens
 	return d, nil
-}
-
-// NewDynaQWithOptions builds a DynaQ variant with core ablation options
-// (victim policy, WBDP satisfaction) for the design-choice experiments.
-func NewDynaQWithOptions(name string, b units.ByteSize, weights []int64, opts ...core.Option) (*DynaQ, error) {
-	st, err := core.NewWithOptions(b, weights, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if name == "" {
-		name = "DynaQ"
-	}
-	d := &DynaQ{state: st, name: name}
-	d.initTelemetry()
-	d.li = &d.lens
-	return d, nil
-}
-
-// initTelemetry sizes the satisfied-state trackers. Every queue starts
-// satisfied: initialization sets T_i = S_i (Eq. 1 and Eq. 3 coincide),
-// except under the WBDP ablation where S_i may exceed the initial T_i.
-func (d *DynaQ) initTelemetry() {
-	n := d.state.NumQueues()
-	d.satTrans = make([]int64, n)
-	d.satisfied = make([]bool, n)
-	for i := 0; i < n; i++ {
-		d.satisfied[i] = d.state.Satisfied(i)
-	}
 }
 
 // noteSatisfaction counts a satisfied↔unsatisfied edge of queue i — the
@@ -328,43 +317,46 @@ func (p *PerQueueECN) MarkOnEnqueue(v View, cls int, size units.ByteSize) bool {
 }
 
 // PMSB marks a packet only when the per-port and per-queue marking
-// conditions hold simultaneously (Pan et al., ICDCS'18), with
-// K = C·RTT·λ and K_i = (w_i/Σw)·K. It is also DynaQ's ECN mode (§III-B3).
-// Buffer admission is best-effort.
+// conditions hold simultaneously (Pan et al., ICDCS'18): the port occupancy
+// (before the packet is enqueued) exceeds K = C·RTT·λ and the arriving
+// packet's queue exceeds K_i = (w_i/Σw)·K. It is also DynaQ's ECN mode
+// (§III-B3), which differs from PMSB only in name: the scheme table's
+// DynaQ-ECN row renames it. λ is the transport coefficient (1 for standard
+// ECN, ~0.5–1 for DCTCP), folded into k by the caller. Buffer admission is
+// best-effort.
 type PMSB struct {
 	BestEffort
 
-	mode *core.ECNMode
+	k    units.ByteSize
+	ki   []units.ByteSize
 	name string
 }
 
 // NewPMSB builds PMSB marking with port threshold k split across queues by
 // weight.
 func NewPMSB(k units.ByteSize, weights []int64) (*PMSB, error) {
-	mode, err := core.NewECNMode(k, weights)
+	if k <= 0 {
+		return nil, fmt.Errorf("buffer: PMSB port threshold %d must be positive", k)
+	}
+	ki, err := weightedSplit("PMSB", k, weights)
 	if err != nil {
 		return nil, err
 	}
-	return &PMSB{mode: mode, name: "PMSB"}, nil
-}
-
-// NewDynaQECN builds DynaQ's ECN mode, which the paper defines to be PMSB
-// marking (it differs from PMSB only in name, per §III-B3).
-func NewDynaQECN(k units.ByteSize, weights []int64) (*PMSB, error) {
-	p, err := NewPMSB(k, weights)
-	if err != nil {
-		return nil, err
-	}
-	p.name = "DynaQ-ECN"
-	return p, nil
+	return &PMSB{k: k, ki: ki, name: "PMSB"}, nil
 }
 
 // Name implements Admission.
 func (p *PMSB) Name() string { return p.name }
 
+// PortThreshold returns K.
+func (p *PMSB) PortThreshold() units.ByteSize { return p.k }
+
+// QueueThreshold returns K_i.
+func (p *PMSB) QueueThreshold(i int) units.ByteSize { return p.ki[i] }
+
 // MarkOnEnqueue implements EnqueueMarker.
 func (p *PMSB) MarkOnEnqueue(v View, cls int, _ units.ByteSize) bool {
-	return p.mode.ShouldMark(cls, v.TotalLen(), v.QueueLen(cls))
+	return v.TotalLen() > p.k && v.QueueLen(cls) > p.ki[cls]
 }
 
 // TCN marks at dequeue time when the packet's sojourn time through the

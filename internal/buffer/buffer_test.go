@@ -211,7 +211,9 @@ func TestPMSBMarksOnlyWhenBothExceeded(t *testing.T) {
 }
 
 func TestDynaQECNIsPMSBMarking(t *testing.T) {
-	d, err := NewDynaQECN(60*units.KB, []int64{1, 1})
+	// 1Gbps × 480µs: the table's K is 60KB, so K_i = 30KB each.
+	p := SchemeParams{Rate: units.Gbps, BaseRTT: 480 * units.Microsecond, Weights: []int64{1, 1}}
+	d, err := NewScheme("DynaQ-ECN", p, 200*units.KB, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +221,86 @@ func TestDynaQECNIsPMSBMarking(t *testing.T) {
 		t.Errorf("Name = %q", d.Name())
 	}
 	v := &fakeView{b: 200 * units.KB, qlens: []units.ByteSize{31 * units.KB, 31 * units.KB}}
-	if !d.MarkOnEnqueue(v, 0, 1500) {
+	if !d.(EnqueueMarker).MarkOnEnqueue(v, 0, 1500) {
 		t.Error("DynaQ-ECN must apply PMSB marking")
+	}
+}
+
+// TestEveryRowNamesItself: an instance reports its row's name, the rows that
+// share a constructor (the DynaQ ablations, DynaQ-ECN) included.
+func TestEveryRowNamesItself(t *testing.T) {
+	p := SchemeParams{Rate: units.Gbps, BaseRTT: 480 * units.Microsecond, MTU: 1500, Weights: []int64{1, 2, 3}}
+	for _, name := range SchemeNames() {
+		mem, err := NewSharedPool(600 * units.KB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := NewScheme(name, p, 200*units.KB, 3, mem)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if a.Name() != name {
+			t.Errorf("row %s builds an instance named %q", name, a.Name())
+		}
+	}
+}
+
+func TestPMSBValidation(t *testing.T) {
+	if _, err := NewPMSB(0, []int64{1}); err == nil {
+		t.Error("zero K should fail")
+	}
+	if _, err := NewPMSB(30*units.KB, nil); err == nil {
+		t.Error("no queues should fail")
+	}
+	if _, err := NewPMSB(30*units.KB, []int64{1, 0}); err == nil {
+		t.Error("zero weight should fail")
+	}
+}
+
+func TestPMSBThresholds(t *testing.T) {
+	// K = 60KB, weights 1:2:3 → K_i = 10/20/30 KB.
+	m, err := NewPMSB(60*units.KB, []int64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.PortThreshold() != 60*units.KB {
+		t.Fatalf("K = %v", m.PortThreshold())
+	}
+	want := []units.ByteSize{10 * units.KB, 20 * units.KB, 30 * units.KB}
+	for i, w := range want {
+		if got := m.QueueThreshold(i); got != w {
+			t.Errorf("K_%d = %d, want %d", i, got, w)
+		}
+	}
+}
+
+func TestPMSBMarkRequiresBothConditions(t *testing.T) {
+	// PMSB semantics: mark iff port occupancy > K AND q_i > K_i.
+	m, err := NewPMSB(60*units.KB, []int64{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// K = 60KB, K_i = 30KB each.
+	tests := []struct {
+		name    string
+		portOcc units.ByteSize
+		qi      units.ByteSize
+		want    bool
+	}{
+		{name: "both exceeded", portOcc: 61 * units.KB, qi: 31 * units.KB, want: true},
+		{name: "only port exceeded", portOcc: 61 * units.KB, qi: 30 * units.KB, want: false},
+		{name: "only queue exceeded", portOcc: 60 * units.KB, qi: 31 * units.KB, want: false},
+		{name: "neither", portOcc: 10 * units.KB, qi: 5 * units.KB, want: false},
+		{name: "at thresholds exactly", portOcc: 60 * units.KB, qi: 30 * units.KB, want: false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			// Queue 0 holds q_i, queue 1 the rest of the port's occupancy.
+			v := &fakeView{b: 200 * units.KB, qlens: []units.ByteSize{tt.qi, tt.portOcc - tt.qi}}
+			if got := m.MarkOnEnqueue(v, 0, 1500); got != tt.want {
+				t.Errorf("MarkOnEnqueue = %v, want %v", got, tt.want)
+			}
+		})
 	}
 }
 

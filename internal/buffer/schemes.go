@@ -119,12 +119,18 @@ var schemes = []Scheme{
 	// largest threshold instead of largest extra buffer; satisfaction
 	// thresholds at the weighted BDP instead of the buffer share.
 	{"DynaQ-NaiveVictim", false, func(p SchemeParams, b units.ByteSize, _ int, _ *SharedPool) (Admission, error) {
-		return NewDynaQWithOptions("DynaQ-NaiveVictim", b, p.Weights,
-			core.WithVictimPolicy(core.VictimMaxThreshold))
+		d, err := NewDynaQ(b, p.Weights, core.WithVictimPolicy(core.VictimMaxThreshold))
+		if d != nil {
+			d.name = "DynaQ-NaiveVictim"
+		}
+		return d, err
 	}},
 	{"DynaQ-WBDP", false, func(p SchemeParams, b units.ByteSize, _ int, _ *SharedPool) (Admission, error) {
-		return NewDynaQWithOptions("DynaQ-WBDP", b, p.Weights,
-			core.WithWBDPSatisfaction(units.BDP(p.Rate, p.BaseRTT)))
+		d, err := NewDynaQ(b, p.Weights, core.WithWBDPSatisfaction(units.BDP(p.Rate, p.BaseRTT)))
+		if d != nil {
+			d.name = "DynaQ-WBDP"
+		}
+		return d, err
 	}},
 	// The eviction-based alternative the paper cites ([12], §II-C).
 	{"BarberQ", false, func(SchemeParams, units.ByteSize, int, *SharedPool) (Admission, error) {
@@ -135,10 +141,14 @@ var schemes = []Scheme{
 	{"DynaQ-Tofino", false, func(p SchemeParams, b units.ByteSize, _ int, _ *SharedPool) (Admission, error) {
 		return NewDynaQTofino(b, p.Weights)
 	}},
-	// DynaQ's ECN support (§III-B3): PMSB-style marking, no threshold
+	// DynaQ's ECN support (§III-B3): PMSB's marking, no threshold
 	// adjustment.
 	{"DynaQ-ECN", true, func(p SchemeParams, _ units.ByteSize, _ int, _ *SharedPool) (Admission, error) {
-		return NewDynaQECN(p.markK(), p.Weights)
+		m, err := NewPMSB(p.markK(), p.Weights)
+		if m != nil {
+			m.name = "DynaQ-ECN"
+		}
+		return m, err
 	}},
 	// The §II-C shared-memory strawman, at the hardware default α = 2.
 	{"DT", false, func(_ SchemeParams, _ units.ByteSize, _ int, mem *SharedPool) (Admission, error) {

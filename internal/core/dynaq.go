@@ -100,8 +100,9 @@ type State struct {
 //
 // Initialization follows Eq. (1): T_i = B·w_i/Σw, with integer rounding
 // residue distributed by the largest-remainder method so that Σ T_i = B
-// exactly.
-func New(b units.ByteSize, weights []int64) (*State, error) {
+// exactly. The options (options.go) then apply in order; the paper's design
+// takes none.
+func New(b units.ByteSize, weights []int64, opts ...Option) (*State, error) {
 	if b <= 0 {
 		return nil, fmt.Errorf("core: buffer size %d must be positive", b)
 	}
@@ -127,6 +128,11 @@ func New(b units.ByteSize, weights []int64) (*State, error) {
 		s:       make([]units.ByteSize, len(weights)),
 	}
 	st.reinit()
+	for _, o := range opts {
+		if err := o.apply(st); err != nil {
+			return nil, err
+		}
+	}
 	return st, nil
 }
 

@@ -68,7 +68,7 @@ type exploration struct {
 // transition check.
 func explore(t testing.TB, sc scope) exploration {
 	t.Helper()
-	st, err := NewWithOptions(sc.b, sc.w, WithVictimPolicy(sc.policy))
+	st, err := New(sc.b, sc.w, WithVictimPolicy(sc.policy))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,20 +89,19 @@ func (n *naiveDynaQ) process(p int, size units.ByteSize, q []units.ByteSize) Res
 
 // naiveOutcome tallies what a script exercised.
 type naiveOutcome struct {
-	verdicts          [3]int
-	resizes, ecnMarks int
+	verdicts [3]int
+	resizes  int
 }
 
 var naiveSizes = []units.ByteSize{64, 500, 1000, 1500, 4000, 9000}
 
-// processAgainstNaive interprets script. Its first six bytes choose the
-// queue count (1 to 8), the weights, the buffer, the victim policy, whether
-// S_i is the weighted BDP, and the ECN mode's K. Then two bytes make a step:
-// an arrival for a queue (Process against the oracle: verdict, victim and
-// every T_i and S_i; then the ECN mode's mark against K and K_i), a
-// departure from one, or a resize of the buffer.
+// processAgainstNaive interprets script. Its first five bytes choose the
+// queue count (1 to 8), the weights, the buffer, the victim policy and
+// whether S_i is the weighted BDP. Then two bytes make a step: an arrival for
+// a queue (Process against the oracle: verdict, victim and every T_i and
+// S_i), a departure from one, or a resize of the buffer.
 func processAgainstNaive(t testing.TB, script []byte) (out naiveOutcome) {
-	if len(script) < 6 {
+	if len(script) < 5 {
 		return
 	}
 	m := 1 + int(script[0])%8
@@ -119,12 +118,7 @@ func processAgainstNaive(t testing.TB, script []byte) (out naiveOutcome) {
 		bdp = units.ByteSize(1+int(script[4])%7) * 5000
 		opts = append(opts, WithWBDPSatisfaction(bdp))
 	}
-	st, err := NewWithOptions(b, w, append(opts, WithVictimPolicy(policy))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := units.ByteSize(1+int(script[5])%16) * 4000
-	ecn, err := NewECNMode(k, w)
+	st, err := New(b, w, append(opts, WithVictimPolicy(policy))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,22 +132,13 @@ func processAgainstNaive(t testing.TB, script []byte) (out naiveOutcome) {
 		}
 	}
 	check(-1, "init")
-	script = script[6:]
+	script = script[5:]
 	for step := 0; step+1 < len(script); step += 2 {
 		op, arg := script[step], int(script[step+1])
 		p := arg % m
 		switch {
 		case op < 200:
 			size := naiveSizes[int(op)%len(naiveSizes)]
-			var occ units.ByteSize
-			for _, l := range q {
-				occ += l
-			}
-			if got, want := ecn.ShouldMark(p, occ, q[p]), occ > k && q[p] > k*units.ByteSize(w[p])/units.ByteSize(sum(w)); got != want {
-				t.Fatalf("step %d: ECN mark %v at occupancy %d, q_%d %d, oracle %v", step/2, got, occ, p, q[p], want)
-			} else if got {
-				out.ecnMarks++
-			}
 			got, want := st.Process(p, size, qlens(q)), oracle.process(p, size, q)
 			if got != want {
 				t.Fatalf("step %d: Process(%d, %d) = %+v, oracle %+v", step/2, p, size, got, want)
@@ -183,20 +168,12 @@ func processAgainstNaive(t testing.TB, script []byte) (out naiveOutcome) {
 	return out
 }
 
-func sum(w []int64) int64 {
-	var s int64
-	for _, x := range w {
-		s += x
-	}
-	return s
-}
-
 func TestProcessMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	// By victim policy, then by satisfaction rule (weighted BDP, Eq. 3).
 	var tally [2][2]naiveOutcome
 	for trial := 0; trial < 1200; trial++ {
-		script := make([]byte, 6+2*400)
+		script := make([]byte, 5+2*400)
 		rng.Read(script)
 		script[3] = byte(trial % 2)
 		script[4] = byte(trial / 2 % 2) // 0: WBDP, 1: Eq. 3
@@ -209,12 +186,11 @@ func TestProcessMatchesNaive(t *testing.T) {
 			k.verdicts[v] += out.verdicts[v]
 		}
 		k.resizes += out.resizes
-		k.ecnMarks += out.ecnMarks
 	}
 	for policy := range tally {
 		for eq3, k := range tally[policy] {
 			if k.verdicts[Pass] < 1000 || k.verdicts[Adjusted] < 1000 || k.verdicts[Drop] < 1000 ||
-				k.resizes < 100 || k.ecnMarks < 1000 {
+				k.resizes < 100 {
 				t.Errorf("policy %v, Eq. 3 %d: %+v: the scripts miss a case", VictimPolicy(policy), eq3, k)
 			}
 		}
@@ -222,9 +198,9 @@ func TestProcessMatchesNaive(t *testing.T) {
 }
 
 func FuzzProcessMatchesNaive(f *testing.F) {
-	f.Add([]byte{3, 0x1b, 2, 0, 1, 4, 1, 0, 3, 1, 3, 2, 5, 0, 210, 1, 5, 0, 250, 2, 5, 1})
-	f.Add([]byte{7, 0xe4, 0, 1, 3, 0, 5, 0, 5, 1, 5, 2, 5, 3, 5, 4, 5, 5, 5, 6, 5, 7, 5, 0})
-	f.Add([]byte{0, 0, 1, 0, 0, 2, 3, 0, 3, 0, 3, 0, 245, 3, 3, 0})
+	f.Add([]byte{3, 0x1b, 2, 0, 1, 1, 0, 3, 1, 3, 2, 5, 0, 210, 1, 5, 0, 250, 2, 5, 1})
+	f.Add([]byte{7, 0xe4, 0, 1, 3, 5, 0, 5, 1, 5, 2, 5, 3, 5, 4, 5, 5, 5, 6, 5, 7, 5, 0})
+	f.Add([]byte{0, 0, 1, 0, 0, 3, 0, 3, 0, 3, 0, 245, 3, 3, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		processAgainstNaive(t, script)
 	})

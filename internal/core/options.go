@@ -73,19 +73,5 @@ func WithWBDPSatisfaction(bdp units.ByteSize) Option {
 	})
 }
 
-// NewWithOptions is New with construction options applied.
-func NewWithOptions(b units.ByteSize, weights []int64, opts ...Option) (*State, error) {
-	st, err := New(b, weights)
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range opts {
-		if err := o.apply(st); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
-}
-
 // VictimPolicy returns the configured victim-selection rule.
 func (st *State) VictimPolicy() VictimPolicy { return st.victimPolicy }

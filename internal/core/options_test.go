@@ -21,13 +21,13 @@ func TestVictimPolicyString(t *testing.T) {
 }
 
 func TestNewWithOptionsValidation(t *testing.T) {
-	if _, err := NewWithOptions(0, []int64{1}); err == nil {
+	if _, err := New(0, []int64{1}); err == nil {
 		t.Error("invalid base config should fail")
 	}
-	if _, err := NewWithOptions(units.KB, []int64{1}, WithVictimPolicy(VictimPolicy(9))); err == nil {
+	if _, err := New(units.KB, []int64{1}, WithVictimPolicy(VictimPolicy(9))); err == nil {
 		t.Error("unknown policy should fail")
 	}
-	if _, err := NewWithOptions(units.KB, []int64{1}, WithWBDPSatisfaction(0)); err == nil {
+	if _, err := New(units.KB, []int64{1}, WithWBDPSatisfaction(0)); err == nil {
 		t.Error("zero BDP should fail")
 	}
 }
@@ -45,7 +45,7 @@ func TestMaxThresholdPolicyMisVictimizesWeightedQueue(t *testing.T) {
 	// share — while queue 1 holds surplus. The naive policy still picks
 	// queue 2 because its absolute T is largest.
 	mk := func(p VictimPolicy) *State {
-		st, err := NewWithOptions(60*units.KB, []int64{1, 2, 3}, WithVictimPolicy(p))
+		st, err := New(60*units.KB, []int64{1, 2, 3}, WithVictimPolicy(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestMaxThresholdPolicyMisVictimizesWeightedQueue(t *testing.T) {
 func TestWBDPSatisfactionThresholds(t *testing.T) {
 	// B = 85KB, BDP = 62.5KB, equal weights over 4 queues:
 	// S_i = 15625 instead of 21250.
-	st, err := NewWithOptions(85*units.KB, []int64{1, 1, 1, 1},
+	st, err := New(85*units.KB, []int64{1, 1, 1, 1},
 		WithWBDPSatisfaction(62500))
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestWBDPAllowsDeeperStealing(t *testing.T) {
 	if res := paper.Process(0, 1500, q); res.Verdict != Drop {
 		t.Fatalf("Eq.3: verdict = %v, want drop (all victims unsatisfied)", res.Verdict)
 	}
-	wbdp, err := NewWithOptions(85*units.KB, []int64{1, 1, 1, 1},
+	wbdp, err := New(85*units.KB, []int64{1, 1, 1, 1},
 		WithWBDPSatisfaction(62500))
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestOptionsInvariantsUnderRandomWorkload(t *testing.T) {
 		if wbdp {
 			opts = append(opts, WithWBDPSatisfaction(units.ByteSize(10000+rng.Intn(50000))))
 		}
-		st, err := NewWithOptions(units.ByteSize(30000+rng.Intn(100000)), weights, opts...)
+		st, err := New(units.ByteSize(30000+rng.Intn(100000)), weights, opts...)
 		if err != nil {
 			return false
 		}
@@ -182,7 +182,7 @@ func TestTournamentMatchesLinearUnderNaivePolicy(t *testing.T) {
 		for i := range weights {
 			weights[i] = int64(1 + rng.Intn(4))
 		}
-		st, err := NewWithOptions(units.ByteSize(20000+rng.Intn(50000)), weights,
+		st, err := New(units.ByteSize(20000+rng.Intn(50000)), weights,
 			WithVictimPolicy(VictimMaxThreshold))
 		if err != nil {
 			return false

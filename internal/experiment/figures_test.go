@@ -526,7 +526,7 @@ func TestFig12ExtremeFlowCounts(t *testing.T) {
 }
 
 func TestExtDynaQECNMode(t *testing.T) {
-	r, err := figures.ExtDynaQECNMode(quick)
+	r, err := figures.ExtDynaQECN(quick)
 	if err != nil {
 		t.Fatal(err)
 	}

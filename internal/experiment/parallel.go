@@ -13,8 +13,8 @@ import (
 // output is bit-for-bit identical at any worker count — parallelism lives
 // entirely above the (single-goroutine) simulation engine.
 //
-// workers ≤ 0 selects GOMAXPROCS; 1 runs sequentially on the calling
-// goroutine; anything larger is clamped to n.
+// workers ≤ 0 selects GOMAXPROCS; anything larger than n is clamped to n.
+// One worker runs the trials in index order, one at a time.
 //
 // Each trial MUST be self-contained: run must build its own Simulator,
 // rand.Rand, and telemetry sinks per call, and must not touch shared mutable
@@ -34,36 +34,28 @@ func RunTrials[T any](n, workers int, run func(trial int) (T, error)) ([]T, erro
 	workers = Workers(workers, n)
 	results := make([]T, n)
 	errs := make([]error, n) // distinct indices: race-free without a lock
-	if workers == 1 {
-		for i := range results {
-			if results[i], errs[i] = run(i); errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		var (
-			next atomic.Int64 // trials claimed so far
-			wg   sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					if results[i], errs[i] = run(i); errs[i] != nil {
-						// Cancel: every later claim, this worker's next one
-						// included, finds nothing left.
-						next.Store(int64(n))
-					}
+	var (
+		next atomic.Int64 // trials claimed so far
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				if results[i], errs[i] = run(i); errs[i] != nil {
+					// Cancel: every later claim, this worker's next one
+					// included, finds nothing left.
+					next.Store(int64(n))
+				}
+			}
+		}()
 	}
+	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: trial %d: %w", i, err)

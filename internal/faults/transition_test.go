@@ -106,7 +106,7 @@ func TestGuardrailTransitionHoldsForAlgorithm1(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sim.New()
-			adm, err := buffer.NewDynaQWithOptions("", 30*units.KB, []int64{1, 2, 1, 4}, tc.opts...)
+			adm, err := buffer.NewDynaQ(30*units.KB, []int64{1, 2, 1, 4}, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -141,11 +141,11 @@ func ExtClosedLoop(o experiment.Options) (*Figure, error) {
 	return fctRows(o, "ext-closedloop", experiment.NonECNSchemes(), loads, base)
 }
 
-// ExtDynaQECNMode compares DynaQ's two faces (§III-B3): drop mode with
-// plain TCP versus ECN mode (PMSB-style marking) with DCTCP. Both must
+// ExtDynaQECN compares DynaQ's two faces (§III-B3): drop mode with
+// plain TCP versus ECN mode (PMSB's marking) with DCTCP. Both must
 // isolate the 2-vs-16-flow queues; ECN mode additionally keeps the
 // bottleneck port drop-free.
-func ExtDynaQECNMode(o experiment.Options) (*Figure, error) {
+func ExtDynaQECN(o experiment.Options) (*Figure, error) {
 	dur := pick(o, 4*units.Second, 10*units.Second, 10*units.Second)
 	out := &Figure{Name: "dynaq-ecn-mode", Labels: bySchemes, Columns: fixed3("q1-share(0.5)", "Jain", "agg-Gbps", "drops-k")}
 	return out.staticRows(o, []experiment.Scheme{experiment.DynaQ, experiment.DynaQECN}, func(scheme experiment.Scheme) scenario.Document {

@@ -51,7 +51,7 @@ func Figures() []Entry {
 		{"ext-tofino", "programmable-switch model: DynaQ on stale deq_qdepth (§IV-A)", ExtTofino},
 		{"ext-zoo", "transport zoo: reno/cubic/dctcp/timely queues under one scheme", ExtTransportZoo},
 		{"ext-closedloop", "Fig 8 with the §V-A2 request/response application (closed loop)", ExtClosedLoop},
-		{"ext-dynaq-ecn", "DynaQ drop mode (TCP) vs ECN mode (PMSB marking, DCTCP) (§III-B3)", ExtDynaQECNMode},
+		{"ext-dynaq-ecn", "DynaQ drop mode (TCP) vs ECN mode (PMSB marking, DCTCP) (§III-B3)", ExtDynaQECN},
 		{"ext-faults", "scripted faults: flapping NIC/spine + lossy optics, guardrail armed", ExtFaults},
 		{"2", "workload flow-size distributions (Figure 2)", Fig2},
 	}

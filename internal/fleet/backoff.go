@@ -39,10 +39,11 @@ func (b Backoff) Delay(key string, attempt int) time.Duration {
 	}
 	window := base
 	for i := 1; i < attempt && window < cap; i++ {
+		if window > cap/2 { // doubling would pass the cap, or overflow
+			window = cap
+			break
+		}
 		window *= 2
-	}
-	if window > cap {
-		window = cap
 	}
 	rng := rand.New(rand.NewSource(jitterSeed(key, attempt)))
 	half := int64(window / 2)

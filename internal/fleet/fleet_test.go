@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"math"
+	"math/big"
 	"testing"
 	"time"
 )
@@ -131,5 +133,17 @@ func TestBackoffDeterministicCappedJitter(t *testing.T) {
 	// Zero-value policy still produces sane defaults.
 	if d := (Backoff{}).Delay("k", 1); d < 125*time.Millisecond || d > 250*time.Millisecond {
 		t.Fatalf("default delay = %v, want within [125ms, 250ms]", d)
+	}
+	// A cap near the largest Duration: the window stops at the cap instead
+	// of doubling past it.
+	huge := Backoff{Base: 250 * time.Millisecond, Cap: math.MaxInt64}
+	for attempt := 1; attempt <= 200; attempt++ {
+		window := huge.Cap
+		if w := new(big.Int).Lsh(big.NewInt(int64(huge.Base)), uint(attempt-1)); w.IsInt64() {
+			window = time.Duration(w.Int64())
+		}
+		if d := huge.Delay("cell-key", attempt); d < window/2 || d > window {
+			t.Fatalf("cap %v, attempt %d: delay %v outside [%v, %v]", huge.Cap, attempt, d, window/2, window)
+		}
 	}
 }

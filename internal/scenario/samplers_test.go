@@ -38,7 +38,7 @@ func newBufferedPort(t *testing.T, s *sim.Simulator, buf units.ByteSize) *netsim
 func TestThroughputSamplerMeasuresRate(t *testing.T) {
 	s := sim.New()
 	p := newMeteredPort(t, s)
-	ts := newThroughputSampler(s, p, 10*units.Millisecond, nil, "")
+	ts, stop := newThroughputSampler(s, p, 10*units.Millisecond, nil, "")
 	// Feed queue 0 one packet every serialization slot for 35ms: the port
 	// stays busy, so each 10ms sample sees ~10ms/12µs packets.
 	var feed func()
@@ -51,7 +51,7 @@ func TestThroughputSamplerMeasuresRate(t *testing.T) {
 	}
 	feed()
 	s.RunUntil(units.Time(40 * units.Millisecond))
-	ts.stop()
+	stop()
 	samples := ts.samples
 	if len(samples) < 3 {
 		t.Fatalf("samples = %d, want ≥ 3", len(samples))
@@ -76,9 +76,9 @@ func TestThroughputSamplerMeasuresRate(t *testing.T) {
 func TestThroughputSamplerStop(t *testing.T) {
 	s := sim.New()
 	p := newMeteredPort(t, s)
-	ts := newThroughputSampler(s, p, 10*units.Millisecond, nil, "")
+	ts, stop := newThroughputSampler(s, p, 10*units.Millisecond, nil, "")
 	s.RunUntil(units.Time(25 * units.Millisecond))
-	ts.stop()
+	stop()
 	n := len(ts.samples)
 	s.RunUntil(units.Time(100 * units.Millisecond))
 	if len(ts.samples) != n {
@@ -140,7 +140,8 @@ func TestPublishCounters(t *testing.T) {
 	}
 	r.Only(netsim.EvDrop).Attach(p)
 	reg := telemetry.NewRegistry()
-	staticSeries(reg, newThroughputSampler(s, p, units.Millisecond, nil, "p"), nil, r)
+	ts, _ := newThroughputSampler(s, p, units.Millisecond, nil, "p")
+	staticSeries(reg, ts, nil, r)
 	for i := 0; i < 3; i++ {
 		p.Enqueue(&packet.Packet{Kind: packet.Data, Size: 1500, Class: 0})
 	}

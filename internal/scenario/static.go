@@ -158,7 +158,7 @@ func (r *Runner) runStatic() (*experiment.StaticResult, error) {
 		w.watch()
 	}
 	bottleneck := fmt.Sprintf("tor:%d", receiver)
-	ts := newThroughputSampler(s, port, d.sampleEvery(nil), r.hooks.run, bottleneck)
+	ts, stopSampling := newThroughputSampler(s, port, d.sampleEvery(nil), r.hooks.run, bottleneck)
 	var qt *queueTrace
 	if d.TraceStride > 0 {
 		qt = newQueueTrace(port, d.TraceStride, r.hooks.run, bottleneck)
@@ -170,7 +170,7 @@ func (r *Runner) runStatic() (*experiment.StaticResult, error) {
 		staticSeries(reg, ts, qt, rec)
 	}, func() {
 		s.RunUntil(end)
-		ts.stop()
+		stopSampling()
 	})
 	if spans := r.hooks.spans; spans != nil {
 		root := r.hooks.simSpan(end, trace.A("kind", "static"))
@@ -203,54 +203,37 @@ func (r *Runner) runStatic() (*experiment.StaticResult, error) {
 
 // throughputSampler periodically differences the bottleneck's per-queue
 // transmit counters: the paper's "measure per-queue throughput every 0.5
-// seconds" (testbed) / "every 10ms" (simulation). Each sample re-arms the
-// next through the simulator's free list, so long runs sample without
-// allocating events. With a run attached, each sample is also a "throughput"
-// event carrying the per-queue vector.
+// seconds" (testbed) / "every 10ms" (simulation). It samples on the
+// simulator's ticker (sim.Every), so long runs sample without allocating
+// events. With a run attached, each sample is also a "throughput" event
+// carrying the per-queue vector.
 type throughputSampler struct {
-	sim      *sim.Simulator
-	port     *netsim.Port
-	interval units.Duration
-	prev     []units.ByteSize
-	samples  []metrics.ThroughputSample
-	tick     sim.EventRef
-	run      *telemetry.Run // nil without telemetry
-	label    string
+	port    *netsim.Port
+	prev    []units.ByteSize
+	samples []metrics.ThroughputSample
+	run     *telemetry.Run // nil without telemetry
+	label   string
 }
 
 // newThroughputSampler attaches a sampler to port with the given interval
-// and starts it immediately.
-func newThroughputSampler(s *sim.Simulator, port *netsim.Port, interval units.Duration, run *telemetry.Run, label string) *throughputSampler {
-	if interval <= 0 {
-		panic("scenario: sampler interval must be positive")
+// and starts it immediately; stop halts it.
+func newThroughputSampler(s *sim.Simulator, port *netsim.Port, interval units.Duration, run *telemetry.Run, label string) (ts *throughputSampler, stop func()) {
+	ts = &throughputSampler{
+		port:  port,
+		prev:  make([]units.ByteSize, port.NumQueues()),
+		run:   run,
+		label: label,
 	}
-	ts := &throughputSampler{
-		sim:      s,
-		port:     port,
-		interval: interval,
-		prev:     make([]units.ByteSize, port.NumQueues()),
-		run:      run,
-		label:    label,
-	}
-	ts.tick = s.AfterCall(interval, samplerTick, ts)
-	return ts
+	return ts, s.Every(interval, func() { ts.sample(s.Now(), interval) })
 }
 
-// samplerTick is the event function of a sampler's tick: take the sample,
-// then schedule the next.
-func samplerTick(arg any) {
-	ts := arg.(*throughputSampler)
-	ts.sample(ts.sim.Now())
-	ts.tick = ts.sim.AfterCall(ts.interval, samplerTick, ts)
-}
-
-func (ts *throughputSampler) sample(now units.Time) {
+func (ts *throughputSampler) sample(now units.Time, interval units.Duration) {
 	n := ts.port.NumQueues()
 	per := make([]units.Rate, n)
 	var agg units.Rate
 	for i := 0; i < n; i++ {
 		cur := ts.port.QueueTxBytes(i)
-		per[i] = units.Throughput(cur-ts.prev[i], ts.interval)
+		per[i] = units.Throughput(cur-ts.prev[i], interval)
 		ts.prev[i] = cur
 		agg += per[i]
 	}
@@ -267,9 +250,6 @@ func (ts *throughputSampler) sample(now units.Time) {
 		telemetry.F("agg_bps", int64(agg)),
 		telemetry.F("bps", bps))
 }
-
-// stop halts sampling.
-func (ts *throughputSampler) stop() { ts.sim.Cancel(ts.tick) }
 
 // queueTrace records the bottleneck's per-queue occupancy on every enqueue
 // and dequeue, the paper's queue-evolution measurement ("we measure
