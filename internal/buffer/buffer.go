@@ -19,6 +19,7 @@ package buffer
 
 import (
 	"fmt"
+	"math"
 
 	"dynaq/internal/core"
 	"dynaq/internal/units"
@@ -137,7 +138,9 @@ func NewWeightedPQL(b units.ByteSize, weights []int64) (*PQL, error) {
 }
 
 // weightedSplit divides total across queues in proportion to their weights,
-// total·w_i/Σw rounded down: PQL's quotas and PMSB's K_i.
+// total·w_i/Σw rounded down: PQL's quotas and PMSB's K_i. Like core.New, it
+// refuses weights whose sum, or whose sum times total, overflows 64 bits:
+// the split would wrap to zero or negative parts.
 func weightedSplit(scheme string, total units.ByteSize, weights []int64) ([]units.ByteSize, error) {
 	if len(weights) == 0 {
 		return nil, fmt.Errorf("buffer: %s needs at least one queue", scheme)
@@ -148,6 +151,9 @@ func weightedSplit(scheme string, total units.ByteSize, weights []int64) ([]unit
 			return nil, fmt.Errorf("buffer: weight of queue %d is %d, must be positive", i, w)
 		}
 		sum += w
+		if sum < 0 || int64(total) > math.MaxInt64/sum {
+			return nil, fmt.Errorf("buffer: %s: %d times the weights' sum overflows 64 bits", scheme, total)
+		}
 	}
 	parts := make([]units.ByteSize, len(weights))
 	for i, w := range weights {

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"math"
 	"testing"
 
 	"dynaq/internal/units"
@@ -254,6 +255,53 @@ func TestPMSBValidation(t *testing.T) {
 	}
 	if _, err := NewPMSB(30*units.KB, []int64{1, 0}); err == nil {
 		t.Error("zero weight should fail")
+	}
+}
+
+// TestWeightedSplitRefusesOverflow: the rows that split a threshold by
+// weight refuse weights whose sum, or the threshold times it, leaves 64
+// bits, as core.New does, where the split used to wrap to K_i = 0 and −2.
+func TestWeightedSplitRefusesOverflow(t *testing.T) {
+	if _, err := NewPMSB(62500, []int64{3, 3074457345618258602}); err == nil {
+		t.Error("NewPMSB: K·Σw past 64 bits must be refused")
+	}
+	if _, err := NewWeightedPQL(62500, []int64{math.MaxInt64, 1}); err == nil {
+		t.Error("NewWeightedPQL: Σw past 64 bits must be refused")
+	}
+	// 1 Gbps × 500 µs: the marking rows' K is 62 500 B.
+	p := SchemeParams{Rate: units.Gbps, BaseRTT: 500 * units.Microsecond, MTU: 1500}
+	for _, tc := range []struct {
+		w  []int64
+		ok bool
+	}{
+		{[]int64{3, 3074457345618258602}, false},                                                  // 62 500·Σw past 2⁶³
+		{[]int64{math.MaxInt64 - 1, 2}, false},                                                    // Σw itself past 2⁶³
+		{[]int64{math.MaxInt64 / int64(400*units.KB), math.MaxInt64 / int64(400*units.KB)}, true}, // near the largest Σw PQL's 200 KB takes
+	} {
+		p.Weights = tc.w
+		for _, row := range []string{"PMSB", "DynaQ-ECN", "PQL"} {
+			a, err := NewScheme(row, p, 200*units.KB, 2, nil)
+			if ok := err == nil; ok != tc.ok {
+				t.Errorf("%s, weights %v: error %v, want ok %v", row, tc.w, err, tc.ok)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			// No part wrapped: each is total·w_i/Σw, in [0, total].
+			for i := range tc.w {
+				var part, total units.ByteSize
+				switch m := a.(type) {
+				case *PMSB:
+					part, total = m.QueueThreshold(i), m.PortThreshold()
+				case *PQL:
+					part, total = m.Quota(i), 200*units.KB
+				}
+				if part < 0 || part > total {
+					t.Errorf("%s, weights %v: part %d of queue %d outside [0, %d]", row, tc.w, part, i, total)
+				}
+			}
+		}
 	}
 }
 

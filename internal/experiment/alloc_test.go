@@ -16,25 +16,28 @@ import (
 // like bench's leafspine_packet on the packet engine, and cells shaped like
 // fattree_flow and leafspine_hybrid (fewer flows) on the fluid engines.
 //
-// At seed 1 they read 5.7, 14.7, 2.3 and 5.1 mallocs; over seeds 1–6 the
-// packet cells read 4.3–7.2 and 11.9–22.5, the fluid ones 1.9–2.3 and
-// 4.5–5.3. A flow allocates only its own state: on the packet engine its
-// sender, receiver and completion callback, on the fluid ones its
-// completion callback (TestPacketFlowAllocatesOnlyItsState and
-// TestFluidFlowAllocatesOnlyItsCompletion in internal/scenario hold those).
-// The rest is per cell: ports, Algorithm 1 state and the packet slabs; a
-// port queue or a wire that deepens allocates nothing, as its packets are
-// linked through themselves. While each was a ring as deep as the deepest
-// it had been, the packet cells read 6.5 and 23.9. When each flow still
-// built an arrival closure, a PIAS classifier, a retransmission Timer and
-// send method values (or, on the fluid engines, an arrival closure and a
-// path slice), seed 1 read 15.0, 31.7, 6.6 and 9.5; with a packet free list
-// per endpoint instead of one per network the first two read 63 and 150,
-// and before the packet pool, the link's wire FIFO and the unboxed SPQ+DRR
-// view the star cell read about 6200. Each budget is its seed-1 reading plus about a quarter: those
-// per-flow mallocs put back exceed every one, and a single one put back is
-// for the per-flow tests to catch. Bytes are bounded too: with one map
-// entry per buffered out-of-order segment the star cell read 25 KB per 1000
+// At seed 1 they read 3.2, 11.4, 2.3 and 5.1 mallocs; over seeds 1–6 the
+// packet cells read 2.4–3.8 and 9.2–17.2, the fluid ones 1.9–2.3 and
+// 4.5–5.3. A flow allocates only its completion callback, on every engine
+// (TestPacketFlowAllocatesOnlyItsState and
+// TestFluidFlowAllocatesOnlyItsCompletion in internal/scenario hold that);
+// a packet flow's sender and receiver are carved from the network's flow
+// table, one slab per 32 flows. The rest is per cell: ports, Algorithm 1
+// state and the packet slabs; a port queue or a wire that deepens allocates
+// nothing, as its packets are linked through themselves. While each flow
+// allocated its own sender and receiver, with both kept in per-endpoint
+// maps, seed 1 read 5.7 and 14.7. While each port queue and wire was a ring
+// as deep as the deepest it had been, the packet cells read 6.5 and 23.9.
+// When each flow still built an arrival closure, a PIAS classifier, a
+// retransmission Timer and send method values (or, on the fluid engines, an
+// arrival closure and a path slice), seed 1 read 15.0, 31.7, 6.6 and 9.5;
+// with a packet free list per endpoint instead of one per network the first
+// two read 63 and 150, and before the packet pool, the link's wire FIFO and
+// the unboxed SPQ+DRR view the star cell read about 6200. Each budget is its
+// seed-1 reading plus about a quarter: the sender and receiver mallocs put
+// back exceed both packet budgets, and a single per-flow malloc put back is
+// for the per-flow tests to catch. Bytes are bounded too: with one map entry
+// per buffered out-of-order segment the star cell read 25 KB per 1000
 // offered packets, with the receivers' runs under 10.
 func TestPacketCellAllocBudget(t *testing.T) {
 	const bytesBudget = 16 * 1024 // bytes allocated per 1000 offered MSS packets
@@ -67,8 +70,8 @@ func TestPacketCellAllocBudget(t *testing.T) {
 		budget float64 // mallocs per 1000 offered MSS packets
 		doc    scenario.Document
 	}{
-		{"star", 7, star},
-		{"leafspine", 19, leafSpine(experiment.EnginePacket, 160)},
+		{"star", 4, star},
+		{"leafspine", 14, leafSpine(experiment.EnginePacket, 160)},
 		{"fattree_flow", 3, scenario.Document{
 			Kind:        "fct",
 			Scheme:      string(experiment.DynaQ),

@@ -14,6 +14,7 @@ import (
 	"dynaq/internal/sim"
 	"dynaq/internal/telemetry"
 	"dynaq/internal/telemetry/trace"
+	"dynaq/internal/transport"
 	"dynaq/internal/units"
 	"dynaq/internal/workload"
 )
@@ -28,9 +29,15 @@ func (r *Runner) fctFabric() (*fabric.Graph, error) {
 	if err := checkQueues(d.Queues, 2); err != nil {
 		return nil, err
 	}
+	ids := 1 // transport flow ids per flow: a request and its response take two
+	if d.RequestResponse {
+		ids = 2
+	}
 	switch {
 	case d.Flows <= 0:
 		return nil, &ValidationError{"flows", "dynamic run needs flows > 0"}
+	case r.engine == experiment.EnginePacket && d.Flows > int(transport.MaxFlowID)/ids:
+		return nil, &ValidationError{"flows", fmt.Sprintf("at most %d flows on the packet engine, whose flow ids end at %d", int(transport.MaxFlowID)/ids, transport.MaxFlowID)}
 	case len(r.cdfs) == 0:
 		return nil, &ValidationError{"workloads", "dynamic run needs at least one workload"}
 	case len(r.cdfs) > d.Queues-1:

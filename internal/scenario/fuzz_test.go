@@ -187,6 +187,11 @@ func TestLoadRejectsBadNumbersAndFaults(t *testing.T) {
 		{"fct rate past the NIC speed-up", strings.Replace(fctOn(onStar, `"seed": 1`), `"rate_gbps": 1`, `"rate_gbps": 9e9`, 1), "scenario: rate_gbps: "},
 		{"fct load too small to time", strings.Replace(fctOn(onStar, `"seed": 1`), `"load": 0.5`, `"load": 1e-12`, 1), "scenario: load: "},
 		{"weights past 64 bits", fctOn(onStar, `"weights": [9223372036854775807, 1, 1, 1]`), "overflows 64 bits"},
+		// More flows than the packet engine's flow table has ids for, which
+		// StartFlow would refuse mid-run.
+		{"fct flows past the flow ids", strings.Replace(fctOn(onStar, `"seed": 1`), `"flows": 10`, `"flows": 16777217`, 1), "scenario: flows: "},
+		{"fct exchanges past the flow ids", strings.Replace(fctOn(onStar, `"request_response": true`), `"flows": 10`, `"flows": 8388609`, 1), "scenario: flows: "},
+		{"static flows past the flow ids", staticWith(`"seed": 1`, `[{"class": 0, "flows": 16777200}, {"class": 1, "flows": 17}]`), "scenario: specs[1].flows: "},
 		// Positive values under one picosecond, which a run read as the
 		// key's default: 500ms, 10s, 10ms, 1ms, the base RTT, jittered
 		// starts, never.
@@ -205,6 +210,12 @@ func TestLoadRejectsBadNumbersAndFaults(t *testing.T) {
 		if _, err := Load([]byte(fctOn(topo, `"sched": "spq+drr"`))); err != nil {
 			t.Fatalf("the fct base document on %s must load: %v", topo, err)
 		}
+	}
+	if _, err := Load([]byte(strings.Replace(fctOn(onStar, `"engine": "flow"`), `"flows": 10`, `"flows": 16777217`, 1))); err != nil {
+		t.Fatalf("the flow engine has no flow ids to run out of: %v", err)
+	}
+	if _, err := Load([]byte(strings.Replace(fctOn(onStar, `"request_response": true`), `"flows": 10`, `"flows": 8388608`, 1))); err != nil {
+		t.Fatalf("8 388 608 exchanges take every flow id and must load: %v", err)
 	}
 	if _, err := Load([]byte(strings.Replace(staticWith(`"seed": 1`, okSpecs), `"queues": 2`, `"queues": 64`, 1))); err != nil {
 		t.Fatalf("64 queues, one backlog word, must load: %v", err)

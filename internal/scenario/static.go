@@ -42,13 +42,15 @@ func (r *Runner) staticFabric() (*fabric.Graph, error) {
 	if err := r.resolve(fabric.Star); err != nil {
 		return nil, err
 	}
-	senders, sinks := 0, 0
+	senders, sinks, flows := 0, 0, 0
 	for i := range d.Specs {
 		spec := &d.Specs[i]
 		field := func(name string) string { return fmt.Sprintf("specs[%d].%s", i, name) }
 		switch {
 		case spec.Flows <= 0:
 			return nil, &ValidationError{field("flows"), "queue spec needs flows > 0"}
+		case spec.Flows > int(transport.MaxFlowID)-flows:
+			return nil, &ValidationError{field("flows"), fmt.Sprintf("more than %d flows in total, where flow ids end", transport.MaxFlowID)}
 		case spec.Class < 0 || spec.Class >= d.Queues:
 			return nil, &ValidationError{field("class"), fmt.Sprintf("class %d outside [0, %d)", spec.Class, d.Queues)}
 		case spec.Hosts < 0 || spec.Hosts > maxStaticSenders:
@@ -66,6 +68,7 @@ func (r *Runner) staticFabric() (*fabric.Graph, error) {
 		if spec.OwnSink {
 			sinks++
 		}
+		flows += spec.Flows
 	}
 	g, err := newStar(senders+sinks+1, d.rate(nil), "specs")
 	return g, refusal(err)

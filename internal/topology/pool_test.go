@@ -142,9 +142,11 @@ func TestNetworkPoolConservation(t *testing.T) {
 	}
 }
 
-// perEndpointPools is the wiring before the network shared one pool: every
-// endpoint has a free list of its own. Replacing Build's endpoints re-points
-// each host's handler at the new one.
+// perEndpointPools is the wiring before the network shared one pool and one
+// flow table: every endpoint has a free list and a flow table of its own, so
+// a flow's sender and receiver sit in different tables and no receiver
+// retires. Replacing Build's endpoints re-points each host's handler at the
+// new one.
 func perEndpointPools(s *sim.Simulator, net *topology.Network) {
 	for h, host := range net.Hosts {
 		net.Endpoints[h] = transport.NewEndpoint(s, host)
@@ -152,8 +154,8 @@ func perEndpointPools(s *sim.Simulator, net *topology.Network) {
 }
 
 // TestSharedPoolMatchesPerEndpointPools runs every cell with both wirings:
-// which free list a packet comes from must not move a single simulated
-// number.
+// which free list a packet comes from, and whether a finished flow's
+// receiver retires to a tombstone, must not move a single simulated number.
 func TestSharedPoolMatchesPerEndpointPools(t *testing.T) {
 	for _, c := range poolCells() {
 		t.Run(c.name, func(t *testing.T) {

@@ -70,6 +70,9 @@ type Network struct {
 	// Packets is the one free list every endpoint takes its packets from
 	// and every discard site returns them to.
 	Packets *packet.Pool
+	// Flows is the one flow table every endpoint keeps its senders and
+	// receivers in, so a flow's two ends share a slot.
+	Flows *transport.FlowTable
 
 	ports []*netsim.Port // by graph link index
 }
@@ -77,7 +80,8 @@ type Network struct {
 // Build wires g: one netsim.Switch per switch node with one netsim.Port per
 // out-link in the graph's port order, one host with a NIC and a transport
 // endpoint per host node, routed by the graph's next-hop oracle. Every
-// endpoint takes its packets from the network's one pool, Packets.
+// endpoint takes its packets from the network's one pool, Packets, and keeps
+// its flows in the network's one table, Flows.
 func Build(s *sim.Simulator, g *fabric.Graph, cfg Config) (*Network, error) {
 	if cfg.NewScheduler == nil || cfg.NewAdmission == nil {
 		return nil, fmt.Errorf("topology: %s needs scheduler and admission factories", g.Kind())
@@ -85,7 +89,7 @@ func Build(s *sim.Simulator, g *fabric.Graph, cfg Config) (*Network, error) {
 	if cfg.FailureAware && cfg.DetectionDelay == 0 {
 		cfg.DetectionDelay = units.Millisecond
 	}
-	n := &Network{Sim: s, Graph: g, Packets: new(packet.Pool), ports: make([]*netsim.Port, g.NumLinks())}
+	n := &Network{Sim: s, Graph: g, Packets: new(packet.Pool), Flows: new(transport.FlowTable), ports: make([]*netsim.Port, g.NumLinks())}
 	for h := 0; h < g.Hosts(); h++ {
 		n.Hosts = append(n.Hosts, netsim.NewHost(h, nil))
 	}
@@ -147,7 +151,7 @@ func Build(s *sim.Simulator, g *fabric.Graph, cfg Config) (*Network, error) {
 		}
 		host.SetEgress(nic)
 		n.ports[g.Uplink(h)] = nic
-		n.Endpoints = append(n.Endpoints, transport.NewPooledEndpoint(s, host, n.Packets))
+		n.Endpoints = append(n.Endpoints, transport.NewPooledEndpoint(s, host, n.Packets, n.Flows))
 	}
 	// Switches point at each other, so wiring is two-phase: every link was
 	// built without a destination and gets it now that both ends exist.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dynaq/internal/netsim"
 	"dynaq/internal/packet"
 	"dynaq/internal/sim"
 	"dynaq/internal/units"
@@ -24,6 +25,12 @@ func newTestSender(t *testing.T, s *sim.Simulator, cfg FlowConfig, sink func(*pa
 		t.Fatal(err)
 	}
 	return snd
+}
+
+// newTestReceiver is a receiver at host me, alone on an endpoint that keeps
+// its flows in flows and hands every ACK to emit.
+func newTestReceiver(me int, emit func(*packet.Packet), flows *FlowTable) *Receiver {
+	return &Receiver{ep: &Endpoint{host: netsim.NewHost(me, nil), send: emit, pkts: &packet.Pool{}, flows: flows}}
 }
 
 func TestSenderConfigValidation(t *testing.T) {
@@ -404,7 +411,7 @@ func TestControllerTable(t *testing.T) {
 
 func TestReceiverInOrderAndOutOfOrder(t *testing.T) {
 	var acks []*packet.Packet
-	r := newReceiver(&packet.Pool{}, &runStock{}, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
+	r := newTestReceiver(2, func(p *packet.Packet) { acks = append(acks, p) }, new(FlowTable))
 	seg := func(seq int64, n units.ByteSize, ecn packet.ECN) *packet.Packet {
 		return &packet.Packet{Kind: packet.Data, Flow: 1, Src: 0, Dst: 2, Seq: seq, Payload: int32(n), Size: n + HeaderSize, ECN: ecn}
 	}
@@ -429,7 +436,7 @@ func TestReceiverInOrderAndOutOfOrder(t *testing.T) {
 
 func TestReceiverEchoesCE(t *testing.T) {
 	var acks []*packet.Packet
-	r := newReceiver(&packet.Pool{}, &runStock{}, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
+	r := newTestReceiver(2, func(p *packet.Packet) { acks = append(acks, p) }, new(FlowTable))
 	p := &packet.Packet{Kind: packet.Data, Flow: 1, Src: 0, Dst: 2, Seq: 0, Payload: 1000, Size: 1040, ECN: packet.ECT}
 	p.Mark()
 	r.onData(p)
@@ -444,7 +451,7 @@ func TestReceiverEchoesCE(t *testing.T) {
 
 func TestReceiverDuplicateSegment(t *testing.T) {
 	var acks []*packet.Packet
-	r := newReceiver(&packet.Pool{}, &runStock{}, 2, func(p *packet.Packet) { acks = append(acks, p) }, 1)
+	r := newTestReceiver(2, func(p *packet.Packet) { acks = append(acks, p) }, new(FlowTable))
 	seg := &packet.Packet{Kind: packet.Data, Flow: 1, Src: 0, Dst: 2, Seq: 0, Payload: 1000, Size: 1040}
 	r.onData(seg)
 	r.onData(seg) // retransmitted duplicate

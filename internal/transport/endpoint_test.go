@@ -71,8 +71,8 @@ func TestEndpointIgnoresStaleAcks(t *testing.T) {
 	})
 	s.RunUntil(units.Time(10 * units.Millisecond))
 	// The auto-created receiver ACKed back through the wire.
-	if len(a.receivers) != 1 {
-		t.Fatalf("receivers = %d, want 1", len(a.receivers))
+	if _, rcvs := a.flows.Live(); rcvs != 1 {
+		t.Fatalf("receivers = %d, want 1", rcvs)
 	}
 }
 
@@ -165,5 +165,128 @@ func TestSetCwndFloor(t *testing.T) {
 	snd.SetSsthresh(0)
 	if snd.Ssthresh() != 2*float64(snd.MSS()) {
 		t.Fatalf("ssthresh floor = %v, want 2 MSS", snd.Ssthresh())
+	}
+}
+
+// TestStartFlowRefusesIDsTheTableCannotIndex: a network's endpoints share one
+// flow table, so StartFlow refuses an id another flow of the network took,
+// at any host and after that flow finished, and an id outside [1,
+// MaxFlowID]. A refused start takes no slot. Packets for ids no sender has
+// are answered as before: data by a new receiver, an ACK not at all.
+func TestStartFlowRefusesIDsTheTableCannotIndex(t *testing.T) {
+	n := newTableNet(false)
+	start := func(src int, cfg FlowConfig) error {
+		cfg.MinRTO = units.Millisecond
+		return n.start(src, cfg)
+	}
+	if err := start(0, FlowConfig{Flow: 1, Dst: 2, Size: 500}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		src int
+		cfg FlowConfig
+	}{
+		{1, FlowConfig{Flow: 1, Dst: 2, Size: 500}}, // one id from two sources to one host
+		{1, FlowConfig{Flow: 1, Dst: 3, Size: 500}},
+		{0, FlowConfig{Flow: 0, Dst: 1, Size: 500}},
+		{0, FlowConfig{Flow: MaxFlowID + 1, Dst: 1, Size: 500}},
+		{0, FlowConfig{Flow: 2, Dst: 0, Size: 500}}, // a self-loop, refused by the sender
+	} {
+		if err := start(tc.src, tc.cfg); err == nil {
+			t.Errorf("flow %d from host %d to %d was accepted", tc.cfg.Flow, tc.src, tc.cfg.Dst)
+		}
+	}
+	if err := start(0, FlowConfig{Flow: 2, Dst: 1, Size: 500}); err != nil {
+		t.Fatalf("the refused self-loop took flow 2's slot: %v", err)
+	}
+	if err := start(3, FlowConfig{Flow: MaxFlowID, Dst: 1, Size: 500}); err != nil {
+		t.Fatalf("the largest flow id is refused: %v", err)
+	}
+	for len(n.out) > 0 { // deliver until all three flows finish
+		p := n.out[0]
+		n.out = n.out[1:]
+		n.deliver(p)
+	}
+	if len(n.senders) != 3 {
+		t.Fatalf("%d flows started, want 3", len(n.senders))
+	}
+	for id, snd := range n.senders {
+		if !snd.Done() {
+			t.Fatalf("flow %d did not finish", id)
+		}
+	}
+	if err := start(3, FlowConfig{Flow: 2, Dst: 0, Size: 500}); err == nil {
+		t.Error("flow 2's id was accepted again after it finished")
+	}
+
+	// Data for an id no flow has makes a receiver, which answers it; data
+	// outside the table's ids, and an ACK for an id no sender has, go
+	// unanswered.
+	n.deliver(packet.Packet{Kind: packet.Data, Flow: 50, Src: 1, Dst: 0, Payload: 100, Size: 140})
+	if len(n.out) != 1 || n.out[0].Kind != packet.Ack || n.out[0].Ack != 100 || n.out[0].Dst != 1 {
+		t.Fatalf("data for a new id drew %+v, want one ACK of 100 bytes to host 1", n.out)
+	}
+	n.out = n.out[:0]
+	for _, p := range []packet.Packet{
+		{Kind: packet.Data, Flow: 0, Src: 1, Dst: 0, Payload: 100, Size: 140},
+		{Kind: packet.Data, Flow: MaxFlowID + 1, Src: 1, Dst: 0, Payload: 100, Size: 140},
+		{Kind: packet.Ack, Flow: 51, Src: 1, Dst: 0, Ack: 100, Size: packet.AckSize},
+		{Kind: packet.Ack, Flow: 1 << 20, Src: 1, Dst: 0, Ack: 100, Size: packet.AckSize},
+	} {
+		n.deliver(p)
+	}
+	if len(n.out) != 0 {
+		t.Fatalf("packets no sender can have sent drew %+v", n.out)
+	}
+	if snd, rcv := n.flows.Live(); snd != 0 || rcv != 1 {
+		t.Fatalf("the table holds %d live senders and %d live receivers, want 0 and 1 (flow 50's)", snd, rcv)
+	}
+}
+
+// TestFinishedSlabsLeaveTheTable: once every flow of a slab has finished,
+// the slab leaves the table and only its tombstones stay, which answer late
+// duplicates with the ACK the receiver last sent; the senders StartFlow
+// returned stay valid.
+func TestFinishedSlabsLeaveTheTable(t *testing.T) {
+	n := newTableNet(false)
+	const flows = 3*slabFlows - 1 // the third slab keeps a free id
+	var firstData []packet.Packet
+	for id := packet.FlowID(1); id <= flows; id++ {
+		if err := n.start(int(id)%tableHosts, FlowConfig{Flow: id, Dst: (int(id) + 1) % tableHosts,
+			Size: units.ByteSize(id) * 100, MinRTO: units.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for len(n.out) > 0 {
+		p := n.out[0]
+		n.out = n.out[1:]
+		if p.Kind == packet.Data && p.Seq == 0 {
+			firstData = append(firstData, p)
+		}
+		n.deliver(p)
+	}
+	if snd, rcv := n.flows.Live(); snd != 0 || rcv != 0 {
+		t.Fatalf("%d senders and %d receivers live after every flow finished", snd, rcv)
+	}
+	for b := 0; b < 3; b++ {
+		if left := n.flows.blocks[b].slab == nil; left != (b < 2) {
+			t.Errorf("slab %d left the table: %v, want %v", b, left, b < 2)
+		}
+	}
+	for _, p := range firstData {
+		n.deliver(p)
+		a := n.out[len(n.out)-1]
+		if a.Kind != packet.Ack || a.Flow != p.Flow || a.Ack != int64(p.Flow)*100 || a.Dst != p.Src || a.Src != p.Dst {
+			t.Fatalf("a late duplicate of flow %d drew %+v, want the final ACK of %d bytes", p.Flow, a, int64(p.Flow)*100)
+		}
+	}
+	if len(n.senders) != flows || len(firstData) != flows {
+		t.Fatalf("%d flows started and %d first segments seen, want %d", len(n.senders), len(firstData), flows)
+	}
+	for id, snd := range n.senders {
+		snd.Stop() // a no-op on a finished flow
+		if !snd.Done() || snd.Flow() != id || snd.Una() != int64(id)*100 {
+			t.Fatalf("flow %d's sender reads done %v, flow %d, una %d", id, snd.Done(), snd.Flow(), snd.Una())
+		}
 	}
 }

@@ -108,14 +108,14 @@ type reassemblyFlow struct {
 	last            int64 // the segment delivered last
 }
 
-func newReassemblyFlow(sc *byteScript, stock *runStock, flow packet.FlowID) *reassemblyFlow {
+func newReassemblyFlow(sc *byteScript, flows *FlowTable, flow packet.FlowID) *reassemblyFlow {
 	f := &reassemblyFlow{flow: flow, mss: []int64{int64(DefaultMSS), int64(JumboMSS)}[sc.n(2)]}
 	f.segs = int64(1 + sc.n(96))
 	f.size = f.segs * f.mss
 	if sc.n(2) == 1 { // a short tail segment
 		f.size -= f.mss - int64(1+sc.n(250))*f.mss/251
 	}
-	f.rcv = newReceiver(&packet.Pool{}, stock, 1, func(p *packet.Packet) { f.got = p.Detached(); p.Release() }, flow)
+	f.rcv = newTestReceiver(1, func(p *packet.Packet) { f.got = p.Detached(); p.Release() }, flows)
 	f.ref = &refReceiver{pkts: &packet.Pool{}, me: 1, flow: flow, ooo: make(map[int64]int64),
 		emit: func(p *packet.Packet) { f.want = p.Detached(); p.Release() }}
 	return f
@@ -157,8 +157,8 @@ func (f *reassemblyFlow) deliver(t testing.TB, k int64, class int, ecn packet.EC
 // Receiver and its map disagree, and returns the packets played.
 func reassemblyAgainstMap(t testing.TB, data []byte) int {
 	sc := byteScript{data: data}
-	var stock runStock
-	flows := []*reassemblyFlow{newReassemblyFlow(&sc, &stock, 1), newReassemblyFlow(&sc, &stock, 2)}
+	var table FlowTable
+	flows := []*reassemblyFlow{newReassemblyFlow(&sc, &table, 1), newReassemblyFlow(&sc, &table, 2)}
 	played := 0
 	for sc.pos < len(sc.data) {
 		f := flows[sc.n(2)]
@@ -223,7 +223,7 @@ func FuzzReassemblyMatchesMap(f *testing.F) {
 // reassembly should.
 func TestRunsPullWhatTheMapStrands(t *testing.T) {
 	var acks, refAcks []int64
-	rcv := newReceiver(&packet.Pool{}, &runStock{}, 1, func(p *packet.Packet) { acks = append(acks, p.Ack) }, 9)
+	rcv := newTestReceiver(1, func(p *packet.Packet) { acks = append(acks, p.Ack) }, new(FlowTable))
 	ref := &refReceiver{pkts: &packet.Pool{}, me: 1, flow: 9, ooo: make(map[int64]int64),
 		emit: func(p *packet.Packet) { refAcks = append(refAcks, p.Ack) }}
 	for _, s := range []struct{ seq, n int64 }{{150, 100}, {300, 100}, {0, 320}} {
@@ -287,7 +287,7 @@ func TestSenderSegmentsAreAligned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rcv = newReceiver(&packet.Pool{}, &runStock{}, 1, toSnd, 1)
+		rcv = newTestReceiver(1, toSnd, new(FlowTable))
 		if size == 0 || rng.Intn(4) == 0 {
 			s.At(units.Time(rng.Intn(20))*units.Time(units.Millisecond), snd.Stop)
 			stops++

@@ -15,7 +15,10 @@ import (
 
 // TestEndpointKeepsOnlyLiveSenders: on a congested star, each endpoint holds
 // exactly its unfinished senders, mid-run and at the end, while its counters
-// still cover every flow it started, finished ones included.
+// still cover every flow it started, finished ones included. The network's
+// flow table counts the same live senders, and at the end it holds no live
+// receiver but those of stopped flows whose go-back-N left bytes in flight
+// past the stop.
 func TestEndpointKeepsOnlyLiveSenders(t *testing.T) {
 	const hosts = 4
 	s := sim.New()
@@ -71,14 +74,17 @@ func TestEndpointKeepsOnlyLiveSenders(t *testing.T) {
 					hostLive++
 				}
 			}
-			if got := transport.LiveSenders(ep); got != hostLive || ep.ActiveFlows() != hostLive {
-				t.Errorf("%s: host %d holds %d senders (ActiveFlows %d), %d are live", when, h, got, ep.ActiveFlows(), hostLive)
+			if got := ep.ActiveFlows(); got != hostLive {
+				t.Errorf("%s: host %d holds %d senders, %d are live", when, h, got, hostLive)
 			}
 			if got := ep.TotalStats(); got != want {
 				t.Errorf("%s: host %d TotalStats %+v, its flows sum to %+v", when, h, got, want)
 			}
 			live += hostLive
 			all.Retransmits += want.Retransmits
+		}
+		if snds, _ := net.Flows.Live(); snds != live {
+			t.Errorf("%s: the flow table counts %d live senders, the endpoints %d", when, snds, live)
 		}
 		return live, done, all
 	}
@@ -92,5 +98,8 @@ func TestEndpointKeepsOnlyLiveSenders(t *testing.T) {
 	s.Run()
 	if live, _, all := check("end"); live != 0 || all.Retransmits == 0 {
 		t.Fatalf("end: %d live flows, %d retransmits; want none live, some retransmitted", live, all.Retransmits)
+	}
+	if _, rcvs := net.Flows.Live(); rcvs > hosts {
+		t.Fatalf("end: %d live receivers, more than the %d stopped flows", rcvs, hosts)
 	}
 }

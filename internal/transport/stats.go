@@ -1,8 +1,8 @@
 package transport
 
 // Aggregate accessors for the telemetry layer. Each sums integer counters
-// over the endpoint's flow maps: integer addition is associative, so the
-// totals are order-independent despite Go's randomized map iteration.
+// over the endpoint's live senders: integer addition is associative, so the
+// totals do not depend on the order the senders are linked in.
 
 // add accumulates o's counters into st.
 func (st *SenderStats) add(o SenderStats) {
@@ -18,31 +18,32 @@ func (st *SenderStats) add(o SenderStats) {
 // live or completed.
 func (ep *Endpoint) TotalStats() SenderStats {
 	t := ep.retired
-	for _, snd := range ep.senders {
+	for snd := ep.live; snd != nil; snd = snd.next {
 		t.add(snd.stats)
 	}
 	return t
 }
 
 // ActiveFlows counts senders that have not yet completed.
-func (ep *Endpoint) ActiveFlows() int { return len(ep.senders) }
+func (ep *Endpoint) ActiveFlows() int {
+	n := 0
+	for snd := ep.live; snd != nil; snd = snd.next {
+		n++
+	}
+	return n
+}
 
 // CwndTotal sums the congestion windows of the endpoint's active senders,
 // truncating each window to whole bytes first so the sum stays
 // order-independent.
 func (ep *Endpoint) CwndTotal() int64 {
 	var total int64
-	for _, snd := range ep.senders {
+	for snd := ep.live; snd != nil; snd = snd.next {
 		total += int64(snd.cwnd)
 	}
 	return total
 }
 
-// AcksSent sums the pure ACKs this endpoint's receivers have emitted.
-func (ep *Endpoint) AcksSent() int64 {
-	var n int64
-	for _, r := range ep.receivers {
-		n += r.acksSent
-	}
-	return n
-}
+// AcksSent counts the pure ACKs this endpoint's receivers have emitted,
+// retired ones' included.
+func (ep *Endpoint) AcksSent() int64 { return ep.acks }

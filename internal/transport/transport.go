@@ -56,7 +56,11 @@ type Controller interface {
 // FlowConfig describes one flow from a local endpoint to a destination
 // host.
 type FlowConfig struct {
-	// Flow is the flow id, unique among the endpoint's live flows.
+	// Flow is the flow id, in [1, MaxFlowID]. It is unique in the
+	// endpoint's flow table: no flow started or received through the table
+	// may have used it before. The endpoints of one network share a table
+	// (NewPooledEndpoint), so an id is unique network-wide; a NewEndpoint
+	// has a table of its own.
 	Flow packet.FlowID
 	// Dst is the destination host id.
 	Dst int
@@ -83,10 +87,11 @@ type FlowConfig struct {
 
 // Sender is one TCP-like flow source.
 type Sender struct {
-	ep   *Endpoint // the endpoint that retires it on completion; nil for a bare sender
-	sim  *sim.Simulator
-	pkts *packet.Pool
-	emit func(*packet.Packet)
+	ep         *Endpoint // the endpoint that retires it on completion; nil for a bare sender
+	prev, next *Sender   // the endpoint's other live senders; see Endpoint.live
+	sim        *sim.Simulator
+	pkts       *packet.Pool
+	emit       func(*packet.Packet)
 
 	flow    packet.FlowID
 	src     int
@@ -96,17 +101,16 @@ type Sender struct {
 
 	mss  units.ByteSize
 	size int64 // flow length in payload bytes; MaxInt64 when unbounded
-	ecn  bool
 	ctrl Controller
 
 	cwnd     float64 // congestion window, bytes
 	ssthresh float64
 	una      int64 // lowest unacknowledged byte
 	nxt      int64 // next byte to send
+	rewound  int64 // the highest nxt a timeout's go-back-N rewound; see FlowTable.retire
 
-	dupacks    int
-	inRecovery bool
-	recover    int64 // recovery ends when una passes this
+	dupacks int
+	recover int64 // recovery ends when una passes this
 
 	rto     units.Duration
 	minRTO  units.Duration
@@ -114,17 +118,21 @@ type Sender struct {
 	rtoEv   sim.EventRef // the pending retransmission timeout; see resetRTO
 	srtt    units.Duration
 	rttvar  units.Duration
-	hasSRTT bool
 
 	// Karn-style single outstanding RTT sample.
 	sampleSeq  int64 // -1 when no sample outstanding
 	sampleTime units.Time
 
 	started    units.Time
-	done       bool
 	onComplete func(fct units.Duration)
 
 	stats SenderStats
+
+	// The flags share a word, which keeps a flow's slot small.
+	ecn        bool // ECT-mark data packets
+	inRecovery bool // in fast recovery, until una passes recover
+	hasSRTT    bool
+	done       bool
 }
 
 // SenderStats counts sender-side events.
@@ -137,22 +145,24 @@ type SenderStats struct {
 	EchoedAcks   int64
 }
 
-func newSender(s *sim.Simulator, pkts *packet.Pool, src int, emit func(*packet.Packet), cfg FlowConfig) (*Sender, error) {
+// init makes snd the sender of cfg from host src; it leaves snd as it was
+// when it refuses cfg.
+func (snd *Sender) init(s *sim.Simulator, pkts *packet.Pool, src int, emit func(*packet.Packet), cfg FlowConfig) error {
 	if cfg.Dst == src {
-		return nil, fmt.Errorf("transport: flow %d is a self-loop at host %d", cfg.Flow, src)
+		return fmt.Errorf("transport: flow %d is a self-loop at host %d", cfg.Flow, src)
 	}
 	if cfg.Size < 0 {
-		return nil, fmt.Errorf("transport: flow %d has negative size %d", cfg.Flow, cfg.Size)
+		return fmt.Errorf("transport: flow %d has negative size %d", cfg.Flow, cfg.Size)
 	}
 	if cfg.MinRTO < 0 { // the RTO timer would re-arm at the same instant forever
-		return nil, fmt.Errorf("transport: flow %d has negative minimum RTO %v", cfg.Flow, cfg.MinRTO)
+		return fmt.Errorf("transport: flow %d has negative minimum RTO %v", cfg.Flow, cfg.MinRTO)
 	}
 	mss := cfg.MSS
 	if mss == 0 {
 		mss = DefaultMSS
 	}
 	if mss <= 0 || mss > math.MaxInt32 { // a segment's payload is an int32
-		return nil, fmt.Errorf("transport: flow %d has invalid MSS %d", cfg.Flow, cfg.MSS)
+		return fmt.Errorf("transport: flow %d has invalid MSS %d", cfg.Flow, cfg.MSS)
 	}
 	ctrl := cfg.Ctrl
 	if ctrl == nil {
@@ -166,7 +176,7 @@ func newSender(s *sim.Simulator, pkts *packet.Pool, src int, emit func(*packet.P
 	if size == 0 {
 		size = math.MaxInt64
 	}
-	return &Sender{
+	*snd = Sender{
 		sim:        s,
 		pkts:       pkts,
 		emit:       emit,
@@ -186,7 +196,8 @@ func newSender(s *sim.Simulator, pkts *packet.Pool, src int, emit func(*packet.P
 		sampleSeq:  -1,
 		started:    s.Now(),
 		onComplete: cfg.OnComplete,
-	}, nil
+	}
+	return nil
 }
 
 // Flow returns the flow id.
@@ -433,6 +444,7 @@ func (s *Sender) onTimeout() {
 	}
 	s.rto = s.baseRTO() << s.backoff
 	// Go-back-N: resume from the ACK point.
+	s.rewound = max(s.rewound, s.nxt)
 	s.nxt = s.una
 	payload := int64(s.mss)
 	if rest := s.size - s.nxt; rest < payload {
@@ -495,24 +507,22 @@ func (s *Sender) complete() {
 
 // Receiver is the flow sink: cumulative ACKs with out-of-order buffering
 // and ECN echo. Every data packet is acknowledged at once, echoing its own
-// CE mark (per-packet echo, DCTCP-exact).
+// CE mark (per-packet echo, DCTCP-exact). A receiver lives in its flow's
+// slot of the flow table (flowtable.go).
 type Receiver struct {
-	pkts     *packet.Pool
-	stock    *runStock
-	me       int
-	emit     func(*packet.Packet)
-	flow     packet.FlowID
-	rcvNxt   int64
-	ooo      []byteRun // buffered out-of-order data: sorted, disjoint, non-touching, above rcvNxt; nil when none
-	acksSent int64
+	ep      *Endpoint // the host it receives at; nil while its slot holds no receiver
+	rcvNxt  int64
+	ooo     []byteRun // buffered out-of-order data: sorted, disjoint, non-touching, above rcvNxt; nil when none
+	retired bool      // final, its flow's sender done; see FlowTable.retire
 }
 
 // byteRun is the payload bytes [seq, end) of a flow.
 type byteRun struct{ seq, end int64 }
 
-// runStock is an endpoint's supply of empty run slices. A receiver holds one
-// only while it has out-of-order data, so a host's receivers share about as
-// many as they have flows with holes at once, not one per flow ever received.
+// runStock is a flow table's supply of empty run slices. A receiver holds
+// one only while it has out-of-order data, so a network's receivers share
+// about as many as they have flows with holes at once, not one per flow ever
+// received.
 type runStock [][]byteRun
 
 func (st *runStock) take() []byteRun {
@@ -523,10 +533,6 @@ func (st *runStock) take() []byteRun {
 	runs := (*st)[n-1]
 	*st = (*st)[:n-1]
 	return runs
-}
-
-func newReceiver(pkts *packet.Pool, stock *runStock, me int, emit func(*packet.Packet), flow packet.FlowID) *Receiver {
-	return &Receiver{pkts: pkts, stock: stock, me: me, emit: emit, flow: flow}
 }
 
 // Received returns the payload bytes delivered in order so far.
@@ -546,14 +552,15 @@ func (r *Receiver) onData(p *packet.Packet) {
 		if n > 0 {
 			r.ooo = r.ooo[:copy(r.ooo, r.ooo[n:])]
 			if len(r.ooo) == 0 {
-				*r.stock = append(*r.stock, r.ooo)
+				stock := &r.ep.flows.runs
+				*stock = append(*stock, r.ooo)
 				r.ooo = nil
 			}
 		}
 	} else {
 		r.buffer(p.Seq, end)
 	}
-	r.sendAck(p.Src, p.Class, p.ECN == packet.CE)
+	r.ep.ack(p, r.rcvNxt)
 }
 
 // buffer adds [seq, end), which lies above rcvNxt, to the out-of-order runs.
@@ -563,7 +570,7 @@ func (r *Receiver) onData(p *packet.Packet) {
 func (r *Receiver) buffer(seq, end int64) {
 	n := len(r.ooo)
 	if n == 0 {
-		r.ooo = r.stock.take()
+		r.ooo = r.ep.flows.runs.take()
 	}
 	if n == 0 || seq > r.ooo[n-1].end {
 		r.ooo = append(r.ooo, byteRun{seq, end})
@@ -590,53 +597,33 @@ func (r *Receiver) buffer(seq, end int64) {
 	r.ooo = slices.Delete(r.ooo, i+1, j)
 }
 
-// sendAck acknowledges everything received so far to peer, in the service
-// class the data arrived in.
-func (r *Receiver) sendAck(peer, class int, echo bool) {
-	r.acksSent++
-	p := r.pkts.Get()
-	p.Kind = packet.Ack
-	p.Flow = r.flow
-	p.Src = r.me
-	p.Dst = peer
-	p.Ack = r.rcvNxt
-	p.Size = packet.AckSize
-	p.Class = class
-	p.Echo = echo
-	r.emit(p)
-}
-
 // Endpoint is the transport stack of one host: it demultiplexes arriving
-// packets to flow senders/receivers and originates new flows.
+// packets to flow senders/receivers through its flow table and originates
+// new flows.
 type Endpoint struct {
-	sim       *sim.Simulator
-	host      *netsim.Host
-	send      func(*packet.Packet)      // host.Send, bound once for every flow's sender and receiver
-	pkts      *packet.Pool              // where this host's packets come from; see receive
-	runs      runStock                  // its receivers' empty run slices
-	senders   map[packet.FlowID]*Sender // live flows only; see retire
-	receivers map[packet.FlowID]*Receiver
-	retired   SenderStats // the counters of every completed sender
+	sim     *sim.Simulator
+	host    *netsim.Host
+	send    func(*packet.Packet) // host.Send, bound once for every flow's sender and receiver
+	pkts    *packet.Pool         // where this host's packets come from; see receive
+	flows   *FlowTable           // where its senders and receivers live
+	live    *Sender              // its live senders, linked through Sender.next; see retire
+	retired SenderStats          // the counters of every completed sender
+	acks    int64                // the pure ACKs its receivers emitted, retired ones included
 }
 
-// NewEndpoint installs a transport stack on host, with a packet free list of
-// its own.
+// NewEndpoint installs a transport stack on host, with a packet free list and
+// a flow table of its own.
 func NewEndpoint(s *sim.Simulator, host *netsim.Host) *Endpoint {
-	return NewPooledEndpoint(s, host, new(packet.Pool))
+	return NewPooledEndpoint(s, host, new(packet.Pool), new(FlowTable))
 }
 
 // NewPooledEndpoint installs a transport stack on host that takes its packets
-// from pkts. A network's endpoints share one pool, so the network allocates
-// for its own peak of packets in flight, not for the sum of every host's.
-func NewPooledEndpoint(s *sim.Simulator, host *netsim.Host, pkts *packet.Pool) *Endpoint {
-	ep := &Endpoint{
-		sim:       s,
-		host:      host,
-		send:      host.Send,
-		pkts:      pkts,
-		senders:   make(map[packet.FlowID]*Sender),
-		receivers: make(map[packet.FlowID]*Receiver),
-	}
+// from pkts and keeps its flows in flows. A network's endpoints share one
+// pool, so the network allocates for its own peak of packets in flight, not
+// for the sum of every host's; they share one flow table, so a flow's sender
+// and receiver sit in one slot and the receiver retires with the sender.
+func NewPooledEndpoint(s *sim.Simulator, host *netsim.Host, pkts *packet.Pool, flows *FlowTable) *Endpoint {
+	ep := &Endpoint{sim: s, host: host, send: host.Send, pkts: pkts, flows: flows}
 	host.SetHandler(ep.receive)
 	return ep
 }
@@ -646,17 +633,23 @@ func (ep *Endpoint) Host() *netsim.Host { return ep.host }
 
 // StartFlow originates a flow from this endpoint. The sender begins
 // transmitting immediately (connection setup is not modelled, as in the
-// paper's ns-2 simulations).
+// paper's ns-2 simulations). It refuses an id outside [1, MaxFlowID] or one
+// its flow table has seen before.
 func (ep *Endpoint) StartFlow(cfg FlowConfig) (*Sender, error) {
-	if _, ok := ep.senders[cfg.Flow]; ok {
-		return nil, fmt.Errorf("transport: duplicate flow id %d at host %d", cfg.Flow, ep.host.ID())
-	}
-	snd, err := newSender(ep.sim, ep.pkts, ep.host.ID(), ep.send, cfg)
+	slot, err := ep.flows.claim(cfg.Flow)
 	if err != nil {
+		return nil, fmt.Errorf("transport: %w at host %d", err, ep.host.ID())
+	}
+	snd := &slot.snd
+	if err := snd.init(ep.sim, ep.pkts, ep.host.ID(), ep.send, cfg); err != nil {
 		return nil, err
 	}
 	snd.ep = ep
-	ep.senders[cfg.Flow] = snd
+	if snd.next = ep.live; snd.next != nil {
+		snd.next.prev = snd
+	}
+	ep.live = snd
+	ep.flows.senders++
 	snd.start()
 	return snd, nil
 }
@@ -665,8 +658,17 @@ func (ep *Endpoint) StartFlow(cfg FlowConfig) (*Sender, error) {
 // totals: an endpoint holds state for its live flows, not every flow it
 // ever started.
 func (ep *Endpoint) retire(snd *Sender) {
-	delete(ep.senders, snd.flow)
+	if snd.prev != nil {
+		snd.prev.next = snd.next
+	} else {
+		ep.live = snd.next
+	}
+	if snd.next != nil {
+		snd.next.prev = snd.prev
+	}
+	snd.prev, snd.next = nil, nil
 	ep.retired.add(snd.stats)
+	ep.flows.retire(snd)
 }
 
 // receive is where a delivered packet's life ends: the flow state machines
@@ -676,18 +678,30 @@ func (ep *Endpoint) retire(snd *Sender) {
 func (ep *Endpoint) receive(p *packet.Packet) {
 	switch p.Kind {
 	case packet.Data:
-		r, ok := ep.receivers[p.Flow]
-		if !ok {
-			r = newReceiver(ep.pkts, &ep.runs, ep.host.ID(), ep.send, p.Flow)
-			ep.receivers[p.Flow] = r
-		}
-		r.onData(p)
+		ep.flows.deliver(ep, p)
 	case packet.Ack:
-		if snd, ok := ep.senders[p.Flow]; ok {
+		if snd := ep.flows.sender(p.Flow); snd != nil && snd.ep == ep && !snd.done {
 			snd.onAck(p)
 		}
 		// ACKs for completed/unknown flows are silently dropped, like a
 		// closed socket answering with RST would end the exchange.
 	}
 	p.Release()
+}
+
+// ack answers data packet p, of a flow this endpoint receives, with the
+// cumulative ACK ack: back to p's source, in the service class p arrived
+// in, echoing p's CE mark.
+func (ep *Endpoint) ack(p *packet.Packet, ack int64) {
+	ep.acks++
+	a := ep.pkts.Get()
+	a.Kind = packet.Ack
+	a.Flow = p.Flow
+	a.Src = ep.host.ID()
+	a.Dst = p.Src
+	a.Ack = ack
+	a.Size = packet.AckSize
+	a.Class = p.Class
+	a.Echo = p.ECN == packet.CE
+	ep.send(a)
 }
