@@ -202,8 +202,14 @@ type DynaQ struct {
 	// registry; internal/netsim exposes them as counter funcs).
 	adjustments int64
 	algDrops    int64
-	satTrans    []int64
-	satisfied   []bool
+	satisfied   []satisfaction
+}
+
+// satisfaction is one queue's footnote-1 state as DynaQ last saw it, and how
+// often it flipped.
+type satisfaction struct {
+	now   bool  // T_i ≥ S_i
+	edges int64 // satisfied↔unsatisfied transitions
 }
 
 // NewDynaQ builds the DynaQ scheme for a port with buffer b and scheduler
@@ -217,10 +223,9 @@ func NewDynaQ(b units.ByteSize, weights []int64, opts ...core.Option) (*DynaQ, e
 	if err != nil {
 		return nil, err
 	}
-	n := st.NumQueues()
-	d := &DynaQ{state: st, name: "DynaQ", satTrans: make([]int64, n), satisfied: make([]bool, n)}
+	d := &DynaQ{state: st, name: "DynaQ", satisfied: make([]satisfaction, st.NumQueues())}
 	for i := range d.satisfied {
-		d.satisfied[i] = st.Satisfied(i)
+		d.satisfied[i].now = st.Satisfied(i)
 	}
 	d.li = &d.lens
 	return d, nil
@@ -233,9 +238,9 @@ func (d *DynaQ) noteSatisfaction(i int) {
 	if i < 0 {
 		return
 	}
-	if now := d.state.Satisfied(i); now != d.satisfied[i] {
-		d.satisfied[i] = now
-		d.satTrans[i]++
+	if s := &d.satisfied[i]; s.now != d.state.Satisfied(i) {
+		s.now = !s.now
+		s.edges++
 	}
 }
 
@@ -248,7 +253,7 @@ func (d *DynaQ) Adjustments() int64 { return d.adjustments }
 func (d *DynaQ) AlgorithmDrops() int64 { return d.algDrops }
 
 // SatisfiedTransitions counts queue i's satisfied↔unsatisfied edges.
-func (d *DynaQ) SatisfiedTransitions(i int) int64 { return d.satTrans[i] }
+func (d *DynaQ) SatisfiedTransitions(i int) int64 { return d.satisfied[i].edges }
 
 // Name implements Admission.
 func (d *DynaQ) Name() string { return d.name }

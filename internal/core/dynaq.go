@@ -80,11 +80,14 @@ type Result struct {
 // State is the per-port DynaQ state: one threshold per service queue.
 // It is not safe for concurrent use; the simulator is single-goroutine.
 type State struct {
-	b       units.ByteSize
-	weights []int64
-	sumW    int64
-	t       []units.ByteSize // T_i
-	s       []units.ByteSize // S_i
+	b    units.ByteSize
+	sumW int64
+	t    []units.ByteSize // T_i
+	s    []units.ByteSize // S_i
+	// w holds the weights w_i. They are plain numbers, kept in T and S's
+	// backing array so that a port's threshold state is one allocation
+	// besides the State itself; read them through int64.
+	w []units.ByteSize
 
 	// Ablation knobs (see options.go); zero values are the paper's
 	// design: extra-buffer victim selection and S_i = B·w_i/Σw.
@@ -120,12 +123,11 @@ func New(b units.ByteSize, weights []int64, opts ...Option) (*State, error) {
 			return nil, fmt.Errorf("core: buffer %d times the weights' sum overflows 64 bits", b)
 		}
 	}
-	st := &State{
-		b:       b,
-		weights: append([]int64(nil), weights...),
-		sumW:    sum,
-		t:       make([]units.ByteSize, len(weights)),
-		s:       make([]units.ByteSize, len(weights)),
+	n := len(weights)
+	back := make([]units.ByteSize, 3*n)
+	st := &State{b: b, sumW: sum, t: back[:n:n], s: back[n : 2*n : 2*n], w: back[2*n:]}
+	for i, w := range weights {
+		st.w[i] = units.ByteSize(w)
 	}
 	st.reinit()
 	for _, o := range opts {
@@ -146,46 +148,45 @@ func MustNew(b units.ByteSize, weights []int64) *State {
 }
 
 // reinit computes S_i and resets T_i to the weighted split of B (Eq. 1 and
-// Eq. 3 coincide at initialization time).
+// Eq. 3 coincide at initialization time). It allocates nothing.
 func (st *State) reinit() {
-	type frac struct {
-		idx int
-		rem int64
-	}
-	fracs := make([]frac, len(st.weights))
 	var assigned units.ByteSize
-	for i, w := range st.weights {
-		share := int64(st.b) * w / st.sumW
-		st.t[i] = units.ByteSize(share)
-		st.s[i] = units.ByteSize(share)
-		assigned += units.ByteSize(share)
-		fracs[i] = frac{idx: i, rem: int64(st.b) * w % st.sumW}
+	for i, w := range st.w {
+		share := units.ByteSize(int64(st.b) * int64(w) / st.sumW)
+		st.t[i], st.s[i] = share, share
+		assigned += share
 	}
 	// Largest-remainder method: hand out the residue one byte at a time,
-	// biggest fractional part first (ties by lower index, which a stable
-	// selection over the natural order gives us).
+	// biggest fractional part first, ties by lower index. Each byte goes to
+	// the queue that comes next in that order after the one the last byte
+	// went to, so no queue needs marking as served.
+	last, lastRem := -1, int64(0)
 	for left := st.b - assigned; left > 0; left-- {
-		best := -1
-		for j := range fracs {
-			if fracs[j].rem < 0 {
-				continue
+		best, bestRem := -1, int64(0)
+		for j := range st.w {
+			rem := st.rem(j)
+			if last >= 0 && (rem > lastRem || rem == lastRem && j <= last) {
+				continue // served already
 			}
-			if best == -1 || fracs[j].rem > fracs[best].rem {
-				best = j
+			if best == -1 || rem > bestRem {
+				best, bestRem = j, rem
 			}
 		}
-		st.t[fracs[best].idx]++
-		st.s[fracs[best].idx]++
-		fracs[best].rem = -1
+		st.t[best]++
+		st.s[best]++
+		last, lastRem = best, bestRem
 	}
 	if st.satisfactionBDP > 0 {
 		// WBDP ablation: satisfaction thresholds use the weighted BDP
 		// while dropping thresholds still split the whole buffer.
-		for i, w := range st.weights {
-			st.s[i] = units.ByteSize(int64(st.satisfactionBDP) * w / st.sumW)
+		for i, w := range st.w {
+			st.s[i] = units.ByteSize(int64(st.satisfactionBDP) * int64(w) / st.sumW)
 		}
 	}
 }
+
+// rem is the fractional part of queue i's share B·w_i/Σw, in units of 1/Σw.
+func (st *State) rem(i int) int64 { return int64(st.b) * int64(st.w[i]) % st.sumW }
 
 // NumQueues returns M.
 func (st *State) NumQueues() int { return len(st.t) }
@@ -204,7 +205,7 @@ func (st *State) Satisfaction(i int) units.ByteSize { return st.s[i] }
 func (st *State) Extra(i int) units.ByteSize { return st.t[i] - st.s[i] }
 
 // Weight returns w_i.
-func (st *State) Weight(i int) int64 { return st.weights[i] }
+func (st *State) Weight(i int) int64 { return int64(st.w[i]) }
 
 // Satisfied reports whether queue i currently holds at least its
 // satisfaction threshold worth of dropping budget (footnote 1 of the paper).

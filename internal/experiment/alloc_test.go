@@ -16,17 +16,23 @@ import (
 // like bench's leafspine_packet on the packet engine, and cells shaped like
 // fattree_flow and leafspine_hybrid (fewer flows) on the fluid engines.
 //
-// At seed 1 they read 3.2, 11.4, 2.3 and 5.1 mallocs; over seeds 1–6 the
-// packet cells read 2.4–3.8 and 9.2–17.2, the fluid ones 1.9–2.3 and
-// 4.5–5.3. A flow allocates only its completion callback, on every engine
+// At seed 1 they read 2.6, 7.0, 2.3 and 4.8 mallocs; over seeds 1–6 the
+// packet cells read 1.9–3.1 and 5.4–10.7, the hybrid one 4.1–4.8. A flow
+// allocates only its completion callback, on every engine
 // (TestPacketFlowAllocatesOnlyItsState and
 // TestFluidFlowAllocatesOnlyItsCompletion in internal/scenario hold that);
 // a packet flow's sender and receiver are carved from the network's flow
-// table, one slab per 32 flows. The rest is per cell: ports, Algorithm 1
-// state and the packet slabs; a port queue or a wire that deepens allocates
-// nothing, as its packets are linked through themselves. While each flow
-// allocated its own sender and receiver, with both kept in per-endpoint
-// maps, seed 1 read 5.7 and 14.7. While each port queue and wire was a ring
+// table, one slab per 32 flows, and its out-of-order runs from the table's
+// run arena, one slab per 128 runs buffered at once. The rest is per cell:
+// the packet slabs and the ports, each of whose layers (Algorithm 1,
+// DynaQ's counters, the scheduler, the port's queues) allocates its object
+// and one array (TestSwitchPortBuildAllocations in internal/netsim); a port
+// queue or a wire that deepens allocates nothing, as its packets are linked
+// through themselves. While each layer kept an array per field and the
+// receivers' runs were slices growing by append, seed 1 read 3.2, 11.4,
+// 2.3 and 5.1, and seeds 1–6 read 2.4–3.8 and 9.2–17.2 on the packet
+// cells. While each flow allocated its own sender and receiver, with both
+// kept in per-endpoint maps, seed 1 read 5.7 and 14.7. While each port queue and wire was a ring
 // as deep as the deepest it had been, the packet cells read 6.5 and 23.9.
 // When each flow still built an arrival closure, a PIAS classifier, a
 // retransmission Timer and send method values (or, on the fluid engines, an
@@ -70,8 +76,8 @@ func TestPacketCellAllocBudget(t *testing.T) {
 		budget float64 // mallocs per 1000 offered MSS packets
 		doc    scenario.Document
 	}{
-		{"star", 4, star},
-		{"leafspine", 14, leafSpine(experiment.EnginePacket, 160)},
+		{"star", 3.3, star},
+		{"leafspine", 9, leafSpine(experiment.EnginePacket, 160)},
 		{"fattree_flow", 3, scenario.Document{
 			Kind:        "fct",
 			Scheme:      string(experiment.DynaQ),
@@ -119,7 +125,7 @@ func TestPacketCellAllocBudget(t *testing.T) {
 			t.Logf("%d mallocs and %d bytes for %.0f thousand offered packets: %.1f mallocs and %.1f KB per 1000",
 				mallocs, bytes, kpkt, per, perBytes/1024)
 			if per > tc.budget {
-				t.Errorf("%.1f mallocs per 1000 offered packets, budget %.0f: something on the per-packet or per-flow path allocates again", per, tc.budget)
+				t.Errorf("%.1f mallocs per 1000 offered packets, budget %.1f: something on the per-packet or per-flow path allocates again", per, tc.budget)
 			}
 			if perBytes > bytesBudget {
 				t.Errorf("%.1f KB allocated per 1000 offered packets, budget %d KB: per-flow state grows with the packets again",

@@ -18,13 +18,13 @@ type Kind struct {
 // kinds is the registry every layer resolves scheduler names through; the
 // first row is the default. Adding a scheduler is its type plus one row here.
 var kinds = []Kind{
-	{"drr", func(w []int64, mtu units.ByteSize) (Scheduler, error) { return NewDRR(Quantums(w, mtu)) }},
+	{"drr", func(w []int64, mtu units.ByteSize) (Scheduler, error) { return newDRR(drrState(w, mtu)) }},
 	{"wrr", func(w []int64, _ units.ByteSize) (Scheduler, error) { return NewWRR(w) }},
 	// The dynamic-flow experiments' port (§V-A2): queue 0 is the shared
 	// strict-priority queue, so its weight goes unused and the DRR covers the
 	// queues after it (none on a port with no queue, which NewSPQDRR refuses).
 	{"spq+drr", func(w []int64, mtu units.ByteSize) (Scheduler, error) {
-		return NewSPQDRR(1, Quantums(w[min(1, len(w)):], mtu))
+		return newSPQDRR(1, drrState(w[min(1, len(w)):], mtu))
 	}},
 }
 
@@ -39,7 +39,17 @@ func (k Kind) New(weights []int64, mtu units.ByteSize, n int) (Scheduler, error)
 // Quantums turns weights into DRR quantums of weight·mtu bytes, the rule a
 // port's DRR and any scheme that models its rounds (MQ-ECN) share.
 func Quantums(weights []int64, mtu units.ByteSize) []units.ByteSize {
-	qs := make([]units.ByteSize, len(weights))
+	return quantumsInto(make([]units.ByteSize, len(weights)), weights, mtu)
+}
+
+// drrState is the array a table-built DRR keeps (see DRR.init): the
+// quantums Quantums(weights, mtu) returns, then room for the deficits.
+func drrState(weights []int64, mtu units.ByteSize) []units.ByteSize {
+	return quantumsInto(make([]units.ByteSize, 2*len(weights)), weights, mtu)
+}
+
+// quantumsInto writes Quantums(weights, mtu) to the front of qs.
+func quantumsInto(qs []units.ByteSize, weights []int64, mtu units.ByteSize) []units.ByteSize {
 	for i, w := range weights {
 		qs[i] = units.ByteSize(w) * mtu
 	}

@@ -111,7 +111,7 @@ func oracleSPQDRRSelect(s *SPQDRR, v View) int {
 			return i
 		}
 	}
-	if i := oracleSelectFrom(s.drr, v, s.prio); i >= 0 {
+	if i := oracleSelectFrom(&s.drr, v, s.prio); i >= 0 {
 		return i + s.prio
 	}
 	return -1
@@ -187,7 +187,7 @@ func cloneScheduler(s Scheduler) Scheduler {
 	case *SPQ:
 		return NewSPQ()
 	case *SPQDRR:
-		return &SPQDRR{prio: s.prio, drr: cloneScheduler(s.drr).(*DRR)}
+		return &SPQDRR{prio: s.prio, drr: *cloneScheduler(&s.drr).(*DRR)}
 	}
 	panic(fmt.Sprintf("cloneScheduler: %T", s))
 }
@@ -210,7 +210,7 @@ func scramble(s Scheduler, seed []byte) {
 		s.cur = b(0) % len(s.weights)
 		s.served = int64(b(1)) % (s.weights[s.cur] + 1)
 	case *SPQDRR:
-		scramble(s.drr, seed)
+		scramble(&s.drr, seed)
 	}
 }
 

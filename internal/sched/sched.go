@@ -88,7 +88,7 @@ func checkQueues(kind string, n int) error {
 // byte deficit replenished by its quantum once per round; a queue is served
 // while its head packet fits in the deficit.
 type DRR struct {
-	quantum    []units.ByteSize
+	quantum    []units.ByteSize // first half of one backing array, deficit the second
 	minQuantum units.ByteSize
 	deficit    []units.ByteSize
 	cur        int
@@ -98,20 +98,36 @@ type DRR struct {
 // NewDRR builds a DRR scheduler with the given per-queue quantums (the
 // paper's default is one MTU, 1.5KB).
 func NewDRR(quantums []units.ByteSize) (*DRR, error) {
-	if err := checkQueues("DRR", len(quantums)); err != nil {
+	qd := make([]units.ByteSize, 2*len(quantums))
+	copy(qd, quantums)
+	return newDRR(qd)
+}
+
+// newDRR is NewDRR over a DRR that keeps qd (see init).
+func newDRR(qd []units.ByteSize) (*DRR, error) {
+	d := new(DRR)
+	if err := d.init(qd); err != nil {
 		return nil, err
+	}
+	return d, nil
+}
+
+// init makes d a fresh DRR over the quantums in the first half of qd, whose
+// second half, zero, becomes the deficits. d keeps qd: a DRR's per-queue
+// state is that one array.
+func (d *DRR) init(qd []units.ByteSize) error {
+	n := len(qd) / 2
+	quantums := qd[:n:n]
+	if err := checkQueues("DRR", n); err != nil {
+		return err
 	}
 	for i, q := range quantums {
 		if q <= 0 {
-			return nil, fmt.Errorf("sched: DRR quantum of queue %d is %d, must be positive", i, q)
+			return fmt.Errorf("sched: DRR quantum of queue %d is %d, must be positive", i, q)
 		}
 	}
-	return &DRR{
-		quantum:    append([]units.ByteSize(nil), quantums...),
-		minQuantum: slices.Min(quantums),
-		deficit:    make([]units.ByteSize, len(quantums)),
-		fresh:      true,
-	}, nil
+	*d = DRR{quantum: quantums, minQuantum: slices.Min(quantums), deficit: qd[n:], fresh: true}
+	return nil
 }
 
 // EqualDRR builds a DRR scheduler with n queues sharing one quantum.
@@ -358,24 +374,31 @@ func (*SPQ) ServeLone(int, units.ByteSize, bool) {}
 // the DRR queues can be dequeued only when the SPQ queue is empty."
 type SPQDRR struct {
 	prio int
-	drr  *DRR
+	drr  DRR
 }
 
 // NewSPQDRR builds the hybrid: prio strict queues above a DRR over the
 // remaining len(quantums) queues. Queue indices seen by callers cover the
 // whole port: [0, prio) strict, [prio, prio+len(quantums)) DRR.
 func NewSPQDRR(prio int, quantums []units.ByteSize) (*SPQDRR, error) {
+	qd := make([]units.ByteSize, 2*len(quantums))
+	copy(qd, quantums)
+	return newSPQDRR(prio, qd)
+}
+
+// newSPQDRR is NewSPQDRR over a DRR that keeps qd (see DRR.init).
+func newSPQDRR(prio int, qd []units.ByteSize) (*SPQDRR, error) {
 	if prio <= 0 {
 		return nil, fmt.Errorf("sched: SPQDRR needs at least one priority queue, got %d", prio)
 	}
-	drr, err := NewDRR(quantums)
-	if err != nil {
+	s := &SPQDRR{prio: prio}
+	if err := s.drr.init(qd); err != nil {
 		return nil, err
 	}
-	if err := checkQueues("SPQDRR", prio+len(quantums)); err != nil {
+	if err := checkQueues("SPQDRR", prio+len(s.drr.quantum)); err != nil {
 		return nil, err
 	}
-	return &SPQDRR{prio: prio, drr: drr}, nil
+	return s, nil
 }
 
 // Pick implements Scheduler.

@@ -588,7 +588,7 @@ func selectAgainstReference(t testing.TB, prio int, script []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		drr, refDrr = h.drr, newRefDRR(oracleQuanta)
+		drr, refDrr = &h.drr, newRefDRR(oracleQuanta)
 		sut, ref = h, &refSPQDRR{prio: prio, drr: refDrr}
 	}
 	f := newFakeQueues(prio + len(oracleQuanta))

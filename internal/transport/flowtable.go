@@ -34,7 +34,7 @@ const slabFlows = 32
 // progress, plus eight bytes per finished flow.
 type FlowTable struct {
 	blocks []flowBlock // by (id-1) / slabFlows
-	runs   runStock    // its receivers' empty run slices
+	runs   runArena    // its receivers' out-of-order runs
 
 	senders, receivers int // live ones: started and not completed; receiving and not retired
 }
@@ -150,7 +150,7 @@ func (t *FlowTable) retire(snd *Sender) {
 	t.senders--
 	b, i := t.block(snd.flow, false)
 	r := &b.slab.slots[i].rcv
-	if r.ep == nil || r.ep.host.ID() != snd.dst || len(r.ooo) > 0 || r.rcvNxt < max(snd.nxt, snd.rewound) {
+	if r.ep == nil || r.ep.host.ID() != snd.dst || r.ooo != nil || r.rcvNxt < max(snd.nxt, snd.rewound) {
 		return
 	}
 	r.retired = true
@@ -163,4 +163,47 @@ func (t *FlowTable) retire(snd *Sender) {
 		acks[i] = b.slab.slots[i].rcv.rcvNxt
 	}
 	b.slab, b.acks = nil, acks
+}
+
+// run is the payload bytes [seq, end) of a flow, buffered out of order, and
+// the next run above it.
+type run struct {
+	seq, end int64
+	next     *run
+}
+
+// runSlab is how many runs a run arena carves from one allocation: 3 KB.
+const runSlab = 128
+
+// runArena is a flow table's supply of runs. A receiver holds runs only while
+// it has out-of-order data, and in-order data hands them back, so a network
+// allocates about one slab per runSlab runs that its receivers buffer at once
+// at their peak, not per flow received. Idle runs are a stack linked through
+// their next fields; slabs never move, so a run stays where it is while it
+// is held. The zero runArena is empty and ready to use.
+type runArena struct {
+	idle   *run  // top of the idle stack
+	slab   []run // the uncarved rest of the last slab
+	carved int   // runs carved from slabs, held and idle
+}
+
+// get returns a run [seq, end) linked to next.
+func (a *runArena) get(seq, end int64, next *run) *run {
+	r := a.idle
+	if r != nil {
+		a.idle = r.next
+	} else {
+		if len(a.slab) == 0 {
+			a.slab = make([]run, runSlab)
+		}
+		r, a.slab = &a.slab[0], a.slab[1:]
+		a.carved++
+	}
+	*r = run{seq: seq, end: end, next: next}
+	return r
+}
+
+// put makes the runs from first to last, linked through next, idle.
+func (a *runArena) put(first, last *run) {
+	last.next, a.idle = a.idle, first
 }

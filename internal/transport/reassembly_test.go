@@ -140,16 +140,20 @@ func (f *reassemblyFlow) deliver(t testing.TB, k int64, class int, ecn packet.EC
 	if f.rcv.rcvNxt != f.ref.rcvNxt {
 		t.Fatalf("flow %d, [%d, %d): rcvNxt %d, map's %d", f.flow, seq, seq+int64(payload), f.rcv.rcvNxt, f.ref.rcvNxt)
 	}
-	if w := wantRuns(f.ref.ooo); !slices.Equal(f.rcv.ooo, w) {
-		t.Fatalf("flow %d, [%d, %d): runs %v, map's bytes %v (rcvNxt %d)", f.flow, seq, seq+int64(payload), f.rcv.ooo, w, f.rcv.rcvNxt)
+	runs, err := f.rcv.appendRuns(nil)
+	if err != nil {
+		t.Fatalf("flow %d, [%d, %d): %v", f.flow, seq, seq+int64(payload), err)
 	}
-	if len(f.rcv.ooo) > 0 && f.rcv.ooo[0].seq <= f.rcv.rcvNxt {
-		t.Fatalf("flow %d: run %v at or below rcvNxt %d", f.flow, f.rcv.ooo[0], f.rcv.rcvNxt)
+	if w := wantRuns(f.ref.ooo); !slices.Equal(runs, w) {
+		t.Fatalf("flow %d, [%d, %d): runs %v, map's bytes %v (rcvNxt %d)", f.flow, seq, seq+int64(payload), runs, w, f.rcv.rcvNxt)
+	}
+	if len(runs) > 0 && runs[0].seq <= f.rcv.rcvNxt {
+		t.Fatalf("flow %d: run %v at or below rcvNxt %d", f.flow, runs[0], f.rcv.rcvNxt)
 	}
 }
 
 // reassemblyAgainstMap plays two MSS-aligned segment streams, decoded from
-// data and interleaved, into Receivers that share one run stock and into a
+// data and interleaved, into Receivers that share one run arena and into a
 // refReceiver each. A stream is what a lossy, reordering network makes of a
 // sender: segments up to a window past the next expected one (drops are the
 // ones never picked), old duplicates, repeats, a short tail segment on some
@@ -184,7 +188,7 @@ func reassemblyAgainstMap(t testing.TB, data []byte) int {
 			played++
 		}
 		if f.rcv.rcvNxt != f.size || f.rcv.ooo != nil {
-			t.Fatalf("flow %d of %d bytes ends with rcvNxt %d and runs %v", f.flow, f.size, f.rcv.rcvNxt, f.rcv.ooo)
+			t.Fatalf("flow %d of %d bytes ends with rcvNxt %d and runs left: %v", f.flow, f.size, f.rcv.rcvNxt, f.rcv.ooo != nil)
 		}
 	}
 	return played
@@ -238,8 +242,8 @@ func TestRunsPullWhatTheMapStrands(t *testing.T) {
 	if want := []int64{0, 0, 400}; !slices.Equal(acks, want) {
 		t.Fatalf("runs ACK %v, want %v", acks, want)
 	}
-	if rcv.ooo != nil {
-		t.Fatalf("runs %v left above rcvNxt %d", rcv.ooo, rcv.rcvNxt)
+	if runs, _ := rcv.appendRuns(nil); runs != nil {
+		t.Fatalf("runs %v left above rcvNxt %d", runs, rcv.rcvNxt)
 	}
 }
 

@@ -8,7 +8,6 @@ package transport
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"dynaq/internal/netsim"
 	"dynaq/internal/packet"
@@ -510,29 +509,13 @@ func (s *Sender) complete() {
 // CE mark (per-packet echo, DCTCP-exact). A receiver lives in its flow's
 // slot of the flow table (flowtable.go).
 type Receiver struct {
-	ep      *Endpoint // the host it receives at; nil while its slot holds no receiver
-	rcvNxt  int64
-	ooo     []byteRun // buffered out-of-order data: sorted, disjoint, non-touching, above rcvNxt; nil when none
-	retired bool      // final, its flow's sender done; see FlowTable.retire
-}
-
-// byteRun is the payload bytes [seq, end) of a flow.
-type byteRun struct{ seq, end int64 }
-
-// runStock is a flow table's supply of empty run slices. A receiver holds
-// one only while it has out-of-order data, so a network's receivers share
-// about as many as they have flows with holes at once, not one per flow ever
-// received.
-type runStock [][]byteRun
-
-func (st *runStock) take() []byteRun {
-	n := len(*st)
-	if n == 0 {
-		return nil
-	}
-	runs := (*st)[n-1]
-	*st = (*st)[:n-1]
-	return runs
+	ep     *Endpoint // the host it receives at; nil while its slot holds no receiver
+	rcvNxt int64
+	// ooo is the buffered out-of-order data, runs from the flow table's
+	// arena linked upward from the lowest: sorted, disjoint, non-touching,
+	// above rcvNxt. last is the highest run. Both are nil when none.
+	ooo, last *run
+	retired   bool // final, its flow's sender done; see FlowTable.retire
 }
 
 // Received returns the payload bytes delivered in order so far.
@@ -545,16 +528,15 @@ func (r *Receiver) onData(p *packet.Packet) {
 			r.rcvNxt = end
 		}
 		// Pull every buffered run the delivered prefix now reaches.
-		n := 0
-		for ; n < len(r.ooo) && r.ooo[n].seq <= r.rcvNxt; n++ {
-			r.rcvNxt = max(r.rcvNxt, r.ooo[n].end)
+		var pulled *run // the last run pulled
+		next := r.ooo
+		for ; next != nil && next.seq <= r.rcvNxt; pulled, next = next, next.next {
+			r.rcvNxt = max(r.rcvNxt, next.end)
 		}
-		if n > 0 {
-			r.ooo = r.ooo[:copy(r.ooo, r.ooo[n:])]
-			if len(r.ooo) == 0 {
-				stock := &r.ep.flows.runs
-				*stock = append(*stock, r.ooo)
-				r.ooo = nil
+		if pulled != nil {
+			r.ep.flows.runs.put(r.ooo, pulled)
+			if r.ooo = next; next == nil {
+				r.last = nil
 			}
 		}
 	} else {
@@ -568,33 +550,49 @@ func (r *Receiver) onData(p *packet.Packet) {
 // single hole, costs O(1); anything else merges with every run it overlaps
 // or touches.
 func (r *Receiver) buffer(seq, end int64) {
-	n := len(r.ooo)
-	if n == 0 {
-		r.ooo = r.ep.flows.runs.take()
-	}
-	if n == 0 || seq > r.ooo[n-1].end {
-		r.ooo = append(r.ooo, byteRun{seq, end})
+	runs, last := &r.ep.flows.runs, r.last
+	if last == nil || seq > last.end {
+		n := runs.get(seq, end, nil)
+		if last == nil {
+			r.ooo = n
+		} else {
+			last.next = n
+		}
+		r.last = n
 		return
 	}
-	if last := &r.ooo[n-1]; seq >= last.seq {
+	if seq >= last.seq {
 		last.end = max(last.end, end)
 		return
 	}
-	// Runs [i, j) overlap or touch [seq, end).
-	i := 0
-	for r.ooo[i].end < seq {
-		i++
+	// The runs from first up to merged overlap or touch [seq, end); prev is
+	// the run below first. Some run ends at or past seq: the last one.
+	var prev *run
+	first := r.ooo
+	for first.end < seq {
+		prev, first = first, first.next
 	}
-	j := i
-	for j < n && r.ooo[j].seq <= end {
-		j++
-	}
-	if i == j {
-		r.ooo = slices.Insert(r.ooo, i, byteRun{seq, end})
+	if first.seq > end { // none does: a run of its own below first
+		n := runs.get(seq, end, first)
+		if prev == nil {
+			r.ooo = n
+		} else {
+			prev.next = n
+		}
 		return
 	}
-	r.ooo[i] = byteRun{min(seq, r.ooo[i].seq), max(end, r.ooo[j-1].end)}
-	r.ooo = slices.Delete(r.ooo, i+1, j)
+	merged := first
+	for merged.next != nil && merged.next.seq <= end {
+		merged = merged.next
+	}
+	first.seq, first.end = min(seq, first.seq), max(end, merged.end)
+	if merged != first {
+		rest := merged.next
+		runs.put(first.next, merged)
+		if first.next = rest; rest == nil {
+			r.last = first
+		}
+	}
 }
 
 // Endpoint is the transport stack of one host: it demultiplexes arriving
