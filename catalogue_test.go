@@ -252,37 +252,80 @@ func daemonRegistrations(t *testing.T) map[string]string {
 	return out
 }
 
-var daemonName = regexp.MustCompile(`dynaqd_[a-z0-9_]*[a-z0-9]`)
+var (
+	daemonName = regexp.MustCompile(`dynaqd_[a-z0-9_]*[a-z0-9]`)
+	snakeCase  = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)+$`)
+)
 
-// readNames returns the dynaqd series names dynaqtop's string literals and
-// the CI workflow read, histogram suffixes folded onto their histogram.
+// readNames returns the series names dynaqtop's string literals, the CI
+// workflow and bench read, histogram suffixes folded onto their histogram.
+// bench reads cell series from a registry snapshot by name: a snake_case
+// literal that indexes a map variable or is compared with == or != is one.
+// Every dynaqd name any of them spells is one too.
 func readNames(t *testing.T, kinds map[string]entry) map[string]string {
 	t.Helper()
 	out := map[string]string{}
+	read := func(where, name string) {
+		for _, suffix := range []string{"_bucket", "_count", "_sum"} {
+			if base, ok := strings.CutSuffix(name, suffix); ok && kinds[base].kind == "histogram" {
+				name = base
+			}
+		}
+		out[name] = where
+	}
 	add := func(where, s string) {
 		for _, name := range daemonName.FindAllString(s, -1) {
-			for _, suffix := range []string{"_bucket", "_count", "_sum"} {
-				if base, ok := strings.CutSuffix(name, suffix); ok && kinds[base].kind == "histogram" {
-					name = base
-				}
-			}
-			out[name] = where
+			read(where, name)
 		}
 	}
-	f, err := parser.ParseFile(token.NewFileSet(), "cmd/dynaqtop/main.go", nil, 0)
+	unquote := func(e ast.Expr) (string, bool) {
+		lit, ok := e.(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return "", false
+		}
+		s, err := strconv.Unquote(lit.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, true
+	}
+	bench, err := filepath.Glob("bench/*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-			s, err := strconv.Unquote(lit.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			add("cmd/dynaqtop", s)
+	for _, path := range append([]string{"cmd/dynaqtop/main.go"}, bench...) {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
 		}
-		return true
-	})
+		where := filepath.ToSlash(filepath.Dir(path))
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var keys []ast.Expr
+			switch n := n.(type) {
+			case *ast.BasicLit:
+				if s, ok := unquote(n); ok {
+					add(where, s)
+				}
+			case *ast.IndexExpr:
+				if _, ok := n.X.(*ast.Ident); ok {
+					keys = append(keys, n.Index)
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					keys = append(keys, n.X, n.Y)
+				}
+			}
+			for _, k := range keys {
+				if s, ok := unquote(k); ok && where == "bench" && snakeCase.MatchString(s) {
+					read(where, s)
+				}
+			}
+			return true
+		})
+	}
 	ci, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
 		t.Fatal(err)

@@ -145,7 +145,7 @@ func run(args []string, stdout io.Writer) error {
 		traceN   = fs.Int("trace", 0, "dump the last N drop/mark/evict events at a static scenario's bottleneck")
 		config   = fs.String("config", "", "run a JSON scenario file instead of flags (see internal/scenario)")
 		engineF  = fs.String("engine", "", "override the scenario's simulation engine: packet | flow | hybrid (static scenarios run on packet)")
-		teleDir  = fs.String("telemetry", "", "write run artifacts (manifest, metrics, events, scenario.json) into this directory")
+		teleDir  = fs.String("telemetry", "", "write run artifacts (manifest, metrics, events, scenario.json, outcome.json) into this directory")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		progress = fs.Bool("progress", false, "print wall-clock progress heartbeats to stderr")
@@ -219,23 +219,26 @@ func run(args []string, stdout io.Writer) error {
 	if *progress {
 		r.SetProgress(os.Stderr)
 	}
-	res, err := r.Run()
+	res, outcome, err := r.RunOutcome()
 	if err != nil {
 		return err
 	}
 	if res.Static != nil {
-		err = printStatic(stdout, r.Document(), res.Static)
+		err = printStatic(stdout, r.Document(), res.Static, r.Trace())
 	} else {
 		printFCT(stdout, r, res.Dynamic)
 	}
 	if err != nil || tele == nil {
 		return err
 	}
+	if err := os.WriteFile(filepath.Join(tele.Dir(), telemetry.OutcomeFile), outcome, 0o644); err != nil {
+		return err
+	}
 	for _, e := range res.Summary() {
 		tele.Summarize(e.Key, e.Value)
 	}
-	if res.Static != nil && res.Static.Trace != nil {
-		if err := writeTrace(tele.Dir(), res.Static.Trace); err != nil {
+	if rec := r.Trace(); rec != nil {
+		if err := writeTrace(tele.Dir(), rec); err != nil {
 			return err
 		}
 	}
@@ -272,7 +275,7 @@ func runSeeds(w io.Writer, data []byte, doc scenario.Document, n, parallel int) 
 			if err != nil {
 				return 0, err
 			}
-			res, err := rs.Run()
+			res, _, err := rs.RunOutcome()
 			if err != nil {
 				return 0, err
 			}
@@ -287,9 +290,9 @@ func runSeeds(w io.Writer, data []byte, doc scenario.Document, n, parallel int) 
 }
 
 // printStatic reports a static run: the per-queue throughput series, the
-// per-queue summary after a warmup of the first fifth, and the bottleneck
-// trace, fault timeline and guardrail verdict when the run has them.
-func printStatic(w io.Writer, doc scenario.Document, res *experiment.StaticResult) error {
+// per-queue summary after a warmup of the first fifth, and the -trace
+// events, fault timeline and guardrail verdict when the run has them.
+func printStatic(w io.Writer, doc scenario.Document, res *experiment.StaticResult, trace *metrics.EventRecorder) error {
 	k, _ := sched.LookupKind(doc.Sched) // validated at load
 	fmt.Fprintf(w, "scheme=%s sched=%s rate=%v buffer=%v queues=%d rtt=%vus\n\n",
 		doc.Scheme, k.Name, units.Rate(doc.RateGbps*1e9), units.ByteSize(doc.BufferB), doc.Queues, doc.RTTUs)
@@ -314,9 +317,9 @@ func printStatic(w io.Writer, doc scenario.Document, res *experiment.StaticResul
 	}
 	fmt.Fprintf(w, "  aggregate: %.1f Mbps, drops at bottleneck: %d\n",
 		float64(res.AvgAggregate(warm, end))/1e6, res.Drops)
-	if res.Trace != nil {
-		fmt.Fprintf(w, "\nbottleneck events: %s\n", res.Trace.Summary())
-		if err := res.Trace.Dump(w); err != nil {
+	if trace != nil {
+		fmt.Fprintf(w, "\nbottleneck events: %s\n", trace.Summary())
+		if err := trace.Dump(w); err != nil {
 			return err
 		}
 	}
@@ -339,7 +342,7 @@ func printStatic(w io.Writer, doc scenario.Document, res *experiment.StaticResul
 func printFCT(w io.Writer, r *scenario.Runner, d *experiment.DynamicResult) {
 	doc := r.Document()
 	fmt.Fprintf(w, "%s scenario (%s, load %.0f%%, engine %s): %d/%d flows\n",
-		doc.Kind, d.Scheme, d.Load*100, r.Engine(), d.Completed, d.Generated)
+		doc.Kind, doc.Scheme, doc.Load*100, r.Engine(), d.Completed, d.Generated)
 	if fl := d.Fluid; fl != nil {
 		fmt.Fprintf(w, "engine events %d  rate recomputes %d  demotions %d  promotions %d\n",
 			d.Events, fl.Recomputes, fl.Demotions, fl.Promotions)

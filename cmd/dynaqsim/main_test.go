@@ -13,6 +13,7 @@ import (
 
 	"dynaq/internal/experiment"
 	"dynaq/internal/faults"
+	"dynaq/internal/metrics"
 	"dynaq/internal/scenario"
 	"dynaq/internal/telemetry"
 )
@@ -102,8 +103,9 @@ func directDocument(t *testing.T, s *scenarioFlags) scenario.Document {
 }
 
 // runStatic loads the static document data with the last traceN bottleneck
-// events kept, runs it, and returns the result and the document as loaded.
-func runStatic(t *testing.T, data []byte, traceN int) (*experiment.StaticResult, scenario.Document) {
+// events kept, runs it, and returns the result, the trace (nil without one)
+// and the document as loaded.
+func runStatic(t *testing.T, data []byte, traceN int) (*experiment.StaticResult, *metrics.EventRecorder, scenario.Document) {
 	t.Helper()
 	r, err := scenario.Load(data)
 	if err != nil {
@@ -118,7 +120,7 @@ func runStatic(t *testing.T, data []byte, traceN int) (*experiment.StaticResult,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Static, r.Document()
+	return res.Static, r.Trace(), r.Document()
 }
 
 // TestFlagDocumentRunsTheFlagScenario holds the document the flags encode
@@ -138,7 +140,7 @@ func TestFlagDocumentRunsTheFlagScenario(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _ := runStatic(t, direct, *traceN)
+			want, wantTrace, _ := runStatic(t, direct, *traceN)
 			if sf.faults != "" && len(want.FaultTimeline) == 0 {
 				t.Fatal("the fault schedule applied no transition")
 			}
@@ -147,7 +149,7 @@ func TestFlagDocumentRunsTheFlagScenario(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, doc := runStatic(t, data, *traceN)
+			got, gotTrace, doc := runStatic(t, data, *traceN)
 			if doc.Guard != sf.guard {
 				t.Errorf("document guard %v, -guard %v", doc.Guard, sf.guard)
 			}
@@ -157,10 +159,10 @@ func TestFlagDocumentRunsTheFlagScenario(t *testing.T) {
 			if got.Drops != want.Drops {
 				t.Errorf("drops %d, direct document %d", got.Drops, want.Drops)
 			}
-			if (got.Trace == nil) != (want.Trace == nil) {
-				t.Fatalf("trace recorded %v, direct document %v", got.Trace != nil, want.Trace != nil)
+			if (gotTrace == nil) != (wantTrace == nil) {
+				t.Fatalf("trace recorded %v, direct document %v", gotTrace != nil, wantTrace != nil)
 			}
-			if want.Trace != nil && !reflect.DeepEqual(got.Trace.Events(), want.Trace.Events()) {
+			if wantTrace != nil && !reflect.DeepEqual(gotTrace.Events(), wantTrace.Events()) {
 				t.Errorf("trace events differ from the direct document's")
 			}
 			if !reflect.DeepEqual(got.FaultOutcome, want.FaultOutcome) {

@@ -47,7 +47,7 @@ func run(args []string, stdout io.Writer) error {
 		seed     = fs.Int64("seed", 1, "random seed")
 		parallel = fs.Int("parallel", 0, "worker goroutines for a figure's independent simulation cells, static and FCT figures alike (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
 		list     = fs.Bool("list", false, "list available figures")
-		teleDir  = fs.String("telemetry", "", "write per-figure run artifacts (manifest, result JSON and every cell's scenario document) into this directory")
+		teleDir  = fs.String("telemetry", "", "write per-figure run artifacts (manifest, result JSON, every cell's scenario document and outcome) into this directory")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		version  = fs.Bool("version", false, "print the build version and exit")

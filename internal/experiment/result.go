@@ -1,12 +1,9 @@
 package experiment
 
 import (
-	"strconv"
-
 	"dynaq/internal/faults"
 	"dynaq/internal/flowsim"
 	"dynaq/internal/metrics"
-	"dynaq/internal/telemetry"
 	"dynaq/internal/units"
 )
 
@@ -26,7 +23,6 @@ type FaultOutcome struct {
 
 // StaticResult is the outcome of a static-flow run.
 type StaticResult struct {
-	Scheme     Scheme
 	Samples    []metrics.ThroughputSample
 	QueueTrace []metrics.QueueSample
 	// Drops counts enqueue drops at the bottleneck port, QueueDrops the
@@ -37,26 +33,12 @@ type StaticResult struct {
 	Evicted    int64
 	// FCT holds the completion time of every finite flow.
 	FCT *metrics.FCTCollector
-	// Trace holds the bottleneck event recorder when the runner was asked
-	// for one (scenario.Runner.SetTraceEvents).
-	Trace *metrics.EventRecorder
 
 	FaultOutcome
 }
 
-// Summary is the run's headline for a manifest, the same keys from every
-// tool that writes one.
-func (r *StaticResult) Summary() []telemetry.SummaryEntry {
-	return []telemetry.SummaryEntry{
-		{Key: "drops", Value: strconv.FormatInt(r.Drops, 10)},
-		{Key: "samples", Value: strconv.Itoa(len(r.Samples))},
-	}
-}
-
 // DynamicResult is the outcome of an FCT run.
 type DynamicResult struct {
-	Scheme    Scheme
-	Load      float64
 	FCT       *metrics.FCTCollector
 	Generated int
 	Completed int
@@ -68,23 +50,6 @@ type DynamicResult struct {
 	Events int64
 	// Fluid holds the flow-engine counters (nil under the packet engine).
 	Fluid *flowsim.Stats
-}
-
-// Summary is the run's headline for a manifest, the same keys from every
-// tool that writes one.
-func (r *DynamicResult) Summary() []telemetry.SummaryEntry {
-	sum := []telemetry.SummaryEntry{
-		{Key: "flows_generated", Value: strconv.Itoa(r.Generated)},
-		{Key: "flows_completed", Value: strconv.Itoa(r.Completed)},
-		{Key: "avg_fct_us_overall", Value: strconv.FormatInt(int64(r.FCT.Avg(metrics.AllFlows)/units.Microsecond), 10)},
-	}
-	if fl := r.Fluid; fl != nil {
-		sum = append(sum,
-			telemetry.SummaryEntry{Key: "events", Value: strconv.FormatInt(r.Events, 10)},
-			telemetry.SummaryEntry{Key: "recomputes", Value: strconv.FormatInt(fl.Recomputes, 10)},
-			telemetry.SummaryEntry{Key: "demotions", Value: strconv.FormatInt(fl.Demotions, 10)})
-	}
-	return sum
 }
 
 // Window returns the samples taken in (from, to]; samples are in time order.

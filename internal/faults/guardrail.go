@@ -18,12 +18,13 @@ type Violation struct {
 	// reports its violations per scheme.
 	Scheme string
 	Check  string
-	Err    error
+	// Msg says what the check found, as its error reads.
+	Msg string
 }
 
 // String renders the violation for logs and CLI output.
 func (v Violation) String() string {
-	return fmt.Sprintf("%v %s (%s) [%s]: %v", v.At, v.Port, v.Scheme, v.Check, v.Err)
+	return fmt.Sprintf("%v %s (%s) [%s]: %s", v.At, v.Port, v.Scheme, v.Check, v.Msg)
 }
 
 // Guardrail audits DynaQ's accounting invariants on every port event while
@@ -168,7 +169,7 @@ func (g *Guardrail) check(gp *guardedPort, at units.Time) {
 func (g *Guardrail) report(at units.Time, gp *guardedPort, check string, err error) {
 	g.total++
 	if len(g.violations) < g.max {
-		g.violations = append(g.violations, Violation{At: at, Port: gp.label, Scheme: gp.scheme, Check: check, Err: err})
+		g.violations = append(g.violations, Violation{At: at, Port: gp.label, Scheme: gp.scheme, Check: check, Msg: err.Error()})
 	}
 }
 

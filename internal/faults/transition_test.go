@@ -84,7 +84,7 @@ func TestGuardrailTransitionFlagsAlgorithmBreaches(t *testing.T) {
 				t.Fatal("the guardrail saw no transition breach")
 			}
 			v := g.Violations()[0]
-			if v.Check != "transition" || v.Scheme != tc.adm.Name() || !strings.Contains(v.Err.Error(), tc.want) {
+			if v.Check != "transition" || v.Scheme != tc.adm.Name() || !strings.Contains(v.Msg, tc.want) {
 				t.Fatalf("first violation %v, want a %s transition breach naming %q", v, tc.adm.Name(), tc.want)
 			}
 		})

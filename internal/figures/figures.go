@@ -69,9 +69,10 @@ func pick[T any](o experiment.Options, quick, standard, full T) T {
 	}
 }
 
-// run is the one grid: it encodes each cell as a document's bytes, which f
-// keeps, loads them through scenario.LoadWith and runs them on o.Parallel
-// workers. Results come back in cell order, identical at any worker count.
+// run is the one grid: it encodes each cell as a document's bytes, runs them
+// through scenario.LoadWith on o.Parallel workers into outcome bytes, keeps
+// both in f, and hands readers the results decoded from the outcomes, in
+// cell order, identical at any worker count.
 func (f *Figure) run(o experiment.Options, cells []scenario.Document) ([]*scenario.Result, error) {
 	f.docs = make([][]byte, len(cells))
 	for i, doc := range cells {
@@ -81,14 +82,23 @@ func (f *Figure) run(o experiment.Options, cells []scenario.Document) ([]*scenar
 		}
 		f.docs[i] = append(data, '\n')
 	}
-	return experiment.RunTrials(len(cells), o.Parallel, func(i int) (*scenario.Result, error) { return runCell(f.docs[i]) })
+	var err error
+	if f.outcomes, err = experiment.RunTrials(len(cells), o.Parallel, func(i int) ([]byte, error) { return runCell(f.docs[i]) }); err != nil {
+		return nil, err
+	}
+	return experiment.RunTrials(len(cells), o.Parallel, func(i int) (*scenario.Result, error) { return scenario.DecodeOutcome(f.outcomes[i]) })
 }
 
-// runCell runs a cell's bytes as dynaqsim -config does; a test wraps it.
-var runCell = func(data []byte) (*scenario.Result, error) {
+// runCell runs a cell's bytes as dynaqsim -config does and returns its
+// outcome file's bytes; a test wraps it or replays stored outcomes.
+var runCell = func(data []byte) ([]byte, error) {
 	r, err := scenario.LoadWith(data, scenario.Overrides{})
 	if err != nil {
 		return nil, err
 	}
-	return r.Run()
+	res, err := r.Run()
+	if err != nil {
+		return nil, err
+	}
+	return scenario.EncodeOutcome(res)
 }

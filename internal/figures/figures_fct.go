@@ -39,10 +39,10 @@ func fctRows(o experiment.Options, figure string, schemes []experiment.Scheme, l
 	if err != nil {
 		return nil, err
 	}
-	for _, res := range results {
+	for i, res := range results {
 		d := res.Dynamic
 		out.Rows = append(out.Rows, Row{
-			Labels: []string{fmt.Sprintf("%.0f%%", d.Load*100), string(d.Scheme)},
+			Labels: []string{fmt.Sprintf("%.0f%%", cells[i].Load*100), cells[i].Scheme},
 			Values: []float64{
 				float64(d.FCT.Avg(metrics.AllFlows)),
 				float64(d.FCT.Avg(metrics.SmallFlows)),

@@ -27,9 +27,9 @@ type Figure struct {
 	Rows    []Row
 	// Note, when set, is a line printed under the table.
 	Note *Note `json:",omitempty"`
-	// docs are the scenario documents the figure's cells ran, in cell
-	// order, byte for byte; WriteArtifacts writes them.
-	docs [][]byte
+	// docs are the scenario documents the cells ran and outcomes their
+	// results, in cell order, byte for byte; WriteArtifacts writes both.
+	docs, outcomes [][]byte
 }
 
 // Column is a value column: its name and the unit its values print in.
@@ -203,10 +203,10 @@ func (f *Figure) Table() string {
 }
 
 // WriteArtifacts records the figure in dir: each cell's scenario document as
-// cell-<i>.json, which dynaqsim -config replays; the manifest man, whose
-// summary gives the scale and each cell file's scenario hash; and the figure
-// as result.json. Struct field order keeps result.json byte-stable across
-// identical runs.
+// cell-<i>.json, which dynaqsim -config replays, and its result beside it as
+// cell-<i>.outcome.json; the manifest man, whose summary gives the scale and
+// each cell file's scenario hash; and the figure as result.json. Struct field
+// order keeps result.json byte-stable across identical runs.
 func (f *Figure) WriteArtifacts(dir string, man telemetry.Manifest, scale string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -215,6 +215,10 @@ func (f *Figure) WriteArtifacts(dir string, man telemetry.Manifest, scale string
 	for i, doc := range f.docs {
 		name := fmt.Sprintf("cell-%02d.json", i)
 		if err := os.WriteFile(filepath.Join(dir, name), doc, 0o644); err != nil {
+			return err
+		}
+		outcome := fmt.Sprintf("cell-%02d.outcome.json", i)
+		if err := os.WriteFile(filepath.Join(dir, outcome), f.outcomes[i], 0o644); err != nil {
 			return err
 		}
 		summary = append(summary, telemetry.SummaryEntry{Key: name, Value: telemetry.Hash(doc)})

@@ -1,10 +1,12 @@
 package figures
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -18,6 +20,10 @@ import (
 // writes its artifacts. Each simulating figure's cell files are exactly the
 // bytes its grid loaded, each loads through scenario.LoadWith, and each
 // file's scenario hash is the one the figure's manifest records for it.
+// Then the figure runs again from storage alone: each cell the grid asks for
+// is answered with the outcome file stored beside its document, which must
+// decode and re-encode to the same bytes, and the rebuilt figure must print
+// the same table and carry the same rows.
 func TestCellsReplayFromTheirDocuments(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("runs every figure in the list")
@@ -28,16 +34,18 @@ func TestCellsReplayFromTheirDocuments(t *testing.T) {
 	)
 	run := runCell
 	defer func() { runCell = run }()
-	runCell = func(data []byte) (*scenario.Result, error) {
+	record := func(data []byte) ([]byte, error) {
 		mu.Lock()
 		loaded = append(loaded, data)
 		mu.Unlock()
 		return run(data)
 	}
+	opts := experiment.Options{Scale: experiment.Quick, Seed: 1, Parallel: 2}
 	simulating := 0
-	for _, e := range Figures() {
+	for i, e := range Figures() {
 		loaded = nil
-		fig, err := e.Run(experiment.Options{Scale: experiment.Quick, Seed: 1, Parallel: 2})
+		runCell = record
+		fig, err := e.Run(opts)
 		if err != nil {
 			t.Fatalf("figure %s: %v", e.ID, err)
 		}
@@ -54,13 +62,17 @@ func TestCellsReplayFromTheirDocuments(t *testing.T) {
 			t.Fatalf("figure %s: %v", e.ID, err)
 		}
 		var emitted [][]byte
-		for i := 0; ; i++ {
-			name := fmt.Sprintf("cell-%02d.json", i)
+		stored := map[string][]byte{}
+		for c := 0; ; c++ {
+			name := fmt.Sprintf("cell-%02d.json", c)
 			doc, err := os.ReadFile(filepath.Join(dir, name))
 			if os.IsNotExist(err) {
 				break
 			} else if err != nil {
 				t.Fatal(err)
+			}
+			if stored[string(doc)], err = os.ReadFile(filepath.Join(dir, fmt.Sprintf("cell-%02d.outcome.json", c))); err != nil {
+				t.Fatalf("figure %s: %v", e.ID, err)
 			}
 			if _, err := scenario.LoadWith(doc, scenario.Overrides{}); err != nil {
 				t.Errorf("figure %s: %s does not load: %v", e.ID, name, err)
@@ -85,6 +97,32 @@ func TestCellsReplayFromTheirDocuments(t *testing.T) {
 		}
 		if len(emitted) > 0 {
 			simulating++
+		}
+
+		runCell = func(data []byte) ([]byte, error) {
+			outcome, ok := stored[string(data)]
+			if !ok {
+				return nil, fmt.Errorf("no stored outcome for the cell\n%s", data)
+			}
+			res, err := scenario.DecodeOutcome(outcome)
+			if err != nil {
+				return nil, err
+			}
+			if again, err := scenario.EncodeOutcome(res); err != nil || !bytes.Equal(again, outcome) {
+				return nil, fmt.Errorf("the stored outcome does not re-encode to its bytes (%v)", err)
+			}
+			return outcome, nil
+		}
+		replayed, err := Figures()[i].Run(opts)
+		if err != nil {
+			t.Errorf("figure %s from storage: %v", e.ID, err)
+			continue
+		}
+		if got, want := replayed.Table(), fig.Table(); got != want {
+			t.Errorf("figure %s from storage prints\n%s\nnot\n%s", e.ID, got, want)
+		}
+		if !reflect.DeepEqual(replayed.Rows, fig.Rows) {
+			t.Errorf("figure %s from storage: the rows' series or traces differ", e.ID)
 		}
 	}
 	if simulating != 23 {

@@ -141,7 +141,7 @@ func TestSimulatedStripsOnlyEngineDiagnostics(t *testing.T) {
 // the coordinator, the workers and the cache share — and compares both
 // hashes of each artifact with the committed table.
 func TestGoldenArtifacts(t *testing.T) {
-	files := []string{telemetry.EventsFile, telemetry.MetricsFile, telemetry.ManifestFile}
+	files := []string{telemetry.EventsFile, telemetry.MetricsFile, telemetry.ManifestFile, telemetry.OutcomeFile}
 	got := map[string]map[string]fileHashes{}
 	for name, doc := range goldenCells(t) {
 		body, err := json.Marshal(doc)

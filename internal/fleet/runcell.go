@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 
 	"dynaq/internal/scenario"
@@ -25,10 +27,11 @@ func CellManifest(version, scenarioHash, scheme string, seed int64, key string) 
 
 // RunCellTo executes one (scenario, scheme, seed) cell into dir: a full
 // telemetry Run (events.jsonl, metrics.jsonl, manifest.json) around a
-// scenario execution. It is the single execution path shared by the
-// coordinator's local fallback, cmd/dynaqworker, and the byte-diff tests
-// that prove a cached artifact equals a fresh sequential run. The returned
-// registry stays readable after the run for server-level aggregation.
+// scenario execution, whose result it writes as outcome.json. It is the
+// single execution path shared by the coordinator's local fallback,
+// cmd/dynaqworker, and the byte-diff tests that prove a cached artifact
+// equals a fresh sequential run. The returned registry stays readable after
+// the run for server-level aggregation.
 //
 // span, when non-nil, receives wall-time child spans for the execution
 // phases (scenario-load, run, artifact-write) plus the engine's sim-time
@@ -58,7 +61,7 @@ func RunCellTo(dir string, scenarioBytes []byte, scheme string, seed int64, man 
 	if exec != nil {
 		r.SetSpans(exec.Tracer(), exec.ID())
 	}
-	res, err := runRecovered(r)
+	res, outcome, err := runRecovered(r)
 	if err != nil {
 		exec.End(trace.A("error", err.Error()))
 		run.Close()
@@ -69,7 +72,10 @@ func RunCellTo(dir string, scenarioBytes []byte, scheme string, seed int64, man 
 	for _, e := range res.Summary() {
 		run.Summarize(e.Key, e.Value)
 	}
-	err = run.Close()
+	err = os.WriteFile(filepath.Join(dir, telemetry.OutcomeFile), outcome, 0o644)
+	if cerr := run.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		write.End(trace.A("error", err.Error()))
 	} else {
@@ -78,15 +84,15 @@ func RunCellTo(dir string, scenarioBytes []byte, scheme string, seed int64, man 
 	return run.Registry(), err
 }
 
-// runRecovered runs r, turning a panic anywhere under it — the engine, a
-// telemetry sink, the caller's tee — into an error: every executor comes
-// through here, and a cell that cannot run must fail that cell, not the
-// process holding the other cells.
-func runRecovered(r *scenario.Runner) (res *scenario.Result, err error) {
+// runRecovered runs r to its outcome, turning a panic anywhere under it —
+// the engine, a telemetry sink, the caller's tee — into an error: every
+// executor comes through here, and a cell that cannot run must fail that
+// cell, not the process holding the other cells.
+func runRecovered(r *scenario.Runner) (res *scenario.Result, outcome []byte, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("fleet: cell panicked: %v", p)
 		}
 	}()
-	return r.Run()
+	return r.RunOutcome()
 }

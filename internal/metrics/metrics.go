@@ -6,6 +6,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -156,6 +157,24 @@ func (c *FCTCollector) Len() int { return len(c.records) }
 // Records returns a copy of all completions.
 func (c *FCTCollector) Records() []FCTRecord {
 	return append([]FCTRecord(nil), c.records...)
+}
+
+// MarshalJSON encodes the collector as its records, "[]" when it has none.
+func (c *FCTCollector) MarshalJSON() ([]byte, error) {
+	if c.records == nil {
+		return []byte("[]"), nil
+	}
+	return json.Marshal(c.records)
+}
+
+// UnmarshalJSON decodes what MarshalJSON wrote into the same collector.
+func (c *FCTCollector) UnmarshalJSON(data []byte) error {
+	c.records = nil
+	if err := json.Unmarshal(data, &c.records); err != nil || len(c.records) > 0 {
+		return err
+	}
+	c.records = nil // as Add leaves an empty collector
+	return nil
 }
 
 // Jain computes Jain's fairness index J = (Σx)² / (n·Σx²) over all n

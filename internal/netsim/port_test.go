@@ -373,10 +373,10 @@ func TestPortAndHostAccessors(t *testing.T) {
 	if h.Egress() != p {
 		t.Fatal("SetEgress ignored")
 	}
-	got := 0
-	h.SetHandler(func(*packet.Packet) { got++ })
+	got := &sinkNode{s: s}
+	h.SetHandler(got)
 	h.Receive(dataPkt(1, 0, 100))
-	if got != 1 {
+	if len(got.pkts) != 1 {
 		t.Fatal("handler not invoked")
 	}
 	h.Send(dataPkt(1, 0, 1500))

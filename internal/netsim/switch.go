@@ -54,7 +54,7 @@ func (s *Switch) Receive(p *packet.Packet) {
 type Host struct {
 	id      int
 	egress  *Port
-	handler func(p *packet.Packet)
+	handler Node
 }
 
 // NewHost builds host id with the given egress port. The egress may be nil
@@ -74,8 +74,8 @@ func (h *Host) Egress() *Port { return h.egress }
 // SetEgress installs the NIC port (second phase of topology wiring).
 func (h *Host) SetEgress(p *Port) { h.egress = p }
 
-// SetHandler installs the receive callback.
-func (h *Host) SetHandler(f func(p *packet.Packet)) { h.handler = f }
+// SetHandler installs the node every arriving packet is handed to.
+func (h *Host) SetHandler(n Node) { h.handler = n }
 
 // Send pushes a locally generated packet onto the NIC.
 func (h *Host) Send(p *packet.Packet) { h.egress.Enqueue(p) }
@@ -85,5 +85,5 @@ func (h *Host) Receive(p *packet.Packet) {
 	if h.handler == nil {
 		panic(fmt.Sprintf("netsim: host %d received %v with no handler installed", h.id, p))
 	}
-	h.handler(p)
+	h.handler.Receive(p)
 }

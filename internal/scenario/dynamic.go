@@ -171,7 +171,7 @@ func runDynamic(r *Runner, newEngine func(*sim.Simulator, *Runner) (cellEngine, 
 		return nil, err
 	}
 
-	res := &experiment.DynamicResult{Scheme: experiment.Scheme(d.Scheme), Load: d.Load, FCT: metrics.NewFCTCollector()}
+	res := &experiment.DynamicResult{FCT: metrics.NewFCTCollector()}
 	// An exchange is two transport flows, the request then its response, and
 	// exchanges draw from their own rng stream.
 	salt, idsPerFlow := int64(0x5eed), packet.FlowID(1)

@@ -12,15 +12,19 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"reflect"
+	"strconv"
 	"strings"
 
 	"dynaq/internal/experiment"
 	"dynaq/internal/fabric"
 	"dynaq/internal/faults"
+	"dynaq/internal/metrics"
+	"dynaq/internal/netsim"
 	"dynaq/internal/sched"
 	"dynaq/internal/telemetry"
 	"dynaq/internal/telemetry/trace"
@@ -139,18 +143,62 @@ func invalidf(field, format string, args ...any) *ValidationError {
 	return &ValidationError{Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Result is what a loaded scenario produces when run.
+// Result is what a loaded scenario produces when run: its outputs, one kind
+// by the document's. The document that produced it holds the inputs.
 type Result struct {
-	Static  *experiment.StaticResult
-	Dynamic *experiment.DynamicResult
+	Static  *experiment.StaticResult  `json:",omitempty"`
+	Dynamic *experiment.DynamicResult `json:",omitempty"`
 }
 
-// Summary is the result's headline for a run manifest.
-func (r *Result) Summary() []telemetry.SummaryEntry {
-	if r.Static != nil {
-		return r.Static.Summary()
+// EncodeOutcome is a run's result as its outcome file's bytes: one line of
+// JSON, identical for identical runs.
+func EncodeOutcome(r *Result) ([]byte, error) {
+	data, err := json.Marshal(r)
+	return append(data, '\n'), err
+}
+
+// DecodeOutcome reads what EncodeOutcome wrote, as the same value. It refuses
+// malformed or truncated bytes and anything not an outcome: an unknown key,
+// trailing data, neither or both kinds, no FCT collector.
+func DecodeOutcome(data []byte) (*Result, error) {
+	var r Result
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
+		return nil, fmt.Errorf("scenario: outcome: %w", err)
 	}
-	return r.Dynamic.Summary()
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("scenario: outcome: data after the outcome")
+	}
+	if (r.Static == nil) == (r.Dynamic == nil) ||
+		r.Static != nil && r.Static.FCT == nil || r.Dynamic != nil && r.Dynamic.FCT == nil {
+		return nil, fmt.Errorf("scenario: outcome: want one of Static and Dynamic, with its FCT")
+	}
+	return &r, nil
+}
+
+// Summary is the result's headline for a run manifest, the same keys from
+// every tool that writes one.
+func (r *Result) Summary() []telemetry.SummaryEntry {
+	if s := r.Static; s != nil {
+		return []telemetry.SummaryEntry{
+			{Key: "drops", Value: strconv.FormatInt(s.Drops, 10)},
+			{Key: "samples", Value: strconv.Itoa(len(s.Samples))},
+		}
+	}
+	d := r.Dynamic
+	sum := []telemetry.SummaryEntry{
+		{Key: "flows_generated", Value: strconv.Itoa(d.Generated)},
+		{Key: "flows_completed", Value: strconv.Itoa(d.Completed)},
+		{Key: "avg_fct_us_overall", Value: strconv.FormatInt(int64(d.FCT.Avg(metrics.AllFlows)/units.Microsecond), 10)},
+	}
+	if fl := d.Fluid; fl != nil {
+		sum = append(sum,
+			telemetry.SummaryEntry{Key: "events", Value: strconv.FormatInt(d.Events, 10)},
+			telemetry.SummaryEntry{Key: "recomputes", Value: strconv.FormatInt(fl.Recomputes, 10)},
+			telemetry.SummaryEntry{Key: "demotions", Value: strconv.FormatInt(fl.Demotions, 10)})
+	}
+	return sum
 }
 
 // Runner is a validated, executable scenario: the document, what the loader
@@ -165,8 +213,8 @@ type Runner struct {
 	cdfs   []*workload.CDF               // fct: each workload's flow sizes
 	engine experiment.EngineMode         // fct: the fidelity
 
-	hooks       hooks
-	traceEvents int // static: bottleneck events kept in the result's Trace
+	hooks hooks
+	trace *metrics.EventRecorder // static: the bottleneck's events, armed by SetTraceEvents
 }
 
 // Scheme returns the scenario's scheme name (for run manifests).
@@ -192,15 +240,23 @@ func (r *Runner) SetTelemetry(run *telemetry.Run) { r.hooks.run = run }
 func (r *Runner) SetProgress(w io.Writer) { r.hooks.progress = w }
 
 // SetTraceEvents records the last n drop/mark/evict events at a static
-// scenario's bottleneck port into the result's Trace. An fct scenario has no
-// single bottleneck, so it refuses.
+// scenario's bottleneck port; Trace reads them back after the run. An fct
+// scenario has no single bottleneck, so it refuses.
 func (r *Runner) SetTraceEvents(n int) error {
 	if r.doc.Kind != "static" {
 		return fmt.Errorf("scenario: the event trace records a static scenario's bottleneck; this one is %s", r.doc.Kind)
 	}
-	r.traceEvents = n
+	rec, err := metrics.NewEventRecorder(n)
+	if err != nil {
+		return err
+	}
+	rec.Only(netsim.EvDrop, netsim.EvMark, netsim.EvEvict, netsim.EvDequeueDrop)
+	r.trace = rec
 	return nil
 }
+
+// Trace returns the event recorder SetTraceEvents armed, nil if it was not.
+func (r *Runner) Trace() *metrics.EventRecorder { return r.trace }
 
 // SetSpans attaches a span tracer for retroactive sim-time phase spans,
 // parented under the given wall-time span id (empty for a root sim span).
@@ -481,4 +537,20 @@ func (r *Runner) Run() (*Result, error) {
 		return nil, err
 	}
 	return &res, nil
+}
+
+// RunOutcome runs the scenario and returns its outcome file's bytes and the
+// result decoded from them, the only result a reader of the run sees. Run
+// itself encodes nothing.
+func (r *Runner) RunOutcome() (*Result, []byte, error) {
+	res, err := r.Run()
+	if err != nil {
+		return nil, nil, err
+	}
+	outcome, err := EncodeOutcome(res)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err = DecodeOutcome(outcome)
+	return res, outcome, err
 }

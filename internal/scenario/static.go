@@ -148,13 +148,8 @@ func (r *Runner) runStatic() (*experiment.StaticResult, error) {
 	}
 
 	port := w.net.HostPort(receiver)
-	var rec *metrics.EventRecorder
-	if r.traceEvents > 0 {
-		rec, err = metrics.NewEventRecorder(r.traceEvents)
-		if err != nil {
-			return nil, err
-		}
-		rec.Only(netsim.EvDrop, netsim.EvMark, netsim.EvEvict, netsim.EvDequeueDrop)
+	rec := r.trace
+	if rec != nil {
 		rec.Attach(port)
 	}
 	if d.Guard {
@@ -186,13 +181,11 @@ func (r *Runner) runStatic() (*experiment.StaticResult, error) {
 
 	stats := port.Stats()
 	res := &experiment.StaticResult{
-		Scheme:     experiment.Scheme(d.Scheme),
 		Samples:    ts.samples,
 		Drops:      stats.Dropped,
 		QueueDrops: make([]int64, d.Queues),
 		Evicted:    stats.Evicted,
 		FCT:        fct,
-		Trace:      rec,
 	}
 	for q := range res.QueueDrops {
 		res.QueueDrops[q] = port.QueueDrops(q)

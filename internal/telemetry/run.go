@@ -20,6 +20,7 @@ const (
 	ManifestFile   = "manifest.json"
 	PortEventsFile = "port_events.jsonl"
 	ScenarioFile   = "scenario.json" // the scenario document the run's hash names
+	OutcomeFile    = "outcome.json"  // the run's result, as scenario.EncodeOutcome writes it
 )
 
 // Manifest identifies a run so its artifacts can be audited and compared:

@@ -30,7 +30,7 @@ func newTestSender(t *testing.T, s *sim.Simulator, cfg FlowConfig, sink func(*pa
 // newTestReceiver is a receiver at host me, alone on an endpoint that keeps
 // its flows in flows and hands every ACK to emit.
 func newTestReceiver(me int, emit func(*packet.Packet), flows *FlowTable) *Receiver {
-	return &Receiver{ep: &Endpoint{host: netsim.NewHost(me, nil), send: emit, pkts: &packet.Pool{}, flows: flows}}
+	return &Receiver{ep: &Endpoint{host: netsim.NewHost(me, nil), nic: sendFunc(emit), pkts: &packet.Pool{}, flows: flows}}
 }
 
 func TestSenderConfigValidation(t *testing.T) {

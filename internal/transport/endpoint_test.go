@@ -290,3 +290,13 @@ func TestFinishedSlabsLeaveTheTable(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledEndpointAllocatesOnce pins a network endpoint's cost to the
+// Endpoint itself: its host is its nic and it is its host's handler, so
+// neither binds a method value.
+func TestPooledEndpointAllocatesOnce(t *testing.T) {
+	s, host, pkts, flows := sim.New(), netsim.NewHost(0, nil), new(packet.Pool), new(FlowTable)
+	if n := testing.AllocsPerRun(100, func() { NewPooledEndpoint(s, host, pkts, flows) }); n != 1 {
+		t.Errorf("NewPooledEndpoint makes %v allocations, want 1", n)
+	}
+}

@@ -261,7 +261,7 @@ func newTableNet(parent bool) *tableNet {
 			continue
 		}
 		ep := NewPooledEndpoint(n.sim, host, pkts, n.flows)
-		ep.send = capture
+		ep.nic = sendFunc(capture)
 		n.eps = append(n.eps, ep)
 	}
 	return n
@@ -286,7 +286,7 @@ func (n *tableNet) deliver(p packet.Packet) {
 	if n.parent != nil {
 		n.parent[p.Dst].receive(&p)
 	} else {
-		n.eps[p.Dst].receive(&p)
+		n.eps[p.Dst].Receive(&p)
 	}
 }
 

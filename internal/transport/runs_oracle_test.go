@@ -171,7 +171,7 @@ func runsAgainstSlices(t testing.TB, data []byte) (out runsOutcome) {
 	var eps [runsHosts]*Endpoint
 	for h := range eps {
 		eps[h] = &Endpoint{host: netsim.NewHost(h, nil), pkts: pkts, flows: &table,
-			send: func(p *packet.Packet) { got = p.Detached(); p.Release() }}
+			nic: sendFunc(func(p *packet.Packet) { got = p.Detached(); p.Release() })}
 	}
 	parent := &sliceTable{}
 	flows := make([]*runsFlow, 1+int(data[0])%40)

@@ -90,7 +90,7 @@ type Sender struct {
 	prev, next *Sender   // the endpoint's other live senders; see Endpoint.live
 	sim        *sim.Simulator
 	pkts       *packet.Pool
-	emit       func(*packet.Packet)
+	nic        nic
 
 	flow    packet.FlowID
 	src     int
@@ -146,7 +146,7 @@ type SenderStats struct {
 
 // init makes snd the sender of cfg from host src; it leaves snd as it was
 // when it refuses cfg.
-func (snd *Sender) init(s *sim.Simulator, pkts *packet.Pool, src int, emit func(*packet.Packet), cfg FlowConfig) error {
+func (snd *Sender) init(s *sim.Simulator, pkts *packet.Pool, src int, out nic, cfg FlowConfig) error {
 	if cfg.Dst == src {
 		return fmt.Errorf("transport: flow %d is a self-loop at host %d", cfg.Flow, src)
 	}
@@ -178,7 +178,7 @@ func (snd *Sender) init(s *sim.Simulator, pkts *packet.Pool, src int, emit func(
 	*snd = Sender{
 		sim:        s,
 		pkts:       pkts,
-		emit:       emit,
+		nic:        out,
 		flow:       cfg.Flow,
 		src:        src,
 		dst:        cfg.Dst,
@@ -322,7 +322,7 @@ func (s *Sender) transmit(seq int64, payload units.ByteSize, isRtx bool) {
 	if !s.rtoEv.Pending() {
 		s.resetRTO()
 	}
-	s.emit(p)
+	s.nic.Send(p)
 }
 
 // onAck processes a cumulative acknowledgment.
@@ -595,18 +595,22 @@ func (r *Receiver) buffer(seq, end int64) {
 	}
 }
 
+// nic is where a host's packets leave. A *netsim.Host is one; holding it as
+// an interface, not as the method value host.Send, allocates nothing.
+type nic interface{ Send(p *packet.Packet) }
+
 // Endpoint is the transport stack of one host: it demultiplexes arriving
 // packets to flow senders/receivers through its flow table and originates
 // new flows.
 type Endpoint struct {
 	sim     *sim.Simulator
 	host    *netsim.Host
-	send    func(*packet.Packet) // host.Send, bound once for every flow's sender and receiver
-	pkts    *packet.Pool         // where this host's packets come from; see receive
-	flows   *FlowTable           // where its senders and receivers live
-	live    *Sender              // its live senders, linked through Sender.next; see retire
-	retired SenderStats          // the counters of every completed sender
-	acks    int64                // the pure ACKs its receivers emitted, retired ones included
+	nic     nic          // the host, where every flow's sender and receiver send
+	pkts    *packet.Pool // where this host's packets come from; see Receive
+	flows   *FlowTable   // where its senders and receivers live
+	live    *Sender      // its live senders, linked through Sender.next; see retire
+	retired SenderStats  // the counters of every completed sender
+	acks    int64        // the pure ACKs its receivers emitted, retired ones included
 }
 
 // NewEndpoint installs a transport stack on host, with a packet free list and
@@ -621,8 +625,8 @@ func NewEndpoint(s *sim.Simulator, host *netsim.Host) *Endpoint {
 // for the sum of every host's; they share one flow table, so a flow's sender
 // and receiver sit in one slot and the receiver retires with the sender.
 func NewPooledEndpoint(s *sim.Simulator, host *netsim.Host, pkts *packet.Pool, flows *FlowTable) *Endpoint {
-	ep := &Endpoint{sim: s, host: host, send: host.Send, pkts: pkts, flows: flows}
-	host.SetHandler(ep.receive)
+	ep := &Endpoint{sim: s, host: host, nic: host, pkts: pkts, flows: flows}
+	host.SetHandler(ep)
 	return ep
 }
 
@@ -639,7 +643,7 @@ func (ep *Endpoint) StartFlow(cfg FlowConfig) (*Sender, error) {
 		return nil, fmt.Errorf("transport: %w at host %d", err, ep.host.ID())
 	}
 	snd := &slot.snd
-	if err := snd.init(ep.sim, ep.pkts, ep.host.ID(), ep.send, cfg); err != nil {
+	if err := snd.init(ep.sim, ep.pkts, ep.host.ID(), ep.nic, cfg); err != nil {
 		return nil, err
 	}
 	snd.ep = ep
@@ -669,11 +673,11 @@ func (ep *Endpoint) retire(snd *Sender) {
 	ep.flows.retire(snd)
 }
 
-// receive is where a delivered packet's life ends: the flow state machines
-// read it and keep nothing of it, so it goes back to the pool it came from.
-// Packets dropped on the way are released by the port that dropped them,
-// which is why the pool refills no matter where its packets die.
-func (ep *Endpoint) receive(p *packet.Packet) {
+// Receive, the host's netsim.Node, is where a delivered packet's life ends:
+// the flow state machines read it and keep nothing of it, so it goes back to
+// the pool it came from. Packets dropped on the way are released by the port
+// that dropped them, which is why the pool refills wherever its packets die.
+func (ep *Endpoint) Receive(p *packet.Packet) {
 	switch p.Kind {
 	case packet.Data:
 		ep.flows.deliver(ep, p)
@@ -701,5 +705,5 @@ func (ep *Endpoint) ack(p *packet.Packet, ack int64) {
 	a.Size = packet.AckSize
 	a.Class = p.Class
 	a.Echo = p.ECN == packet.CE
-	ep.send(a)
+	ep.nic.Send(a)
 }
