@@ -16,20 +16,26 @@ import (
 // like bench's leafspine_packet on the packet engine, and cells shaped like
 // fattree_flow and leafspine_hybrid (fewer flows) on the fluid engines.
 //
-// At seed 1 they read 2.6, 7.0, 2.3 and 4.8 mallocs; over seeds 1–6 the
-// packet cells read 1.9–3.1 and 5.4–10.7, the hybrid one 4.1–4.8. A flow
-// allocates only its completion callback, on every engine
+// At seed 1 they read 1.4, 6.4, 0.7 and 3.3 mallocs; over seeds 1–6 the
+// packet cells read 1.1–1.8 and 5.0–9.5, the fluid ones 0.6–0.7 and 2.8–3.3.
+// A flow allocates nothing of its own on any engine
 // (TestPacketFlowAllocatesOnlyItsState and
-// TestFluidFlowAllocatesOnlyItsCompletion in internal/scenario hold that);
-// a packet flow's sender and receiver are carved from the network's flow
-// table, one slab per 32 flows, and its out-of-order runs from the table's
-// run arena, one slab per 128 runs buffered at once. The rest is per cell:
-// the packet slabs and the ports, each of whose layers (Algorithm 1,
-// DynaQ's counters, the scheduler, the port's queues) allocates its object
-// and one array (TestSwitchPortBuildAllocations in internal/netsim); a port
-// queue or a wire that deepens allocates nothing, as its packets are linked
-// through themselves. While each layer kept an array per field and the
-// receivers' runs were slices growing by append, seed 1 read 3.2, 11.4,
+// TestFluidFlowAllocatesOnlyItsState in internal/scenario hold that): its
+// completion callback is the closure of a record from the run's free list,
+// made only while the flows in flight climb to a new high; a packet flow's
+// sender and receiver are carved from the network's flow table, one slab
+// per 32 flows, and its out-of-order runs from the table's run arena, one
+// slab per 128 runs buffered at once; the fluid engine's recompute scratch
+// grows by doubling. The rest is per cell: the packet slabs and the ports,
+// each of whose layers (Algorithm 1, DynaQ's counters, the scheduler, the
+// port's queues) allocates its object and one array
+// (TestSwitchPortBuildAllocations in internal/netsim); a port queue or a
+// wire that deepens allocates nothing, as its packets are linked through
+// themselves. While each flow made its own completion closure and the
+// fluid scratch grew to each new high exactly, seed 1 read 2.6, 7.0, 2.3
+// and 4.8, and seeds 1–6 read 1.9–3.1 and 5.4–10.7 on the packet cells,
+// 4.1–4.8 on the hybrid one. While each layer kept an array per field and
+// the receivers' runs were slices growing by append, seed 1 read 3.2, 11.4,
 // 2.3 and 5.1, and seeds 1–6 read 2.4–3.8 and 9.2–17.2 on the packet
 // cells. While each flow allocated its own sender and receiver, with both
 // kept in per-endpoint maps, seed 1 read 5.7 and 14.7. While each port queue and wire was a ring
@@ -40,9 +46,10 @@ import (
 // with a packet free list per endpoint instead of one per network the first
 // two read 63 and 150, and before the packet pool, the link's wire FIFO and
 // the unboxed SPQ+DRR view the star cell read about 6200. Each budget is its
-// seed-1 reading plus about a quarter: the sender and receiver mallocs put
-// back exceed both packet budgets, and a single per-flow malloc put back is
-// for the per-flow tests to catch. Bytes are bounded too: with one map entry
+// seed-1 reading plus about a quarter: a per-flow completion closure put
+// back exceeds the star's and both fluid budgets (leafspine's 160 flows
+// would add only 1.2), and a single per-flow malloc elsewhere is for the
+// per-flow tests to catch. Bytes are bounded too: with one map entry
 // per buffered out-of-order segment the star cell read 25 KB per 1000
 // offered packets, with the receivers' runs under 10.
 func TestPacketCellAllocBudget(t *testing.T) {
@@ -76,9 +83,9 @@ func TestPacketCellAllocBudget(t *testing.T) {
 		budget float64 // mallocs per 1000 offered MSS packets
 		doc    scenario.Document
 	}{
-		{"star", 3.3, star},
-		{"leafspine", 9, leafSpine(experiment.EnginePacket, 160)},
-		{"fattree_flow", 3, scenario.Document{
+		{"star", 1.8, star},
+		{"leafspine", 8, leafSpine(experiment.EnginePacket, 160)},
+		{"fattree_flow", 0.9, scenario.Document{
 			Kind:        "fct",
 			Scheme:      string(experiment.DynaQ),
 			Engine:      string(experiment.EngineFlow),
@@ -96,7 +103,7 @@ func TestPacketCellAllocBudget(t *testing.T) {
 			Seed:        1,
 			MaxRuntimeS: 30,
 		}},
-		{"leafspine_hybrid", 6.5, leafSpine(experiment.EngineHybrid, 1000)},
+		{"leafspine_hybrid", 4.1, leafSpine(experiment.EngineHybrid, 1000)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cell := func() (mallocs, bytes uint64, kpkt float64) {

@@ -361,8 +361,9 @@ func (e *Engine) startFlow(spec FlowSpec) {
 	// already hashed and Path hashes it again, while the packet engine
 	// hashes the flow id once, so the same flow may take different
 	// equal-cost paths on the two engines. Kept because every flow and
-	// hybrid artifact depends on it; ROADMAP item 3's differential work
-	// owns removing it.
+	// hybrid artifact depends on it; removing it is ROADMAP item 7's, the
+	// check that the non-packet engines reproduce the packet engine's
+	// verdicts.
 	e.flows = append(e.flows, fflow{
 		spec:      spec,
 		path:      e.path(spec.Src, spec.Dst, fabric.Hash(uint64(spec.ID))),
@@ -563,9 +564,12 @@ func (e *Engine) recompute() {
 	e.stats.Recomputes++
 	e.dirty = false
 	if cap(e.caps) < n {
-		e.caps = make([]units.Rate, n)
-		e.rates = make([]units.Rate, n)
-		e.paths = make([][]int32, n)
+		// Doubling: an active set climbing to n regrows the scratch
+		// O(log n) times, not once per new high.
+		m := max(n, 2*cap(e.caps))
+		e.caps = make([]units.Rate, m)
+		e.rates = make([]units.Rate, m)
+		e.paths = make([][]int32, m)
 	}
 	caps, rates, paths := e.caps[:n], e.rates[:n], e.paths[:n]
 	for k, fi := range e.active {

@@ -71,7 +71,7 @@ func (w *waterfiller) fill(linkCap []units.Rate, flowCap []units.Rate, flowPath 
 		bmin[b] = blockMin(b)
 	}
 	if cap(w.items) < int(heads[nl]) {
-		w.items = make([]int32, heads[nl])
+		w.items = make([]int32, max(int(heads[nl]), 2*cap(w.items)))
 	}
 	items := w.items[:heads[nl]]
 	for f, path := range flowPath[:n] {
@@ -156,7 +156,9 @@ func (w *waterfiller) fill(linkCap []units.Rate, flowCap []units.Rate, flowPath 
 }
 
 // grow resizes the scratch slices for n flows over nl links in nb blocks;
-// items is sized in fill once the edge count is known.
+// items is sized in fill once the edge count is known. The per-flow slices
+// and items grow by doubling, so a flow count climbing to n regrows them
+// O(log n) times; the per-link ones are sized once, as the links are fixed.
 func (w *waterfiller) grow(n, nl, nb int) {
 	if cap(w.heads) < nl+1 {
 		w.rem = make([]int64, nl)
@@ -167,7 +169,8 @@ func (w *waterfiller) grow(n, nl, nb int) {
 		w.bmin = make([]int64, nb)
 	}
 	if cap(w.order) < n {
-		w.order = make([]int32, n)
-		w.frozen = make([]bool, n)
+		m := max(n, 2*cap(w.order))
+		w.order = make([]int32, m)
+		w.frozen = make([]bool, m)
 	}
 }

@@ -189,16 +189,40 @@ func runDynamic(r *Runner, newEngine func(*sim.Simulator, *Runner) (cellEngine, 
 			fctHist.Observe(int64(fct / units.Microsecond))
 		}
 	}
-	// exchange issues f's request at issue and starts f, the response, at
-	// the request's completion.
-	exchange := func(issue units.Time, f flowStart) {
-		eng.start(issue, flowStart{
-			id: f.id - 1, src: f.dst, dst: f.src, class: 0, size: requestSize,
-			done: func(reqFCT units.Duration) {
-				f.done = func(fct units.Duration) { record(f.size, reqFCT+fct) }
-				eng.start(issue.Add(reqFCT), f)
-			},
-		})
+	// A completion is the record of one flow in flight: its done, built
+	// once when the record is made, records the flow's size and FCT and then
+	// puts the record back on the run's free list, so a run makes one record
+	// per flow in flight at its peak, not one per flow. An exchange's
+	// request and its response share one record: the request's completion
+	// starts the response.
+	type completion struct {
+		f       flowStart      // the flow, or an exchange's response; f.done is the record's closure
+		issue   units.Time     // when an exchange's request was issued
+		reqFCT  units.Duration // an exchange's request FCT, 0 for a plain flow
+		request bool           // an exchange's request is in flight
+		next    *completion    // the free list's link
+	}
+	var idle *completion
+	// take returns an idle record holding f, with f.done its closure.
+	take := func(f flowStart) *completion {
+		c := idle
+		if c == nil {
+			c = new(completion)
+			c.f.done = func(fct units.Duration) {
+				if c.request {
+					c.request, c.reqFCT = false, fct
+					eng.start(c.issue.Add(fct), c.f)
+					return
+				}
+				record(c.f.size, c.reqFCT+fct)
+				c.next, idle = idle, c
+			}
+		} else {
+			idle = c.next
+		}
+		f.done = c.f.done
+		*c = completion{f: f}
+		return c
 	}
 
 	// One arrival process per workload; workload w maps to the DRR queues
@@ -229,13 +253,15 @@ func runDynamic(r *Runner, newEngine func(*sim.Simulator, *Runner) (cellEngine, 
 		if qChoices > 1 {
 			pick = gi + len(gens)*rng.Intn(qChoices)
 		}
-		f := flowStart{id: flowID, src: src, dst: dst, class: 1 + pick, size: size}
-		if d.RequestResponse {
-			exchange(at, f)
+		c := take(flowStart{id: flowID, src: src, dst: dst, class: 1 + pick, size: size})
+		if !d.RequestResponse {
+			eng.start(at, c.f)
 			return
 		}
-		f.done = func(fct units.Duration) { record(size, fct) }
-		eng.start(at, f)
+		// An exchange issues the request at at; the response starts at the
+		// request's completion.
+		c.issue, c.request = at, true
+		eng.start(at, flowStart{id: flowID - 1, src: dst, dst: src, class: 0, size: requestSize, done: c.f.done})
 	}
 	perGen := d.Flows / len(gens)
 	var left []int
