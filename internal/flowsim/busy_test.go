@@ -3,6 +3,7 @@ package flowsim
 import (
 	"testing"
 
+	"dynaq/internal/packet"
 	"dynaq/internal/sim"
 	"dynaq/internal/units"
 )
@@ -103,16 +104,18 @@ var probeSteps = []units.Duration{units.Picosecond, 3 * units.Microsecond, 30 * 
 // covering them afterwards; and the live walk ran in ascending link order.
 func checkBusySet(tb testing.TB, name string) func(*Engine) {
 	step := 0
-	var owner []int32  // each flow's episode owner before the Step
-	var demoted []bool // each link's demoted flag before the Step
+	var owner []int32       // each slot's episode owner before the Step
+	var ids []packet.FlowID // the flow each slot held before the Step
+	var demoted []bool      // each link's demoted flag before the Step
 	return func(e *Engine) {
 		step++
 		// A walk demotes in ascending link order, so a flow that had no
 		// episode owner is owned by the lowest link it crosses among those
-		// the Step demoted. Flows the Step started enroll in path order.
+		// the Step demoted. Flows the Step started enroll in path order,
+		// also in a slot another flow held before the Step.
 		for fi, was := range owner {
 			f := &e.flows[fi]
-			if was >= 0 || f.epOwner < 0 || f.activeIdx < 0 {
+			if was >= 0 || f.epOwner < 0 || f.activeIdx < 0 || f.spec.ID != ids[fi] {
 				continue
 			}
 			first := int32(-1)
@@ -126,9 +129,10 @@ func checkBusySet(tb testing.TB, name string) func(*Engine) {
 					name, step, e.s.Now(), fi, f.epOwner, first)
 			}
 		}
-		owner = owner[:0]
+		owner, ids = owner[:0], ids[:0]
 		for fi := range e.flows {
 			owner = append(owner, e.flows[fi].epOwner)
+			ids = append(ids, e.flows[fi].spec.ID)
 		}
 		if demoted == nil {
 			demoted = make([]bool, len(e.links))
@@ -208,6 +212,10 @@ func FuzzBusySetCoversFullWalk(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, kind uint8) {
 		p := genProgram(t, int(kind)%numKinds, seed)
-		runProgram(t, p, checkBusySet(t, p.name))
+		busy, slots := checkBusySet(t, p.name), checkSlots(t, p.name)
+		runProgram(t, p, func(e *Engine) {
+			busy(e)
+			slots(e)
+		})
 	})
 }

@@ -118,7 +118,7 @@ type fflow struct {
 	epOwner  int32
 	inflight units.ByteSize
 
-	activeIdx int32 // index into e.active, -1 once completed
+	activeIdx int32 // index into e.active, -1 while the slot is free
 }
 
 // linkState is one directed link's fluid (and episode) state.
@@ -139,7 +139,11 @@ type Engine struct {
 	cfg  Config
 	topo *Topology
 
+	// flows is a slot table: complete frees a flow's slot, with its path's
+	// array, for the next flow, so the table grows with the flows in flight.
+	// Nothing orders by slot: the engine walks e.active and ep.flows.
 	flows  []fflow
+	free   []int32 // slots of completed flows, taken last in, first out
 	active []int32
 	links  []linkState
 	// busy has bit i set for every fluid link i with inRate > cap or
@@ -162,8 +166,7 @@ type Engine struct {
 	crossing   sim.EventRef // pending at the earliest projected crossing
 	stopTick   func()
 
-	arrivals  []*arrival // free list of pending-arrival records
-	pathArena []int32    // where flows' paths are carved from; see path
+	arrivals []*arrival // free list of pending-arrival records
 
 	// What New derives from the config: the slow-start initial window (10
 	// MSS); the recompute quantum bounding how stale rate allocations get
@@ -323,27 +326,32 @@ func startArrival(x any) {
 	e.startFlow(spec)
 }
 
-// Flows keep their paths until the run ends, so paths are carved from
-// chunks of pathChunk links, pathReserve of which are left free for the next
-// path: a path is at most six links on the fabrics, and one that is longer
-// than the rest of a chunk gets a slice of its own.
-const (
-	pathChunk   = 4096
-	pathReserve = 16
-)
+// slotPath is the path room of each slot a growth adds: a path is at most
+// six links on the fabrics, and a longer one grows its slot's array.
+const slotPath = 8
 
-// path returns the links from src to dst under ECMP key key, carved from the
-// engine's path arena.
-func (e *Engine) path(src, dst int, key uint64) []int32 {
-	if cap(e.pathArena)-len(e.pathArena) < pathReserve {
-		e.pathArena = make([]int32, 0, pathChunk)
+// slot returns a free flow slot: the one freed last, else the next unused
+// one. The table grows by doubling, and the slots a growth adds share one
+// path array, so a run's slots and paths cost O(log peak) mallocs.
+func (e *Engine) slot() int32 {
+	if n := len(e.free); n > 0 {
+		fi := e.free[n-1]
+		e.free = e.free[:n-1]
+		return fi
 	}
-	n := len(e.pathArena)
-	p := e.topo.Path(src, dst, key, e.pathArena[n:n])
-	if len(p) <= cap(e.pathArena)-n {
-		e.pathArena = e.pathArena[:n+len(p)]
+	n := len(e.flows)
+	if n == cap(e.flows) {
+		grown := make([]fflow, n, max(2*n, 16))
+		copy(grown, e.flows)
+		spare := grown[n:cap(grown)]
+		paths := make([]int32, len(spare)*slotPath)
+		for i := range spare {
+			spare[i].path = paths[i*slotPath : i*slotPath : (i+1)*slotPath]
+		}
+		e.flows = grown
 	}
-	return p[:len(p):len(p)]
+	e.flows = e.flows[:n+1]
+	return int32(n)
 }
 
 // startFlow admits one flow into the fluid state. Its rate stays zero until
@@ -356,7 +364,8 @@ func (e *Engine) startFlow(spec FlowSpec) {
 		panic(fmt.Sprintf("flowsim: class %d out of range", spec.Class))
 	}
 	e.advance()
-	idx := int32(len(e.flows))
+	idx := e.slot()
+	f := &e.flows[idx]
 	// Known packet-vs-fluid path divergence: the key handed to Path below is
 	// already hashed and Path hashes it again, while the packet engine
 	// hashes the flow id once, so the same flow may take different
@@ -364,16 +373,15 @@ func (e *Engine) startFlow(spec FlowSpec) {
 	// hybrid artifact depends on it; removing it is ROADMAP item 7's, the
 	// check that the non-packet engines reproduce the packet engine's
 	// verdicts.
-	e.flows = append(e.flows, fflow{
+	*f = fflow{
 		spec:      spec,
-		path:      e.path(spec.Src, spec.Dst, fabric.Hash(uint64(spec.ID))),
+		path:      e.topo.Path(spec.Src, spec.Dst, fabric.Hash(uint64(spec.ID)), f.path[:0]),
 		remaining: spec.Size,
 		started:   e.s.Now(),
 		short:     spec.Size <= e.cutoff,
 		epOwner:   -1,
 		activeIdx: int32(len(e.active)),
-	})
-	f := &e.flows[idx]
+	}
 	f.peak = e.links[f.path[0]].cap
 	for _, l := range f.path[1:] {
 		if c := e.links[l].cap; c < f.peak {
@@ -683,11 +691,11 @@ func (e *Engine) completeDrained() {
 	}
 }
 
-// complete retires flow fi and reports its FCT: the rate-limited transfer
-// time plus the base RTT, the worst standing queue on its path, and any
-// accumulated loss-recovery delay. Pump completions pass withQDelay false —
-// a packetized flow waited out its queue explicitly, so adding the standing
-// backlog again would double-count it.
+// complete retires flow fi, frees its slot and reports its FCT: the
+// rate-limited transfer time plus the base RTT, the worst standing queue on
+// its path, and any accumulated loss-recovery delay. Pump completions pass
+// withQDelay false — a packetized flow waited out its queue explicitly, so
+// adding the standing backlog again would double-count it.
 func (e *Engine) complete(fi int32, withQDelay bool) {
 	f := &e.flows[fi]
 	now := e.s.Now()
@@ -722,6 +730,10 @@ func (e *Engine) complete(fi int32, withQDelay bool) {
 	if f.penaltyRate > 0 {
 		e.penalized--
 	}
+	if f.epLinks > 0 {
+		e.unenroll(fi)
+	}
+	e.free = append(e.free, fi)
 	e.stats.Completed++
 	e.dirty = true
 	if f.spec.OnComplete != nil {

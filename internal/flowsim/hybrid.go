@@ -2,6 +2,7 @@ package flowsim
 
 import (
 	"fmt"
+	"slices"
 
 	"dynaq/internal/buffer"
 	"dynaq/internal/sim"
@@ -213,9 +214,6 @@ func (e *Engine) pump(li int) {
 	// is owned by the first, so it is not delivered twice).
 	for k, fi := range ep.flows {
 		f := &e.flows[fi]
-		if f.activeIdx < 0 {
-			continue
-		}
 		if f.epOwner < 0 {
 			f.epOwner = int32(li)
 		}
@@ -325,9 +323,6 @@ func (e *Engine) deliverChunk(ep *episode, cls int, c chunk, now units.Time) {
 		return
 	}
 	f := &e.flows[c.flow]
-	if f.activeIdx < 0 {
-		return
-	}
 	f.inflight -= units.ByteSize(c.bytes)
 	if ep.deqMark != nil && ep.deqMark.MarkOnDequeue(cls, sojourn) {
 		e.stats.PacketizedMarks++
@@ -352,6 +347,41 @@ func (e *Engine) deliverChunk(ep *episode, cls int, c chunk, now units.Time) {
 	}
 }
 
+// unenroll takes flow fi, completing in a pump, out of the episode of every
+// demoted link on its path, so that no episode names its slot once a new
+// flow takes it; the entries behind keep their order, the order the pump
+// admits in. Its chunks still queued at its owner become phantom, which
+// dequeue exactly as a completed flow's did. Such chunks exist: promote
+// zeroes inflight for every flow it releases, also one whose owner is
+// another demoted link still queueing its chunks. A flow completing in the
+// fluid has epLinks 0, so it is in no episode and has no chunk queued.
+// unenroll walks each demoted link's entries on the path and the owner's
+// queued chunks once, as a pump tick of each of those links does.
+func (e *Engine) unenroll(fi int32) {
+	f := &e.flows[fi]
+	for _, l := range f.path {
+		ls := &e.links[l]
+		if !ls.demoted {
+			continue
+		}
+		ep := ls.ep
+		k := slices.Index(ep.flows, fi)
+		ep.flows = slices.Delete(ep.flows, k, k+1)
+		ep.credit = slices.Delete(ep.credit, k, k+1)
+		if l != f.epOwner {
+			continue
+		}
+		for q := range ep.queues {
+			cq := &ep.queues[q]
+			for i := cq.head; i < len(cq.chunks); i++ {
+				if cq.chunks[i].flow == fi {
+					cq.chunks[i].flow = -1
+				}
+			}
+		}
+	}
+}
+
 // promote returns link li to fluid: residual chunks become fluid backlog
 // again, enrolled flows are released, and the episode span is emitted.
 func (e *Engine) promote(li int) {
@@ -370,9 +400,6 @@ func (e *Engine) promote(li int) {
 	ep.carry = 0
 	for _, fi := range ep.flows {
 		f := &e.flows[fi]
-		if f.activeIdx < 0 {
-			continue
-		}
 		f.epLinks--
 		f.inflight = 0
 		if f.epOwner == int32(li) {

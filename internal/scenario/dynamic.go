@@ -149,6 +149,9 @@ func (r *Runner) flowGens() ([]*workload.FlowGen, error) {
 // RPC header).
 const requestSize = 100 * units.Byte
 
+// completionSlab is how many completion records runDynamic carves at once.
+const completionSlab = 32
+
 // runDynamic runs an fct document on the engine newEngine builds. The
 // fabric, the arrival processes, the source/destination draws and the class
 // striping are engine-independent, so a given seed describes the same
@@ -190,11 +193,12 @@ func runDynamic(r *Runner, newEngine func(*sim.Simulator, *Runner) (cellEngine, 
 		}
 	}
 	// A completion is the record of one flow in flight: its done, built
-	// once when the record is made, records the flow's size and FCT and then
-	// puts the record back on the run's free list, so a run makes one record
-	// per flow in flight at its peak, not one per flow. An exchange's
-	// request and its response share one record: the request's completion
-	// starts the response.
+	// once when the record is first handed out, records the flow's size and
+	// FCT and then puts the record back on the run's free list, so a run
+	// makes one record per flow in flight at its peak, not one per flow, and
+	// carves the records from slabs of completionSlab. An exchange's request
+	// and its response share one record: the request's completion starts the
+	// response.
 	type completion struct {
 		f       flowStart      // the flow, or an exchange's response; f.done is the record's closure
 		issue   units.Time     // when an exchange's request was issued
@@ -203,11 +207,15 @@ func runDynamic(r *Runner, newEngine func(*sim.Simulator, *Runner) (cellEngine, 
 		next    *completion    // the free list's link
 	}
 	var idle *completion
+	var slab []completion // records never handed out
 	// take returns an idle record holding f, with f.done its closure.
 	take := func(f flowStart) *completion {
 		c := idle
 		if c == nil {
-			c = new(completion)
+			if len(slab) == 0 {
+				slab = make([]completion, completionSlab)
+			}
+			c, slab = &slab[0], slab[1:]
 			c.f.done = func(fct units.Duration) {
 				if c.request {
 					c.request, c.reqFCT = false, fct

@@ -64,8 +64,9 @@ func TestPacketFlowAllocatesOnlyItsState(t *testing.T) {
 }
 
 // TestFluidFlowAllocatesOnlyItsState holds a flow-engine flow to no malloc
-// of its own: its arrival record comes from the engine's free list, its path
-// from the path arena, and its state from the engine's flow slice.
+// of its own: its arrival record comes from the engine's free list, and its
+// state and path from a slot of the engine's flow table, which a completed
+// flow frees for the next.
 func TestFluidFlowAllocatesOnlyItsState(t *testing.T) {
 	doc := smallLeafSpine()
 	doc.Engine, doc.Load = string(experiment.EngineFlow), 0.6
